@@ -45,7 +45,6 @@ def base_config(splitter: str, seeds: list[int]) -> dict:
             "name": "VarianceModelFeatureExtractor",
             "interp_dims": 1000,
             "critical_cycles": [2, 9, 99],
-            "use_precalculated_qdlin": True,
         },
         "feature_transformation": {"name": "ZScoreDataTransformation"},
         "label": {"name": "RULLabelAnnotator"},
@@ -68,7 +67,6 @@ def main() -> int:
     parser.add_argument("--n-cells", type=int, default=100)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument("--workspace", default="workspace/benchmark")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--sweep-pls", action="store_true",
                         help="sweep PLS component counts instead of the model zoo")
     args = parser.parse_args()
@@ -81,7 +79,7 @@ def main() -> int:
             n_cells=args.n_cells, cycle_life_mean=400.0, cycle_life_std=60.0,
             points_per_cycle=16, seed=0,
         )
-        cells = generate_synthetic(spec, jobs=args.jobs)
+        cells = generate_synthetic(spec)
         print(f"generated {len(cells)} synthetic cells")
 
     config = base_config(args.splitter, args.seeds)
@@ -105,8 +103,7 @@ def main() -> int:
         run_cfg = dict(config)
         run_cfg["model"] = model
         t0 = time.time()
-        report = run_train(run_cfg, workspace=args.workspace, cells=cells,
-                           jobs=args.jobs).report
+        report = run_train(run_cfg, workspace=args.workspace, cells=cells).report
         print(
             f"{label(model):<34} {report['mean_rmse']:>10.3f} {report['sd_rmse']:>8.3f} "
             f"{report['mean_mae']:>10.3f} {time.time() - t0:>6.1f}s"

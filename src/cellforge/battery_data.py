@@ -4,8 +4,7 @@ One cell is one UTF-8 JSON document named ``<cell_id>.json``. Field names use
 snake_case with unit suffixes (``nominal_capacity_in_Ah``, ``time_in_s``, ...)
 and are identical in memory and on disk. Unknown keys found in a file are
 preserved in an ``extra`` side map and round-trip unchanged, but nothing in
-the package interprets them (with the single exception of the optional
-``qdlinear`` cache block consumed by the feature extractors).
+the package interprets them.
 
 Sign convention for ``current_in_A``: charge positive, discharge negative.
 Converters enforce it at ingestion time; nothing downstream re-derives it.

@@ -32,8 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the generation seed")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker threads for per-cell and per-seed work")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list-sources", help="show the known public data sources")
@@ -59,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workspace", default=None,
                    help="checkpoint root (default: config value, then "
                         "CELLFORGE_WORKSPACE, then ./workspace)")
-    p.add_argument("--device", default=None, help="accepted for config "
-                   "compatibility; models always run on the CPU")
 
     p = sub.add_parser("evaluate", help="recompute a checkpoint's report")
     p.add_argument("--checkpoint", required=True)
@@ -132,7 +128,7 @@ def _cmd_generate(args, say) -> int:
     spec = _load_synth_spec(args.spec, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = generate_synthetic(spec, jobs=args.jobs)
+    cells = generate_synthetic(spec)
     for cell in cells:
         write_cell(cell, out_dir)
     say(f"wrote {len(cells)} synthetic cell(s) to {out_dir}")
@@ -140,8 +136,7 @@ def _cmd_generate(args, say) -> int:
 
 
 def _cmd_train(args, say) -> int:
-    ckpt = run_train(args.config, workspace=args.workspace, jobs=args.jobs,
-                     device=args.device)
+    ckpt = run_train(args.config, workspace=args.workspace)
     report = ckpt.report
     say(f"checkpoint: {ckpt.directory}")
     say(f"test RMSE {report['mean_rmse']:.4f} +/- {report['sd_rmse']:.4f} "
@@ -151,7 +146,7 @@ def _cmd_train(args, say) -> int:
 
 def _cmd_evaluate(args, say) -> int:
     cells = load_cells(args.cells) if args.cells else None
-    report = run_evaluate(args.checkpoint, cells=cells, jobs=args.jobs)
+    report = run_evaluate(args.checkpoint, cells=cells)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=1)

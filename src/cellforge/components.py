@@ -42,22 +42,6 @@ LABELS.register("RULLabelAnnotator", labels.RULLabelAnnotator)
 LABELS.register("SOHLabelAnnotator", labels.SOHLabelAnnotator)
 LABELS.register("SOCLabelAnnotator", labels.SOCLabelAnnotator)
 
-
-def _sequential_factory(transformations):
-    """Build a Sequential transform from child config dicts (or instances)."""
-    children = []
-    for child in transformations:
-        if isinstance(child, dict):
-            params = dict(child)
-            name = params.pop("name", None)
-            if not isinstance(name, str):
-                raise ValueError("sequential child needs a 'name' string")
-            children.append(TRANSFORMS.create(name, **params))
-        else:
-            children.append(child)
-    return transforms.SequentialDataTransformation(children)
-
-
 # Data transformations
 TRANSFORMS.register("ZScoreDataTransformation", transforms.ZScoreDataTransformation)
 TRANSFORMS.register("ColumnwiseZScoreDataTransformation",
@@ -65,7 +49,8 @@ TRANSFORMS.register("ColumnwiseZScoreDataTransformation",
 TRANSFORMS.register("MinMaxDataTransformation", transforms.MinMaxDataTransformation)
 TRANSFORMS.register("LogScaleDataTransformation",
                     transforms.LogScaleDataTransformation)
-TRANSFORMS.register("SequentialDataTransformation", _sequential_factory)
+TRANSFORMS.register("SequentialDataTransformation",
+                    transforms.SequentialDataTransformation)
 
 # Models.  The linear model keeps the name used in published configs.
 MODELS.register("DummyRegressor", models.DummyRegressor)

@@ -12,16 +12,18 @@ Conventions used throughout this module:
   features take log10 with a 1e-12 floor, the multi-feature extractors take
   raw log10 and rely on sanitization.
 * Extractor output is sanitized: NaN and +/-Inf entries become 0.0.
+* ``use_precalculated_qdlin`` is accepted and ignored by the qdlinear-based
+  extractors: published configs carry the key, and every curve is computed
+  from the cycle itself.
 
 Extractors registered for pipeline use share one shape of contract:
 ``process_cell(cell) -> (values (k, d), row_keys)`` and
-``extract(cells, jobs=1) -> FeatureMatrix``.
+``extract(cells) -> FeatureMatrix``.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,8 +109,8 @@ def delta_q(
     for idx in (late_index, early_index):
         if not 0 <= idx < n:
             raise FeatureError(f"{cell.cell_id}: cycle index {idx} out of range (have {n})")
-    late = _cached_or_computed_qdlin(cell, late_index, lo, hi, interp_dims, False)
-    early = _cached_or_computed_qdlin(cell, early_index, lo, hi, interp_dims, False)
+    late = qdlinear(cell.cycle_data[late_index], lo, hi, interp_dims)
+    early = qdlinear(cell.cycle_data[early_index], lo, hi, interp_dims)
     return late - early
 
 
@@ -160,53 +162,6 @@ def sanitize(values: np.ndarray) -> np.ndarray:
         values = values.copy()
         values[bad] = 0.0
     return values
-
-
-# ---------------------------------------------------------------------------
-# qdlinear cache stored in the cell's side map
-
-def _cached_or_computed_qdlin(cell, cycle_index, v_min, v_max, interp_dims, use_cache):
-    # Cache hits require an exact (v_min, v_max, interp_dims) match; anything
-    # else falls back to direct interpolation.
-    if use_cache:
-        block = cell.extra.get("qdlinear")
-        if isinstance(block, dict) and _cache_matches(block, v_min, v_max, interp_dims):
-            values = block.get("values", [])
-            if cycle_index < len(values):
-                row = np.asarray(values[cycle_index], dtype=float)
-                if row.shape == (interp_dims,):
-                    return row
-    return qdlinear(cell.cycle_data[cycle_index], v_min, v_max, interp_dims)
-
-
-def _cache_matches(block, v_min, v_max, interp_dims):
-    try:
-        return (
-            float(block["v_min"]) == v_min
-            and float(block["v_max"]) == v_max
-            and int(block["interp_dims"]) == interp_dims
-        )
-    except (KeyError, TypeError, ValueError):
-        return False
-
-
-def attach_qdlinear_cache(cell: CellRecord, *, interp_dims: int, v_min=None, v_max=None) -> CellRecord:
-    """Return a copy of ``cell`` carrying a qdlinear cache in its side map."""
-    lo, hi = voltage_bounds(cell, v_min, v_max)
-    values = [qdlinear(c, lo, hi, interp_dims).tolist() for c in cell.cycle_data]
-    extra = dict(cell.extra)
-    extra["qdlinear"] = {"v_min": lo, "v_max": hi, "interp_dims": interp_dims, "values": values}
-    return CellRecord(
-        **{f: getattr(cell, f) for f in (
-            "cell_id", "nominal_capacity_in_Ah", "cycle_data", "form_factor",
-            "anode_material", "cathode_material", "electrolyte_material",
-            "depth_of_charge", "depth_of_discharge", "already_spent_cycles",
-            "max_voltage_limit_in_V", "min_voltage_limit_in_V",
-            "max_current_limit_in_A", "min_current_limit_in_A",
-            "charge_protocol", "discharge_protocol", "description",
-        )},
-        extra=extra,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +238,10 @@ class BaseFeatureExtractor:
     def process_cell(self, cell: CellRecord) -> tuple[np.ndarray, list[tuple]]:
         raise NotImplementedError
 
-    def extract(self, cells: list[CellRecord], jobs: int = 1) -> FeatureMatrix:
+    def extract(self, cells: list[CellRecord]) -> FeatureMatrix:
         if not cells:
             raise FeatureError("no cells to extract features from")
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(self.process_cell, cells))
-        else:
-            parts = [self.process_cell(c) for c in cells]
+        parts = [self.process_cell(c) for c in cells]
         values = np.vstack([p[0] for p in parts])
         keys = [k for p in parts for k in p[1]]
         return FeatureMatrix(values=sanitize(values), row_keys=keys, col_names=list(self.col_names))
@@ -318,7 +269,6 @@ class VarianceModelFeatureExtractor(BaseFeatureExtractor):
             raise ValueError("critical_cycles must list three 0-based cycle indices")
         self.interp_dims = int(interp_dims)
         self.critical_cycles = tuple(int(c) for c in critical_cycles)
-        self.use_precalculated_qdlin = bool(use_precalculated_qdlin)
         self.v_min = v_min
         self.v_max = v_max
         self._check_observed(self.critical_cycles)
@@ -327,8 +277,8 @@ class VarianceModelFeatureExtractor(BaseFeatureExtractor):
         _, early, late = self.critical_cycles
         self._require_cycles(cell, late + 1)
         lo, hi = voltage_bounds(cell, self.v_min, self.v_max)
-        q_late = _cached_or_computed_qdlin(cell, late, lo, hi, self.interp_dims, self.use_precalculated_qdlin)
-        q_early = _cached_or_computed_qdlin(cell, early, lo, hi, self.interp_dims, self.use_precalculated_qdlin)
+        q_late = qdlinear(cell.cycle_data[late], lo, hi, self.interp_dims)
+        q_early = qdlinear(cell.cycle_data[early], lo, hi, self.interp_dims)
         return q_late - q_early
 
     def process_cell(self, cell):
@@ -450,7 +400,6 @@ class VoltageCapacityMatrixFeatureExtractor(BaseFeatureExtractor):
         self.diff_base = int(diff_base)
         self.max_cycle_index = int(max_cycle_index)
         self.cycles_to_keep = int(cycles_to_keep)
-        self.use_precalculated_qdlin = bool(use_precalculated_qdlin)
         self.v_min = v_min
         self.v_max = v_max
         self.row_indices = list(range(min(self.cycles_to_keep, self.max_cycle_index + 1)))
@@ -463,11 +412,9 @@ class VoltageCapacityMatrixFeatureExtractor(BaseFeatureExtractor):
         """The unflattened (cycles_to_keep, interp_dims) matrix of one cell."""
         self._require_cycles(cell, max(self.row_indices[-1], self.diff_base) + 1)
         lo, hi = voltage_bounds(cell, self.v_min, self.v_max)
-        base = _cached_or_computed_qdlin(
-            cell, self.diff_base, lo, hi, self.interp_dims, self.use_precalculated_qdlin
-        )
+        base = qdlinear(cell.cycle_data[self.diff_base], lo, hi, self.interp_dims)
         rows = [
-            _cached_or_computed_qdlin(cell, j, lo, hi, self.interp_dims, self.use_precalculated_qdlin) - base
+            qdlinear(cell.cycle_data[j], lo, hi, self.interp_dims) - base
             for j in self.row_indices
         ]
         return np.vstack(rows)

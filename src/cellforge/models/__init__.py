@@ -5,27 +5,12 @@ from .forest import DecisionTreeRegressor, RandomForestRegressor
 from .linear import DummyRegressor, LinearRegressor, PCRRegressor, PLSRegressor, RidgeRegressor
 from .mlp import MLPRegressor, gradient_check
 
-MODEL_KINDS = {
-    cls.kind: cls
-    for cls in (
-        DummyRegressor,
-        LinearRegressor,
-        RidgeRegressor,
-        PCRRegressor,
-        PLSRegressor,
-        DecisionTreeRegressor,
-        RandomForestRegressor,
-        MLPRegressor,
-    )
-}
-
 __all__ = [
     "BaseRegressor",
     "DecisionTreeRegressor",
     "DummyRegressor",
     "LinearRegressor",
     "MLPRegressor",
-    "MODEL_KINDS",
     "PCRRegressor",
     "PLSRegressor",
     "RandomForestRegressor",

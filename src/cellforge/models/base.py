@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import CheckpointError
+from ..registry import MODELS
 from .io import read_model_file, write_model_file
 
 
@@ -67,23 +69,23 @@ class BaseRegressor:
             raise ValueError("cannot save an unfitted model")
         return write_model_file(path, self.kind, self.get_params(), self.metadata, self._param_blocks())
 
-    @classmethod
-    def _from_file(cls, header, blocks):
-        params = dict(header["hyperparameters"])
-        model = cls(**params)
-        model.metadata = dict(header["metadata"])
-        model.n_features_ = int(model.metadata["n_features"])
-        model._restore_blocks(blocks)
-        model.fitted = True
-        return model
-
 
 def load_model(path):
-    """Load any saved regressor; dispatches on the header's ``kind``."""
-    from . import MODEL_KINDS
-
+    """Load any saved regressor: the header's ``kind`` names the registered
+    model class (see ``MODELS``) that restores it."""
     header, blocks = read_model_file(path)
     kind = header.get("kind")
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r} in {path}")
-    return MODEL_KINDS[kind]._from_file(header, blocks)
+    cls = MODELS.find_class("kind", kind)
+    if cls is None:
+        raise CheckpointError(
+            f"unknown model kind {kind!r} in {path}: no single registered model carries it"
+        )
+    try:
+        model = cls(**header["hyperparameters"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: {kind} model rejects the stored hyperparameters: {exc}") from exc
+    model.metadata = dict(header["metadata"])
+    model.n_features_ = int(model.metadata["n_features"])
+    model._restore_blocks(blocks)
+    model.fitted = True
+    return model

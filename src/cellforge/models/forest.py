@@ -8,13 +8,10 @@ the lowest threshold, which makes tree construction fully deterministic
 given the node RNG.
 
 Each forest tree k draws its bootstrap sample and its per-split feature
-subsets from an independent ``default_rng(seed + k)``, so building trees in
-parallel yields bit-identical forests to a serial build.
+subsets from an independent ``default_rng(seed + k)``.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -219,7 +216,6 @@ class RandomForestRegressor(BaseRegressor):
         min_samples_leaf: int = 1,
         feature_subsample_fraction: float = 1.0,
         seed: int = 0,
-        n_jobs: int = 1,
     ):
         super().__init__(seed)
         if n_trees < 1:
@@ -229,7 +225,6 @@ class RandomForestRegressor(BaseRegressor):
         self.max_depth = max_depth
         self.min_samples_leaf = int(min_samples_leaf)
         self.feature_subsample_fraction = float(feature_subsample_fraction)
-        self.n_jobs = int(n_jobs)
 
     def get_params(self):
         return {
@@ -238,7 +233,6 @@ class RandomForestRegressor(BaseRegressor):
             "min_samples_leaf": self.min_samples_leaf,
             "feature_subsample_fraction": self.feature_subsample_fraction,
             "seed": self.seed,
-            "n_jobs": self.n_jobs,
         }
 
     def _fit_one(self, X, y, k):
@@ -250,11 +244,7 @@ class RandomForestRegressor(BaseRegressor):
         )
 
     def _fit(self, X, y):
-        if self.n_jobs > 1:
-            with ThreadPoolExecutor(max_workers=self.n_jobs) as pool:
-                self.trees_ = list(pool.map(lambda k: self._fit_one(X, y, k), range(self.n_trees)))
-        else:
-            self.trees_ = [self._fit_one(X, y, k) for k in range(self.n_trees)]
+        self.trees_ = [self._fit_one(X, y, k) for k in range(self.n_trees)]
 
     def _predict(self, X):
         preds = np.stack([t.predict(X) for t in self.trees_])

@@ -30,7 +30,22 @@ class DummyRegressor(BaseRegressor):
         self.mean_ = float(blocks["mean"][0])
 
 
-class LinearRegressor(BaseRegressor):
+class _AffineRegressor(BaseRegressor):
+    """Shared prediction and checkpoint blocks of the models that fit
+    ``coef_`` and ``intercept_`` (blocks stored in that order)."""
+
+    def _predict(self, X):
+        return X @ self.coef_ + self.intercept_
+
+    def _param_blocks(self):
+        return [("coef", self.coef_), ("intercept", np.array([self.intercept_]))]
+
+    def _restore_blocks(self, blocks):
+        self.coef_ = blocks["coef"]
+        self.intercept_ = float(blocks["intercept"][0])
+
+
+class LinearRegressor(_AffineRegressor):
     """Ordinary least squares via SVD-based lstsq (minimum-norm on singular
     systems, with ``metadata['rank_deficient']`` flagging that fallback)."""
 
@@ -44,18 +59,8 @@ class LinearRegressor(BaseRegressor):
         if rank < A.shape[1]:
             self.metadata["rank_deficient"] = True
 
-    def _predict(self, X):
-        return X @ self.coef_ + self.intercept_
 
-    def _param_blocks(self):
-        return [("coef", self.coef_), ("intercept", np.array([self.intercept_]))]
-
-    def _restore_blocks(self, blocks):
-        self.coef_ = blocks["coef"]
-        self.intercept_ = float(blocks["intercept"][0])
-
-
-class RidgeRegressor(BaseRegressor):
+class RidgeRegressor(_AffineRegressor):
     """L2-penalized least squares with an unpenalized intercept.
 
     Solved as the augmented system ``[[Xc], [sqrt(alpha) I]] w = [[yc], [0]]``
@@ -84,18 +89,8 @@ class RidgeRegressor(BaseRegressor):
         self.coef_, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
         self.intercept_ = float(y_mean - x_mean @ self.coef_)
 
-    def _predict(self, X):
-        return X @ self.coef_ + self.intercept_
 
-    def _param_blocks(self):
-        return [("coef", self.coef_), ("intercept", np.array([self.intercept_]))]
-
-    def _restore_blocks(self, blocks):
-        self.coef_ = blocks["coef"]
-        self.intercept_ = float(blocks["intercept"][0])
-
-
-class PCRRegressor(BaseRegressor):
+class PCRRegressor(_AffineRegressor):
     """Principal component regression: center X, project onto the top-k right
     singular vectors, regress y on the scores."""
 
@@ -124,16 +119,6 @@ class PCRRegressor(BaseRegressor):
         gamma, _, _, _ = np.linalg.lstsq(scores, y - y.mean(), rcond=None)
         self.coef_ = components.T @ gamma
         self.intercept_ = float(y.mean() - x_mean @ self.coef_)
-
-    def _predict(self, X):
-        return X @ self.coef_ + self.intercept_
-
-    def _param_blocks(self):
-        return [("coef", self.coef_), ("intercept", np.array([self.intercept_]))]
-
-    def _restore_blocks(self, blocks):
-        self.coef_ = blocks["coef"]
-        self.intercept_ = float(blocks["intercept"][0])
 
 
 class PLSRegressor(BaseRegressor):

@@ -33,7 +33,6 @@ import hashlib
 import inspect
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,7 +45,7 @@ from .errors import CheckpointError, ConfigError, PipelineError
 from .models import load_model
 from .registry import FEATURES, LABELS, MODELS, SPLITTERS, TRANSFORMS
 from .splitters import SplitResult
-from .transforms import transform_from_dict
+from .transforms import _Fitted
 
 COMPONENT_KEYS = (
     "train_test_split",
@@ -57,6 +56,8 @@ COMPONENT_KEYS = (
     "model",
 )
 OPTIONAL_KEYS = ("seeds", "workspace")
+# Sections whose fitted artifacts a checkpoint stores; evaluate cannot override them.
+STORED_KEYS = ("feature_transformation", "label_transformation", "model")
 DEFAULT_SEEDS = tuple(range(10))
 
 __all__ = [
@@ -294,7 +295,7 @@ def _split_cells(config: PipelineConfig, cells):
 
 
 def _label_and_featurize(config: PipelineConfig, split: SplitResult,
-                         train_cells, test_cells, jobs: int):
+                         train_cells, test_cells):
     """Labels then features for both partitions; returns aligned arrays."""
     meta = split.metadata
     label_params = _with_overrides(
@@ -320,8 +321,8 @@ def _label_and_featurize(config: PipelineConfig, split: SplitResult,
         raise PipelineError("all test cells were excluded by the label annotator")
 
     extractor = FEATURES.create(config.feature.name, **feature_params)
-    features_train = extractor.extract(train_kept, jobs=jobs)
-    features_test = extractor.extract(test_kept, jobs=jobs)
+    features_train = extractor.extract(train_kept)
+    features_test = extractor.extract(test_kept)
 
     X_train, y_train, keys_train = _align(features_train, labels_train)
     X_test, y_test, keys_test = _align(features_test, labels_test)
@@ -348,12 +349,6 @@ def _fit_transforms(config: PipelineConfig, X_train, y_train):
     ft.fit(X_train)
     lt.fit(y_train)
     return ft, lt
-
-
-def _train_seed(config, seed, Xtr, ytr):
-    model = _make_model(config.model, seed)
-    model.fit(Xtr, ytr)
-    return model
 
 
 def _score(models_by_seed, lt, Xte, y_test):
@@ -410,33 +405,22 @@ class Checkpoint:
     report: dict
 
 
-def run_train(config, workspace=None, cells: list[CellRecord] | None = None,
-              jobs: int = 1, device=None) -> Checkpoint:
+def run_train(config, workspace=None, cells: list[CellRecord] | None = None) -> Checkpoint:
     """Train per config and persist a checkpoint; returns it with the report.
 
     ``cells`` short-circuits corpus loading (callers that already hold the
     records in memory); otherwise cells come from ``cell_data_path``.
-    ``device`` is accepted for config compatibility and ignored: every
-    bundled model runs on the CPU.
     """
-    del device
     config = PipelineConfig.load(config)
     split, train_cells, test_cells = _split_cells(config, cells)
-    data = _label_and_featurize(config, split, train_cells, test_cells, jobs)
+    data = _label_and_featurize(config, split, train_cells, test_cells)
 
     ft, lt = _fit_transforms(config, data["X_train"], data["y_train"])
     Xtr = ft.transform(data["X_train"])
     ytr = lt.transform(data["y_train"])
     Xte = ft.transform(data["X_test"])
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            fitted = list(
-                pool.map(lambda s: _train_seed(config, s, Xtr, ytr), config.seeds)
-            )
-    else:
-        fitted = [_train_seed(config, s, Xtr, ytr) for s in config.seeds]
-    models_by_seed = list(zip(config.seeds, fitted))
+    models_by_seed = [(s, _make_model(config.model, s).fit(Xtr, ytr)) for s in config.seeds]
 
     per_seed, mean_pred = _score(models_by_seed, lt, Xte, data["y_test"])
     report = _report(
@@ -504,17 +488,18 @@ def _load_stored_models(ckpt_dir, seeds):
 
 
 def run_evaluate(checkpoint, overrides: dict | None = None,
-                 cells: list[CellRecord] | None = None, jobs: int = 1) -> dict:
+                 cells: list[CellRecord] | None = None) -> dict:
     """Recompute the evaluation report of a stored checkpoint.
 
     Without overrides the stored split, features, labels, transforms, and
     models are reused, so the result is bit-identical to the report written
-    at train time. ``overrides`` replaces whole config sections (any of the
-    six component keys) and forces the affected stages to rerun against a
-    corpus (``cells`` or the split's ``cell_data_path``); the report then
-    flags which sections were overridden. A corpus passed without overrides
-    is checked for the stored test cells (missing ones are an error) but
-    stored features are still used.
+    at train time. ``overrides`` replaces whole ``train_test_split``,
+    ``feature`` or ``label`` sections and forces those stages to rerun
+    against a corpus (``cells`` or the split's ``cell_data_path``); the
+    report then flags which sections were overridden. The stored transforms
+    and models always score, so overriding their sections is an error. A
+    corpus passed without overrides is checked for the stored test cells
+    (missing ones are an error) but stored features are still used.
     """
     from .features import FeatureMatrix
 
@@ -537,14 +522,20 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
     unknown = sorted(set(overrides) - set(COMPONENT_KEYS))
     if unknown:
         raise ConfigError(f"unknown override keys: {unknown}")
+    stored = sorted(set(overrides) & set(STORED_KEYS))
+    if stored:
+        raise ConfigError(
+            f"cannot override {stored} at evaluation: the checkpoint's fitted "
+            "transforms and models are what it scores; train a new checkpoint instead"
+        )
     merged = stored_config.to_dict()
     merged.update({k: _jsonify(v) for k, v in overrides.items()})
     merged.pop("workspace", None)
     config = PipelineConfig.from_dict(merged)
 
     transforms_payload = _read_json(ckpt_dir / "transforms.json")
-    ft = transform_from_dict(transforms_payload["feature_transformation"])
-    lt = transform_from_dict(transforms_payload["label_transformation"])
+    ft = _Fitted.from_dict(transforms_payload["feature_transformation"])
+    lt = _Fitted.from_dict(transforms_payload["label_transformation"])
     models_by_seed = _load_stored_models(ckpt_dir, config.seeds)
 
     stored_split = SplitResult.from_dict(_read_json(ckpt_dir / "split.json"))
@@ -568,7 +559,7 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
         split, train_cells, test_cells = _split_cells(
             config, cells if cells is not None else None
         )
-        data = _label_and_featurize(config, split, train_cells, test_cells, jobs)
+        data = _label_and_featurize(config, split, train_cells, test_cells)
         keys_test, y_test = data["keys_test"], data["y_test"]
         X_test, excluded = data["X_test"], data["excluded"]
 

@@ -22,6 +22,18 @@ class Registry:
         """The registered factory, or None when the name is unknown."""
         return self._factories.get(name)
 
+    def find_class(self, attr: str, value):
+        """The registered class that sets ``attr`` to ``value`` in its own body.
+
+        Checkpoint loading resolves a stored model ``kind`` or transform
+        ``name`` this way. A subclass that inherits the attribute does not
+        claim the value. None when no registered class, or more than one,
+        claims it.
+        """
+        found = {f for f in self._factories.values()
+                 if isinstance(f, type) and vars(f).get(attr) == value}
+        return found.pop() if len(found) == 1 else None
+
     def create(self, name: str, **kwargs):
         if name not in self._factories:
             raise RegistryError(
@@ -29,7 +41,7 @@ class Registry:
             )
         try:
             return self._factories[name](**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:  # CellforgeErrors pass through as they are
             raise RegistryError(f"{self.kind} {name!r}: bad parameters: {exc}") from exc
 
 

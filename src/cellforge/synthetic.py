@@ -23,7 +23,6 @@ corpora are reproducible cell-by-cell regardless of generation order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,9 +198,6 @@ def _make_cell(spec: SynthSpec, index: int) -> CellRecord:
     )
 
 
-def generate_synthetic(spec: SynthSpec, jobs: int = 1) -> list[CellRecord]:
+def generate_synthetic(spec: SynthSpec) -> list[CellRecord]:
     """Generate ``spec.n_cells`` cells; deterministic in ``spec`` alone."""
-    if jobs <= 1:
-        return [_make_cell(spec, i) for i in range(spec.n_cells)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda i: _make_cell(spec, i), range(spec.n_cells)))
+    return [_make_cell(spec, i) for i in range(spec.n_cells)]

@@ -7,12 +7,16 @@ training data and then applied to anything of the same shape family;
 ``inverse_transform(transform(x))`` recovers ``x`` within 1e-9.
 
 Fitted state serializes to plain dicts (JSON-safe) via ``to_dict`` /
-``from_dict`` for storage inside pipeline checkpoints.
+``from_dict`` for storage inside pipeline checkpoints; ``from_dict`` finds
+the class through the ``TRANSFORMS`` registry by its ``name``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import CheckpointError
+from .registry import TRANSFORMS
 
 
 class _Fitted:
@@ -61,9 +65,12 @@ class _Fitted:
     @classmethod
     def from_dict(cls, obj: dict) -> "_Fitted":
         name = obj.get("name")
-        if name not in _TRANSFORM_CLASSES:
-            raise ValueError(f"unknown transformation {name!r}")
-        t = _TRANSFORM_CLASSES[name]._restore(obj.get("state", {}))
+        found = TRANSFORMS.find_class("name", name)
+        if found is None:
+            raise CheckpointError(
+                f"unknown transformation {name!r}: no single registered class carries it"
+            )
+        t = found._restore(obj.get("state", {}))
         t.fitted = True
         return t
 
@@ -181,15 +188,29 @@ class LogScaleDataTransformation(_Fitted):
 
 class SequentialDataTransformation(_Fitted):
     """Children applied in order; fitting chains each child on the previous
-    child's training output, inversion walks the chain backwards."""
+    child's training output, inversion walks the chain backwards.
+
+    A child is a transformation or a config dict (``name`` plus parameters)
+    built through the ``TRANSFORMS`` registry.
+    """
 
     name = "SequentialDataTransformation"
 
     def __init__(self, transformations=()):
         super().__init__()
-        self.transformations = list(transformations)
+        self.transformations = [self._child(t) for t in transformations]
         if not self.transformations:
             raise ValueError("sequential transformation needs at least one child")
+
+    @staticmethod
+    def _child(child):
+        if not isinstance(child, dict):
+            return child
+        params = dict(child)
+        name = params.pop("name", None)
+        if not isinstance(name, str):
+            raise ValueError("sequential child needs a 'name' string")
+        return TRANSFORMS.create(name, **params)
 
     def _fit(self, arr):
         out = arr
@@ -217,19 +238,3 @@ class SequentialDataTransformation(_Fitted):
         t = cls(transformations=children)
         return t
 
-
-_TRANSFORM_CLASSES = {
-    cls.name: cls
-    for cls in (
-        ZScoreDataTransformation,
-        ColumnwiseZScoreDataTransformation,
-        MinMaxDataTransformation,
-        LogScaleDataTransformation,
-        SequentialDataTransformation,
-    )
-}
-
-
-def transform_from_dict(obj: dict) -> _Fitted:
-    """Restore any fitted transformation from its ``to_dict`` form."""
-    return _Fitted.from_dict(obj)

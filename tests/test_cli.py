@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 
 import pytest
 import yaml
@@ -9,6 +10,7 @@ import yaml
 from cellforge.battery_data import load_cells, validate
 from cellforge.cli import main
 from cellforge.errors import CheckpointError, ConfigError
+from cellforge.models.io import read_model_file, write_model_file
 from cellforge.plots import (
     Series,
     make_plot,
@@ -46,6 +48,25 @@ def write_spec(tmp_path, **extra):
     return path
 
 
+def write_train_config(root, corpus_dir, **sections):
+    """TRAIN_CONFIG reading ``corpus_dir``; keyword args replace whole sections."""
+    cfg = {**TRAIN_CONFIG, **sections}
+    cfg["train_test_split"] = {
+        **TRAIN_CONFIG["train_test_split"],
+        "cell_data_path": str(corpus_dir),
+    }
+    path = root / "experiment.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+def assert_one_line_error(capsys, fragment):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert fragment in err
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_corpus")
@@ -58,13 +79,7 @@ def corpus_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def checkpoint_dir(corpus_dir, tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_train")
-    cfg = dict(TRAIN_CONFIG)
-    cfg["train_test_split"] = {
-        **TRAIN_CONFIG["train_test_split"],
-        "cell_data_path": str(corpus_dir),
-    }
-    config_path = root / "experiment.yaml"
-    config_path.write_text(yaml.safe_dump(cfg))
+    config_path = write_train_config(root, corpus_dir)
     ws = root / "ws"
     assert main(["train", "--config", str(config_path), "--workspace", str(ws)]) == 0
     children = list(ws.iterdir())
@@ -127,13 +142,6 @@ class TestGenerate:
         name = "SYN_0000.json"
         assert (out / name).read_bytes() != (corpus_dir / name).read_bytes()
 
-    def test_jobs_do_not_change_output(self, corpus_dir, tmp_path):
-        spec = write_spec(tmp_path)
-        out = tmp_path / "parallel"
-        assert main(["--jobs", "4", "generate", "--spec", str(spec), "--out", str(out)]) == 0
-        name = "SYN_0005.json"
-        assert (out / name).read_bytes() == (corpus_dir / name).read_bytes()
-
     def test_quiet_suppresses_progress(self, tmp_path, capsys):
         spec = write_spec(tmp_path, n_cells=1, cycle_life_mean=40.0, cycle_life_std=0.0)
         out = tmp_path / "quiet"
@@ -178,13 +186,7 @@ class TestTrainEvaluate:
         assert (checkpoint_dir / "model_seed0.bin").is_file()
 
     def test_train_reports_rmse(self, corpus_dir, tmp_path, capsys):
-        cfg = dict(TRAIN_CONFIG)
-        cfg["train_test_split"] = {
-            **TRAIN_CONFIG["train_test_split"],
-            "cell_data_path": str(corpus_dir),
-        }
-        config_path = tmp_path / "exp.yaml"
-        config_path.write_text(yaml.safe_dump(cfg))
+        config_path = write_train_config(tmp_path, corpus_dir)
         assert main(["train", "--config", str(config_path),
                      "--workspace", str(tmp_path / "ws")]) == 0
         out = capsys.readouterr().out
@@ -192,13 +194,7 @@ class TestTrainEvaluate:
         assert "test RMSE" in out
 
     def test_quiet_train_prints_nothing(self, corpus_dir, tmp_path, capsys):
-        cfg = dict(TRAIN_CONFIG)
-        cfg["train_test_split"] = {
-            **TRAIN_CONFIG["train_test_split"],
-            "cell_data_path": str(corpus_dir),
-        }
-        config_path = tmp_path / "exp.yaml"
-        config_path.write_text(yaml.safe_dump(cfg))
+        config_path = write_train_config(tmp_path, corpus_dir)
         assert main(["--quiet", "train", "--config", str(config_path),
                      "--workspace", str(tmp_path / "ws")]) == 0
         assert capsys.readouterr().out == ""
@@ -220,16 +216,39 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--checkpoint", str(tmp_path / "none")]) == 1
         assert "checkpoint directory not found" in capsys.readouterr().err
 
-    def test_device_flag_accepted(self, corpus_dir, tmp_path):
-        cfg = dict(TRAIN_CONFIG)
-        cfg["train_test_split"] = {
-            **TRAIN_CONFIG["train_test_split"],
-            "cell_data_path": str(corpus_dir),
-        }
-        config_path = tmp_path / "exp.yaml"
-        config_path.write_text(yaml.safe_dump(cfg))
+    def test_rejected_model_parameter_is_one_line_error(self, corpus_dir, tmp_path, capsys):
+        config_path = write_train_config(
+            tmp_path, corpus_dir, model={"name": "RidgeRegressor", "alpha": -1}
+        )
+        assert main(["train", "--config", str(config_path),
+                     "--workspace", str(tmp_path / "ws")]) == 1
+        assert_one_line_error(capsys, "alpha must be >= 0")
+
+    def test_evaluate_rejects_stored_hyperparameters(self, corpus_dir, tmp_path, capsys):
+        # a forest file from before n_jobs was removed carries that parameter
+        config_path = write_train_config(
+            tmp_path, corpus_dir, model={"name": "RandomForestRegressor", "n_trees": 2}
+        )
+        ws = tmp_path / "ws"
         assert main(["--quiet", "train", "--config", str(config_path),
-                     "--workspace", str(tmp_path / "ws"), "--device", "cuda:1"]) == 0
+                     "--workspace", str(ws)]) == 0
+        (ckpt,) = ws.iterdir()
+        path = ckpt / "model_seed0.bin"
+        header, blocks = read_model_file(path)
+        write_model_file(path, header["kind"], {**header["hyperparameters"], "n_jobs": 1},
+                         header["metadata"],
+                         [(b["name"], blocks[b["name"]]) for b in header["blocks"]])
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
+        assert_one_line_error(capsys, "n_jobs")
+
+    def test_evaluate_rejects_unknown_transform_name(self, checkpoint_dir, tmp_path, capsys):
+        ckpt = tmp_path / checkpoint_dir.name
+        shutil.copytree(checkpoint_dir, ckpt)
+        payload = json.loads((ckpt / "transforms.json").read_text())
+        payload["feature_transformation"]["name"] = "Mystery"
+        (ckpt / "transforms.json").write_text(json.dumps(payload))
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
+        assert_one_line_error(capsys, "unknown transformation 'Mystery'")
 
 
 class TestPlotCommand:

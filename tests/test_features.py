@@ -17,7 +17,6 @@ from cellforge.features import (
     SOHCycleFeatureExtractor,
     VarianceModelFeatureExtractor,
     VoltageCapacityMatrixFeatureExtractor,
-    attach_qdlinear_cache,
     coulombic_efficiency,
     delta_q,
     estimate_internal_resistance,
@@ -219,43 +218,6 @@ class TestSmallHelpers:
         assert sanitize(x) is x
 
 
-class TestQdlinCache:
-    def test_cache_round_trips_through_extractor(self, synth_cells):
-        cell = synth_cells[0]
-        ex_fresh = VarianceModelFeatureExtractor(interp_dims=64)
-        ex_cached = VarianceModelFeatureExtractor(interp_dims=64, use_precalculated_qdlin=True)
-        cached_cell = attach_qdlinear_cache(cell, interp_dims=64)
-        a = ex_fresh.extract([cell])
-        b = ex_cached.extract([cached_cell])
-        np.testing.assert_array_equal(a.values, b.values)
-
-    def test_cache_is_actually_consulted(self, synth_cells):
-        # poison the cache; a matching extractor must pick up the poisoned rows
-        cell = attach_qdlinear_cache(synth_cells[0], interp_dims=16)
-        block = cell.extra["qdlinear"]
-        block["values"] = [[999.0] * 16 for _ in block["values"]]
-        ex = VarianceModelFeatureExtractor(interp_dims=16, use_precalculated_qdlin=True)
-        poisoned = ex.extract([cell]).values
-        fresh = VarianceModelFeatureExtractor(interp_dims=16).extract([synth_cells[0]]).values
-        assert poisoned[0, 0] != fresh[0, 0]
-
-    def test_mismatched_cache_parameters_fall_back(self, synth_cells):
-        # cache at one resolution, extract at another: must recompute
-        cell = attach_qdlinear_cache(synth_cells[0], interp_dims=16)
-        cell.extra["qdlinear"]["values"] = [[999.0] * 16 for _ in cell.extra["qdlinear"]["values"]]
-        ex = VarianceModelFeatureExtractor(interp_dims=32, use_precalculated_qdlin=True)
-        fresh = VarianceModelFeatureExtractor(interp_dims=32).extract([synth_cells[0]]).values
-        np.testing.assert_array_equal(ex.extract([cell]).values, fresh)
-
-    def test_cache_survives_serialization(self, synth_cells, tmp_path):
-        from cellforge.battery_data import read_cell, write_cell
-
-        cell = attach_qdlinear_cache(synth_cells[0], interp_dims=8)
-        back = read_cell(write_cell(cell, tmp_path))
-        assert back.extra["qdlinear"]["interp_dims"] == 8
-        assert back.extra["qdlinear"]["values"] == cell.extra["qdlinear"]["values"]
-
-
 class TestFeatureMatrix:
     def test_save_load_round_trip(self, tmp_path):
         fm = FeatureMatrix(
@@ -305,13 +267,6 @@ class TestVarianceExtractor:
         with pytest.raises(FeatureError, match="observed-cycle budget"):
             VarianceModelFeatureExtractor(observed_cycles=50)
         VarianceModelFeatureExtractor(observed_cycles=100)  # index 99 fits
-
-    def test_parallel_extraction_is_bit_identical(self, synth_cells):
-        ex = VarianceModelFeatureExtractor(interp_dims=128)
-        a = ex.extract(synth_cells, jobs=1)
-        b = ex.extract(synth_cells, jobs=4)
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.row_keys == b.row_keys
 
     def test_empty_corpus(self):
         with pytest.raises(FeatureError, match="no cells"):

@@ -245,12 +245,6 @@ class TestDecisionTree:
 
 
 class TestRandomForest:
-    def test_parallel_fit_is_bit_identical(self):
-        X, y, _ = toy_problem(n=80, d=5, noise=0.5, seed=14)
-        serial = RandomForestRegressor(n_trees=12, seed=3, n_jobs=1).fit(X, y)
-        parallel = RandomForestRegressor(n_trees=12, seed=3, n_jobs=4).fit(X, y)
-        np.testing.assert_array_equal(serial.predict(X), parallel.predict(X))
-
     def test_seed_determinism(self):
         X, y, _ = toy_problem(noise=0.5, seed=15)
         a = RandomForestRegressor(n_trees=5, seed=1).fit(X, y).predict(X)
@@ -387,5 +381,5 @@ class TestSaveLoad:
 
         p = tmp_path / "m.bin"
         write_model_file(p, "mystery", {}, {"n_features": 1}, [])
-        with pytest.raises(ValueError, match="unknown model kind"):
+        with pytest.raises(CheckpointError, match="unknown model kind"):
             load_model(p)

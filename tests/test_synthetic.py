@@ -28,9 +28,6 @@ class TestDeterminism:
     def test_same_spec_same_corpus(self):
         assert generate_synthetic(spec()) == generate_synthetic(spec())
 
-    def test_parallel_equals_serial(self):
-        assert generate_synthetic(spec(), jobs=4) == generate_synthetic(spec(), jobs=1)
-
     def test_cells_are_seeded_per_index(self):
         # a longer corpus extends a shorter one rather than reshuffling it
         short = generate_synthetic(spec(n_cells=3))

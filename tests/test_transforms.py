@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from cellforge.errors import CheckpointError
 from cellforge.transforms import (
     ColumnwiseZScoreDataTransformation,
     LogScaleDataTransformation,
     MinMaxDataTransformation,
     SequentialDataTransformation,
     ZScoreDataTransformation,
-    transform_from_dict,
+    _Fitted,
 )
 
 ALL_CLASSES = [
@@ -152,7 +153,7 @@ class TestSerialization:
         x = varied(positive=True)
         t = cls().fit(x)
         payload = json.loads(json.dumps(t.to_dict()))
-        back = transform_from_dict(payload)
+        back = _Fitted.from_dict(payload)
         y = varied(seed=9, positive=True)
         np.testing.assert_array_equal(back.transform(y), t.transform(y))
         np.testing.assert_array_equal(back.inverse_transform(y), t.inverse_transform(y))
@@ -162,7 +163,7 @@ class TestSerialization:
         t = SequentialDataTransformation(
             [LogScaleDataTransformation(), MinMaxDataTransformation()]
         ).fit(x)
-        back = transform_from_dict(t.to_dict())
+        back = _Fitted.from_dict(t.to_dict())
         np.testing.assert_array_equal(back.transform(x), t.transform(x))
 
     def test_to_dict_requires_fit(self):
@@ -170,8 +171,8 @@ class TestSerialization:
             ZScoreDataTransformation().to_dict()
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown transformation"):
-            transform_from_dict({"name": "Mystery", "state": {}})
+        with pytest.raises(CheckpointError, match="unknown transformation"):
+            _Fitted.from_dict({"name": "Mystery", "state": {}})
 
 
 class TestSequentialSemantics:
