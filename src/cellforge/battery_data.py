@@ -13,6 +13,13 @@ Capacities are per-cycle cumulative amounts in Ah and must be non-decreasing
 within a cycle (up to 1e-9 sensor jitter). ``time_in_s`` is strictly
 increasing within a cycle. Missing optional values serialize as absent keys,
 never as null.
+
+In memory every per-cycle signal (the five mandatory sequences and the
+optional ``temperature_in_C``) is a read-only one-dimensional float64
+ndarray, copied from whatever the caller passed, so a record never shares a
+buffer the caller can still change. Record equality is exact: two cycles are
+equal when their scalars, ``extra`` maps and every signal's shape and values
+match. Records are unhashable.
 """
 
 from __future__ import annotations
@@ -65,8 +72,19 @@ _CELL_OPTIONAL_NUM_FIELDS = (
 )
 
 
-def _as_float_tuple(seq):
-    return tuple(float(v) for v in seq)
+_SIGNAL_FIELDS = _CYCLE_SEQ_FIELDS + ("temperature_in_C",)
+
+# The element types json.load produces for numbers (bool is its own type).
+_JSON_NUMBER_TYPES = frozenset((int, float))
+
+
+def _signal(values, name) -> np.ndarray:
+    """A private, read-only float64 copy of one per-cycle signal."""
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -94,32 +112,46 @@ class ProtocolStep:
                 object.__setattr__(self, name, float(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CycleRecord:
     """Time-series signals of one full cycle.
 
     All mandatory sequences share one length (>= 2 points). Temperature is
     optional per source; internal resistance is an optional per-cycle scalar.
+    Each signal is stored as a read-only float64 copy of the value passed in.
     """
 
     cycle_number: int
-    voltage_in_V: tuple = ()
-    current_in_A: tuple = ()
-    charge_capacity_in_Ah: tuple = ()
-    discharge_capacity_in_Ah: tuple = ()
-    time_in_s: tuple = ()
-    temperature_in_C: tuple | None = None
+    voltage_in_V: np.ndarray = ()
+    current_in_A: np.ndarray = ()
+    charge_capacity_in_Ah: np.ndarray = ()
+    discharge_capacity_in_Ah: np.ndarray = ()
+    time_in_s: np.ndarray = ()
+    temperature_in_C: np.ndarray | None = None
     internal_resistance_in_ohm: float | None = None
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "cycle_number", int(self.cycle_number))
         for name in _CYCLE_SEQ_FIELDS:
-            object.__setattr__(self, name, _as_float_tuple(getattr(self, name)))
+            object.__setattr__(self, name, _signal(getattr(self, name), name))
         if self.temperature_in_C is not None:
-            object.__setattr__(self, "temperature_in_C", _as_float_tuple(self.temperature_in_C))
+            object.__setattr__(self, "temperature_in_C", _signal(self.temperature_in_C, "temperature_in_C"))
         if self.internal_resistance_in_ohm is not None:
             object.__setattr__(self, "internal_resistance_in_ohm", float(self.internal_resistance_in_ohm))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.cycle_number == other.cycle_number
+            and self.internal_resistance_in_ohm == other.internal_resistance_in_ohm
+            and self.extra == other.extra
+            # np.array_equal also holds for None against None, and only for that
+            and all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _SIGNAL_FIELDS)
+        )
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -158,6 +190,8 @@ class CellRecord:
             if v is not None:
                 object.__setattr__(self, name, float(v))
 
+    __hash__ = None
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -170,9 +204,8 @@ class Violation:
         return f"{self.path}: {self.message}"
 
 
-def _check_finite_seq(seq, path, out):
-    arr = np.asarray(seq, dtype=float)
-    if arr.size and not np.isfinite(arr).all():
+def _check_finite_seq(arr, path, out):
+    if not np.isfinite(arr).all():
         out.append(Violation(path, "contains non-finite values"))
         return False
     return True
@@ -192,20 +225,17 @@ def _validate_cycle(cyc: CycleRecord, path: str, out: list):
     if cyc.temperature_in_C is not None and len(cyc.temperature_in_C) != n:
         out.append(Violation(f"{path}.temperature_in_C", f"length {len(cyc.temperature_in_C)} != {n}"))
     ok = True
-    for name in _CYCLE_SEQ_FIELDS:
-        ok &= _check_finite_seq(getattr(cyc, name), f"{path}.{name}", out)
-    if cyc.temperature_in_C is not None:
-        ok &= _check_finite_seq(cyc.temperature_in_C, f"{path}.temperature_in_C", out)
+    for name in _SIGNAL_FIELDS:
+        if getattr(cyc, name) is not None:
+            ok &= _check_finite_seq(getattr(cyc, name), f"{path}.{name}", out)
     if cyc.internal_resistance_in_ohm is not None and not math.isfinite(cyc.internal_resistance_in_ohm):
         out.append(Violation(f"{path}.internal_resistance_in_ohm", "non-finite"))
     if not ok:
         return
-    t = np.asarray(cyc.time_in_s)
-    if np.any(np.diff(t) <= 0):
+    if np.any(np.diff(cyc.time_in_s) <= 0):
         out.append(Violation(f"{path}.time_in_s", "must be strictly increasing"))
     for name in ("charge_capacity_in_Ah", "discharge_capacity_in_Ah"):
-        q = np.asarray(getattr(cyc, name))
-        if np.any(np.diff(q) < -CAPACITY_JITTER_TOL):
+        if np.any(np.diff(getattr(cyc, name)) < -CAPACITY_JITTER_TOL):
             out.append(Violation(f"{path}.{name}", "must be non-decreasing (cumulative per cycle)"))
 
 
@@ -272,10 +302,9 @@ def _step_to_dict(step: ProtocolStep) -> dict:
 
 def _cycle_to_dict(cyc: CycleRecord) -> dict:
     d = {"cycle_number": cyc.cycle_number}
-    for name in _CYCLE_SEQ_FIELDS:
-        d[name] = list(getattr(cyc, name))
-    if cyc.temperature_in_C is not None:
-        d["temperature_in_C"] = list(cyc.temperature_in_C)
+    for name in _SIGNAL_FIELDS:
+        if getattr(cyc, name) is not None:
+            d[name] = getattr(cyc, name).tolist()
     if cyc.internal_resistance_in_ohm is not None:
         d["internal_resistance_in_ohm"] = cyc.internal_resistance_in_ohm
     d.update(cyc.extra)
@@ -347,10 +376,12 @@ def _strval(v, path) -> str:
     return v
 
 
-def _num_seq(v, path) -> tuple:
+def _num_seq(v, path) -> np.ndarray:
     if not isinstance(v, list):
         raise SchemaError(f"{path}: expected an array of numbers, got {type(v).__name__}")
-    return tuple(_num(x, f"{path}[{i}]") for i, x in enumerate(v))
+    if set(map(type, v)) <= _JSON_NUMBER_TYPES:
+        return np.array(v, dtype=np.float64)
+    return np.array([_num(x, f"{path}[{i}]") for i, x in enumerate(v)], dtype=np.float64)
 
 
 def _step_from_dict(obj, path) -> ProtocolStep:

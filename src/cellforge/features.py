@@ -118,9 +118,9 @@ def coulombic_efficiency(cycle: CycleRecord) -> float:
     """Final discharge capacity over final charge capacity of one cycle."""
     qd = cycle.discharge_capacity_in_Ah
     qc = cycle.charge_capacity_in_Ah
-    if not qd or not qc:
+    if qd.size == 0 or qc.size == 0:
         raise FeatureError(f"cycle {cycle.cycle_number}: empty capacity sequences")
-    return qd[-1] / (qc[-1] + COULOMBIC_EPS)
+    return float(qd[-1] / (qc[-1] + COULOMBIC_EPS))
 
 
 def estimate_internal_resistance(cycle: CycleRecord) -> float:
@@ -304,7 +304,7 @@ class DischargeModelFeatureExtractor(VarianceModelFeatureExtractor):
         cap_idx, _, late = self.critical_cycles
         dq = self._delta(cell)
         mn, var, skew, kurt = _moments(dq)
-        caps = [max(c.discharge_capacity_in_Ah) for c in cell.cycle_data[: late + 1]]
+        caps = np.array([c.discharge_capacity_in_Ah.max() for c in cell.cycle_data[: late + 1]])
         with np.errstate(divide="ignore", invalid="ignore"):
             row = np.array(
                 [
@@ -313,7 +313,7 @@ class DischargeModelFeatureExtractor(VarianceModelFeatureExtractor):
                     np.log10(abs(skew)),
                     np.log10(abs(kurt)),
                     caps[cap_idx],
-                    max(caps) - caps[cap_idx],
+                    caps.max() - caps[cap_idx],
                 ]
             )
         return row
@@ -435,7 +435,7 @@ def soh_cycle_features(cell: CellRecord, cycle_index: int) -> np.ndarray:
     return sanitize(
         np.array(
             [
-                max(cyc.charge_capacity_in_Ah) / cell.nominal_capacity_in_Ah,
+                cyc.charge_capacity_in_Ah.max() / cell.nominal_capacity_in_Ah,
                 v0.mean(),
                 v0.min(),
                 v0.max(),

@@ -49,7 +49,13 @@ def soh_per_cycle(cell: CellRecord) -> np.ndarray:
         raise ValueError(f"{cell.cell_id}: nominal capacity must be > 0")
     if not cell.cycle_data:
         raise ValueError(f"{cell.cell_id}: no cycles")
-    caps = np.array([max(c.discharge_capacity_in_Ah) for c in cell.cycle_data])
+    signals = [c.discharge_capacity_in_Ah for c in cell.cycle_data]
+    lengths = np.fromiter(map(len, signals), dtype=np.intp, count=len(signals))
+    if not lengths.all():
+        raise ValueError(f"{cell.cell_id}: a cycle has no discharge capacity samples")
+    # one reduction over all cycles: a max() call per cycle costs more than its few values
+    starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
+    caps = np.maximum.reduceat(np.concatenate(signals), starts)
     return 100.0 * caps / cell.nominal_capacity_in_Ah
 
 

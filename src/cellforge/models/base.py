@@ -86,6 +86,28 @@ def load_model(path):
         raise CheckpointError(f"{path}: {kind} model rejects the stored hyperparameters: {exc}") from exc
     model.metadata = dict(header["metadata"])
     model.n_features_ = int(model.metadata["n_features"])
-    model._restore_blocks(blocks)
+    requested = _RequestedBlocks(blocks)
+    try:
+        model._restore_blocks(requested)
+    except KeyError as exc:
+        raise CheckpointError(
+            f"{path}: {kind} model file lacks parameter block {exc.args[0]!r} "
+            f"(stored blocks: {sorted(blocks)})"
+        ) from exc
+    extra = sorted(set(blocks) - requested.names)
+    if extra:
+        raise CheckpointError(f"{path}: {kind} model file has unexpected parameter blocks {extra}")
     model.fitted = True
     return model
+
+
+class _RequestedBlocks(dict):
+    """The stored parameter blocks, recording each name a model asks for."""
+
+    def __init__(self, blocks):
+        super().__init__(blocks)
+        self.names = set()
+
+    def __getitem__(self, name):
+        self.names.add(name)
+        return super().__getitem__(name)

@@ -563,6 +563,12 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
         keys_test, y_test = data["keys_test"], data["y_test"]
         X_test, excluded = data["X_test"], data["excluded"]
 
+    widths = sorted({model.n_features_ for _, model in models_by_seed})
+    if widths != [X_test.shape[1]]:
+        raise ConfigError(
+            f"features have {X_test.shape[1]} columns but the stored models take {widths}; "
+            "a feature override must keep the trained feature width"
+        )
     Xte = ft.transform(X_test)
     per_seed, mean_pred = _score(models_by_seed, lt, Xte, y_test)
     return _report(

@@ -104,7 +104,11 @@ class ZScoreDataTransformation(_Fitted):
 
 
 class ColumnwiseZScoreDataTransformation(_Fitted):
-    """Per-column z-score for 2-D matrices (1-D data is a single column)."""
+    """Per-column z-score for 2-D matrices (1-D data is a single column).
+
+    A column that is constant in the training data is only centred: its
+    scale is 1, and its index is kept in ``constant_columns_``.
+    """
 
     name = "ColumnwiseZScoreDataTransformation"
 
@@ -112,9 +116,9 @@ class ColumnwiseZScoreDataTransformation(_Fitted):
         if arr.ndim > 2:
             raise ValueError("columnwise z-score expects 1-D or 2-D data")
         self.mean_ = arr.mean(axis=0)
-        self.std_ = arr.std(axis=0)
-        if np.any(self.std_ == 0.0):
-            raise ValueError("degenerate data: a column has zero standard deviation")
+        std = arr.std(axis=0)
+        self.constant_columns_ = np.flatnonzero(std == 0.0).tolist()
+        self.std_ = np.where(std == 0.0, 1.0, std)
 
     def _transform(self, arr):
         return (arr - self.mean_) / self.std_
@@ -123,13 +127,18 @@ class ColumnwiseZScoreDataTransformation(_Fitted):
         return arr * self.std_ + self.mean_
 
     def _state(self):
-        return {"mean": np.asarray(self.mean_).tolist(), "std": np.asarray(self.std_).tolist()}
+        return {
+            "mean": np.asarray(self.mean_).tolist(),
+            "std": np.asarray(self.std_).tolist(),
+            "constant_columns": self.constant_columns_,
+        }
 
     @classmethod
     def _restore(cls, state):
         t = cls()
         t.mean_ = np.asarray(state["mean"], dtype=float)
         t.std_ = np.asarray(state["std"], dtype=float)
+        t.constant_columns_ = [int(i) for i in state.get("constant_columns", ())]
         return t
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cellforge.battery_data import CellRecord, CycleRecord, ProtocolStep
+from cellforge.battery_data import CellRecord, CycleRecord, ProtocolStep, load_cells, write_cell
 from cellforge.synthetic import SynthSpec, generate_synthetic
 
 V_MIN, V_MAX = 2.0, 3.6
@@ -191,3 +193,18 @@ def synth_cells():
         points_per_cycle=16, seed=11,
     )
     return generate_synthetic(spec)
+
+
+@pytest.fixture(scope="session")
+def quickstart_corpus(tmp_path_factory):
+    """The README quickstart corpus (the default ``SynthSpec`` that
+    ``cellforge generate`` uses), written once as cell files.
+
+    ``directory`` holds the files, ``generated`` the records that were
+    written and ``loaded`` the records read back from ``directory``.
+    """
+    generated = generate_synthetic(SynthSpec())
+    directory = tmp_path_factory.mktemp("quickstart")
+    for cell in generated:
+        write_cell(cell, directory)
+    return SimpleNamespace(directory=directory, generated=generated, loaded=load_cells(directory))

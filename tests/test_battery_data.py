@@ -1,6 +1,7 @@
 """Record types, validation rules, and JSON round-trips."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from cellforge.battery_data import (
     write_cell,
 )
 from cellforge.errors import SchemaError, ValidationError
+from cellforge.synthetic import SynthSpec, generate_synthetic
 from conftest import cell_strategy, linear_cycle, make_cell, random_valid_cell
 
 
@@ -249,6 +251,15 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match=r"voltage_in_V\[1\]"):
             cell_from_dict(d)
 
+    @pytest.mark.parametrize("field_name", ["current_in_A", "temperature_in_C"])
+    @pytest.mark.parametrize("element", [True, [1.0], None], ids=["bool", "nested", "null"])
+    def test_sequence_element_must_be_a_number(self, field_name, element):
+        d = cell_to_dict(dataclasses.replace(
+            make_cell("S", caps=(1.0,)), cycle_data=(linear_cycle(1, temperature=25.0),)))
+        d["cycle_data"][0][field_name][2] = element
+        with pytest.raises(SchemaError, match=rf"^cycle_data\[0\]\.{field_name}\[2\]: expected a number"):
+            cell_from_dict(d)
+
     def test_cycle_data_must_be_array(self):
         d = self.base()
         d["cycle_data"] = {"0": {}}
@@ -272,6 +283,80 @@ class TestSchemaErrors:
         p.write_bytes(b"\xff\xfe\x00\x01")
         with pytest.raises(SchemaError):
             read_cell(p)
+
+
+class TestArraySignals:
+    SIGNALS = (
+        "voltage_in_V",
+        "current_in_A",
+        "charge_capacity_in_Ah",
+        "discharge_capacity_in_Ah",
+        "time_in_s",
+        "temperature_in_C",
+    )
+
+    def test_signals_are_read_only_float64_copies(self):
+        inputs = {name: np.arange(3, dtype=np.float32) + 1 for name in self.SIGNALS}
+        cyc = CycleRecord(cycle_number=1, **inputs)
+        for name, given_values in inputs.items():
+            signal = getattr(cyc, name)
+            assert signal.dtype == np.float64 and signal.ndim == 1
+            assert not signal.flags.writeable
+            assert not np.shares_memory(signal, given_values)
+            given_values[0] = 99.0
+            assert signal[0] == 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                signal[0] = 5.0
+
+    def test_list_and_tuple_inputs_are_copied_exactly(self):
+        values = [0.1, 1e-300, 2.0**60 + 1.0, -0.0]
+        cyc = CycleRecord(cycle_number=1, voltage_in_V=values, time_in_s=tuple(values))
+        assert cyc.voltage_in_V.tolist() == values
+        assert cyc.time_in_s.tolist() == values
+
+    @pytest.mark.parametrize("bad", [1.0, [[1.0, 2.0], [3.0, 4.0]]], ids=["scalar", "2-D"])
+    def test_signal_must_be_one_dimensional(self, bad):
+        with pytest.raises(ValueError, match="voltage_in_V must be one-dimensional"):
+            CycleRecord(cycle_number=1, voltage_in_V=bad)
+
+    def test_equality_is_exact(self):
+        cyc = linear_cycle(1, temperature=25.0, internal_resistance=0.01)
+        assert cyc == linear_cycle(1, temperature=25.0, internal_resistance=0.01)
+        nudged = cyc.voltage_in_V.copy()
+        nudged[3] = np.nextafter(nudged[3], np.inf)
+        assert cyc != dataclasses.replace(cyc, voltage_in_V=nudged)
+        assert cyc != dataclasses.replace(cyc, time_in_s=cyc.time_in_s[:-1])
+        assert cyc != dataclasses.replace(cyc, temperature_in_C=None)
+        assert cyc != dataclasses.replace(cyc, internal_resistance_in_ohm=0.02)
+        assert cyc != dataclasses.replace(cyc, extra={"segment": 1})
+        cell = make_cell()
+        assert cell == make_cell()
+        assert cell != dataclasses.replace(cell, cycle_data=(*cell.cycle_data[:-1], cyc))
+
+    def test_records_are_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(linear_cycle(1))
+        with pytest.raises(TypeError):
+            hash(make_cell())
+
+    def test_written_bytes_are_pinned(self, tmp_path):
+        cells = generate_synthetic(SynthSpec(
+            n_cells=2, cycle_life_mean=30.0, cycle_life_std=5.0,
+            points_per_cycle=16, noise_sigma=0.005, seed=3,
+        ))
+        digests = [hashlib.sha256(write_cell(c, tmp_path).read_bytes()).hexdigest() for c in cells]
+        assert digests == [
+            "b34b222161ea3381ff73a740c330f5fa45c3353e36643962a8daf05736d92bec",
+            "9fe3fa93f7f1eda2aa6886f842327d82c6f39b62c91e3155320ff8d2164c0104",
+        ]
+
+    def test_quickstart_corpus_reads_back_equal(self, quickstart_corpus):
+        assert quickstart_corpus.loaded == quickstart_corpus.generated
+        for cell in quickstart_corpus.loaded:
+            for cyc in cell.cycle_data:
+                for name in self.SIGNALS:
+                    signal = getattr(cyc, name)
+                    assert signal.dtype == np.float64 and not signal.flags.writeable
 
 
 class TestLoadCells:

@@ -241,6 +241,15 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
         assert_one_line_error(capsys, "n_jobs")
 
+    def test_evaluate_rejects_model_file_without_blocks(self, checkpoint_dir, tmp_path, capsys):
+        ckpt = tmp_path / checkpoint_dir.name
+        shutil.copytree(checkpoint_dir, ckpt)
+        path = ckpt / "model_seed0.bin"
+        header, _ = read_model_file(path)
+        write_model_file(path, header["kind"], header["hyperparameters"], header["metadata"], [])
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
+        assert_one_line_error(capsys, "model_seed0.bin: linear model file lacks parameter block 'coef'")
+
     def test_evaluate_rejects_unknown_transform_name(self, checkpoint_dir, tmp_path, capsys):
         ckpt = tmp_path / checkpoint_dir.name
         shutil.copytree(checkpoint_dir, ckpt)

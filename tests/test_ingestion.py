@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from cellforge.battery_data import read_cell, validate
@@ -147,7 +148,7 @@ class TestParseCsv:
         qc = cell.cycle_data[0].charge_capacity_in_Ah
         qd = cell.cycle_data[0].discharge_capacity_in_Ah
         assert qc[-1] == pytest.approx(1.0, abs=1e-12)
-        assert qd == tuple([0.0] * 7)
+        assert np.array_equal(qd, [0.0] * 7)
 
     def test_capacity_integration_splits_by_sign(self, tmp_path):
         # 2 A charge then 2 A discharge, zero crossing exactly at a sample

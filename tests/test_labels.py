@@ -52,6 +52,24 @@ class TestSOH:
         cell = make_cell(caps=(1.5,), nominal=1.5)
         assert soh_per_cycle(cell)[0] == 100.0
 
+    def test_matches_per_cycle_max_with_uneven_cycle_lengths(self, synth_cells):
+        # peaks placed first, in the middle and last, in cycles of 3, 5 and 2 points
+        qd = ([2.0, 1.0, 0.5], [0.1, 0.4, 1.7, 0.2, 0.3], [0.05, 0.07])
+        odd = dataclasses.replace(make_cell(nominal=2.0), cycle_data=tuple(
+            CycleRecord(cycle_number=i + 1, discharge_capacity_in_Ah=q) for i, q in enumerate(qd)
+        ))
+        for cell in [odd, *synth_cells]:
+            expected = [100.0 * max(c.discharge_capacity_in_Ah.tolist()) / cell.nominal_capacity_in_Ah
+                        for c in cell.cycle_data]
+            np.testing.assert_array_equal(soh_per_cycle(cell), expected)
+
+    def test_rejects_cycle_without_discharge_samples(self):
+        cell = make_cell(caps=(1.0, 0.9))
+        empty = CycleRecord(cycle_number=3)
+        cell = dataclasses.replace(cell, cycle_data=(*cell.cycle_data, empty))
+        with pytest.raises(ValueError, match="no discharge capacity samples"):
+            soh_per_cycle(cell)
+
     def test_requires_cycles(self):
         cell = dataclasses.replace(make_cell(), cycle_data=())
         with pytest.raises(ValueError, match="no cycles"):

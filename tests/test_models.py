@@ -383,3 +383,16 @@ class TestSaveLoad:
         write_model_file(p, "mystery", {}, {"n_features": 1}, [])
         with pytest.raises(CheckpointError, match="unknown model kind"):
             load_model(p)
+
+    def test_extra_block_rejected(self, tmp_path):
+        from cellforge.models.io import read_model_file, write_model_file
+
+        p = tmp_path / "m.bin"
+        X, y, _ = toy_problem(n=10, d=2)
+        RandomForestRegressor(n_trees=1, seed=0).fit(X, y).save(p)
+        header, blocks = read_model_file(p)
+        stored = [(b["name"], blocks[b["name"]]) for b in header["blocks"]]
+        write_model_file(p, header["kind"], header["hyperparameters"], header["metadata"],
+                         stored + [("tree1_value", np.zeros(1))])
+        with pytest.raises(CheckpointError, match=r"unexpected parameter blocks \['tree1_value'\]"):
+            load_model(p)

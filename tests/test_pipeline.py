@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from cellforge.transforms import ZScoreDataTransformation, _Fitted
 
 from conftest import make_cell
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 def make_config(**sections):
     """A fast RUL experiment config; keyword args replace whole sections."""
@@ -638,6 +640,14 @@ class TestRunEvaluate:
         with pytest.raises(ConfigError, match=f"cannot override \\['{key}'\\]"):
             run_evaluate(trained.directory, overrides={key: section}, cells=pipe_cells)
 
+    def test_feature_override_changing_width_rejected(self, trained, pipe_cells):
+        with pytest.raises(ConfigError, match="features have 6 columns but the stored models take \\[1\\]"):
+            run_evaluate(
+                trained.directory,
+                overrides={"feature": {"name": "DischargeModelFeatureExtractor", "interp_dims": 64}},
+                cells=pipe_cells,
+            )
+
     def copy_checkpoint(self, trained, tmp_path):
         dst = tmp_path / trained.directory.name
         shutil.copytree(trained.directory, dst)
@@ -753,3 +763,12 @@ class TestRunEvaluate:
         by_id = {c.cell_id: c for c in pipe_cells}
         for row in report["predictions"]:
             assert row["y_true"] == rul_oracle(by_id[row["cell_id"]], percent=85.0)
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("name", ["synthetic_soh_mlp", "synthetic_variance_linear"])
+    def test_trains_on_quickstart_corpus(self, quickstart_corpus, tmp_path, name):
+        cfg = yaml.safe_load((CONFIG_DIR / f"{name}.yaml").read_text())
+        ckpt = run_train(cfg, workspace=tmp_path, cells=quickstart_corpus.loaded)
+        assert np.isfinite(ckpt.report["mean_rmse"])
+        assert run_evaluate(ckpt.directory) == ckpt.report

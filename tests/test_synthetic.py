@@ -101,11 +101,11 @@ class TestNoise:
         for a, b in zip(clean, noisy):
             assert len(a.cycle_data) == len(b.cycle_data)
             for ca, cb in zip(a.cycle_data, b.cycle_data):
-                assert ca.time_in_s == cb.time_in_s
-                assert ca.current_in_A == cb.current_in_A
-                assert ca.charge_capacity_in_Ah == cb.charge_capacity_in_Ah
-                assert ca.discharge_capacity_in_Ah == cb.discharge_capacity_in_Ah
-                assert ca.voltage_in_V != cb.voltage_in_V
+                assert np.array_equal(ca.time_in_s, cb.time_in_s)
+                assert np.array_equal(ca.current_in_A, cb.current_in_A)
+                assert np.array_equal(ca.charge_capacity_in_Ah, cb.charge_capacity_in_Ah)
+                assert np.array_equal(ca.discharge_capacity_in_Ah, cb.discharge_capacity_in_Ah)
+                assert not np.array_equal(ca.voltage_in_V, cb.voltage_in_V)
 
     def test_zero_noise_discharge_is_linear_in_voltage(self, synth_cells):
         cell = synth_cells[0]

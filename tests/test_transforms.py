@@ -1,5 +1,7 @@
 """Invertible transformations: round-trips, statistics, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,10 +126,17 @@ class TestErrors:
         with pytest.raises(ValueError, match="deviation is zero"):
             ZScoreDataTransformation().fit(np.full(5, 3.0))
 
-    def test_columnwise_rejects_constant_column(self):
+    def test_columnwise_centres_constant_column(self):
         x = np.column_stack([np.arange(5.0), np.full(5, 2.0)])
-        with pytest.raises(ValueError, match="zero standard deviation"):
-            ColumnwiseZScoreDataTransformation().fit(x)
+        t = ColumnwiseZScoreDataTransformation().fit(x)
+        assert t.constant_columns_ == [1]
+        out = t.transform(x)
+        np.testing.assert_array_equal(out[:, 1], np.zeros(5))
+        np.testing.assert_allclose(out[:, 0].std(), 1.0)
+        np.testing.assert_allclose(t.inverse_transform(out), x, atol=1e-12)
+        back = _Fitted.from_dict(json.loads(json.dumps(t.to_dict())))
+        assert back.constant_columns_ == [1]
+        np.testing.assert_array_equal(back.transform(x + 1.0), t.transform(x + 1.0))
 
     def test_minmax_rejects_constant_data(self):
         with pytest.raises(ValueError, match="max equals min"):
