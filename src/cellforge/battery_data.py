@@ -1,10 +1,21 @@
-"""Unified cell-level cycling records: types, validation, JSON serialization.
+"""Unified cell-level cycling records: types, validation, cell files.
 
-One cell is one UTF-8 JSON document named ``<cell_id>.json``. Field names use
-snake_case with unit suffixes (``nominal_capacity_in_Ah``, ``time_in_s``, ...)
-and are identical in memory and on disk. Unknown keys found in a file are
-preserved in an ``extra`` side map and round-trip unchanged, but nothing in
-the package interprets them.
+One cell is one binary file named ``<cell_id>.cfc``, in the container model
+checkpoints also use: the magic ``CFC1``, a little-endian uint32 header
+length, a UTF-8 JSON header, then little-endian float64 blocks. The header
+holds the cell's JSON document without its cycles (metadata, protocols and
+``extra``, as :func:`cell_to_dict` writes them) and, per cycle, its number,
+point count, whether it has a temperature and an internal resistance, and
+its ``extra``. Each signal is one block: the per-cycle values concatenated
+in cycle order, temperature over only the cycles that have it, and internal
+resistance with one value per cycle that has it. :func:`read_cell` also
+reads a cell stored as one UTF-8 JSON document (``<cell_id>.json``), the
+format of older corpora; :func:`cell_to_dict` exports one.
+
+Field names use snake_case with unit suffixes (``nominal_capacity_in_Ah``,
+``time_in_s``, ...) and are identical in memory and on disk. Unknown keys
+found in a JSON document are preserved in an ``extra`` side map and
+round-trip unchanged, but nothing in the package interprets them.
 
 Sign convention for ``current_in_A``: charge positive, discharge negative.
 Converters enforce it at ingestion time; nothing downstream re-derives it.
@@ -27,7 +38,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -288,7 +301,7 @@ def validate(cell: CellRecord) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
+# JSON documents
 
 def _step_to_dict(step: ProtocolStep) -> dict:
     d = {}
@@ -330,26 +343,6 @@ def cell_to_dict(cell: CellRecord) -> dict:
     d["cycle_data"] = [_cycle_to_dict(c) for c in cell.cycle_data]
     d.update(cell.extra)
     return d
-
-
-def write_cell(cell: CellRecord, path) -> Path:
-    """Serialize a valid cell to ``path`` (a file or a directory).
-
-    Given a directory, the file is named ``<cell_id>.json``. Raises
-    :class:`ValidationError` when the record does not validate; JSON output
-    rejects NaN/Inf outright (``allow_nan=False``).
-    """
-    violations = validate(cell)
-    if violations:
-        raise ValidationError(violations)
-    path = Path(path)
-    if path.is_dir():
-        path = path / f"{cell.cell_id}.json"
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(cell_to_dict(cell), fh, allow_nan=False)
-    os.replace(tmp, path)
-    return path
 
 
 def _expect(obj, key, path):
@@ -473,25 +466,203 @@ def cell_from_dict(obj: dict) -> CellRecord:
     )
 
 
-def read_cell(path) -> CellRecord:
-    """Parse one cell file; malformed content raises :class:`SchemaError`."""
-    path = Path(path)
+
+
+def _json_document(data: bytes):
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path.name}: not valid JSON: {exc}") from exc
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path.name}: not valid UTF-8: {exc}") from exc
-    return cell_from_dict(obj)
+        raise SchemaError(f"not valid UTF-8: {exc}") from exc
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an overlong integer, or nesting too deep
+        raise SchemaError(f"not valid JSON: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# Binary container, shared by cell files and model checkpoints
+#
+# Layout: a 4-byte magic, a little-endian uint32 header length, a UTF-8 JSON
+# header whose ``blocks`` array gives the name and shape of every block in
+# order, then the blocks themselves as little-endian float64.
+
+def write_container(path, magic: bytes, header: dict, blocks) -> Path:
+    """Write ``header`` and the ordered (name, array) pairs ``blocks`` to
+    ``path``, which appears complete or not at all."""
+    path = Path(path)
+    header = {**header, "blocks": [{"name": name, "shape": list(arr.shape)} for name, arr in blocks]}
+    payload = json.dumps(header, sort_keys=True).encode("utf-8")
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<I", len(payload)))
+        fh.write(payload)
+        for _, arr in blocks:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    os.replace(tmp, path)
+    return path
+
+
+def parse_container(data: bytes, magic: bytes, error) -> tuple[dict, dict]:
+    """Split a container's bytes into its header and {block name: array}.
+
+    The arrays are read-only views of ``data``. A wrong magic, a truncated
+    or non-JSON header, a malformed block list, or blocks that do not fill
+    the rest of the file exactly raise ``error``.
+    """
+    if data[:4] != magic:
+        raise error(f"bad magic {data[:4]!r}, expected {magic!r}")
+    if len(data) < 8:
+        raise error("truncated before the header length")
+    (length,) = struct.unpack_from("<I", data, 4)
+    offset = 8 + length
+    if len(data) < offset:
+        raise error(f"truncated header: {length} bytes declared, {len(data) - 8} present")
+    try:
+        header = json.loads(data[8:offset].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # also an overlong integer, or nesting too deep
+        raise error(f"header is not UTF-8 JSON: {exc}") from exc
+    specs = header.get("blocks") if isinstance(header, dict) else None
+    if not isinstance(specs, list):
+        raise error("header must be a JSON object with a 'blocks' array")
+    blocks = {}
+    for i, spec in enumerate(specs):
+        name, shape = (spec.get("name"), spec.get("shape")) if isinstance(spec, dict) else (None, None)
+        if (not isinstance(name, str) or name in blocks or not isinstance(shape, list)
+                or not all(type(n) is int and n >= 0 for n in shape)):
+            raise error(f"blocks[{i}]: expected a new name and a shape of non-negative integers")
+        count = math.prod(shape)
+        if offset + 8 * count > len(data):
+            raise error(f"truncated block '{name}'")
+        blocks[name] = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape)
+        offset += 8 * count
+    if offset != len(data):
+        raise error(f"{len(data) - offset} bytes follow the last block")
+    return header, blocks
+
+
+# ---------------------------------------------------------------------------
+# Cell files
+
+CELL_MAGIC = b"CFC1"
+
+
+def _column(arrays) -> np.ndarray:
+    """The present (not None) per-cycle arrays, concatenated in cycle order."""
+    return np.concatenate([np.empty(0), *(a for a in arrays if a is not None)])
+
+
+def write_cell(cell: CellRecord, path) -> Path:
+    """Write a valid cell as a binary cell file to ``path``.
+
+    Given a directory, the file is named ``<cell_id>.cfc``; any other path
+    is used as it is. Raises :class:`ValidationError` when the record does
+    not validate.
+    """
+    violations = validate(cell)
+    if violations:
+        raise ValidationError(violations)
+    path = Path(path)
+    if path.is_dir():
+        path = path / f"{cell.cell_id}.cfc"
+    cycles = cell.cycle_data
+    header = {
+        "cell": cell_to_dict(replace(cell, cycle_data=())),
+        "cycles": {
+            "cycle_number": [c.cycle_number for c in cycles],
+            "points": [c.time_in_s.size for c in cycles],
+            "has_temperature": [c.temperature_in_C is not None for c in cycles],
+            "has_internal_resistance": [c.internal_resistance_in_ohm is not None for c in cycles],
+            "extra": [c.extra for c in cycles],
+        },
+    }
+    blocks = [(name, _column(getattr(c, name) for c in cycles)) for name in _SIGNAL_FIELDS]
+    resistance = [c.internal_resistance_in_ohm for c in cycles if c.internal_resistance_in_ohm is not None]
+    blocks.append(("internal_resistance_in_ohm", np.array(resistance, dtype=np.float64)))
+    return write_container(path, CELL_MAGIC, header, blocks)
+
+
+def _per_cycle(cycles: dict, key: str, kind: type, n: int) -> list:
+    values = cycles.get(key)
+    if not isinstance(values, list) or len(values) != n or any(type(v) is not kind for v in values):
+        raise SchemaError(f"cycles.{key}: expected an array of {n} {kind.__name__} values")
+    return values
+
+
+def _cell_from_container(data: bytes) -> CellRecord:
+    header, blocks = parse_container(data, CELL_MAGIC, SchemaError)
+    cycles = header.get("cycles")
+    if not isinstance(cycles, dict) or not isinstance(cycles.get("cycle_number"), list):
+        raise SchemaError("header: 'cycles' must be an object with a 'cycle_number' array")
+    n = len(cycles["cycle_number"])
+    numbers = _per_cycle(cycles, "cycle_number", int, n)
+    points = _per_cycle(cycles, "points", int, n)
+    has_temperature = _per_cycle(cycles, "has_temperature", bool, n)
+    has_resistance = _per_cycle(cycles, "has_internal_resistance", bool, n)
+    extras = _per_cycle(cycles, "extra", dict, n)
+    if min(points, default=0) < 0:
+        raise SchemaError("cycles.points: counts must be >= 0")
+    sizes = {name: (sum(points),) for name in _CYCLE_SEQ_FIELDS}
+    sizes["temperature_in_C"] = (sum(p for p, t in zip(points, has_temperature) if t),)
+    sizes["internal_resistance_in_ohm"] = (sum(has_resistance),)
+    found = {name: arr.shape for name, arr in blocks.items()}
+    if found != sizes:
+        raise SchemaError(f"blocks {found} do not match the per-cycle counts, which need {sizes}")
+    if not isinstance(header.get("cell"), dict):
+        raise SchemaError("header: 'cell' must be an object")
+    meta = cell_from_dict(header["cell"])
+
+    signals = {name: blocks[name] for name in _CYCLE_SEQ_FIELDS}
+    bounds = list(accumulate(points, initial=0))
+    t = r = 0
+    out = []
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        temperature = resistance = None
+        if has_temperature[i]:
+            temperature = blocks["temperature_in_C"][t : t + b - a]
+            t += b - a
+        if has_resistance[i]:
+            resistance = blocks["internal_resistance_in_ohm"][r]
+            r += 1
+        out.append(CycleRecord(
+            cycle_number=numbers[i],
+            temperature_in_C=temperature,
+            internal_resistance_in_ohm=resistance,
+            extra=extras[i],
+            **{name: col[a:b] for name, col in signals.items()},
+        ))
+    return replace(meta, cycle_data=out)
+
+
+def read_cell(path) -> CellRecord:
+    """Read one cell file, binary or JSON: its first four bytes decide which.
+
+    Malformed content raises :class:`SchemaError` naming the file.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    try:
+        if data[:4] == CELL_MAGIC:
+            return _cell_from_container(data)
+        return cell_from_dict(_json_document(data))
+    except (SchemaError, OverflowError) as exc:  # an integer too large for a float
+        raise SchemaError(f"{path.name}: {exc}") from exc
 
 
 def load_cells(cell_dir) -> list[CellRecord]:
-    """Read every ``*.json`` cell file in a directory, sorted by filename."""
+    """Read every ``*.cfc`` and ``*.json`` cell file in a directory, sorted
+    by file name. Two files holding one ``cell_id`` raise :class:`SchemaError`."""
     cell_dir = Path(cell_dir)
     if not cell_dir.is_dir():
         raise SchemaError(f"cell directory not found: {cell_dir}")
-    paths = sorted(cell_dir.glob("*.json"))
+    paths = sorted([*cell_dir.glob("*.cfc"), *cell_dir.glob("*.json")], key=lambda p: p.name)
     if not paths:
-        raise SchemaError(f"no cell files (*.json) in {cell_dir}")
-    return [read_cell(p) for p in paths]
+        raise SchemaError(f"no cell files (*.cfc or *.json) in {cell_dir}")
+    cells, seen = [], {}
+    for p in paths:
+        cell = read_cell(p)
+        if cell.cell_id in seen:
+            raise SchemaError(f"cell_id {cell.cell_id!r} is in both {seen[cell.cell_id].name} and {p.name}")
+        seen[cell.cell_id] = p
+        cells.append(cell)
+    return cells

@@ -10,7 +10,7 @@ class CellforgeError(Exception):
 
 
 class SchemaError(CellforgeError):
-    """A file (cell JSON, CSV, column map, split list) violates its schema."""
+    """A file (cell file, CSV, column map, split list) violates its schema."""
 
 
 class ValidationError(CellforgeError):
@@ -48,6 +48,10 @@ class PipelineError(CellforgeError):
 
 class DownloadError(CellforgeError):
     """A dataset download failed; a URL manifest was written instead."""
+
+
+class TransformError(CellforgeError, ValueError):
+    """A data transformation cannot fit, apply or invert on the data given."""
 
 
 class CheckpointError(CellforgeError):

@@ -1,20 +1,17 @@
 """Self-describing binary model checkpoints.
 
-Layout: 4-byte magic ``CFM1``, little-endian uint32 header length, UTF-8 JSON
-header, then the concatenated parameter blocks as little-endian float64. The
-header records the model kind, its hyperparameters, training metadata, and
-the name/shape of every block in order, so a file can be loaded without
-knowing anything but this format.
+A model file is the package's binary container (see
+:func:`cellforge.battery_data.write_container`) with the magic ``CFM1``.
+The header records the model kind, its hyperparameters, training metadata,
+and the name/shape of every parameter block in order, so a file can be
+loaded without knowing anything but this format.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from pathlib import Path
 
-import numpy as np
-
+from ..battery_data import parse_container, write_container
 from ..errors import CheckpointError
 
 MAGIC = b"CFM1"
@@ -22,38 +19,15 @@ MAGIC = b"CFM1"
 
 def write_model_file(path, kind: str, hyperparameters: dict, metadata: dict, blocks) -> Path:
     """``blocks`` is an ordered list of (name, float64 ndarray) pairs."""
-    path = Path(path)
-    header = {
-        "kind": kind,
-        "hyperparameters": hyperparameters,
-        "metadata": metadata,
-        "blocks": [{"name": name, "shape": list(arr.shape)} for name, arr in blocks],
-    }
-    payload = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(payload)))
-        fh.write(payload)
-        for _, arr in blocks:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return path
+    header = {"kind": kind, "hyperparameters": hyperparameters, "metadata": metadata}
+    return write_container(path, MAGIC, header, blocks)
 
 
 def read_model_file(path):
     """Returns (header dict, {block name: float64 ndarray})."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise CheckpointError(f"{path.name}: not a model checkpoint (bad magic {magic!r})")
-        (length,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(length).decode("utf-8"))
-        blocks = {}
-        for spec in header["blocks"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise CheckpointError(f"{path.name}: truncated block '{spec['name']}'")
-            blocks[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    return header, blocks
+    try:
+        header, blocks = parse_container(path.read_bytes(), MAGIC, CheckpointError)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path.name}: not a valid model checkpoint: {exc}") from exc
+    return header, {name: arr.copy() for name, arr in blocks.items()}

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import RegistryError
+from .errors import CellforgeError, RegistryError
 
 
 class Registry:
@@ -41,7 +41,9 @@ class Registry:
             )
         try:
             return self._factories[name](**kwargs)
-        except (TypeError, ValueError) as exc:  # CellforgeErrors pass through as they are
+        except CellforgeError:  # passes through as it is, also when it is a ValueError
+            raise
+        except (TypeError, ValueError) as exc:
             raise RegistryError(f"{self.kind} {name!r}: bad parameters: {exc}") from exc
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, TransformError
 from .registry import TRANSFORMS
 
 
@@ -30,15 +30,15 @@ class _Fitted:
 
     def _require_fitted(self):
         if not self.fitted:
-            raise ValueError(f"{type(self).__name__} is not fitted")
+            raise TransformError(f"{type(self).__name__} is not fitted")
 
     @staticmethod
     def _as_finite_array(data, *, context):
         arr = np.asarray(data, dtype=float)
         if arr.size == 0:
-            raise ValueError(f"cannot {context} on empty data")
+            raise TransformError(f"cannot {context} on empty data")
         if not np.isfinite(arr).all():
-            raise ValueError(f"cannot {context} on non-finite data")
+            raise TransformError(f"cannot {context} on non-finite data")
         return arr
 
     def fit(self, data):
@@ -84,7 +84,7 @@ class ZScoreDataTransformation(_Fitted):
         self.mean_ = float(arr.mean())
         self.std_ = float(arr.std())
         if self.std_ == 0.0:
-            raise ValueError("degenerate data: standard deviation is zero")
+            raise TransformError("degenerate data: standard deviation is zero")
 
     def _transform(self, arr):
         return (arr - self.mean_) / self.std_
@@ -114,7 +114,7 @@ class ColumnwiseZScoreDataTransformation(_Fitted):
 
     def _fit(self, arr):
         if arr.ndim > 2:
-            raise ValueError("columnwise z-score expects 1-D or 2-D data")
+            raise TransformError("columnwise z-score expects 1-D or 2-D data")
         self.mean_ = arr.mean(axis=0)
         std = arr.std(axis=0)
         self.constant_columns_ = np.flatnonzero(std == 0.0).tolist()
@@ -151,7 +151,7 @@ class MinMaxDataTransformation(_Fitted):
         self.min_ = float(arr.min())
         self.max_ = float(arr.max())
         if self.max_ == self.min_:
-            raise ValueError("degenerate data: max equals min")
+            raise TransformError("degenerate data: max equals min")
 
     def _transform(self, arr):
         return (arr - self.min_) / (self.max_ - self.min_)
@@ -177,11 +177,11 @@ class LogScaleDataTransformation(_Fitted):
 
     def _fit(self, arr):
         if np.any(arr <= 0):
-            raise ValueError("log scale requires strictly positive data")
+            raise TransformError("log scale requires strictly positive data")
 
     def _transform(self, arr):
         if np.any(arr <= 0):
-            raise ValueError("log scale requires strictly positive data")
+            raise TransformError("log scale requires strictly positive data")
         return np.log10(arr)
 
     def _inverse(self, arr):
@@ -209,7 +209,7 @@ class SequentialDataTransformation(_Fitted):
         super().__init__()
         self.transformations = [self._child(t) for t in transformations]
         if not self.transformations:
-            raise ValueError("sequential transformation needs at least one child")
+            raise TransformError("sequential transformation needs at least one child")
 
     @staticmethod
     def _child(child):
@@ -218,7 +218,7 @@ class SequentialDataTransformation(_Fitted):
         params = dict(child)
         name = params.pop("name", None)
         if not isinstance(name, str):
-            raise ValueError("sequential child needs a 'name' string")
+            raise TransformError("sequential child needs a 'name' string")
         return TRANSFORMS.create(name, **params)
 
     def _fit(self, arr):

@@ -14,13 +14,14 @@ Each test is self-contained and prints one pass/fail line under ``pytest -v``:
 
 import json
 import os
+import struct
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cellforge.battery_data import read_cell, write_cell
+from cellforge.battery_data import cell_to_dict, read_cell, write_cell
 from cellforge.errors import CellforgeError
 from cellforge.features import qdlinear
 from cellforge.labels import (
@@ -96,30 +97,10 @@ def e2e_config(model_name, model_params=None, label_transformation=None, seeds=(
     }
 
 
-def test_criterion_1_serialization_round_trip_and_fuzz(tmp_path):
-    start = time.monotonic()
-    rng = np.random.default_rng(1234)
-
-    cells = [random_valid_cell(rng, i) for i in range(200)]
-    for cell in cells:
-        path = write_cell(cell, tmp_path)
-        assert read_cell(path) == cell  # field-exact equality
-
-    base = (tmp_path / f"{cells[0].cell_id}.json").read_bytes()
-    handcrafted = [
-        b"",
-        b"null",
-        b"[]",
-        b"{",
-        b'{"cell_id": 3}',
-        b'{"cell_id": "x"}',
-        b'{"cell_id": "x", "nominal_capacity_in_Ah": "big", "cycle_data": []}',
-        b"\xff\xfe\x00junk",
-        base.replace(b"voltage_in_V", b"voltage", 1),
-        base.replace(b":", b";", 5),
-    ]
+def mutations(rng, base, n=150):
+    """Random truncations, byte overwrites, deletions and duplications of ``base``."""
     mutated = []
-    for _ in range(150):
+    for _ in range(n):
         op = int(rng.integers(0, 4))
         if op == 0:
             mutated.append(base[: int(rng.integers(0, len(base)))])
@@ -136,9 +117,44 @@ def test_criterion_1_serialization_round_trip_and_fuzz(tmp_path):
             i = int(rng.integers(0, len(base)))
             j = int(rng.integers(i, min(len(base), i + 30)))
             mutated.append(base[:j] + base[i:j] + base[j:])
+    return mutated
 
-    fuzz_path = tmp_path / "fuzzed.json"
-    for payload in handcrafted + mutated:
+
+def test_criterion_1_serialization_round_trip_and_fuzz(tmp_path):
+    start = time.monotonic()
+    rng = np.random.default_rng(1234)
+
+    cells = [random_valid_cell(rng, i) for i in range(200)]
+    for cell in cells:
+        path = write_cell(cell, tmp_path)
+        assert read_cell(path) == cell  # field-exact equality
+
+    # JSON documents, the import format
+    base = json.dumps(cell_to_dict(cells[0])).encode()
+    handcrafted = [
+        b"",
+        b"null",
+        b"[]",
+        b"{",
+        b'{"cell_id": 3}',
+        b'{"cell_id": "x"}',
+        b'{"cell_id": "x", "nominal_capacity_in_Ah": "big", "cycle_data": []}',
+        b"\xff\xfe\x00junk",
+        base.replace(b"voltage_in_V", b"voltage", 1),
+        base.replace(b":", b";", 5),
+    ]
+    payloads = [(tmp_path / "fuzzed.json", p) for p in handcrafted + mutations(rng, base)]
+
+    # binary cell files: truncations at and around each boundary, header-length lies
+    base = (tmp_path / f"{cells[0].cell_id}.cfc").read_bytes()
+    (length,) = struct.unpack_from("<I", base, 4)
+    cuts = [3, 4, 5, 7, 8, 9, 8 + length - 1, 8 + length, 8 + length + 1, len(base) - 8, len(base) - 1]
+    lies = [0, 1, 2, length - 1, length + 1, length + 8, len(base), 2**31, 2**32 - 1]
+    handcrafted = [base[:n] for n in cuts] + [base + b"\0" * 8, base[:4] + base[8:]]
+    handcrafted += [base[:4] + struct.pack("<I", n) + base[8:] for n in lies]
+    payloads += [(tmp_path / "fuzzed.cfc", p) for p in handcrafted + mutations(rng, base)]
+
+    for fuzz_path, payload in payloads:
         fuzz_path.write_bytes(payload)
         try:
             read_cell(fuzz_path)  # parsing may succeed; crashing may not

@@ -1,8 +1,9 @@
-"""Record types, validation rules, and JSON round-trips."""
+"""Record types, validation rules, and cell-file and JSON round-trips."""
 
 import dataclasses
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -166,7 +167,7 @@ class TestSerialization:
             extra={"batch": 7, "tags": ["x", "y"]},
         )
         path = write_cell(cell, tmp_path)
-        assert path == tmp_path / "RT_1.json"
+        assert path == tmp_path / "RT_1.cfc"
         assert read_cell(path) == cell
 
     def test_round_trip_many_randomized_cells(self, tmp_path):
@@ -278,6 +279,17 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match="not valid JSON"):
             read_cell(p)
 
+    @pytest.mark.parametrize("document", [
+        '{"cell_id": "x", "nominal_capacity_in_Ah": 1%s, "cycle_data": []}' % ("0" * 400),
+        '{"cell_id": "x", "nominal_capacity_in_Ah": 1%s, "cycle_data": []}' % ("0" * 5000),
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["int-beyond-float", "int-beyond-str-limit", "deep-nesting"])
+    def test_read_cell_rejects_unrepresentable_json(self, tmp_path, document):
+        p = tmp_path / "odd.json"
+        p.write_text(document, encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"^odd\.json: "):
+            read_cell(p)
+
     def test_read_cell_rejects_non_utf8(self, tmp_path):
         p = tmp_path / "binary.json"
         p.write_bytes(b"\xff\xfe\x00\x01")
@@ -344,10 +356,18 @@ class TestArraySignals:
             n_cells=2, cycle_life_mean=30.0, cycle_life_std=5.0,
             points_per_cycle=16, noise_sigma=0.005, seed=3,
         ))
-        digests = [hashlib.sha256(write_cell(c, tmp_path).read_bytes()).hexdigest() for c in cells]
-        assert digests == [
+        json_digests = [
+            hashlib.sha256(json.dumps(cell_to_dict(c), allow_nan=False).encode()).hexdigest()
+            for c in cells
+        ]
+        assert json_digests == [
             "b34b222161ea3381ff73a740c330f5fa45c3353e36643962a8daf05736d92bec",
             "9fe3fa93f7f1eda2aa6886f842327d82c6f39b62c91e3155320ff8d2164c0104",
+        ]
+        digests = [hashlib.sha256(write_cell(c, tmp_path).read_bytes()).hexdigest() for c in cells]
+        assert digests == [
+            "097b2c247d26dcd9d107710a5eb80a324ad10959556b74a5a89b42985ebd0d42",
+            "f023ae5148409d5db45f7cf86451f0b29ee22adff36d5ef27de377975a10c71f",
         ]
 
     def test_quickstart_corpus_reads_back_equal(self, quickstart_corpus):
@@ -373,3 +393,123 @@ class TestLoadCells:
     def test_empty_directory(self, tmp_path):
         with pytest.raises(SchemaError, match="no cell files"):
             load_cells(tmp_path)
+
+    def test_empty_directory_message_names_both_patterns(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("not a cell")
+        with pytest.raises(SchemaError, match=r"no cell files \(\*\.cfc or \*\.json\)"):
+            load_cells(tmp_path)
+
+    def test_legacy_json_corpus_loads_equal(self, tmp_path):
+        rng = np.random.default_rng(11)
+        cells = [random_valid_cell(rng, i) for i in range(4)]
+        for cell in cells:
+            (tmp_path / f"{cell.cell_id}.json").write_text(
+                json.dumps(cell_to_dict(cell), allow_nan=False), encoding="utf-8")
+        assert load_cells(tmp_path) == cells
+
+    def test_mixed_directory_sorted_by_filename(self, tmp_path):
+        write_cell(make_cell("B_2"), tmp_path)
+        (tmp_path / "A_1.json").write_text(json.dumps(cell_to_dict(make_cell("A_1"))))
+        write_cell(make_cell("C_3"), tmp_path)
+        assert [c.cell_id for c in load_cells(tmp_path)] == ["A_1", "B_2", "C_3"]
+
+    def test_duplicate_cell_id_names_both_files(self, tmp_path):
+        cell = make_cell("SYN_0000")
+        (tmp_path / "SYN_0000.json").write_text(json.dumps(cell_to_dict(cell)))
+        write_cell(cell, tmp_path)
+        with pytest.raises(SchemaError, match=r"'SYN_0000' is in both SYN_0000\.cfc and SYN_0000\.json"):
+            load_cells(tmp_path)
+
+
+class TestCellFile:
+    """The binary layout: magic, header length, JSON header, float64 blocks."""
+
+    def written(self, tmp_path, cell=None):
+        path = write_cell(cell or make_cell("BIN"), tmp_path)
+        data = path.read_bytes()
+        (length,) = struct.unpack_from("<I", data, 4)
+        return path, data, json.loads(data[8 : 8 + length])
+
+    def rewrite(self, path, data, header_text):
+        payload = header_text.encode()
+        offset = 8 + struct.unpack_from("<I", data, 4)[0]
+        path.write_bytes(data[:4] + struct.pack("<I", len(payload)) + payload + data[offset:])
+
+    def test_layout(self, tmp_path):
+        cell = make_cell("BIN", extra={"batch": 7}, charge_protocol=(ProtocolStep(rate_in_C=1.0),))
+        cell = dataclasses.replace(cell, cycle_data=(
+            linear_cycle(1, temperature=25.0),
+            linear_cycle(2, n_dis=5, internal_resistance=0.02),
+            dataclasses.replace(linear_cycle(3, temperature=26.0), extra={"step": "rest"}),
+        ))
+        path, data, header = self.written(tmp_path, cell)
+        assert data[:4] == b"CFC1"
+        assert header["cycles"] == {
+            "cycle_number": [1, 2, 3],
+            "points": [len(c.time_in_s) for c in cell.cycle_data],
+            "has_temperature": [True, False, True],
+            "has_internal_resistance": [False, True, False],
+            "extra": [{}, {}, {"step": "rest"}],
+        }
+        assert header["cell"] == cell_to_dict(dataclasses.replace(cell, cycle_data=()))
+        shapes = {b["name"]: b["shape"] for b in header["blocks"]}
+        n = sum(len(c.time_in_s) for c in cell.cycle_data)
+        assert shapes["voltage_in_V"] == [n]
+        assert shapes["temperature_in_C"] == [n - len(cell.cycle_data[1].time_in_s)]
+        assert shapes["internal_resistance_in_ohm"] == [1]
+        assert len(data) == 8 + struct.unpack_from("<I", data, 4)[0] + 8 * sum(
+            s[0] for s in shapes.values())
+        assert read_cell(path) == cell
+
+    def test_format_is_read_from_content_not_name(self, tmp_path):
+        cell = make_cell("NAMED")
+        binary = write_cell(cell, tmp_path / "binary.json")
+        text = tmp_path / "text.cfc"
+        text.write_text(json.dumps(cell_to_dict(cell)))
+        assert read_cell(binary) == cell == read_cell(text)
+
+    @pytest.mark.parametrize("cut", [0, 3, 6, 20, -1])
+    def test_truncation(self, tmp_path, cut):
+        path, data, _ = self.written(tmp_path)
+        path.write_bytes(data[:cut])
+        with pytest.raises(SchemaError, match=r"^BIN\.cfc: "):
+            read_cell(path)
+
+    @pytest.mark.parametrize("length", [0, 1, 2**32 - 1])
+    def test_header_length_lie(self, tmp_path, length):
+        path, data, _ = self.written(tmp_path)
+        path.write_bytes(data[:4] + struct.pack("<I", length) + data[8:])
+        with pytest.raises(SchemaError, match=r"^BIN\.cfc: "):
+            read_cell(path)
+
+    @pytest.mark.parametrize("header_edit", [
+        lambda h: [],
+        lambda h: {**h, "blocks": "none"},
+        lambda h: {**h, "cycles": None},
+        lambda h: {**h, "cell": []},
+        lambda h: {**h, "cycles": {**h["cycles"], "points": [h["cycles"]["points"][0] + 1, *h["cycles"]["points"][1:]]}},
+        lambda h: {**h, "cycles": {**h["cycles"], "has_temperature": [True] * len(h["cycles"]["points"])}},
+        lambda h: {**h, "cycles": {**h["cycles"], "cycle_number": [True] * len(h["cycles"]["points"])}},
+        lambda h: {**h, "cycles": {**h["cycles"], "extra": []}},
+    ], ids=["not-object", "blocks", "cycles", "cell", "points", "temperature", "bool-number", "extra"])
+    def test_header_disagrees(self, tmp_path, header_edit):
+        path, data, header = self.written(tmp_path)
+        self.rewrite(path, data, json.dumps(header_edit(header)))
+        with pytest.raises(SchemaError, match=r"^BIN\.cfc: "):
+            read_cell(path)
+
+    @pytest.mark.parametrize("payload", [
+        lambda h: json.dumps({**h, "cell": {**h["cell"], "nominal_capacity_in_Ah": 10**400}}),
+        lambda h: '{"blocks": [], "cell": %s}' % ("[" * 100_000 + "]" * 100_000),
+    ], ids=["int-beyond-float", "deep-nesting"])
+    def test_header_unrepresentable(self, tmp_path, payload):
+        path, data, header = self.written(tmp_path)
+        self.rewrite(path, data, payload(header))
+        with pytest.raises(SchemaError, match=r"^BIN\.cfc: "):
+            read_cell(path)
+
+    def test_header_not_utf8(self, tmp_path):
+        path, data, _ = self.written(tmp_path)
+        path.write_bytes(data[:8] + b"\xff" + data[9:])
+        with pytest.raises(SchemaError, match="header is not UTF-8 JSON"):
+            read_cell(path)

@@ -132,14 +132,14 @@ class TestGenerate:
         spec = write_spec(tmp_path)
         out = tmp_path / "again"
         assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 0
-        name = "SYN_0003.json"
+        name = "SYN_0003.cfc"
         assert (out / name).read_bytes() == (corpus_dir / name).read_bytes()
 
     def test_seed_flag_overrides_spec(self, corpus_dir, tmp_path):
         spec = write_spec(tmp_path)
         out = tmp_path / "reseeded"
         assert main(["--seed", "77", "generate", "--spec", str(spec), "--out", str(out)]) == 0
-        name = "SYN_0000.json"
+        name = "SYN_0000.cfc"
         assert (out / name).read_bytes() != (corpus_dir / name).read_bytes()
 
     def test_quiet_suppresses_progress(self, tmp_path, capsys):
@@ -223,6 +223,15 @@ class TestTrainEvaluate:
         assert main(["train", "--config", str(config_path),
                      "--workspace", str(tmp_path / "ws")]) == 1
         assert_one_line_error(capsys, "alpha must be >= 0")
+
+    def test_failing_transform_is_one_line_error(self, corpus_dir, tmp_path, capsys):
+        # log-variance features are negative, so a log scale cannot fit them
+        config_path = write_train_config(
+            tmp_path, corpus_dir, feature_transformation={"name": "LogScaleDataTransformation"}
+        )
+        assert main(["train", "--config", str(config_path),
+                     "--workspace", str(tmp_path / "ws")]) == 1
+        assert_one_line_error(capsys, "log scale requires strictly positive data")
 
     def test_evaluate_rejects_stored_hyperparameters(self, corpus_dir, tmp_path, capsys):
         # a forest file from before n_jobs was removed carries that parameter

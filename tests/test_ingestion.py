@@ -211,7 +211,7 @@ class TestPreprocess:
             write_csv(raw / f"{stem}.csv", list(SIMPLE_MAP.values()), simple_rows(1))
         out = tmp_path / "proc"
         written = preprocess_source("CALCE", raw, out, column_map_path=map_path)
-        assert [p.name for p in written] == ["CALCE_a02.json", "CALCE_b01.json"]
+        assert [p.name for p in written] == ["CALCE_a02.cfc", "CALCE_b01.cfc"]
         cell = read_cell(written[0])
         assert cell.nominal_capacity_in_Ah == SOURCES["CALCE"].nominal_capacity_in_Ah
         assert validate(cell) == []

@@ -1,5 +1,7 @@
 """Regressors against closed-form oracles, plus the binary checkpoint format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -357,6 +359,14 @@ class TestSaveLoad:
     def test_cannot_save_unfitted(self, tmp_path):
         with pytest.raises(ValueError, match="unfitted"):
             LinearRegressor().save(tmp_path / "m.bin")
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # the binary container is shared with cell files; model files must not change
+        X, y, _ = toy_problem(n=10, d=3)
+        path = LinearRegressor().fit(X, y).save(tmp_path / "m.bin")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "fd15daba7ef5d5af1219e09d1ce5c20ae4a49380e3045eef83185080bb20e4b8"
+        )
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "m.bin"

@@ -16,6 +16,7 @@ from cellforge.errors import (
     PipelineError,
     RegistryError,
     SplitError,
+    TransformError,
 )
 from cellforge.features import FeatureMatrix
 from cellforge.labels import LabelSpec, LabelVector, rul_label
@@ -395,6 +396,13 @@ class TestRunTrain:
             train_test_split={"name": "RandomTrainTestSplitter", "test_fraction": 1.5}
         )
         with pytest.raises(SplitError, match="test_fraction must be in"):
+            run_train(cfg, workspace=tmp_path, cells=pipe_cells)
+
+    def test_transform_errors_pass_through_although_value_errors(self, pipe_cells, tmp_path):
+        cfg = make_config(
+            feature_transformation={"name": "SequentialDataTransformation", "transformations": []}
+        )
+        with pytest.raises(TransformError, match="needs at least one child"):
             run_train(cfg, workspace=tmp_path, cells=pipe_cells)
 
 
