@@ -54,5 +54,9 @@ class TransformError(CellforgeError, ValueError):
     """A data transformation cannot fit, apply or invert on the data given."""
 
 
+class ModelError(CellforgeError, ValueError):
+    """A model cannot fit, predict or save on the data or in the state given."""
+
+
 class CheckpointError(CellforgeError):
     """A checkpoint is missing, inconsistent, or hash-mismatched."""

@@ -18,19 +18,21 @@ Conventions used throughout this module:
 
 Extractors registered for pipeline use share one shape of contract:
 ``process_cell(cell) -> (values (k, d), row_keys)`` and
-``extract(cells) -> FeatureMatrix``.
+``extract(cells) -> FeatureMatrix``. A ``FeatureMatrix`` is saved in the
+package's binary container (see :func:`cellforge.battery_data.write_container`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .battery_data import CellRecord, CycleRecord
-from .errors import FeatureError
+from .battery_data import CellRecord, CycleRecord, parse_container, write_container
+from .errors import CheckpointError, FeatureError
+
+FEATURES_MAGIC = b"CFF1"
 
 VARIANCE_FLOOR = 1e-12
 COULOMBIC_EPS = 1e-5
@@ -171,8 +173,9 @@ def sanitize(values: np.ndarray) -> np.ndarray:
 class FeatureMatrix:
     """2-D feature values plus row keys and column names.
 
-    Persisted as a columnar ``.npy`` binary next to a JSON header carrying
-    ``col_names`` and ``row_keys``.
+    Persisted as one ``.bin`` container file (magic ``CFF1``): the header
+    carries ``col_names`` and ``row_keys``, and the values are one float64
+    block of shape (rows, columns).
     """
 
     values: np.ndarray
@@ -188,26 +191,32 @@ class FeatureMatrix:
         if self.values.shape[1] != len(self.col_names):
             raise ValueError("column count and column names disagree")
 
-    def save(self, base) -> tuple[Path, Path]:
-        base = Path(base)
-        npy = base.with_suffix(".npy")
-        hdr = base.with_suffix(".json")
-        np.save(npy, self.values)
-        with open(hdr, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"col_names": self.col_names, "row_keys": [list(k) for k in self.row_keys]},
-                fh,
-            )
-        return npy, hdr
+    def save(self, base) -> Path:
+        """Write ``base`` with the suffix ``.bin``; returns that path."""
+        header = {"col_names": self.col_names, "row_keys": [list(k) for k in self.row_keys]}
+        return write_container(Path(base).with_suffix(".bin"), FEATURES_MAGIC, header,
+                               [("values", self.values)])
 
     @classmethod
     def load(cls, base) -> "FeatureMatrix":
-        base = Path(base)
-        values = np.load(base.with_suffix(".npy"))
-        with open(base.with_suffix(".json"), encoding="utf-8") as fh:
-            header = json.load(fh)
-        keys = [tuple(k) for k in header["row_keys"]]
-        return cls(values=values, row_keys=keys, col_names=list(header["col_names"]))
+        """Read what :meth:`save` wrote to ``base``; a missing or malformed
+        file raises :class:`CheckpointError` naming it."""
+        path = Path(base).with_suffix(".bin")
+        if not path.is_file():
+            raise CheckpointError(f"checkpoint file missing: {path}")
+        try:
+            header, blocks = parse_container(path.read_bytes(), FEATURES_MAGIC, CheckpointError)
+        except CheckpointError as exc:
+            raise CheckpointError(f"{path}: not a valid feature matrix: {exc}") from exc
+        names, keys = header.get("col_names"), header.get("row_keys")
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+                and isinstance(keys, list) and all(isinstance(k, list) for k in keys)):
+            raise CheckpointError(f"{path}: header needs 'col_names' (strings) and 'row_keys' (arrays)")
+        shapes = {name: b.shape for name, b in blocks.items()}
+        if shapes != {"values": (len(keys), len(names))}:
+            raise CheckpointError(f"{path}: expected one 'values' block of shape "
+                                  f"{(len(keys), len(names))}, got {shapes}")
+        return cls(values=blocks["values"], row_keys=[tuple(k) for k in keys], col_names=names)
 
 
 class BaseFeatureExtractor:

@@ -1,10 +1,14 @@
-"""Shared regressor plumbing: input checks, metadata, save/load dispatch."""
+"""Shared regressor plumbing: input checks, metadata, save/load dispatch.
+
+Fit, predict and save failures raise :class:`ModelError`."""
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ModelError
 from ..registry import MODELS
 from .io import read_model_file, write_model_file
 
@@ -13,22 +17,22 @@ def check_X_y(X, y):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
-        raise ValueError(f"X must be 2-D (n_samples, n_features), got shape {X.shape}")
+        raise ModelError(f"X must be 2-D (n_samples, n_features), got shape {X.shape}")
     if y.ndim != 1:
-        raise ValueError(f"y must be 1-D, got shape {y.shape}")
+        raise ModelError(f"y must be 1-D, got shape {y.shape}")
     if X.shape[0] != y.shape[0]:
-        raise ValueError(f"X and y disagree on sample count: {X.shape[0]} vs {y.shape[0]}")
+        raise ModelError(f"X and y disagree on sample count: {X.shape[0]} vs {y.shape[0]}")
     if X.shape[0] == 0:
-        raise ValueError("need at least one sample")
+        raise ModelError("need at least one sample")
     if not np.isfinite(X).all() or not np.isfinite(y).all():
-        raise ValueError("X and y must be finite")
+        raise ModelError("X and y must be finite")
     return X, y
 
 
 def check_X(X, n_features):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != n_features:
-        raise ValueError(f"expected shape (n, {n_features}), got {X.shape}")
+        raise ModelError(f"expected shape (n, {n_features}), got {X.shape}")
     return X
 
 
@@ -37,36 +41,38 @@ class BaseRegressor:
 
     Subclasses define ``kind``, implement ``_fit``/``_predict``, and expose
     their parameters through ``_param_blocks``/``_restore_blocks`` for the
-    binary checkpoint format.
+    binary checkpoint format. Each constructor parameter is kept as the
+    attribute of the same name, which is how ``get_params`` reads it. Only
+    the models that draw random numbers take a ``seed``.
     """
 
     kind: str = ""
 
-    def __init__(self, seed: int = 0):
-        self.seed = int(seed)
+    def __init__(self):
         self.fitted = False
         self.metadata: dict = {}
 
     def get_params(self) -> dict:
-        return {"seed": self.seed}
+        """The constructor's parameters, each read from its attribute."""
+        return {name: getattr(self, name) for name in inspect.signature(type(self)).parameters}
 
     def fit(self, X, y):
         X, y = check_X_y(X, y)
         self.n_features_ = X.shape[1]
-        self.metadata = {"seed": self.seed, "n_samples": X.shape[0], "n_features": X.shape[1]}
+        self.metadata = {"n_samples": X.shape[0], "n_features": X.shape[1]}
         self._fit(X, y)
         self.fitted = True
         return self
 
     def predict(self, X):
         if not self.fitted:
-            raise ValueError(f"{type(self).__name__} is not fitted")
+            raise ModelError(f"{type(self).__name__} is not fitted")
         X = check_X(X, self.n_features_)
         return self._predict(X)
 
     def save(self, path):
         if not self.fitted:
-            raise ValueError("cannot save an unfitted model")
+            raise ModelError("cannot save an unfitted model")
         return write_model_file(path, self.kind, self.get_params(), self.metadata, self._param_blocks())
 
 
@@ -80,12 +86,19 @@ def load_model(path):
         raise CheckpointError(
             f"unknown model kind {kind!r} in {path}: no single registered model carries it"
         )
+    hyperparameters, metadata = header.get("hyperparameters"), header.get("metadata")
+    if not isinstance(hyperparameters, dict) or not isinstance(metadata, dict):
+        raise CheckpointError(f"{path}: 'hyperparameters' and 'metadata' must be JSON objects")
+    n_features = metadata.get("n_features")
+    if type(n_features) is not int or n_features < 0:
+        raise CheckpointError(f"{path}: metadata 'n_features' must be a non-negative integer, "
+                              f"got {n_features!r}")
     try:
-        model = cls(**header["hyperparameters"])
+        model = cls(**hyperparameters)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: {kind} model rejects the stored hyperparameters: {exc}") from exc
-    model.metadata = dict(header["metadata"])
-    model.n_features_ = int(model.metadata["n_features"])
+    model.metadata = dict(metadata)
+    model.n_features_ = n_features
     requested = _RequestedBlocks(blocks)
     try:
         model._restore_blocks(requested)

@@ -1,11 +1,11 @@
 """CART regression trees and a bagged random forest.
 
 Splits minimize the summed child squared error (equivalently, maximize the
-variance reduction), computed with prefix sums over each candidate feature's
-sorted values. Candidate thresholds are midpoints between consecutive
-distinct values; ties are broken toward the lowest feature index and then
-the lowest threshold, which makes tree construction fully deterministic
-given the node RNG.
+variance reduction), computed with prefix sums over the sorted values of all
+candidate features at once. Candidate thresholds are midpoints between
+consecutive distinct values; ties are broken toward the lowest feature index
+and then the lowest threshold, which makes tree construction fully
+deterministic given the node RNG.
 
 Each forest tree k draws its bootstrap sample and its per-split feature
 subsets from an independent ``default_rng(seed + k)``.
@@ -73,34 +73,34 @@ class _TreeArrays:
 def _best_split(X, y, candidates, min_samples_leaf):
     """Lowest-SSE split over the candidate features; None when no valid one.
 
-    Returns (sse, feature, threshold, left_mask).
+    Returns (sse, feature, threshold, left_mask). Column j of every array
+    below belongs to feature ``candidates[j]``; row i is the split after the
+    (i+1)-th smallest value.
     """
     n = len(y)
-    best = None
-    for f in candidates:
-        xs = X[:, f]
-        order = np.argsort(xs, kind="stable")
-        x_sorted = xs[order]
-        y_sorted = y[order]
-        cum = np.cumsum(y_sorted)
-        cum2 = np.cumsum(y_sorted * y_sorted)
-        sizes = np.arange(1, n)  # left child sizes
-        distinct = x_sorted[1:] > x_sorted[:-1]
-        valid = distinct & (sizes >= min_samples_leaf) & (n - sizes >= min_samples_leaf)
-        if not valid.any():
-            continue
-        left_sum = cum[:-1]
-        left_sq = cum2[:-1]
-        sse_left = left_sq - left_sum * left_sum / sizes
-        right_sum = cum[-1] - left_sum
-        right_sq = cum2[-1] - left_sq
-        sse_right = right_sq - right_sum * right_sum / (n - sizes)
-        sse = np.where(valid, sse_left + sse_right, np.inf)
-        i = int(np.argmin(sse))  # first minimum -> lowest threshold
-        if best is None or sse[i] < best[0]:
-            thr = 0.5 * (x_sorted[i] + x_sorted[i + 1])
-            best = (float(sse[i]), int(f), thr, xs <= thr)
-    return best
+    xs = X[:, candidates]
+    order = np.argsort(xs, axis=0, kind="stable")
+    x_sorted = np.take_along_axis(xs, order, axis=0)
+    y_sorted = y[order]
+    cum = np.cumsum(y_sorted, axis=0)
+    cum2 = np.cumsum(y_sorted * y_sorted, axis=0)
+    sizes = np.arange(1, n)[:, None]  # left child sizes
+    distinct = x_sorted[1:] > x_sorted[:-1]
+    valid = distinct & (sizes >= min_samples_leaf) & (n - sizes >= min_samples_leaf)
+    if not valid.any():
+        return None
+    left_sum = cum[:-1]
+    left_sq = cum2[:-1]
+    sse_left = left_sq - left_sum * left_sum / sizes
+    right_sum = cum[-1] - left_sum
+    right_sq = cum2[-1] - left_sq
+    sse_right = right_sq - right_sum * right_sum / (n - sizes)
+    sse = np.where(valid, sse_left + sse_right, np.inf)
+    # the first minimum of the transpose: lowest feature, then lowest threshold
+    j, i = divmod(int(np.argmin(sse.T)), n - 1)
+    f = int(candidates[j])
+    thr = 0.5 * (x_sorted[i, j] + x_sorted[i + 1, j])
+    return float(sse[i, j]), f, thr, X[:, f] <= thr
 
 
 def _grow(tree, X, y, rng, depth, max_depth, min_samples_leaf, n_candidates):
@@ -145,19 +145,12 @@ class DecisionTreeRegressor(BaseRegressor):
 
     def __init__(self, max_depth=None, min_samples_leaf: int = 1,
                  feature_subsample_fraction: float = 1.0, seed: int = 0):
-        super().__init__(seed)
+        super().__init__()
         _check_forest_params(max_depth, min_samples_leaf, feature_subsample_fraction)
         self.max_depth = max_depth
         self.min_samples_leaf = int(min_samples_leaf)
         self.feature_subsample_fraction = float(feature_subsample_fraction)
-
-    def get_params(self):
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "feature_subsample_fraction": self.feature_subsample_fraction,
-            "seed": self.seed,
-        }
+        self.seed = int(seed)
 
     def _fit(self, X, y):
         rng = np.random.default_rng(self.seed)
@@ -217,7 +210,7 @@ class RandomForestRegressor(BaseRegressor):
         feature_subsample_fraction: float = 1.0,
         seed: int = 0,
     ):
-        super().__init__(seed)
+        super().__init__()
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         _check_forest_params(max_depth, min_samples_leaf, feature_subsample_fraction)
@@ -225,15 +218,7 @@ class RandomForestRegressor(BaseRegressor):
         self.max_depth = max_depth
         self.min_samples_leaf = int(min_samples_leaf)
         self.feature_subsample_fraction = float(feature_subsample_fraction)
-
-    def get_params(self):
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "feature_subsample_fraction": self.feature_subsample_fraction,
-            "seed": self.seed,
-        }
+        self.seed = int(seed)
 
     def _fit_one(self, X, y, k):
         rng = np.random.default_rng(self.seed + k)

@@ -26,6 +26,8 @@ def write_model_file(path, kind: str, hyperparameters: dict, metadata: dict, blo
 def read_model_file(path):
     """Returns (header dict, {block name: float64 ndarray})."""
     path = Path(path)
+    if not path.is_file():
+        raise CheckpointError(f"checkpoint file missing: {path}")
     try:
         header, blocks = parse_container(path.read_bytes(), MAGIC, CheckpointError)
     except CheckpointError as exc:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseRegressor, check_X_y
+from ..errors import ModelError
+from .base import BaseRegressor
 
 
 class DummyRegressor(BaseRegressor):
@@ -69,14 +70,11 @@ class RidgeRegressor(_AffineRegressor):
 
     kind = "ridge"
 
-    def __init__(self, alpha: float = 1.0, seed: int = 0):
-        super().__init__(seed)
+    def __init__(self, alpha: float = 1.0):
+        super().__init__()
         if alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {alpha}")
         self.alpha = float(alpha)
-
-    def get_params(self):
-        return {"alpha": self.alpha, "seed": self.seed}
 
     def _fit(self, X, y):
         x_mean = X.mean(axis=0)
@@ -90,27 +88,27 @@ class RidgeRegressor(_AffineRegressor):
         self.intercept_ = float(y_mean - x_mean @ self.coef_)
 
 
+def _check_components(n_components, X):
+    if n_components > min(X.shape):
+        raise ModelError(
+            f"n_components={n_components} exceeds min(n_samples, n_features)={min(X.shape)}"
+        )
+
+
 class PCRRegressor(_AffineRegressor):
     """Principal component regression: center X, project onto the top-k right
     singular vectors, regress y on the scores."""
 
     kind = "pcr"
 
-    def __init__(self, n_components: int = 1, seed: int = 0):
-        super().__init__(seed)
+    def __init__(self, n_components: int = 1):
+        super().__init__()
         if n_components < 1:
             raise ValueError(f"n_components must be >= 1, got {n_components}")
         self.n_components = int(n_components)
 
-    def get_params(self):
-        return {"n_components": self.n_components, "seed": self.seed}
-
     def _fit(self, X, y):
-        n, d = X.shape
-        if self.n_components > min(n, d):
-            raise ValueError(
-                f"n_components={self.n_components} exceeds min(n_samples, n_features)={min(n, d)}"
-            )
+        _check_components(self.n_components, X)
         x_mean = X.mean(axis=0)
         Xc = X - x_mean
         _, _, vt = np.linalg.svd(Xc, full_matrices=False)
@@ -131,28 +129,17 @@ class PLSRegressor(BaseRegressor):
 
     kind = "plsr"
 
-    def __init__(self, n_components: int = 1, tol: float = 1e-10, max_iter: int = 500, seed: int = 0):
-        super().__init__(seed)
+    def __init__(self, n_components: int = 1, tol: float = 1e-10, max_iter: int = 500):
+        super().__init__()
         if n_components < 1:
             raise ValueError(f"n_components must be >= 1, got {n_components}")
         self.n_components = int(n_components)
         self.tol = float(tol)
         self.max_iter = int(max_iter)
 
-    def get_params(self):
-        return {
-            "n_components": self.n_components,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "seed": self.seed,
-        }
-
     def _fit(self, X, y):
-        n, d = X.shape
-        if self.n_components > min(n, d):
-            raise ValueError(
-                f"n_components={self.n_components} exceeds min(n_samples, n_features)={min(n, d)}"
-            )
+        _check_components(self.n_components, X)
+        d = X.shape[1]
         self.x_mean_ = X.mean(axis=0)
         self.y_mean_ = float(y.mean())
         Xa = X - self.x_mean_

@@ -32,7 +32,7 @@ class MLPRegressor(BaseRegressor):
         learning_rate: float = 0.01,
         seed: int = 0,
     ):
-        super().__init__(seed)
+        super().__init__()
         if activation not in _ACTIVATIONS:
             raise ValueError(f"activation must be one of {_ACTIVATIONS}, got {activation!r}")
         if epochs < 1 or batch_size < 1:
@@ -46,16 +46,7 @@ class MLPRegressor(BaseRegressor):
         self.epochs = int(epochs)
         self.batch_size = int(batch_size)
         self.learning_rate = float(learning_rate)
-
-    def get_params(self):
-        return {
-            "hidden_dims": list(self.hidden_dims),
-            "activation": self.activation,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-        }
+        self.seed = int(seed)
 
     # -- network plumbing ---------------------------------------------------
 

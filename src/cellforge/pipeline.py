@@ -22,7 +22,8 @@ A run is described by a YAML file with six component sections plus optional
         name: 'LinearRegressionRULPredictor'
 
 Training executes split -> labels -> features -> transforms (fit on train
-rows only) -> one model per seed, then persists everything under
+rows only) -> one model per seed (one model for all seeds when the model
+takes no ``seed``), then persists everything under
 ``<workspace>/<config stem>_<hash8>/``. Metrics are computed on labels in
 original units (predictions are inverse-transformed before scoring).
 """
@@ -33,6 +34,7 @@ import hashlib
 import inspect
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,6 +44,7 @@ import yaml
 from . import components as _components  # noqa: F401  (populates registries)
 from .battery_data import CellRecord, load_cells
 from .errors import CheckpointError, ConfigError, PipelineError
+from .features import FeatureMatrix
 from .models import load_model
 from .registry import FEATURES, LABELS, MODELS, SPLITTERS, TRANSFORMS
 from .splitters import SplitResult
@@ -228,12 +231,13 @@ def _with_overrides(spec: ComponentSpec, registry, overrides: dict) -> dict:
     return params
 
 
-def _make_model(spec: ComponentSpec, seed: int):
-    params = dict(spec.params)
+def _model_params(spec: ComponentSpec, seeds) -> dict:
+    """Constructor parameters of each seed that gets a fit of its own: every
+    seed when the model takes a ``seed``, otherwise only the first."""
     factory = MODELS.get_factory(spec.name)
     if factory is not None and _accepts(factory, "seed"):
-        params["seed"] = seed
-    return MODELS.create(spec.name, **params)
+        return {seed: {**spec.params, "seed": seed} for seed in seeds}
+    return {seeds[0]: spec.params}
 
 
 def _align(features, label_vector):
@@ -296,7 +300,8 @@ def _split_cells(config: PipelineConfig, cells):
 
 def _label_and_featurize(config: PipelineConfig, split: SplitResult,
                          train_cells, test_cells):
-    """Labels then features for both partitions; returns aligned arrays."""
+    """Labels then features for both partitions, aligned to the label keys;
+    the test features are a matrix whose rows are the test label keys."""
     meta = split.metadata
     label_params = _with_overrides(
         config.label, LABELS, {"eol_soh_percent": meta.get("eol_soh")}
@@ -327,14 +332,11 @@ def _label_and_featurize(config: PipelineConfig, split: SplitResult,
     X_train, y_train, keys_train = _align(features_train, labels_train)
     X_test, y_test, keys_test = _align(features_test, labels_test)
     return {
-        "features_train": features_train,
-        "features_test": features_test,
+        "features_test": FeatureMatrix(X_test, keys_test, features_test.col_names),
         "X_train": X_train,
         "y_train": y_train,
         "keys_train": keys_train,
-        "X_test": X_test,
         "y_test": y_test,
-        "keys_test": keys_test,
         "excluded": excluded,
     }
 
@@ -351,11 +353,12 @@ def _fit_transforms(config: PipelineConfig, X_train, y_train):
     return ft, lt
 
 
-def _score(models_by_seed, lt, Xte, y_test):
-    """Per-seed metrics plus the across-seed mean prediction per test row."""
+def _score(seeds, models, lt, Xte, y_test):
+    """Per-seed metrics plus the across-seed mean prediction per test row; a
+    seed without a fit of its own is scored with the first seed's fit."""
     per_seed, preds = [], []
-    for seed, model in models_by_seed:
-        y_pred = lt.inverse_transform(model.predict(Xte))
+    for seed in seeds:
+        y_pred = lt.inverse_transform(models.get(seed, models[seeds[0]]).predict(Xte))
         preds.append(y_pred)
         per_seed.append(
             {"seed": seed, "rmse": rmse(y_test, y_pred), "mae": mae(y_test, y_pred)}
@@ -418,44 +421,55 @@ def run_train(config, workspace=None, cells: list[CellRecord] | None = None) -> 
     ft, lt = _fit_transforms(config, data["X_train"], data["y_train"])
     Xtr = ft.transform(data["X_train"])
     ytr = lt.transform(data["y_train"])
-    Xte = ft.transform(data["X_test"])
+    features_test = data["features_test"]
+    Xte = ft.transform(features_test.values)
 
-    models_by_seed = [(s, _make_model(config.model, s).fit(Xtr, ytr)) for s in config.seeds]
+    models = {seed: MODELS.create(config.model.name, **params).fit(Xtr, ytr)
+              for seed, params in _model_params(config.model, config.seeds).items()}
 
-    per_seed, mean_pred = _score(models_by_seed, lt, Xte, data["y_test"])
+    per_seed, mean_pred = _score(config.seeds, models, lt, Xte, data["y_test"])
     report = _report(
-        config, per_seed, data["keys_test"], data["y_test"], mean_pred, data["excluded"]
+        config, per_seed, features_test.row_keys, data["y_test"], mean_pred, data["excluded"]
     )
 
     ckpt_dir = _resolve_workspace(workspace, config) / config.run_name()
-    _write_checkpoint(ckpt_dir, config, split, data, ft, lt, models_by_seed, report)
+    _write_checkpoint(ckpt_dir, config, split, data, ft, lt, models, report)
     return Checkpoint(directory=ckpt_dir, report=report)
 
 
-def _write_checkpoint(ckpt_dir, config, split, data, ft, lt, models_by_seed, report):
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    if config.source_path is not None and config.source_path.is_file():
-        (ckpt_dir / "config.yaml").write_text(config.source_path.read_text())
-    else:
-        (ckpt_dir / "config.yaml").write_text(yaml.safe_dump(config.to_dict()))
-    _write_json(ckpt_dir / "report.json", report)
-    _write_json(ckpt_dir / "split.json", split.to_dict())
-    _write_json(
-        ckpt_dir / "transforms.json",
-        {"feature_transformation": ft.to_dict(), "label_transformation": lt.to_dict()},
-    )
-    _write_json(
-        ckpt_dir / "labels.json",
-        {
-            "train": _label_payload(data["keys_train"], data["y_train"]),
-            "test": _label_payload(data["keys_test"], data["y_test"]),
-            "excluded": data["excluded"],
-        },
-    )
-    data["features_train"].save(ckpt_dir / "features_train")
-    data["features_test"].save(ckpt_dir / "features_test")
-    for seed, model in models_by_seed:
-        model.save(ckpt_dir / f"model_seed{seed}.bin")
+def _write_checkpoint(ckpt_dir, config, split, data, ft, lt, models, report):
+    """Write the checkpoint into ``<run>.tmp/``, then replace any older
+    ``<run>/`` with it; on failure the temporary directory is removed."""
+    tmp = ckpt_dir.with_name(ckpt_dir.name + ".tmp")
+    shutil.rmtree(tmp, ignore_errors=True)
+    tmp.mkdir(parents=True)
+    try:
+        if config.source_path is not None and config.source_path.is_file():
+            (tmp / "config.yaml").write_text(config.source_path.read_text())
+        else:
+            (tmp / "config.yaml").write_text(yaml.safe_dump(config.to_dict()))
+        _write_json(tmp / "report.json", report)
+        _write_json(tmp / "split.json", split.to_dict())
+        _write_json(
+            tmp / "transforms.json",
+            {"feature_transformation": ft.to_dict(), "label_transformation": lt.to_dict()},
+        )
+        _write_json(
+            tmp / "labels.json",
+            {
+                "train": _label_payload(data["keys_train"], data["y_train"]),
+                "test": _label_payload(data["features_test"].row_keys, data["y_test"]),
+                "excluded": data["excluded"],
+            },
+        )
+        data["features_test"].save(tmp / "features_test")
+        for seed, model in models.items():
+            model.save(tmp / f"model_seed{seed}.bin")
+        shutil.rmtree(ckpt_dir, ignore_errors=True)
+        tmp.rename(ckpt_dir)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
 
 
 def _label_payload(keys, values):
@@ -477,16 +491,6 @@ def _read_json(path):
         raise CheckpointError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _load_stored_models(ckpt_dir, seeds):
-    models_by_seed = []
-    for seed in seeds:
-        path = ckpt_dir / f"model_seed{seed}.bin"
-        if not path.is_file():
-            raise CheckpointError(f"checkpoint file missing: {path}")
-        models_by_seed.append((seed, load_model(path)))
-    return models_by_seed
-
-
 def run_evaluate(checkpoint, overrides: dict | None = None,
                  cells: list[CellRecord] | None = None) -> dict:
     """Recompute the evaluation report of a stored checkpoint.
@@ -501,8 +505,6 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
     corpus passed without overrides is checked for the stored test cells
     (missing ones are an error) but stored features are still used.
     """
-    from .features import FeatureMatrix
-
     ckpt_dir = Path(checkpoint)
     if not ckpt_dir.is_dir():
         raise CheckpointError(f"checkpoint directory not found: {ckpt_dir}")
@@ -536,7 +538,8 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
     transforms_payload = _read_json(ckpt_dir / "transforms.json")
     ft = _Fitted.from_dict(transforms_payload["feature_transformation"])
     lt = _Fitted.from_dict(transforms_payload["label_transformation"])
-    models_by_seed = _load_stored_models(ckpt_dir, config.seeds)
+    models = {seed: load_model(ckpt_dir / f"model_seed{seed}.bin")
+              for seed in _model_params(config.model, config.seeds)}
 
     stored_split = SplitResult.from_dict(_read_json(ckpt_dir / "split.json"))
     if cells is not None:
@@ -548,29 +551,29 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
     if not overrides:
         features_test = FeatureMatrix.load(ckpt_dir / "features_test")
         labels_payload = _read_json(ckpt_dir / "labels.json")
-        keys_test = [tuple(k) for k in labels_payload["test"]["row_keys"]]
+        if features_test.row_keys != [tuple(k) for k in labels_payload["test"]["row_keys"]]:
+            raise CheckpointError(
+                f"{ckpt_dir / 'features_test.bin'}: feature rows differ from the "
+                "test row keys in labels.json"
+            )
         y_test = np.asarray(labels_payload["test"]["values"], dtype=float)
-        # feature rows were aligned to these keys at train time
-        key_to_row = {key: i for i, key in enumerate(features_test.row_keys)}
-        rows = [key_to_row[k] for k in keys_test]
-        X_test = features_test.values[rows]
         excluded = labels_payload.get("excluded", [])
     else:
         split, train_cells, test_cells = _split_cells(
             config, cells if cells is not None else None
         )
         data = _label_and_featurize(config, split, train_cells, test_cells)
-        keys_test, y_test = data["keys_test"], data["y_test"]
-        X_test, excluded = data["X_test"], data["excluded"]
+        features_test, y_test, excluded = data["features_test"], data["y_test"], data["excluded"]
+    X_test = features_test.values
 
-    widths = sorted({model.n_features_ for _, model in models_by_seed})
+    widths = sorted({model.n_features_ for model in models.values()})
     if widths != [X_test.shape[1]]:
         raise ConfigError(
             f"features have {X_test.shape[1]} columns but the stored models take {widths}; "
             "a feature override must keep the trained feature width"
         )
     Xte = ft.transform(X_test)
-    per_seed, mean_pred = _score(models_by_seed, lt, Xte, y_test)
+    per_seed, mean_pred = _score(config.seeds, models, lt, Xte, y_test)
     return _report(
-        config, per_seed, keys_test, y_test, mean_pred, excluded, overrides=overrides
+        config, per_seed, features_test.row_keys, y_test, mean_pred, excluded, overrides=overrides
     )

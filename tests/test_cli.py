@@ -4,6 +4,7 @@ import csv
 import json
 import shutil
 
+import numpy as np
 import pytest
 import yaml
 
@@ -224,6 +225,16 @@ class TestTrainEvaluate:
                      "--workspace", str(tmp_path / "ws")]) == 1
         assert_one_line_error(capsys, "alpha must be >= 0")
 
+    def test_failing_model_fit_is_one_line_error(self, corpus_dir, tmp_path, capsys):
+        # the variance feature is one column, too few for three components
+        config_path = write_train_config(
+            tmp_path, corpus_dir, model={"name": "PCRRegressor", "n_components": 3}
+        )
+        ws = tmp_path / "ws"
+        assert main(["train", "--config", str(config_path), "--workspace", str(ws)]) == 1
+        assert_one_line_error(capsys, "n_components=3 exceeds min(n_samples, n_features)=1")
+        assert not ws.exists() or list(ws.iterdir()) == []
+
     def test_failing_transform_is_one_line_error(self, corpus_dir, tmp_path, capsys):
         # log-variance features are negative, so a log scale cannot fit them
         config_path = write_train_config(
@@ -258,6 +269,20 @@ class TestTrainEvaluate:
         write_model_file(path, header["kind"], header["hyperparameters"], header["metadata"], [])
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
         assert_one_line_error(capsys, "model_seed0.bin: linear model file lacks parameter block 'coef'")
+
+    def test_evaluate_rejects_checkpoint_of_the_older_layout(self, checkpoint_dir, tmp_path, capsys):
+        # written before models without randomness lost their seed and before the
+        # test features moved into one container file
+        ckpt = tmp_path / checkpoint_dir.name
+        shutil.copytree(checkpoint_dir, ckpt)
+        (ckpt / "features_test.bin").unlink()
+        np.save(ckpt / "features_test.npy", np.zeros((2, 1)))
+        path = ckpt / "model_seed0.bin"
+        header, blocks = read_model_file(path)
+        write_model_file(path, header["kind"], {"seed": 0}, {**header["metadata"], "seed": 0},
+                         [(b["name"], blocks[b["name"]]) for b in header["blocks"]])
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
+        assert_one_line_error(capsys, "linear model rejects the stored hyperparameters")
 
     def test_evaluate_rejects_unknown_transform_name(self, checkpoint_dir, tmp_path, capsys):
         ckpt = tmp_path / checkpoint_dir.name

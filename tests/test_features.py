@@ -5,10 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cellforge.battery_data import CycleRecord
-from cellforge.errors import FeatureError
+from cellforge.battery_data import CycleRecord, write_container
+from cellforge.errors import CheckpointError, FeatureError
 from cellforge.features import (
     COULOMBIC_EPS,
+    FEATURES_MAGIC,
     CapacityFadeSlopeFeatureExtractor,
     DischargeModelFeatureExtractor,
     FeatureMatrix,
@@ -230,6 +231,38 @@ class TestFeatureMatrix:
         np.testing.assert_array_equal(back.values, fm.values)
         assert back.row_keys == fm.row_keys
         assert back.col_names == fm.col_names
+
+    def test_saved_as_one_container_file(self, tmp_path):
+        fm = FeatureMatrix(np.zeros((1, 1)), [("a", None, None)], ["x"])
+        assert fm.save(tmp_path / "feats") == tmp_path / "feats.bin"
+        assert [p.name for p in tmp_path.iterdir()] == ["feats.bin"]
+        assert (tmp_path / "feats.bin").read_bytes()[:4] == FEATURES_MAGIC
+
+    @pytest.mark.parametrize("header, blocks, match", [
+        ({"row_keys": [["a"]]}, [("values", np.zeros((1, 1)))], "needs 'col_names'"),
+        ({"col_names": ["x"], "row_keys": "a"}, [("values", np.zeros((1, 1)))], "needs 'col_names'"),
+        ({"col_names": [1], "row_keys": [["a"]]}, [("values", np.zeros((1, 1)))], "needs 'col_names'"),
+        ({"col_names": ["x"], "row_keys": ["a"]}, [("values", np.zeros((1, 1)))], "needs 'col_names'"),
+        ({"col_names": ["x"], "row_keys": [["a"]]}, [("values", np.zeros((2, 1)))], "shape"),
+        ({"col_names": ["x"], "row_keys": [["a"]]}, [("values", np.zeros(1))], "shape"),
+        ({"col_names": ["x"], "row_keys": [["a"]]}, [], "shape"),
+        ({"col_names": ["x"], "row_keys": [["a"]]},
+         [("values", np.zeros((1, 1))), ("more", np.zeros(1))], "shape"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, header, blocks, match):
+        path = write_container(tmp_path / "feats.bin", FEATURES_MAGIC, header, blocks)
+        with pytest.raises(CheckpointError, match=match) as info:
+            FeatureMatrix.load(tmp_path / "feats")
+        assert str(path) in str(info.value)
+
+    def test_truncated_and_missing_files_rejected(self, tmp_path):
+        fm = FeatureMatrix(np.ones((2, 1)), [("a", None, None), ("b", None, None)], ["x"])
+        path = fm.save(tmp_path / "feats")
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(CheckpointError, match="feats.bin: not a valid feature matrix: truncated"):
+            FeatureMatrix.load(tmp_path / "feats")
+        with pytest.raises(CheckpointError, match="checkpoint file missing: .*other.bin"):
+            FeatureMatrix.load(tmp_path / "other")
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="2-D"):

@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from cellforge.errors import CheckpointError
+from cellforge import components  # noqa: F401  (populates MODELS)
+from cellforge.errors import CellforgeError, CheckpointError, ModelError
 from cellforge.models import (
     DecisionTreeRegressor,
     DummyRegressor,
@@ -18,6 +19,8 @@ from cellforge.models import (
     gradient_check,
     load_model,
 )
+from cellforge.models.io import write_model_file
+from cellforge.registry import MODELS
 
 
 def toy_problem(n=60, d=4, noise=0.1, seed=0):
@@ -65,6 +68,22 @@ class TestInputChecks:
         m = LinearRegressor().fit(X, y)
         with pytest.raises(ValueError, match="expected shape"):
             m.predict(np.ones((2, 5)))
+
+
+class TestModelErrors:
+    @pytest.mark.parametrize("make", [
+        lambda: LinearRegressor().fit(np.ones(4), np.ones(4)),
+        lambda: LinearRegressor().predict(np.ones((2, 2))),
+        lambda: LinearRegressor().fit(np.ones((4, 1)), np.ones(4)).predict(np.ones((2, 5))),
+        lambda: LinearRegressor().save("unused.bin"),
+        lambda: PCRRegressor(n_components=3).fit(np.ones((4, 1)), np.arange(4.0)),
+        lambda: PLSRegressor(n_components=3).fit(np.ones((4, 1)), np.arange(4.0)),
+    ], ids=["shape", "unfitted", "width", "save_unfitted", "pcr_components", "pls_components"])
+    def test_fit_predict_and_save_errors_are_model_errors(self, make):
+        # a ModelError is a CellforgeError (one CLI line) and still a ValueError
+        with pytest.raises(ModelError) as info:
+            make()
+        assert isinstance(info.value, CellforgeError) and isinstance(info.value, ValueError)
 
 
 class TestDummy:
@@ -227,6 +246,20 @@ class TestDecisionTree:
             sse = ((y - pred) ** 2).sum()
             assert sse == pytest.approx(stump_oracle_sse(X, y), abs=1e-9)
 
+    def test_split_ties_go_to_lowest_feature_then_lowest_threshold(self):
+        from cellforge.models.forest import _best_split
+
+        # both columns split y exactly (SSE 0): column 0 after its third value,
+        # column 1 after its first
+        X = np.array([[1.0, 2.0], [2.0, 3.0], [3.0, 4.0], [4.0, 1.0]])
+        y = np.array([0.0, 0.0, 0.0, 9.0])
+        sse, feature, threshold, left = _best_split(X, y, np.arange(2), 1)
+        assert (sse, feature, threshold, left.tolist()) == (0.0, 0, 3.5, [True, True, True, False])
+        assert _best_split(X, y, np.array([1]), 1)[1:3] == (1, 1.5)
+        # one column, two thresholds with the same SSE
+        X = np.array([[1.0], [2.0], [3.0], [4.0]])
+        assert _best_split(X, np.array([0.0, 1.0, 1.0, 0.0]), np.arange(1), 1)[2] == 1.5
+
     def test_depth_zero_predicts_global_mean(self):
         X, y, _ = toy_problem(n=20)
         m = DecisionTreeRegressor(max_depth=0).fit(X, y)
@@ -344,6 +377,25 @@ ALL_MODELS = [
 ]
 
 
+class TestParams:
+    @pytest.mark.parametrize("name", MODELS.names())
+    def test_params_rebuild_the_model(self, name):
+        m = MODELS.create(name)
+        params = m.get_params()
+        assert type(m)(**params).get_params() == params
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+    def test_params_are_the_constructor_arguments(self, model):
+        params = model.get_params()
+        assert type(model)(**params).get_params() == params
+
+    def test_only_models_that_draw_random_numbers_take_a_seed(self):
+        seeded = {name for name in MODELS.names() if "seed" in MODELS.create(name).get_params()}
+        assert seeded == {"DecisionTreeRegressor", "RandomForestRegressor", "MLPRegressor"}
+        X, y, _ = toy_problem(n=10, d=2)
+        assert "seed" not in LinearRegressor().fit(X, y).metadata
+
+
 class TestSaveLoad:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
     def test_round_trip_preserves_predictions_exactly(self, model, tmp_path):
@@ -362,10 +414,17 @@ class TestSaveLoad:
 
     def test_file_bytes_are_pinned(self, tmp_path):
         # the binary container is shared with cell files; model files must not change
+        from cellforge.models.io import read_model_file
+
         X, y, _ = toy_problem(n=10, d=3)
         path = LinearRegressor().fit(X, y).save(tmp_path / "m.bin")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "fd15daba7ef5d5af1219e09d1ce5c20ae4a49380e3045eef83185080bb20e4b8"
+            "d914816c974a3a98a31bce8bc71baa3225a144376e2a1128b302c47be15b469f"
+        )
+        # the fit itself is the one pinned before the header lost its seed
+        _, blocks = read_model_file(path)
+        assert hashlib.sha256(blocks["coef"].tobytes() + blocks["intercept"].tobytes()).hexdigest() == (
+            "1554b4fbf181b9d290f49083d4a9924541c05e34ebe7e00734b3a6c49d568a22"
         )
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -393,6 +452,23 @@ class TestSaveLoad:
         write_model_file(p, "mystery", {}, {"n_features": 1}, [])
         with pytest.raises(CheckpointError, match="unknown model kind"):
             load_model(p)
+
+    @pytest.mark.parametrize("hyperparameters, metadata, match", [
+        ({}, {}, "'n_features' must be a non-negative integer, got None"),
+        ({}, {"n_features": "x"}, "got 'x'"),
+        ({}, {"n_features": -1}, "got -1"),
+        ({}, {"n_features": True}, "got True"),
+        ({}, {"n_features": 1.0}, "got 1.0"),
+        ([], {"n_features": 1}, "must be JSON objects"),
+        ({}, [], "must be JSON objects"),
+        (None, {"n_features": 1}, "must be JSON objects"),
+    ])
+    def test_malformed_header_rejected(self, tmp_path, hyperparameters, metadata, match):
+        p = tmp_path / "m.bin"
+        write_model_file(p, "linear", hyperparameters, metadata, [])
+        with pytest.raises(CheckpointError, match=match) as info:
+            load_model(p)
+        assert str(p) in str(info.value)
 
     def test_extra_block_rejected(self, tmp_path):
         from cellforge.models.io import read_model_file, write_model_file

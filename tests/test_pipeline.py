@@ -20,7 +20,7 @@ from cellforge.errors import (
 )
 from cellforge.features import FeatureMatrix
 from cellforge.labels import LabelSpec, LabelVector, rul_label
-from cellforge.models import BaseRegressor
+from cellforge.models import BaseRegressor, LinearRegressor
 from cellforge.pipeline import (
     DEFAULT_SEEDS,
     Checkpoint,
@@ -270,12 +270,8 @@ class TestRunTrain:
             "split.json",
             "transforms.json",
             "labels.json",
-            "features_train.npy",
-            "features_train.json",
-            "features_test.npy",
-            "features_test.json",
-            "model_seed0.bin",
-            "model_seed1.bin",
+            "features_test.bin",
+            "model_seed0.bin",  # the linear model takes no seed: one fit scores both seeds
         }
 
     def test_stored_config_reparses_to_same_experiment(self, trained):
@@ -404,6 +400,51 @@ class TestRunTrain:
         )
         with pytest.raises(TransformError, match="needs at least one child"):
             run_train(cfg, workspace=tmp_path, cells=pipe_cells)
+
+
+class TestSeedsAndFits:
+    def test_ten_seed_linear_run_fits_once(self, pipe_cells, tmp_path, monkeypatch):
+        fits = []
+        original = LinearRegressor._fit
+        monkeypatch.setattr(LinearRegressor, "_fit",
+                            lambda self, X, y: fits.append(1) or original(self, X, y))
+        ckpt = run_train(make_config(seeds=list(range(10))), workspace=tmp_path, cells=pipe_cells)
+        assert len(fits) == 1
+        assert sorted(p.name for p in ckpt.directory.glob("model_seed*")) == ["model_seed0.bin"]
+        per_seed = ckpt.report["per_seed"]
+        assert [s["seed"] for s in per_seed] == list(range(10))
+        assert len({(s["rmse"], s["mae"]) for s in per_seed}) == 1
+        assert ckpt.report["sd_rmse"] == 0.0
+        assert run_evaluate(ckpt.directory) == ckpt.report
+        assert len(fits) == 1
+
+    def test_seeded_model_fits_every_seed(self, pipe_cells, tmp_path):
+        cfg = make_config(model={"name": "RandomForestRegressor", "n_trees": 3}, seeds=[4, 7])
+        ckpt = run_train(cfg, workspace=tmp_path, cells=pipe_cells)
+        assert sorted(p.name for p in ckpt.directory.glob("model_seed*")) == [
+            "model_seed4.bin", "model_seed7.bin",
+        ]
+        assert run_evaluate(ckpt.directory) == ckpt.report
+
+
+class TestAtomicCheckpoint:
+    def test_failed_write_leaves_no_directory(self, pipe_cells, tmp_path, monkeypatch):
+        def broken_save(self, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(BaseRegressor, "save", broken_save)
+        with pytest.raises(OSError, match="disk full"):
+            run_train(make_config(), workspace=tmp_path, cells=pipe_cells)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rerun_replaces_the_older_checkpoint(self, pipe_cells, tmp_path):
+        first = run_train(make_config(), workspace=tmp_path, cells=pipe_cells)
+        (first.directory / "model_seed5.bin").write_bytes(b"stale")
+        second = run_train(make_config(), workspace=tmp_path, cells=pipe_cells)
+        assert second.directory == first.directory
+        assert [p.name for p in tmp_path.iterdir()] == [first.directory.name]
+        assert not (second.directory / "model_seed5.bin").exists()
+        assert run_evaluate(second.directory) == second.report
 
 
 class TestExclusions:
@@ -681,11 +722,29 @@ class TestRunEvaluate:
         with pytest.raises(CheckpointError, match="not valid JSON"):
             run_evaluate(dst)
 
-    @pytest.mark.parametrize("victim", ["transforms.json", "model_seed1.bin", "labels.json"])
+    @pytest.mark.parametrize(
+        "victim", ["transforms.json", "model_seed0.bin", "labels.json", "features_test.bin"]
+    )
     def test_missing_checkpoint_file(self, trained, tmp_path, victim):
         dst = self.copy_checkpoint(trained, tmp_path)
         (dst / victim).unlink()
         with pytest.raises(CheckpointError, match="checkpoint file missing"):
+            run_evaluate(dst)
+
+    def test_truncated_features_rejected(self, trained, tmp_path):
+        dst = self.copy_checkpoint(trained, tmp_path)
+        path = dst / "features_test.bin"
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(CheckpointError, match="features_test.bin: not a valid feature matrix"):
+            run_evaluate(dst)
+
+    def test_feature_rows_must_match_label_keys(self, trained, tmp_path):
+        dst = self.copy_checkpoint(trained, tmp_path)
+        labels = json.loads((dst / "labels.json").read_text())
+        for part in ("row_keys", "values"):
+            labels["test"][part].reverse()
+        (dst / "labels.json").write_text(json.dumps(labels))
+        with pytest.raises(CheckpointError, match="feature rows differ from the test row keys"):
             run_evaluate(dst)
 
     def test_label_override_relabels_with_stored_models(self, trained, pipe_cells):
@@ -774,7 +833,9 @@ class TestRunEvaluate:
 
 
 class TestShippedConfigs:
-    @pytest.mark.parametrize("name", ["synthetic_soh_mlp", "synthetic_variance_linear"])
+    @pytest.mark.parametrize(
+        "name", ["synthetic_soh_mlp", "synthetic_variance_linear", "synthetic_qdmatrix_forest"]
+    )
     def test_trains_on_quickstart_corpus(self, quickstart_corpus, tmp_path, name):
         cfg = yaml.safe_load((CONFIG_DIR / f"{name}.yaml").read_text())
         ckpt = run_train(cfg, workspace=tmp_path, cells=quickstart_corpus.loaded)
