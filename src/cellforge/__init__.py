@@ -10,6 +10,7 @@ train/evaluate pipeline with a CLI front end.
 from . import components as _components  # noqa: F401  (populates registries)
 from .battery_data import (
     CellRecord,
+    CycleData,
     CycleRecord,
     ProtocolStep,
     Violation,
@@ -52,6 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CellRecord",
+    "CycleData",
     "CycleRecord",
     "ProtocolStep",
     "Violation",

@@ -25,22 +25,34 @@ within a cycle (up to 1e-9 sensor jitter). ``time_in_s`` is strictly
 increasing within a cycle. Missing optional values serialize as absent keys,
 never as null.
 
-In memory every per-cycle signal (the five mandatory sequences and the
-optional ``temperature_in_C``) is a read-only one-dimensional float64
-ndarray, copied from whatever the caller passed, so a record never shares a
-buffer the caller can still change. Record equality is exact: two cycles are
-equal when their scalars, ``extra`` maps and every signal's shape and values
-match. Records are unhashable.
+In memory a cell keeps its cycles as columns, the layout its file has on
+disk: ``cell.cycle_data`` is a :class:`CycleData` holding each signal as one
+read-only float64 column with every cycle's values in cycle order, and an
+``offsets`` array of n_cycles + 1 bounds per signal that puts cycle ``i`` at
+``column[offsets[i]:offsets[i + 1]]`` (the values-plus-offsets layout of
+Arrow's variable-size lists). Cycle numbers, temperature and resistance
+presence, resistances and per-cycle ``extra`` are short per-cell arrays.
+:func:`read_cell` builds those columns as views of the bytes it read, with
+no copy; any other array given to a record is copied, so a record never
+shares a buffer its caller can still change. ``cycle_data`` still reads as
+a sequence of :class:`CycleRecord`: its length comes from the offsets, and
+indexing or slicing builds records whose signals are views of the columns,
+anew on every access. A :class:`CycleRecord` is the per-cycle value: built
+directly it copies its signals, and a sequence of them given as
+``CellRecord(cycle_data=...)`` is gathered into columns. Record equality is
+exact: two cells are equal when their scalars, ``extra`` maps and every
+signal's per-cycle lengths and values match. Records are unhashable.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -91,17 +103,49 @@ _SIGNAL_FIELDS = _CYCLE_SEQ_FIELDS + ("temperature_in_C",)
 _JSON_NUMBER_TYPES = frozenset((int, float))
 
 
-def _signal(values, name) -> np.ndarray:
-    """A private, read-only float64 copy of one per-cycle signal."""
-    arr = np.array(values, dtype=np.float64)
+def _signal(values, name, copy=True) -> np.ndarray:
+    """A read-only one-dimensional float64 signal.
+
+    A float64 array whose memory is an immutable ``bytes`` object (a view of
+    a file :func:`read_cell` read) is kept as it is, and so is any float64
+    array when ``copy`` is False; anything else is copied.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and (not copy or _in_bytes(values)):
+        arr = values
+    else:
+        arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    return arr
+
+
+def _in_bytes(arr: np.ndarray) -> bool:
+    base = arr.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, bytes)
+
+
+def _small(values, dtype, name, n) -> np.ndarray:
+    """A read-only copy of one per-cycle array of ``n`` entries."""
+    arr = np.array(values, dtype=dtype)
+    if arr.shape != (n,):
+        raise ValueError(f"{name}: expected {n} values, got shape {arr.shape}")
     arr.flags.writeable = False
     return arr
 
 
+def _bounds(counts) -> np.ndarray:
+    """Offsets (0, then the running totals) of consecutive runs of ``counts`` values."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
 @dataclass(frozen=True)
 class ProtocolStep:
+
     """One step of a charge or discharge protocol.
 
     At least one of the drive fields (rate, current, voltage, power) must be
@@ -131,7 +175,9 @@ class CycleRecord:
 
     All mandatory sequences share one length (>= 2 points). Temperature is
     optional per source; internal resistance is an optional per-cycle scalar.
-    Each signal is stored as a read-only float64 copy of the value passed in.
+    Built directly, a record holds a read-only float64 copy of each signal
+    passed in; ``cell.cycle_data[i]`` returns one whose signals are views of
+    the cell's columns.
     """
 
     cycle_number: int
@@ -167,13 +213,210 @@ class CycleRecord:
     __hash__ = None
 
 
+class CycleData(tuple):
+    """The cycles of one cell, held as columns; a cell's ``cycle_data``.
+
+    ``columns[name]`` is one read-only float64 column per signal with every
+    cycle's values in cycle order, and ``offsets[name]`` (n_cycles + 1 int64
+    bounds) puts cycle ``i`` at ``columns[name][offsets[name][i]:offsets[name][i + 1]]``.
+    The mandatory signals share one offsets array unless a cycle's signals
+    differ in length (which :func:`validate` reports); the temperature
+    column holds only the cycles flagged in ``has_temperature``.
+    ``cycle_number`` (int64), ``internal_resistance_in_ohm`` (float64, NaN
+    where ``has_internal_resistance`` is False) and the two flags have one
+    entry per cycle; ``extra`` maps a cycle index to that cycle's ``extra``
+    when it is not empty.
+
+    It reads as a sequence of :class:`CycleRecord`: ``len`` counts cycles,
+    and indexing or slicing builds records whose signals are views of the
+    columns, anew on each access, so nothing is stored per cycle. It is a
+    ``tuple`` subclass, as ``cycle_data`` was a tuple before, so code that
+    checks for a tuple keeps working; it holds no items of its own.
+
+    The constructor takes the columns (a mapping of signal name to values;
+    the five mandatory signals, plus ``temperature_in_C`` if any cycle has
+    one) and either one offsets array for every signal or a mapping of
+    signal name to offsets. With one array, a cycle without temperature
+    takes no temperature values. ``has_temperature`` defaults to every
+    cycle when a temperature column is given; ``has_internal_resistance``
+    defaults to every cycle when resistances are given. ``extra`` is one
+    mapping per cycle. Columns are copied unless their memory is immutable
+    ``bytes``, so the cell never shares a buffer its caller can still
+    change. A builder that made float64 columns for the cell alone and
+    keeps no other reference to them passes ``copy=False`` to hand them
+    over without a copy; they are made read-only.
+    """
+
+    def __new__(cls, cycle_number=(), columns=None, offsets=(0,), *, has_temperature=None,
+                internal_resistance_in_ohm=None, has_internal_resistance=None, extra=None,
+                copy=True):
+        columns = columns or {}
+        numbers = _small(cycle_number, np.int64, "cycle_number", len(cycle_number))
+        n = numbers.size
+        if has_temperature is None:
+            has_temperature = [columns.get("temperature_in_C") is not None] * n
+        has_temperature = _small(has_temperature, bool, "has_temperature", n)
+        if not isinstance(offsets, dict):
+            shared = _small(offsets, np.int64, "offsets", n + 1)
+            offsets = dict.fromkeys(_CYCLE_SEQ_FIELDS, shared)
+            offsets["temperature_in_C"] = (
+                shared if has_temperature.all() else _bounds(np.diff(shared) * has_temperature))
+        signals = {name: _signal(columns.get(name, ()), name, copy) for name in _SIGNAL_FIELDS}
+        bounds = {}
+        for name, column in signals.items():
+            off = bounds[name] = _small(offsets[name], np.int64, f"offsets[{name!r}]", n + 1)
+            if off[0] != 0 or off[-1] != column.size or np.any(np.diff(off) < 0):
+                raise ValueError(f"offsets[{name!r}] must rise from 0 to the column's {column.size} values")
+        if np.diff(bounds["temperature_in_C"])[~has_temperature].any():
+            raise ValueError("temperature values given for a cycle without a temperature")
+        if internal_resistance_in_ohm is None:
+            internal_resistance_in_ohm, has_internal_resistance = np.full(n, np.nan), [False] * n
+        elif has_internal_resistance is None:
+            has_internal_resistance = [True] * n
+        extra = [{}] * n if extra is None else list(extra)
+        if len(extra) != n:
+            raise ValueError(f"extra: expected {n} mappings, got {len(extra)}")
+        self = super().__new__(cls)
+        self.__dict__.update(
+            cycle_number=numbers,
+            columns=signals,
+            offsets=bounds,
+            has_temperature=has_temperature,
+            internal_resistance_in_ohm=_small(
+                internal_resistance_in_ohm, np.float64, "internal_resistance_in_ohm", n),
+            has_internal_resistance=_small(has_internal_resistance, bool, "has_internal_resistance", n),
+            extra={i: e for i, e in enumerate(extra) if e},
+        )
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CycleData is read-only: cannot set {name!r}")
+
+    @classmethod
+    def from_cycles(cls, cycles) -> CycleData:
+        """Gather a sequence of :class:`CycleRecord` into columns, in order."""
+        cycles = tuple(cycles)
+        for i, cyc in enumerate(cycles):
+            if not isinstance(cyc, CycleRecord):
+                raise TypeError(f"cycle_data[{i}]: expected a CycleRecord, got {type(cyc).__name__}")
+
+        def present(name):
+            return [getattr(c, name) for c in cycles if getattr(c, name) is not None]
+
+        def lengths(name):
+            return [0 if getattr(c, name) is None else getattr(c, name).size for c in cycles]
+
+        resistances = [c.internal_resistance_in_ohm for c in cycles]
+        return cls(
+            [c.cycle_number for c in cycles],
+            {name: np.concatenate([np.empty(0), *present(name)]) for name in _SIGNAL_FIELDS},
+            {name: _bounds(lengths(name)) for name in _SIGNAL_FIELDS},
+            has_temperature=[c.temperature_in_C is not None for c in cycles],
+            internal_resistance_in_ohm=[math.nan if r is None else r for r in resistances],
+            has_internal_resistance=[r is not None for r in resistances],
+            extra=[c.extra for c in cycles],
+            copy=False,  # the concatenated columns are new
+        )
+
+    def maxima(self, name: str, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The largest value of signal ``name`` in each cycle from ``start``
+        up to ``stop`` (exclusive; the last cycle by default). Raises
+        ValueError if one of them has no values."""
+        bounds = self.offsets[name][start : (len(self) if stop is None else stop) + 1]
+        if not np.diff(bounds).all():
+            raise ValueError(f"a cycle has no {name} values")
+        return np.maximum.reduceat(self.columns[name][: bounds[-1]], bounds[:-1])
+
+    def __len__(self):
+        return len(self.offsets["time_in_s"]) - 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._cycle, range(*index.indices(len(self)))))
+        i, n = operator.index(index), len(self)
+        if not -n <= i < n:
+            raise IndexError("cycle index out of range")
+        return self._cycle(i % n)
+
+    def __iter__(self):
+        return map(self._cycle, range(len(self)))
+
+    def _cycle(self, i: int) -> CycleRecord:
+        view = {}
+        for name in _SIGNAL_FIELDS:
+            off = self.offsets[name]
+            view[name] = self.columns[name][off[i] : off[i + 1]]
+        if not self.has_temperature[i]:
+            view["temperature_in_C"] = None
+        view["cycle_number"] = int(self.cycle_number[i])
+        view["internal_resistance_in_ohm"] = (
+            float(self.internal_resistance_in_ohm[i]) if self.has_internal_resistance[i] else None)
+        view["extra"] = self.extra.get(i, {})
+        cyc = object.__new__(CycleRecord)  # a view: the copying constructor is skipped
+        cyc.__dict__.update(view)
+        return cyc
+
+    def __eq__(self, other):
+        if not isinstance(other, CycleData):
+            return NotImplemented
+        if other is self:
+            return True
+        has_r = self.has_internal_resistance
+        return (
+            np.array_equal(self.cycle_number, other.cycle_number)
+            and np.array_equal(self.has_temperature, other.has_temperature)
+            and np.array_equal(has_r, other.has_internal_resistance)
+            and np.array_equal(self.internal_resistance_in_ohm[has_r], other.internal_resistance_in_ohm[has_r])
+            and self.extra == other.extra
+            and all(
+                np.array_equal(self.offsets[name], other.offsets[name])
+                and np.array_equal(self.columns[name], other.columns[name])
+                for name in _SIGNAL_FIELDS
+            )
+        )
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"CycleData({len(self)} cycles, {self.columns['time_in_s'].size} points)"
+
+    # The sequence operations tuple would run on its own (empty) items.
+    __contains__ = Sequence.__contains__
+    index = Sequence.index
+    count = Sequence.count
+
+    def __add__(self, other):
+        return tuple(self) + tuple(other) if isinstance(other, tuple) else NotImplemented
+
+    def __radd__(self, other):
+        return tuple(other) + tuple(self) if isinstance(other, tuple) else NotImplemented
+
+    def __mul__(self, times):
+        return tuple(self) * times
+
+    __rmul__ = __mul__
+
+    def _unordered(self, other):
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+
 @dataclass(frozen=True)
 class CellRecord:
-    """A single cell: metadata, per-cycle signals, and cycling protocols."""
+    """A single cell: metadata, per-cycle signals, and cycling protocols.
+
+    ``cycle_data`` is always a :class:`CycleData`; a sequence of
+    :class:`CycleRecord` given in its place is gathered into one.
+    """
 
     cell_id: str
     nominal_capacity_in_Ah: float = 0.0
-    cycle_data: tuple = ()
+    cycle_data: CycleData = ()
     form_factor: str | None = None
     anode_material: str | None = None
     cathode_material: str | None = None
@@ -195,7 +438,8 @@ class CellRecord:
         object.__setattr__(self, "depth_of_charge", float(self.depth_of_charge))
         object.__setattr__(self, "depth_of_discharge", float(self.depth_of_discharge))
         object.__setattr__(self, "already_spent_cycles", int(self.already_spent_cycles))
-        object.__setattr__(self, "cycle_data", tuple(self.cycle_data))
+        if not isinstance(self.cycle_data, CycleData):
+            object.__setattr__(self, "cycle_data", CycleData.from_cycles(self.cycle_data))
         object.__setattr__(self, "charge_protocol", tuple(self.charge_protocol))
         object.__setattr__(self, "discharge_protocol", tuple(self.discharge_protocol))
         for name in _CELL_OPTIONAL_NUM_FIELDS:
@@ -217,39 +461,72 @@ class Violation:
         return f"{self.path}: {self.message}"
 
 
-def _check_finite_seq(arr, path, out):
-    if not np.isfinite(arr).all():
-        out.append(Violation(path, "contains non-finite values"))
-        return False
-    return True
+def _flag_cycles(bad, offsets, n, *, steps=False) -> np.ndarray:
+    """Per cycle, whether a value of a column flagged in ``bad`` lies in it.
+
+    With ``steps``, ``bad`` flags the steps between neighbouring values
+    (``np.diff`` of the column), and a step across a cycle boundary counts
+    for no cycle.
+    """
+    pos = np.flatnonzero(bad)
+    cyc = np.searchsorted(offsets, pos, side="right") - 1
+    if steps:
+        cyc = cyc[pos + 1 < offsets[cyc + 1]]
+    hit = np.zeros(n, dtype=bool)
+    hit[cyc] = True
+    return hit
 
 
-def _validate_cycle(cyc: CycleRecord, path: str, out: list):
-    if cyc.cycle_number < 1:
-        out.append(Violation(f"{path}.cycle_number", "must be a positive integer"))
-    lengths = {name: len(getattr(cyc, name)) for name in _CYCLE_SEQ_FIELDS}
-    if len(set(lengths.values())) != 1:
-        out.append(Violation(path, f"mandatory sequences differ in length: {lengths}"))
-        return
-    n = lengths["time_in_s"]
-    if n < 2:
-        out.append(Violation(path, f"sequences must have >= 2 points, got {n}"))
-        return
-    if cyc.temperature_in_C is not None and len(cyc.temperature_in_C) != n:
-        out.append(Violation(f"{path}.temperature_in_C", f"length {len(cyc.temperature_in_C)} != {n}"))
-    ok = True
-    for name in _SIGNAL_FIELDS:
-        if getattr(cyc, name) is not None:
-            ok &= _check_finite_seq(getattr(cyc, name), f"{path}.{name}", out)
-    if cyc.internal_resistance_in_ohm is not None and not math.isfinite(cyc.internal_resistance_in_ohm):
-        out.append(Violation(f"{path}.internal_resistance_in_ohm", "non-finite"))
-    if not ok:
-        return
-    if np.any(np.diff(cyc.time_in_s) <= 0):
-        out.append(Violation(f"{path}.time_in_s", "must be strictly increasing"))
-    for name in ("charge_capacity_in_Ah", "discharge_capacity_in_Ah"):
-        if np.any(np.diff(getattr(cyc, name)) < -CAPACITY_JITTER_TOL):
-            out.append(Violation(f"{path}.{name}", "must be non-decreasing (cumulative per cycle)"))
+def _validate_cycles(cycles: CycleData, out: list):
+    """The per-cycle checks, computed over the columns at once and reported
+    cycle by cycle, in the order a check of one cycle after another finds them."""
+    n = len(cycles)
+    numbers, cols, offs = cycles.cycle_number, cycles.columns, cycles.offsets
+    lengths = {name: np.diff(offs[name]) for name in _SIGNAL_FIELDS}
+    points = lengths["time_in_s"]
+    descending = numbers <= np.concatenate(([0], numbers[:-1]))
+    ragged = np.zeros(n, dtype=bool)
+    for name in _CYCLE_SEQ_FIELDS:
+        ragged |= lengths[name] != points
+    bad_temperature = cycles.has_temperature & (lengths["temperature_in_C"] != points)
+    non_finite = {name: _flag_cycles(~np.isfinite(cols[name]), offs[name], n) for name in _SIGNAL_FIELDS}
+    bad_resistance = cycles.has_internal_resistance & ~np.isfinite(cycles.internal_resistance_in_ohm)
+    with np.errstate(invalid="ignore", over="ignore"):  # steps of non-finite cycles are not reported
+        backwards = {"time_in_s": np.diff(cols["time_in_s"]) <= 0}
+        for name in ("charge_capacity_in_Ah", "discharge_capacity_in_Ah"):
+            backwards[name] = np.diff(cols[name]) < -CAPACITY_JITTER_TOL
+    backwards = {name: _flag_cycles(bad, offs[name], n, steps=True) for name, bad in backwards.items()}
+    flagged = descending | (numbers < 1) | ragged | (points < 2) | bad_temperature | bad_resistance
+    for flags in (*non_finite.values(), *backwards.values()):
+        flagged |= flags
+
+    for i in np.flatnonzero(flagged).tolist():
+        path = f"cycle_data[{i}]"
+        if descending[i]:
+            out.append(Violation(f"{path}.cycle_number", "cycle numbers must be strictly ascending"))
+        if numbers[i] < 1:
+            out.append(Violation(f"{path}.cycle_number", "must be a positive integer"))
+        if ragged[i]:
+            sizes = {name: int(lengths[name][i]) for name in _CYCLE_SEQ_FIELDS}
+            out.append(Violation(path, f"mandatory sequences differ in length: {sizes}"))
+            continue
+        if points[i] < 2:
+            out.append(Violation(path, f"sequences must have >= 2 points, got {points[i]}"))
+            continue
+        if bad_temperature[i]:
+            out.append(Violation(f"{path}.temperature_in_C", f"length {lengths['temperature_in_C'][i]} != {points[i]}"))
+        for name in _SIGNAL_FIELDS:
+            if non_finite[name][i]:
+                out.append(Violation(f"{path}.{name}", "contains non-finite values"))
+        if bad_resistance[i]:
+            out.append(Violation(f"{path}.internal_resistance_in_ohm", "non-finite"))
+        if any(non_finite[name][i] for name in _SIGNAL_FIELDS):
+            continue
+        if backwards["time_in_s"][i]:
+            out.append(Violation(f"{path}.time_in_s", "must be strictly increasing"))
+        for name in ("charge_capacity_in_Ah", "discharge_capacity_in_Ah"):
+            if backwards[name][i]:
+                out.append(Violation(f"{path}.{name}", "must be non-decreasing (cumulative per cycle)"))
 
 
 def _validate_protocol(steps, path, out):
@@ -288,13 +565,7 @@ def validate(cell: CellRecord) -> list[Violation]:
         out.append(Violation("min_voltage_limit_in_V", "voltage limits must satisfy min < max"))
     if not cell.cycle_data:
         out.append(Violation("cycle_data", "must contain at least one cycle"))
-    prev = 0
-    for i, cyc in enumerate(cell.cycle_data):
-        path = f"cycle_data[{i}]"
-        if cyc.cycle_number <= prev:
-            out.append(Violation(f"{path}.cycle_number", "cycle numbers must be strictly ascending"))
-        prev = cyc.cycle_number
-        _validate_cycle(cyc, path, out)
+    _validate_cycles(cell.cycle_data, out)
     _validate_protocol(cell.charge_protocol, "charge_protocol", out)
     _validate_protocol(cell.discharge_protocol, "discharge_protocol", out)
     return out
@@ -498,7 +769,7 @@ def write_container(path, magic: bytes, header: dict, blocks) -> Path:
         fh.write(struct.pack("<I", len(payload)))
         fh.write(payload)
         for _, arr in blocks:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))  # the buffer itself, not a copy
     os.replace(tmp, path)
     return path
 
@@ -547,11 +818,6 @@ def parse_container(data: bytes, magic: bytes, error) -> tuple[dict, dict]:
 CELL_MAGIC = b"CFC1"
 
 
-def _column(arrays) -> np.ndarray:
-    """The present (not None) per-cycle arrays, concatenated in cycle order."""
-    return np.concatenate([np.empty(0), *(a for a in arrays if a is not None)])
-
-
 def write_cell(cell: CellRecord, path) -> Path:
     """Write a valid cell as a binary cell file to ``path``.
 
@@ -569,16 +835,16 @@ def write_cell(cell: CellRecord, path) -> Path:
     header = {
         "cell": cell_to_dict(replace(cell, cycle_data=())),
         "cycles": {
-            "cycle_number": [c.cycle_number for c in cycles],
-            "points": [c.time_in_s.size for c in cycles],
-            "has_temperature": [c.temperature_in_C is not None for c in cycles],
-            "has_internal_resistance": [c.internal_resistance_in_ohm is not None for c in cycles],
-            "extra": [c.extra for c in cycles],
+            "cycle_number": cycles.cycle_number.tolist(),
+            "points": np.diff(cycles.offsets["time_in_s"]).tolist(),
+            "has_temperature": cycles.has_temperature.tolist(),
+            "has_internal_resistance": cycles.has_internal_resistance.tolist(),
+            "extra": [cycles.extra.get(i, {}) for i in range(len(cycles))],
         },
     }
-    blocks = [(name, _column(getattr(c, name) for c in cycles)) for name in _SIGNAL_FIELDS]
-    resistance = [c.internal_resistance_in_ohm for c in cycles if c.internal_resistance_in_ohm is not None]
-    blocks.append(("internal_resistance_in_ohm", np.array(resistance, dtype=np.float64)))
+    blocks = [(name, cycles.columns[name]) for name in _SIGNAL_FIELDS]
+    resistance = cycles.internal_resistance_in_ohm[cycles.has_internal_resistance]
+    blocks.append(("internal_resistance_in_ohm", resistance))
     return write_container(path, CELL_MAGIC, header, blocks)
 
 
@@ -612,26 +878,17 @@ def _cell_from_container(data: bytes) -> CellRecord:
         raise SchemaError("header: 'cell' must be an object")
     meta = cell_from_dict(header["cell"])
 
-    signals = {name: blocks[name] for name in _CYCLE_SEQ_FIELDS}
-    bounds = list(accumulate(points, initial=0))
-    t = r = 0
-    out = []
-    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        temperature = resistance = None
-        if has_temperature[i]:
-            temperature = blocks["temperature_in_C"][t : t + b - a]
-            t += b - a
-        if has_resistance[i]:
-            resistance = blocks["internal_resistance_in_ohm"][r]
-            r += 1
-        out.append(CycleRecord(
-            cycle_number=numbers[i],
-            temperature_in_C=temperature,
-            internal_resistance_in_ohm=resistance,
-            extra=extras[i],
-            **{name: col[a:b] for name, col in signals.items()},
-        ))
-    return replace(meta, cycle_data=out)
+    resistance = np.full(n, np.nan)
+    resistance[np.array(has_resistance, dtype=bool)] = blocks["internal_resistance_in_ohm"]
+    return replace(meta, cycle_data=CycleData(
+        numbers,
+        {name: blocks[name] for name in _SIGNAL_FIELDS},
+        _bounds(points),
+        has_temperature=has_temperature,
+        internal_resistance_in_ohm=resistance,
+        has_internal_resistance=has_resistance,
+        extra=extras,
+    ))
 
 
 def read_cell(path) -> CellRecord:

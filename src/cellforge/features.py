@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .battery_data import CellRecord, CycleRecord, parse_container, write_container
+from .battery_data import CellRecord, CycleData, CycleRecord, parse_container, write_container
 from .errors import CheckpointError, FeatureError
 
 FEATURES_MAGIC = b"CFF1"
@@ -123,6 +123,19 @@ def coulombic_efficiency(cycle: CycleRecord) -> float:
     if qd.size == 0 or qc.size == 0:
         raise FeatureError(f"cycle {cycle.cycle_number}: empty capacity sequences")
     return float(qd[-1] / (qc[-1] + COULOMBIC_EPS))
+
+
+def _coulombic_efficiencies(cycles: CycleData, start: int, stop: int) -> np.ndarray:
+    """:func:`coulombic_efficiency` of cycles ``start`` to ``stop - 1``, from
+    the last value of each cycle in the capacity columns."""
+    qd_bounds = cycles.offsets["discharge_capacity_in_Ah"][start : stop + 1]
+    qc_bounds = cycles.offsets["charge_capacity_in_Ah"][start : stop + 1]
+    empty = np.flatnonzero((np.diff(qd_bounds) == 0) | (np.diff(qc_bounds) == 0))
+    if empty.size:
+        raise FeatureError(f"cycle {cycles.cycle_number[start + empty[0]]}: empty capacity sequences")
+    qd = cycles.columns["discharge_capacity_in_Ah"][qd_bounds[1:] - 1]
+    qc = cycles.columns["charge_capacity_in_Ah"][qc_bounds[1:] - 1]
+    return qd / (qc + COULOMBIC_EPS)
 
 
 def estimate_internal_resistance(cycle: CycleRecord) -> float:
@@ -313,7 +326,7 @@ class DischargeModelFeatureExtractor(VarianceModelFeatureExtractor):
         cap_idx, _, late = self.critical_cycles
         dq = self._delta(cell)
         mn, var, skew, kurt = _moments(dq)
-        caps = np.array([c.discharge_capacity_in_Ah.max() for c in cell.cycle_data[: late + 1]])
+        caps = cell.cycle_data.maxima("discharge_capacity_in_Ah", 0, late + 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             row = np.array(
                 [
@@ -345,20 +358,28 @@ class FullModelFeatureExtractor(DischargeModelFeatureExtractor):
     CHARGE_TIME_CYCLES = (2, 6)
     INTEGRAL_CYCLES = (2, 99)
 
-    def _charge_time(self, cycle):
-        i = np.asarray(cycle.current_in_A)
-        t = np.asarray(cycle.time_in_s)
-        charging = np.nonzero(i > 0)[0]
-        if charging.size < 2:
-            return np.nan
-        return t[charging[-1]] - t[charging[0]]
+    @staticmethod
+    def _charge_times(cycles, lo, hi):
+        """Per cycle lo..hi, the time from its first to its last charging
+        (current > 0) sample; NaN for a cycle with fewer than two."""
+        bounds = cycles.offsets["current_in_A"][lo : hi + 2]
+        pos = np.flatnonzero(cycles.columns["current_in_A"][bounds[0] : bounds[-1]] > 0) + bounds[0]
+        cyc = np.searchsorted(bounds, pos, side="right") - 1
+        first = np.searchsorted(cyc, np.arange(len(bounds) - 1))
+        last = np.searchsorted(cyc, np.arange(len(bounds) - 1), side="right") - 1
+        ok = last > first
+        # the time of each sample, found through its place within its cycle
+        time_at = pos - bounds[cyc] + cycles.offsets["time_in_s"][lo + cyc]
+        times = np.full(len(bounds) - 1, np.nan)
+        t = cycles.columns["time_in_s"]
+        times[ok] = t[time_at[last[ok]]] - t[time_at[first[ok]]]
+        return times
 
     def process_cell(self, cell):
         lo, hi = self.CHARGE_TIME_CYCLES
         self._require_cycles(cell, max(hi + 1, self.critical_cycles[2] + 1, self.INTEGRAL_CYCLES[1] + 1))
         base = self._discharge_vector(cell)
-        charge_times = [self._charge_time(c) for c in cell.cycle_data[lo : hi + 1]]
-        mean_ct = float(np.mean(charge_times))
+        mean_ct = float(np.mean(self._charge_times(cell.cycle_data, lo, hi)))
 
         lo_i, hi_i = self.INTEGRAL_CYCLES
         integral = 0.0
@@ -370,12 +391,9 @@ class FullModelFeatureExtractor(DischargeModelFeatureExtractor):
         with np.errstate(divide="ignore", invalid="ignore"):
             log_integral = np.log10(abs(integral))
 
-        resistances = [c.internal_resistance_in_ohm for c in cell.cycle_data[lo_i : hi_i + 1]]
-        present = [r for r in resistances if r is not None]
-        if resistances and resistances[0] is not None and present:
-            ir_rise = resistances[0] - min(present)
-        else:
-            ir_rise = np.nan
+        resistances = cell.cycle_data.internal_resistance_in_ohm[lo_i : hi_i + 1]
+        present = cell.cycle_data.has_internal_resistance[lo_i : hi_i + 1]
+        ir_rise = resistances[0] - resistances[present].min() if present.size and present[0] else np.nan
 
         row = np.concatenate([base, [mean_ct, log_integral, ir_rise]])
         return row[None, :], [(cell.cell_id, None, None)]
@@ -439,20 +457,22 @@ def soh_cycle_features(cell: CellRecord, cycle_index: int) -> np.ndarray:
         raise FeatureError(f"{cell.cell_id}: no cycles")
     if not 0 <= cycle_index < len(cell.cycle_data):
         raise FeatureError(f"{cell.cell_id}: cycle index {cycle_index} out of range")
-    cyc = cell.cycle_data[cycle_index]
-    v0 = np.asarray(cell.cycle_data[0].voltage_in_V)
-    return sanitize(
-        np.array(
-            [
-                cyc.charge_capacity_in_Ah.max() / cell.nominal_capacity_in_Ah,
-                v0.mean(),
-                v0.min(),
-                v0.max(),
-                coulombic_efficiency(cyc),
-                float(cyc.cycle_number),
-            ]
-        )
-    )
+    return _soh_cycle_rows(cell, cycle_index, cycle_index + 1)[0]
+
+
+def _soh_cycle_rows(cell: CellRecord, start: int, stop: int) -> np.ndarray:
+    """:func:`soh_cycle_features` of cycles ``start`` to ``stop - 1``, read
+    from the columns at once."""
+    cycles = cell.cycle_data
+    charge = cycles.maxima("charge_capacity_in_Ah", start, stop) / cell.nominal_capacity_in_Ah
+    v0 = cycles[0].voltage_in_V
+    first = np.array([v0.mean(), v0.min(), v0.max()])
+    return sanitize(np.column_stack([
+        charge,
+        np.tile(first, (stop - start, 1)),
+        _coulombic_efficiencies(cycles, start, stop),
+        cycles.cycle_number[start:stop].astype(float),
+    ]))
 
 
 SOH_CYCLE_COL_NAMES = [
@@ -516,10 +536,11 @@ class SOHCycleFeatureExtractor(BaseFeatureExtractor):
         return stop
 
     def process_cell(self, cell):
+        if not cell.cycle_data:
+            raise FeatureError(f"{cell.cell_id}: no cycles")
         stop = self._stop(cell)
-        rows = [soh_cycle_features(cell, i) for i in range(stop)]
-        keys = [(cell.cell_id, cell.cycle_data[i].cycle_number, None) for i in range(stop)]
-        return np.vstack(rows), keys
+        keys = [(cell.cell_id, number, None) for number in cell.cycle_data.cycle_number[:stop].tolist()]
+        return _soh_cycle_rows(cell, 0, stop), keys
 
 
 class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
@@ -546,14 +567,14 @@ class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
 
     def process_cell(self, cell):
         blocks, keys = [], []
+        numbers = cell.cycle_data.cycle_number.tolist()
         for idx in range(self._stop(cell)):
             rows, _ = soc_step_features(
                 cell, idx, n_qdlin=self.n_qdlin, v_min=self.v_min, v_max=self.v_max
             )
             flag = np.full((rows.shape[0], 1), 1.0 if idx == 0 else 0.0)
             blocks.append(np.hstack([rows, flag]))
-            number = cell.cycle_data[idx].cycle_number
-            keys.extend((cell.cell_id, number, step) for step in range(rows.shape[0]))
+            keys.extend((cell.cell_id, numbers[idx], step) for step in range(rows.shape[0]))
         return np.vstack(blocks), keys
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .battery_data import CellRecord, CycleRecord, validate, write_cell
+from .battery_data import CellRecord, CycleData, validate, write_cell
 from .errors import DownloadError, SchemaError
 
 log = logging.getLogger("cellforge")
@@ -224,8 +224,9 @@ def parse_csv_cycler(
     for r in rows:
         by_cycle.setdefault(r["cycle"], []).append(r)
 
+    numbers = sorted(by_cycle)
     cycles = []
-    for number in sorted(by_cycle):
+    for number in numbers:
         group = sorted(by_cycle[number], key=lambda r: r["t"])
         t = np.array([r["t"] for r in group])
         v = np.array([r["v"] for r in group])
@@ -245,23 +246,25 @@ def parse_csv_cycler(
                 if "discharge_capacity_Ah" in mapping
                 else qd_int
             )
-        cycles.append(
-            CycleRecord(
-                cycle_number=number,
-                voltage_in_V=v,
-                current_in_A=i,
-                charge_capacity_in_Ah=qc,
-                discharge_capacity_in_Ah=qd,
-                time_in_s=t,
-            )
-        )
+        cycles.append({
+            "voltage_in_V": v,
+            "current_in_A": i,
+            "charge_capacity_in_Ah": qc,
+            "discharge_capacity_in_Ah": qd,
+            "time_in_s": t,
+        })
 
     cell = CellRecord(
         cell_id=cell_id or path.stem,
         nominal_capacity_in_Ah=nominal_capacity_in_Ah,
         min_voltage_limit_in_V=min_voltage_limit_in_V,
         max_voltage_limit_in_V=max_voltage_limit_in_V,
-        cycle_data=cycles,
+        cycle_data=CycleData(
+            numbers,
+            {name: np.concatenate([c[name] for c in cycles]) for name in cycles[0]},
+            np.cumsum([0, *(len(c["time_in_s"]) for c in cycles)]),
+            copy=False,  # the concatenated columns are new
+        ),
     )
     violations = validate(cell)
     if violations:

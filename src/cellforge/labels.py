@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .battery_data import CellRecord
 from .errors import ThresholdNotReached
@@ -49,13 +50,10 @@ def soh_per_cycle(cell: CellRecord) -> np.ndarray:
         raise ValueError(f"{cell.cell_id}: nominal capacity must be > 0")
     if not cell.cycle_data:
         raise ValueError(f"{cell.cell_id}: no cycles")
-    signals = [c.discharge_capacity_in_Ah for c in cell.cycle_data]
-    lengths = np.fromiter(map(len, signals), dtype=np.intp, count=len(signals))
-    if not lengths.all():
-        raise ValueError(f"{cell.cell_id}: a cycle has no discharge capacity samples")
-    # one reduction over all cycles: a max() call per cycle costs more than its few values
-    starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
-    caps = np.maximum.reduceat(np.concatenate(signals), starts)
+    try:
+        caps = cell.cycle_data.maxima("discharge_capacity_in_Ah")
+    except ValueError:
+        raise ValueError(f"{cell.cell_id}: a cycle has no discharge capacity samples") from None
     return 100.0 * caps / cell.nominal_capacity_in_Ah
 
 
@@ -69,13 +67,12 @@ def moving_median(values: np.ndarray, window: int) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if window == 1:
         return values.copy()
-    half = window // 2
+    half, n = window // 2, len(values)
     out = np.empty_like(values)
-    n = len(values)
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n, i + half + 1)
-        out[i] = np.median(values[lo:hi])
+    if n >= window:  # full windows in the interior, one median per row
+        out[half : n - half] = np.median(sliding_window_view(values, window), axis=1)
+    for i in [*range(min(half, n)), *range(max(half, n - half), n)]:  # shrunk at the edges
+        out[i] = np.median(values[max(0, i - half) : i + half + 1])
     return out
 
 
@@ -172,9 +169,9 @@ class SOHLabelAnnotator:
         values, keys = [], []
         for cell in cells:
             soh = soh_per_cycle(cell)
-            for cyc, s in zip(cell.cycle_data, soh):
+            for number, s in zip(cell.cycle_data.cycle_number.tolist(), soh):
                 values.append(s)
-                keys.append((cell.cell_id, cyc.cycle_number, None))
+                keys.append((cell.cell_id, number, None))
         return LabelVector(np.array(values), keys), []
 
 
@@ -190,10 +187,9 @@ class SOCLabelAnnotator:
             stop = len(cell.cycle_data)
             if self.max_cycle_index is not None:
                 stop = min(stop, self.max_cycle_index + 1)
-            for idx in range(stop):
-                cyc = cell.cycle_data[idx]
+            for idx, number in enumerate(cell.cycle_data.cycle_number[:stop].tolist()):
                 soc = soc_per_step(cell, idx)
                 for step, s in enumerate(soc):
                     values.append(s)
-                    keys.append((cell.cell_id, cyc.cycle_number, step))
+                    keys.append((cell.cell_id, number, step))
         return LabelVector(np.array(values), keys), []

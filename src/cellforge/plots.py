@@ -57,8 +57,8 @@ def degradation_series(cells: list[CellRecord]) -> list[Series]:
     out = []
     for cell in sorted(cells, key=lambda c: c.cell_id):
         soh = soh_per_cycle(cell)
-        cycles = [float(c.cycle_number) for c in cell.cycle_data]
-        out.append(Series(cell.cell_id, tuple(cycles), tuple(float(s) for s in soh)))
+        cycles = cell.cycle_data.cycle_number.astype(float)
+        out.append(Series(cell.cell_id, tuple(cycles.tolist()), tuple(soh.tolist())))
     return out
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .battery_data import CellRecord, CycleRecord, ProtocolStep
+from .battery_data import CellRecord, CycleData, ProtocolStep
 
 # Fractional capacity lost at end of life: 16% through the power law plus 4%
 # through the post-knee quadratic, totalling the 20% that defines EOL.
@@ -107,42 +107,44 @@ def _n_cycles(life: int, knee_fraction: float) -> int:
     return int(below[0]) + 1 if below.size else hi
 
 
-def _cycle_arrays(c_n, c0, v_min, v_max, ppc, rng, noise_sigma):
-    """One cycle's signals: CC charge at 1C, CV hold, CC discharge at 2C."""
+def _cycle_columns(c_n, c0, v_min, v_max, ppc, rng, noise_sigma):
+    """The signals of cycles with full capacities ``c_n``, one row per cycle:
+    CC charge at 1C, CV hold, CC discharge at 2C."""
     n_cc = max(2, round(0.4 * ppc))
     n_cv = max(2, round(0.2 * ppc))
     n_dis = max(2, ppc - n_cc - n_cv)
+    cc, cv, ds = slice(0, n_cc), slice(n_cc, n_cc + n_cv), slice(n_cc + n_cv, None)
+    c_n = c_n[:, None]
     t1 = 0.8 * c_n / c0  # hours of CC charge (fills 80% of the cycle capacity)
     t2 = 0.4 * c_n / c0  # CV hold; triangular current fills the last 20%
     t3 = 0.5 * c_n / c0  # CC discharge at 2C
-    t_cc = np.linspace(0.0, t1, n_cc)
     u = np.linspace(0.0, 1.0, n_cv + 1)[1:]  # CV progress; exact 1.0 at the end
-    t_cv = t1 + t2 * u
-    t_ds = np.linspace(t1 + t2, t1 + t2 + t3, n_dis + 1)[1:]
+    t, v, i, qc, qd = (np.empty((len(c_n), n_cc + n_cv + n_dis)) for _ in range(5))
 
-    i_cc = np.full(n_cc, c0)
-    i_cv = c0 * (1.0 - u)  # ends at exactly 0 A, never dips negative
-    i_ds = np.full(n_dis, -2.0 * c0)
+    t[:, cc] = np.linspace(0.0, t1[:, 0], n_cc, axis=1)
+    t[:, cv] = t1 + t2 * u
+    t[:, ds] = np.linspace((t1 + t2)[:, 0], (t1 + t2 + t3)[:, 0], n_dis + 1, axis=1)[:, 1:]
 
-    qc_cc = c0 * t_cc
-    qc_cv = 0.8 * c_n + 0.2 * c_n * (2.0 * u - u * u)
-    qc_cv[-1] = c_n  # close the integral exactly
-    qc_ds = np.full(n_dis, c_n)
+    i[:, cc] = c0
+    i[:, cv] = c0 * (1.0 - u)  # ends at exactly 0 A, never dips negative
+    i[:, ds] = -2.0 * c0
 
-    qd_ds = 2.0 * c0 * (t_ds - (t1 + t2))
-    qd_ds[-1] = c_n  # close the integral exactly
-    qd = np.concatenate([np.zeros(n_cc + n_cv), qd_ds])
+    qc[:, cc] = c0 * t[:, cc]
+    qc[:, cv] = 0.8 * c_n + 0.2 * c_n * (2.0 * u - u * u)
+    qc[:, cv.stop - 1] = c_n[:, 0]  # close the integral exactly
+    qc[:, ds] = c_n
 
-    v_cc = v_min + (v_max - v_min) * (t_cc / t1)
-    v_cv = np.full(n_cv, v_max)
-    v_ds = v_max - (v_max - v_min) * (qd_ds / c_n)
+    qd[:, : cv.stop] = 0.0
+    qd[:, ds] = 2.0 * c0 * (t[:, ds] - (t1 + t2))
+    qd[:, -1] = c_n[:, 0]  # close the integral exactly
 
-    t = np.concatenate([t_cc, t_cv, t_ds]) * 3600.0
-    i = np.concatenate([i_cc, i_cv, i_ds])
-    qc = np.concatenate([qc_cc, qc_cv, qc_ds])
-    v = np.concatenate([v_cc, v_cv, v_ds])
+    v[:, cc] = v_min + (v_max - v_min) * (t[:, cc] / t1)
+    v[:, cv] = v_max
+    v[:, ds] = v_max - (v_max - v_min) * (qd[:, ds] / c_n)
+
+    t *= 3600.0
     if noise_sigma > 0:
-        v = v + rng.normal(0.0, noise_sigma, v.size)
+        v += rng.normal(0.0, noise_sigma, v.shape)
     return t, v, i, qc, qd
 
 
@@ -153,29 +155,28 @@ def _make_cell(spec: SynthSpec, index: int) -> CellRecord:
     soh = fade_curve(np.arange(1, n_cycles + 1), life, spec.knee_fraction)
 
     c0 = spec.nominal_capacity_in_Ah
-    cycles = []
-    for n in range(1, n_cycles + 1):
-        c_n = c0 * soh[n - 1]
-        t, v, i, qc, qd = _cycle_arrays(
-            c_n, c0, spec.voltage_min_V, spec.voltage_max_V,
-            spec.points_per_cycle, rng, spec.noise_sigma,
-        )
-        cycles.append(
-            CycleRecord(
-                cycle_number=n,
-                voltage_in_V=v,
-                current_in_A=i,
-                charge_capacity_in_Ah=qc,
-                discharge_capacity_in_Ah=qd,
-                time_in_s=t,
-                temperature_in_C=np.full(t.size, 30.0),
-                internal_resistance_in_ohm=0.015 * (1.0 + 0.5 * (1.0 - soh[n - 1])),
-            )
-        )
+    t, v, i, qc, qd = _cycle_columns(
+        c0 * soh, c0, spec.voltage_min_V, spec.voltage_max_V,
+        spec.points_per_cycle, rng, spec.noise_sigma,
+    )
+    cycles = CycleData(
+        np.arange(1, n_cycles + 1),
+        {
+            "voltage_in_V": v.ravel(),
+            "current_in_A": i.ravel(),
+            "charge_capacity_in_Ah": qc.ravel(),
+            "discharge_capacity_in_Ah": qd.ravel(),
+            "time_in_s": t.ravel(),
+            "temperature_in_C": np.full(t.size, 30.0),
+        },
+        np.arange(n_cycles + 1) * t.shape[1],
+        internal_resistance_in_ohm=0.015 * (1.0 + 0.5 * (1.0 - soh)),
+        copy=False,  # the columns are made here for this cell alone
+    )
 
     return CellRecord(
         cell_id=f"SYN_{index:04d}",
-        cycle_data=tuple(cycles),
+        cycle_data=cycles,
         form_factor="cylindrical_18650",
         anode_material="graphite",
         cathode_material="LFP",

@@ -107,18 +107,24 @@ class ColumnwiseZScoreDataTransformation(_Fitted):
     """Per-column z-score for 2-D matrices (1-D data is a single column).
 
     A column that is constant in the training data is only centred: its
-    scale is 1, and its index is kept in ``constant_columns_``.
+    scale is 1, and its index is kept in ``constant_columns_``. A column
+    counts as constant when its standard deviation is at most
+    ``CONSTANT_RTOL`` times its largest magnitude, so float rounding noise
+    around one value (a spread of 4e-15 around 2.95, say) is not scaled up
+    to unit variance.
     """
 
     name = "ColumnwiseZScoreDataTransformation"
+    CONSTANT_RTOL = 1e-12
 
     def _fit(self, arr):
         if arr.ndim > 2:
             raise TransformError("columnwise z-score expects 1-D or 2-D data")
         self.mean_ = arr.mean(axis=0)
         std = arr.std(axis=0)
-        self.constant_columns_ = np.flatnonzero(std == 0.0).tolist()
-        self.std_ = np.where(std == 0.0, 1.0, std)
+        constant = std <= self.CONSTANT_RTOL * np.abs(arr).max(axis=0)
+        self.constant_columns_ = np.flatnonzero(constant).tolist()
+        self.std_ = np.where(constant, 1.0, std)
 
     def _transform(self, arr):
         return (arr - self.mean_) / self.std_

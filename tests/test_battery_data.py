@@ -1,19 +1,26 @@
 """Record types, validation rules, and cell-file and JSON round-trips."""
 
 import dataclasses
+import gc
 import hashlib
 import json
+import math
+import pickle
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellforge.battery_data import (
     CAPACITY_JITTER_TOL,
     CellRecord,
+    CycleData,
     CycleRecord,
     ProtocolStep,
+    Violation,
     cell_from_dict,
     cell_to_dict,
     load_cells,
@@ -23,7 +30,7 @@ from cellforge.battery_data import (
 )
 from cellforge.errors import SchemaError, ValidationError
 from cellforge.synthetic import SynthSpec, generate_synthetic
-from conftest import cell_strategy, linear_cycle, make_cell, random_valid_cell
+from conftest import cell_strategy, cycle_strategy, linear_cycle, make_cell, random_valid_cell
 
 
 def paths_of(violations):
@@ -513,3 +520,231 @@ class TestCellFile:
         path.write_bytes(data[:8] + b"\xff" + data[9:])
         with pytest.raises(SchemaError, match="header is not UTF-8 JSON"):
             read_cell(path)
+
+
+class TestColumns:
+    """Cells hold one column per signal; ``cycle_data`` builds views on demand."""
+
+    def test_read_cell_views_share_the_file_buffer(self, tmp_path):
+        cell = dataclasses.replace(make_cell("ZC"), cycle_data=(
+            linear_cycle(1, temperature=25.0), linear_cycle(2, temperature=26.0)))
+        back = read_cell(write_cell(cell, tmp_path))
+        first, second = back.cycle_data[0], back.cycle_data[1]
+        for name in TestArraySignals.SIGNALS:
+            column = back.cycle_data.columns[name]
+            assert np.shares_memory(getattr(first, name), column)
+            assert np.shares_memory(getattr(second, name), column)
+            assert isinstance(root_buffer(column), bytes)
+            assert not column.flags.writeable
+            assert not getattr(first, name).flags.writeable
+        assert root_buffer(back.cycle_data.columns["voltage_in_V"]) is root_buffer(
+            back.cycle_data.columns["time_in_s"])
+
+    def test_caller_arrays_are_copied_and_file_bytes_are_not(self):
+        values = np.arange(3.0)
+        from_bytes = np.frombuffer(values.tobytes())
+        columns = {name: values for name in TestArraySignals.SIGNALS}
+        columns["time_in_s"] = from_bytes
+        cycles = CycleData([1], columns, [0, 3])
+        assert not np.shares_memory(cycles.columns["voltage_in_V"], values)
+        assert np.shares_memory(cycles.columns["time_in_s"], from_bytes)
+        values[0] = 99.0
+        assert cycles[0].voltage_in_V[0] == 0.0
+        assert all(not col.flags.writeable for col in cycles.columns.values())
+
+    def test_len_validate_and_write_build_no_cycle_record(self, tmp_path, monkeypatch):
+        cell = make_cell("NOVIEW")
+
+        def no_views(self, i):
+            raise AssertionError("a CycleRecord was built")
+
+        monkeypatch.setattr(CycleData, "_cycle", no_views)
+        assert len(cell.cycle_data) == 3 and cell.cycle_data
+        assert validate(cell) == []
+        write_cell(cell, tmp_path)
+
+    def test_load_cells_memory_is_the_corpus_bytes(self, quickstart_corpus):
+        on_disk = sum(p.stat().st_size for p in quickstart_corpus.directory.iterdir())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cells = load_cells(quickstart_corpus.directory)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == 10
+        assert peak <= 1.05 * on_disk, f"peak {peak} bytes for {on_disk} bytes on disk"
+
+    def test_sequence_of_views(self):
+        cycles = (linear_cycle(1), linear_cycle(2, internal_resistance=0.02), linear_cycle(3))
+        cell = dataclasses.replace(make_cell(), cycle_data=cycles)
+        data = cell.cycle_data
+        assert isinstance(data, tuple) and len(data) == 3
+        assert list(data) == list(cycles) == [data[0], data[1], data[-1]]
+        assert data[1:] == cycles[1:] and data[::-2] == cycles[::-2]
+        assert data[0] is not data[0]  # built anew on each access
+        assert data.cycle_number.tolist() == [1, 2, 3]
+        assert data[1].internal_resistance_in_ohm == 0.02 and data[0].internal_resistance_in_ohm is None
+        assert cycles[2] in data and data.index(cycles[1]) == 1 and data.count(cycles[0]) == 1
+        assert data + (cycles[0],) == (*cycles, cycles[0]) == (*cycles,) + data[:1]
+        with pytest.raises(IndexError):
+            data[3]
+        with pytest.raises(IndexError):
+            data[-4]
+        assert CellRecord("EMPTY").cycle_data == () and len(CellRecord("EMPTY").cycle_data) == 0
+
+    def test_records_pickle_and_stay_read_only(self):
+        cell = make_cell("PK")
+        assert pickle.loads(pickle.dumps(cell)) == cell
+        with pytest.raises(AttributeError, match="read-only"):
+            cell.cycle_data.columns = {}
+
+    def test_cycle_data_rejects_other_items(self):
+        with pytest.raises(TypeError, match=r"cycle_data\[0\]: expected a CycleRecord"):
+            CellRecord("X", 1.0, cycle_data=[{"cycle_number": 1}])
+
+    @pytest.mark.parametrize("offsets", [[0, 2], [1, 3], [0, 4], [0]])
+    def test_offsets_must_cover_the_columns(self, offsets):
+        columns = {name: np.arange(3.0) for name in TestArraySignals.SIGNALS[:5]}
+        with pytest.raises(ValueError, match="offsets"):
+            CycleData([1], columns, offsets)
+
+
+def root_buffer(arr):
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+# -- validate against the per-cycle checks it replaced ------------------------
+
+_SEQ = TestArraySignals.SIGNALS[:5]
+
+
+def validate_per_cycle(cell):
+    """The oracle: the invariant checks one cycle after another, on views."""
+    out = []
+    if not isinstance(cell.cell_id, str) or not cell.cell_id:
+        out.append(Violation("cell_id", "must be a non-empty string"))
+    if not (cell.nominal_capacity_in_Ah > 0):
+        out.append(Violation("nominal_capacity_in_Ah", f"must be > 0, got {cell.nominal_capacity_in_Ah}"))
+    for name in ("depth_of_charge", "depth_of_discharge"):
+        v = getattr(cell, name)
+        if not (0.0 < v <= 1.0):
+            out.append(Violation(name, f"must be within (0, 1], got {v}"))
+    if cell.already_spent_cycles < 0:
+        out.append(Violation("already_spent_cycles", "must be >= 0"))
+    if (
+        cell.max_voltage_limit_in_V is not None
+        and cell.min_voltage_limit_in_V is not None
+        and not (cell.min_voltage_limit_in_V < cell.max_voltage_limit_in_V)
+    ):
+        out.append(Violation("min_voltage_limit_in_V", "voltage limits must satisfy min < max"))
+    if not cell.cycle_data:
+        out.append(Violation("cycle_data", "must contain at least one cycle"))
+    prev = 0
+    for i, cyc in enumerate(cell.cycle_data):
+        path = f"cycle_data[{i}]"
+        if cyc.cycle_number <= prev:
+            out.append(Violation(f"{path}.cycle_number", "cycle numbers must be strictly ascending"))
+        prev = cyc.cycle_number
+        _validate_one_cycle(cyc, path, out)
+    for key in ("charge_protocol", "discharge_protocol"):
+        for i, step in enumerate(getattr(cell, key)):
+            p = f"{key}[{i}]"
+            drives = (step.rate_in_C, step.current_in_A, step.voltage_in_V, step.power_in_W)
+            if all(v is None for v in drives):
+                out.append(Violation(p, "needs at least one of rate/current/voltage/power"))
+            for name in ("start_soc", "end_soc"):
+                v = getattr(step, name)
+                if v is not None and not (0.0 <= v <= 1.0):
+                    out.append(Violation(f"{p}.{name}", f"must be within [0, 1], got {v}"))
+    return out
+
+
+def _validate_one_cycle(cyc, path, out):
+    if cyc.cycle_number < 1:
+        out.append(Violation(f"{path}.cycle_number", "must be a positive integer"))
+    lengths = {name: len(getattr(cyc, name)) for name in _SEQ}
+    if len(set(lengths.values())) != 1:
+        out.append(Violation(path, f"mandatory sequences differ in length: {lengths}"))
+        return
+    n = lengths["time_in_s"]
+    if n < 2:
+        out.append(Violation(path, f"sequences must have >= 2 points, got {n}"))
+        return
+    if cyc.temperature_in_C is not None and len(cyc.temperature_in_C) != n:
+        out.append(Violation(f"{path}.temperature_in_C", f"length {len(cyc.temperature_in_C)} != {n}"))
+    ok = True
+    for name in TestArraySignals.SIGNALS:
+        values = getattr(cyc, name)
+        if values is not None and not np.isfinite(values).all():
+            out.append(Violation(f"{path}.{name}", "contains non-finite values"))
+            ok = False
+    if cyc.internal_resistance_in_ohm is not None and not math.isfinite(cyc.internal_resistance_in_ohm):
+        out.append(Violation(f"{path}.internal_resistance_in_ohm", "non-finite"))
+    if not ok:
+        return
+    if np.any(np.diff(cyc.time_in_s) <= 0):
+        out.append(Violation(f"{path}.time_in_s", "must be strictly increasing"))
+    for name in ("charge_capacity_in_Ah", "discharge_capacity_in_Ah"):
+        if np.any(np.diff(getattr(cyc, name)) < -CAPACITY_JITTER_TOL):
+            out.append(Violation(f"{path}.{name}", "must be non-decreasing (cumulative per cycle)"))
+
+
+CORRUPTIONS = ("non_finite", "resistance", "time", "capacity", "ragged", "temperature_length",
+               "short", "number")
+
+
+def corrupt(draw, cyc, kind):
+    n = len(cyc.time_in_s)
+    if kind == "non_finite":
+        name = draw(st.sampled_from(TestArraySignals.SIGNALS))
+        values = getattr(cyc, name)
+        if values is None or values.size == 0:
+            return cyc
+        values = values.copy()
+        values[draw(st.integers(0, values.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        return dataclasses.replace(cyc, **{name: values})
+    if kind == "resistance":
+        return dataclasses.replace(cyc, internal_resistance_in_ohm=draw(st.sampled_from([np.nan, np.inf, 0.01])))
+    if kind in ("time", "capacity"):
+        name = "time_in_s" if kind == "time" else draw(
+            st.sampled_from(["charge_capacity_in_Ah", "discharge_capacity_in_Ah"]))
+        values = getattr(cyc, name).copy()
+        if values.size < 2:
+            return cyc
+        k = draw(st.integers(1, values.size - 1))
+        values[k] = values[k - 1] - draw(st.sampled_from([0.0, 0.5e-9, 2e-9, 0.3]))
+        return dataclasses.replace(cyc, **{name: values})
+    if kind == "ragged":
+        name = draw(st.sampled_from(_SEQ))
+        m = draw(st.integers(0, n + 1).filter(lambda m: m != n))
+        return dataclasses.replace(cyc, **{name: np.concatenate([getattr(cyc, name), [1.0]])[:m]})
+    if kind == "temperature_length":
+        m = draw(st.integers(0, n + 2))
+        return dataclasses.replace(cyc, temperature_in_C=np.full(m, 25.0))
+    if kind == "short":
+        m = draw(st.integers(0, 1))
+        cut = {name: getattr(cyc, name)[:m] for name in _SEQ}
+        if cyc.temperature_in_C is not None:
+            cut["temperature_in_C"] = cyc.temperature_in_C[:m]
+        return dataclasses.replace(cyc, **cut)
+    return dataclasses.replace(cyc, cycle_number=draw(st.integers(-1, 6)))
+
+
+@st.composite
+def corrupted_cells(draw):
+    cycles = []
+    for number in range(1, draw(st.integers(0, 5)) + 1):
+        cyc = draw(cycle_strategy(number=number))
+        for kind in draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=3)):
+            cyc = corrupt(draw, cyc, kind)
+        cycles.append(cyc)
+    return dataclasses.replace(make_cell("BAD"), cycle_data=tuple(cycles))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell=corrupted_cells())
+def test_validate_matches_the_per_cycle_checks(cell):
+    assert validate(cell) == validate_per_cycle(cell)

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellforge.battery_data import CellRecord, CycleRecord
 from cellforge.errors import ThresholdNotReached
@@ -98,6 +100,30 @@ class TestMovingMedian:
     def test_removes_isolated_spike(self):
         x = np.array([90.0, 90.0, 10.0, 90.0, 90.0])
         assert moving_median(x, 3)[2] == 90.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, 1.0, 80.0]), max_size=40),
+        window=st.sampled_from([1, 3, 5, 7, 9]),
+    )
+    def test_equals_the_per_position_loop(self, values, window):
+        x = np.array(values, dtype=float)
+        np.testing.assert_array_equal(moving_median(x, window), moving_median_loop(x, window))
+
+    def test_equals_the_per_position_loop_on_long_series(self):
+        x = np.random.default_rng(5).normal(90.0, 5.0, 1000)
+        for window in (3, 9, 31):
+            np.testing.assert_array_equal(moving_median(x, window), moving_median_loop(x, window))
+
+
+def moving_median_loop(values, window):
+    """The oracle: one median per position over the window clipped to the series."""
+    half = window // 2
+    out = np.empty_like(values)
+    n = len(values)
+    for i in range(n):
+        out[i] = np.median(values[max(0, i - half) : min(n, i + half + 1)])
+    return out
 
 
 class TestRUL:

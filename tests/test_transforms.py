@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from cellforge.errors import CheckpointError
+from cellforge.features import SOHCycleFeatureExtractor
+from cellforge.splitters import RandomTrainTestSplitter
 from cellforge.transforms import (
     ColumnwiseZScoreDataTransformation,
     LogScaleDataTransformation,
@@ -137,6 +139,28 @@ class TestErrors:
         back = _Fitted.from_dict(json.loads(json.dumps(t.to_dict())))
         assert back.constant_columns_ == [1]
         np.testing.assert_array_equal(back.transform(x + 1.0), t.transform(x + 1.0))
+
+    def test_columnwise_treats_rounding_noise_as_constant(self, quickstart_corpus):
+        # the training rows of configs/synthetic_soh_mlp.yaml on the quickstart corpus
+        cells = sorted(quickstart_corpus.generated, key=lambda c: c.cell_id)
+        split = RandomTrainTestSplitter(test_fraction=0.2, seed=0).split([c.cell_id for c in cells])
+        train = [c for c in cells if c.cell_id in split.train_cell_ids]
+        x = SOHCycleFeatureExtractor(max_cycle_index=99).extract(train).values
+        std = x.std(axis=0)
+        # first-cycle voltage mean and max: float noise around 2.95 and 3.6 V
+        assert 0.0 < std[1] < 1e-14 and 0.0 < std[3] < 1e-13
+        assert std[2] == 0.0
+        t = ColumnwiseZScoreDataTransformation().fit(x)
+        assert t.constant_columns_ == [1, 2, 3]
+        np.testing.assert_array_equal(t.std_[[1, 2, 3]], 1.0)
+        assert np.abs(t.transform(x)[:, [1, 2, 3]]).max() < 1e-12
+
+    def test_columnwise_scales_a_small_real_spread(self):
+        # coulombic efficiency in the same features: a spread near 1e-7 around 1.0
+        x = np.column_stack([1.0 + 1e-7 * np.arange(6.0), np.arange(6.0)])
+        t = ColumnwiseZScoreDataTransformation().fit(x)
+        assert t.constant_columns_ == []
+        np.testing.assert_allclose(t.transform(x)[:, 0].std(), 1.0)
 
     def test_minmax_rejects_constant_data(self):
         with pytest.raises(ValueError, match="max equals min"):
