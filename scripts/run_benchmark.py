@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Run the bundled model zoo on one corpus and print an RMSE table.
 
-By default a synthetic corpus is generated on the fly; point --cells at a
-directory of cell records (e.g. a preprocessed public dataset) to benchmark
-on real data instead. Each model trains over the same split and seeds; the
-table reports mean +/- sd of test RMSE across seeds.
+By default a synthetic corpus is generated on the fly and split at random;
+point --cells at a directory of cell records (e.g. a preprocessed public
+dataset) and --split-file at a JSON file {train, test, metadata} over its
+cell IDs to benchmark on real data instead. Each model trains over the same
+split and seeds; the table reports mean +/- sd of test RMSE across seeds.
 
 Usage:
     python scripts/run_benchmark.py
-    python scripts/run_benchmark.py --cells data/processed/MATR --splitter MATRPrimaryTestTrainTestSplitter
+    python scripts/run_benchmark.py --cells data/processed/MATR --split-file data/splits/matr1.json
     python scripts/run_benchmark.py --sweep-pls  # PLS component sweep instead
 """
 
@@ -36,11 +37,11 @@ MODELS = [
 ]
 
 
-def base_config(splitter: str, seeds: list[int]) -> dict:
+def base_config(split_file: str | None, seeds: list[int]) -> dict:
     return {
-        "train_test_split": {"name": splitter, "test_fraction": 0.2, "seed": 0}
-        if splitter == "RandomTrainTestSplitter"
-        else {"name": splitter},
+        "train_test_split": {"name": "RandomTrainTestSplitter", "test_fraction": 0.2, "seed": 0}
+        if split_file is None
+        else {"name": "FixedSplitTrainTestSplitter", "path": split_file},
         "feature": {
             "name": "VarianceModelFeatureExtractor",
             "interp_dims": 1000,
@@ -63,7 +64,8 @@ def base_config(splitter: str, seeds: list[int]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cells", default=None, help="cell directory; default synthetic")
-    parser.add_argument("--splitter", default="RandomTrainTestSplitter")
+    parser.add_argument("--split-file", default=None,
+                        help="JSON split file over the cells' IDs; default a random split")
     parser.add_argument("--n-cells", type=int, default=100)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument("--workspace", default="workspace/benchmark")
@@ -82,7 +84,7 @@ def main() -> int:
         cells = generate_synthetic(spec)
         print(f"generated {len(cells)} synthetic cells")
 
-    config = base_config(args.splitter, args.seeds)
+    config = base_config(args.split_file, args.seeds)
     if args.sweep_pls:
         # single-feature extractor caps PLS at one component; sweep over the
         # six-feature discharge extractor instead

@@ -46,13 +46,14 @@ signal's per-cycle lengths and values match. Records are unhashable.
 
 from __future__ import annotations
 
+import copyreg
 import json
 import math
 import operator
 import os
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,10 @@ class CycleRecord:
 
     __hash__ = None
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, whose copies are read-only
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
 
 class CycleData(tuple):
     """The cycles of one cell, held as columns; a cell's ``cycle_data``.
@@ -291,6 +296,15 @@ class CycleData(tuple):
 
     def __setattr__(self, name, value):
         raise AttributeError(f"CycleData is read-only: cannot set {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, whose copies are read-only
+        return copyreg.__newobj_ex__, (type(self), (self.cycle_number, self.columns, self.offsets), {
+            "has_temperature": self.has_temperature,
+            "internal_resistance_in_ohm": self.internal_resistance_in_ohm,
+            "has_internal_resistance": self.has_internal_resistance,
+            "extra": [self.extra.get(i, {}) for i in range(len(self))],
+        })
 
     @classmethod
     def from_cycles(cls, cycles) -> CycleData:

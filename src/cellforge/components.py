@@ -13,16 +13,6 @@ from .registry import FEATURES, LABELS, MODELS, SPLITTERS, TRANSFORMS
 SPLITTERS.register("RandomTrainTestSplitter", splitters.RandomTrainTestSplitter)
 SPLITTERS.register("ExplicitTrainTestSplitter", splitters.ExplicitTrainTestSplitter)
 SPLITTERS.register("FixedSplitTrainTestSplitter", splitters.FixedSplitTrainTestSplitter)
-SPLITTERS.register("MATRPrimaryTestTrainTestSplitter",
-                   splitters.MATRPrimaryTestTrainTestSplitter)
-SPLITTERS.register("MATRSecondaryTestTrainTestSplitter",
-                   splitters.MATRSecondaryTestTrainTestSplitter)
-SPLITTERS.register("MATRCLOTrainTestSplitter", splitters.MATRCLOTrainTestSplitter)
-SPLITTERS.register("HUSTTrainTestSplitter", splitters.HUSTTrainTestSplitter)
-SPLITTERS.register("SNLTrainTestSplitter", splitters.SNLTrainTestSplitter)
-SPLITTERS.register("CRUHTrainTestSplitter", splitters.CRUHTrainTestSplitter)
-SPLITTERS.register("CRUSHTrainTestSplitter", splitters.CRUSHTrainTestSplitter)
-SPLITTERS.register("MIXTrainTestSplitter", splitters.MIXTrainTestSplitter)
 
 # Feature extractors
 FEATURES.register("VarianceModelFeatureExtractor",

@@ -12,9 +12,6 @@ Conventions used throughout this module:
   features take log10 with a 1e-12 floor, the multi-feature extractors take
   raw log10 and rely on sanitization.
 * Extractor output is sanitized: NaN and +/-Inf entries become 0.0.
-* ``use_precalculated_qdlin`` is accepted and ignored by the qdlinear-based
-  extractors: published configs carry the key, and every curve is computed
-  from the cycle itself.
 
 Extractors registered for pipeline use share one shape of contract:
 ``process_cell(cell) -> (values (k, d), row_keys)`` and
@@ -279,7 +276,6 @@ class VarianceModelFeatureExtractor(BaseFeatureExtractor):
         self,
         interp_dims: int = 1000,
         critical_cycles=(2, 9, 99),
-        use_precalculated_qdlin: bool = False,
         v_min=None,
         v_max=None,
         observed_cycles: int | None = None,
@@ -413,7 +409,6 @@ class VoltageCapacityMatrixFeatureExtractor(BaseFeatureExtractor):
         diff_base: int = 9,
         max_cycle_index: int = 99,
         cycles_to_keep: int = 100,
-        use_precalculated_qdlin: bool = False,
         v_min=None,
         v_max=None,
         observed_cycles: int | None = None,

@@ -4,7 +4,8 @@ A run is described by a YAML file with six component sections plus optional
 ``seeds`` and ``workspace``::
 
     train_test_split:
-        name: 'MATRPrimaryTestTrainTestSplitter'
+        name: 'FixedSplitTrainTestSplitter'
+        path: 'data/splits/matr1.json'
         cell_data_path: 'data/processed/MATR'
     feature:
         name: 'VarianceModelFeatureExtractor'

@@ -1,15 +1,15 @@
 """Train/test partitioning of battery cells.
 
 Splitters operate on cell identifiers. Random splits are deterministic
-given a seed; fixed splits ship as JSON data files of ID lists so that
-published dataset compositions are reproducible byte for byte.
+given a seed; a fixed split is a JSON file of ID lists that the user writes
+over a preprocessed corpus, so a dataset composition is reproducible byte
+for byte.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
@@ -23,8 +23,6 @@ __all__ = [
     "RandomTrainTestSplitter",
     "ExplicitTrainTestSplitter",
     "FixedSplitTrainTestSplitter",
-    "packaged_split_path",
-    "PACKAGED_SPLITS",
 ]
 
 
@@ -146,58 +144,3 @@ class FixedSplitTrainTestSplitter(ExplicitTrainTestSplitter):
         result = SplitResult.from_dict(payload)
         super().__init__(result.train_cell_ids, result.test_cell_ids, result.metadata)
 
-
-# Packaged dataset compositions.  Keys are short dataset names; values are
-# the data files under cellforge/data/splits.
-PACKAGED_SPLITS = {
-    "MATR1": "matr1.json",
-    "MATR2": "matr2.json",
-    "CLO": "clo.json",
-    "HUST": "hust.json",
-    "SNL": "snl.json",
-    "CRUH": "cruh.json",
-    "CRUSH": "crush.json",
-    "MIX": "mix.json",
-}
-
-
-def packaged_split_path(dataset: str) -> Path:
-    """Filesystem path of a packaged split file, e.g. packaged_split_path('MATR1')."""
-    key = dataset.upper()
-    if key not in PACKAGED_SPLITS:
-        raise SplitError(
-            f"unknown packaged split {dataset!r}; available: {', '.join(sorted(PACKAGED_SPLITS))}"
-        )
-    return Path(resources.files("cellforge") / "data" / "splits" / PACKAGED_SPLITS[key])
-
-
-def _packaged_splitter(dataset: str):
-    class _Fixed(FixedSplitTrainTestSplitter):
-        def __init__(self):
-            super().__init__(packaged_split_path(dataset))
-
-    _Fixed.__name__ = f"{dataset}TrainTestSplitter"
-    _Fixed.__qualname__ = _Fixed.__name__
-    _Fixed.__doc__ = f"Packaged {dataset} dataset composition."
-    return _Fixed
-
-
-MATRPrimaryTestTrainTestSplitter = _packaged_splitter("MATR1")
-MATRSecondaryTestTrainTestSplitter = _packaged_splitter("MATR2")
-MATRCLOTrainTestSplitter = _packaged_splitter("CLO")
-HUSTTrainTestSplitter = _packaged_splitter("HUST")
-SNLTrainTestSplitter = _packaged_splitter("SNL")
-CRUHTrainTestSplitter = _packaged_splitter("CRUH")
-CRUSHTrainTestSplitter = _packaged_splitter("CRUSH")
-MIXTrainTestSplitter = _packaged_splitter("MIX")
-
-__all__ += [
-    "MATRPrimaryTestTrainTestSplitter",
-    "MATRSecondaryTestTrainTestSplitter",
-    "MATRCLOTrainTestSplitter",
-    "HUSTTrainTestSplitter",
-    "SNLTrainTestSplitter",
-    "CRUHTrainTestSplitter",
-    "CRUSHTrainTestSplitter",
-    "MIXTrainTestSplitter",
-]

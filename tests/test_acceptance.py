@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from cellforge.battery_data import cell_to_dict, read_cell, write_cell
 from cellforge.errors import CellforgeError
@@ -370,17 +371,22 @@ def test_criterion_7_ten_seed_protocol(tmp_path):
 
 
 def test_criterion_8_real_data_benchmark(tmp_path):
-    corpus = Path(os.environ.get(
-        "CELLFORGE_MATR_DIR",
-        Path(__file__).resolve().parents[1] / "data" / "processed" / "MATR",
-    ))
-    if not corpus.is_dir() or not any(corpus.glob("*.json")):
+    root = Path(__file__).resolve().parents[1]
+    corpus = Path(os.environ.get("CELLFORGE_MATR_DIR", root / "data" / "processed" / "MATR"))
+    if not corpus.is_dir() or not (any(corpus.glob("*.cfc")) or any(corpus.glob("*.json"))):
         pytest.skip(f"real corpus not available at {corpus}")
+    # the split file the shipped MATR configs name, against the repository root
+    shipped = yaml.safe_load((root / "configs" / "matr1_variance.yaml").read_text())
+    split_file = root / shipped["train_test_split"]["path"]
+    if not split_file.is_file():
+        pytest.fail(f"a MATR corpus is at {corpus} but its split file {split_file} is missing; "
+                    "write {train, test, metadata} over the corpus's cell IDs there")
 
     def config(model_name):
         cfg = e2e_config(model_name)
         cfg["train_test_split"] = {
-            "name": "MATRPrimaryTestTrainTestSplitter",
+            "name": "FixedSplitTrainTestSplitter",
+            "path": str(split_file),
             "cell_data_path": str(corpus),
         }
         return cfg

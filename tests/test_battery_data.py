@@ -1,5 +1,6 @@
 """Record types, validation rules, and cell-file and JSON round-trips."""
 
+import copy
 import dataclasses
 import gc
 import hashlib
@@ -598,6 +599,45 @@ class TestColumns:
         assert pickle.loads(pickle.dumps(cell)) == cell
         with pytest.raises(AttributeError, match="read-only"):
             cell.cycle_data.columns = {}
+
+    ROUND_TRIPS = {
+        "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+        "deepcopy": copy.deepcopy,
+        "copy": copy.copy,
+    }
+
+    @pytest.mark.parametrize("trip", ROUND_TRIPS)
+    @pytest.mark.parametrize("source", ["generated", "read", "mixed"])
+    def test_round_tripped_cells_stay_read_only(self, tmp_path, source, trip):
+        if source == "mixed":  # temperature and resistance on some cycles, one cycle's extra
+            cell = dataclasses.replace(make_cell("MIX"), cycle_data=(
+                linear_cycle(1, temperature=25.0), linear_cycle(2, internal_resistance=0.02),
+                dataclasses.replace(linear_cycle(3), extra={"note": "x"})))
+        else:
+            spec = SynthSpec(n_cells=1, cycle_life_mean=60.0, cycle_life_std=5.0,
+                             points_per_cycle=16, seed=3)
+            cell = generate_synthetic(spec)[0]
+            if source == "read":
+                cell = read_cell(write_cell(cell, tmp_path))
+        back = self.ROUND_TRIPS[trip](cell)
+        assert back == cell
+        data = back.cycle_data
+        arrays = [*data.columns.values(), *data.offsets.values(), data.cycle_number,
+                  data.has_temperature, data.internal_resistance_in_ohm,
+                  data.has_internal_resistance]
+        arrays += [getattr(cyc, name) for cyc in data for name in TestArraySignals.SIGNALS
+                   if getattr(cyc, name) is not None]
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            data.columns["voltage_in_V"][0] = 99.0
+
+    @pytest.mark.parametrize("trip", ROUND_TRIPS)
+    def test_round_tripped_cycle_record_stays_read_only(self, trip):
+        cyc = dataclasses.replace(linear_cycle(2, temperature=25.0, internal_resistance=0.02),
+                                  extra={"note": "x"})
+        back = self.ROUND_TRIPS[trip](cyc)
+        assert type(back) is CycleRecord and back == cyc
+        assert not any(getattr(back, name).flags.writeable for name in TestArraySignals.SIGNALS)
 
     def test_cycle_data_rejects_other_items(self):
         with pytest.raises(TypeError, match=r"cycle_data\[0\]: expected a CycleRecord"):

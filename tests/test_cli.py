@@ -12,6 +12,7 @@ from cellforge.battery_data import load_cells, validate
 from cellforge.cli import main
 from cellforge.errors import CheckpointError, ConfigError
 from cellforge.models.io import read_model_file, write_model_file
+from cellforge.pipeline import PipelineConfig, run_evaluate
 from cellforge.plots import (
     Series,
     make_plot,
@@ -224,6 +225,38 @@ class TestTrainEvaluate:
         assert main(["train", "--config", str(config_path),
                      "--workspace", str(tmp_path / "ws")]) == 1
         assert_one_line_error(capsys, "alpha must be >= 0")
+
+    def test_retired_packaged_splitter_is_one_line_error(self, corpus_dir, tmp_path, capsys):
+        config_path = tmp_path / "experiment.yaml"
+        config_path.write_text(yaml.safe_dump({**TRAIN_CONFIG, "train_test_split": {
+            "name": "MATRPrimaryTestTrainTestSplitter", "cell_data_path": str(corpus_dir)}}))
+        assert main(["train", "--config", str(config_path),
+                     "--workspace", str(tmp_path / "ws")]) == 1
+        assert_one_line_error(capsys, "unknown splitter 'MATRPrimaryTestTrainTestSplitter'; "
+                              "registered: ExplicitTrainTestSplitter, FixedSplitTrainTestSplitter, "
+                              "RandomTrainTestSplitter")
+
+    def test_retired_qdlin_option_is_one_line_error(self, corpus_dir, tmp_path, capsys):
+        config_path = write_train_config(tmp_path, corpus_dir, feature={
+            **TRAIN_CONFIG["feature"], "use_precalculated_qdlin": True})
+        assert main(["train", "--config", str(config_path),
+                     "--workspace", str(tmp_path / "ws")]) == 1
+        assert_one_line_error(capsys, "unexpected keyword argument 'use_precalculated_qdlin'")
+
+    def test_checkpoint_with_the_retired_option_evaluates(self, checkpoint_dir, tmp_path):
+        # a checkpoint trained while the option was accepted (and ignored): its
+        # stored config carries the key and its report the hash of that config
+        ckpt = tmp_path / checkpoint_dir.name
+        shutil.copytree(checkpoint_dir, ckpt)
+        cfg = yaml.safe_load((ckpt / "config.yaml").read_text())
+        cfg["feature"]["use_precalculated_qdlin"] = True
+        (ckpt / "config.yaml").write_text(yaml.safe_dump(cfg))
+        report = json.loads((ckpt / "report.json").read_text())
+        report["config_hash"] = PipelineConfig.from_yaml(ckpt / "config.yaml").config_hash()
+        (ckpt / "report.json").write_text(json.dumps(report))
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == report == run_evaluate(ckpt)
 
     def test_failing_model_fit_is_one_line_error(self, corpus_dir, tmp_path, capsys):
         # the variance feature is one column, too few for three components

@@ -1,15 +1,18 @@
 """End-to-end and unit tests for the config-driven experiment runner."""
 
+import csv
 import hashlib
 import json
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
 
-from cellforge.battery_data import write_cell
+from cellforge.battery_data import load_cells, write_cell
+from cellforge.cli import main as cli_main
 from cellforge.errors import (
     CheckpointError,
     ConfigError,
@@ -19,6 +22,7 @@ from cellforge.errors import (
     TransformError,
 )
 from cellforge.features import FeatureMatrix
+from cellforge.ingestion import packaged_column_map_path
 from cellforge.labels import LabelSpec, LabelVector, rul_label
 from cellforge.models import BaseRegressor, LinearRegressor
 from cellforge.pipeline import (
@@ -832,12 +836,80 @@ class TestRunEvaluate:
             assert row["y_true"] == rul_oracle(by_id[row["cell_id"]], percent=85.0)
 
 
+# Every file in configs/ trains in one of the two tests below.
+SYNTHETIC_CONFIGS = ["synthetic_soh_mlp", "synthetic_variance_linear", "synthetic_qdmatrix_forest"]
+MATR_CONFIGS = ["matr1_variance", "matr1_discharge_ridge"]
+
+
 class TestShippedConfigs:
-    @pytest.mark.parametrize(
-        "name", ["synthetic_soh_mlp", "synthetic_variance_linear", "synthetic_qdmatrix_forest"]
-    )
+    @pytest.mark.parametrize("name", SYNTHETIC_CONFIGS)
     def test_trains_on_quickstart_corpus(self, quickstart_corpus, tmp_path, name):
         cfg = yaml.safe_load((CONFIG_DIR / f"{name}.yaml").read_text())
         ckpt = run_train(cfg, workspace=tmp_path, cells=quickstart_corpus.loaded)
+        assert np.isfinite(ckpt.report["mean_rmse"])
+        assert run_evaluate(ckpt.directory) == ckpt.report
+
+    def test_every_shipped_config_trains_in_tier_one(self):
+        shipped = {path.stem for path in CONFIG_DIR.glob("*.yaml")}
+        assert sorted(shipped - set(SYNTHETIC_CONFIGS) - set(MATR_CONFIGS)) == []
+
+
+@pytest.fixture(scope="module")
+def matr_corpus(tmp_path_factory):
+    """Synthetic cells written as MATR CSV exports, one per cell, and
+    converted by ``cellforge preprocess MATR``; the defaults of
+    ``SynthSpec`` are MATR's 1.1 Ah and 2.0-3.6 V."""
+    spec = SynthSpec(n_cells=6, cycle_life_mean=150.0, cycle_life_std=20.0,
+                     points_per_cycle=16, seed=3)
+    generated = generate_synthetic(spec)
+    root = tmp_path_factory.mktemp("matr")
+    raw = root / "raw"
+    raw.mkdir()
+    headers = json.loads(packaged_column_map_path("MATR").read_text())
+    signals = {
+        "time_s": "time_in_s",
+        "voltage_V": "voltage_in_V",
+        "current_A": "current_in_A",
+        "charge_capacity_Ah": "charge_capacity_in_Ah",
+        "discharge_capacity_Ah": "discharge_capacity_in_Ah",
+    }
+    for k, cell in enumerate(generated):
+        with open(raw / f"b1c{k}.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([headers["cycle_index"], *(headers[s] for s in signals)])
+            for cyc in cell.cycle_data:
+                columns = [getattr(cyc, name) for name in signals.values()]
+                for row in zip(*columns):
+                    writer.writerow([cyc.cycle_number, *map(repr, map(float, row))])
+    assert cli_main(["--quiet", "preprocess", "MATR", str(raw), str(root / "out")]) == 0
+    split = {"train": [f"MATR_b1c{k}" for k in range(4)],
+             "test": [f"MATR_b1c{k}" for k in range(4, 6)], "metadata": {}}
+    (root / "split.json").write_text(json.dumps(split))
+    return SimpleNamespace(generated=generated, directory=root / "out", split=root / "split.json")
+
+
+class TestShippedMATRConfigs:
+    """The real-data path: CSV exports, ``preprocess``, a split file the
+    user writes, ``FixedSplitTrainTestSplitter``."""
+
+    def test_preprocessed_signals_equal_the_generated(self, matr_corpus):
+        cells = load_cells(matr_corpus.directory)
+        assert [c.cell_id for c in cells] == [f"MATR_b1c{k}" for k in range(6)]
+        for cell, source in zip(cells, matr_corpus.generated):
+            assert cell.nominal_capacity_in_Ah == source.nominal_capacity_in_Ah
+            assert np.array_equal(cell.cycle_data.cycle_number, source.cycle_data.cycle_number)
+            for name in ("voltage_in_V", "current_in_A", "charge_capacity_in_Ah",
+                         "discharge_capacity_in_Ah", "time_in_s"):
+                assert np.array_equal(cell.cycle_data.offsets[name], source.cycle_data.offsets[name])
+                assert np.array_equal(cell.cycle_data.columns[name], source.cycle_data.columns[name])
+
+    @pytest.mark.parametrize("name", MATR_CONFIGS)
+    def test_trains_and_evaluates_on_the_preprocessed_corpus(self, matr_corpus, tmp_path, name):
+        cfg = yaml.safe_load((CONFIG_DIR / f"{name}.yaml").read_text())
+        assert cfg["train_test_split"]["name"] == "FixedSplitTrainTestSplitter"
+        cfg["train_test_split"].update(path=str(matr_corpus.split),
+                                       cell_data_path=str(matr_corpus.directory))
+        cfg["seeds"] = [0, 1]
+        ckpt = run_train(cfg, workspace=tmp_path)
         assert np.isfinite(ckpt.report["mean_rmse"])
         assert run_evaluate(ckpt.directory) == ckpt.report

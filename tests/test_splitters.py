@@ -1,4 +1,4 @@
-"""Train/test splitters: determinism, partition laws, packaged compositions."""
+"""Train/test splitters: determinism, partition laws, split files."""
 
 import json
 
@@ -8,15 +8,10 @@ from hypothesis import strategies as st
 
 from cellforge.errors import SplitError
 from cellforge.splitters import (
-    PACKAGED_SPLITS,
-    CRUSHTrainTestSplitter,
     ExplicitTrainTestSplitter,
     FixedSplitTrainTestSplitter,
-    MATRPrimaryTestTrainTestSplitter,
-    MATRSecondaryTestTrainTestSplitter,
     RandomTrainTestSplitter,
     SplitResult,
-    packaged_split_path,
 )
 
 IDS10 = [f"C_{i:02d}" for i in range(10)]
@@ -143,45 +138,3 @@ class TestFixedSplitter:
         with pytest.raises(SplitError, match="not valid JSON"):
             FixedSplitTrainTestSplitter(p)
 
-
-class TestPackagedSplits:
-    def test_every_packaged_file_loads_as_valid_partition(self):
-        for name in PACKAGED_SPLITS:
-            payload = json.loads(packaged_split_path(name).read_text())
-            r = SplitResult.from_dict(payload)
-            assert not set(r.train_cell_ids) & set(r.test_cell_ids)
-
-    def test_unknown_dataset(self):
-        with pytest.raises(SplitError, match="available"):
-            packaged_split_path("NOPE")
-
-    def test_case_insensitive_lookup(self):
-        assert packaged_split_path("matr1") == packaged_split_path("MATR1")
-
-    def test_matr_splits_share_training_block(self):
-        m1 = json.loads(packaged_split_path("MATR1").read_text())
-        m2 = json.loads(packaged_split_path("MATR2").read_text())
-        assert m1["train"] == m2["train"]
-        assert not set(m1["test"]) & set(m2["test"])
-
-    def test_crush_metadata_overrides(self):
-        payload = json.loads(packaged_split_path("CRUSH").read_text())
-        assert payload["metadata"]["eol_soh"] == 90
-        assert payload["metadata"]["observed_cycles"] == 20
-
-    def test_named_splitter_resolves_against_matching_corpus(self):
-        payload = json.loads(packaged_split_path("MATR1").read_text())
-        corpus = payload["train"] + payload["test"] + ["EXTRA_CELL"]
-        r = MATRPrimaryTestTrainTestSplitter().split(corpus)
-        assert list(r.train_cell_ids) == payload["train"]
-        assert list(r.test_cell_ids) == payload["test"]
-
-    def test_named_splitter_rejects_wrong_corpus(self):
-        with pytest.raises(SplitError, match="absent from corpus"):
-            MATRSecondaryTestTrainTestSplitter().split(["X_1", "X_2"])
-
-    def test_crush_splitter_carries_metadata(self):
-        payload = json.loads(packaged_split_path("CRUSH").read_text())
-        corpus = payload["train"] + payload["test"]
-        r = CRUSHTrainTestSplitter().split(corpus)
-        assert r.metadata.get("eol_soh") == 90
