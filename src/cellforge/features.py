@@ -294,10 +294,8 @@ class VarianceModelFeatureExtractor(BaseFeatureExtractor):
     def _delta(self, cell):
         _, early, late = self.critical_cycles
         self._require_cycles(cell, late + 1)
-        lo, hi = voltage_bounds(cell, self.v_min, self.v_max)
-        q_late = qdlinear(cell.cycle_data[late], lo, hi, self.interp_dims)
-        q_early = qdlinear(cell.cycle_data[early], lo, hi, self.interp_dims)
-        return q_late - q_early
+        return delta_q(cell, late, early, interp_dims=self.interp_dims,
+                       v_min=self.v_min, v_max=self.v_max)
 
     def process_cell(self, cell):
         dq = self._delta(cell)

@@ -25,8 +25,9 @@ A run is described by a YAML file with six component sections plus optional
 Training executes split -> labels -> features -> transforms (fit on train
 rows only) -> one model per seed (one model for all seeds when the model
 takes no ``seed``), then persists everything under
-``<workspace>/<config stem>_<hash8>/``. Metrics are computed on labels in
-original units (predictions are inverse-transformed before scoring).
+``<workspace>/<config stem>_<hash8>/``; its ``report.json`` is the one home of
+the test labels and exclusions. Metrics are computed on labels in original
+units (predictions are inverse-transformed before scoring).
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ __all__ = [
     "Checkpoint",
     "run_train",
     "run_evaluate",
+    "read_report",
     "rmse",
     "mae",
 ]
@@ -330,13 +332,12 @@ def _label_and_featurize(config: PipelineConfig, split: SplitResult,
     features_train = extractor.extract(train_kept)
     features_test = extractor.extract(test_kept)
 
-    X_train, y_train, keys_train = _align(features_train, labels_train)
+    X_train, y_train, _ = _align(features_train, labels_train)
     X_test, y_test, keys_test = _align(features_test, labels_test)
     return {
         "features_test": FeatureMatrix(X_test, keys_test, features_test.col_names),
         "X_train": X_train,
         "y_train": y_train,
-        "keys_train": keys_train,
         "y_test": y_test,
         "excluded": excluded,
     }
@@ -455,14 +456,6 @@ def _write_checkpoint(ckpt_dir, config, split, data, ft, lt, models, report):
             tmp / "transforms.json",
             {"feature_transformation": ft.to_dict(), "label_transformation": lt.to_dict()},
         )
-        _write_json(
-            tmp / "labels.json",
-            {
-                "train": _label_payload(data["keys_train"], data["y_train"]),
-                "test": _label_payload(data["features_test"].row_keys, data["y_test"]),
-                "excluded": data["excluded"],
-            },
-        )
         data["features_test"].save(tmp / "features_test")
         for seed, model in models.items():
             model.save(tmp / f"model_seed{seed}.bin")
@@ -471,10 +464,6 @@ def _write_checkpoint(ckpt_dir, config, split, data, ft, lt, models, report):
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-
-
-def _label_payload(keys, values):
-    return {"row_keys": [list(k) for k in keys], "values": [float(v) for v in values]}
 
 
 def _write_json(path, payload):
@@ -488,29 +477,56 @@ def _read_json(path):
             return json.load(fh)
     except FileNotFoundError:
         raise CheckpointError(f"checkpoint file missing: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def read_report(checkpoint) -> dict:
+    """A checkpoint's ``report.json``, checked for the fields evaluation and plotting read."""
+    path = Path(checkpoint) / "report.json"
+    report = _read_json(path)
+    rows = report.get("predictions") if isinstance(report, dict) else None
+    if not (isinstance(rows, list) and isinstance(report.get("excluded"), list) and all(
+            isinstance(r, dict) and isinstance(r.get("cell_id"), str)
+            and all(type(r.get(k)) in (int, float) for k in ("y_true", "y_pred")) for r in rows)):
+        raise CheckpointError(f"{path}: expected an 'excluded' list and 'predictions' rows with "
+                              "a string 'cell_id' and numeric 'y_true' and 'y_pred'")
+    return report
+
+
+def _read_transforms(path):
+    """The fitted feature and label transformations stored in ``path``."""
+    payload = _read_json(path)
+    keys = ("feature_transformation", "label_transformation")
+    if not (isinstance(payload, dict) and all(k in payload for k in keys)):
+        raise CheckpointError(f"{path}: expected an object with {list(keys)}")
+    try:
+        return tuple(_Fitted.from_dict(payload[k]) for k in keys)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
 
 
 def run_evaluate(checkpoint, overrides: dict | None = None,
                  cells: list[CellRecord] | None = None) -> dict:
     """Recompute the evaluation report of a stored checkpoint.
 
-    Without overrides the stored split, features, labels, transforms, and
-    models are reused, so the result is bit-identical to the report written
-    at train time. ``overrides`` replaces whole ``train_test_split``,
-    ``feature`` or ``label`` sections and forces those stages to rerun
-    against a corpus (``cells`` or the split's ``cell_data_path``); the
-    report then flags which sections were overridden. The stored transforms
-    and models always score, so overriding their sections is an error. A
-    corpus passed without overrides is checked for the stored test cells
-    (missing ones are an error) but stored features are still used.
+    Without overrides the stored test features, transforms and models
+    recompute the predictions and metrics against the test labels and
+    exclusions of the stored report, so the result is bit-identical to the
+    report written at train time. ``overrides`` replaces whole
+    ``train_test_split``, ``feature`` or ``label`` sections and forces those
+    stages to rerun against a corpus (``cells`` or the split's
+    ``cell_data_path``); the report then flags which sections were
+    overridden. The stored transforms and models always score, so
+    overriding their sections is an error. A corpus passed without overrides
+    is checked for the stored test cells (missing ones are an error) but
+    stored features are still used.
     """
     ckpt_dir = Path(checkpoint)
     if not ckpt_dir.is_dir():
         raise CheckpointError(f"checkpoint directory not found: {ckpt_dir}")
 
-    stored_report = _read_json(ckpt_dir / "report.json")
+    stored_report = read_report(ckpt_dir)
     try:
         stored_config = PipelineConfig.from_yaml(ckpt_dir / "config.yaml")
     except ConfigError as exc:
@@ -536,9 +552,7 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
     merged.pop("workspace", None)
     config = PipelineConfig.from_dict(merged)
 
-    transforms_payload = _read_json(ckpt_dir / "transforms.json")
-    ft = _Fitted.from_dict(transforms_payload["feature_transformation"])
-    lt = _Fitted.from_dict(transforms_payload["label_transformation"])
+    ft, lt = _read_transforms(ckpt_dir / "transforms.json")
     models = {seed: load_model(ckpt_dir / f"model_seed{seed}.bin")
               for seed in _model_params(config.model, config.seeds)}
 
@@ -551,18 +565,16 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
 
     if not overrides:
         features_test = FeatureMatrix.load(ckpt_dir / "features_test")
-        labels_payload = _read_json(ckpt_dir / "labels.json")
-        if features_test.row_keys != [tuple(k) for k in labels_payload["test"]["row_keys"]]:
+        rows = stored_report["predictions"]
+        if features_test.row_keys != [(r["cell_id"], r.get("cycle"), r.get("step")) for r in rows]:
             raise CheckpointError(
                 f"{ckpt_dir / 'features_test.bin'}: feature rows differ from the "
-                "test row keys in labels.json"
+                "prediction rows in report.json"
             )
-        y_test = np.asarray(labels_payload["test"]["values"], dtype=float)
-        excluded = labels_payload.get("excluded", [])
+        y_test = np.array([r["y_true"] for r in rows], dtype=float)
+        excluded = stored_report["excluded"]
     else:
-        split, train_cells, test_cells = _split_cells(
-            config, cells if cells is not None else None
-        )
+        split, train_cells, test_cells = _split_cells(config, cells)
         data = _label_and_featurize(config, split, train_cells, test_cells)
         features_test, y_test, excluded = data["features_test"], data["y_test"], data["excluded"]
     X_test = features_test.values

@@ -17,7 +17,6 @@ Kinds:
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +25,7 @@ import numpy as np
 from .battery_data import CellRecord
 from .errors import CheckpointError, ConfigError
 from .labels import soh_per_cycle
+from .pipeline import read_report
 
 PLOT_KINDS = ("degradation", "voltage-curves", "pred-vs-truth")
 
@@ -81,13 +81,9 @@ def voltage_curve_series(cell: CellRecord) -> list[Series]:
 
 
 def pred_vs_truth_series(checkpoint_dir) -> list[Series]:
-    report_path = Path(checkpoint_dir) / "report.json"
-    if not report_path.is_file():
-        raise CheckpointError(f"checkpoint file missing: {report_path}")
-    report = json.loads(report_path.read_text())
-    rows = report.get("predictions", [])
+    rows = read_report(checkpoint_dir)["predictions"]
     if not rows:
-        raise CheckpointError(f"{report_path}: no predictions")
+        raise CheckpointError(f"{Path(checkpoint_dir) / 'report.json'}: no predictions")
     x = tuple(float(r["y_true"]) for r in rows)
     y = tuple(float(r["y_pred"]) for r in rows)
     return [Series("test cells", x, y)]

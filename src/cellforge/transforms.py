@@ -64,13 +64,18 @@ class _Fitted:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "_Fitted":
-        name = obj.get("name")
+        """The fitted transformation ``to_dict`` stored; a payload of any
+        other shape is a :class:`CheckpointError`."""
+        name = obj.get("name") if isinstance(obj, dict) else None
         found = TRANSFORMS.find_class("name", name)
         if found is None:
             raise CheckpointError(
                 f"unknown transformation {name!r}: no single registered class carries it"
             )
-        t = found._restore(obj.get("state", {}))
+        try:
+            t = found._restore(obj.get("state", {}))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed {name} state: {type(exc).__name__}: {exc}") from exc
         t.fitted = True
         return t
 

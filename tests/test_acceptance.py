@@ -314,9 +314,14 @@ def test_criterion_6_end_to_end_signal_recovery(tmp_path):
         workspace=tmp_path / "dummy_plain",
         cells=cells,
     )
-    labels = json.loads((dummy.directory / "labels.json").read_text())
-    y_train = np.array(labels["train"]["values"])
-    y_test = np.array(labels["test"]["values"])
+    # the train labels come from the oracle, and the report's test labels must equal it
+    by_id = {c.cell_id: c for c in cells}
+    split = json.loads((dummy.directory / "split.json").read_text())
+    y_train = np.array([rul_label(by_id[cid]) for cid in split["train"]], dtype=float)
+    rows = dummy.report["predictions"]
+    y_test = np.array([row["y_true"] for row in rows])
+    assert y_test.tolist() == [rul_label(by_id[row["cell_id"]]) for row in rows]
+    assert dummy.report["excluded"] == []
     closed_form = float(np.sqrt(np.mean((y_test - y_train.mean()) ** 2)))
     assert abs(dummy.report["mean_rmse"] - closed_form) < 1e-9
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import shutil
 
 import numpy as np
@@ -326,6 +327,45 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
         assert_one_line_error(capsys, "unknown transformation 'Mystery'")
 
+    @pytest.mark.parametrize("name, edit, fragment", [
+        ("report.json", lambda p: [],
+         "report.json: expected an 'excluded' list and 'predictions' rows"),
+        ("report.json", lambda p: {**p, "predictions": [{"cell_id": "SYN_0000"}]},
+         "rows with a string 'cell_id' and numeric 'y_true' and 'y_pred'"),
+        ("report.json", lambda p: {**p, "predictions": [{**p["predictions"][0], "y_true": True}]},
+         "rows with a string 'cell_id' and numeric 'y_true' and 'y_pred'"),
+        ("transforms.json", lambda p: [], "expected an object with"),
+        ("transforms.json", lambda p: {"label_transformation": p["label_transformation"]},
+         "expected an object with ['feature_transformation', 'label_transformation']"),
+        ("transforms.json",
+         lambda p: {**p, "feature_transformation": {"name": "ZScoreDataTransformation",
+                                                    "state": {"std": 1.0}}},
+         "malformed ZScoreDataTransformation state: KeyError: 'mean'"),
+        ("report.json", None, "not valid JSON"),
+    ], ids=["report-list", "report-row-without-y_true", "report-bool-y_true", "transforms-list",
+            "transforms-without-feature-transformation", "zscore-without-mean",
+            "report-not-utf8"])
+    def test_malformed_checkpoint_json_is_one_line_error(self, checkpoint_dir, tmp_path, capsys,
+                                                         name, edit, fragment):
+        ckpt = tmp_path / checkpoint_dir.name
+        shutil.copytree(checkpoint_dir, ckpt)
+        path = ckpt / name
+        if edit is None:
+            path.write_bytes(b"\xff\xfe{}")  # not UTF-8
+        else:
+            path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            run_evaluate(ckpt)
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
+        assert_one_line_error(capsys, fragment)
+
+    def test_checkpoint_holding_labels_json_evaluates(self, checkpoint_dir, tmp_path):
+        # older checkpoints also stored labels.json; evaluation ignores it
+        ckpt = tmp_path / checkpoint_dir.name
+        shutil.copytree(checkpoint_dir, ckpt)
+        (ckpt / "labels.json").write_text("{not json")
+        assert run_evaluate(ckpt) == json.loads((ckpt / "report.json").read_text())
+
 
 class TestPlotCommand:
     def test_degradation_writes_csv_and_svg(self, corpus_dir, tmp_path):
@@ -366,6 +406,20 @@ class TestPlotCommand:
                      "--out", str(out), "--checkpoint", str(checkpoint_dir)]) == 0
         svg_text = (tmp_path / "fit.svg").read_text()
         assert "<circle" in svg_text
+
+    @pytest.mark.parametrize("text, fragment", [
+        ("{not json", "report.json: not valid JSON"),
+        (json.dumps({"predictions": [{"cell_id": "SYN_0000", "y_pred": 1.0}], "excluded": []}),
+         "rows with a string 'cell_id' and numeric 'y_true' and 'y_pred'"),
+    ], ids=["not-json", "row-without-y_true"])
+    def test_pred_vs_truth_rejects_malformed_report(self, checkpoint_dir, tmp_path, capsys,
+                                                    text, fragment):
+        ckpt = tmp_path / checkpoint_dir.name
+        shutil.copytree(checkpoint_dir, ckpt)
+        (ckpt / "report.json").write_text(text)
+        assert main(["plot", "--kind", "pred-vs-truth", "--out", str(tmp_path / "fit"),
+                     "--checkpoint", str(ckpt)]) == 1
+        assert_one_line_error(capsys, fragment)
 
     def test_pred_vs_truth_requires_checkpoint(self, tmp_path, capsys):
         assert main(["plot", "--kind", "pred-vs-truth", "--out", str(tmp_path / "x")]) == 1
@@ -455,7 +509,7 @@ class TestPlotsModule:
             pred_vs_truth_series(tmp_path)
 
     def test_empty_predictions(self, tmp_path):
-        (tmp_path / "report.json").write_text(json.dumps({"predictions": []}))
+        (tmp_path / "report.json").write_text(json.dumps({"predictions": [], "excluded": []}))
         with pytest.raises(CheckpointError, match="no predictions"):
             pred_vs_truth_series(tmp_path)
 

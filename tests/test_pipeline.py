@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 from types import SimpleNamespace
@@ -42,6 +43,16 @@ from cellforge.transforms import ZScoreDataTransformation, _Fitted
 from conftest import make_cell
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+# every file of the ``trained`` checkpoint; the linear model takes no seed, so
+# one fit scores both seeds
+CHECKPOINT_FILES = (
+    "config.yaml",
+    "report.json",
+    "split.json",
+    "transforms.json",
+    "features_test.bin",
+    "model_seed0.bin",
+)
 
 def make_config(**sections):
     """A fast RUL experiment config; keyword args replace whole sections."""
@@ -268,15 +279,7 @@ class TestRunTrain:
 
     def test_checkpoint_layout(self, trained):
         names = {p.name for p in trained.directory.iterdir()}
-        assert names == {
-            "config.yaml",
-            "report.json",
-            "split.json",
-            "transforms.json",
-            "labels.json",
-            "features_test.bin",
-            "model_seed0.bin",  # the linear model takes no seed: one fit scores both seeds
-        }
+        assert names == set(CHECKPOINT_FILES)
 
     def test_stored_config_reparses_to_same_experiment(self, trained):
         stored = yaml.safe_load((trained.directory / "config.yaml").read_text())
@@ -317,15 +320,6 @@ class TestRunTrain:
         on_disk = json.loads((trained.directory / "report.json").read_text())
         assert on_disk == trained.report
 
-    def test_labels_json_covers_both_partitions(self, trained, pipe_cells):
-        payload = json.loads((trained.directory / "labels.json").read_text())
-        assert set(payload) == {"train", "test", "excluded"}
-        assert len(payload["train"]["values"]) == 6
-        assert len(payload["test"]["values"]) == 2
-        by_id = {c.cell_id: c for c in pipe_cells}
-        for key, value in zip(payload["train"]["row_keys"], payload["train"]["values"]):
-            assert value == rul_oracle(by_id[key[0]])
-
     def test_split_json_partitions_corpus(self, trained, pipe_cells):
         payload = json.loads((trained.directory / "split.json").read_text())
         listed = set(payload["train"]) | set(payload["test"])
@@ -334,9 +328,9 @@ class TestRunTrain:
 
     def test_stored_feature_matrices_align_with_labels(self, trained):
         feats = FeatureMatrix.load(trained.directory / "features_test")
-        labels = json.loads((trained.directory / "labels.json").read_text())
+        rows = json.loads((trained.directory / "report.json").read_text())["predictions"]
         assert feats.values.shape == (2, 1)
-        assert [list(k) for k in feats.row_keys] == labels["test"]["row_keys"]
+        assert feats.row_keys == [(r["cell_id"], None, None) for r in rows]
 
     def test_training_is_deterministic(self, pipe_cells, tmp_path):
         a = run_train(make_config(), workspace=tmp_path / "a", cells=pipe_cells)
@@ -726,13 +720,13 @@ class TestRunEvaluate:
         with pytest.raises(CheckpointError, match="not valid JSON"):
             run_evaluate(dst)
 
-    @pytest.mark.parametrize(
-        "victim", ["transforms.json", "model_seed0.bin", "labels.json", "features_test.bin"]
-    )
+    @pytest.mark.parametrize("victim", CHECKPOINT_FILES)
     def test_missing_checkpoint_file(self, trained, tmp_path, victim):
+        # test_checkpoint_layout holds CHECKPOINT_FILES to the written files, so
+        # a file evaluate never reads cannot come back unnoticed
         dst = self.copy_checkpoint(trained, tmp_path)
         (dst / victim).unlink()
-        with pytest.raises(CheckpointError, match="checkpoint file missing"):
+        with pytest.raises(CheckpointError, match=re.escape(str(dst / victim))):
             run_evaluate(dst)
 
     def test_truncated_features_rejected(self, trained, tmp_path):
@@ -744,12 +738,27 @@ class TestRunEvaluate:
 
     def test_feature_rows_must_match_label_keys(self, trained, tmp_path):
         dst = self.copy_checkpoint(trained, tmp_path)
-        labels = json.loads((dst / "labels.json").read_text())
-        for part in ("row_keys", "values"):
-            labels["test"][part].reverse()
-        (dst / "labels.json").write_text(json.dumps(labels))
-        with pytest.raises(CheckpointError, match="feature rows differ from the test row keys"):
+        report = json.loads((dst / "report.json").read_text())
+        report["predictions"].reverse()
+        (dst / "report.json").write_text(json.dumps(report))
+        with pytest.raises(CheckpointError, match="features_test.bin: feature rows differ from "
+                           "the prediction rows in report.json"):
             run_evaluate(dst)
+
+    def test_step_level_round_trip(self, tmp_path):
+        # (cell, cycle, step) keys: evaluation rebuilds them from the report rows
+        cells = generate_synthetic(SynthSpec(n_cells=5, cycle_life_mean=40, cycle_life_std=5,
+                                             points_per_cycle=16, seed=3))
+        cfg = make_config(
+            train_test_split={"name": "RandomTrainTestSplitter", "test_fraction": 0.4, "seed": 3},
+            feature={"name": "SOCStepFeatureExtractor", "n_qdlin": 4, "max_cycle_index": 2},
+            label={"name": "SOCLabelAnnotator", "max_cycle_index": 2},
+        )
+        ckpt = run_train(cfg, workspace=tmp_path, cells=cells)
+        rows = ckpt.report["predictions"]
+        assert len(rows) == 96  # two test cells, 48 steps over their first three cycles
+        assert all({"cycle", "step"} <= set(row) for row in rows)
+        assert run_evaluate(ckpt.directory) == ckpt.report
 
     def test_label_override_relabels_with_stored_models(self, trained, pipe_cells):
         report = run_evaluate(
