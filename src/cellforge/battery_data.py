@@ -57,8 +57,9 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
+import yaml
 
-from .errors import SchemaError, ValidationError
+from .errors import CellforgeError, SchemaError, ValidationError
 
 # Allowance for sensor jitter when checking cumulative capacities (Ah).
 CAPACITY_JITTER_TOL = 1e-9
@@ -751,17 +752,41 @@ def cell_from_dict(obj: dict) -> CellRecord:
     )
 
 
+# ---------------------------------------------------------------------------
+# Reading files: every file the package reads goes through read_file
+
+def read_file(path, error, parse):
+    """Read the file at ``path`` once and return ``parse`` of its bytes.
+
+    A file that cannot be read, or whose bytes ``parse`` rejects with a
+    :class:`CellforgeError`, ``ValueError`` (bad UTF-8, JSON and YAML
+    included), ``OverflowError`` or ``RecursionError``, raises ``error``
+    with one line: ``"<path>: <reason>"``, the path as given.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    try:
+        return parse(data)
+    except (CellforgeError, ValueError, OverflowError, RecursionError) as exc:
+        raise error(f"{path}: {' '.join(str(exc).split())}") from exc
 
 
-def _json_document(data: bytes):
+def json_document(data: bytes):
+    """The JSON document held in ``data``, decoded as strict UTF-8."""
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"not valid UTF-8: {exc}") from exc
-    try:
-        return json.loads(text)
+        return json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # also an overlong integer, or nesting too deep
-        raise SchemaError(f"not valid JSON: {exc}") from exc
+        raise ValueError(f"not valid JSON: {exc}") from exc
+
+
+def yaml_document(data: bytes):
+    """The YAML document held in ``data``, decoded as strict UTF-8."""
+    try:
+        return yaml.safe_load(data.decode("utf-8"))
+    except (ValueError, RecursionError, yaml.YAMLError) as exc:
+        raise ValueError(f"not valid YAML: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +894,9 @@ def _per_cycle(cycles: dict, key: str, kind: type, n: int) -> list:
     return values
 
 
-def _cell_from_container(data: bytes) -> CellRecord:
+def _cell_from_bytes(data: bytes) -> CellRecord:
+    if data[:4] != CELL_MAGIC:
+        return cell_from_dict(json_document(data))
     header, blocks = parse_container(data, CELL_MAGIC, SchemaError)
     cycles = header.get("cycles")
     if not isinstance(cycles, dict) or not isinstance(cycles.get("cycle_number"), list):
@@ -910,14 +937,7 @@ def read_cell(path) -> CellRecord:
 
     Malformed content raises :class:`SchemaError` naming the file.
     """
-    path = Path(path)
-    data = path.read_bytes()
-    try:
-        if data[:4] == CELL_MAGIC:
-            return _cell_from_container(data)
-        return cell_from_dict(_json_document(data))
-    except (SchemaError, OverflowError) as exc:  # an integer too large for a float
-        raise SchemaError(f"{path.name}: {exc}") from exc
+    return read_file(path, SchemaError, _cell_from_bytes)
 
 
 def load_cells(cell_dir) -> list[CellRecord]:

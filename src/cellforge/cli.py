@@ -13,10 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-import yaml
-
 from . import components as _components  # noqa: F401  (populates registries)
-from .battery_data import load_cells, write_cell
+from .battery_data import load_cells, read_file, write_cell, yaml_document
 from .errors import CellforgeError, ConfigError
 from .ingestion import download, list_sources, preprocess_source
 from .pipeline import run_evaluate, run_train
@@ -61,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="recompute a checkpoint's report")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--cells", default=None,
-                   help="cell directory to check/evaluate against")
+                   help="check that this cell directory holds the stored test cells")
     p.add_argument("--out", default=None, help="write the report JSON here")
 
     p = sub.add_parser("plot", help="export plot points (CSV) and a chart (SVG)")
@@ -78,10 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_synth_spec(path, seed_override) -> SynthSpec:
     fields = {}
     if path is not None:
-        try:
-            fields = yaml.safe_load(Path(path).read_text())
-        except (OSError, yaml.YAMLError) as exc:
-            raise ConfigError(f"cannot read generator spec {path}: {exc}") from exc
+        fields = read_file(path, ConfigError, yaml_document)
         if fields is None:
             fields = {}
         if not isinstance(fields, dict):

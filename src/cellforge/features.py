@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .battery_data import CellRecord, CycleData, CycleRecord, parse_container, write_container
+from .battery_data import CellRecord, CycleData, CycleRecord, parse_container, read_file, write_container
 from .errors import CheckpointError, FeatureError
 
 FEATURES_MAGIC = b"CFF1"
@@ -211,20 +211,18 @@ class FeatureMatrix:
     def load(cls, base) -> "FeatureMatrix":
         """Read what :meth:`save` wrote to ``base``; a missing or malformed
         file raises :class:`CheckpointError` naming it."""
-        path = Path(base).with_suffix(".bin")
-        if not path.is_file():
-            raise CheckpointError(f"checkpoint file missing: {path}")
-        try:
-            header, blocks = parse_container(path.read_bytes(), FEATURES_MAGIC, CheckpointError)
-        except CheckpointError as exc:
-            raise CheckpointError(f"{path}: not a valid feature matrix: {exc}") from exc
+        return read_file(Path(base).with_suffix(".bin"), CheckpointError, cls._from_bytes)
+
+    @classmethod
+    def _from_bytes(cls, data: bytes) -> "FeatureMatrix":
+        header, blocks = parse_container(data, FEATURES_MAGIC, CheckpointError)
         names, keys = header.get("col_names"), header.get("row_keys")
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
                 and isinstance(keys, list) and all(isinstance(k, list) for k in keys)):
-            raise CheckpointError(f"{path}: header needs 'col_names' (strings) and 'row_keys' (arrays)")
+            raise CheckpointError("header needs 'col_names' (strings) and 'row_keys' (arrays)")
         shapes = {name: b.shape for name, b in blocks.items()}
         if shapes != {"values": (len(keys), len(names))}:
-            raise CheckpointError(f"{path}: expected one 'values' block of shape "
+            raise CheckpointError(f"expected one 'values' block of shape "
                                   f"{(len(keys), len(names))}, got {shapes}")
         return cls(values=blocks["values"], row_keys=[tuple(k) for k in keys], col_names=names)
 

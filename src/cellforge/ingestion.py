@@ -16,7 +16,7 @@ integrated from current by the trapezoidal rule, split by current sign.
 from __future__ import annotations
 
 import csv
-import json
+import io
 import logging
 import urllib.request
 from dataclasses import dataclass, field
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .battery_data import CellRecord, CycleData, validate, write_cell
+from .battery_data import CellRecord, CycleData, json_document, read_file, validate, write_cell
 from .errors import DownloadError, SchemaError
 
 log = logging.getLogger("cellforge")
@@ -130,27 +130,21 @@ def download(source_name: str, dest, timeout: float = 30.0) -> list[Path]:
 # Column-map CSV ingestion
 
 def load_column_map(path) -> dict[str, str]:
-    path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path.name}: not valid JSON: {exc}") from exc
-    return parse_column_map(obj, origin=path.name)
+    return read_file(path, SchemaError, lambda data: parse_column_map(json_document(data)))
 
 
-def parse_column_map(obj, origin="column map") -> dict[str, str]:
+def parse_column_map(obj) -> dict[str, str]:
     if not isinstance(obj, dict):
-        raise SchemaError(f"{origin}: expected a JSON object")
+        raise SchemaError("column map: expected a JSON object")
     allowed = set(_REQUIRED_COLUMNS) | set(_OPTIONAL_COLUMNS)
     for key, value in obj.items():
         if key not in allowed:
-            raise SchemaError(f"{origin}: unknown logical column '{key}'; allowed: {sorted(allowed)}")
+            raise SchemaError(f"column map: unknown logical column '{key}'; allowed: {sorted(allowed)}")
         if not isinstance(value, str) or not value:
-            raise SchemaError(f"{origin}: '{key}' must map to a CSV header string")
+            raise SchemaError(f"column map: '{key}' must map to a CSV header string")
     for key in _REQUIRED_COLUMNS:
         if key not in obj:
-            raise SchemaError(f"{origin}: missing mandatory logical column '{key}'")
+            raise SchemaError(f"column map: missing mandatory logical column '{key}'")
     return dict(obj)
 
 
@@ -159,6 +153,34 @@ def _to_float(raw: str, line: int, column: str) -> float:
         return float(raw)
     except (TypeError, ValueError):
         raise SchemaError(f"line {line}: column '{column}': not numeric: {raw!r}") from None
+
+
+def _csv_rows(data: bytes, mapping: dict[str, str]) -> list[dict]:
+    """The data rows of a cycler CSV export, as floats keyed by logical name."""
+    reader = csv.DictReader(io.StringIO(data.decode("utf-8-sig"), newline=""))
+    if reader.fieldnames is None:
+        raise SchemaError("empty file (no header row)")
+    header = set(reader.fieldnames)
+    for logical, column in mapping.items():
+        if column not in header:
+            raise SchemaError(f"mapped column '{column}' (for {logical}) not in header")
+    rows = []
+    for rec in reader:
+        line = reader.line_num
+        cyc = _to_float(rec[mapping["cycle_index"]], line, mapping["cycle_index"])
+        row = {
+            "cycle": int(cyc),
+            "t": _to_float(rec[mapping["time_s"]], line, mapping["time_s"]),
+            "v": _to_float(rec[mapping["voltage_V"]], line, mapping["voltage_V"]),
+            "i": _to_float(rec[mapping["current_A"]], line, mapping["current_A"]),
+        }
+        for logical in _OPTIONAL_COLUMNS:
+            if logical in mapping:
+                row[logical] = _to_float(rec[mapping[logical]], line, mapping[logical])
+        rows.append(row)
+    if not rows:
+        raise SchemaError("no data rows")
+    return rows
 
 
 def _integrate_split_by_sign(current_A: np.ndarray, time_s: np.ndarray):
@@ -190,30 +212,7 @@ def parse_csv_cycler(
     """
     path = Path(path)
     mapping = parse_column_map(mapping)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path.name}: empty file (no header row)")
-        header = set(reader.fieldnames)
-        for logical, column in mapping.items():
-            if column not in header:
-                raise SchemaError(f"{path.name}: mapped column '{column}' (for {logical}) not in header")
-        rows = []
-        for rec in reader:
-            line = reader.line_num
-            cyc = _to_float(rec[mapping["cycle_index"]], line, mapping["cycle_index"])
-            row = {
-                "cycle": int(cyc),
-                "t": _to_float(rec[mapping["time_s"]], line, mapping["time_s"]),
-                "v": _to_float(rec[mapping["voltage_V"]], line, mapping["voltage_V"]),
-                "i": _to_float(rec[mapping["current_A"]], line, mapping["current_A"]),
-            }
-            for logical in _OPTIONAL_COLUMNS:
-                if logical in mapping:
-                    row[logical] = _to_float(rec[mapping[logical]], line, mapping[logical])
-            rows.append(row)
-    if not rows:
-        raise SchemaError(f"{path.name}: no data rows")
+    rows = read_file(path, SchemaError, lambda data: _csv_rows(data, mapping))
 
     shift = 1 - min(r["cycle"] for r in rows)
     if shift > 0:
@@ -269,7 +268,7 @@ def parse_csv_cycler(
     violations = validate(cell)
     if violations:
         detail = "; ".join(str(v) for v in violations[:5])
-        raise SchemaError(f"{path.name}: parsed data violates record invariants: {detail}")
+        raise SchemaError(f"{path}: parsed data violates record invariants: {detail}")
     return cell
 
 

@@ -31,13 +31,10 @@ EOL_SOH_PERCENT_DEFAULT = 80.0
 class LabelSpec:
     """Annotation parameters shared by the label functions."""
 
-    task: str = "RUL"
     eol_soh_percent: float = EOL_SOH_PERCENT_DEFAULT
     smoothing_window: int = 1
 
     def __post_init__(self):
-        if self.task not in ("RUL", "SOH", "SOC"):
-            raise ValueError(f"task must be RUL, SOH or SOC, got {self.task!r}")
         if not 0.0 < self.eol_soh_percent < 100.0:
             raise ValueError(f"eol_soh_percent must be in (0, 100), got {self.eol_soh_percent}")
         if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
@@ -83,7 +80,7 @@ def rul_label(cell: CellRecord, spec: LabelSpec | None = None) -> int:
     result ignores any recovery after the first crossing and is invariant to
     cycles appended past it.
     """
-    spec = spec or LabelSpec("RUL")
+    spec = spec or LabelSpec()
     soh = moving_median(soh_per_cycle(cell), spec.smoothing_window)
     below = np.nonzero(soh < spec.eol_soh_percent)[0]
     if below.size == 0:
@@ -149,7 +146,7 @@ class RULLabelAnnotator:
     """One RUL label per cell; never-crossing cells are excluded with a reason."""
 
     def __init__(self, eol_soh_percent: float = EOL_SOH_PERCENT_DEFAULT, smoothing_window: int = 1):
-        self.spec = LabelSpec("RUL", eol_soh_percent=eol_soh_percent, smoothing_window=smoothing_window)
+        self.spec = LabelSpec(eol_soh_percent=eol_soh_percent, smoothing_window=smoothing_window)
 
     def annotate(self, cells: list[CellRecord]) -> tuple[LabelVector, list[tuple[str, str]]]:
         values, keys, excluded = [], [], []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..battery_data import parse_container, write_container
+from ..battery_data import parse_container, read_file, write_container
 from ..errors import CheckpointError
 
 MAGIC = b"CFM1"
@@ -25,11 +25,6 @@ def write_model_file(path, kind: str, hyperparameters: dict, metadata: dict, blo
 
 def read_model_file(path):
     """Returns (header dict, {block name: float64 ndarray})."""
-    path = Path(path)
-    if not path.is_file():
-        raise CheckpointError(f"checkpoint file missing: {path}")
-    try:
-        header, blocks = parse_container(path.read_bytes(), MAGIC, CheckpointError)
-    except CheckpointError as exc:
-        raise CheckpointError(f"{path.name}: not a valid model checkpoint: {exc}") from exc
+    header, blocks = read_file(path, CheckpointError,
+                               lambda data: parse_container(data, MAGIC, CheckpointError))
     return header, {name: arr.copy() for name, arr in blocks.items()}

@@ -44,7 +44,7 @@ import numpy as np
 import yaml
 
 from . import components as _components  # noqa: F401  (populates registries)
-from .battery_data import CellRecord, load_cells
+from .battery_data import CellRecord, json_document, load_cells, read_file, yaml_document
 from .errors import CheckpointError, ConfigError, PipelineError
 from .features import FeatureMatrix
 from .models import load_model
@@ -169,14 +169,8 @@ class PipelineConfig:
 
     @classmethod
     def from_yaml(cls, path) -> "PipelineConfig":
-        path = Path(path)
-        try:
-            obj = yaml.safe_load(path.read_text())
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(obj, source_path=path)
+        return read_file(path, ConfigError,
+                         lambda data: cls.from_dict(yaml_document(data), source_path=path))
 
     @classmethod
     def load(cls, config) -> "PipelineConfig":
@@ -447,7 +441,7 @@ def _write_checkpoint(ckpt_dir, config, split, data, ft, lt, models, report):
     tmp.mkdir(parents=True)
     try:
         if config.source_path is not None and config.source_path.is_file():
-            (tmp / "config.yaml").write_text(config.source_path.read_text())
+            shutil.copyfile(config.source_path, tmp / "config.yaml")
         else:
             (tmp / "config.yaml").write_text(yaml.safe_dump(config.to_dict()))
         _write_json(tmp / "report.json", report)
@@ -471,39 +465,29 @@ def _write_json(path, payload):
         json.dump(payload, fh, indent=1, allow_nan=False)
 
 
-def _read_json(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise CheckpointError(f"checkpoint file missing: {path}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: not valid JSON: {exc}") from exc
-
-
 def read_report(checkpoint) -> dict:
     """A checkpoint's ``report.json``, checked for the fields evaluation and plotting read."""
-    path = Path(checkpoint) / "report.json"
-    report = _read_json(path)
+    return read_file(Path(checkpoint) / "report.json", CheckpointError, _report_document)
+
+
+def _report_document(data: bytes) -> dict:
+    report = json_document(data)
     rows = report.get("predictions") if isinstance(report, dict) else None
     if not (isinstance(rows, list) and isinstance(report.get("excluded"), list) and all(
             isinstance(r, dict) and isinstance(r.get("cell_id"), str)
             and all(type(r.get(k)) in (int, float) for k in ("y_true", "y_pred")) for r in rows)):
-        raise CheckpointError(f"{path}: expected an 'excluded' list and 'predictions' rows with "
+        raise CheckpointError("expected an 'excluded' list and 'predictions' rows with "
                               "a string 'cell_id' and numeric 'y_true' and 'y_pred'")
     return report
 
 
-def _read_transforms(path):
-    """The fitted feature and label transformations stored in ``path``."""
-    payload = _read_json(path)
+def _transforms_document(data: bytes):
+    """The fitted feature and label transformations stored in ``data``."""
+    payload = json_document(data)
     keys = ("feature_transformation", "label_transformation")
     if not (isinstance(payload, dict) and all(k in payload for k in keys)):
-        raise CheckpointError(f"{path}: expected an object with {list(keys)}")
-    try:
-        return tuple(_Fitted.from_dict(payload[k]) for k in keys)
-    except CheckpointError as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
+        raise CheckpointError(f"expected an object with {list(keys)}")
+    return tuple(_Fitted.from_dict(payload[k]) for k in keys)
 
 
 def run_evaluate(checkpoint, overrides: dict | None = None,
@@ -527,15 +511,21 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
         raise CheckpointError(f"checkpoint directory not found: {ckpt_dir}")
 
     stored_report = read_report(ckpt_dir)
-    try:
-        stored_config = PipelineConfig.from_yaml(ckpt_dir / "config.yaml")
-    except ConfigError as exc:
-        raise CheckpointError(f"stored config unreadable: {exc}") from exc
+    config_path = ckpt_dir / "config.yaml"
+    stored_config = read_file(config_path, CheckpointError,
+                              lambda data: PipelineConfig.from_dict(yaml_document(data)))
     if stored_config.config_hash() != stored_report.get("config_hash"):
         raise CheckpointError(
             "stored config does not match the hash in report.json; the "
             "checkpoint was modified after training"
         )
+    # config_hash leaves the seeds out, so they are checked against the scored seeds
+    per_seed = stored_report.get("per_seed")
+    scored = ([s.get("seed") if isinstance(s, dict) else None for s in per_seed]
+              if isinstance(per_seed, list) else None)
+    if scored != list(stored_config.seeds):
+        raise CheckpointError(f"{config_path}: seeds {list(stored_config.seeds)} differ from "
+                              f"the seeds scored in report.json, {scored}")
 
     overrides = dict(overrides or {})
     unknown = sorted(set(overrides) - set(COMPONENT_KEYS))
@@ -552,11 +542,12 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
     merged.pop("workspace", None)
     config = PipelineConfig.from_dict(merged)
 
-    ft, lt = _read_transforms(ckpt_dir / "transforms.json")
+    ft, lt = read_file(ckpt_dir / "transforms.json", CheckpointError, _transforms_document)
     models = {seed: load_model(ckpt_dir / f"model_seed{seed}.bin")
               for seed in _model_params(config.model, config.seeds)}
 
-    stored_split = SplitResult.from_dict(_read_json(ckpt_dir / "split.json"))
+    stored_split = read_file(ckpt_dir / "split.json", CheckpointError,
+                             lambda data: SplitResult.from_dict(json_document(data)))
     if cells is not None:
         available = {c.cell_id for c in cells}
         missing = [cid for cid in stored_split.test_cell_ids if cid not in available]

@@ -17,12 +17,13 @@ Kinds:
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .battery_data import CellRecord
+from .battery_data import CellRecord, read_file
 from .errors import CheckpointError, ConfigError
 from .labels import soh_per_cycle
 from .pipeline import read_report
@@ -101,23 +102,24 @@ def write_series_csv(series: list[Series], path) -> Path:
 
 
 def read_series_csv(path) -> list[Series]:
-    path = Path(path)
+    return read_file(path, ConfigError, _series_from_csv)
+
+
+def _series_from_csv(data: bytes) -> list[Series]:
     points: dict[str, tuple[list, list]] = {}
     order: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["series", "x", "y"]:
-            raise ConfigError(f"{path}: expected header series,x,y")
-        for row in reader:
-            if len(row) != 3:
-                raise ConfigError(f"{path}: malformed row {row!r}")
-            name = row[0]
-            if name not in points:
-                points[name] = ([], [])
-                order.append(name)
-            points[name][0].append(float(row[1]))
-            points[name][1].append(float(row[2]))
+    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    if next(reader, None) != ["series", "x", "y"]:
+        raise ConfigError("expected header series,x,y")
+    for row in reader:
+        if len(row) != 3:
+            raise ConfigError(f"malformed row {row!r}")
+        name = row[0]
+        if name not in points:
+            points[name] = ([], [])
+            order.append(name)
+        points[name][0].append(float(row[1]))
+        points[name][1].append(float(row[2]))
     return [Series(n, tuple(points[n][0]), tuple(points[n][1])) for n in order]
 
 

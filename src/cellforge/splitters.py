@@ -8,13 +8,13 @@ for byte.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .battery_data import json_document, read_file
 from .errors import SplitError
 
 __all__ = [
@@ -134,13 +134,6 @@ class FixedSplitTrainTestSplitter(ExplicitTrainTestSplitter):
     """Partition loaded from a JSON file {train: [...], test: [...], metadata: {...}}."""
 
     def __init__(self, path: str | Path):
-        path = Path(path)
-        if not path.is_file():
-            raise SplitError(f"split file not found: {path}")
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise SplitError(f"{path}: not valid JSON: {exc}") from exc
-        result = SplitResult.from_dict(payload)
+        result = read_file(path, SplitError, lambda data: SplitResult.from_dict(json_document(data)))
         super().__init__(result.train_cell_ids, result.test_cell_ids, result.metadata)
 

@@ -1,5 +1,6 @@
 """Record types, validation rules, and cell-file and JSON round-trips."""
 
+import ast
 import copy
 import dataclasses
 import gc
@@ -7,14 +8,17 @@ import hashlib
 import json
 import math
 import pickle
+import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cellforge
 from cellforge.battery_data import (
     CAPACITY_JITTER_TOL,
     CellRecord,
@@ -26,10 +30,11 @@ from cellforge.battery_data import (
     cell_to_dict,
     load_cells,
     read_cell,
+    read_file,
     validate,
     write_cell,
 )
-from cellforge.errors import SchemaError, ValidationError
+from cellforge.errors import CheckpointError, SchemaError, ValidationError
 from cellforge.synthetic import SynthSpec, generate_synthetic
 from conftest import cell_strategy, cycle_strategy, linear_cycle, make_cell, random_valid_cell
 
@@ -295,7 +300,7 @@ class TestSchemaErrors:
     def test_read_cell_rejects_unrepresentable_json(self, tmp_path, document):
         p = tmp_path / "odd.json"
         p.write_text(document, encoding="utf-8")
-        with pytest.raises(SchemaError, match=r"^odd\.json: "):
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(p))}: "):
             read_cell(p)
 
     def test_read_cell_rejects_non_utf8(self, tmp_path):
@@ -480,14 +485,14 @@ class TestCellFile:
     def test_truncation(self, tmp_path, cut):
         path, data, _ = self.written(tmp_path)
         path.write_bytes(data[:cut])
-        with pytest.raises(SchemaError, match=r"^BIN\.cfc: "):
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: "):
             read_cell(path)
 
     @pytest.mark.parametrize("length", [0, 1, 2**32 - 1])
     def test_header_length_lie(self, tmp_path, length):
         path, data, _ = self.written(tmp_path)
         path.write_bytes(data[:4] + struct.pack("<I", length) + data[8:])
-        with pytest.raises(SchemaError, match=r"^BIN\.cfc: "):
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: "):
             read_cell(path)
 
     @pytest.mark.parametrize("header_edit", [
@@ -503,7 +508,7 @@ class TestCellFile:
     def test_header_disagrees(self, tmp_path, header_edit):
         path, data, header = self.written(tmp_path)
         self.rewrite(path, data, json.dumps(header_edit(header)))
-        with pytest.raises(SchemaError, match=r"^BIN\.cfc: "):
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: "):
             read_cell(path)
 
     @pytest.mark.parametrize("payload", [
@@ -513,7 +518,7 @@ class TestCellFile:
     def test_header_unrepresentable(self, tmp_path, payload):
         path, data, header = self.written(tmp_path)
         self.rewrite(path, data, payload(header))
-        with pytest.raises(SchemaError, match=r"^BIN\.cfc: "):
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: "):
             read_cell(path)
 
     def test_header_not_utf8(self, tmp_path):
@@ -521,6 +526,75 @@ class TestCellFile:
         path.write_bytes(data[:8] + b"\xff" + data[9:])
         with pytest.raises(SchemaError, match="header is not UTF-8 JSON"):
             read_cell(path)
+
+
+def file_reads(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each call in ``source`` that reads a file:
+    ``read_bytes``, ``read_text``, ``json.load``, ``yaml.safe_load``, or
+    ``open`` without a w, a or x mode."""
+    reads = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and _reads_a_file(node):
+            reads.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return reads
+
+
+def _reads_a_file(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        module = func.value.id if isinstance(func.value, ast.Name) else None
+        return (func.attr in ("read_bytes", "read_text")
+                or (module, func.attr) in (("json", "load"), ("yaml", "safe_load")))
+    if isinstance(func, ast.Name) and func.id == "open":
+        modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[1:2]
+        return not any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax") for m in modes)
+    return False
+
+
+class TestReadFile:
+    def test_every_file_read_goes_through_read_file(self):
+        # yaml_document parses text that read_file already read, as
+        # parse_container's json.loads parses bytes already in memory
+        src = Path(cellforge.__file__).parent
+        found = [f"{path.relative_to(src)}:{line} in {owner}"
+                 for path in sorted(src.rglob("*.py"))
+                 for owner, line in file_reads(path.read_text(encoding="utf-8"))
+                 if owner not in ("read_file", "yaml_document")]
+        assert found == []
+
+    @pytest.mark.parametrize("call, reads", [
+        ("p.read_bytes()", True), ("p.read_text()", True), ("json.load(fh)", True),
+        ("yaml.safe_load(fh)", True), ("open(p)", True), ("open(p, 'rb')", True),
+        ("open(p, mode='r')", True), ("open(p, 'w')", False), ("open(p, 'ab')", False),
+        ("open(p, mode='x')", False), ("json.loads(text)", False),
+    ])
+    def test_guard_recognises_reads(self, call, reads):
+        assert file_reads(f"def f(p, fh, text):\n    return {call}\n") == ([("f", 2)] if reads else [])
+
+    @pytest.mark.parametrize("raised", [SchemaError, ValueError, OverflowError, RecursionError])
+    def test_parse_failure_is_one_line_naming_the_file(self, tmp_path, raised):
+        path = tmp_path / "f.dat"
+        path.write_bytes(b"x")
+
+        def parse(data):
+            raise raised("first line\n    second line")
+
+        with pytest.raises(CheckpointError) as info:
+            read_file(path, CheckpointError, parse)
+        assert str(info.value) == f"{path}: first line second line"
+
+    @pytest.mark.parametrize("name, reason", [("gone", "No such file or directory"),
+                                              (".", "Is a directory")])
+    def test_unreadable_file_is_named(self, tmp_path, name, reason):
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(tmp_path / name))}: cannot read: {reason}$"):
+            read_file(tmp_path / name, SchemaError, bytes)
 
 
 class TestColumns:

@@ -179,7 +179,7 @@ class TestGenerate:
     def test_missing_spec_file(self, tmp_path, capsys):
         assert main(["generate", "--spec", str(tmp_path / "gone.yaml"),
                      "--out", str(tmp_path / "x")]) == 1
-        assert "cannot read generator spec" in capsys.readouterr().err
+        assert f"error: {tmp_path / 'gone.yaml'}: cannot read: " in capsys.readouterr().err
 
 
 class TestTrainEvaluate:
@@ -342,9 +342,10 @@ class TestTrainEvaluate:
                                                     "state": {"std": 1.0}}},
          "malformed ZScoreDataTransformation state: KeyError: 'mean'"),
         ("report.json", None, "not valid JSON"),
+        ("split.json", lambda p: [], "split.json: split payload must be an object"),
     ], ids=["report-list", "report-row-without-y_true", "report-bool-y_true", "transforms-list",
             "transforms-without-feature-transformation", "zscore-without-mean",
-            "report-not-utf8"])
+            "report-not-utf8", "split-list"])
     def test_malformed_checkpoint_json_is_one_line_error(self, checkpoint_dir, tmp_path, capsys,
                                                          name, edit, fragment):
         ckpt = tmp_path / checkpoint_dir.name
@@ -463,6 +464,55 @@ class TestPreprocessCommand:
         assert "known sources" in capsys.readouterr().err
 
 
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+MATR_CSV_HEADER = b"test_time,voltage,current,cycle_index,charge_capacity,discharge_capacity\n"
+
+
+class TestUnreadableFiles:
+    """Every file the CLI reads fails as one error line naming it."""
+
+    @pytest.mark.parametrize("role, content", [
+        ("column-map", None),
+        ("column-map", "directory"),
+        ("column-map", b"\xff"),
+        ("column-map", DEEP_JSON),
+        ("csv", MATR_CSV_HEADER + b"\xff"),
+        ("csv", MATR_CSV_HEADER + b"0,abc,1,1,0,0\n"),
+        ("spec", b"\xff"),
+        ("spec", b"n_cells: [1,"),
+        ("config", b"\xff"),
+        ("config", b"a: [1,"),
+        ("split", b"\xff"),
+        ("split", DEEP_JSON),
+    ], ids=["column-map-missing", "column-map-directory", "column-map-not-utf8",
+            "column-map-deep-nesting", "csv-not-utf8", "csv-not-numeric", "spec-not-utf8",
+            "spec-not-yaml", "config-not-utf8", "config-not-yaml", "split-not-utf8",
+            "split-deep-nesting"])
+    def test_one_error_line_names_the_file(self, corpus_dir, tmp_path, capsys, role, content):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "cell.csv").write_bytes(MATR_CSV_HEADER + b"0,3.5,1,1,0,0\n")
+        path = raw / "cell.csv" if role == "csv" else tmp_path / f"{role}.file"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        config = tmp_path / "train.yaml"
+        config.write_text(yaml.safe_dump({**TRAIN_CONFIG, "train_test_split": {
+            "name": "FixedSplitTrainTestSplitter", "path": str(path),
+            "cell_data_path": str(corpus_dir)}}))
+        argv = {
+            "column-map": ["preprocess", "MATR", str(raw), str(tmp_path / "out"),
+                           "--column-map", str(path)],
+            "csv": ["preprocess", "MATR", str(raw), str(tmp_path / "out")],
+            "spec": ["generate", "--spec", str(path), "--out", str(tmp_path / "out")],
+            "config": ["train", "--config", str(path), "--workspace", str(tmp_path / "ws")],
+            "split": ["train", "--config", str(config), "--workspace", str(tmp_path / "ws")],
+        }[role]
+        assert main(argv) == 1
+        assert_one_line_error(capsys, f"{path}: ")
+
+
 class TestDownloadCommand:
     def test_offline_failure_leaves_manifest(self, tmp_path, capsys):
         dest = tmp_path / "raw"
@@ -505,7 +555,7 @@ class TestPlotsModule:
             make_plot("heatmap", tmp_path / "x")
 
     def test_missing_report(self, tmp_path):
-        with pytest.raises(CheckpointError, match="checkpoint file missing"):
+        with pytest.raises(CheckpointError, match=re.escape(f"{tmp_path / 'report.json'}: cannot read")):
             pred_vs_truth_series(tmp_path)
 
     def test_empty_predictions(self, tmp_path):

@@ -1,6 +1,7 @@
 """Feature extraction: interpolation oracles, extractors, persistence."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -259,9 +260,9 @@ class TestFeatureMatrix:
         fm = FeatureMatrix(np.ones((2, 1)), [("a", None, None), ("b", None, None)], ["x"])
         path = fm.save(tmp_path / "feats")
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(CheckpointError, match="feats.bin: not a valid feature matrix: truncated"):
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: truncated")):
             FeatureMatrix.load(tmp_path / "feats")
-        with pytest.raises(CheckpointError, match="checkpoint file missing: .*other.bin"):
+        with pytest.raises(CheckpointError, match=re.escape(f"{tmp_path / 'other.bin'}: cannot read")):
             FeatureMatrix.load(tmp_path / "other")
 
     def test_shape_validation(self):

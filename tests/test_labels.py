@@ -143,12 +143,12 @@ class TestRUL:
 
     def test_custom_threshold(self):
         cell = cell_with_soh([99.0, 92.0, 89.0])
-        assert rul_label(cell, LabelSpec("RUL", eol_soh_percent=90.0)) == 3
+        assert rul_label(cell, LabelSpec(eol_soh_percent=90.0)) == 3
 
     def test_smoothing_ignores_single_dip(self):
         cell = cell_with_soh([95.0, 70.0, 91.0, 85.0, 75.0, 72.0])
         assert rul_label(cell) == 2
-        assert rul_label(cell, LabelSpec("RUL", smoothing_window=3)) == 5
+        assert rul_label(cell, LabelSpec(smoothing_window=3)) == 5
 
     def test_invariant_to_cycles_after_crossing(self):
         head = [95.0, 85.0, 78.0]
@@ -166,7 +166,6 @@ class TestLabelSpec:
     @pytest.mark.parametrize(
         "kw",
         [
-            {"task": "WAT"},
             {"eol_soh_percent": 0.0},
             {"eol_soh_percent": 100.0},
             {"smoothing_window": 2},
@@ -175,7 +174,7 @@ class TestLabelSpec:
     )
     def test_rejects_bad_parameters(self, kw):
         with pytest.raises(ValueError):
-            LabelSpec(**{"task": "RUL", **kw})
+            LabelSpec(**kw)
 
 
 class TestSOC:

@@ -186,7 +186,7 @@ class TestConfigParsing:
             PipelineConfig.from_yaml(path)
 
     def test_from_yaml_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read config"):
+        with pytest.raises(ConfigError, match=re.escape(f"{tmp_path / 'absent.yaml'}: cannot read")):
             PipelineConfig.from_yaml(tmp_path / "absent.yaml")
 
 
@@ -708,10 +708,20 @@ class TestRunEvaluate:
         with pytest.raises(CheckpointError, match="modified after training"):
             run_evaluate(dst)
 
+    @pytest.mark.parametrize("seeds", [[0], [1, 0], [0, 1, 2]], ids=["cut", "reordered", "added"])
+    def test_edited_seeds_detected(self, trained, tmp_path, seeds):
+        # config_hash leaves the seeds out; the report's per-seed rows hold them
+        dst = self.copy_checkpoint(trained, tmp_path)
+        cfg = yaml.safe_load((dst / "config.yaml").read_text())
+        cfg["seeds"] = seeds
+        (dst / "config.yaml").write_text(yaml.safe_dump(cfg))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(dst / 'config.yaml'))}: seeds "):
+            run_evaluate(dst)
+
     def test_unreadable_config_detected(self, trained, tmp_path):
         dst = self.copy_checkpoint(trained, tmp_path)
         (dst / "config.yaml").write_text("train_test_split: [")
-        with pytest.raises(CheckpointError, match="stored config unreadable"):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(dst / 'config.yaml'))}: not valid YAML"):
             run_evaluate(dst)
 
     def test_corrupt_report_detected(self, trained, tmp_path):
@@ -733,7 +743,7 @@ class TestRunEvaluate:
         dst = self.copy_checkpoint(trained, tmp_path)
         path = dst / "features_test.bin"
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(CheckpointError, match="features_test.bin: not a valid feature matrix"):
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: truncated")):
             run_evaluate(dst)
 
     def test_feature_rows_must_match_label_keys(self, trained, tmp_path):
