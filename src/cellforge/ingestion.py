@@ -19,6 +19,7 @@ import csv
 import io
 import logging
 import urllib.request
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +32,14 @@ log = logging.getLogger("cellforge")
 
 _REQUIRED_COLUMNS = ("time_s", "voltage_V", "current_A", "cycle_index")
 _OPTIONAL_COLUMNS = ("charge_capacity_Ah", "discharge_capacity_Ah")
+# Logical column -> the CycleData signal it fills.
+_SIGNALS = {
+    "time_s": "time_in_s",
+    "voltage_V": "voltage_in_V",
+    "current_A": "current_in_A",
+    "charge_capacity_Ah": "charge_capacity_in_Ah",
+    "discharge_capacity_Ah": "discharge_capacity_in_Ah",
+}
 
 
 @dataclass(frozen=True)
@@ -148,39 +157,50 @@ def parse_column_map(obj) -> dict[str, str]:
     return dict(obj)
 
 
-def _to_float(raw: str, line: int, column: str) -> float:
+def _csv_columns(data: bytes, mapping: dict[str, str]) -> dict[str, np.ndarray]:
+    """The mapped columns of a cycler CSV export, one float64 array per logical name.
+
+    Blank lines are skipped. A row's fields are read cycle index first, then
+    in signal order, and the first one that is missing or not a number is
+    reported with its line.
+    """
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
     try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise SchemaError(f"line {line}: column '{column}': not numeric: {raw!r}") from None
-
-
-def _csv_rows(data: bytes, mapping: dict[str, str]) -> list[dict]:
-    """The data rows of a cycler CSV export, as floats keyed by logical name."""
-    reader = csv.DictReader(io.StringIO(data.decode("utf-8-sig"), newline=""))
-    if reader.fieldnames is None:
-        raise SchemaError("empty file (no header row)")
-    header = set(reader.fieldnames)
-    for logical, column in mapping.items():
-        if column not in header:
-            raise SchemaError(f"mapped column '{column}' (for {logical}) not in header")
-    rows = []
-    for rec in reader:
-        line = reader.line_num
-        cyc = _to_float(rec[mapping["cycle_index"]], line, mapping["cycle_index"])
-        row = {
-            "cycle": int(cyc),
-            "t": _to_float(rec[mapping["time_s"]], line, mapping["time_s"]),
-            "v": _to_float(rec[mapping["voltage_V"]], line, mapping["voltage_V"]),
-            "i": _to_float(rec[mapping["current_A"]], line, mapping["current_A"]),
-        }
-        for logical in _OPTIONAL_COLUMNS:
-            if logical in mapping:
-                row[logical] = _to_float(rec[mapping[logical]], line, mapping[logical])
-        rows.append(row)
-    if not rows:
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError("empty file (no header row)")
+        for logical, column in mapping.items():
+            count = header.count(column)
+            if count == 0:
+                raise SchemaError(f"mapped column '{column}' (for {logical}) not in header")
+            if count > 1:
+                raise SchemaError(f"mapped column '{column}' (for {logical}) appears {count} times in header")
+        columns = {logical: array("d") for logical in ("cycle_index", *_SIGNALS) if logical in mapping}
+        fields = [(mapping[logical], header.index(mapping[logical]), values.append)
+                  for logical, values in columns.items()]
+        for row in reader:
+            if not row:
+                continue
+            for column, index, append in fields:
+                try:
+                    append(float(row[index]))
+                except (IndexError, ValueError):
+                    raw = row[index] if index < len(row) else None
+                    raise SchemaError(f"line {reader.line_num}: column '{column}': not numeric: {raw!r}") from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise SchemaError(f"line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        data.decode("utf-8-sig")  # raises the same error, its position counted from the file's start
+        raise
+    if not columns["cycle_index"]:
         raise SchemaError("no data rows")
-    return rows
+    columns = {logical: np.frombuffer(values) for logical, values in columns.items()}
+    lo, hi = columns["cycle_index"].min(), columns["cycle_index"].max()  # NaN if any index is NaN
+    # parse_csv_cycler truncates the indices to int64 and numbers them from 1
+    if not -2.0**63 <= lo <= hi < 2.0**63 or int(hi) - min(int(lo), 1) + 1 >= 2**63:
+        raise SchemaError(f"column '{mapping['cycle_index']}': cycle indices {lo:g} to {hi:g} are not "
+                          "finite or do not fit in int64 when numbered from 1")
+    return columns
 
 
 def _integrate_split_by_sign(current_A: np.ndarray, time_s: np.ndarray):
@@ -205,65 +225,35 @@ def parse_csv_cycler(
 ) -> CellRecord:
     """Parse one cycler CSV export into a validated :class:`CellRecord`.
 
-    Rows are grouped by the cycle-index column and time-sorted within each
-    cycle. Cycle indices are shifted to be 1-based when the file starts at 0
-    or below. The returned record always passes ``validate``; a file whose
+    Rows are grouped by the cycle-index column, truncated to an integer, and
+    time-sorted within each cycle; equal times keep their file order. Cycle
+    indices are shifted to be 1-based when the file starts at 0 or below.
+    The returned record always passes ``validate``; a file whose
     data cannot satisfy the record invariants raises :class:`SchemaError`.
     """
     path = Path(path)
     mapping = parse_column_map(mapping)
-    rows = read_file(path, SchemaError, lambda data: _csv_rows(data, mapping))
-
-    shift = 1 - min(r["cycle"] for r in rows)
-    if shift > 0:
-        for r in rows:
-            r["cycle"] += shift
-
-    by_cycle: dict[int, list] = {}
-    for r in rows:
-        by_cycle.setdefault(r["cycle"], []).append(r)
-
-    numbers = sorted(by_cycle)
-    cycles = []
-    for number in numbers:
-        group = sorted(by_cycle[number], key=lambda r: r["t"])
-        t = np.array([r["t"] for r in group])
-        v = np.array([r["v"] for r in group])
-        i = np.array([r["i"] for r in group])
-        if "charge_capacity_Ah" in mapping and "discharge_capacity_Ah" in mapping:
-            qc = np.array([r["charge_capacity_Ah"] for r in group])
-            qd = np.array([r["discharge_capacity_Ah"] for r in group])
-        else:
-            qc_int, qd_int = _integrate_split_by_sign(i, t)
-            qc = (
-                np.array([r["charge_capacity_Ah"] for r in group])
-                if "charge_capacity_Ah" in mapping
-                else qc_int
-            )
-            qd = (
-                np.array([r["discharge_capacity_Ah"] for r in group])
-                if "discharge_capacity_Ah" in mapping
-                else qd_int
-            )
-        cycles.append({
-            "voltage_in_V": v,
-            "current_in_A": i,
-            "charge_capacity_in_Ah": qc,
-            "discharge_capacity_in_Ah": qd,
-            "time_in_s": t,
-        })
+    columns = read_file(path, SchemaError, lambda data: _csv_columns(data, mapping))
+    cycle = columns.pop("cycle_index").astype(np.int64)  # truncated toward zero, as int() does
+    cycle = cycle - min(cycle.min(), 1) + 1  # numbered from 1 if the file starts at 0 or below
+    order = np.lexsort((columns["time_s"], cycle))  # stable: equal times keep their file order
+    numbers, starts = np.unique(cycle[order], return_index=True)
+    offsets = np.append(starts, cycle.size)
+    signals = {_SIGNALS[logical]: values[order] for logical, values in columns.items()}
+    if len(signals) < len(_SIGNALS):  # integrate the capacities the map leaves out
+        time, current = signals["time_in_s"], signals["current_in_A"]
+        integrated = zip(*(_integrate_split_by_sign(current[a:b], time[a:b])
+                           for a, b in zip(offsets[:-1], offsets[1:])))
+        for name, parts in zip(("charge_capacity_in_Ah", "discharge_capacity_in_Ah"), integrated):
+            if name not in signals:
+                signals[name] = np.concatenate(parts)
 
     cell = CellRecord(
         cell_id=cell_id or path.stem,
         nominal_capacity_in_Ah=nominal_capacity_in_Ah,
         min_voltage_limit_in_V=min_voltage_limit_in_V,
         max_voltage_limit_in_V=max_voltage_limit_in_V,
-        cycle_data=CycleData(
-            numbers,
-            {name: np.concatenate([c[name] for c in cycles]) for name in cycles[0]},
-            np.cumsum([0, *(len(c["time_in_s"]) for c in cycles)]),
-            copy=False,  # the concatenated columns are new
-        ),
+        cycle_data=CycleData(numbers, signals, offsets, copy=False),  # the sorted columns are new
     )
     violations = validate(cell)
     if violations:

@@ -109,17 +109,20 @@ def _series_from_csv(data: bytes) -> list[Series]:
     points: dict[str, tuple[list, list]] = {}
     order: list[str] = []
     reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
-    if next(reader, None) != ["series", "x", "y"]:
-        raise ConfigError("expected header series,x,y")
-    for row in reader:
-        if len(row) != 3:
-            raise ConfigError(f"malformed row {row!r}")
-        name = row[0]
-        if name not in points:
-            points[name] = ([], [])
-            order.append(name)
-        points[name][0].append(float(row[1]))
-        points[name][1].append(float(row[2]))
+    try:
+        if next(reader, None) != ["series", "x", "y"]:
+            raise ConfigError("expected header series,x,y")
+        for row in reader:
+            if len(row) != 3:
+                raise ConfigError(f"malformed row {row!r}")
+            name = row[0]
+            if name not in points:
+                points[name] = ([], [])
+                order.append(name)
+            points[name][0].append(float(row[1]))
+            points[name][1].append(float(row[2]))
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ConfigError(f"line {reader.line_num}: {exc}") from None
     return [Series(n, tuple(points[n][0]), tuple(points[n][1])) for n in order]
 
 

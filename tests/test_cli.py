@@ -484,10 +484,17 @@ class TestUnreadableFiles:
         ("config", b"a: [1,"),
         ("split", b"\xff"),
         ("split", DEEP_JSON),
+        ("csv", MATR_CSV_HEADER + b"0," + b"9" * 200_000 + b",1,1,0,0\n"),
+        ("csv", MATR_CSV_HEADER + b"0,3.5,1,nan,0,0\n10,3.4,1,nan,0.01,0\n"),
+        ("csv", MATR_CSV_HEADER + b"0,3.5,1,inf,0,0\n10,3.4,1,inf,0.01,0\n"),
+        ("csv", MATR_CSV_HEADER + b"0,3.5,1,1e30,0,0\n10,3.4,1,1e30,0.01,0\n"),
+        ("csv", MATR_CSV_HEADER.replace(b"voltage", b"voltage,voltage")
+         + b"0,3.5,3.5,1,1,0,0\n10,3.4,3.4,1,1,0.01,0\n"),
     ], ids=["column-map-missing", "column-map-directory", "column-map-not-utf8",
             "column-map-deep-nesting", "csv-not-utf8", "csv-not-numeric", "spec-not-utf8",
             "spec-not-yaml", "config-not-utf8", "config-not-yaml", "split-not-utf8",
-            "split-deep-nesting"])
+            "split-deep-nesting", "csv-field-too-large", "csv-cycle-nan", "csv-cycle-inf",
+            "csv-cycle-beyond-int64", "csv-duplicated-mapped-header"])
     def test_one_error_line_names_the_file(self, corpus_dir, tmp_path, capsys, role, content):
         raw = tmp_path / "raw"
         raw.mkdir()
@@ -548,6 +555,12 @@ class TestPlotsModule:
         path = tmp_path / "pts.csv"
         path.write_text("series,x,y\nonly,two\n")
         with pytest.raises(ConfigError, match="malformed row"):
+            read_series_csv(path)
+
+    def test_overlong_field_rejected(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("series,x,y\ns," + "1" * 200_000 + ",2\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: .*field larger than field limit"):
             read_series_csv(path)
 
     def test_unknown_kind(self, tmp_path):

@@ -1,12 +1,13 @@
 """Source registry, column-map parsing, CSV conversion, download fallback."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from cellforge.battery_data import read_cell, validate
+from cellforge.battery_data import read_cell, validate, write_cell
 from cellforge.errors import DownloadError, SchemaError
 from cellforge.ingestion import (
     SOURCES,
@@ -46,6 +47,23 @@ def simple_rows(cycle, n=5, t0=0.0):
     for k in range(n):
         rows.append([t0 + 10.0 * k, 3.5 - 0.1 * k, -1.0, cycle, 0.0, 0.1 * k])
     return rows
+
+
+def pinned_rows():
+    """Two zero-based cycles, charge then discharge, written in reverse order."""
+    rows = []
+    for cycle in (0, 1):
+        for k in range(6):
+            current = 1.1 if k < 3 else -1.1
+            rows.append([100.0 * cycle + 7.5 * k, 3.6 - 0.07 * k - 0.01 * cycle, current,
+                         cycle, 0.0025 * min(k, 3), 0.0025 * max(k - 3, 0)])
+    return rows[::-1]
+
+
+def cycle_columns(cell):
+    return [(c.cycle_number, c.time_in_s.tolist(), c.voltage_in_V.tolist(),
+             c.current_in_A.tolist(), c.charge_capacity_in_Ah.tolist(),
+             c.discharge_capacity_in_Ah.tolist()) for c in cell.cycle_data]
 
 
 class TestSourceRegistry:
@@ -170,6 +188,13 @@ class TestParseCsv:
         cell = parse_csv_cycler(p, SIMPLE_MAP, nominal_capacity_in_Ah=1.0)
         assert len(cell.cycle_data) == 1
 
+    def test_bad_utf8_reports_its_position_in_the_file(self, tmp_path):
+        p = write_csv(tmp_path / "u.csv", list(SIMPLE_MAP.values()), simple_rows(1, n=2000))
+        size = p.stat().st_size
+        p.write_bytes(p.read_bytes() + b"\xff\n")
+        with pytest.raises(SchemaError, match=f"can't decode byte 0xff in position {size}:"):
+            parse_csv_cycler(p, SIMPLE_MAP, nominal_capacity_in_Ah=1.0)
+
     def test_mapped_column_missing_from_header(self, tmp_path):
         p = write_csv(tmp_path / "h.csv", ["t", "v", "i"], [[0, 3, 1]])
         with pytest.raises(SchemaError, match="mapped column"):
@@ -192,6 +217,86 @@ class TestParseCsv:
         p = write_csv(tmp_path / "ho.csv", list(SIMPLE_MAP.values()), [])
         with pytest.raises(SchemaError, match="no data rows"):
             parse_csv_cycler(p, SIMPLE_MAP, nominal_capacity_in_Ah=1.0)
+
+    def test_crlf_line_endings_and_blank_lines(self, tmp_path):
+        rows = simple_rows(1) + simple_rows(2, t0=100.0)
+        plain = write_csv(tmp_path / "plain.csv", list(SIMPLE_MAP.values()), rows)
+        crlf = tmp_path / "crlf.csv"
+        lines = [",".join(SIMPLE_MAP.values())] + [",".join(map(str, r)) for r in rows]
+        crlf.write_bytes(("\r\n\r\n".join(lines) + "\r\n").encode("utf-8"))
+        expected = cycle_columns(parse_csv_cycler(plain, SIMPLE_MAP, nominal_capacity_in_Ah=1.0))
+        assert cycle_columns(parse_csv_cycler(crlf, SIMPLE_MAP, nominal_capacity_in_Ah=1.0)) == expected
+
+    def test_quoted_numeric_field(self, tmp_path):
+        p = tmp_path / "q.csv"
+        body = "t,v,i,cyc,qc,qd\n" + "".join(
+            f'"{r[0]}",{r[1]},"{r[2]}",{r[3]},{r[4]},{r[5]}\n' for r in simple_rows(1))
+        p.write_text(body, encoding="utf-8")
+        cell = parse_csv_cycler(p, SIMPLE_MAP, nominal_capacity_in_Ah=1.0)
+        assert cell.cycle_data[0].time_in_s.tolist() == [0.0, 10.0, 20.0, 30.0, 40.0]
+        assert cell.cycle_data[0].current_in_A.tolist() == [-1.0] * 5
+
+    def test_short_row_reports_the_missing_field(self, tmp_path):
+        rows = simple_rows(1)
+        rows[1] = rows[1][:4]
+        p = write_csv(tmp_path / "short.csv", list(SIMPLE_MAP.values()), rows)
+        with pytest.raises(SchemaError, match=r"line 3: column 'qc': not numeric: None$"):
+            parse_csv_cycler(p, SIMPLE_MAP, nominal_capacity_in_Ah=1.0)
+
+    def test_interleaved_cycles_are_grouped_in_order(self, tmp_path):
+        rows = [r for k in range(5) for r in (simple_rows(3, t0=200.0)[4 - k],
+                                              simple_rows(1)[k], simple_rows(2, t0=100.0)[k])]
+        p = write_csv(tmp_path / "mix.csv", list(SIMPLE_MAP.values()), rows)
+        cell = parse_csv_cycler(p, SIMPLE_MAP, nominal_capacity_in_Ah=1.0)
+        expected = [(c, [r[0] for r in simple_rows(c, t0=100.0 * (c - 1))],
+                     [r[1] for r in simple_rows(c)]) for c in (1, 2, 3)]
+        assert [(c.cycle_number, c.time_in_s.tolist(), c.voltage_in_V.tolist())
+                for c in cell.cycle_data] == expected
+
+    @pytest.mark.parametrize("tied, backwards", [((0.1, 0.2), False), ((0.2, 0.1), True)])
+    def test_equal_timestamps_keep_file_order(self, tmp_path, tied, backwards):
+        # the tie fails validation either way; whether the discharge capacity
+        # also runs backwards shows which of the two tied rows came first
+        rows = [[0.0, 3.5, -1.0, 1, 0.0, 0.0], [10.0, 3.4, -1.0, 1, 0.0, tied[0]],
+                [10.0, 3.3, -1.0, 1, 0.0, tied[1]], [20.0, 3.2, -1.0, 1, 0.0, 0.3]]
+        p = write_csv(tmp_path / "tie.csv", list(SIMPLE_MAP.values()), rows)
+        with pytest.raises(SchemaError, match="time_in_s: must be strictly increasing") as info:
+            parse_csv_cycler(p, SIMPLE_MAP, nominal_capacity_in_Ah=1.0)
+        assert ("discharge_capacity_in_Ah: must be non-decreasing" in str(info.value)) == backwards
+
+    def test_non_integral_cycle_index_is_truncated(self, tmp_path):
+        rows = simple_rows(2.7, t0=100.0) + simple_rows(1.2)
+        p = write_csv(tmp_path / "frac.csv", list(SIMPLE_MAP.values()), rows)
+        cell = parse_csv_cycler(p, SIMPLE_MAP, nominal_capacity_in_Ah=1.0)
+        assert [(c.cycle_number, c.time_in_s[0]) for c in cell.cycle_data] == [(1, 0.0), (2, 100.0)]
+
+    def test_cycle_indices_too_far_apart_for_int64_are_rejected(self, tmp_path):
+        rows = simple_rows(-5e18) + simple_rows(5e18, t0=100.0)
+        p = write_csv(tmp_path / "far.csv", list(SIMPLE_MAP.values()), rows)
+        with pytest.raises(SchemaError, match="cycle indices -5e\\+18 to 5e\\+18 are not finite or do not fit"):
+            parse_csv_cycler(p, SIMPLE_MAP, nominal_capacity_in_Ah=1.0)
+
+    def test_duplicated_mapped_header_is_rejected(self, tmp_path):
+        header = ["t", "v", "v", "i", "cyc", "qc", "qd"]
+        rows = [r[:2] + r[1:] for r in simple_rows(1)]
+        p = write_csv(tmp_path / "dup.csv", header, rows)
+        with pytest.raises(SchemaError, match=r"mapped column 'v' \(for voltage_V\) appears 2 times"):
+            parse_csv_cycler(p, SIMPLE_MAP, nominal_capacity_in_Ah=1.0)
+
+    def test_duplicated_unmapped_header_is_allowed(self, tmp_path):
+        header = [*SIMPLE_MAP.values(), "note", "note"]
+        p = write_csv(tmp_path / "extra.csv", header, [r + ["a", "b"] for r in simple_rows(1)])
+        cell = parse_csv_cycler(p, SIMPLE_MAP, nominal_capacity_in_Ah=1.0)
+        assert cell.cycle_data[0].voltage_in_V.tolist() == [r[1] for r in simple_rows(1)]
+
+    @pytest.mark.parametrize("mapping, digest", [
+        (SIMPLE_MAP, "0b7d5eca4fd016cd41b64252205e91b58beccc0e14a7c1d440fb555db36ef7e1"),
+        (NO_CAPACITY_MAP, "e21ae3fa50943cc6d6d90d807dbe33590020c0566ef664a3079461b493f27df6"),
+    ], ids=["capacity-columns", "integrated-capacity"])
+    def test_written_bytes_are_pinned(self, tmp_path, mapping, digest):
+        p = write_csv(tmp_path / "pin.csv", list(SIMPLE_MAP.values()), pinned_rows())
+        cell = parse_csv_cycler(p, mapping, nominal_capacity_in_Ah=1.1)
+        assert hashlib.sha256(write_cell(cell, tmp_path).read_bytes()).hexdigest() == digest
 
     def test_invariant_violations_surface_as_schema_errors(self, tmp_path):
         rows = simple_rows(1)
