@@ -25,7 +25,6 @@ from .errors import (
     CellforgeError,
     CheckpointError,
     ConfigError,
-    DownloadError,
     FeatureError,
     PipelineError,
     RegistryError,
@@ -66,7 +65,6 @@ __all__ = [
     "CellforgeError",
     "CheckpointError",
     "ConfigError",
-    "DownloadError",
     "FeatureError",
     "PipelineError",
     "RegistryError",

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: list-sources, download, preprocess, generate, train, evaluate,
-plot. Domain failures exit 1 with a single-line message; bad flags exit 2
-with usage text. CELLFORGE_WORKSPACE provides the default workspace for
-train checkpoints.
+Subcommands: list-sources, preprocess, generate, train, evaluate, plot.
+Domain failures and file-system errors exit 1 with a single-line message;
+bad flags exit 2 with usage text. CELLFORGE_WORKSPACE provides the default
+workspace for train checkpoints.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 from . import components as _components  # noqa: F401  (populates registries)
 from .battery_data import load_cells, read_file, write_cell, yaml_document
 from .errors import CellforgeError, ConfigError
-from .ingestion import download, list_sources, preprocess_source
+from .ingestion import list_sources, preprocess_source
 from .pipeline import run_evaluate, run_train
 from .plots import PLOT_KINDS, make_plot
 from .synthetic import SynthSpec, generate_synthetic
@@ -33,10 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list-sources", help="show the known public data sources")
-
-    p = sub.add_parser("download", help="fetch a source's raw files")
-    p.add_argument("source")
-    p.add_argument("dest")
 
     p = sub.add_parser("preprocess", help="convert raw CSV files to cell records")
     p.add_argument("source")
@@ -95,20 +91,14 @@ def _cmd_list_sources(args, say) -> int:
     rows = [
         (s.name, f"{s.cathode_material}/{s.anode_material}",
          f"{s.nominal_capacity_in_Ah:g}",
-         f"{s.min_voltage_limit_in_V:g}-{s.max_voltage_limit_in_V:g}", str(s.cell_count))
+         f"{s.min_voltage_limit_in_V:g}-{s.max_voltage_limit_in_V:g}", str(s.cell_count),
+         " ".join(s.urls))
         for s in list_sources()
     ]
-    header = ("source", "chemistry", "capacity_Ah", "voltage_V", "cells")
+    header = ("source", "chemistry", "capacity_Ah", "voltage_V", "cells", "url")
     widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(r, widths)))
-    return 0
-
-
-def _cmd_download(args, say) -> int:
-    paths = download(args.source, args.dest)
-    say(f"downloaded {len(paths)} file(s) to {args.dest}")
+    for r in [header] + rows:
+        print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
     return 0
 
 
@@ -161,7 +151,6 @@ def _cmd_plot(args, say) -> int:
 
 _COMMANDS = {
     "list-sources": _cmd_list_sources,
-    "download": _cmd_download,
     "preprocess": _cmd_preprocess,
     "generate": _cmd_generate,
     "train": _cmd_train,
@@ -185,6 +174,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args, say)
     except CellforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a write the file system refused
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename is not None else str(exc)
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

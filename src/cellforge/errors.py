@@ -46,10 +46,6 @@ class PipelineError(CellforgeError):
     """A pipeline run could not proceed (empty sets, misaligned rows)."""
 
 
-class DownloadError(CellforgeError):
-    """A dataset download failed; a URL manifest was written instead."""
-
-
 class TransformError(CellforgeError, ValueError):
     """A data transformation cannot fit, apply or invert on the data given."""
 

@@ -2,9 +2,8 @@
 
 Seven public cycling datasets are registered with their chemistry, nominal
 capacity, voltage window, and cell count. URLs point at the public landing
-pages and are plain editable data; :func:`download` fetches them when the
-network allows and otherwise writes a newline-separated URL manifest and
-raises, so offline runs fail loudly but leave the user a recipe.
+pages, where the raw files are retrieved by hand; they are plain editable
+data.
 
 CSV ingestion is column-map driven: a JSON object maps the logical names
 ``time_s, voltage_V, current_A, cycle_index`` (mandatory) and
@@ -18,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import urllib.request
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .battery_data import CellRecord, CycleData, json_document, read_file, validate, write_cell
-from .errors import DownloadError, SchemaError
+from .errors import SchemaError
 
 log = logging.getLogger("cellforge")
 
@@ -103,36 +101,6 @@ def get_source(name: str) -> SourceDescriptor:
 def list_sources() -> list[SourceDescriptor]:
     """All registered descriptors, in registry order."""
     return list(SOURCES.values())
-
-
-def download(source_name: str, dest, timeout: float = 30.0) -> list[Path]:
-    """Fetch all registered URLs of a source into ``dest``.
-
-    On any failure a manifest of every registered URL is written to
-    ``dest/manifest.txt`` and :class:`DownloadError` is raised, so callers can
-    retrieve the data manually.
-    """
-    desc = get_source(source_name)
-    dest = Path(dest)
-    dest.mkdir(parents=True, exist_ok=True)
-    fetched: list[Path] = []
-    failures: list[str] = []
-    for url in desc.urls:
-        target = dest / (url.rstrip("/").rsplit("/", 1)[-1] or desc.name)
-        try:
-            with urllib.request.urlopen(url, timeout=timeout) as resp, open(target, "wb") as out:
-                out.write(resp.read())
-            fetched.append(target)
-        except Exception as exc:  # URLError, timeout, HTTP errors, DNS ...
-            failures.append(f"{url} ({exc})")
-    if failures or not desc.urls:
-        manifest = dest / "manifest.txt"
-        manifest.write_text("".join(f"{u}\n" for u in desc.urls), encoding="utf-8")
-        detail = "; ".join(failures) if failures else "no fetchable URLs registered"
-        raise DownloadError(
-            f"could not download '{source_name}': {detail}; URL manifest written to {manifest}"
-        )
-    return fetched
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,7 @@ class MLPRegressor(BaseRegressor):
             gb[l] = delta.sum(axis=0)
             if l > 0:
                 delta = (delta @ self.weights_[l].T) * self._act_grad(zs[l - 1])
-        loss = float(np.mean((pred - y) ** 2))
-        return gW, gb, loss
+        return gW, gb
 
     # -- training -----------------------------------------------------------
 
@@ -105,7 +104,7 @@ class MLPRegressor(BaseRegressor):
             order = rng.permutation(n)
             for start in range(0, n, self.batch_size):
                 batch = order[start : start + self.batch_size]
-                gW, gb, _ = self._gradients(X[batch], y[batch])
+                gW, gb = self._gradients(X[batch], y[batch])
                 for l in range(len(self.weights_)):
                     self.weights_[l] -= self.learning_rate * gW[l]
                     self.biases_[l] -= self.learning_rate * gb[l]
@@ -141,7 +140,7 @@ def gradient_check(model: MLPRegressor, X, y, h: float = 1e-5) -> float:
         model._init_params(X.shape[1], np.random.default_rng(model.seed))
         model.n_features_ = X.shape[1]
 
-    analytic_W, analytic_b, _ = model._gradients(X, y)
+    analytic_W, analytic_b = model._gradients(X, y)
 
     def loss():
         pred = model._forward(X)[2]

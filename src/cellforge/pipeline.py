@@ -354,7 +354,13 @@ def _score(seeds, models, lt, Xte, y_test):
     seed without a fit of its own is scored with the first seed's fit."""
     per_seed, preds = [], []
     for seed in seeds:
-        y_pred = lt.inverse_transform(models.get(seed, models[seeds[0]]).predict(Xte))
+        model = models.get(seed, models[seeds[0]])
+        y_pred = lt.inverse_transform(model.predict(Xte))
+        if not np.isfinite(y_pred).all():
+            raise PipelineError(
+                f"seed {seed}: {type(model).__name__} predicts non-finite values "
+                "(the fit diverged or overflowed)"
+            )
         preds.append(y_pred)
         per_seed.append(
             {"seed": seed, "rmse": rmse(y_test, y_pred), "mae": mae(y_test, y_pred)}

@@ -1,9 +1,8 @@
 """Plot data export and chart rendering.
 
-Every plot is produced in two files: a CSV of the plotted points (the
-source of truth) and an SVG chart rendered from exactly those points.
-Re-parsing the CSV and re-rendering reproduces the SVG byte for byte;
-floats round-trip through ``repr``.
+Every plot is produced in two files: a CSV of the plotted points and an SVG
+chart rendered from the same points. The CSV holds the exact plotted floats:
+each is written as its ``repr``, which parses back to the same float.
 
 Kinds:
 
@@ -17,13 +16,12 @@ Kinds:
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .battery_data import CellRecord, read_file
+from .battery_data import CellRecord
 from .errors import CheckpointError, ConfigError
 from .labels import soh_per_cycle
 from .pipeline import read_report
@@ -99,31 +97,6 @@ def write_series_csv(series: list[Series], path) -> Path:
             for xv, yv in zip(s.x, s.y):
                 writer.writerow([s.name, repr(float(xv)), repr(float(yv))])
     return path
-
-
-def read_series_csv(path) -> list[Series]:
-    return read_file(path, ConfigError, _series_from_csv)
-
-
-def _series_from_csv(data: bytes) -> list[Series]:
-    points: dict[str, tuple[list, list]] = {}
-    order: list[str] = []
-    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
-    try:
-        if next(reader, None) != ["series", "x", "y"]:
-            raise ConfigError("expected header series,x,y")
-        for row in reader:
-            if len(row) != 3:
-                raise ConfigError(f"malformed row {row!r}")
-            name = row[0]
-            if name not in points:
-                points[name] = ([], [])
-                order.append(name)
-            points[name][0].append(float(row[1]))
-            points[name][1].append(float(row[2]))
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise ConfigError(f"line {reader.line_num}: {exc}") from None
-    return [Series(n, tuple(points[n][0]), tuple(points[n][1])) for n in order]
 
 
 def _data_range(series, attr):
@@ -264,7 +237,7 @@ def make_plot(kind: str, out, *, cells: list[CellRecord] | None = None,
     csv_path = write_series_csv(series, base.with_suffix(".csv"))
     title, x_label, y_label = _KIND_LABELS[kind]
     svg_path = render_svg(
-        read_series_csv(csv_path),
+        series,
         base.with_suffix(".svg"),
         scatter=kind == "pred-vs-truth",
         title=title,

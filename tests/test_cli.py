@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, subcommand workflows, plot file outputs."""
 
 import csv
+import hashlib
 import json
 import re
 import shutil
@@ -12,13 +13,13 @@ import yaml
 from cellforge.battery_data import load_cells, validate
 from cellforge.cli import main
 from cellforge.errors import CheckpointError, ConfigError
+from cellforge.ingestion import SOURCES
 from cellforge.models.io import read_model_file, write_model_file
 from cellforge.pipeline import PipelineConfig, run_evaluate
 from cellforge.plots import (
     Series,
     make_plot,
     pred_vs_truth_series,
-    read_series_csv,
     write_series_csv,
 )
 
@@ -122,6 +123,13 @@ class TestListSources:
         for name in ("CALCE", "MATR", "HUST", "HNEI", "RWTH", "SNL", "UL_PUR"):
             assert any(line.startswith(name) for line in lines[1:])
         assert "LFP/graphite" in out
+
+    def test_prints_every_source_url(self, capsys):
+        assert main(["list-sources"]) == 0
+        out = capsys.readouterr().out
+        for source in SOURCES.values():
+            for url in source.urls:
+                assert url in out
 
 
 class TestGenerate:
@@ -360,6 +368,16 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
         assert_one_line_error(capsys, fragment)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverging_model_is_one_line_error(self, corpus_dir, tmp_path, capsys):
+        config_path = write_train_config(tmp_path, corpus_dir, model={
+            "name": "MLPRegressor", "hidden_dims": [32], "epochs": 10, "learning_rate": 1e6})
+        ws = tmp_path / "ws"
+        assert main(["train", "--config", str(config_path), "--workspace", str(ws)]) == 1
+        assert_one_line_error(capsys, "seed 0: MLPRegressor predicts non-finite values")
+        assert not ws.exists() or list(ws.iterdir()) == []
+
     def test_checkpoint_holding_labels_json_evaluates(self, checkpoint_dir, tmp_path):
         # older checkpoints also stored labels.json; evaluation ignores it
         ckpt = tmp_path / checkpoint_dir.name
@@ -386,6 +404,22 @@ class TestPlotCommand:
                          "--out", str(tmp_path / name), "--cells", str(corpus_dir)]) == 0
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind, csv_sha256, svg_sha256", [
+        ("degradation", "354df2549df33eda4558221cfd2555b625e084202b3b6236e50fef7ba913e8bc",
+         "9d7b77e707554eeb728740d909cc532fee8812dae9b85d04b2ea5922c2442af4"),
+        ("voltage-curves", "3ddab9fefe875a8c4f79063befcc0bccb30f36af3668b01c8fe393a704b88950",
+         "edd561a4364366cc74d0ccde9f4cce66555f6962c1aafc54999d8de20a359684"),
+        ("pred-vs-truth", "45c14214dad952140f2a09aae57d2816738658d45aa3cf78053cffa0485471ee",
+         "66513524db2f89cf6faca08fb2e69dd60e302cbb88b4f9ad498443a6d8c2b177"),
+    ])
+    def test_written_bytes_are_pinned(self, corpus_dir, checkpoint_dir, tmp_path,
+                                      kind, csv_sha256, svg_sha256):
+        source = (["--checkpoint", str(checkpoint_dir)] if kind == "pred-vs-truth"
+                  else ["--cells", str(corpus_dir)])
+        assert main(["--quiet", "plot", "--kind", kind, "--out", str(tmp_path / "p")] + source) == 0
+        assert hashlib.sha256((tmp_path / "p.csv").read_bytes()).hexdigest() == csv_sha256
+        assert hashlib.sha256((tmp_path / "p.svg").read_bytes()).hexdigest() == svg_sha256
 
     def test_out_suffix_is_replaced(self, corpus_dir, tmp_path):
         out = tmp_path / "curves.png"
@@ -464,6 +498,30 @@ class TestPreprocessCommand:
         assert "known sources" in capsys.readouterr().err
 
 
+class TestWriteFailures:
+    """A write the file system refuses fails as one error line naming the path."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "plot", "generate", "train"])
+    def test_one_error_line_names_the_path(self, corpus_dir, checkpoint_dir, tmp_path, capsys,
+                                           command):
+        a_file = tmp_path / "afile"
+        a_file.write_text("")
+        missing = tmp_path / "nodir"
+        path, argv = {
+            "evaluate": (missing / "r.json", ["evaluate", "--checkpoint", str(checkpoint_dir),
+                                              "--out", str(missing / "r.json")]),
+            "plot": (missing / "p", ["plot", "--kind", "degradation", "--cells",
+                                     str(corpus_dir), "--out", str(missing / "p")]),
+            "generate": (a_file, ["generate", "--spec", str(write_spec(tmp_path)),
+                                  "--out", str(a_file)]),
+            "train": (a_file, ["train", "--config",
+                               str(write_train_config(tmp_path, corpus_dir)),
+                               "--workspace", str(a_file)]),
+        }[command]
+        assert main(argv) == 1
+        assert_one_line_error(capsys, f"error: {path}")
+
+
 DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
 MATR_CSV_HEADER = b"test_time,voltage,current,cycle_index,charge_capacity,discharge_capacity\n"
 
@@ -520,16 +578,6 @@ class TestUnreadableFiles:
         assert_one_line_error(capsys, f"{path}: ")
 
 
-class TestDownloadCommand:
-    def test_offline_failure_leaves_manifest(self, tmp_path, capsys):
-        dest = tmp_path / "raw"
-        assert main(["download", "HNEI", str(dest)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-        manifest = dest / "manifest.txt"
-        assert manifest.is_file()
-        assert "batteryarchive.org" in manifest.read_text()
-
-
 class TestPlotsModule:
     def test_series_validation(self):
         with pytest.raises(ValueError, match="same length"):
@@ -543,25 +591,14 @@ class TestPlotsModule:
             Series("plain", (5.0,), (7.0,)),
         ]
         path = write_series_csv(series, tmp_path / "pts.csv")
-        assert read_series_csv(path) == series
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "pts.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ConfigError, match="expected header"):
-            read_series_csv(path)
-
-    def test_malformed_row_rejected(self, tmp_path):
-        path = tmp_path / "pts.csv"
-        path.write_text("series,x,y\nonly,two\n")
-        with pytest.raises(ConfigError, match="malformed row"):
-            read_series_csv(path)
-
-    def test_overlong_field_rejected(self, tmp_path):
-        path = tmp_path / "pts.csv"
-        path.write_text("series,x,y\ns," + "1" * 200_000 + ",2\n")
-        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: .*field larger than field limit"):
-            read_series_csv(path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["series", "x", "y"]
+        expected = [(s.name, xv, yv) for s in series for xv, yv in zip(s.x, s.y)]
+        assert len(rows) == 1 + len(expected)
+        for (name, x, y), (ename, xv, yv) in zip(rows[1:], expected):
+            assert (name, x, y) == (ename, repr(xv), repr(yv))
+            assert float(x) == xv and float(y) == yv
 
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown plot kind"):

@@ -1,4 +1,4 @@
-"""Source registry, column-map parsing, CSV conversion, download fallback."""
+"""Source registry, column-map parsing, CSV conversion."""
 
 import csv
 import hashlib
@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from cellforge.battery_data import read_cell, validate, write_cell
-from cellforge.errors import DownloadError, SchemaError
+from cellforge.errors import SchemaError
 from cellforge.ingestion import (
     SOURCES,
-    download,
     get_source,
     list_sources,
     load_column_map,
@@ -339,16 +338,3 @@ class TestPreprocess:
         raw.mkdir()
         with pytest.raises(SchemaError, match="no CSV files"):
             preprocess_source("MATR", raw, tmp_path / "out")
-
-
-class TestDownload:
-    def test_offline_writes_manifest_and_raises(self, tmp_path):
-        with pytest.raises(DownloadError, match="manifest"):
-            download("MATR", tmp_path, timeout=0.25)
-        manifest = tmp_path / "manifest.txt"
-        assert manifest.exists()
-        assert manifest.read_text(encoding="utf-8").splitlines() == list(SOURCES["MATR"].urls)
-
-    def test_unknown_source(self, tmp_path):
-        with pytest.raises(SchemaError):
-            download("WAT", tmp_path)
