@@ -32,7 +32,7 @@ read-only float64 column with every cycle's values in cycle order, and an
 ``column[offsets[i]:offsets[i + 1]]`` (the values-plus-offsets layout of
 Arrow's variable-size lists). Cycle numbers, temperature and resistance
 presence, resistances and per-cycle ``extra`` are short per-cell arrays.
-:func:`read_cell` builds those columns as views of the bytes it read, with
+:func:`read_cell` builds those columns as views of the file it maps, with
 no copy; any other array given to a record is copied, so a record never
 shares a buffer its caller can still change. ``cycle_data`` still reads as
 a sequence of :class:`CycleRecord`: its length comes from the offsets, and
@@ -49,9 +49,12 @@ from __future__ import annotations
 import copyreg
 import json
 import math
+import mmap
 import operator
 import os
+import resource
 import struct
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -108,11 +111,12 @@ _JSON_NUMBER_TYPES = frozenset((int, float))
 def _signal(values, name, copy=True) -> np.ndarray:
     """A read-only one-dimensional float64 signal.
 
-    A float64 array whose memory is an immutable ``bytes`` object (a view of
-    a file :func:`read_cell` read) is kept as it is, and so is any float64
-    array when ``copy`` is False; anything else is copied.
+    A float64 array whose memory is an immutable ``bytes`` object or a
+    read-only mapping :func:`read_file` made (a view of a file
+    :func:`read_cell` read) is kept as it is, and so is any float64 array
+    when ``copy`` is False; anything else is copied.
     """
-    if isinstance(values, np.ndarray) and values.dtype == np.float64 and (not copy or _in_bytes(values)):
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and (not copy or _in_file_buffer(values)):
         arr = values
     else:
         arr = np.array(values, dtype=np.float64)
@@ -122,11 +126,13 @@ def _signal(values, name, copy=True) -> np.ndarray:
     return arr
 
 
-def _in_bytes(arr: np.ndarray) -> bool:
+def _in_file_buffer(arr: np.ndarray) -> bool:
     base = arr.base
     while isinstance(base, np.ndarray):
         base = base.base
-    return isinstance(base, bytes)
+    if isinstance(base, memoryview):  # how numpy holds a mapping
+        base = base.obj
+    return isinstance(base, bytes) or (isinstance(base, mmap.mmap) and base in _MAPPINGS)
 
 
 def _small(values, dtype, name, n) -> np.ndarray:
@@ -247,10 +253,11 @@ class CycleData(tuple):
     cycle when a temperature column is given; ``has_internal_resistance``
     defaults to every cycle when resistances are given. ``extra`` is one
     mapping per cycle. Columns are copied unless their memory is immutable
-    ``bytes``, so the cell never shares a buffer its caller can still
-    change. A builder that made float64 columns for the cell alone and
-    keeps no other reference to them passes ``copy=False`` to hand them
-    over without a copy; they are made read-only.
+    ``bytes`` or a read-only mapping :func:`read_file` made, so the cell
+    never shares a buffer its caller can still change. A builder that made
+    float64 columns for the cell alone and keeps no other reference to them
+    passes ``copy=False`` to hand them over without a copy; they are made
+    read-only.
     """
 
     def __new__(cls, cycle_number=(), columns=None, offsets=(0,), *, has_temperature=None,
@@ -755,8 +762,26 @@ def cell_from_dict(obj: dict) -> CellRecord:
 # ---------------------------------------------------------------------------
 # Reading files: every file the package reads goes through read_file
 
-def read_file(path, error, parse):
+# The live mappings read_file made; one leaves the set when the last array
+# viewing it goes. Before Python 3.13 (whose trackfd=False removes the cause)
+# each keeps a duplicate of its file's descriptor open, so read_file maps only
+# while they hold fewer than half of the soft RLIMIT_NOFILE, and reads the
+# bytes past that.
+_MAPPINGS = weakref.WeakSet()
+
+
+def _may_map() -> bool:
+    soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+    return soft == resource.RLIM_INFINITY or len(_MAPPINGS) < soft // 2
+
+
+def read_file(path, error, parse, *, mapped=False):
     """Read the file at ``path`` once and return ``parse`` of its bytes.
+
+    With ``mapped``, ``parse`` gets a read-only ``mmap`` of the file
+    instead, so the arrays it builds with ``np.frombuffer`` are views of the
+    page cache and hold the mapping open; an empty file, one that cannot be
+    mapped, or one read while too many mappings are live gets its bytes.
 
     A file that cannot be read, or whose bytes ``parse`` rejects with a
     :class:`CellforgeError`, ``ValueError`` (bad UTF-8, JSON and YAML
@@ -764,7 +789,17 @@ def read_file(path, error, parse):
     with one line: ``"<path>: <reason>"``, the path as given.
     """
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            data = None
+            if mapped and _may_map():
+                try:
+                    data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                except (OSError, ValueError):  # ValueError: an empty file cannot be mapped
+                    pass
+                else:
+                    _MAPPINGS.add(data)
+            if data is None:
+                data = fh.read()
     except OSError as exc:
         raise error(f"{path}: cannot read: {exc.strerror or exc}") from exc
     try:
@@ -896,7 +931,7 @@ def _per_cycle(cycles: dict, key: str, kind: type, n: int) -> list:
 
 def _cell_from_bytes(data: bytes) -> CellRecord:
     if data[:4] != CELL_MAGIC:
-        return cell_from_dict(json_document(data))
+        return cell_from_dict(json_document(bytes(data)))
     header, blocks = parse_container(data, CELL_MAGIC, SchemaError)
     cycles = header.get("cycles")
     if not isinstance(cycles, dict) or not isinstance(cycles.get("cycle_number"), list):
@@ -935,9 +970,11 @@ def _cell_from_bytes(data: bytes) -> CellRecord:
 def read_cell(path) -> CellRecord:
     """Read one cell file, binary or JSON: its first four bytes decide which.
 
-    Malformed content raises :class:`SchemaError` naming the file.
+    A binary cell's columns are views of the mapped file (see
+    :func:`read_file`). Malformed content raises :class:`SchemaError`
+    naming the file.
     """
-    return read_file(path, SchemaError, _cell_from_bytes)
+    return read_file(path, SchemaError, _cell_from_bytes, mapped=True)
 
 
 def load_cells(cell_dir) -> list[CellRecord]:

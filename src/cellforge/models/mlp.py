@@ -100,14 +100,17 @@ class MLPRegressor(BaseRegressor):
         rng = np.random.default_rng(self.seed)
         self._init_params(X.shape[1], rng)
         n = X.shape[0]
-        for _ in range(self.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, self.batch_size):
-                batch = order[start : start + self.batch_size]
-                gW, gb = self._gradients(X[batch], y[batch])
-                for l in range(len(self.weights_)):
-                    self.weights_[l] -= self.learning_rate * gW[l]
-                    self.biases_[l] -= self.learning_rate * gb[l]
+        # a diverging fit overflows to inf and NaN; its non-finite predictions
+        # are reported as one error when the model is scored
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(self.epochs):
+                order = rng.permutation(n)
+                for start in range(0, n, self.batch_size):
+                    batch = order[start : start + self.batch_size]
+                    gW, gb = self._gradients(X[batch], y[batch])
+                    for l in range(len(self.weights_)):
+                        self.weights_[l] -= self.learning_rate * gW[l]
+                        self.biases_[l] -= self.learning_rate * gb[l]
 
     def _predict(self, X):
         return self._forward(X)[2]

@@ -1,5 +1,6 @@
 """Record types, validation rules, and cell-file and JSON round-trips."""
 
+import array
 import ast
 import copy
 import dataclasses
@@ -7,9 +8,15 @@ import gc
 import hashlib
 import json
 import math
+import mmap
+import os
 import pickle
 import re
+import resource
 import struct
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -19,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cellforge
+from cellforge import battery_data
 from cellforge.battery_data import (
     CAPACITY_JITTER_TOL,
     CellRecord,
@@ -433,6 +441,51 @@ class TestLoadCells:
         with pytest.raises(SchemaError, match=r"'SYN_0000' is in both SYN_0000\.cfc and SYN_0000\.json"):
             load_cells(tmp_path)
 
+    # Each mapping holds a file descriptor, so more cells than the soft
+    # RLIMIT_NOFILE allows must still load, and leave descriptors to train with.
+    DESCRIPTOR_LIMIT_SCRIPT = textwrap.dedent("""
+        import dataclasses, os, resource, sys
+        from pathlib import Path
+        resource.setrlimit(resource.RLIMIT_NOFILE, (256, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+        from cellforge.battery_data import load_cells, write_cell
+        from cellforge.pipeline import run_train
+        from cellforge.synthetic import SynthSpec, generate_synthetic
+
+        root = Path(sys.argv[1])
+        base = generate_synthetic(SynthSpec(n_cells=3, cycle_life_mean=150.0, cycle_life_std=10.0,
+                                            points_per_cycle=16, seed=2))
+        written = [dataclasses.replace(base[i % 3], cell_id=f"C{i:04d}") for i in range(300)]
+        (root / "cells").mkdir()
+        for cell in written:
+            write_cell(cell, root / "cells")
+        loaded = load_cells(root / "cells")
+        assert len(loaded) == 300
+        assert all(back == cell for back, cell in zip(loaded, written))
+        spare = [open(os.devnull, "rb") for _ in range(100)]  # the mappings hold fewer than half
+        for fh in spare:
+            fh.close()
+        run_train({
+            "train_test_split": {"name": "RandomTrainTestSplitter", "test_fraction": 0.34, "seed": 1,
+                                 "cell_data_path": str(root / "cells")},
+            "feature": {"name": "VarianceModelFeatureExtractor", "interp_dims": 64},
+            "feature_transformation": {"name": "ZScoreDataTransformation"},
+            "label": {"name": "RULLabelAnnotator"},
+            "label_transformation": {"name": "ZScoreDataTransformation"},
+            "model": {"name": "LinearRegressionRULPredictor"},
+            "seeds": [0],
+        }, root / "ws")
+        print("trained")
+    """)
+
+    def test_more_cells_than_the_descriptor_limit_load_and_train(self, tmp_path):
+        src = str(Path(cellforge.__file__).parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-c", self.DESCRIPTOR_LIMIT_SCRIPT, str(tmp_path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "trained"
+
 
 class TestCellFile:
     """The binary layout: magic, header length, JSON header, float64 blocks."""
@@ -609,19 +662,55 @@ class TestColumns:
             column = back.cycle_data.columns[name]
             assert np.shares_memory(getattr(first, name), column)
             assert np.shares_memory(getattr(second, name), column)
-            assert isinstance(root_buffer(column), bytes)
+            assert isinstance(root_buffer(column), mmap.mmap)
+            assert memoryview(root_buffer(column)).readonly
             assert not column.flags.writeable
             assert not getattr(first, name).flags.writeable
         assert root_buffer(back.cycle_data.columns["voltage_in_V"]) is root_buffer(
             back.cycle_data.columns["time_in_s"])
 
+    def test_past_the_mapping_cap_a_cell_is_read_as_bytes(self, tmp_path, monkeypatch):
+        gc.collect()
+        # room for exactly one more mapping
+        limit = 2 * (len(battery_data._MAPPINGS) + 1)
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, resource.RLIM_INFINITY))
+        cells = [dataclasses.replace(make_cell(cell_id), cycle_data=(
+            linear_cycle(1, temperature=25.0), linear_cycle(2, temperature=26.0))) for cell_id in ("MAPPED", "READ")]
+        mapped, read = [read_cell(write_cell(cell, tmp_path)) for cell in cells]
+        assert isinstance(root_buffer(mapped.cycle_data.columns["time_in_s"]), mmap.mmap)
+        assert read == cells[1]
+        for name in TestArraySignals.SIGNALS:
+            column = read.cycle_data.columns[name]
+            assert isinstance(root_buffer(column), bytes)
+            assert np.shares_memory(getattr(read.cycle_data[0], name), column)
+            assert not column.flags.writeable
+
+    def test_rewriting_a_mapped_cell_keeps_the_loaded_record(self, tmp_path):
+        cell = make_cell("RW")
+        path = write_cell(cell, tmp_path)
+        back = read_cell(path)
+        assert isinstance(root_buffer(back.cycle_data.columns["time_in_s"]), mmap.mmap)
+        rewritten = make_cell("RW", caps=(2.0, 1.9))
+        write_cell(rewritten, path)
+        assert back == cell
+        assert read_cell(path) == rewritten
+
+    def test_empty_cell_file_is_one_line_error(self, tmp_path):
+        path = tmp_path / "EMPTY.cfc"
+        path.write_bytes(b"")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: [^\n]+$"):
+            read_cell(path)
+
     def test_caller_arrays_are_copied_and_file_bytes_are_not(self):
         values = np.arange(3.0)
         from_bytes = np.frombuffer(values.tobytes())
+        from_array = np.frombuffer(array.array("d", values))  # held through a memoryview, as a mapping is
         columns = {name: values for name in TestArraySignals.SIGNALS}
         columns["time_in_s"] = from_bytes
+        columns["current_in_A"] = from_array
         cycles = CycleData([1], columns, [0, 3])
         assert not np.shares_memory(cycles.columns["voltage_in_V"], values)
+        assert not np.shares_memory(cycles.columns["current_in_A"], from_array)
         assert np.shares_memory(cycles.columns["time_in_s"], from_bytes)
         values[0] = 99.0
         assert cycles[0].voltage_in_V[0] == 0.0
@@ -725,9 +814,10 @@ class TestColumns:
 
 
 def root_buffer(arr):
+    """The object that owns ``arr``'s memory; numpy holds a mapping through a memoryview."""
     while isinstance(arr, np.ndarray):
         arr = arr.base
-    return arr
+    return arr.obj if isinstance(arr, memoryview) else arr
 
 
 # -- validate against the per-cycle checks it replaced ------------------------

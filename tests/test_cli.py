@@ -368,8 +368,7 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
         assert_one_line_error(capsys, fragment)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_model_is_one_line_error(self, corpus_dir, tmp_path, capsys):
         config_path = write_train_config(tmp_path, corpus_dir, model={
             "name": "MLPRegressor", "hidden_dims": [32], "epochs": 10, "learning_rate": 1e6})
