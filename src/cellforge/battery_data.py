@@ -2,7 +2,8 @@
 
 One cell is one binary file named ``<cell_id>.cfc``, in the container model
 checkpoints also use: the magic ``CFC1``, a little-endian uint32 header
-length, a UTF-8 JSON header, then little-endian float64 blocks. The header
+length, a UTF-8 JSON header, then little-endian float64 blocks (the
+container also holds int32 blocks; a cell has none). The header
 holds the cell's JSON document without its cycles (metadata, protocols and
 ``extra``, as :func:`cell_to_dict` writes them) and, per cycle, its number,
 point count, whether it has a temperature and an internal resistance, and
@@ -828,14 +829,30 @@ def yaml_document(data: bytes):
 # Binary container, shared by cell files and model checkpoints
 #
 # Layout: a 4-byte magic, a little-endian uint32 header length, a UTF-8 JSON
-# header whose ``blocks`` array gives the name and shape of every block in
-# order, then the blocks themselves as little-endian float64.
+# header whose ``blocks`` array gives the name, shape and dtype of every block
+# in order, then the blocks themselves. A block's dtype is ``<f8`` (little-
+# endian float64) when its ``dtype`` key is absent; ``<i4`` (little-endian
+# int32) is the only other one.
+
+_DTYPES = ("<f8", "<i4")
+
+
+def _block_dtype(arr: np.ndarray) -> str:
+    return "<i4" if arr.dtype.kind == "i" and arr.dtype.itemsize == 4 else "<f8"
+
 
 def write_container(path, magic: bytes, header: dict, blocks) -> Path:
     """Write ``header`` and the ordered (name, array) pairs ``blocks`` to
-    ``path``, which appears complete or not at all."""
+    ``path``, which appears complete or not at all. An int32 array is
+    stored as an ``<i4`` block, any other as ``<f8``."""
     path = Path(path)
-    header = {**header, "blocks": [{"name": name, "shape": list(arr.shape)} for name, arr in blocks]}
+    specs = []
+    for name, arr in blocks:
+        spec = {"name": name, "shape": list(arr.shape)}
+        if _block_dtype(arr) == "<i4":
+            spec["dtype"] = "<i4"
+        specs.append(spec)
+    header = {**header, "blocks": specs}
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
@@ -843,7 +860,7 @@ def write_container(path, magic: bytes, header: dict, blocks) -> Path:
         fh.write(struct.pack("<I", len(payload)))
         fh.write(payload)
         for _, arr in blocks:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8"))  # the buffer itself, not a copy
+            fh.write(np.ascontiguousarray(arr, dtype=_block_dtype(arr)))  # the buffer itself, not a copy
     os.replace(tmp, path)
     return path
 
@@ -852,8 +869,9 @@ def parse_container(data: bytes, magic: bytes, error) -> tuple[dict, dict]:
     """Split a container's bytes into its header and {block name: array}.
 
     The arrays are read-only views of ``data``. A wrong magic, a truncated
-    or non-JSON header, a malformed block list, or blocks that do not fill
-    the rest of the file exactly raise ``error``.
+    or non-JSON header, a malformed block list (a ``dtype`` other than
+    ``<f8`` or ``<i4`` included), or blocks that do not fill the rest of the
+    file exactly raise ``error``.
     """
     if data[:4] != magic:
         raise error(f"bad magic {data[:4]!r}, expected {magic!r}")
@@ -876,11 +894,15 @@ def parse_container(data: bytes, magic: bytes, error) -> tuple[dict, dict]:
         if (not isinstance(name, str) or name in blocks or not isinstance(shape, list)
                 or not all(type(n) is int and n >= 0 for n in shape)):
             raise error(f"blocks[{i}]: expected a new name and a shape of non-negative integers")
+        dtype = spec.get("dtype", "<f8")
+        if dtype not in _DTYPES:
+            raise error(f"blocks[{i}]: dtype must be '<f8' (the default) or '<i4', got {dtype!r}")
         count = math.prod(shape)
-        if offset + 8 * count > len(data):
+        size = count * np.dtype(dtype).itemsize
+        if offset + size > len(data):
             raise error(f"truncated block '{name}'")
-        blocks[name] = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset += 8 * count
+        blocks[name] = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shape)
+        offset += size
     if offset != len(data):
         raise error(f"{len(data) - offset} bytes follow the last block")
     return header, blocks

@@ -36,14 +36,26 @@ def check_X(X, n_features):
     return X
 
 
+def param_block(blocks, name, shape, dtype="<f8"):
+    """The stored block ``name``, which must have ``shape`` and ``dtype``;
+    a mismatch raises :class:`CheckpointError` naming the block."""
+    arr = blocks[name]
+    if arr.shape != tuple(shape) or arr.dtype != np.dtype(dtype):
+        raise CheckpointError(f"block {name!r} is {arr.dtype.str} of shape {arr.shape}, "
+                              f"expected {dtype} of shape {tuple(shape)}")
+    return arr
+
+
 class BaseRegressor:
     """fit/predict contract shared by every model.
 
     Subclasses define ``kind``, implement ``_fit``/``_predict``, and expose
     their parameters through ``_param_blocks``/``_restore_blocks`` for the
-    binary checkpoint format. Each constructor parameter is kept as the
-    attribute of the same name, which is how ``get_params`` reads it. Only
-    the models that draw random numbers take a ``seed``.
+    binary checkpoint format; ``_restore_blocks`` reads each block through
+    :func:`param_block`, so a block of the wrong shape fails the load. Each
+    constructor parameter is kept as the attribute of the same name, which
+    is how ``get_params`` reads it. Only the models that draw random numbers
+    take a ``seed``.
     """
 
     kind: str = ""
@@ -107,6 +119,8 @@ def load_model(path):
             f"{path}: {kind} model file lacks parameter block {exc.args[0]!r} "
             f"(stored blocks: {sorted(blocks)})"
         ) from exc
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {kind} model file: {exc}") from exc
     extra = sorted(set(blocks) - requested.names)
     if extra:
         raise CheckpointError(f"{path}: {kind} model file has unexpected parameter blocks {extra}")

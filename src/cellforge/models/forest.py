@@ -9,65 +9,113 @@ deterministic given the node RNG.
 
 Each forest tree k draws its bootstrap sample and its per-split feature
 subsets from an independent ``default_rng(seed + k)``.
+
+A fitted tree or forest is one :class:`_NodeTable` of all its trees' nodes,
+saved as the five blocks ``feature``, ``threshold``, ``right``, ``value``
+and ``tree_start`` (int32, float64, int32, float64, int32).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseRegressor
+from ..errors import CheckpointError
+from .base import BaseRegressor, param_block
 
 
-class _TreeArrays:
-    """Flat node storage: feature < 0 marks a leaf holding ``value``."""
+class _TreeLists:
+    """One tree's nodes in preorder while it grows: feature < 0 marks a leaf
+    holding ``value``; a split's left child is the next node and ``right``
+    holds the index of its right child."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    __slots__ = ("feature", "threshold", "right", "value")
 
     def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
+        self.feature, self.threshold, self.right, self.value = [], [], [], []
 
-    def add_leaf(self, value: float) -> int:
-        idx = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(value)
-        return idx
-
-    def add_split(self, feature: int, threshold: float) -> int:
-        idx = len(self.feature)
+    def add(self, feature: int, threshold: float, value: float) -> int:
         self.feature.append(feature)
         self.threshold.append(threshold)
-        self.left.append(-1)
         self.right.append(-1)
-        self.value.append(0.0)
-        return idx
+        self.value.append(value)
+        return len(self.feature) - 1
 
-    def finalize(self):
-        self.feature = np.asarray(self.feature, dtype=np.int64)
-        self.threshold = np.asarray(self.threshold)
-        self.left = np.asarray(self.left, dtype=np.int64)
-        self.right = np.asarray(self.right, dtype=np.int64)
-        self.value = np.asarray(self.value)
-        return self
+
+class _NodeTable:
+    """Every tree's nodes in one preorder table of parallel arrays, the
+    layout of scikit-learn's ``Tree`` with the trees laid end to end.
+
+    Tree k is nodes ``tree_start[k]:tree_start[k + 1]``. ``feature`` is -1
+    at a leaf, which predicts ``value``; a split sends ``x[feature] <=
+    threshold`` to the next node and the rest to ``right``, an index local
+    to its tree. Leaves store ``right`` -1 and splits ``value`` 0.
+    """
+
+    def __init__(self, feature, threshold, right, value, tree_start):
+        self.feature, self.threshold, self.right, self.value = feature, threshold, right, value
+        self.tree_start = tree_start
+        # each node's right child as an index into the whole table
+        self._right = right + np.repeat(tree_start[:-1], np.diff(tree_start)).astype(np.intp)
+
+    @classmethod
+    def join(cls, trees):
+        def column(name, dtype):
+            return np.array([v for tree in trees for v in getattr(tree, name)], dtype=dtype)
+
+        sizes = [len(tree.feature) for tree in trees]
+        return cls(column("feature", np.int32), column("threshold", np.float64),
+                   column("right", np.int32), column("value", np.float64),
+                   np.concatenate([[0], np.cumsum(sizes)]).astype(np.int32))
+
+    def tree(self, k: int) -> "_NodeTable":
+        """Tree k alone, as a one-tree table of views."""
+        a, b = self.tree_start[k], self.tree_start[k + 1]
+        return _NodeTable(self.feature[a:b], self.threshold[a:b], self.right[a:b],
+                          self.value[a:b], np.array([0, b - a], dtype=np.int32))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
+        """The mean over the trees of each row's leaf value: every tree
+        walks at once over an (n_trees, n_rows) array of node indices."""
+        rows = np.arange(X.shape[0])
+        node = np.repeat(self.tree_start[:-1, None].astype(np.intp), X.shape[0], axis=1)
         while True:
             feat = self.feature[node]
             internal = feat >= 0
             if not internal.any():
                 break
-            safe = np.where(internal, feat, 0)
-            go_left = X[np.arange(X.shape[0]), safe] <= self.threshold[node]
-            nxt = np.where(go_left, self.left[node], self.right[node])
-            node = np.where(internal, nxt, node)
-        return self.value[node].copy()
+            go_left = X[rows, np.where(internal, feat, 0)] <= self.threshold[node]
+            node = np.where(internal, np.where(go_left, node + 1, self._right[node]), node)
+        return self.value[node].mean(axis=0)
+
+    def blocks(self):
+        return [("feature", self.feature), ("threshold", self.threshold), ("right", self.right),
+                ("value", self.value), ("tree_start", self.tree_start)]
+
+    @classmethod
+    def from_blocks(cls, blocks, n_trees: int, n_features: int) -> "_NodeTable":
+        """The table the blocks hold, checked so that every walk moves
+        forward inside its own tree and reads a feature the model has."""
+        if "tree0_feature" in blocks:
+            raise CheckpointError("stores one block set per tree, a layout of older versions; "
+                                  "train the model again")
+        n = blocks["feature"].size
+        feature = param_block(blocks, "feature", (n,), "<i4")
+        threshold = param_block(blocks, "threshold", (n,))
+        right = param_block(blocks, "right", (n,), "<i4")
+        value = param_block(blocks, "value", (n,))
+        start = param_block(blocks, "tree_start", (n_trees + 1,), "<i4")
+        sizes = np.diff(start)
+        if start[0] != 0 or start[-1] != n or (sizes <= 0).any():
+            raise CheckpointError(f"'tree_start' must rise strictly from 0 to the node count {n}")
+        if ((feature < -1) | (feature >= n_features)).any():
+            raise CheckpointError(f"'feature' holds an index outside -1 and [0, {n_features})")
+        split = feature >= 0
+        local = (np.arange(n) - np.repeat(start[:-1], sizes))[split]
+        child = right[split]
+        if ((child <= local + 1) | (child >= np.repeat(sizes, sizes)[split])).any():
+            raise CheckpointError("a split's 'right' child must follow its left child "
+                                  "inside its own tree")
+        return cls(feature, threshold, right, value, start)
 
 
 def _best_split(X, y, candidates, min_samples_leaf):
@@ -111,34 +159,50 @@ def _grow(tree, X, y, rng, depth, max_depth, min_samples_leaf, n_candidates):
         or (max_depth is not None and depth >= max_depth)
         or np.all(y == y[0])
     ):
-        return tree.add_leaf(float(y.mean()))
+        tree.add(-1, 0.0, float(y.mean()))
+        return
     if n_candidates < d:
         candidates = np.sort(rng.choice(d, size=n_candidates, replace=False))
     else:
         candidates = np.arange(d)
     found = _best_split(X, y, candidates, min_samples_leaf)
     if found is None:
-        return tree.add_leaf(float(y.mean()))
+        tree.add(-1, 0.0, float(y.mean()))
+        return
     _, feature, threshold, left_mask = found
-    idx = tree.add_split(feature, threshold)
+    idx = tree.add(feature, threshold, 0.0)
     # left subtree is built first: node ids are preorder and RNG consumption
     # is depth-first, both deterministic
-    left_id = _grow(tree, X[left_mask], y[left_mask], rng, depth + 1, max_depth, min_samples_leaf, n_candidates)
-    right_id = _grow(tree, X[~left_mask], y[~left_mask], rng, depth + 1, max_depth, min_samples_leaf, n_candidates)
-    tree.left[idx] = left_id
-    tree.right[idx] = right_id
-    return idx
+    _grow(tree, X[left_mask], y[left_mask], rng, depth + 1, max_depth, min_samples_leaf, n_candidates)
+    tree.right[idx] = len(tree.feature)
+    _grow(tree, X[~left_mask], y[~left_mask], rng, depth + 1, max_depth, min_samples_leaf, n_candidates)
 
 
 def _build_tree(X, y, rng, max_depth, min_samples_leaf, feature_subsample_fraction):
     d = X.shape[1]
     n_candidates = max(1, int(np.ceil(feature_subsample_fraction * d)))
-    tree = _TreeArrays()
+    tree = _TreeLists()
     _grow(tree, X, y, rng, 0, max_depth, min_samples_leaf, n_candidates)
-    return tree.finalize()
+    return tree
 
 
-class DecisionTreeRegressor(BaseRegressor):
+class _TreeModel(BaseRegressor):
+    """Prediction and checkpoint blocks shared by the tree and the forest,
+    whose fitted state is one :class:`_NodeTable` in ``nodes_``."""
+
+    def _predict(self, X):
+        return self.nodes_.predict(X)
+
+    def _param_blocks(self):
+        return self.nodes_.blocks()
+
+    @property
+    def trees_(self):
+        """Each tree as a one-tree table of views."""
+        return [self.nodes_.tree(k) for k in range(len(self.nodes_.tree_start) - 1)]
+
+
+class DecisionTreeRegressor(_TreeModel):
     """A single CART tree (no bootstrap); the forest's building block."""
 
     kind = "tree"
@@ -154,18 +218,12 @@ class DecisionTreeRegressor(BaseRegressor):
 
     def _fit(self, X, y):
         rng = np.random.default_rng(self.seed)
-        self.tree_ = _build_tree(
+        self.nodes_ = _NodeTable.join([_build_tree(
             X, y, rng, self.max_depth, self.min_samples_leaf, self.feature_subsample_fraction
-        )
-
-    def _predict(self, X):
-        return self.tree_.predict(X)
-
-    def _param_blocks(self):
-        return _tree_blocks("tree0", self.tree_)
+        )])
 
     def _restore_blocks(self, blocks):
-        self.tree_ = _tree_from_blocks("tree0", blocks)
+        self.nodes_ = _NodeTable.from_blocks(blocks, 1, self.n_features_)
 
 
 def _check_forest_params(max_depth, min_samples_leaf, feature_subsample_fraction):
@@ -177,27 +235,7 @@ def _check_forest_params(max_depth, min_samples_leaf, feature_subsample_fraction
         raise ValueError("feature_subsample_fraction must be in (0, 1]")
 
 
-def _tree_blocks(prefix, tree):
-    return [
-        (f"{prefix}_feature", tree.feature.astype(float)),
-        (f"{prefix}_threshold", tree.threshold.astype(float)),
-        (f"{prefix}_left", tree.left.astype(float)),
-        (f"{prefix}_right", tree.right.astype(float)),
-        (f"{prefix}_value", tree.value.astype(float)),
-    ]
-
-
-def _tree_from_blocks(prefix, blocks):
-    tree = _TreeArrays()
-    tree.feature = blocks[f"{prefix}_feature"].astype(np.int64)
-    tree.threshold = blocks[f"{prefix}_threshold"]
-    tree.left = blocks[f"{prefix}_left"].astype(np.int64)
-    tree.right = blocks[f"{prefix}_right"].astype(np.int64)
-    tree.value = blocks[f"{prefix}_value"]
-    return tree
-
-
-class RandomForestRegressor(BaseRegressor):
+class RandomForestRegressor(_TreeModel):
     """Bagged CART trees; the prediction is the exact mean over trees."""
 
     kind = "random_forest"
@@ -229,17 +267,7 @@ class RandomForestRegressor(BaseRegressor):
         )
 
     def _fit(self, X, y):
-        self.trees_ = [self._fit_one(X, y, k) for k in range(self.n_trees)]
-
-    def _predict(self, X):
-        preds = np.stack([t.predict(X) for t in self.trees_])
-        return preds.mean(axis=0)
-
-    def _param_blocks(self):
-        blocks = []
-        for k, tree in enumerate(self.trees_):
-            blocks.extend(_tree_blocks(f"tree{k}", tree))
-        return blocks
+        self.nodes_ = _NodeTable.join([self._fit_one(X, y, k) for k in range(self.n_trees)])
 
     def _restore_blocks(self, blocks):
-        self.trees_ = [_tree_from_blocks(f"tree{k}", blocks) for k in range(self.n_trees)]
+        self.nodes_ = _NodeTable.from_blocks(blocks, self.n_trees, self.n_features_)

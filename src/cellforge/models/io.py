@@ -3,7 +3,7 @@
 A model file is the package's binary container (see
 :func:`cellforge.battery_data.write_container`) with the magic ``CFM1``.
 The header records the model kind, its hyperparameters, training metadata,
-and the name/shape of every parameter block in order, so a file can be
+and the name, shape and dtype of every parameter block in order, so a file can be
 loaded without knowing anything but this format.
 """
 
@@ -18,13 +18,14 @@ MAGIC = b"CFM1"
 
 
 def write_model_file(path, kind: str, hyperparameters: dict, metadata: dict, blocks) -> Path:
-    """``blocks`` is an ordered list of (name, float64 ndarray) pairs."""
+    """``blocks`` is an ordered list of (name, ndarray) pairs; int32 arrays
+    are stored as int32, all others as float64."""
     header = {"kind": kind, "hyperparameters": hyperparameters, "metadata": metadata}
     return write_container(path, MAGIC, header, blocks)
 
 
 def read_model_file(path):
-    """Returns (header dict, {block name: float64 ndarray})."""
+    """Returns (header dict, {block name: float64 or int32 ndarray})."""
     header, blocks = read_file(path, CheckpointError,
                                lambda data: parse_container(data, MAGIC, CheckpointError))
     return header, {name: arr.copy() for name, arr in blocks.items()}

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
-from .base import BaseRegressor
+from .base import BaseRegressor, param_block
 
 
 class DummyRegressor(BaseRegressor):
@@ -28,7 +28,7 @@ class DummyRegressor(BaseRegressor):
         return [("mean", np.array([self.mean_]))]
 
     def _restore_blocks(self, blocks):
-        self.mean_ = float(blocks["mean"][0])
+        self.mean_ = float(param_block(blocks, "mean", (1,))[0])
 
 
 class _AffineRegressor(BaseRegressor):
@@ -42,8 +42,8 @@ class _AffineRegressor(BaseRegressor):
         return [("coef", self.coef_), ("intercept", np.array([self.intercept_]))]
 
     def _restore_blocks(self, blocks):
-        self.coef_ = blocks["coef"]
-        self.intercept_ = float(blocks["intercept"][0])
+        self.coef_ = param_block(blocks, "coef", (self.n_features_,))
+        self.intercept_ = float(param_block(blocks, "intercept", (1,))[0])
 
 
 class LinearRegressor(_AffineRegressor):
@@ -199,7 +199,7 @@ class PLSRegressor(BaseRegressor):
         ]
 
     def _restore_blocks(self, blocks):
-        self.x_mean_ = blocks["x_mean"]
-        self.y_mean_ = float(blocks["y_mean"][0])
-        self.coef_ = blocks["coef"]
+        self.x_mean_ = param_block(blocks, "x_mean", (self.n_features_,))
+        self.y_mean_ = float(param_block(blocks, "y_mean", (1,))[0])
+        self.coef_ = param_block(blocks, "coef", (self.n_features_,))
         self.effective_components_ = None

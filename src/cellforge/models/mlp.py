@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseRegressor
+from .base import BaseRegressor, param_block
 
 _ACTIVATIONS = ("relu", "identity")
 
@@ -123,9 +123,11 @@ class MLPRegressor(BaseRegressor):
         return blocks
 
     def _restore_blocks(self, blocks):
-        n_layers = len(self.hidden_dims) + 1
-        self.weights_ = [blocks[f"layer{l}_W"] for l in range(n_layers)]
-        self.biases_ = [blocks[f"layer{l}_b"] for l in range(n_layers)]
+        dims = [self.n_features_, *self.hidden_dims, 1]
+        self.weights_ = [param_block(blocks, f"layer{l}_W", (dims[l], dims[l + 1]))
+                         for l in range(len(dims) - 1)]
+        self.biases_ = [param_block(blocks, f"layer{l}_b", (dims[l + 1],))
+                        for l in range(len(dims) - 1)]
 
 
 def gradient_check(model: MLPRegressor, X, y, h: float = 1e-5) -> float:

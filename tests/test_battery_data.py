@@ -37,12 +37,16 @@ from cellforge.battery_data import (
     cell_from_dict,
     cell_to_dict,
     load_cells,
+    parse_container,
     read_cell,
     read_file,
     validate,
     write_cell,
+    write_container,
 )
 from cellforge.errors import CheckpointError, SchemaError, ValidationError
+from cellforge.models import load_model
+from cellforge.models.io import read_model_file, write_model_file
 from cellforge.synthetic import SynthSpec, generate_synthetic
 from conftest import cell_strategy, cycle_strategy, linear_cycle, make_cell, random_valid_cell
 
@@ -579,6 +583,52 @@ class TestCellFile:
         path.write_bytes(data[:8] + b"\xff" + data[9:])
         with pytest.raises(SchemaError, match="header is not UTF-8 JSON"):
             read_cell(path)
+
+
+class TestContainerDtypes:
+    """A block is little-endian float64 unless its spec says ``"dtype": "<i4"``."""
+
+    def test_int32_block_round_trips_exactly(self, tmp_path):
+        ints = np.array([-2**31, -1, 0, 7, 2**31 - 1], dtype=np.int32)
+        floats = np.array([0.1, -2.5])
+        path = write_container(tmp_path / "x.bin", b"TST1", {}, [("ints", ints), ("floats", floats)])
+        data = path.read_bytes()
+        header, blocks = parse_container(data, b"TST1", CheckpointError)
+        assert header["blocks"] == [{"dtype": "<i4", "name": "ints", "shape": [5]},
+                                    {"name": "floats", "shape": [2]}]
+        assert blocks["ints"].dtype == np.dtype("<i4") and blocks["floats"].dtype == np.dtype("<f8")
+        np.testing.assert_array_equal(blocks["ints"], ints)
+        assert blocks["floats"].tobytes() == floats.tobytes()
+        assert len(data) == 8 + struct.unpack_from("<I", data, 4)[0] + 4 * 5 + 8 * 2
+
+    def test_an_explicit_float64_dtype_reads_like_none(self):
+        payload = json.dumps({"blocks": [{"name": "x", "shape": [1], "dtype": "<f8"}]}).encode()
+        data = b"TST1" + struct.pack("<I", len(payload)) + payload + struct.pack("<d", 2.5)
+        assert parse_container(data, b"TST1", CheckpointError)[1]["x"].tolist() == [2.5]
+
+    def test_other_integer_arrays_are_still_stored_as_float64(self, tmp_path):
+        path = write_container(tmp_path / "x.bin", b"TST1", {}, [("n", np.arange(3))])
+        header, blocks = parse_container(path.read_bytes(), b"TST1", CheckpointError)
+        assert header["blocks"] == [{"name": "n", "shape": [3]}]
+        assert blocks["n"].dtype == np.dtype("<f8") and blocks["n"].tolist() == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("dtype", ["<f4", "|O", "<i8", ">i4", 8, None, ["<i4"]])
+    def test_any_other_dtype_is_the_callers_one_line_error(self, tmp_path, dtype):
+        cell = write_cell(make_cell("DT"), tmp_path)
+        header, blocks = parse_container(cell.read_bytes(), b"CFC1", SchemaError)
+        header["blocks"][0]["dtype"] = dtype
+        TestCellFile().rewrite(cell, cell.read_bytes(), json.dumps(header))
+        fragment = r"blocks\[0\]: dtype must be '<f8' \(the default\) or '<i4', got "
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(cell))}: {fragment}") as info:
+            read_cell(cell)
+        assert "\n" not in str(info.value)
+        model = write_model_file(tmp_path / "m.bin", "dummy", {}, {"n_features": 1},
+                                 [("mean", np.array([1.0]))])
+        header, _ = read_model_file(model)
+        header["blocks"][0]["dtype"] = dtype
+        TestCellFile().rewrite(model, model.read_bytes(), json.dumps(header))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(model))}: {fragment}"):
+            load_model(model)
 
 
 def file_reads(source: str) -> list[tuple[str, int]]:

@@ -525,6 +525,13 @@ DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
 MATR_CSV_HEADER = b"test_time,voltage,current,cycle_index,charge_capacity,discharge_capacity\n"
 
 
+def three_coefficients(path):
+    """Rewrite a one-feature linear model file with a ``coef`` block of three."""
+    header, blocks = read_model_file(path)
+    write_model_file(path, header["kind"], header["hyperparameters"], header["metadata"],
+                     [("coef", np.ones(3)), ("intercept", blocks["intercept"])])
+
+
 class TestUnreadableFiles:
     """Every file the CLI reads fails as one error line naming it."""
 
@@ -547,18 +554,25 @@ class TestUnreadableFiles:
         ("csv", MATR_CSV_HEADER + b"0,3.5,1,1e30,0,0\n10,3.4,1,1e30,0.01,0\n"),
         ("csv", MATR_CSV_HEADER.replace(b"voltage", b"voltage,voltage")
          + b"0,3.5,3.5,1,1,0,0\n10,3.4,3.4,1,1,0.01,0\n"),
+        ("model", three_coefficients),
     ], ids=["column-map-missing", "column-map-directory", "column-map-not-utf8",
             "column-map-deep-nesting", "csv-not-utf8", "csv-not-numeric", "spec-not-utf8",
             "spec-not-yaml", "config-not-utf8", "config-not-yaml", "split-not-utf8",
             "split-deep-nesting", "csv-field-too-large", "csv-cycle-nan", "csv-cycle-inf",
-            "csv-cycle-beyond-int64", "csv-duplicated-mapped-header"])
-    def test_one_error_line_names_the_file(self, corpus_dir, tmp_path, capsys, role, content):
+            "csv-cycle-beyond-int64", "csv-duplicated-mapped-header", "model-coef-shape"])
+    def test_one_error_line_names_the_file(self, corpus_dir, checkpoint_dir, tmp_path, capsys,
+                                           role, content):
         raw = tmp_path / "raw"
         raw.mkdir()
         (raw / "cell.csv").write_bytes(MATR_CSV_HEADER + b"0,3.5,1,1,0,0\n")
         path = raw / "cell.csv" if role == "csv" else tmp_path / f"{role}.file"
+        if role == "model":
+            shutil.copytree(checkpoint_dir, tmp_path / "ckpt")
+            path = tmp_path / "ckpt" / "model_seed0.bin"
         if content == "directory":
             path.mkdir()
+        elif callable(content):
+            content(path)
         elif content is not None:
             path.write_bytes(content)
         config = tmp_path / "train.yaml"
@@ -572,6 +586,7 @@ class TestUnreadableFiles:
             "spec": ["generate", "--spec", str(path), "--out", str(tmp_path / "out")],
             "config": ["train", "--config", str(path), "--workspace", str(tmp_path / "ws")],
             "split": ["train", "--config", str(config), "--workspace", str(tmp_path / "ws")],
+            "model": ["evaluate", "--checkpoint", str(path.parent)],
         }[role]
         assert main(argv) == 1
         assert_one_line_error(capsys, f"{path}: ")

@@ -19,7 +19,7 @@ from cellforge.models import (
     gradient_check,
     load_model,
 )
-from cellforge.models.io import write_model_file
+from cellforge.models.io import read_model_file, write_model_file
 from cellforge.registry import MODELS
 
 
@@ -482,3 +482,154 @@ class TestSaveLoad:
                          stored + [("tree1_value", np.zeros(1))])
         with pytest.raises(CheckpointError, match=r"unexpected parameter blocks \['tree1_value'\]"):
             load_model(p)
+
+
+def forest_file(tmp_path):
+    """A saved two-tree forest over two features whose roots both split."""
+    rng = np.random.default_rng(30)
+    X = rng.normal(size=(30, 2))
+    y = X[:, 0] + rng.normal(size=30)
+    path = RandomForestRegressor(n_trees=2, max_depth=2, seed=0).fit(X, y).save(tmp_path / "f.bin")
+    header, blocks = read_model_file(path)
+    assert (blocks["feature"][blocks["tree_start"][:-1]] >= 0).all()
+    return path, header, blocks
+
+
+def rewrite_blocks(path, header, blocks, changed):
+    write_model_file(path, header["kind"], header["hyperparameters"], header["metadata"],
+                     [(b["name"], changed.get(b["name"], blocks[b["name"]])) for b in header["blocks"]])
+
+
+def edited(blocks, name, index, value):
+    arr = blocks[name].copy()
+    arr[index] = value
+    return {name: arr}
+
+
+class TestForestFile:
+    """A tree or forest is one preorder node table of five blocks."""
+
+    def test_blocks_dtypes_and_shapes(self, tmp_path):
+        path, header, blocks = forest_file(tmp_path)
+        n = int(blocks["tree_start"][-1])
+        assert [(b["name"], b.get("dtype", "<f8"), b["shape"]) for b in header["blocks"]] == [
+            ("feature", "<i4", [n]), ("threshold", "<f8", [n]), ("right", "<i4", [n]),
+            ("value", "<f8", [n]), ("tree_start", "<i4", [3])]
+        assert blocks["tree_start"][0] == 0
+
+    def test_a_split_sends_its_left_rows_to_the_next_node(self):
+        X, y, _ = toy_problem(n=40, d=3, noise=0.5, seed=33)
+        m = DecisionTreeRegressor(max_depth=3, seed=0).fit(X, y)
+        table = m.nodes_
+        assert table.tree_start.tolist() == [0, len(table.feature)]
+        for i in np.flatnonzero(table.feature >= 0):
+            rows = X[:, table.feature[i]] <= table.threshold[i]
+            assert rows.any() and not rows.all()
+        # a leaf's right child is -1, a split's right child lies past its left child
+        split = table.feature >= 0
+        assert (table.right[~split] == -1).all()
+        assert (table.right[split] > np.flatnonzero(split) + 1).all()
+
+    def test_round_trip_is_bit_identical_for_ragged_trees(self, tmp_path):
+        # tree 5's bootstrap sample holds only zeros, so it is a single leaf
+        X = np.random.default_rng(32).normal(size=(8, 2))
+        y = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0])
+        model = RandomForestRegressor(n_trees=8, seed=18).fit(X, y)
+        assert np.diff(model.nodes_.tree_start).tolist() == [7, 5, 5, 5, 7, 1, 5, 3]
+        path = model.save(tmp_path / "f.bin")
+        back = load_model(path)
+        for (name, a), (_, b) in zip(model.nodes_.blocks(), back.nodes_.blocks()):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        rows = np.random.default_rng(34).normal(size=(500, 2))
+        assert back.predict(rows).tobytes() == model.predict(rows).tobytes()
+        assert back.save(tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    def test_predict_matches_a_walk_of_each_tree_and_row(self):
+        X, y, _ = toy_problem(n=40, d=3, noise=0.5, seed=37)
+        table = RandomForestRegressor(n_trees=6, max_depth=4, seed=1).fit(X, y).nodes_
+        rows = np.random.default_rng(38).normal(size=(50, 3))
+        leaves = np.empty((6, len(rows)))
+        for k in range(6):
+            start = table.tree_start[k]
+            for r, x in enumerate(rows):
+                i = start
+                while table.feature[i] >= 0:
+                    go_left = x[table.feature[i]] <= table.threshold[i]
+                    i = i + 1 if go_left else start + table.right[i]
+                leaves[k, r] = table.value[i]
+        assert table.predict(rows).tobytes() == leaves.mean(axis=0).tobytes()
+
+    def test_trees_are_views_of_the_table(self):
+        X, y, _ = toy_problem(n=30, d=2, noise=0.5, seed=35)
+        m = RandomForestRegressor(n_trees=3, seed=0).fit(X, y)
+        assert sum(len(t.feature) for t in m.trees_) == len(m.nodes_.feature)
+        assert all(np.shares_memory(t.value, m.nodes_.value) for t in m.trees_)
+
+    @pytest.mark.parametrize("change, match", [
+        (lambda b: edited(b, "tree_start", 0, 1), "must rise strictly from 0"),
+        (lambda b: edited(b, "tree_start", 1, 0), "must rise strictly from 0"),
+        (lambda b: edited(b, "tree_start", 2, b["tree_start"][2] - 1), "to the node count"),
+        (lambda b: {"tree_start": b["tree_start"][::2].copy()}, r"'tree_start' is <i4 of shape \(2,\)"),
+        (lambda b: edited(b, "feature", 0, 2), r"outside -1 and \[0, 2\)"),
+        (lambda b: edited(b, "feature", 0, -2), r"outside -1 and \[0, 2\)"),
+        (lambda b: edited(b, "right", 0, 0), "must follow its left child"),
+        (lambda b: edited(b, "right", 0, 1), "must follow its left child"),
+        (lambda b: edited(b, "right", 0, b["tree_start"][1]), "inside its own tree"),
+        (lambda b: edited(b, "right", b["tree_start"][1], 10**6), "inside its own tree"),
+        (lambda b: {"feature": b["feature"].astype(float)}, "'feature' is <f8 of shape"),
+        (lambda b: {"value": b["value"][:-1].copy()}, "'value' is <f8 of shape"),
+    ], ids=["start-not-zero", "start-not-rising", "start-short-of-the-nodes", "start-wrong-length",
+            "feature-beyond-n_features", "feature-below-leaf", "right-to-itself",
+            "right-to-the-left-child", "right-into-the-next-tree", "right-beyond-the-table",
+            "feature-as-float64", "value-too-short"])
+    def test_a_corrupt_table_is_one_error_naming_the_file(self, tmp_path, change, match):
+        path, header, blocks = forest_file(tmp_path)
+        rewrite_blocks(path, header, blocks, change(blocks))
+        with pytest.raises(CheckpointError, match=match) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: random_forest model file: ")
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("kind, hyperparameters", [
+        ("random_forest", {"n_trees": 1, "max_depth": None, "min_samples_leaf": 1,
+                           "feature_subsample_fraction": 1.0, "seed": 0}),
+        ("tree", {}),
+    ])
+    def test_a_file_with_per_tree_blocks_is_an_older_layout(self, tmp_path, kind, hyperparameters):
+        path = tmp_path / "old.bin"
+        write_model_file(path, kind, hyperparameters, {"n_samples": 2, "n_features": 1}, [
+            (f"tree0_{name}", np.array(values)) for name, values in [
+                ("feature", [0.0, -1.0, -1.0]), ("threshold", [0.5, 0.0, 0.0]),
+                ("left", [1.0, -1.0, -1.0]), ("right", [2.0, -1.0, -1.0]),
+                ("value", [0.0, 1.0, 2.0])]])
+        with pytest.raises(CheckpointError, match="stores one block set per tree, a layout of "
+                                                  "older versions; train the model again") as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: {kind} model file: ")
+
+
+class TestBlockShapes:
+    @pytest.mark.parametrize("model, name, shape", [
+        (DummyRegressor(), "mean", (2,)),
+        (LinearRegressor(), "coef", (3,)),
+        (LinearRegressor(), "intercept", (1, 1)),
+        (RidgeRegressor(alpha=0.7), "coef", (2, 1)),
+        (PCRRegressor(n_components=1), "coef", ()),
+        (PLSRegressor(n_components=1), "x_mean", (1,)),
+        (PLSRegressor(n_components=1), "y_mean", (0,)),
+        (MLPRegressor(hidden_dims=(3, 2), epochs=2, seed=0), "layer0_W", (3, 2)),
+        (MLPRegressor(hidden_dims=(3, 2), epochs=2, seed=0), "layer1_W", (3, 3)),
+        (MLPRegressor(hidden_dims=(3, 2), epochs=2, seed=0), "layer2_b", (2,)),
+    ], ids=["dummy-mean", "linear-coef", "linear-intercept", "ridge-coef", "pcr-coef",
+            "pls-x_mean", "pls-y_mean", "mlp-layer0_W", "mlp-layer1_W", "mlp-layer2_b"])
+    def test_a_block_of_the_wrong_shape_is_one_error_naming_file_and_block(
+            self, tmp_path, model, name, shape):
+        X, y, _ = toy_problem(n=12, d=2, seed=36)
+        path = model.fit(X, y).save(tmp_path / "m.bin")
+        header, blocks = read_model_file(path)
+        rewrite_blocks(path, header, blocks, {name: np.ones(shape)})
+        with pytest.raises(CheckpointError) as info:
+            load_model(path)
+        assert str(info.value) == (
+            f"{path}: {model.kind} model file: block {name!r} is <f8 of shape {shape}, "
+            f"expected <f8 of shape {blocks[name].shape}")
