@@ -15,21 +15,17 @@ Conventions used throughout this module:
 
 Extractors registered for pipeline use share one shape of contract:
 ``process_cell(cell) -> (values (k, d), row_keys)`` and
-``extract(cells) -> FeatureMatrix``. A ``FeatureMatrix`` is saved in the
-package's binary container (see :func:`cellforge.battery_data.write_container`).
+``extract(cells) -> FeatureMatrix``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .battery_data import CellRecord, CycleData, CycleRecord, parse_container, read_file, write_container
-from .errors import CheckpointError, FeatureError
-
-FEATURES_MAGIC = b"CFF1"
+from .battery_data import CellRecord, CycleData, CycleRecord
+from .errors import FeatureError
 
 VARIANCE_FLOOR = 1e-12
 COULOMBIC_EPS = 1e-5
@@ -177,15 +173,15 @@ def sanitize(values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Feature matrix container
+# Feature matrix
 
 @dataclass
 class FeatureMatrix:
     """2-D feature values plus row keys and column names.
 
-    Persisted as one ``.bin`` container file (magic ``CFF1``): the header
-    carries ``col_names`` and ``row_keys``, and the values are one float64
-    block of shape (rows, columns).
+    A checkpoint stores the test rows' values and keys (see
+    :func:`cellforge.pipeline.write_features`) but not the names, which the
+    config's feature section rebuilds.
     """
 
     values: np.ndarray
@@ -200,31 +196,6 @@ class FeatureMatrix:
             raise ValueError("row count and row keys disagree")
         if self.values.shape[1] != len(self.col_names):
             raise ValueError("column count and column names disagree")
-
-    def save(self, base) -> Path:
-        """Write ``base`` with the suffix ``.bin``; returns that path."""
-        header = {"col_names": self.col_names, "row_keys": [list(k) for k in self.row_keys]}
-        return write_container(Path(base).with_suffix(".bin"), FEATURES_MAGIC, header,
-                               [("values", self.values)])
-
-    @classmethod
-    def load(cls, base) -> "FeatureMatrix":
-        """Read what :meth:`save` wrote to ``base``; a missing or malformed
-        file raises :class:`CheckpointError` naming it."""
-        return read_file(Path(base).with_suffix(".bin"), CheckpointError, cls._from_bytes)
-
-    @classmethod
-    def _from_bytes(cls, data: bytes) -> "FeatureMatrix":
-        header, blocks = parse_container(data, FEATURES_MAGIC, CheckpointError)
-        names, keys = header.get("col_names"), header.get("row_keys")
-        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
-                and isinstance(keys, list) and all(isinstance(k, list) for k in keys)):
-            raise CheckpointError("header needs 'col_names' (strings) and 'row_keys' (arrays)")
-        shapes = {name: b.shape for name, b in blocks.items()}
-        if shapes != {"values": (len(keys), len(names))}:
-            raise CheckpointError(f"expected one 'values' block of shape "
-                                  f"{(len(keys), len(names))}, got {shapes}")
-        return cls(values=blocks["values"], row_keys=[tuple(k) for k in keys], col_names=names)
 
 
 class BaseFeatureExtractor:

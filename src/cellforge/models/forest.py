@@ -10,9 +10,12 @@ deterministic given the node RNG.
 Each forest tree k draws its bootstrap sample and its per-split feature
 subsets from an independent ``default_rng(seed + k)``.
 
-A fitted tree or forest is one :class:`_NodeTable` of all its trees' nodes,
-saved as the five blocks ``feature``, ``threshold``, ``right``, ``value``
-and ``tree_start`` (int32, float64, int32, float64, int32).
+A fitted tree or forest is one :class:`_NodeTable` of all its trees' nodes
+in preorder, 12 bytes a node, saved as the three blocks ``feature`` (int32,
+-1 at a leaf), ``value`` (float64: a split's threshold or a leaf's
+prediction) and ``tree_start`` (int32, n_trees + 1 offsets). A split's right
+child is not stored; loading derives it and checks that each tree is one
+complete tree ending at its bound.
 """
 
 from __future__ import annotations
@@ -23,22 +26,9 @@ from ..errors import CheckpointError
 from .base import BaseRegressor, param_block
 
 
-class _TreeLists:
-    """One tree's nodes in preorder while it grows: feature < 0 marks a leaf
-    holding ``value``; a split's left child is the next node and ``right``
-    holds the index of its right child."""
-
-    __slots__ = ("feature", "threshold", "right", "value")
-
-    def __init__(self):
-        self.feature, self.threshold, self.right, self.value = [], [], [], []
-
-    def add(self, feature: int, threshold: float, value: float) -> int:
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.right.append(-1)
-        self.value.append(value)
-        return len(self.feature) - 1
+def _levels(feature):
+    """Splits minus leaves before each node in preorder, and after the last."""
+    return np.concatenate([[0], np.cumsum(np.where(feature >= 0, 1, -1))])
 
 
 class _NodeTable:
@@ -46,32 +36,37 @@ class _NodeTable:
     layout of scikit-learn's ``Tree`` with the trees laid end to end.
 
     Tree k is nodes ``tree_start[k]:tree_start[k + 1]``. ``feature`` is -1
-    at a leaf, which predicts ``value``; a split sends ``x[feature] <=
-    threshold`` to the next node and the rest to ``right``, an index local
-    to its tree. Leaves store ``right`` -1 and splits ``value`` 0.
+    at a leaf and ``value`` holds a leaf's prediction or a split's
+    threshold, one field for both as in XGBoost's ``RegTree::Node``. A
+    split sends ``x[feature] <= value`` to the next node and the rest to
+    its right child, which is not stored: preorder puts it right after the
+    left child's subtree, and ``right`` (an index into the whole table, -1
+    at a leaf) is derived from ``feature`` alone.
     """
 
-    def __init__(self, feature, threshold, right, value, tree_start):
-        self.feature, self.threshold, self.right, self.value = feature, threshold, right, value
-        self.tree_start = tree_start
-        # each node's right child as an index into the whole table
-        self._right = right + np.repeat(tree_start[:-1], np.diff(tree_start)).astype(np.intp)
+    def __init__(self, feature, value, tree_start):
+        self.feature, self.value, self.tree_start = feature, value, tree_start
+        # a split's left subtree starts one level up and ends where the level
+        # first falls back, so the next node at a split's level is its right child
+        level = _levels(feature)[:-1]
+        order = np.argsort(level, kind="stable")  # by level, then by position
+        same = level[order[:-1]] == level[order[1:]]
+        next_at_level = np.full(len(feature), -1, dtype=np.intp)
+        next_at_level[order[:-1][same]] = order[1:][same]
+        self.right = np.where(feature >= 0, next_at_level, -1)
 
     @classmethod
     def join(cls, trees):
-        def column(name, dtype):
-            return np.array([v for tree in trees for v in getattr(tree, name)], dtype=dtype)
-
-        sizes = [len(tree.feature) for tree in trees]
-        return cls(column("feature", np.int32), column("threshold", np.float64),
-                   column("right", np.int32), column("value", np.float64),
+        """The table of trees given as (feature, value) lists in preorder."""
+        sizes = [len(feature) for feature, _ in trees]
+        return cls(np.array([f for feature, _ in trees for f in feature], dtype=np.int32),
+                   np.array([v for _, value in trees for v in value], dtype=np.float64),
                    np.concatenate([[0], np.cumsum(sizes)]).astype(np.int32))
 
     def tree(self, k: int) -> "_NodeTable":
         """Tree k alone, as a one-tree table of views."""
         a, b = self.tree_start[k], self.tree_start[k + 1]
-        return _NodeTable(self.feature[a:b], self.threshold[a:b], self.right[a:b],
-                          self.value[a:b], np.array([0, b - a], dtype=np.int32))
+        return _NodeTable(self.feature[a:b], self.value[a:b], np.array([0, b - a], dtype=np.int32))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """The mean over the trees of each row's leaf value: every tree
@@ -83,25 +78,26 @@ class _NodeTable:
             internal = feat >= 0
             if not internal.any():
                 break
-            go_left = X[rows, np.where(internal, feat, 0)] <= self.threshold[node]
-            node = np.where(internal, np.where(go_left, node + 1, self._right[node]), node)
+            go_left = X[rows, np.where(internal, feat, 0)] <= self.value[node]
+            node = np.where(internal, np.where(go_left, node + 1, self.right[node]), node)
         return self.value[node].mean(axis=0)
 
     def blocks(self):
-        return [("feature", self.feature), ("threshold", self.threshold), ("right", self.right),
-                ("value", self.value), ("tree_start", self.tree_start)]
+        return [("feature", self.feature), ("value", self.value), ("tree_start", self.tree_start)]
 
     @classmethod
     def from_blocks(cls, blocks, n_trees: int, n_features: int) -> "_NodeTable":
-        """The table the blocks hold, checked so that every walk moves
-        forward inside its own tree and reads a feature the model has."""
+        """The table the blocks hold, checked so that each tree is one
+        complete tree ending at its bound and reads features the model has;
+        every walk then moves forward inside its own tree to a leaf."""
         if "tree0_feature" in blocks:
             raise CheckpointError("stores one block set per tree, a layout of older versions; "
                                   "train the model again")
+        if "right" in blocks or "threshold" in blocks:
+            raise CheckpointError("stores separate 'threshold', 'value' and 'right' blocks, "
+                                  "a layout of older versions; train the model again")
         n = blocks["feature"].size
         feature = param_block(blocks, "feature", (n,), "<i4")
-        threshold = param_block(blocks, "threshold", (n,))
-        right = param_block(blocks, "right", (n,), "<i4")
         value = param_block(blocks, "value", (n,))
         start = param_block(blocks, "tree_start", (n_trees + 1,), "<i4")
         sizes = np.diff(start)
@@ -109,13 +105,22 @@ class _NodeTable:
             raise CheckpointError(f"'tree_start' must rise strictly from 0 to the node count {n}")
         if ((feature < -1) | (feature >= n_features)).any():
             raise CheckpointError(f"'feature' holds an index outside -1 and [0, {n_features})")
-        split = feature >= 0
-        local = (np.arange(n) - np.repeat(start[:-1], sizes))[split]
-        child = right[split]
-        if ((child <= local + 1) | (child >= np.repeat(sizes, sizes)[split])).any():
-            raise CheckpointError("a split's 'right' child must follow its left child "
-                                  "inside its own tree")
-        return cls(feature, threshold, right, value, start)
+        # counted from a tree's first node, the level stays >= 0 inside a
+        # complete tree and is -1 at its bound
+        level = _levels(feature)
+        first = level[start[:-1]]
+        inside = level[:-1] - np.repeat(first, sizes)
+        bad = (np.minimum.reduceat(inside, start[:-1]) < 0) | (level[start[1:]] - first != -1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            a, b = start[k], start[k + 1]
+            if (inside[a:b] >= 0).all():
+                raise CheckpointError(f"tree {k} is not complete at its 'tree_start' bound {b}: "
+                                      "a split lacks a child")
+            node = a + int(np.argmax(inside[a:b] < 0)) - 1
+            raise CheckpointError(f"tree {k} is complete at node {node}, before its "
+                                  f"'tree_start' bound {b}")
+        return cls(feature, value, start)
 
 
 def _best_split(X, y, candidates, min_samples_leaf):
@@ -152,36 +157,39 @@ def _best_split(X, y, candidates, min_samples_leaf):
 
 
 def _grow(tree, X, y, rng, depth, max_depth, min_samples_leaf, n_candidates):
+    """Append the subtree that fits (X, y) to the preorder lists ``tree``,
+    a (feature, value) pair."""
+    feature, value = tree
     n, d = X.shape
-    if (
+    found = None
+    if not (
         n < 2 * min_samples_leaf
         or n < 2
         or (max_depth is not None and depth >= max_depth)
         or np.all(y == y[0])
     ):
-        tree.add(-1, 0.0, float(y.mean()))
-        return
-    if n_candidates < d:
-        candidates = np.sort(rng.choice(d, size=n_candidates, replace=False))
-    else:
-        candidates = np.arange(d)
-    found = _best_split(X, y, candidates, min_samples_leaf)
+        if n_candidates < d:
+            candidates = np.sort(rng.choice(d, size=n_candidates, replace=False))
+        else:
+            candidates = np.arange(d)
+        found = _best_split(X, y, candidates, min_samples_leaf)
     if found is None:
-        tree.add(-1, 0.0, float(y.mean()))
+        feature.append(-1)
+        value.append(float(y.mean()))
         return
-    _, feature, threshold, left_mask = found
-    idx = tree.add(feature, threshold, 0.0)
+    _, f, threshold, left_mask = found
+    feature.append(f)
+    value.append(threshold)
     # left subtree is built first: node ids are preorder and RNG consumption
     # is depth-first, both deterministic
     _grow(tree, X[left_mask], y[left_mask], rng, depth + 1, max_depth, min_samples_leaf, n_candidates)
-    tree.right[idx] = len(tree.feature)
     _grow(tree, X[~left_mask], y[~left_mask], rng, depth + 1, max_depth, min_samples_leaf, n_candidates)
 
 
 def _build_tree(X, y, rng, max_depth, min_samples_leaf, feature_subsample_fraction):
     d = X.shape[1]
     n_candidates = max(1, int(np.ceil(feature_subsample_fraction * d)))
-    tree = _TreeLists()
+    tree = ([], [])
     _grow(tree, X, y, rng, 0, max_depth, min_samples_leaf, n_candidates)
     return tree
 

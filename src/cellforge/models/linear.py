@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ModelError
+from ..errors import CheckpointError, ModelError
 from .base import BaseRegressor, param_block
 
 
@@ -186,7 +186,13 @@ class PLSRegressor(BaseRegressor):
             Pm = np.column_stack(P)
             qv = np.array(Q)
             self.coef_ = Wm @ np.linalg.solve(Pm.T @ Wm, qv)
-        self.effective_components_ = len(W)
+        self.metadata["effective_components"] = len(W)
+
+    @property
+    def effective_components_(self):
+        """Components fitted before the covariance ran out, recorded in the
+        model file's metadata; None for a file of an older version."""
+        return self.metadata.get("effective_components")
 
     def _predict(self, X):
         return (X - self.x_mean_) @ self.coef_ + self.y_mean_
@@ -202,4 +208,7 @@ class PLSRegressor(BaseRegressor):
         self.x_mean_ = param_block(blocks, "x_mean", (self.n_features_,))
         self.y_mean_ = float(param_block(blocks, "y_mean", (1,))[0])
         self.coef_ = param_block(blocks, "coef", (self.n_features_,))
-        self.effective_components_ = None
+        count = self.metadata.get("effective_components")
+        if count is not None and (type(count) is not int or not 0 <= count <= self.n_components):
+            raise CheckpointError(f"metadata 'effective_components' must be an integer in "
+                                  f"[0, {self.n_components}], got {count!r}")

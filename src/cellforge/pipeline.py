@@ -44,7 +44,8 @@ import numpy as np
 import yaml
 
 from . import components as _components  # noqa: F401  (populates registries)
-from .battery_data import CellRecord, json_document, load_cells, read_file, yaml_document
+from .battery_data import (CellRecord, json_document, load_cells, parse_container, read_file,
+                           write_container, yaml_document)
 from .errors import CheckpointError, ConfigError, PipelineError
 from .features import FeatureMatrix
 from .models import load_model
@@ -64,6 +65,7 @@ OPTIONAL_KEYS = ("seeds", "workspace")
 # Sections whose fitted artifacts a checkpoint stores; evaluate cannot override them.
 STORED_KEYS = ("feature_transformation", "label_transformation", "model")
 DEFAULT_SEEDS = tuple(range(10))
+FEATURES_MAGIC = b"CFF1"
 
 __all__ = [
     "ComponentSpec",
@@ -72,6 +74,8 @@ __all__ = [
     "run_train",
     "run_evaluate",
     "read_report",
+    "write_features",
+    "read_features",
     "rmse",
     "mae",
 ]
@@ -456,7 +460,7 @@ def _write_checkpoint(ckpt_dir, config, split, data, ft, lt, models, report):
             tmp / "transforms.json",
             {"feature_transformation": ft.to_dict(), "label_transformation": lt.to_dict()},
         )
-        data["features_test"].save(tmp / "features_test")
+        write_features(tmp / "features_test.bin", data["features_test"])
         for seed, model in models.items():
             model.save(tmp / f"model_seed{seed}.bin")
         shutil.rmtree(ckpt_dir, ignore_errors=True)
@@ -469,6 +473,33 @@ def _write_checkpoint(ckpt_dir, config, split, data, ft, lt, models, report):
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, allow_nan=False)
+
+
+def write_features(path, matrix: FeatureMatrix) -> Path:
+    """Write ``matrix``'s row keys and values as one ``CFF1`` container
+    file; its column names stay out, as the config's feature section
+    rebuilds them."""
+    return write_container(path, FEATURES_MAGIC, {"row_keys": [list(k) for k in matrix.row_keys]},
+                           [("values", matrix.values)])
+
+
+def read_features(path) -> tuple[np.ndarray, list[tuple]]:
+    """The values and row keys :func:`write_features` wrote to ``path``; a
+    ``col_names`` key that older versions wrote is ignored. A missing or
+    malformed file raises :class:`CheckpointError` naming it."""
+    return read_file(path, CheckpointError, _features_document)
+
+
+def _features_document(data: bytes):
+    header, blocks = parse_container(data, FEATURES_MAGIC, CheckpointError)
+    keys = header.get("row_keys")
+    if not (isinstance(keys, list) and all(isinstance(k, list) for k in keys)):
+        raise CheckpointError("header needs 'row_keys' (arrays)")
+    shapes = {name: b.shape for name, b in blocks.items()}
+    if list(shapes) != ["values"] or len(shapes["values"]) != 2 or shapes["values"][0] != len(keys):
+        raise CheckpointError(f"expected one 2-D 'values' block of {len(keys)} rows, "
+                              f"got shapes {shapes}")
+    return blocks["values"], [tuple(k) for k in keys]
 
 
 def read_report(checkpoint) -> dict:
@@ -561,9 +592,9 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
             raise CheckpointError(f"corpus is missing stored test cells: {missing}")
 
     if not overrides:
-        features_test = FeatureMatrix.load(ckpt_dir / "features_test")
+        X_test, keys_test = read_features(ckpt_dir / "features_test.bin")
         rows = stored_report["predictions"]
-        if features_test.row_keys != [(r["cell_id"], r.get("cycle"), r.get("step")) for r in rows]:
+        if keys_test != [(r["cell_id"], r.get("cycle"), r.get("step")) for r in rows]:
             raise CheckpointError(
                 f"{ckpt_dir / 'features_test.bin'}: feature rows differ from the "
                 "prediction rows in report.json"
@@ -573,8 +604,8 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
     else:
         split, train_cells, test_cells = _split_cells(config, cells)
         data = _label_and_featurize(config, split, train_cells, test_cells)
-        features_test, y_test, excluded = data["features_test"], data["y_test"], data["excluded"]
-    X_test = features_test.values
+        X_test, keys_test = data["features_test"].values, data["features_test"].row_keys
+        y_test, excluded = data["y_test"], data["excluded"]
 
     widths = sorted({model.n_features_ for model in models.values()})
     if widths != [X_test.shape[1]]:
@@ -584,6 +615,4 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
         )
     Xte = ft.transform(X_test)
     per_seed, mean_pred = _score(config.seeds, models, lt, Xte, y_test)
-    return _report(
-        config, per_seed, features_test.row_keys, y_test, mean_pred, excluded, overrides=overrides
-    )
+    return _report(config, per_seed, keys_test, y_test, mean_pred, excluded, overrides=overrides)

@@ -1,6 +1,7 @@
 """Feature extraction: interpolation oracles, extractors, persistence."""
 
 import dataclasses
+import hashlib
 import re
 
 import numpy as np
@@ -10,7 +11,6 @@ from cellforge.battery_data import CycleRecord, write_container
 from cellforge.errors import CheckpointError, FeatureError
 from cellforge.features import (
     COULOMBIC_EPS,
-    FEATURES_MAGIC,
     CapacityFadeSlopeFeatureExtractor,
     DischargeModelFeatureExtractor,
     FeatureMatrix,
@@ -27,6 +27,7 @@ from cellforge.features import (
     soh_cycle_features,
     voltage_bounds,
 )
+from cellforge.pipeline import FEATURES_MAGIC, read_features, write_features
 from conftest import V_MAX, V_MIN, linear_cycle, make_cell
 
 SPAN = V_MAX - V_MIN
@@ -221,29 +222,44 @@ class TestSmallHelpers:
 
 
 class TestFeatureMatrix:
+    """The stored test features: row keys and values, no column names."""
+
     def test_save_load_round_trip(self, tmp_path):
         fm = FeatureMatrix(
             values=np.array([[1.5, -2.25], [0.0, 3.125]]),
             row_keys=[("a", None, None), ("b", 4, 2)],
             col_names=["f1", "f2"],
         )
-        fm.save(tmp_path / "feats")
-        back = FeatureMatrix.load(tmp_path / "feats")
-        np.testing.assert_array_equal(back.values, fm.values)
-        assert back.row_keys == fm.row_keys
-        assert back.col_names == fm.col_names
+        values, keys = read_features(write_features(tmp_path / "feats.bin", fm))
+        assert values.tobytes() == fm.values.tobytes() and values.shape == (2, 2)
+        assert keys == fm.row_keys
 
     def test_saved_as_one_container_file(self, tmp_path):
         fm = FeatureMatrix(np.zeros((1, 1)), [("a", None, None)], ["x"])
-        assert fm.save(tmp_path / "feats") == tmp_path / "feats.bin"
+        assert write_features(tmp_path / "feats.bin", fm) == tmp_path / "feats.bin"
         assert [p.name for p in tmp_path.iterdir()] == ["feats.bin"]
         assert (tmp_path / "feats.bin").read_bytes()[:4] == FEATURES_MAGIC
 
+    def test_file_bytes_are_pinned(self, tmp_path):
+        fm = FeatureMatrix(np.array([[0.5, -1.0], [2.0, 1e-3]]),
+                           [("C0001", None, None), ("C0002", 7, 3)], ["dq_c0_v0", "dq_c0_v1"])
+        path = write_features(tmp_path / "feats.bin", fm)
+        assert b"col_names" not in path.read_bytes() and b"dq_c0" not in path.read_bytes()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "42e8ebcca08ba1de6d4a7551a0ed4f4c0d7f20868eeb045a6b4a9b869e903241")
+
+    def test_older_files_with_column_names_read_the_same(self, tmp_path):
+        path = write_container(tmp_path / "old.bin", FEATURES_MAGIC,
+                               {"col_names": ["x", "y"], "row_keys": [["a", None, None]]},
+                               [("values", np.array([[1.0, 2.0]]))])
+        values, keys = read_features(path)
+        assert values.tolist() == [[1.0, 2.0]] and keys == [("a", None, None)]
+
     @pytest.mark.parametrize("header, blocks, match", [
-        ({"row_keys": [["a"]]}, [("values", np.zeros((1, 1)))], "needs 'col_names'"),
-        ({"col_names": ["x"], "row_keys": "a"}, [("values", np.zeros((1, 1)))], "needs 'col_names'"),
-        ({"col_names": [1], "row_keys": [["a"]]}, [("values", np.zeros((1, 1)))], "needs 'col_names'"),
-        ({"col_names": ["x"], "row_keys": ["a"]}, [("values", np.zeros((1, 1)))], "needs 'col_names'"),
+        ({}, [("values", np.zeros((1, 1)))], "needs 'row_keys'"),
+        ({"row_keys": "a"}, [("values", np.zeros((1, 1)))], "needs 'row_keys'"),
+        ({"col_names": ["x"], "row_keys": None}, [("values", np.zeros((1, 1)))], "needs 'row_keys'"),
+        ({"row_keys": ["a"]}, [("values", np.zeros((1, 1)))], "needs 'row_keys'"),
         ({"col_names": ["x"], "row_keys": [["a"]]}, [("values", np.zeros((2, 1)))], "shape"),
         ({"col_names": ["x"], "row_keys": [["a"]]}, [("values", np.zeros(1))], "shape"),
         ({"col_names": ["x"], "row_keys": [["a"]]}, [], "shape"),
@@ -253,17 +269,17 @@ class TestFeatureMatrix:
     def test_malformed_file_rejected(self, tmp_path, header, blocks, match):
         path = write_container(tmp_path / "feats.bin", FEATURES_MAGIC, header, blocks)
         with pytest.raises(CheckpointError, match=match) as info:
-            FeatureMatrix.load(tmp_path / "feats")
+            read_features(path)
         assert str(path) in str(info.value)
 
     def test_truncated_and_missing_files_rejected(self, tmp_path):
         fm = FeatureMatrix(np.ones((2, 1)), [("a", None, None), ("b", None, None)], ["x"])
-        path = fm.save(tmp_path / "feats")
+        path = write_features(tmp_path / "feats.bin", fm)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CheckpointError, match=re.escape(f"{path}: truncated")):
-            FeatureMatrix.load(tmp_path / "feats")
+            read_features(path)
         with pytest.raises(CheckpointError, match=re.escape(f"{tmp_path / 'other.bin'}: cannot read")):
-            FeatureMatrix.load(tmp_path / "other")
+            read_features(tmp_path / "other.bin")
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="2-D"):

@@ -19,6 +19,7 @@ from cellforge.models import (
     gradient_check,
     load_model,
 )
+from cellforge.models.forest import _NodeTable
 from cellforge.models.io import read_model_file, write_model_file
 from cellforge.registry import MODELS
 
@@ -212,6 +213,28 @@ class TestPLS:
         X, y, _ = toy_problem(n=10, d=3)
         with pytest.raises(ValueError, match="exceeds"):
             PLSRegressor(n_components=5).fit(X, y)
+
+    def test_effective_components_survive_a_round_trip(self, tmp_path):
+        X, y, _ = toy_problem(n=20, d=3, seed=12)
+        for target, count in [(y, 2), (np.full(20, 1.5), 0)]:
+            m = PLSRegressor(n_components=2).fit(X, target)
+            assert m.metadata["effective_components"] == count
+            assert load_model(m.save(tmp_path / "p.bin")).effective_components_ == count
+        # a file whose metadata lacks the count, as older versions wrote it
+        header, blocks = read_model_file(tmp_path / "p.bin")
+        write_model_file(tmp_path / "old.bin", "plsr", header["hyperparameters"],
+                         {"n_samples": 20, "n_features": 3},
+                         [(b["name"], blocks[b["name"]]) for b in header["blocks"]])
+        assert load_model(tmp_path / "old.bin").effective_components_ is None
+        for bad in [3, -1, "2", 1.0, True]:
+            write_model_file(tmp_path / "bad.bin", "plsr", header["hyperparameters"],
+                             {"n_samples": 20, "n_features": 3, "effective_components": bad},
+                             [(b["name"], blocks[b["name"]]) for b in header["blocks"]])
+            with pytest.raises(CheckpointError) as info:
+                load_model(tmp_path / "bad.bin")
+            assert str(info.value) == (
+                f"{tmp_path / 'bad.bin'}: plsr model file: metadata 'effective_components' must be "
+                f"an integer in [0, 2], got {bad!r}")
 
 
 def stump_oracle_sse(X, y, min_leaf=1):
@@ -506,15 +529,29 @@ def edited(blocks, name, index, value):
     return {name: arr}
 
 
+def right_children(feature, start, stop):
+    """Each split's right child in the preorder nodes ``start:stop`` of one
+    tree, found the way the fit lays them out: after the left subtree."""
+    right = {}
+
+    def subtree_end(i):
+        if feature[i] < 0:
+            return i + 1
+        right[i] = subtree_end(i + 1)
+        return subtree_end(right[i])
+
+    assert subtree_end(start) == stop
+    return right
+
+
 class TestForestFile:
-    """A tree or forest is one preorder node table of five blocks."""
+    """A tree or forest is one preorder node table of three blocks."""
 
     def test_blocks_dtypes_and_shapes(self, tmp_path):
         path, header, blocks = forest_file(tmp_path)
         n = int(blocks["tree_start"][-1])
         assert [(b["name"], b.get("dtype", "<f8"), b["shape"]) for b in header["blocks"]] == [
-            ("feature", "<i4", [n]), ("threshold", "<f8", [n]), ("right", "<i4", [n]),
-            ("value", "<f8", [n]), ("tree_start", "<i4", [3])]
+            ("feature", "<i4", [n]), ("value", "<f8", [n]), ("tree_start", "<i4", [3])]
         assert blocks["tree_start"][0] == 0
 
     def test_a_split_sends_its_left_rows_to_the_next_node(self):
@@ -523,12 +560,33 @@ class TestForestFile:
         table = m.nodes_
         assert table.tree_start.tolist() == [0, len(table.feature)]
         for i in np.flatnonzero(table.feature >= 0):
-            rows = X[:, table.feature[i]] <= table.threshold[i]
+            rows = X[:, table.feature[i]] <= table.value[i]
             assert rows.any() and not rows.all()
         # a leaf's right child is -1, a split's right child lies past its left child
         split = table.feature >= 0
         assert (table.right[~split] == -1).all()
         assert (table.right[split] > np.flatnonzero(split) + 1).all()
+
+    def test_derived_right_children_equal_the_fitted_ones(self, tmp_path):
+        rng = np.random.default_rng(39)
+        forests = [RandomForestRegressor(n_trees=8, seed=18).fit(
+            np.random.default_rng(32).normal(size=(8, 2)), np.array([0.0] * 6 + [1.0, 2.0]))]
+        for seed in range(6):
+            X = rng.normal(size=(int(rng.integers(2, 40)), 3))
+            y = np.where(rng.random(len(X)) < 0.3, 1.0, 0.0) if seed % 2 else rng.normal(size=len(X))
+            forests.append(RandomForestRegressor(n_trees=5, max_depth=[None, 1, 3][seed % 3],
+                                                 feature_subsample_fraction=0.5, seed=seed).fit(X, y))
+        sizes = np.concatenate([np.diff(f.nodes_.tree_start) for f in forests])
+        assert (sizes == 1).any() and (sizes > 7).any()
+        for forest in forests:
+            for table in (forest.nodes_, load_model(forest.save(tmp_path / "f.bin")).nodes_):
+                start = table.tree_start
+                fitted = {}
+                for k in range(len(start) - 1):
+                    fitted.update(right_children(table.feature, start[k], start[k + 1]))
+                derived = {int(i): int(table.right[i]) for i in np.flatnonzero(table.feature >= 0)}
+                assert derived == fitted
+                assert (table.right[table.feature < 0] == -1).all()
 
     def test_round_trip_is_bit_identical_for_ragged_trees(self, tmp_path):
         # tree 5's bootstrap sample holds only zeros, so it is a single leaf
@@ -544,6 +602,17 @@ class TestForestFile:
         assert back.predict(rows).tobytes() == model.predict(rows).tobytes()
         assert back.save(tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
+    def test_file_bytes_of_a_hand_built_table_are_pinned(self, tmp_path):
+        # tree 0 splits on x <= 0.5 into leaves 1.0 and 2.0; tree 1 is the leaf 4.0
+        model = RandomForestRegressor(n_trees=2, seed=0)
+        model.nodes_ = _NodeTable(np.array([0, -1, -1, -1], dtype=np.int32),
+                                  np.array([0.5, 1.0, 2.0, 4.0]), np.array([0, 3, 4], dtype=np.int32))
+        model.n_features_, model.metadata, model.fitted = 1, {"n_samples": 4, "n_features": 1}, True
+        path = model.save(tmp_path / "f.bin")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "09e7a3cf0b21c92d2cb6935f6cc503d168c244878198163001a4eb6a1ffbc70a")
+        assert load_model(path).predict(np.array([[0.0], [1.0]])).tolist() == [2.5, 3.0]
+
     def test_predict_matches_a_walk_of_each_tree_and_row(self):
         X, y, _ = toy_problem(n=40, d=3, noise=0.5, seed=37)
         table = RandomForestRegressor(n_trees=6, max_depth=4, seed=1).fit(X, y).nodes_
@@ -551,11 +620,12 @@ class TestForestFile:
         leaves = np.empty((6, len(rows)))
         for k in range(6):
             start = table.tree_start[k]
+            right = right_children(table.feature, start, table.tree_start[k + 1])
             for r, x in enumerate(rows):
                 i = start
                 while table.feature[i] >= 0:
-                    go_left = x[table.feature[i]] <= table.threshold[i]
-                    i = i + 1 if go_left else start + table.right[i]
+                    go_left = x[table.feature[i]] <= table.value[i]
+                    i = i + 1 if go_left else right[i]
                 leaves[k, r] = table.value[i]
         assert table.predict(rows).tobytes() == leaves.mean(axis=0).tobytes()
 
@@ -572,18 +642,24 @@ class TestForestFile:
         (lambda b: {"tree_start": b["tree_start"][::2].copy()}, r"'tree_start' is <i4 of shape \(2,\)"),
         (lambda b: edited(b, "feature", 0, 2), r"outside -1 and \[0, 2\)"),
         (lambda b: edited(b, "feature", 0, -2), r"outside -1 and \[0, 2\)"),
-        (lambda b: edited(b, "right", 0, 0), "must follow its left child"),
-        (lambda b: edited(b, "right", 0, 1), "must follow its left child"),
-        (lambda b: edited(b, "right", 0, b["tree_start"][1]), "inside its own tree"),
-        (lambda b: edited(b, "right", b["tree_start"][1], 10**6), "inside its own tree"),
+        (lambda b: edited(b, "feature", b["tree_start"][1], -1),
+         "tree 1 is complete at node 7, before its 'tree_start' bound 14$"),
+        (lambda b: {"feature": np.append(b["feature"], np.int32(-1)), "value": np.append(b["value"], 0.0),
+                    **edited(b, "tree_start", 2, b["tree_start"][2] + 1)},
+         "tree 1 is complete at node 13, before its 'tree_start' bound 15$"),
+        (lambda b: edited(b, "feature", b["tree_start"][1] - 1, 0),
+         "tree 0 is not complete at its 'tree_start' bound 7: a split lacks a child$"),
+        (lambda b: edited(b, "tree_start", 1, b["tree_start"][1] - 1),
+         "tree 0 is not complete at its 'tree_start' bound 6: a split lacks a child$"),
         (lambda b: {"feature": b["feature"].astype(float)}, "'feature' is <f8 of shape"),
         (lambda b: {"value": b["value"][:-1].copy()}, "'value' is <f8 of shape"),
     ], ids=["start-not-zero", "start-not-rising", "start-short-of-the-nodes", "start-wrong-length",
-            "feature-beyond-n_features", "feature-below-leaf", "right-to-itself",
-            "right-to-the-left-child", "right-into-the-next-tree", "right-beyond-the-table",
-            "feature-as-float64", "value-too-short"])
+            "feature-beyond-n_features", "feature-below-leaf", "tree-ends-before-its-bound",
+            "nodes-left-over-after-the-last-tree", "split-without-children-at-the-bound",
+            "start-disagrees-with-the-structure", "feature-as-float64", "value-too-short"])
     def test_a_corrupt_table_is_one_error_naming_the_file(self, tmp_path, change, match):
         path, header, blocks = forest_file(tmp_path)
+        assert blocks["tree_start"].tolist() == [0, 7, 14]
         rewrite_blocks(path, header, blocks, change(blocks))
         with pytest.raises(CheckpointError, match=match) as info:
             load_model(path)
@@ -606,6 +682,27 @@ class TestForestFile:
                                                   "older versions; train the model again") as info:
             load_model(path)
         assert str(info.value).startswith(f"{path}: {kind} model file: ")
+
+    @pytest.mark.parametrize("kind", ["random_forest", "tree"])
+    def test_a_file_with_right_and_threshold_blocks_is_an_older_layout(self, tmp_path, kind):
+        # the one-table layout that stored each split's threshold and right child apart
+        model = (RandomForestRegressor(n_trees=2, max_depth=2, seed=0) if kind == "random_forest"
+                 else DecisionTreeRegressor(max_depth=2))
+        X, y, _ = toy_problem(n=20, d=2, seed=40)
+        path = model.fit(X, y).save(tmp_path / "old.bin")
+        header, _ = read_model_file(path)
+        t = model.nodes_
+        split = t.feature >= 0
+        local_right = np.where(split, t.right - np.repeat(t.tree_start[:-1], np.diff(t.tree_start)), -1)
+        write_model_file(path, kind, header["hyperparameters"], header["metadata"], [
+            ("feature", t.feature), ("threshold", np.where(split, t.value, 0.0)),
+            ("right", local_right.astype(np.int32)), ("value", np.where(split, 0.0, t.value)),
+            ("tree_start", t.tree_start)])
+        with pytest.raises(CheckpointError) as info:
+            load_model(path)
+        assert str(info.value) == (
+            f"{path}: {kind} model file: stores separate 'threshold', 'value' and 'right' blocks, "
+            "a layout of older versions; train the model again")
 
 
 class TestBlockShapes:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from cellforge.battery_data import load_cells, write_cell
+from cellforge.battery_data import load_cells, write_cell, write_container
 from cellforge.cli import main as cli_main
 from cellforge.errors import (
     CheckpointError,
@@ -28,10 +28,12 @@ from cellforge.labels import LabelSpec, LabelVector, rul_label
 from cellforge.models import BaseRegressor, LinearRegressor
 from cellforge.pipeline import (
     DEFAULT_SEEDS,
+    FEATURES_MAGIC,
     Checkpoint,
     PipelineConfig,
     _align,
     mae,
+    read_features,
     rmse,
     run_evaluate,
     run_train,
@@ -327,10 +329,10 @@ class TestRunTrain:
         assert not set(payload["train"]) & set(payload["test"])
 
     def test_stored_feature_matrices_align_with_labels(self, trained):
-        feats = FeatureMatrix.load(trained.directory / "features_test")
+        values, keys = read_features(trained.directory / "features_test.bin")
         rows = json.loads((trained.directory / "report.json").read_text())["predictions"]
-        assert feats.values.shape == (2, 1)
-        assert feats.row_keys == [(r["cell_id"], None, None) for r in rows]
+        assert values.shape == (2, 1)
+        assert keys == [(r["cell_id"], None, None) for r in rows]
 
     def test_training_is_deterministic(self, pipe_cells, tmp_path):
         a = run_train(make_config(), workspace=tmp_path / "a", cells=pipe_cells)
@@ -745,6 +747,16 @@ class TestRunEvaluate:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CheckpointError, match=re.escape(f"{path}: truncated")):
             run_evaluate(dst)
+
+    def test_older_features_file_with_column_names_evaluates_the_same(self, trained, tmp_path):
+        # older versions also stored the column names, which evaluation never read
+        dst = self.copy_checkpoint(trained, tmp_path)
+        values, keys = read_features(dst / "features_test.bin")
+        write_container(dst / "features_test.bin", FEATURES_MAGIC,
+                        {"col_names": ["log10_var_delta_qdlin"], "row_keys": [list(k) for k in keys]},
+                        [("values", values)])
+        assert b"col_names" in (dst / "features_test.bin").read_bytes()
+        assert run_evaluate(dst) == trained.report
 
     def test_feature_rows_must_match_label_keys(self, trained, tmp_path):
         dst = self.copy_checkpoint(trained, tmp_path)
