@@ -19,7 +19,7 @@ from .errors import CellforgeError, ConfigError
 from .ingestion import list_sources, preprocess_source
 from .pipeline import run_evaluate, run_train
 from .plots import PLOT_KINDS, make_plot
-from .synthetic import SynthSpec, generate_synthetic
+from .synthetic import SynthSpec, synthetic_cell
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,10 +113,9 @@ def _cmd_generate(args, say) -> int:
     spec = _load_synth_spec(args.spec, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = generate_synthetic(spec)
-    for cell in cells:
-        write_cell(cell, out_dir)
-    say(f"wrote {len(cells)} synthetic cell(s) to {out_dir}")
+    for index in range(spec.n_cells):  # one cell in memory at a time
+        write_cell(synthetic_cell(spec, index), out_dir)
+    say(f"wrote {spec.n_cells} synthetic cell(s) to {out_dir}")
     return 0
 
 

@@ -26,6 +26,10 @@ class ThresholdNotReached(CellforgeError):
     """The SOH curve never crossed the end-of-life threshold."""
 
 
+class LabelError(CellforgeError, ValueError):
+    """A cell's data cannot be labelled (no cycles, no discharge capacity)."""
+
+
 class FeatureError(CellforgeError):
     """A feature extractor's preconditions were not met."""
 

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .battery_data import CellRecord
-from .errors import ThresholdNotReached
+from .errors import LabelError, ThresholdNotReached
 
 EOL_SOH_PERCENT_DEFAULT = 80.0
 
@@ -44,13 +44,13 @@ class LabelSpec:
 def soh_per_cycle(cell: CellRecord) -> np.ndarray:
     """SOH percentage of every cycle, in cycle order."""
     if not cell.nominal_capacity_in_Ah > 0:
-        raise ValueError(f"{cell.cell_id}: nominal capacity must be > 0")
+        raise LabelError(f"{cell.cell_id}: nominal capacity must be > 0")
     if not cell.cycle_data:
-        raise ValueError(f"{cell.cell_id}: no cycles")
+        raise LabelError(f"{cell.cell_id}: no cycles")
     try:
         caps = cell.cycle_data.maxima("discharge_capacity_in_Ah")
     except ValueError:
-        raise ValueError(f"{cell.cell_id}: a cycle has no discharge capacity samples") from None
+        raise LabelError(f"{cell.cell_id}: a cycle has no discharge capacity samples") from None
     return 100.0 * caps / cell.nominal_capacity_in_Ah
 
 
@@ -101,12 +101,12 @@ def soc_per_step(cell: CellRecord, cycle_index: int) -> np.ndarray:
     try:
         cyc = cell.cycle_data[cycle_index]
     except IndexError:
-        raise ValueError(f"{cell.cell_id}: no cycle at index {cycle_index}") from None
+        raise LabelError(f"{cell.cell_id}: no cycle at index {cycle_index}") from None
     qd = np.asarray(cyc.discharge_capacity_in_Ah)
     qc = np.asarray(cyc.charge_capacity_in_Ah)
-    c_full = qd.max()
+    c_full = qd.max(initial=0.0)  # an empty cycle has zero capacity too
     if not c_full > 0:
-        raise ValueError(f"{cell.cell_id}: cycle {cyc.cycle_number} has zero discharge capacity")
+        raise LabelError(f"{cell.cell_id}: cycle {cyc.cycle_number} has zero discharge capacity")
     net = qc - qd
     n = len(net)
     state = np.empty(n)

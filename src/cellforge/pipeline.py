@@ -22,9 +22,12 @@ A run is described by a YAML file with six component sections plus optional
     model:
         name: 'LinearRegressionRULPredictor'
 
-Training executes split -> labels -> features -> transforms (fit on train
-rows only) -> one model per seed (one model for all seeds when the model
-takes no ``seed``), then persists everything under
+Training splits the corpus, then takes one cell at a time, the training
+cells before the test cells, through labels and features and drops it before
+the next, so a run that reads ``cell_data_path`` holds one cell's pages
+instead of the corpus's. It then fits the transforms (on train rows only)
+and one model per seed (one model for all seeds when the model takes no
+``seed``), and persists everything under
 ``<workspace>/<config stem>_<hash8>/``; its ``report.json`` is the one home of
 the test labels and exclusions. Metrics are computed on labels in original
 units (predictions are inverse-transformed before scoring).
@@ -48,6 +51,7 @@ from .battery_data import (CellRecord, json_document, load_cells, parse_containe
                            write_container, yaml_document)
 from .errors import CheckpointError, ConfigError, PipelineError
 from .features import FeatureMatrix
+from .labels import LabelVector
 from .models import load_model
 from .registry import FEATURES, LABELS, MODELS, SPLITTERS, TRANSFORMS
 from .splitters import SplitResult
@@ -302,7 +306,11 @@ def _split_cells(config: PipelineConfig, cells):
 def _label_and_featurize(config: PipelineConfig, split: SplitResult,
                          train_cells, test_cells):
     """Labels then features for both partitions, aligned to the label keys;
-    the test features are a matrix whose rows are the test label keys."""
+    the test features are a matrix whose rows are the test label keys.
+
+    ``train_cells`` and ``test_cells`` are lists the pipeline owns; they are
+    emptied one cell at a time (see :func:`_take_partition`).
+    """
     meta = split.metadata
     label_params = _with_overrides(
         config.label, LABELS, {"eol_soh_percent": meta.get("eol_soh")}
@@ -310,25 +318,14 @@ def _label_and_featurize(config: PipelineConfig, split: SplitResult,
     feature_params = _with_overrides(
         config.feature, FEATURES, {"observed_cycles": meta.get("observed_cycles")}
     )
-
     annotator = LABELS.create(config.label.name, **label_params)
-    labels_train, excl_train = annotator.annotate(train_cells)
-    labels_test, excl_test = annotator.annotate(test_cells)
-    excluded = [{"cell_id": cid, "reason": reason} for cid, reason in excl_train + excl_test]
-
-    labeled = {key[0] for key in labels_train.row_keys} | {
-        key[0] for key in labels_test.row_keys
-    }
-    train_kept = [c for c in train_cells if c.cell_id in labeled]
-    test_kept = [c for c in test_cells if c.cell_id in labeled]
-    if not train_kept:
-        raise PipelineError("all training cells were excluded by the label annotator")
-    if not test_kept:
-        raise PipelineError("all test cells were excluded by the label annotator")
-
     extractor = FEATURES.create(config.feature.name, **feature_params)
-    features_train = extractor.extract(train_kept)
-    features_test = extractor.extract(test_kept)
+
+    features_train, labels_train, excl_train = _take_partition(
+        annotator, extractor, train_cells, "training")
+    features_test, labels_test, excl_test = _take_partition(
+        annotator, extractor, test_cells, "test")
+    excluded = [{"cell_id": cid, "reason": reason} for cid, reason in excl_train + excl_test]
 
     X_train, y_train, _ = _align(features_train, labels_train)
     X_test, y_test, keys_test = _align(features_test, labels_test)
@@ -339,6 +336,32 @@ def _label_and_featurize(config: PipelineConfig, split: SplitResult,
         "y_test": y_test,
         "excluded": excluded,
     }
+
+
+def _take_partition(annotator, extractor, cells, partition: str):
+    """The features, labels and exclusions of ``cells``, taken one cell at a
+    time: each is popped from ``cells``, labelled, featurized when it got
+    label rows, and dropped before the next, so a mapped cell's pages leave
+    memory before the next cell's are read. The per-cell rows are joined
+    once at the end, equal to those of the whole partition at once."""
+    features, labels, excluded = [], [], []
+    cells.reverse()  # pop from the end in the partition's order
+    while cells:
+        one = [cells.pop()]
+        cell_labels, cell_excluded = annotator.annotate(one)
+        excluded += cell_excluded
+        if cell_labels.row_keys:
+            labels.append(cell_labels)
+            features.append(extractor.extract(one))
+    if not labels:
+        raise PipelineError(f"all {partition} cells were excluded by the label annotator")
+    return (
+        FeatureMatrix(np.concatenate([f.values for f in features]),
+                      [k for f in features for k in f.row_keys], features[0].col_names),
+        LabelVector(np.concatenate([lv.values for lv in labels]),
+                    [k for lv in labels for k in lv.row_keys]),
+        excluded,
+    )
 
 
 def _fit_transforms(config: PipelineConfig, X_train, y_train):
@@ -418,7 +441,8 @@ def run_train(config, workspace=None, cells: list[CellRecord] | None = None) -> 
     """Train per config and persist a checkpoint; returns it with the report.
 
     ``cells`` short-circuits corpus loading (callers that already hold the
-    records in memory); otherwise cells come from ``cell_data_path``.
+    records in memory) and is left as it is; otherwise cells come from
+    ``cell_data_path``.
     """
     config = PipelineConfig.load(config)
     split, train_cells, test_cells = _split_cells(config, cells)

@@ -148,7 +148,8 @@ def _cycle_columns(c_n, c0, v_min, v_max, ppc, rng, noise_sigma):
     return t, v, i, qc, qd
 
 
-def _make_cell(spec: SynthSpec, index: int) -> CellRecord:
+def synthetic_cell(spec: SynthSpec, index: int) -> CellRecord:
+    """Cell ``index`` of the corpus ``spec`` describes, made on its own."""
     rng = np.random.default_rng((spec.seed ^ index) & _MASK64)
     life = _cell_life(rng, spec)
     n_cycles = _n_cycles(life, spec.knee_fraction)
@@ -201,4 +202,4 @@ def _make_cell(spec: SynthSpec, index: int) -> CellRecord:
 
 def generate_synthetic(spec: SynthSpec) -> list[CellRecord]:
     """Generate ``spec.n_cells`` cells; deterministic in ``spec`` alone."""
-    return [_make_cell(spec, i) for i in range(spec.n_cells)]
+    return [synthetic_cell(spec, i) for i in range(spec.n_cells)]

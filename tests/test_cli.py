@@ -1,18 +1,23 @@
 """CLI behavior: exit codes, subcommand workflows, plot file outputs."""
 
 import csv
+import gc
 import hashlib
 import json
 import re
 import shutil
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from cellforge.battery_data import load_cells, validate
+from cellforge.battery_data import (CELL_MAGIC, load_cells, parse_container, validate,
+                                    write_cell, write_container)
+from cellforge import cli
 from cellforge.cli import main
-from cellforge.errors import CheckpointError, ConfigError
+from cellforge.errors import CheckpointError, ConfigError, SchemaError
 from cellforge.ingestion import SOURCES
 from cellforge.models.io import read_model_file, write_model_file
 from cellforge.pipeline import PipelineConfig, run_evaluate
@@ -22,6 +27,8 @@ from cellforge.plots import (
     pred_vs_truth_series,
     write_series_csv,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 GEN_SPEC = {
     "n_cells": 6,
@@ -164,6 +171,21 @@ class TestGenerate:
         out = tmp_path / "loud"
         assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 0
         assert f"wrote 2 synthetic cell(s) to {out}" in capsys.readouterr().out
+
+    def test_holds_one_cell_at_a_time(self, tmp_path, monkeypatch):
+        # each cell is written as soon as it is made and gone before the next is made
+        written = []
+
+        def write_one(cell, path):
+            gc.collect()
+            assert [ref() for ref in written] == [None] * len(written)
+            written.append(weakref.ref(cell))
+            return write_cell(cell, path)
+
+        monkeypatch.setattr(cli, "write_cell", write_one)
+        out = tmp_path / "cells"
+        assert main(["generate", "--spec", str(write_spec(tmp_path)), "--out", str(out)]) == 0
+        assert len(written) == GEN_SPEC["n_cells"] == len(list(out.iterdir()))
 
     @pytest.mark.parametrize(
         "fields,message",
@@ -376,6 +398,23 @@ class TestTrainEvaluate:
         assert main(["train", "--config", str(config_path), "--workspace", str(ws)]) == 1
         assert_one_line_error(capsys, "seed 0: MLPRegressor predicts non-finite values")
         assert not ws.exists() or list(ws.iterdir()) == []
+
+    def test_cell_without_discharge_samples_is_one_line_error(self, corpus_dir, tmp_path, capsys):
+        # the first cycle of SYN_0000 keeps no points; the file reads, its label cannot be made
+        cells = shutil.copytree(corpus_dir, tmp_path / "cells")
+        path = cells / "SYN_0000.cfc"
+        header, blocks = parse_container(path.read_bytes(), CELL_MAGIC, SchemaError)
+        points = header["cycles"]["points"]
+        points[:2] = [0, points[0] + points[1]]
+        write_container(path, CELL_MAGIC, {k: v for k, v in header.items() if k != "blocks"},
+                        list(blocks.items()))
+        cfg = yaml.safe_load((CONFIG_DIR / "synthetic_variance_linear.yaml").read_text())
+        cfg["train_test_split"]["cell_data_path"] = str(cells)
+        config_path = tmp_path / "synthetic_variance_linear.yaml"
+        config_path.write_text(yaml.safe_dump(cfg))
+        assert main(["train", "--config", str(config_path),
+                     "--workspace", str(tmp_path / "ws")]) == 1
+        assert_one_line_error(capsys, "error: SYN_0000: a cycle has no discharge capacity samples")
 
     def test_checkpoint_holding_labels_json_evaluates(self, checkpoint_dir, tmp_path):
         # older checkpoints also stored labels.json; evaluation ignores it

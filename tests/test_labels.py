@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellforge.battery_data import CellRecord, CycleRecord
-from cellforge.errors import ThresholdNotReached
+from cellforge.errors import CellforgeError, LabelError, ThresholdNotReached
 from cellforge.labels import (
     LabelSpec,
     LabelVector,
@@ -69,17 +69,17 @@ class TestSOH:
         cell = make_cell(caps=(1.0, 0.9))
         empty = CycleRecord(cycle_number=3)
         cell = dataclasses.replace(cell, cycle_data=(*cell.cycle_data, empty))
-        with pytest.raises(ValueError, match="no discharge capacity samples"):
+        with pytest.raises(LabelError, match="no discharge capacity samples"):
             soh_per_cycle(cell)
 
     def test_requires_cycles(self):
         cell = dataclasses.replace(make_cell(), cycle_data=())
-        with pytest.raises(ValueError, match="no cycles"):
+        with pytest.raises(LabelError, match="no cycles"):
             soh_per_cycle(cell)
 
     def test_requires_positive_nominal(self):
         cell = dataclasses.replace(make_cell(), nominal_capacity_in_Ah=0.0)
-        with pytest.raises(ValueError, match="nominal"):
+        with pytest.raises(LabelError, match="nominal"):
             soh_per_cycle(cell)
 
 
@@ -226,11 +226,19 @@ class TestSOC:
     def test_zero_discharge_cycle_rejected(self):
         cyc = soc_cycle(np.array([0.0, 0.1]), np.array([0.0, 0.0]))
         cell = dataclasses.replace(make_cell(), cycle_data=(cyc,))
-        with pytest.raises(ValueError, match="zero discharge"):
+        with pytest.raises(LabelError, match="zero discharge"):
             soc_per_step(cell, 0)
 
+    def test_cycle_without_samples_rejected(self):
+        cell = dataclasses.replace(make_cell(), cycle_data=(CycleRecord(cycle_number=1),))
+        with pytest.raises(LabelError, match="CELL_A: cycle 1 has zero discharge"):
+            soc_per_step(cell, 0)
+
+    def test_label_error_is_a_cellforge_and_value_error(self):
+        assert issubclass(LabelError, CellforgeError) and issubclass(LabelError, ValueError)
+
     def test_bad_cycle_index(self):
-        with pytest.raises(ValueError, match="no cycle at index"):
+        with pytest.raises(LabelError, match="no cycle at index"):
             soc_per_step(make_cell(), 99)
 
 

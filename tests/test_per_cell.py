@@ -1,0 +1,200 @@
+"""Training and overridden evaluation take the corpus one cell at a time.
+
+``pipeline._label_and_featurize`` labels and featurizes each cell on its own
+and drops it before the next. These tests hold it to the result of the
+whole-corpus order (every cell labelled, then every kept cell featurized),
+bit for bit, and check that a corpus read from ``cell_data_path`` releases
+each cell's mapping once the cell is processed.
+"""
+
+import gc
+from dataclasses import replace
+
+import pytest
+
+from cellforge import battery_data, pipeline
+from cellforge.battery_data import write_cell
+from cellforge.errors import FeatureError, PipelineError, ThresholdNotReached
+from cellforge.features import FeatureMatrix
+from cellforge.labels import RULLabelAnnotator, rul_label
+from cellforge.pipeline import (
+    PipelineConfig,
+    _align,
+    _label_and_featurize,
+    _split_cells,
+    _with_overrides,
+    run_evaluate,
+    run_train,
+)
+from cellforge.registry import FEATURES, LABELS, register
+from cellforge.synthetic import SynthSpec, generate_synthetic
+
+# (label section, feature section): every registered annotator and extractor,
+# paired by the granularity of their row keys
+PAIRS = [
+    ({"name": "RULLabelAnnotator"}, {"name": "VarianceModelFeatureExtractor", "interp_dims": 16}),
+    ({"name": "RULLabelAnnotator"}, {"name": "DischargeModelFeatureExtractor", "interp_dims": 16}),
+    ({"name": "RULLabelAnnotator"}, {"name": "FullModelFeatureExtractor", "interp_dims": 16}),
+    ({"name": "RULLabelAnnotator"},
+     {"name": "VoltageCapacityMatrixFeatureExtractor", "interp_dims": 8, "cycles_to_keep": 4}),
+    ({"name": "RULLabelAnnotator"}, {"name": "CapacityFadeSlopeFeatureExtractor"}),
+    ({"name": "SOHLabelAnnotator"}, {"name": "SOHCycleFeatureExtractor", "max_cycle_index": 30}),
+    ({"name": "SOCLabelAnnotator", "max_cycle_index": 2},
+     {"name": "SOCStepFeatureExtractor", "n_qdlin": 4, "max_cycle_index": 2}),
+]
+PAIR_IDS = [f"{label['name']}-{feature['name']}" for label, feature in PAIRS]
+TRAIN_IDS = ["SYN_0000", "SYN_0001", "NEVER_TRAIN", "SYN_0002", "SYN_0003"]
+TEST_IDS = ["SYN_0004", "NEVER_TEST", "SYN_0005"]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """Six synthetic cells plus two cut to their first 100 cycles, before
+    SOH falls below 80%, so the RUL annotator excludes them."""
+    cells = generate_synthetic(SynthSpec(n_cells=6, cycle_life_mean=150.0, cycle_life_std=12.0,
+                                         points_per_cycle=16, seed=21))
+    never = [replace(cell, cell_id=cell_id, cycle_data=cell.cycle_data[:100])
+             for cell_id, cell in (("NEVER_TRAIN", cells[0]), ("NEVER_TEST", cells[1]))]
+    for cell in never:
+        with pytest.raises(ThresholdNotReached):
+            rul_label(cell)
+    return cells + never
+
+
+def make_config(label, feature, **sections):
+    return {
+        "train_test_split": {"name": "ExplicitTrainTestSplitter",
+                             "train_ids": TRAIN_IDS, "test_ids": TEST_IDS},
+        "feature": feature,
+        "feature_transformation": {"name": "ZScoreDataTransformation"},
+        "label": label,
+        "label_transformation": {"name": "ZScoreDataTransformation"},
+        "model": {"name": "LinearRegressionRULPredictor"},
+        "seeds": [0],
+        **sections,
+    }
+
+
+def whole_corpus_label_and_featurize(config, split, train_cells, test_cells):
+    """The reference order: label every train and test cell, then featurize
+    every kept cell of each partition in one call."""
+    meta = split.metadata
+    label_params = _with_overrides(config.label, LABELS, {"eol_soh_percent": meta.get("eol_soh")})
+    feature_params = _with_overrides(
+        config.feature, FEATURES, {"observed_cycles": meta.get("observed_cycles")})
+    annotator = LABELS.create(config.label.name, **label_params)
+    labels_train, excl_train = annotator.annotate(train_cells)
+    labels_test, excl_test = annotator.annotate(test_cells)
+    labeled = {key[0] for key in labels_train.row_keys + labels_test.row_keys}
+    train_kept = [c for c in train_cells if c.cell_id in labeled]
+    test_kept = [c for c in test_cells if c.cell_id in labeled]
+    if not train_kept:
+        raise PipelineError("all training cells were excluded by the label annotator")
+    if not test_kept:
+        raise PipelineError("all test cells were excluded by the label annotator")
+    extractor = FEATURES.create(config.feature.name, **feature_params)
+    features_train = extractor.extract(train_kept)
+    features_test = extractor.extract(test_kept)
+    X_train, y_train, _ = _align(features_train, labels_train)
+    X_test, y_test, keys_test = _align(features_test, labels_test)
+    return {
+        "features_test": FeatureMatrix(X_test, keys_test, features_test.col_names),
+        "X_train": X_train,
+        "y_train": y_train,
+        "y_test": y_test,
+        "excluded": [{"cell_id": cid, "reason": reason} for cid, reason in excl_train + excl_test],
+    }
+
+
+def assert_bit_identical(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("label, feature", PAIRS, ids=PAIR_IDS)
+def test_per_cell_equals_whole_corpus(corpus, label, feature):
+    config = PipelineConfig.from_dict(make_config(label, feature))
+    got = _label_and_featurize(config, *_split_cells(config, corpus))
+    want = whole_corpus_label_and_featurize(config, *_split_cells(config, corpus))
+    for key in ("X_train", "y_train", "y_test"):
+        assert_bit_identical(got[key], want[key])
+    assert_bit_identical(got["features_test"].values, want["features_test"].values)
+    assert got["features_test"].row_keys == want["features_test"].row_keys
+    assert got["features_test"].col_names == want["features_test"].col_names
+    assert got["excluded"] == want["excluded"]
+    if label["name"] == "RULLabelAnnotator":
+        assert [e["cell_id"] for e in got["excluded"]] == ["NEVER_TRAIN", "NEVER_TEST"]
+
+
+def test_checkpoint_files_equal_the_whole_corpus_order(corpus, tmp_path, monkeypatch):
+    config = make_config(*PAIRS[1])
+    mine = run_train(config, workspace=tmp_path / "per_cell", cells=corpus)
+    monkeypatch.setattr(pipeline, "_label_and_featurize", whole_corpus_label_and_featurize)
+    theirs = run_train(config, workspace=tmp_path / "whole", cells=corpus)
+    names = sorted(p.name for p in theirs.directory.iterdir())
+    assert sorted(p.name for p in mine.directory.iterdir()) == names
+    for name in names:
+        assert (mine.directory / name).read_bytes() == (theirs.directory / name).read_bytes(), name
+
+
+def test_overridden_evaluate_equals_the_whole_corpus_order(corpus, tmp_path, monkeypatch):
+    ckpt = run_train(make_config(*PAIRS[0]), workspace=tmp_path, cells=corpus)
+    overrides = {"label": {"name": "RULLabelAnnotator", "eol_soh_percent": 85.0},
+                 "feature": {"name": "VarianceModelFeatureExtractor", "interp_dims": 24}}
+    mine = run_evaluate(ckpt.directory, overrides=overrides, cells=corpus)
+    monkeypatch.setattr(pipeline, "_label_and_featurize", whole_corpus_label_and_featurize)
+    theirs = run_evaluate(ckpt.directory, overrides=overrides, cells=corpus)
+    assert mine["overrides"] == ["feature", "label"]
+    assert repr(mine) == repr(theirs)
+
+
+def test_the_callers_cell_list_is_left_as_it_was(corpus, tmp_path):
+    cells = list(reversed(corpus))
+    before = list(cells)
+    run_train(make_config(*PAIRS[0]), workspace=tmp_path, cells=cells)
+    assert len(cells) == len(before) and all(a is b for a, b in zip(cells, before))
+
+
+def test_the_first_failing_cell_in_train_then_test_order_raises(corpus, tmp_path):
+    # a train cell too short for the feature, then a test cell the annotator
+    # cannot label: the train cell's feature fault comes first
+    empty = replace(corpus[3], cell_id="EMPTY", cycle_data=())
+    short_life = generate_synthetic(SynthSpec(n_cells=1, cycle_life_mean=40.0, cycle_life_std=0.0,
+                                              points_per_cycle=16, seed=3))[0]
+    short = replace(short_life, cell_id="SHORT")
+    config = make_config(*PAIRS[0], train_test_split={
+        "name": "ExplicitTrainTestSplitter", "train_ids": ["SYN_0000", "SHORT"],
+        "test_ids": ["EMPTY"]})
+    with pytest.raises(FeatureError, match="SHORT: needs >= 100 cycles"):
+        run_train(config, workspace=tmp_path, cells=[*corpus, short, empty])
+
+
+class _MappingCountingRULAnnotator(RULLabelAnnotator):
+    """Records how many mapped files are alive each time it is called."""
+
+    live: list = []
+
+    def annotate(self, cells):
+        gc.collect()
+        self.live.append(len(battery_data._MAPPINGS))
+        return super().annotate(cells)
+
+
+register("label", "MappingCountingRULAnnotator", _MappingCountingRULAnnotator)
+
+
+def test_a_corpus_read_from_disk_holds_one_processed_cell_at_a_time(corpus, tmp_path):
+    cell_dir = tmp_path / "cells"
+    cell_dir.mkdir()
+    for cell in corpus:
+        write_cell(cell, cell_dir)
+    config = make_config({"name": "MappingCountingRULAnnotator"}, PAIRS[0][1])
+    config["train_test_split"]["cell_data_path"] = str(cell_dir)
+    gc.collect()
+    elsewhere = len(battery_data._MAPPINGS)  # mapped cells other tests still hold
+    _MappingCountingRULAnnotator.live.clear()
+    run_train(config, workspace=tmp_path / "ws")
+    n = len(corpus)
+    assert _MappingCountingRULAnnotator.live == [elsewhere + n - k for k in range(n)]
+    gc.collect()
+    assert len(battery_data._MAPPINGS) == elsewhere

@@ -7,7 +7,7 @@ import pytest
 
 from cellforge.battery_data import validate
 from cellforge.labels import rul_label, soh_per_cycle
-from cellforge.synthetic import SynthSpec, fade_curve, generate_synthetic
+from cellforge.synthetic import SynthSpec, fade_curve, generate_synthetic, synthetic_cell
 
 
 def spec(**kw):
@@ -33,6 +33,10 @@ class TestDeterminism:
         short = generate_synthetic(spec(n_cells=3))
         longer = generate_synthetic(spec(n_cells=6))
         assert longer[:3] == short
+
+    def test_each_cell_is_made_on_its_own(self):
+        s = spec(n_cells=4)
+        assert [synthetic_cell(s, i) for i in (3, 1)] == [generate_synthetic(s)[i] for i in (3, 1)]
 
     def test_different_seed_different_cells(self):
         a = generate_synthetic(spec(seed=1, n_cells=2))
