@@ -1,17 +1,21 @@
 """Unified cell-level cycling records: types, validation, cell files.
 
 One cell is one binary file named ``<cell_id>.cfc``, in the container model
-checkpoints also use: the magic ``CFC1``, a little-endian uint32 header
-length, a UTF-8 JSON header, then little-endian float64 blocks (the
-container also holds int32 blocks; a cell has none). The header
-holds the cell's JSON document without its cycles (metadata, protocols and
-``extra``, as :func:`cell_to_dict` writes them) and, per cycle, its number,
-point count, whether it has a temperature and an internal resistance, and
-its ``extra``. Each signal is one block: the per-cycle values concatenated
-in cycle order, temperature over only the cycles that have it, and internal
-resistance with one value per cycle that has it. :func:`read_cell` also
-reads a cell stored as one UTF-8 JSON document (``<cell_id>.json``), the
-format of older corpora; :func:`cell_to_dict` exports one.
+checkpoints also use: the magic ``CFC2``, a little-endian uint32 header
+length, a UTF-8 JSON header, then little-endian float64 and int32 blocks
+(see :mod:`cellforge.container`). The header holds the cell's JSON document
+without its cycles (metadata, protocols and ``extra``, as
+:func:`cell_to_dict` writes them) and ``cycle_extra``, which maps the index
+of each cycle that has an ``extra`` to it. Each signal is one float64 block:
+the per-cycle values concatenated in cycle order, temperature over only the
+cycles that have it, and internal resistance with one value per cycle that
+has it. Four int32 blocks hold one value per cycle: its number, its point
+count, and whether it has a temperature and an internal resistance (0 or
+1). A block whose values are all one value, such as a constant temperature
+or a fixed point count, stores that value once. :func:`read_cell` refuses
+the ``CFC1`` files of older versions with one line, and also reads a cell
+stored as one UTF-8 JSON document (``<cell_id>.json``), the format of older
+corpora; :func:`cell_to_dict` exports one.
 
 Field names use snake_case with unit suffixes (``nominal_capacity_in_Ah``,
 ``time_in_s``, ...) and are identical in memory and on disk. Unknown keys
@@ -32,10 +36,11 @@ read-only float64 column with every cycle's values in cycle order, and an
 ``offsets`` array of n_cycles + 1 bounds per signal that puts cycle ``i`` at
 ``column[offsets[i]:offsets[i + 1]]`` (the values-plus-offsets layout of
 Arrow's variable-size lists). Cycle numbers, temperature and resistance
-presence, resistances and per-cycle ``extra`` are short per-cell arrays.
-:func:`read_cell` builds those columns as views of the file it maps, with
-no copy; any other array given to a record is copied, so a record never
-shares a buffer its caller can still change. ``cycle_data`` still reads as
+presence, resistances and ``extra`` are short per-cell arrays and a sparse
+map. :func:`read_cell` builds those columns as views of the file it maps,
+with no copy (a repeated block is a stride-0 view of its one stored value);
+any other array given to a record is copied, so a record never shares a
+buffer its caller can still change. ``cycle_data`` still reads as
 a sequence of :class:`CycleRecord`: its length comes from the offsets, and
 indexing or slicing builds records whose signals are views of the columns,
 anew on every access. A :class:`CycleRecord` is the per-cycle value: built
@@ -52,9 +57,7 @@ import json
 import math
 import mmap
 import operator
-import os
 import resource
-import struct
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
@@ -63,10 +66,14 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .container import parse_container, write_container
 from .errors import CellforgeError, SchemaError, ValidationError
 
 # Allowance for sensor jitter when checking cumulative capacities (Ah).
 CAPACITY_JITTER_TOL = 1e-9
+
+# The largest cycle number a cell file's int32 block holds.
+MAX_CYCLE_NUMBER = 2**31 - 1
 
 _CYCLE_SEQ_FIELDS = (
     "voltage_in_V",
@@ -252,13 +259,14 @@ class CycleData(tuple):
     signal name to offsets. With one array, a cycle without temperature
     takes no temperature values. ``has_temperature`` defaults to every
     cycle when a temperature column is given; ``has_internal_resistance``
-    defaults to every cycle when resistances are given. ``extra`` is one
-    mapping per cycle. Columns are copied unless their memory is immutable
-    ``bytes`` or a read-only mapping :func:`read_file` made, so the cell
-    never shares a buffer its caller can still change. A builder that made
-    float64 columns for the cell alone and keeps no other reference to them
-    passes ``copy=False`` to hand them over without a copy; they are made
-    read-only.
+    defaults to every cycle when resistances are given. ``extra`` maps a
+    cycle index to that cycle's ``extra``; an empty one is dropped. Columns
+    are copied unless their memory is immutable ``bytes`` or a read-only
+    mapping :func:`read_file` made, so the cell never shares a buffer its
+    caller can still change. A builder that made float64 columns for the
+    cell alone (or a read-only broadcast of one value) and keeps no other
+    reference to them passes ``copy=False`` to hand them over without a
+    copy; they are made read-only.
     """
 
     def __new__(cls, cycle_number=(), columns=None, offsets=(0,), *, has_temperature=None,
@@ -287,9 +295,9 @@ class CycleData(tuple):
             internal_resistance_in_ohm, has_internal_resistance = np.full(n, np.nan), [False] * n
         elif has_internal_resistance is None:
             has_internal_resistance = [True] * n
-        extra = [{}] * n if extra is None else list(extra)
-        if len(extra) != n:
-            raise ValueError(f"extra: expected {n} mappings, got {len(extra)}")
+        extra = {operator.index(i): e for i, e in (extra or {}).items() if e}
+        if not all(0 <= i < n for i in extra):
+            raise ValueError(f"extra: cycle indices must lie in [0, {n})")
         self = super().__new__(cls)
         self.__dict__.update(
             cycle_number=numbers,
@@ -299,7 +307,7 @@ class CycleData(tuple):
             internal_resistance_in_ohm=_small(
                 internal_resistance_in_ohm, np.float64, "internal_resistance_in_ohm", n),
             has_internal_resistance=_small(has_internal_resistance, bool, "has_internal_resistance", n),
-            extra={i: e for i, e in enumerate(extra) if e},
+            extra=extra,
         )
         return self
 
@@ -312,7 +320,7 @@ class CycleData(tuple):
             "has_temperature": self.has_temperature,
             "internal_resistance_in_ohm": self.internal_resistance_in_ohm,
             "has_internal_resistance": self.has_internal_resistance,
-            "extra": [self.extra.get(i, {}) for i in range(len(self))],
+            "extra": self.extra,
         })
 
     @classmethod
@@ -337,7 +345,7 @@ class CycleData(tuple):
             has_temperature=[c.temperature_in_C is not None for c in cycles],
             internal_resistance_in_ohm=[math.nan if r is None else r for r in resistances],
             has_internal_resistance=[r is not None for r in resistances],
-            extra=[c.extra for c in cycles],
+            extra=dict(enumerate(c.extra for c in cycles)),
             copy=False,  # the concatenated columns are new
         )
 
@@ -519,7 +527,8 @@ def _validate_cycles(cycles: CycleData, out: list):
         for name in ("charge_capacity_in_Ah", "discharge_capacity_in_Ah"):
             backwards[name] = np.diff(cols[name]) < -CAPACITY_JITTER_TOL
     backwards = {name: _flag_cycles(bad, offs[name], n, steps=True) for name, bad in backwards.items()}
-    flagged = descending | (numbers < 1) | ragged | (points < 2) | bad_temperature | bad_resistance
+    flagged = (descending | (numbers < 1) | (numbers > MAX_CYCLE_NUMBER) | ragged | (points < 2)
+               | bad_temperature | bad_resistance)
     for flags in (*non_finite.values(), *backwards.values()):
         flagged |= flags
 
@@ -529,6 +538,8 @@ def _validate_cycles(cycles: CycleData, out: list):
             out.append(Violation(f"{path}.cycle_number", "cycle numbers must be strictly ascending"))
         if numbers[i] < 1:
             out.append(Violation(f"{path}.cycle_number", "must be a positive integer"))
+        if numbers[i] > MAX_CYCLE_NUMBER:
+            out.append(Violation(f"{path}.cycle_number", f"must be at most {MAX_CYCLE_NUMBER}"))
         if ragged[i]:
             sizes = {name: int(lengths[name][i]) for name in _CYCLE_SEQ_FIELDS}
             out.append(Violation(path, f"mandatory sequences differ in length: {sizes}"))
@@ -826,92 +837,14 @@ def yaml_document(data: bytes):
 
 
 # ---------------------------------------------------------------------------
-# Binary container, shared by cell files and model checkpoints
-#
-# Layout: a 4-byte magic, a little-endian uint32 header length, a UTF-8 JSON
-# header whose ``blocks`` array gives the name, shape and dtype of every block
-# in order, then the blocks themselves. A block's dtype is ``<f8`` (little-
-# endian float64) when its ``dtype`` key is absent; ``<i4`` (little-endian
-# int32) is the only other one.
-
-_DTYPES = ("<f8", "<i4")
-
-
-def _block_dtype(arr: np.ndarray) -> str:
-    return "<i4" if arr.dtype.kind == "i" and arr.dtype.itemsize == 4 else "<f8"
-
-
-def write_container(path, magic: bytes, header: dict, blocks) -> Path:
-    """Write ``header`` and the ordered (name, array) pairs ``blocks`` to
-    ``path``, which appears complete or not at all. An int32 array is
-    stored as an ``<i4`` block, any other as ``<f8``."""
-    path = Path(path)
-    specs = []
-    for name, arr in blocks:
-        spec = {"name": name, "shape": list(arr.shape)}
-        if _block_dtype(arr) == "<i4":
-            spec["dtype"] = "<i4"
-        specs.append(spec)
-    header = {**header, "blocks": specs}
-    payload = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<I", len(payload)))
-        fh.write(payload)
-        for _, arr in blocks:
-            fh.write(np.ascontiguousarray(arr, dtype=_block_dtype(arr)))  # the buffer itself, not a copy
-    os.replace(tmp, path)
-    return path
-
-
-def parse_container(data: bytes, magic: bytes, error) -> tuple[dict, dict]:
-    """Split a container's bytes into its header and {block name: array}.
-
-    The arrays are read-only views of ``data``. A wrong magic, a truncated
-    or non-JSON header, a malformed block list (a ``dtype`` other than
-    ``<f8`` or ``<i4`` included), or blocks that do not fill the rest of the
-    file exactly raise ``error``.
-    """
-    if data[:4] != magic:
-        raise error(f"bad magic {data[:4]!r}, expected {magic!r}")
-    if len(data) < 8:
-        raise error("truncated before the header length")
-    (length,) = struct.unpack_from("<I", data, 4)
-    offset = 8 + length
-    if len(data) < offset:
-        raise error(f"truncated header: {length} bytes declared, {len(data) - 8} present")
-    try:
-        header = json.loads(data[8:offset].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # also an overlong integer, or nesting too deep
-        raise error(f"header is not UTF-8 JSON: {exc}") from exc
-    specs = header.get("blocks") if isinstance(header, dict) else None
-    if not isinstance(specs, list):
-        raise error("header must be a JSON object with a 'blocks' array")
-    blocks = {}
-    for i, spec in enumerate(specs):
-        name, shape = (spec.get("name"), spec.get("shape")) if isinstance(spec, dict) else (None, None)
-        if (not isinstance(name, str) or name in blocks or not isinstance(shape, list)
-                or not all(type(n) is int and n >= 0 for n in shape)):
-            raise error(f"blocks[{i}]: expected a new name and a shape of non-negative integers")
-        dtype = spec.get("dtype", "<f8")
-        if dtype not in _DTYPES:
-            raise error(f"blocks[{i}]: dtype must be '<f8' (the default) or '<i4', got {dtype!r}")
-        count = math.prod(shape)
-        size = count * np.dtype(dtype).itemsize
-        if offset + size > len(data):
-            raise error(f"truncated block '{name}'")
-        blocks[name] = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shape)
-        offset += size
-    if offset != len(data):
-        raise error(f"{len(data) - offset} bytes follow the last block")
-    return header, blocks
-
-
-# ---------------------------------------------------------------------------
 # Cell files
 
-CELL_MAGIC = b"CFC1"
+CELL_MAGIC = b"CFC2"
+
+# The int32 blocks holding one value per cycle. They and the resistances come
+# first, next to the header, so reading a cell touches the pages at the start
+# of its file and no others until a signal is read.
+_PER_CYCLE_BLOCKS = ("cycle_number", "points", "has_temperature", "has_internal_resistance")
 
 
 def write_cell(cell: CellRecord, path) -> Path:
@@ -930,54 +863,55 @@ def write_cell(cell: CellRecord, path) -> Path:
     cycles = cell.cycle_data
     header = {
         "cell": cell_to_dict(replace(cell, cycle_data=())),
-        "cycles": {
-            "cycle_number": cycles.cycle_number.tolist(),
-            "points": np.diff(cycles.offsets["time_in_s"]).tolist(),
-            "has_temperature": cycles.has_temperature.tolist(),
-            "has_internal_resistance": cycles.has_internal_resistance.tolist(),
-            "extra": [cycles.extra.get(i, {}) for i in range(len(cycles))],
-        },
+        "cycle_extra": {str(i): e for i, e in cycles.extra.items()},
     }
-    blocks = [(name, cycles.columns[name]) for name in _SIGNAL_FIELDS]
+    per_cycle = (cycles.cycle_number, np.diff(cycles.offsets["time_in_s"]),
+                 cycles.has_temperature, cycles.has_internal_resistance)
+    blocks = [(name, values.astype(np.int32)) for name, values in zip(_PER_CYCLE_BLOCKS, per_cycle)]
     resistance = cycles.internal_resistance_in_ohm[cycles.has_internal_resistance]
     blocks.append(("internal_resistance_in_ohm", resistance))
+    blocks += [(name, cycles.columns[name]) for name in _SIGNAL_FIELDS]
     return write_container(path, CELL_MAGIC, header, blocks)
 
 
-def _per_cycle(cycles: dict, key: str, kind: type, n: int) -> list:
-    values = cycles.get(key)
-    if not isinstance(values, list) or len(values) != n or any(type(v) is not kind for v in values):
-        raise SchemaError(f"cycles.{key}: expected an array of {n} {kind.__name__} values")
-    return values
+def _cycle_index(key: str, n: int) -> int:
+    if not (key.isdecimal() and str(int(key)) == key and int(key) < n):
+        raise SchemaError(f"cycle_extra: {key!r} is not the index of one of the {n} cycles")
+    return int(key)
 
 
 def _cell_from_bytes(data: bytes) -> CellRecord:
+    if data[:4] == b"CFC1":
+        raise SchemaError("CFC1 cell file from an older cellforge; regenerate or preprocess it again")
     if data[:4] != CELL_MAGIC:
         return cell_from_dict(json_document(bytes(data)))
     header, blocks = parse_container(data, CELL_MAGIC, SchemaError)
-    cycles = header.get("cycles")
-    if not isinstance(cycles, dict) or not isinstance(cycles.get("cycle_number"), list):
-        raise SchemaError("header: 'cycles' must be an object with a 'cycle_number' array")
-    n = len(cycles["cycle_number"])
-    numbers = _per_cycle(cycles, "cycle_number", int, n)
-    points = _per_cycle(cycles, "points", int, n)
-    has_temperature = _per_cycle(cycles, "has_temperature", bool, n)
-    has_resistance = _per_cycle(cycles, "has_internal_resistance", bool, n)
-    extras = _per_cycle(cycles, "extra", dict, n)
-    if min(points, default=0) < 0:
-        raise SchemaError("cycles.points: counts must be >= 0")
-    sizes = {name: (sum(points),) for name in _CYCLE_SEQ_FIELDS}
-    sizes["temperature_in_C"] = (sum(p for p, t in zip(points, has_temperature) if t),)
-    sizes["internal_resistance_in_ohm"] = (sum(has_resistance),)
+    n = blocks["cycle_number"].size if "cycle_number" in blocks else -1
+    per_cycle = [blocks.get(name) for name in _PER_CYCLE_BLOCKS]
+    if not all(b is not None and b.dtype == np.int32 and b.shape == (n,) for b in per_cycle):
+        raise SchemaError(f"blocks {list(_PER_CYCLE_BLOCKS)} must be int32 with one value per cycle")
+    numbers, points, *flags = per_cycle
+    if (points < 0).any():
+        raise SchemaError("block 'points': counts must be >= 0")
+    has_temperature, has_resistance = (flag.astype(bool) for flag in flags)
+    if (has_temperature != flags[0]).any() or (has_resistance != flags[1]).any():
+        raise SchemaError("blocks 'has_temperature' and 'has_internal_resistance' must hold 0 or 1")
+    sizes = {name: (int(points.sum()),) for name in _CYCLE_SEQ_FIELDS}
+    sizes["temperature_in_C"] = (int(points[has_temperature].sum()),)
+    sizes["internal_resistance_in_ohm"] = (int(has_resistance.sum()),)
+    sizes.update((name, (n,)) for name in _PER_CYCLE_BLOCKS)
     found = {name: arr.shape for name, arr in blocks.items()}
     if found != sizes:
         raise SchemaError(f"blocks {found} do not match the per-cycle counts, which need {sizes}")
+    extras = header.get("cycle_extra")
+    if not isinstance(extras, dict) or not all(isinstance(e, dict) for e in extras.values()):
+        raise SchemaError("header: 'cycle_extra' must be an object of objects")
     if not isinstance(header.get("cell"), dict):
         raise SchemaError("header: 'cell' must be an object")
     meta = cell_from_dict(header["cell"])
 
     resistance = np.full(n, np.nan)
-    resistance[np.array(has_resistance, dtype=bool)] = blocks["internal_resistance_in_ohm"]
+    resistance[has_resistance] = blocks["internal_resistance_in_ohm"]
     return replace(meta, cycle_data=CycleData(
         numbers,
         {name: blocks[name] for name in _SIGNAL_FIELDS},
@@ -985,7 +919,7 @@ def _cell_from_bytes(data: bytes) -> CellRecord:
         has_temperature=has_temperature,
         internal_resistance_in_ohm=resistance,
         has_internal_resistance=has_resistance,
-        extra=extras,
+        extra={_cycle_index(k, n): e for k, e in extras.items()},
     ))
 
 

@@ -1,7 +1,7 @@
 """Self-describing binary model checkpoints.
 
 A model file is the package's binary container (see
-:func:`cellforge.battery_data.write_container`) with the magic ``CFM1``.
+:mod:`cellforge.container`) with the magic ``CFM1``.
 The header records the model kind, its hyperparameters, training metadata,
 and the name, shape and dtype of every parameter block in order, so a file can be
 loaded without knowing anything but this format.
@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..battery_data import parse_container, read_file, write_container
+from ..battery_data import read_file
+from ..container import parse_container, write_container
 from ..errors import CheckpointError
 
 MAGIC = b"CFM1"

@@ -47,8 +47,8 @@ import numpy as np
 import yaml
 
 from . import components as _components  # noqa: F401  (populates registries)
-from .battery_data import (CellRecord, json_document, load_cells, parse_container, read_file,
-                           write_container, yaml_document)
+from .battery_data import CellRecord, json_document, load_cells, read_file, yaml_document
+from .container import parse_container, write_container
 from .errors import CheckpointError, ConfigError, PipelineError
 from .features import FeatureMatrix
 from .labels import LabelVector
@@ -303,13 +303,13 @@ def _split_cells(config: PipelineConfig, cells):
     return split, train, test
 
 
-def _label_and_featurize(config: PipelineConfig, split: SplitResult,
-                         train_cells, test_cells):
-    """Labels then features for both partitions, aligned to the label keys;
-    the test features are a matrix whose rows are the test label keys.
+def _label_and_featurize(config: PipelineConfig, split: SplitResult, **partitions):
+    """Labels then features of each named partition, in the order given: for
+    each, ``(features, y, excluded)``, where ``features`` is a matrix whose
+    rows are the partition's label keys and ``y`` the labels in that order.
 
-    ``train_cells`` and ``test_cells`` are lists the pipeline owns; they are
-    emptied one cell at a time (see :func:`_take_partition`).
+    Each partition is a list the pipeline owns; it is emptied one cell at a
+    time (see :func:`_take_partition`).
     """
     meta = split.metadata
     label_params = _with_overrides(
@@ -320,48 +320,34 @@ def _label_and_featurize(config: PipelineConfig, split: SplitResult,
     )
     annotator = LABELS.create(config.label.name, **label_params)
     extractor = FEATURES.create(config.feature.name, **feature_params)
-
-    features_train, labels_train, excl_train = _take_partition(
-        annotator, extractor, train_cells, "training")
-    features_test, labels_test, excl_test = _take_partition(
-        annotator, extractor, test_cells, "test")
-    excluded = [{"cell_id": cid, "reason": reason} for cid, reason in excl_train + excl_test]
-
-    X_train, y_train, _ = _align(features_train, labels_train)
-    X_test, y_test, keys_test = _align(features_test, labels_test)
-    return {
-        "features_test": FeatureMatrix(X_test, keys_test, features_test.col_names),
-        "X_train": X_train,
-        "y_train": y_train,
-        "y_test": y_test,
-        "excluded": excluded,
-    }
+    return {name: _take_partition(annotator, extractor, cells, name)
+            for name, cells in partitions.items()}
 
 
 def _take_partition(annotator, extractor, cells, partition: str):
-    """The features, labels and exclusions of ``cells``, taken one cell at a
-    time: each is popped from ``cells``, labelled, featurized when it got
-    label rows, and dropped before the next, so a mapped cell's pages leave
-    memory before the next cell's are read. The per-cell rows are joined
-    once at the end, equal to those of the whole partition at once."""
+    """The aligned features, labels and exclusions of ``cells``, taken one
+    cell at a time: each is popped from ``cells``, labelled, featurized when
+    it got label rows, and dropped before the next, so a mapped cell's pages
+    leave memory before the next cell's are read. The per-cell rows are
+    joined once at the end, equal to those of the whole partition at once."""
     features, labels, excluded = [], [], []
     cells.reverse()  # pop from the end in the partition's order
     while cells:
         one = [cells.pop()]
         cell_labels, cell_excluded = annotator.annotate(one)
-        excluded += cell_excluded
+        excluded += [{"cell_id": cid, "reason": reason} for cid, reason in cell_excluded]
         if cell_labels.row_keys:
             labels.append(cell_labels)
             features.append(extractor.extract(one))
     if not labels:
         raise PipelineError(f"all {partition} cells were excluded by the label annotator")
-    return (
+    X, y, keys = _align(
         FeatureMatrix(np.concatenate([f.values for f in features]),
                       [k for f in features for k in f.row_keys], features[0].col_names),
         LabelVector(np.concatenate([lv.values for lv in labels]),
                     [k for lv in labels for k in lv.row_keys]),
-        excluded,
     )
+    return FeatureMatrix(X, keys, features[0].col_names), y, excluded
 
 
 def _fit_transforms(config: PipelineConfig, X_train, y_train):
@@ -377,17 +363,20 @@ def _fit_transforms(config: PipelineConfig, X_train, y_train):
 
 
 def _score(seeds, models, lt, Xte, y_test):
-    """Per-seed metrics plus the across-seed mean prediction per test row; a
-    seed without a fit of its own is scored with the first seed's fit."""
-    per_seed, preds = [], []
-    for seed in seeds:
-        model = models.get(seed, models[seeds[0]])
-        y_pred = lt.inverse_transform(model.predict(Xte))
-        if not np.isfinite(y_pred).all():
+    """Per-seed metrics plus the across-seed mean prediction per test row;
+    each fit predicts once, and a seed without a fit of its own is scored
+    with the first seed's fit."""
+    predicted = {}
+    for seed, model in models.items():
+        predicted[seed] = lt.inverse_transform(model.predict(Xte))
+        if not np.isfinite(predicted[seed]).all():
             raise PipelineError(
                 f"seed {seed}: {type(model).__name__} predicts non-finite values "
                 "(the fit diverged or overflowed)"
             )
+    per_seed, preds = [], []
+    for seed in seeds:
+        y_pred = predicted.get(seed, predicted[seeds[0]])
         preds.append(y_pred)
         per_seed.append(
             {"seed": seed, "rmse": rmse(y_test, y_pred), "mae": mae(y_test, y_pred)}
@@ -446,28 +435,29 @@ def run_train(config, workspace=None, cells: list[CellRecord] | None = None) -> 
     """
     config = PipelineConfig.load(config)
     split, train_cells, test_cells = _split_cells(config, cells)
-    data = _label_and_featurize(config, split, train_cells, test_cells)
+    data = _label_and_featurize(config, split, training=train_cells, test=test_cells)
+    train, y_train, excl_train = data["training"]
+    features_test, y_test, excl_test = data["test"]
 
-    ft, lt = _fit_transforms(config, data["X_train"], data["y_train"])
-    Xtr = ft.transform(data["X_train"])
-    ytr = lt.transform(data["y_train"])
-    features_test = data["features_test"]
+    ft, lt = _fit_transforms(config, train.values, y_train)
+    Xtr = ft.transform(train.values)
+    ytr = lt.transform(y_train)
     Xte = ft.transform(features_test.values)
 
     models = {seed: MODELS.create(config.model.name, **params).fit(Xtr, ytr)
               for seed, params in _model_params(config.model, config.seeds).items()}
 
-    per_seed, mean_pred = _score(config.seeds, models, lt, Xte, data["y_test"])
+    per_seed, mean_pred = _score(config.seeds, models, lt, Xte, y_test)
     report = _report(
-        config, per_seed, features_test.row_keys, data["y_test"], mean_pred, data["excluded"]
+        config, per_seed, features_test.row_keys, y_test, mean_pred, excl_train + excl_test
     )
 
     ckpt_dir = _resolve_workspace(workspace, config) / config.run_name()
-    _write_checkpoint(ckpt_dir, config, split, data, ft, lt, models, report)
+    _write_checkpoint(ckpt_dir, config, split, features_test, ft, lt, models, report)
     return Checkpoint(directory=ckpt_dir, report=report)
 
 
-def _write_checkpoint(ckpt_dir, config, split, data, ft, lt, models, report):
+def _write_checkpoint(ckpt_dir, config, split, features_test, ft, lt, models, report):
     """Write the checkpoint into ``<run>.tmp/``, then replace any older
     ``<run>/`` with it; on failure the temporary directory is removed."""
     tmp = ckpt_dir.with_name(ckpt_dir.name + ".tmp")
@@ -484,7 +474,7 @@ def _write_checkpoint(ckpt_dir, config, split, data, ft, lt, models, report):
             tmp / "transforms.json",
             {"feature_transformation": ft.to_dict(), "label_transformation": lt.to_dict()},
         )
-        write_features(tmp / "features_test.bin", data["features_test"])
+        write_features(tmp / "features_test.bin", features_test)
         for seed, model in models.items():
             model.save(tmp / f"model_seed{seed}.bin")
         shutil.rmtree(ckpt_dir, ignore_errors=True)
@@ -560,9 +550,9 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
     exclusions of the stored report, so the result is bit-identical to the
     report written at train time. ``overrides`` replaces whole
     ``train_test_split``, ``feature`` or ``label`` sections and forces those
-    stages to rerun against a corpus (``cells`` or the split's
-    ``cell_data_path``); the report then flags which sections were
-    overridden. The stored transforms and models always score, so
+    stages to rerun on the test cells of a corpus (``cells`` or the split's
+    ``cell_data_path``), the only cells scored; the report then flags which
+    sections were overridden and lists the test cells' exclusions. The stored transforms and models always score, so
     overriding their sections is an error. A corpus passed without overrides
     is checked for the stored test cells (missing ones are an error) but
     stored features are still used.
@@ -626,10 +616,9 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
         y_test = np.array([r["y_true"] for r in rows], dtype=float)
         excluded = stored_report["excluded"]
     else:
-        split, train_cells, test_cells = _split_cells(config, cells)
-        data = _label_and_featurize(config, split, train_cells, test_cells)
-        X_test, keys_test = data["features_test"].values, data["features_test"].row_keys
-        y_test, excluded = data["y_test"], data["excluded"]
+        split, _, test_cells = _split_cells(config, cells)
+        features_test, y_test, excluded = _label_and_featurize(config, split, test=test_cells)["test"]
+        X_test, keys_test = features_test.values, features_test.row_keys
 
     widths = sorted({model.n_features_ for model in models.values()})
     if widths != [X_test.shape[1]]:

@@ -168,7 +168,7 @@ def synthetic_cell(spec: SynthSpec, index: int) -> CellRecord:
             "charge_capacity_in_Ah": qc.ravel(),
             "discharge_capacity_in_Ah": qd.ravel(),
             "time_in_s": t.ravel(),
-            "temperature_in_C": np.full(t.size, 30.0),
+            "temperature_in_C": np.broadcast_to(np.float64(30.0), t.size),  # one value, no column
         },
         np.arange(n_cycles + 1) * t.shape[1],
         internal_resistance_in_ohm=0.015 * (1.0 + 0.5 * (1.0 - soh)),

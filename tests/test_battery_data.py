@@ -29,6 +29,8 @@ import cellforge
 from cellforge import battery_data
 from cellforge.battery_data import (
     CAPACITY_JITTER_TOL,
+    CELL_MAGIC,
+    MAX_CYCLE_NUMBER,
     CellRecord,
     CycleData,
     CycleRecord,
@@ -391,8 +393,8 @@ class TestArraySignals:
         ]
         digests = [hashlib.sha256(write_cell(c, tmp_path).read_bytes()).hexdigest() for c in cells]
         assert digests == [
-            "097b2c247d26dcd9d107710a5eb80a324ad10959556b74a5a89b42985ebd0d42",
-            "f023ae5148409d5db45f7cf86451f0b29ee22adff36d5ef27de377975a10c71f",
+            "99ce6dd8db20f2fa309d9fb01618705b116933e6dcb833fdc3a329e095fa8d8a",
+            "1ad7cfd1bc83e79d342f5299d7dec605f3c63eccfbddd2479aefc92c6127e30f",
         ]
 
     def test_quickstart_corpus_reads_back_equal(self, quickstart_corpus):
@@ -492,7 +494,7 @@ class TestLoadCells:
 
 
 class TestCellFile:
-    """The binary layout: magic, header length, JSON header, float64 blocks."""
+    """The binary layout: magic, header length, JSON header, float64 and int32 blocks."""
 
     def written(self, tmp_path, cell=None):
         path = write_cell(cell or make_cell("BIN"), tmp_path)
@@ -513,23 +515,52 @@ class TestCellFile:
             dataclasses.replace(linear_cycle(3, temperature=26.0), extra={"step": "rest"}),
         ))
         path, data, header = self.written(tmp_path, cell)
-        assert data[:4] == b"CFC1"
-        assert header["cycles"] == {
+        assert data[:4] == b"CFC2" == CELL_MAGIC
+        assert header["cell"] == cell_to_dict(dataclasses.replace(cell, cycle_data=()))
+        assert header["cycle_extra"] == {"2": {"step": "rest"}}
+        _, blocks = parse_container(data, CELL_MAGIC, SchemaError)
+        n = sum(len(c.time_in_s) for c in cell.cycle_data)
+        assert list(blocks) == ["cycle_number", "points", "has_temperature",
+                                "has_internal_resistance", "internal_resistance_in_ohm",
+                                *TestArraySignals.SIGNALS]
+        assert blocks["voltage_in_V"].shape == (n,)
+        assert blocks["temperature_in_C"].shape == (n - len(cell.cycle_data[1].time_in_s),)
+        assert blocks["internal_resistance_in_ohm"].tolist() == [0.02]
+        per_cycle = {name: blocks[name].tolist() for name in
+                     ("cycle_number", "points", "has_temperature", "has_internal_resistance")}
+        assert per_cycle == {
             "cycle_number": [1, 2, 3],
             "points": [len(c.time_in_s) for c in cell.cycle_data],
-            "has_temperature": [True, False, True],
-            "has_internal_resistance": [False, True, False],
-            "extra": [{}, {}, {"step": "rest"}],
+            "has_temperature": [1, 0, 1],
+            "has_internal_resistance": [0, 1, 0],
         }
-        assert header["cell"] == cell_to_dict(dataclasses.replace(cell, cycle_data=()))
-        shapes = {b["name"]: b["shape"] for b in header["blocks"]}
-        n = sum(len(c.time_in_s) for c in cell.cycle_data)
-        assert shapes["voltage_in_V"] == [n]
-        assert shapes["temperature_in_C"] == [n - len(cell.cycle_data[1].time_in_s)]
-        assert shapes["internal_resistance_in_ohm"] == [1]
-        assert len(data) == 8 + struct.unpack_from("<I", data, 4)[0] + 8 * sum(
-            s[0] for s in shapes.values())
+        specs = {b["name"]: b for b in header["blocks"]}
+        assert all(specs[name]["dtype"] == "<i4" for name in per_cycle)
+        assert all("dtype" not in specs[name] for name in (*TestArraySignals.SIGNALS,
+                                                            "internal_resistance_in_ohm"))
+        floats = 5 * n + blocks["temperature_in_C"].size + 1
+        assert len(data) == 8 + struct.unpack_from("<I", data, 4)[0] + 8 * floats + 4 * 4 * 3
         assert read_cell(path) == cell
+
+    def test_uniform_per_cycle_blocks_store_one_value(self, tmp_path):
+        cell = dataclasses.replace(make_cell("UNI"), cycle_data=tuple(
+            linear_cycle(k, temperature=25.0) for k in (1, 2, 3)))
+        path, data, header = self.written(tmp_path, cell)
+        repeated = sorted(b["name"] for b in header["blocks"] if b.get("repeat"))
+        assert repeated == ["has_internal_resistance", "has_temperature", "points", "temperature_in_C"]
+        n = 3 * len(cell.cycle_data[0].time_in_s)
+        # five float64 signals of n values, a temperature of 25.0 stored once, no
+        # resistance, three cycle numbers and three int32 blocks of one value
+        assert len(data) == 8 + struct.unpack_from("<I", data, 4)[0] + 8 * 5 * n + 8 + 4 * 3 + 4 * 3
+        assert read_cell(path) == cell
+
+    def test_cfc1_file_is_one_line_error(self, tmp_path):
+        path, data, _ = self.written(tmp_path)
+        path.write_bytes(b"CFC1" + data[4:])
+        with pytest.raises(SchemaError) as info:
+            read_cell(path)
+        assert str(info.value) == (f"{path}: CFC1 cell file from an older cellforge; "
+                                   "regenerate or preprocess it again")
 
     def test_format_is_read_from_content_not_name(self, tmp_path):
         cell = make_cell("NAMED")
@@ -555,12 +586,14 @@ class TestCellFile:
     @pytest.mark.parametrize("header_edit", [
         lambda h: [],
         lambda h: {**h, "blocks": "none"},
-        lambda h: {**h, "cycles": None},
+        lambda h: {**h, "cycle_extra": None},
         lambda h: {**h, "cell": []},
-        lambda h: {**h, "cycles": {**h["cycles"], "points": [h["cycles"]["points"][0] + 1, *h["cycles"]["points"][1:]]}},
-        lambda h: {**h, "cycles": {**h["cycles"], "has_temperature": [True] * len(h["cycles"]["points"])}},
-        lambda h: {**h, "cycles": {**h["cycles"], "cycle_number": [True] * len(h["cycles"]["points"])}},
-        lambda h: {**h, "cycles": {**h["cycles"], "extra": []}},
+        lambda h: {**h, "blocks": [{**b, "name": "point_count"} if b["name"] == "points" else b
+                                   for b in h["blocks"]]},
+        lambda h: {**h, "blocks": [{**b, "shape": [b["shape"][0] + 1]}
+                                   if b["name"] == "temperature_in_C" else b for b in h["blocks"]]},
+        lambda h: {**h, "cycle_extra": {"0": True}},
+        lambda h: {**h, "cycle_extra": {"3": {"step": "rest"}}},
     ], ids=["not-object", "blocks", "cycles", "cell", "points", "temperature", "bool-number", "extra"])
     def test_header_disagrees(self, tmp_path, header_edit):
         path, data, header = self.written(tmp_path)
@@ -583,6 +616,43 @@ class TestCellFile:
         path.write_bytes(data[:8] + b"\xff" + data[9:])
         with pytest.raises(SchemaError, match="header is not UTF-8 JSON"):
             read_cell(path)
+
+    @pytest.mark.parametrize("key", ["01", "-1", "+1", " 1", "1.0", "x", "\u0661"])
+    def test_cycle_extra_key_must_be_a_cycle_index(self, tmp_path, key):
+        path, data, header = self.written(tmp_path)
+        self.rewrite(path, data, json.dumps({**header, "cycle_extra": {key: {"a": 1}}}))
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: cycle_extra: "):
+            read_cell(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda b: {**b, "points": b["points"] + np.int32(1)},
+        lambda b: {**b, "points": np.array([-1, *b["points"][1:] + 1], dtype=np.int32)},
+        lambda b: {**b, "has_temperature": np.full(b["has_temperature"].shape, 2, dtype=np.int32)},
+        lambda b: {**b, "has_internal_resistance": b["has_internal_resistance"] - np.int32(1)},
+        lambda b: {**b, "cycle_number": b["cycle_number"].astype(np.float64)},
+        lambda b: {**b, "points": b["points"][:-1]},
+        lambda b: {k: v for k, v in b.items() if k != "has_temperature"},
+        lambda b: {**b, "stray": np.zeros(2)},
+    ], ids=["points-sum", "negative-points", "flag-2", "flag-minus-1", "float-numbers",
+            "short-points", "missing-block", "extra-block"])
+    def test_blocks_disagree(self, tmp_path, edit):
+        path = write_cell(dataclasses.replace(make_cell("BLK"), cycle_data=(
+            linear_cycle(1, temperature=25.0), linear_cycle(2, n_dis=5))), tmp_path)
+        header, blocks = parse_container(path.read_bytes(), CELL_MAGIC, SchemaError)
+        header = {k: v for k, v in header.items() if k != "blocks"}
+        write_container(path, CELL_MAGIC, header, list(edit(blocks).items()))
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: [^\n]+$"):
+            read_cell(path)
+
+    def test_cycle_numbers_past_int32_do_not_validate(self, tmp_path):
+        cell = dataclasses.replace(make_cell("BIG"), cycle_data=(
+            linear_cycle(MAX_CYCLE_NUMBER - 1), linear_cycle(MAX_CYCLE_NUMBER)))
+        assert read_cell(write_cell(cell, tmp_path)) == cell
+        big = dataclasses.replace(cell, cycle_data=(linear_cycle(1), linear_cycle(2**31)))
+        assert validate(big) == [
+            Violation("cycle_data[1].cycle_number", f"must be at most {MAX_CYCLE_NUMBER}")]
+        with pytest.raises(ValidationError):
+            write_cell(big, tmp_path)
 
 
 class TestContainerDtypes:
@@ -615,7 +685,7 @@ class TestContainerDtypes:
     @pytest.mark.parametrize("dtype", ["<f4", "|O", "<i8", ">i4", 8, None, ["<i4"]])
     def test_any_other_dtype_is_the_callers_one_line_error(self, tmp_path, dtype):
         cell = write_cell(make_cell("DT"), tmp_path)
-        header, blocks = parse_container(cell.read_bytes(), b"CFC1", SchemaError)
+        header, blocks = parse_container(cell.read_bytes(), CELL_MAGIC, SchemaError)
         header["blocks"][0]["dtype"] = dtype
         TestCellFile().rewrite(cell, cell.read_bytes(), json.dumps(header))
         fragment = r"blocks\[0\]: dtype must be '<f8' \(the default\) or '<i4', got "
@@ -629,6 +699,80 @@ class TestContainerDtypes:
         TestCellFile().rewrite(model, model.read_bytes(), json.dumps(header))
         with pytest.raises(CheckpointError, match=f"^{re.escape(str(model))}: {fragment}"):
             load_model(model)
+
+
+def _nans(*payloads):
+    return np.array([0x7FF8000000000000 | p for p in payloads], dtype=np.uint64).view(np.float64)
+
+
+class TestRepeatBlocks:
+    """A block of two or more elements with the same bytes stores one of them."""
+
+    def round_trip(self, tmp_path, arr):
+        path = write_container(tmp_path / "r.bin", b"TST1", {}, [("x", arr)])
+        data = path.read_bytes()
+        header, blocks = parse_container(data, b"TST1", CheckpointError)
+        return header["blocks"][0], blocks["x"], len(data) - 8 - struct.unpack_from("<I", data, 4)[0]
+
+    @pytest.mark.parametrize("arr, repeat", [
+        (np.array([0.0, -0.0]), False),
+        (np.array([-0.0, -0.0, -0.0]), True),
+        (_nans(1, 2), False),
+        (_nans(5, 5, 5), True),
+        (np.array([2.5]), False),
+        (np.full(7, 2**31 - 1, dtype=np.int32), True),
+        (np.array([3, 3, 4], dtype=np.int32), False),
+        (np.full((3, 4), 1.25), True),
+        (np.arange(12.0).reshape(3, 4), False),
+        (np.broadcast_to(np.float64(30.0), (4, 5)), True),
+        (np.broadcast_to(np.arange(3, dtype=np.int32), (2, 3)), False),
+        (np.full(4, 9), True),  # int64: stored as float64
+        (np.zeros((0, 3)), False),
+    ], ids=["zero-and-negative-zero", "negative-zeros", "nan-payloads", "same-nan", "one-element",
+            "int32", "int32-varied", "2d", "2d-varied", "2d-stride-0", "2d-broadcast-row",
+            "int64", "empty"])
+    def test_round_trip_is_bit_exact(self, tmp_path, arr, repeat):
+        spec, back, stored = self.round_trip(tmp_path, arr)
+        dtype = "<i4" if arr.dtype == np.int32 else "<f8"
+        want = np.ascontiguousarray(arr, dtype=dtype)
+        assert back.dtype == np.dtype(dtype) and back.shape == arr.shape
+        assert back.tobytes() == want.tobytes()
+        assert spec.get("repeat", False) is repeat
+        assert stored == (want.itemsize if repeat else want.nbytes)
+        assert not back.flags.writeable
+        if repeat:
+            assert not any(back.strides)
+
+    def test_a_repeated_block_is_a_view_of_its_one_element(self):
+        payload = json.dumps({"blocks": [{"name": "x", "shape": [2, 3], "repeat": True},
+                                         {"name": "y", "shape": [1]}]}).encode()
+        data = b"TST1" + struct.pack("<I", len(payload)) + payload + struct.pack("<2d", 4.5, 1.0)
+        _, blocks = parse_container(data, b"TST1", CheckpointError)
+        assert blocks["x"].tolist() == [[4.5] * 3] * 2 and blocks["y"].tolist() == [1.0]
+        assert root_buffer(blocks["x"]) is data
+
+    @pytest.mark.parametrize("repeat", [1, 0, "true", None, [True]])
+    def test_a_non_boolean_repeat_is_one_line_naming_the_file(self, tmp_path, repeat):
+        path = write_cell(make_cell("RP"), tmp_path)
+        header, _ = parse_container(path.read_bytes(), CELL_MAGIC, SchemaError)
+        header["blocks"][0]["repeat"] = repeat
+        TestCellFile().rewrite(path, path.read_bytes(), json.dumps(header))
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: blocks\\[0\\]: repeat must "
+                                              f"be true or false, got [^\n]+$"):
+            read_cell(path)
+
+    def test_a_truncated_repeated_block_is_one_line_naming_the_file(self, tmp_path):
+        cell = dataclasses.replace(make_cell("TR"), cycle_data=(
+            linear_cycle(1, temperature=25.0), linear_cycle(2, temperature=25.0)))
+        path = write_cell(cell, tmp_path)
+        data = path.read_bytes()
+        header, _ = parse_container(data, CELL_MAGIC, SchemaError)
+        n = sum(len(c.time_in_s) for c in cell.cycle_data)
+        assert header["blocks"][-1] == {"name": "temperature_in_C", "repeat": True, "shape": [n]}
+        path.write_bytes(data[:-1])
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: "
+                                              "truncated block 'temperature_in_C'$"):
+            read_cell(path)
 
 
 def file_reads(source: str) -> list[tuple[str, int]]:
@@ -789,6 +933,21 @@ class TestColumns:
         assert len(cells) == 10
         assert peak <= 1.05 * on_disk, f"peak {peak} bytes for {on_disk} bytes on disk"
 
+    def test_a_constant_column_costs_no_pages(self, tmp_path):
+        generated = generate_synthetic(SynthSpec(n_cells=1, cycle_life_mean=60.0, cycle_life_std=5.0,
+                                                 points_per_cycle=16, seed=3))[0]
+        mapped = read_cell(write_cell(generated, tmp_path))
+        for cell in (generated, mapped):
+            temperature = cell.cycle_data.columns["temperature_in_C"]
+            assert temperature.strides == (0,) and temperature.size == 16 * len(cell.cycle_data)
+            assert (temperature == 30.0).all() and not temperature.flags.writeable
+            assert cell.cycle_data[5].temperature_in_C.strides == (0,)
+        column = mapped.cycle_data.columns["temperature_in_C"]
+        assert isinstance(root_buffer(column), mmap.mmap)
+        assert root_buffer(column) is root_buffer(mapped.cycle_data.columns["time_in_s"])
+        for cell in (generated, mapped):
+            assert copy.deepcopy(cell) == cell == pickle.loads(pickle.dumps(cell))
+
     def test_sequence_of_views(self):
         cycles = (linear_cycle(1), linear_cycle(2, internal_resistance=0.02), linear_cycle(3))
         cell = dataclasses.replace(make_cell(), cycle_data=cycles)
@@ -919,6 +1078,8 @@ def validate_per_cycle(cell):
 def _validate_one_cycle(cyc, path, out):
     if cyc.cycle_number < 1:
         out.append(Violation(f"{path}.cycle_number", "must be a positive integer"))
+    if cyc.cycle_number > MAX_CYCLE_NUMBER:
+        out.append(Violation(f"{path}.cycle_number", f"must be at most {MAX_CYCLE_NUMBER}"))
     lengths = {name: len(getattr(cyc, name)) for name in _SEQ}
     if len(set(lengths.values())) != 1:
         out.append(Violation(path, f"mandatory sequences differ in length: {lengths}"))
@@ -984,7 +1145,8 @@ def corrupt(draw, cyc, kind):
         if cyc.temperature_in_C is not None:
             cut["temperature_in_C"] = cyc.temperature_in_C[:m]
         return dataclasses.replace(cyc, **cut)
-    return dataclasses.replace(cyc, cycle_number=draw(st.integers(-1, 6)))
+    return dataclasses.replace(cyc, cycle_number=draw(
+        st.integers(-1, 6) | st.sampled_from([MAX_CYCLE_NUMBER, MAX_CYCLE_NUMBER + 1])))
 
 
 @st.composite

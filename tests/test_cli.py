@@ -404,10 +404,10 @@ class TestTrainEvaluate:
         cells = shutil.copytree(corpus_dir, tmp_path / "cells")
         path = cells / "SYN_0000.cfc"
         header, blocks = parse_container(path.read_bytes(), CELL_MAGIC, SchemaError)
-        points = header["cycles"]["points"]
+        points = blocks["points"].copy()
         points[:2] = [0, points[0] + points[1]]
         write_container(path, CELL_MAGIC, {k: v for k, v in header.items() if k != "blocks"},
-                        list(blocks.items()))
+                        list({**blocks, "points": points}.items()))
         cfg = yaml.safe_load((CONFIG_DIR / "synthetic_variance_linear.yaml").read_text())
         cfg["train_test_split"]["cell_data_path"] = str(cells)
         config_path = tmp_path / "synthetic_variance_linear.yaml"
@@ -415,6 +415,17 @@ class TestTrainEvaluate:
         assert main(["train", "--config", str(config_path),
                      "--workspace", str(tmp_path / "ws")]) == 1
         assert_one_line_error(capsys, "error: SYN_0000: a cycle has no discharge capacity samples")
+
+    def test_cfc1_corpus_is_one_line_error(self, corpus_dir, tmp_path, capsys):
+        # cell files of older versions start with CFC1; the magic alone decides
+        cells = shutil.copytree(corpus_dir, tmp_path / "cells")
+        path = cells / "SYN_0000.cfc"
+        path.write_bytes(b"CFC1" + path.read_bytes()[4:])
+        config_path = write_train_config(tmp_path, cells)
+        assert main(["train", "--config", str(config_path),
+                     "--workspace", str(tmp_path / "ws")]) == 1
+        assert_one_line_error(capsys, f"error: {path}: CFC1 cell file from an older cellforge; "
+                                      "regenerate or preprocess it again")
 
     def test_checkpoint_holding_labels_json_evaluates(self, checkpoint_dir, tmp_path):
         # older checkpoints also stored labels.json; evaluation ignores it

@@ -289,8 +289,8 @@ class TestParseCsv:
         assert cell.cycle_data[0].voltage_in_V.tolist() == [r[1] for r in simple_rows(1)]
 
     @pytest.mark.parametrize("mapping, digest", [
-        (SIMPLE_MAP, "0b7d5eca4fd016cd41b64252205e91b58beccc0e14a7c1d440fb555db36ef7e1"),
-        (NO_CAPACITY_MAP, "e21ae3fa50943cc6d6d90d807dbe33590020c0566ef664a3079461b493f27df6"),
+        (SIMPLE_MAP, "4eeec005b5950cdf33dd03f782538df3f6ed6e2f873e784b739a0ed3d81e3fb5"),
+        (NO_CAPACITY_MAP, "e6fcbf9d16ac318787054afcdc6d8c5924941646bce7582abffb416f2905f4cf"),
     ], ids=["capacity-columns", "integrated-capacity"])
     def test_written_bytes_are_pinned(self, tmp_path, mapping, digest):
         p = write_csv(tmp_path / "pin.csv", list(SIMPLE_MAP.values()), pinned_rows())

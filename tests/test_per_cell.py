@@ -15,7 +15,7 @@ import pytest
 from cellforge import battery_data, pipeline
 from cellforge.battery_data import write_cell
 from cellforge.errors import FeatureError, PipelineError, ThresholdNotReached
-from cellforge.features import FeatureMatrix
+from cellforge.features import FeatureMatrix, VarianceModelFeatureExtractor
 from cellforge.labels import RULLabelAnnotator, rul_label
 from cellforge.pipeline import (
     PipelineConfig,
@@ -75,35 +75,29 @@ def make_config(label, feature, **sections):
     }
 
 
-def whole_corpus_label_and_featurize(config, split, train_cells, test_cells):
-    """The reference order: label every train and test cell, then featurize
-    every kept cell of each partition in one call."""
+def whole_corpus_label_and_featurize(config, split, **partitions):
+    """The reference order: label every cell of every partition, then
+    featurize every kept cell of each partition in one call."""
     meta = split.metadata
     label_params = _with_overrides(config.label, LABELS, {"eol_soh_percent": meta.get("eol_soh")})
     feature_params = _with_overrides(
         config.feature, FEATURES, {"observed_cycles": meta.get("observed_cycles")})
     annotator = LABELS.create(config.label.name, **label_params)
-    labels_train, excl_train = annotator.annotate(train_cells)
-    labels_test, excl_test = annotator.annotate(test_cells)
-    labeled = {key[0] for key in labels_train.row_keys + labels_test.row_keys}
-    train_kept = [c for c in train_cells if c.cell_id in labeled]
-    test_kept = [c for c in test_cells if c.cell_id in labeled]
-    if not train_kept:
-        raise PipelineError("all training cells were excluded by the label annotator")
-    if not test_kept:
-        raise PipelineError("all test cells were excluded by the label annotator")
+    labelled = {name: annotator.annotate(cells) for name, cells in partitions.items()}
+    kept = {}
+    for name, cells in partitions.items():
+        labeled = {key[0] for key in labelled[name][0].row_keys}
+        kept[name] = [c for c in cells if c.cell_id in labeled]
+        if not kept[name]:
+            raise PipelineError(f"all {name} cells were excluded by the label annotator")
     extractor = FEATURES.create(config.feature.name, **feature_params)
-    features_train = extractor.extract(train_kept)
-    features_test = extractor.extract(test_kept)
-    X_train, y_train, _ = _align(features_train, labels_train)
-    X_test, y_test, keys_test = _align(features_test, labels_test)
-    return {
-        "features_test": FeatureMatrix(X_test, keys_test, features_test.col_names),
-        "X_train": X_train,
-        "y_train": y_train,
-        "y_test": y_test,
-        "excluded": [{"cell_id": cid, "reason": reason} for cid, reason in excl_train + excl_test],
-    }
+    out = {}
+    for name, (labels, excluded) in labelled.items():
+        features = extractor.extract(kept[name])
+        X, y, keys = _align(features, labels)
+        out[name] = (FeatureMatrix(X, keys, features.col_names), y,
+                     [{"cell_id": cid, "reason": reason} for cid, reason in excluded])
+    return out
 
 
 def assert_bit_identical(a, b):
@@ -114,16 +108,25 @@ def assert_bit_identical(a, b):
 @pytest.mark.parametrize("label, feature", PAIRS, ids=PAIR_IDS)
 def test_per_cell_equals_whole_corpus(corpus, label, feature):
     config = PipelineConfig.from_dict(make_config(label, feature))
-    got = _label_and_featurize(config, *_split_cells(config, corpus))
-    want = whole_corpus_label_and_featurize(config, *_split_cells(config, corpus))
-    for key in ("X_train", "y_train", "y_test"):
-        assert_bit_identical(got[key], want[key])
-    assert_bit_identical(got["features_test"].values, want["features_test"].values)
-    assert got["features_test"].row_keys == want["features_test"].row_keys
-    assert got["features_test"].col_names == want["features_test"].col_names
-    assert got["excluded"] == want["excluded"]
+
+    def partitions():
+        split, train, test = _split_cells(config, corpus)
+        return split, {"training": train, "test": test}
+
+    split, cells = partitions()
+    got = _label_and_featurize(config, split, **cells)
+    split, cells = partitions()
+    want = whole_corpus_label_and_featurize(config, split, **cells)
+    assert list(got) == list(want) == ["training", "test"]
+    for name in got:
+        (features, y, excluded), (want_features, want_y, want_excluded) = got[name], want[name]
+        assert_bit_identical(features.values, want_features.values)
+        assert features.row_keys == want_features.row_keys
+        assert features.col_names == want_features.col_names
+        assert_bit_identical(y, want_y)
+        assert excluded == want_excluded
     if label["name"] == "RULLabelAnnotator":
-        assert [e["cell_id"] for e in got["excluded"]] == ["NEVER_TRAIN", "NEVER_TEST"]
+        assert [e["cell_id"] for name in got for e in got[name][2]] == ["NEVER_TRAIN", "NEVER_TEST"]
 
 
 def test_checkpoint_files_equal_the_whole_corpus_order(corpus, tmp_path, monkeypatch):
@@ -146,6 +149,56 @@ def test_overridden_evaluate_equals_the_whole_corpus_order(corpus, tmp_path, mon
     theirs = run_evaluate(ckpt.directory, overrides=overrides, cells=corpus)
     assert mine["overrides"] == ["feature", "label"]
     assert repr(mine) == repr(theirs)
+    assert [e["cell_id"] for e in mine["excluded"]] == ["NEVER_TEST"]  # test cells only
+
+
+class _CountingRULAnnotator(RULLabelAnnotator):
+    """Records the ID of every cell it is given."""
+
+    seen: list = []
+
+    def annotate(self, cells):
+        self.seen += [c.cell_id for c in cells]
+        return super().annotate(cells)
+
+
+class _CountingVarianceExtractor(VarianceModelFeatureExtractor):
+    """Records the ID of every cell it is given."""
+
+    seen: list = []
+
+    def extract(self, cells):
+        self.seen += [c.cell_id for c in cells]
+        return super().extract(cells)
+
+
+register("label", "CountingRULAnnotator", _CountingRULAnnotator)
+register("feature", "CountingVarianceExtractor", _CountingVarianceExtractor)
+COUNTING = {"label": {"name": "CountingRULAnnotator"},
+            "feature": {"name": "CountingVarianceExtractor", "interp_dims": 16}}
+
+
+def test_overridden_evaluate_takes_only_the_test_cells(corpus, tmp_path):
+    ckpt = run_train(make_config(*PAIRS[0]), workspace=tmp_path, cells=corpus)
+    _CountingRULAnnotator.seen.clear()
+    _CountingVarianceExtractor.seen.clear()
+    report = run_evaluate(ckpt.directory, overrides=COUNTING, cells=corpus)
+    assert _CountingRULAnnotator.seen == TEST_IDS
+    assert _CountingVarianceExtractor.seen == ["SYN_0004", "SYN_0005"]  # NEVER_TEST gets no label
+    assert [e["cell_id"] for e in report["excluded"]] == ["NEVER_TEST"]
+    assert {r["cell_id"] for r in report["predictions"]} == {"SYN_0004", "SYN_0005"}
+
+
+def test_overridden_evaluate_scores_test_cells_when_every_training_cell_is_excluded(corpus, tmp_path):
+    ckpt = run_train(make_config(*PAIRS[0]), workspace=tmp_path / "ws", cells=corpus)
+    split = {"name": "ExplicitTrainTestSplitter", "train_ids": ["NEVER_TRAIN"],
+             "test_ids": ["SYN_0004", "SYN_0005"]}
+    with pytest.raises(PipelineError, match="all training cells were excluded"):
+        run_train(make_config(*PAIRS[0], train_test_split=split), workspace=tmp_path / "other",
+                  cells=corpus)
+    report = run_evaluate(ckpt.directory, overrides={"train_test_split": split}, cells=corpus)
+    assert report["excluded"] == []
+    assert {r["cell_id"] for r in report["predictions"]} == {"SYN_0004", "SYN_0005"}
 
 
 def test_the_callers_cell_list_is_left_as_it_was(corpus, tmp_path):

@@ -418,6 +418,22 @@ class TestSeedsAndFits:
         assert run_evaluate(ckpt.directory) == ckpt.report
         assert len(fits) == 1
 
+    @pytest.mark.parametrize("model, seeds, fits", [
+        ({"name": "LinearRegressionRULPredictor"}, list(range(10)), 1),
+        ({"name": "RandomForestRegressor", "n_trees": 2}, [4, 7, 9], 3),
+    ], ids=["seedless", "seeded"])
+    def test_each_fit_predicts_once(self, pipe_cells, tmp_path, monkeypatch, model, seeds, fits):
+        calls = []
+        original = BaseRegressor.predict
+        monkeypatch.setattr(BaseRegressor, "predict",
+                            lambda self, X: calls.append(id(self)) or original(self, X))
+        ckpt = run_train(make_config(model=model, seeds=seeds), workspace=tmp_path, cells=pipe_cells)
+        assert len(calls) == len(set(calls)) == fits
+        assert [s["seed"] for s in ckpt.report["per_seed"]] == seeds
+        calls.clear()
+        assert run_evaluate(ckpt.directory) == ckpt.report
+        assert len(calls) == fits
+
     def test_seeded_model_fits_every_seed(self, pipe_cells, tmp_path):
         cfg = make_config(model={"name": "RandomForestRegressor", "n_trees": 3}, seeds=[4, 7])
         ckpt = run_train(cfg, workspace=tmp_path, cells=pipe_cells)
