@@ -37,10 +37,11 @@ read-only float64 column with every cycle's values in cycle order, and an
 ``column[offsets[i]:offsets[i + 1]]`` (the values-plus-offsets layout of
 Arrow's variable-size lists). Cycle numbers, temperature and resistance
 presence, resistances and ``extra`` are short per-cell arrays and a sparse
-map. :func:`read_cell` builds those columns as views of the file it maps,
-with no copy (a repeated block is a stride-0 view of its one stored value);
-any other array given to a record is copied, so a record never shares a
-buffer its caller can still change. ``cycle_data`` still reads as
+map. A record copies the arrays it is given, so it never shares a buffer
+its caller can still change, unless the code making it passes ``copy=False``:
+:func:`read_cell` does, handing over its columns as views of the file it
+maps (a repeated block is a stride-0 view of its one stored value), and
+builds one record per file. ``cycle_data`` still reads as
 a sequence of :class:`CycleRecord`: its length comes from the offsets, and
 indexing or slicing builds records whose signals are views of the columns,
 anew on every access. A :class:`CycleRecord` is the per-cycle value: built
@@ -60,7 +61,7 @@ import operator
 import resource
 import weakref
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -94,21 +95,24 @@ _PROTOCOL_FIELDS = (
     "end_soc",
 )
 
-_CELL_OPTIONAL_STR_FIELDS = (
-    "form_factor",
-    "anode_material",
-    "cathode_material",
-    "electrolyte_material",
-    "description",
-)
-
-_CELL_OPTIONAL_NUM_FIELDS = (
-    "max_voltage_limit_in_V",
-    "min_voltage_limit_in_V",
-    "max_current_limit_in_A",
-    "min_current_limit_in_A",
-)
-
+# The cell's scalar fields in the order its document lists them, each with
+# its document type; a field that is None is left out of the document.
+_CELL_SCALARS = {
+    "cell_id": str,
+    "form_factor": str,
+    "anode_material": str,
+    "cathode_material": str,
+    "electrolyte_material": str,
+    "description": str,
+    "nominal_capacity_in_Ah": float,
+    "depth_of_charge": float,
+    "depth_of_discharge": float,
+    "already_spent_cycles": int,
+    "max_voltage_limit_in_V": float,
+    "min_voltage_limit_in_V": float,
+    "max_current_limit_in_A": float,
+    "min_current_limit_in_A": float,
+}
 
 _SIGNAL_FIELDS = _CYCLE_SEQ_FIELDS + ("temperature_in_C",)
 
@@ -117,14 +121,9 @@ _JSON_NUMBER_TYPES = frozenset((int, float))
 
 
 def _signal(values, name, copy=True) -> np.ndarray:
-    """A read-only one-dimensional float64 signal.
-
-    A float64 array whose memory is an immutable ``bytes`` object or a
-    read-only mapping :func:`read_file` made (a view of a file
-    :func:`read_cell` read) is kept as it is, and so is any float64 array
-    when ``copy`` is False; anything else is copied.
-    """
-    if isinstance(values, np.ndarray) and values.dtype == np.float64 and (not copy or _in_file_buffer(values)):
+    """A read-only one-dimensional float64 signal: a float64 array is kept
+    as it is when ``copy`` is False, and anything else is copied."""
+    if not copy and isinstance(values, np.ndarray) and values.dtype == np.float64:
         arr = values
     else:
         arr = np.array(values, dtype=np.float64)
@@ -132,15 +131,6 @@ def _signal(values, name, copy=True) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     return arr
-
-
-def _in_file_buffer(arr: np.ndarray) -> bool:
-    base = arr.base
-    while isinstance(base, np.ndarray):
-        base = base.base
-    if isinstance(base, memoryview):  # how numpy holds a mapping
-        base = base.obj
-    return isinstance(base, bytes) or (isinstance(base, mmap.mmap) and base in _MAPPINGS)
 
 
 def _small(values, dtype, name, n) -> np.ndarray:
@@ -261,12 +251,11 @@ class CycleData(tuple):
     cycle when a temperature column is given; ``has_internal_resistance``
     defaults to every cycle when resistances are given. ``extra`` maps a
     cycle index to that cycle's ``extra``; an empty one is dropped. Columns
-    are copied unless their memory is immutable ``bytes`` or a read-only
-    mapping :func:`read_file` made, so the cell never shares a buffer its
-    caller can still change. A builder that made float64 columns for the
-    cell alone (or a read-only broadcast of one value) and keeps no other
-    reference to them passes ``copy=False`` to hand them over without a
-    copy; they are made read-only.
+    are copied, so the cell never shares a buffer its caller can still
+    change, unless the caller passes ``copy=False`` to hand over float64
+    columns that nothing else will change: ones it made for the cell alone,
+    a read-only broadcast of one value, or the read-only views of a file
+    that :func:`read_cell` makes. They are made read-only.
     """
 
     def __new__(cls, cycle_number=(), columns=None, offsets=(0,), *, has_temperature=None,
@@ -321,6 +310,7 @@ class CycleData(tuple):
             "internal_resistance_in_ohm": self.internal_resistance_in_ohm,
             "has_internal_resistance": self.has_internal_resistance,
             "extra": self.extra,
+            "copy": False,  # the columns are read-only and the cell's own
         })
 
     @classmethod
@@ -465,18 +455,14 @@ class CellRecord:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "nominal_capacity_in_Ah", float(self.nominal_capacity_in_Ah))
-        object.__setattr__(self, "depth_of_charge", float(self.depth_of_charge))
-        object.__setattr__(self, "depth_of_discharge", float(self.depth_of_discharge))
-        object.__setattr__(self, "already_spent_cycles", int(self.already_spent_cycles))
+        for name, kind in _CELL_SCALARS.items():
+            v = getattr(self, name)
+            if kind is not str and v is not None:
+                object.__setattr__(self, name, kind(v))
         if not isinstance(self.cycle_data, CycleData):
             object.__setattr__(self, "cycle_data", CycleData.from_cycles(self.cycle_data))
         object.__setattr__(self, "charge_protocol", tuple(self.charge_protocol))
         object.__setattr__(self, "discharge_protocol", tuple(self.discharge_protocol))
-        for name in _CELL_OPTIONAL_NUM_FIELDS:
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, float(v))
 
     __hash__ = None
 
@@ -629,25 +615,18 @@ def _cycle_to_dict(cyc: CycleRecord) -> dict:
     return d
 
 
-def cell_to_dict(cell: CellRecord) -> dict:
-    d = {"cell_id": cell.cell_id}
-    for name in _CELL_OPTIONAL_STR_FIELDS:
-        v = getattr(cell, name)
-        if v is not None:
-            d[name] = v
-    d["nominal_capacity_in_Ah"] = cell.nominal_capacity_in_Ah
-    d["depth_of_charge"] = cell.depth_of_charge
-    d["depth_of_discharge"] = cell.depth_of_discharge
-    d["already_spent_cycles"] = cell.already_spent_cycles
-    for name in _CELL_OPTIONAL_NUM_FIELDS:
-        v = getattr(cell, name)
-        if v is not None:
-            d[name] = v
+def _cell_document(cell: CellRecord, cycles: list) -> dict:
+    """The cell's JSON document, with ``cycles`` as its ``cycle_data``."""
+    d = {name: getattr(cell, name) for name in _CELL_SCALARS if getattr(cell, name) is not None}
     d["charge_protocol"] = [_step_to_dict(s) for s in cell.charge_protocol]
     d["discharge_protocol"] = [_step_to_dict(s) for s in cell.discharge_protocol]
-    d["cycle_data"] = [_cycle_to_dict(c) for c in cell.cycle_data]
+    d["cycle_data"] = cycles
     d.update(cell.extra)
     return d
+
+
+def cell_to_dict(cell: CellRecord) -> dict:
+    return _cell_document(cell, [_cycle_to_dict(c) for c in cell.cycle_data])
 
 
 def _expect(obj, key, path):
@@ -717,58 +696,36 @@ def _cycle_from_dict(obj, path) -> CycleRecord:
     )
 
 
+_SCALAR_PARSERS = {str: _strval, float: _num, int: _intval}
+
+_CELL_KEYS = {*_CELL_SCALARS, "charge_protocol", "discharge_protocol", "cycle_data"}
+
+
+def _cell_fields(obj: dict) -> dict:
+    """The :class:`CellRecord` arguments a cell document holds apart from
+    its cycles: its scalars, protocols and ``extra``."""
+    for name in ("cell_id", "nominal_capacity_in_Ah"):
+        _expect(obj, name, "cell")
+    args = {name: _SCALAR_PARSERS[kind](obj[name], name)
+            for name, kind in _CELL_SCALARS.items() if name in obj}
+    for key in ("charge_protocol", "discharge_protocol"):
+        raw = obj.get(key, [])
+        if not isinstance(raw, list):
+            raise SchemaError(f"{key}: expected an array")
+        args[key] = tuple(_step_from_dict(s, f"{key}[{i}]") for i, s in enumerate(raw))
+    args["extra"] = {k: v for k, v in obj.items() if k not in _CELL_KEYS}
+    return args
+
+
 def cell_from_dict(obj: dict) -> CellRecord:
     if not isinstance(obj, dict):
         raise SchemaError("cell file must contain a JSON object at top level")
-    cell_id = _strval(_expect(obj, "cell_id", "cell"), "cell_id")
-    nominal = _num(_expect(obj, "nominal_capacity_in_Ah", "cell"), "nominal_capacity_in_Ah")
+    args = _cell_fields(obj)
     raw_cycles = _expect(obj, "cycle_data", "cell")
     if not isinstance(raw_cycles, list):
         raise SchemaError("cycle_data: expected an array")
     cycles = tuple(_cycle_from_dict(c, f"cycle_data[{i}]") for i, c in enumerate(raw_cycles))
-
-    kwargs = {}
-    for name in _CELL_OPTIONAL_STR_FIELDS:
-        if name in obj:
-            kwargs[name] = _strval(obj[name], name)
-    for name in _CELL_OPTIONAL_NUM_FIELDS:
-        if name in obj:
-            kwargs[name] = _num(obj[name], name)
-    if "depth_of_charge" in obj:
-        kwargs["depth_of_charge"] = _num(obj["depth_of_charge"], "depth_of_charge")
-    if "depth_of_discharge" in obj:
-        kwargs["depth_of_discharge"] = _num(obj["depth_of_discharge"], "depth_of_discharge")
-    if "already_spent_cycles" in obj:
-        kwargs["already_spent_cycles"] = _intval(obj["already_spent_cycles"], "already_spent_cycles")
-
-    def steps(key):
-        raw = obj.get(key, [])
-        if not isinstance(raw, list):
-            raise SchemaError(f"{key}: expected an array")
-        return tuple(_step_from_dict(s, f"{key}[{i}]") for i, s in enumerate(raw))
-
-    known = {
-        "cell_id",
-        "nominal_capacity_in_Ah",
-        "cycle_data",
-        "charge_protocol",
-        "discharge_protocol",
-        "depth_of_charge",
-        "depth_of_discharge",
-        "already_spent_cycles",
-        *_CELL_OPTIONAL_STR_FIELDS,
-        *_CELL_OPTIONAL_NUM_FIELDS,
-    }
-    extra = {k: v for k, v in obj.items() if k not in known}
-    return CellRecord(
-        cell_id=cell_id,
-        nominal_capacity_in_Ah=nominal,
-        cycle_data=cycles,
-        charge_protocol=steps("charge_protocol"),
-        discharge_protocol=steps("discharge_protocol"),
-        extra=extra,
-        **kwargs,
-    )
+    return CellRecord(**args, cycle_data=cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +819,7 @@ def write_cell(cell: CellRecord, path) -> Path:
         path = path / f"{cell.cell_id}.cfc"
     cycles = cell.cycle_data
     header = {
-        "cell": cell_to_dict(replace(cell, cycle_data=())),
+        "cell": _cell_document(cell, []),
         "cycle_extra": {str(i): e for i, e in cycles.extra.items()},
     }
     per_cycle = (cycles.cycle_number, np.diff(cycles.offsets["time_in_s"]),
@@ -908,11 +865,10 @@ def _cell_from_bytes(data: bytes) -> CellRecord:
         raise SchemaError("header: 'cycle_extra' must be an object of objects")
     if not isinstance(header.get("cell"), dict):
         raise SchemaError("header: 'cell' must be an object")
-    meta = cell_from_dict(header["cell"])
 
     resistance = np.full(n, np.nan)
     resistance[has_resistance] = blocks["internal_resistance_in_ohm"]
-    return replace(meta, cycle_data=CycleData(
+    return CellRecord(**_cell_fields(header["cell"]), cycle_data=CycleData(
         numbers,
         {name: blocks[name] for name in _SIGNAL_FIELDS},
         _bounds(points),
@@ -920,6 +876,7 @@ def _cell_from_bytes(data: bytes) -> CellRecord:
         internal_resistance_in_ohm=resistance,
         has_internal_resistance=has_resistance,
         extra={_cycle_index(k, n): e for k, e in extras.items()},
+        copy=False,  # read-only views of the file read_file read
     ))
 
 

@@ -111,9 +111,8 @@ def load_model(path):
         raise CheckpointError(f"{path}: {kind} model rejects the stored hyperparameters: {exc}") from exc
     model.metadata = dict(metadata)
     model.n_features_ = n_features
-    requested = _RequestedBlocks(blocks)
     try:
-        model._restore_blocks(requested)
+        model._restore_blocks(blocks)
     except KeyError as exc:
         raise CheckpointError(
             f"{path}: {kind} model file lacks parameter block {exc.args[0]!r} "
@@ -121,20 +120,9 @@ def load_model(path):
         ) from exc
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {kind} model file: {exc}") from exc
-    extra = sorted(set(blocks) - requested.names)
+    extra = sorted(set(blocks) - {name for name, _ in model._param_blocks()})
     if extra:
         raise CheckpointError(f"{path}: {kind} model file has unexpected parameter blocks {extra}")
     model.fitted = True
     return model
 
-
-class _RequestedBlocks(dict):
-    """The stored parameter blocks, recording each name a model asks for."""
-
-    def __init__(self, blocks):
-        super().__init__(blocks)
-        self.names = set()
-
-    def __getitem__(self, name):
-        self.names.add(name)
-        return super().__getitem__(name)

@@ -165,6 +165,8 @@ class PipelineConfig:
             raise ConfigError("'seeds' must be a non-empty list of integers")
         if len(set(seeds)) != len(seeds):
             raise ConfigError("'seeds' must not repeat")
+        if min(seeds) < 0:
+            raise ConfigError("'seeds' must not be negative")
         workspace = obj.get("workspace")
         if workspace is not None and not isinstance(workspace, str):
             raise ConfigError("'workspace' must be a string")

@@ -89,6 +89,8 @@ class RandomTrainTestSplitter(BaseTrainTestSplitter):
             raise SplitError(f"test_fraction must be in (0, 1), got {test_fraction}")
         self.test_fraction = float(test_fraction)
         self.seed = int(seed)
+        if self.seed < 0:
+            raise SplitError(f"seed must be >= 0, got {seed}")
 
     def split(self, cell_ids: Sequence[str]) -> SplitResult:
         ids = sorted(cell_ids)

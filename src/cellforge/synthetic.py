@@ -56,6 +56,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_cells", "points_per_cycle", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_cells < 1:
             raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
         if not self.nominal_capacity_in_Ah > 0:

@@ -905,10 +905,13 @@ class TestColumns:
         cycles = CycleData([1], columns, [0, 3])
         assert not np.shares_memory(cycles.columns["voltage_in_V"], values)
         assert not np.shares_memory(cycles.columns["current_in_A"], from_array)
-        assert np.shares_memory(cycles.columns["time_in_s"], from_bytes)
+        assert not np.shares_memory(cycles.columns["time_in_s"], from_bytes)  # bytes too
         values[0] = 99.0
         assert cycles[0].voltage_in_V[0] == 0.0
         assert all(not col.flags.writeable for col in cycles.columns.values())
+        # only copy=False, which read_cell passes for the views of its file, keeps a column
+        handed_over = CycleData([1], columns, [0, 3], copy=False)
+        assert np.shares_memory(handed_over.columns["time_in_s"], from_bytes)
 
     def test_len_validate_and_write_build_no_cycle_record(self, tmp_path, monkeypatch):
         cell = make_cell("NOVIEW")
@@ -920,6 +923,27 @@ class TestColumns:
         assert len(cell.cycle_data) == 3 and cell.cycle_data
         assert validate(cell) == []
         write_cell(cell, tmp_path)
+
+    def test_read_builds_one_record_and_write_none(self, tmp_path, monkeypatch):
+        cell = make_cell("ONCE")
+        built, gathered = [], []
+        post_init, from_cycles = CellRecord.__post_init__, CycleData.from_cycles.__func__
+
+        def counted_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        def counted_from_cycles(cls, cycles):
+            gathered.append(cycles)
+            return from_cycles(cls, cycles)
+
+        monkeypatch.setattr(CellRecord, "__post_init__", counted_post_init)
+        monkeypatch.setattr(CycleData, "from_cycles", classmethod(counted_from_cycles))
+        path = write_cell(cell, tmp_path)
+        assert built == [] and gathered == []
+        back = read_cell(path)
+        assert len(built) == 1 and built[0] is back and gathered == []
+        assert back == cell
 
     def test_load_cells_memory_is_the_corpus_bytes(self, quickstart_corpus):
         on_disk = sum(p.stat().st_size for p in quickstart_corpus.directory.iterdir())

@@ -193,12 +193,16 @@ class TestGenerate:
             ({"n_cells": 0}, "bad generator spec"),
             ({"points_per_cycle": 4}, "bad generator spec"),
             ({"no_such_field": 1}, "bad generator spec"),
+            ({"n_cells": 2.5}, "bad generator spec: n_cells must be an integer, got 2.5"),
+            ({"points_per_cycle": 20.5}, "bad generator spec: points_per_cycle must be an integer"),
+            ({"seed": 1.5}, "bad generator spec: seed must be an integer, got 1.5"),
+            ({"n_cells": True}, "bad generator spec: n_cells must be an integer, got True"),
         ],
     )
     def test_bad_spec_values(self, tmp_path, capsys, fields, message):
         spec = write_spec(tmp_path, **fields)
         assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 1
-        assert message in capsys.readouterr().err
+        assert_one_line_error(capsys, message)
 
     def test_spec_must_be_mapping(self, tmp_path, capsys):
         spec = tmp_path / "list.yaml"
@@ -256,6 +260,21 @@ class TestTrainEvaluate:
         assert main(["train", "--config", str(config_path),
                      "--workspace", str(tmp_path / "ws")]) == 1
         assert_one_line_error(capsys, "alpha must be >= 0")
+
+    @pytest.mark.parametrize("edit,message", [
+        # the linear model takes no seed, so a seed list is checked before it is used
+        ({"seeds": [-3]}, "'seeds' must not be negative"),
+        ({"train_test_split": {**TRAIN_CONFIG["train_test_split"], "seed": -2}},
+         "seed must be >= 0, got -2"),
+    ])
+    def test_negative_seed_is_one_line_error(self, corpus_dir, tmp_path, capsys, edit, message):
+        config = {**TRAIN_CONFIG, **edit}
+        config["train_test_split"] = {**config["train_test_split"], "cell_data_path": str(corpus_dir)}
+        config_path = tmp_path / "experiment.yaml"
+        config_path.write_text(yaml.safe_dump(config))
+        assert main(["train", "--config", str(config_path),
+                     "--workspace", str(tmp_path / "ws")]) == 1
+        assert_one_line_error(capsys, message)
 
     def test_retired_packaged_splitter_is_one_line_error(self, corpus_dir, tmp_path, capsys):
         config_path = tmp_path / "experiment.yaml"
