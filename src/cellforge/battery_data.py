@@ -2,20 +2,21 @@
 
 One cell is one binary file named ``<cell_id>.cfc``, in the container model
 checkpoints also use: the magic ``CFC2``, a little-endian uint32 header
-length, a UTF-8 JSON header, then little-endian float64 and int32 blocks
+length, a UTF-8 JSON header, then little-endian float64 and integer blocks
 (see :mod:`cellforge.container`). The header holds the cell's JSON document
 without its cycles (metadata, protocols and ``extra``, as
 :func:`cell_to_dict` writes them) and ``cycle_extra``, which maps the index
 of each cycle that has an ``extra`` to it. Each signal is one float64 block:
 the per-cycle values concatenated in cycle order, temperature over only the
 cycles that have it, and internal resistance with one value per cycle that
-has it. Four int32 blocks hold one value per cycle: its number, its point
-count, and whether it has a temperature and an internal resistance (0 or
-1). A block whose values are all one value, such as a constant temperature
-or a fixed point count, stores that value once. :func:`read_cell` refuses
-the ``CFC1`` files of older versions with one line, and also reads a cell
-stored as one UTF-8 JSON document (``<cell_id>.json``), the format of older
-corpora; :func:`cell_to_dict` exports one.
+has it. Four integer blocks, read as int32, hold one value per cycle: its
+number, its point count, and whether it has a temperature and an internal
+resistance (0 or 1). A block whose values are all one value, such as a
+constant temperature or a fixed point count, stores that value once.
+:func:`read_cell` refuses the ``CFC1`` files of older versions with one
+line, and also reads a cell stored as one UTF-8 JSON document
+(``<cell_id>.json``), the format of older corpora; :func:`cell_to_dict`
+exports one.
 
 Field names use snake_case with unit suffixes (``nominal_capacity_in_Ah``,
 ``time_in_s``, ...) and are identical in memory and on disk. Unknown keys

@@ -11,11 +11,14 @@ Each forest tree k draws its bootstrap sample and its per-split feature
 subsets from an independent ``default_rng(seed + k)``.
 
 A fitted tree or forest is one :class:`_NodeTable` of all its trees' nodes
-in preorder, 12 bytes a node, saved as the three blocks ``feature`` (int32,
--1 at a leaf), ``value`` (float64: a split's threshold or a leaf's
-prediction) and ``tree_start`` (int32, n_trees + 1 offsets). A split's right
-child is not stored; loading derives it and checks that each tree is one
-complete tree ending at its bound.
+in preorder, saved as the four blocks ``feature`` (int32, -1 at a leaf),
+``values`` (float64, each distinct node value once: a split's threshold or
+a leaf's prediction), ``value_code`` (int32, each node's index into
+``values``) and ``tree_start`` (int32, n_trees + 1 offsets). The container
+stores each integer block at its narrowest width, so a node of a forest
+with at most 32768 features and 256 distinct values takes 3 bytes. A
+split's right child is not stored; loading derives it and checks that each
+tree is one complete tree ending at its bound.
 """
 
 from __future__ import annotations
@@ -83,7 +86,11 @@ class _NodeTable:
         return self.value[node].mean(axis=0)
 
     def blocks(self):
-        return [("feature", self.feature), ("value", self.value), ("tree_start", self.tree_start)]
+        """The saved blocks; values are told apart by their bytes, so that
+        ``-0.0`` and ``0.0`` stay distinct."""
+        bits, code = np.unique(self.value.view("<u8"), return_inverse=True)
+        return [("feature", self.feature), ("values", bits.view("<f8")),
+                ("value_code", code.astype(np.int32)), ("tree_start", self.tree_start)]
 
     @classmethod
     def from_blocks(cls, blocks, n_trees: int, n_features: int) -> "_NodeTable":
@@ -96,10 +103,16 @@ class _NodeTable:
         if "right" in blocks or "threshold" in blocks:
             raise CheckpointError("stores separate 'threshold', 'value' and 'right' blocks, "
                                   "a layout of older versions; train the model again")
+        if "value" in blocks:
+            raise CheckpointError("stores one 'value' per node, a layout of older versions; "
+                                  "train the model again")
         n = blocks["feature"].size
         feature = param_block(blocks, "feature", (n,), "<i4")
-        value = param_block(blocks, "value", (n,))
+        values = param_block(blocks, "values", (blocks["values"].size,))
+        code = param_block(blocks, "value_code", (n,), "<i4")
         start = param_block(blocks, "tree_start", (n_trees + 1,), "<i4")
+        if ((code < 0) | (code >= values.size)).any():
+            raise CheckpointError(f"'value_code' holds an index outside [0, {values.size})")
         sizes = np.diff(start)
         if start[0] != 0 or start[-1] != n or (sizes <= 0).any():
             raise CheckpointError(f"'tree_start' must rise strictly from 0 to the node count {n}")
@@ -120,7 +133,7 @@ class _NodeTable:
             node = a + int(np.argmax(inside[a:b] < 0)) - 1
             raise CheckpointError(f"tree {k} is complete at node {node}, before its "
                                   f"'tree_start' bound {b}")
-        return cls(feature, value, start)
+        return cls(feature, values[code], start)
 
 
 def _best_split(X, y, candidates, min_samples_leaf):

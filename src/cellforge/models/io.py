@@ -20,7 +20,8 @@ MAGIC = b"CFM1"
 
 def write_model_file(path, kind: str, hyperparameters: dict, metadata: dict, blocks) -> Path:
     """``blocks`` is an ordered list of (name, ndarray) pairs; int32 arrays
-    are stored as int32, all others as float64."""
+    are stored as the narrowest integer blocks that hold their values and
+    read back as int32, all others as float64."""
     header = {"kind": kind, "hyperparameters": hyperparameters, "metadata": metadata}
     return write_container(path, MAGIC, header, blocks)
 

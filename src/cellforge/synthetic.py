@@ -23,7 +23,8 @@ corpora are reproducible cell-by-cell regardless of generation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,10 +57,14 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_cells", "points_per_cycle", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int" and type(value) is not int:
+                raise ValueError(f"{field.name} must be an integer, got {value!r}")
+            # NaN, an infinity and an int beyond float64 all fail the bound
+            if field.type == "float" and (type(value) is bool or not isinstance(value, (int, float))
+                                          or not abs(value) <= sys.float_info.max):
+                raise ValueError(f"{field.name} must be a finite number, got {value!r}")
         if self.n_cells < 1:
             raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
         if not self.nominal_capacity_in_Ah > 0:

@@ -393,8 +393,8 @@ class TestArraySignals:
         ]
         digests = [hashlib.sha256(write_cell(c, tmp_path).read_bytes()).hexdigest() for c in cells]
         assert digests == [
-            "99ce6dd8db20f2fa309d9fb01618705b116933e6dcb833fdc3a329e095fa8d8a",
-            "1ad7cfd1bc83e79d342f5299d7dec605f3c63eccfbddd2479aefc92c6127e30f",
+            "87ddead4794234a4f4c25b4b24d5822ed2f1eeda0827a2cb7df42ff0d500d1b9",
+            "1f8b5b09b813cf82bd5996c0b96bdbd41fc0335345c1972aee840f8d1e259476",
         ]
 
     def test_quickstart_corpus_reads_back_equal(self, quickstart_corpus):
@@ -494,7 +494,7 @@ class TestLoadCells:
 
 
 class TestCellFile:
-    """The binary layout: magic, header length, JSON header, float64 and int32 blocks."""
+    """The binary layout: magic, header length, JSON header, float64 and integer blocks."""
 
     def written(self, tmp_path, cell=None):
         path = write_cell(cell or make_cell("BIN"), tmp_path)
@@ -534,12 +534,13 @@ class TestCellFile:
             "has_temperature": [1, 0, 1],
             "has_internal_resistance": [0, 1, 0],
         }
+        assert all(blocks[name].dtype == np.int32 for name in per_cycle)
         specs = {b["name"]: b for b in header["blocks"]}
-        assert all(specs[name]["dtype"] == "<i4" for name in per_cycle)
+        assert all(specs[name]["dtype"] == "|u1" for name in per_cycle)
         assert all("dtype" not in specs[name] for name in (*TestArraySignals.SIGNALS,
                                                             "internal_resistance_in_ohm"))
         floats = 5 * n + blocks["temperature_in_C"].size + 1
-        assert len(data) == 8 + struct.unpack_from("<I", data, 4)[0] + 8 * floats + 4 * 4 * 3
+        assert len(data) == 8 + struct.unpack_from("<I", data, 4)[0] + 8 * floats + 1 * 4 * 3
         assert read_cell(path) == cell
 
     def test_uniform_per_cycle_blocks_store_one_value(self, tmp_path):
@@ -550,8 +551,8 @@ class TestCellFile:
         assert repeated == ["has_internal_resistance", "has_temperature", "points", "temperature_in_C"]
         n = 3 * len(cell.cycle_data[0].time_in_s)
         # five float64 signals of n values, a temperature of 25.0 stored once, no
-        # resistance, three cycle numbers and three int32 blocks of one value
-        assert len(data) == 8 + struct.unpack_from("<I", data, 4)[0] + 8 * 5 * n + 8 + 4 * 3 + 4 * 3
+        # resistance, three one-byte cycle numbers and three one-byte blocks of one value
+        assert len(data) == 8 + struct.unpack_from("<I", data, 4)[0] + 8 * 5 * n + 8 + 1 * 3 + 1 * 3
         assert read_cell(path) == cell
 
     def test_cfc1_file_is_one_line_error(self, tmp_path):
@@ -656,7 +657,7 @@ class TestCellFile:
 
 
 class TestContainerDtypes:
-    """A block is little-endian float64 unless its spec says ``"dtype": "<i4"``."""
+    """A block is little-endian float64 unless its spec names an integer dtype."""
 
     def test_int32_block_round_trips_exactly(self, tmp_path):
         ints = np.array([-2**31, -1, 0, 7, 2**31 - 1], dtype=np.int32)
@@ -682,13 +683,13 @@ class TestContainerDtypes:
         assert header["blocks"] == [{"name": "n", "shape": [3]}]
         assert blocks["n"].dtype == np.dtype("<f8") and blocks["n"].tolist() == [0.0, 1.0, 2.0]
 
-    @pytest.mark.parametrize("dtype", ["<f4", "|O", "<i8", ">i4", 8, None, ["<i4"]])
+    @pytest.mark.parametrize("dtype", ["<f4", "|O", "<i8", ">i4", 8, None, ["<i4"], "|i1", ">i2", "<u2"])
     def test_any_other_dtype_is_the_callers_one_line_error(self, tmp_path, dtype):
         cell = write_cell(make_cell("DT"), tmp_path)
         header, blocks = parse_container(cell.read_bytes(), CELL_MAGIC, SchemaError)
         header["blocks"][0]["dtype"] = dtype
         TestCellFile().rewrite(cell, cell.read_bytes(), json.dumps(header))
-        fragment = r"blocks\[0\]: dtype must be '<f8' \(the default\) or '<i4', got "
+        fragment = r"blocks\[0\]: dtype must be '<f8' \(the default\), '<i4', '<i2' or '\|u1', got "
         with pytest.raises(SchemaError, match=f"^{re.escape(str(cell))}: {fragment}") as info:
             read_cell(cell)
         assert "\n" not in str(info.value)
@@ -714,31 +715,33 @@ class TestRepeatBlocks:
         header, blocks = parse_container(data, b"TST1", CheckpointError)
         return header["blocks"][0], blocks["x"], len(data) - 8 - struct.unpack_from("<I", data, 4)[0]
 
-    @pytest.mark.parametrize("arr, repeat", [
-        (np.array([0.0, -0.0]), False),
-        (np.array([-0.0, -0.0, -0.0]), True),
-        (_nans(1, 2), False),
-        (_nans(5, 5, 5), True),
-        (np.array([2.5]), False),
-        (np.full(7, 2**31 - 1, dtype=np.int32), True),
-        (np.array([3, 3, 4], dtype=np.int32), False),
-        (np.full((3, 4), 1.25), True),
-        (np.arange(12.0).reshape(3, 4), False),
-        (np.broadcast_to(np.float64(30.0), (4, 5)), True),
-        (np.broadcast_to(np.arange(3, dtype=np.int32), (2, 3)), False),
-        (np.full(4, 9), True),  # int64: stored as float64
-        (np.zeros((0, 3)), False),
+    @pytest.mark.parametrize("arr, repeat, width", [
+        (np.array([0.0, -0.0]), False, 8),
+        (np.array([-0.0, -0.0, -0.0]), True, 8),
+        (_nans(1, 2), False, 8),
+        (_nans(5, 5, 5), True, 8),
+        (np.array([2.5]), False, 8),
+        (np.full(7, 2**31 - 1, dtype=np.int32), True, 4),
+        (np.array([3, 3, 4], dtype=np.int32), False, 1),
+        (np.full((3, 4), 1.25), True, 8),
+        (np.arange(12.0).reshape(3, 4), False, 8),
+        (np.broadcast_to(np.float64(30.0), (4, 5)), True, 8),
+        (np.broadcast_to(np.arange(3, dtype=np.int32), (2, 3)), False, 1),
+        (np.full(4, 9), True, 8),  # int64: stored as float64
+        (np.zeros((0, 3)), False, 8),
     ], ids=["zero-and-negative-zero", "negative-zeros", "nan-payloads", "same-nan", "one-element",
             "int32", "int32-varied", "2d", "2d-varied", "2d-stride-0", "2d-broadcast-row",
             "int64", "empty"])
-    def test_round_trip_is_bit_exact(self, tmp_path, arr, repeat):
+    def test_round_trip_is_bit_exact(self, tmp_path, arr, repeat, width):
         spec, back, stored = self.round_trip(tmp_path, arr)
         dtype = "<i4" if arr.dtype == np.int32 else "<f8"
         want = np.ascontiguousarray(arr, dtype=dtype)
         assert back.dtype == np.dtype(dtype) and back.shape == arr.shape
         assert back.tobytes() == want.tobytes()
         assert spec.get("repeat", False) is repeat
-        assert stored == (want.itemsize if repeat else want.nbytes)
+        # an int32 block is stored at the narrowest width that holds its values
+        assert np.dtype(spec.get("dtype", "<f8")).itemsize == width
+        assert stored == width * (1 if repeat else arr.size)
         assert not back.flags.writeable
         if repeat:
             assert not any(back.strides)
@@ -773,6 +776,46 @@ class TestRepeatBlocks:
         with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: "
                                               "truncated block 'temperature_in_C'$"):
             read_cell(path)
+
+
+class TestNarrowBlocks:
+    """An int32 block is stored at the narrowest of ``|u1``, ``<i2`` and
+    ``<i4`` that holds its values, and read back as int32."""
+
+    @pytest.mark.parametrize("values, dtype", [
+        ([-32769], "<i4"), ([-32768], "<i2"), ([-1], "<i2"), ([0], "|u1"), ([255], "|u1"),
+        ([256], "<i2"), ([32767], "<i2"), ([32768], "<i4"), ([-2**31, 2**31 - 1], "<i4"),
+        ([0, 255], "|u1"), ([-1, 255], "<i2"), ([-32768, 32767], "<i2"), ([], "|u1"),
+    ])
+    def test_round_trip_at_each_width_boundary(self, tmp_path, values, dtype):
+        arr = np.array(values, dtype=np.int32)
+        spec, back, stored = TestRepeatBlocks().round_trip(tmp_path, arr)
+        assert spec == {"dtype": dtype, "name": "x", "shape": [len(values)]}
+        assert stored == np.dtype(dtype).itemsize * len(values)
+        assert back.dtype == np.int32 and not back.flags.writeable
+        assert back.tolist() == values
+
+    def test_a_repeated_narrow_block_stores_one_element(self, tmp_path):
+        spec, back, stored = TestRepeatBlocks().round_trip(tmp_path, np.full((2, 3), 300, dtype=np.int32))
+        assert spec == {"dtype": "<i2", "name": "x", "repeat": True, "shape": [2, 3]} and stored == 2
+        assert back.dtype == np.int32 and not back.flags.writeable and not any(back.strides)
+        assert back.tolist() == [[300] * 3] * 2
+
+    def test_a_wide_block_of_small_values_still_reads(self):
+        # files of older versions store every int32 block as <i4
+        payload = json.dumps({"blocks": [{"name": "x", "shape": [3], "dtype": "<i4"}]}).encode()
+        data = b"TST1" + struct.pack("<I", len(payload)) + payload + struct.pack("<3i", 1, 2, 3)
+        x = parse_container(data, b"TST1", CheckpointError)[1]["x"]
+        assert x.dtype == np.int32 and x.tolist() == [1, 2, 3] and root_buffer(x) is data
+
+    def test_a_truncated_narrow_block_is_one_line_naming_the_file(self, tmp_path):
+        path = write_model_file(tmp_path / "m.bin", "dummy", {}, {"n_features": 1},
+                                [("mean", np.array([1.0])), ("codes", np.array([1, 2, 300], dtype=np.int32))])
+        assert read_model_file(path)[0]["blocks"][-1] == {"dtype": "<i2", "name": "codes", "shape": [3]}
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(CheckpointError) as info:
+            read_model_file(path)
+        assert str(info.value) == f"{path}: truncated block 'codes'"
 
 
 def file_reads(source: str) -> list[tuple[str, int]]:

@@ -204,6 +204,20 @@ class TestGenerate:
         assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 1
         assert_one_line_error(capsys, message)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"cycle_life_mean": float("inf")}, "cycle_life_mean must be a finite number, got inf"),
+        ({"noise_sigma": float("nan")}, "noise_sigma must be a finite number, got nan"),
+        ({"nominal_capacity_in_Ah": True}, "nominal_capacity_in_Ah must be a finite number, got True"),
+        ({"knee_fraction": "0.5"}, "knee_fraction must be a finite number, got '0.5'"),
+        ({"cycle_life_std": 10**400}, f"cycle_life_std must be a finite number, got {10**400}"),
+    ], ids=["infinite", "nan", "bool", "string", "int-beyond-float"])
+    def test_a_bad_float_field_is_one_line_naming_it(self, tmp_path, capsys, fields, message):
+        spec = write_spec(tmp_path, **fields)
+        out = tmp_path / "x"
+        assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 1
+        assert_one_line_error(capsys, f"error: bad generator spec: {message}\n")
+        assert not out.exists() or not any(out.iterdir())
+
     def test_spec_must_be_mapping(self, tmp_path, capsys):
         spec = tmp_path / "list.yaml"
         spec.write_text("- 1\n- 2\n")

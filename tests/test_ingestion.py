@@ -289,8 +289,8 @@ class TestParseCsv:
         assert cell.cycle_data[0].voltage_in_V.tolist() == [r[1] for r in simple_rows(1)]
 
     @pytest.mark.parametrize("mapping, digest", [
-        (SIMPLE_MAP, "4eeec005b5950cdf33dd03f782538df3f6ed6e2f873e784b739a0ed3d81e3fb5"),
-        (NO_CAPACITY_MAP, "e6fcbf9d16ac318787054afcdc6d8c5924941646bce7582abffb416f2905f4cf"),
+        (SIMPLE_MAP, "c06d8f5ce963f9dd6b2b2b570370115290d5f3a79610dd883d6b1ef8254908f8"),
+        (NO_CAPACITY_MAP, "348457c4ebe7d8174bd6428b334ae558b4df5eff1964f72e20c83670715c786d"),
     ], ids=["capacity-columns", "integrated-capacity"])
     def test_written_bytes_are_pinned(self, tmp_path, mapping, digest):
         p = write_csv(tmp_path / "pin.csv", list(SIMPLE_MAP.values()), pinned_rows())

@@ -545,14 +545,20 @@ def right_children(feature, start, stop):
 
 
 class TestForestFile:
-    """A tree or forest is one preorder node table of three blocks."""
+    """A tree or forest is one preorder node table of four blocks."""
 
     def test_blocks_dtypes_and_shapes(self, tmp_path):
         path, header, blocks = forest_file(tmp_path)
-        n = int(blocks["tree_start"][-1])
+        n, k = int(blocks["tree_start"][-1]), blocks["values"].size
         assert [(b["name"], b.get("dtype", "<f8"), b["shape"]) for b in header["blocks"]] == [
-            ("feature", "<i4", [n]), ("value", "<f8", [n]), ("tree_start", "<i4", [3])]
+            ("feature", "<i2", [n]), ("values", "<f8", [k]), ("value_code", "|u1", [n]),
+            ("tree_start", "|u1", [3])]
         assert blocks["tree_start"][0] == 0
+        assert all(blocks[name].dtype == np.int32 for name in ("feature", "value_code", "tree_start"))
+        # each distinct value once, and 3 bytes a node
+        assert k == len(np.unique(load_model(path).nodes_.value))
+        data = path.read_bytes()
+        assert len(data) - 8 - int.from_bytes(data[4:8], "little") == 3 * n + 8 * k + 3
 
     def test_a_split_sends_its_left_rows_to_the_next_node(self):
         X, y, _ = toy_problem(n=40, d=3, noise=0.5, seed=33)
@@ -610,7 +616,12 @@ class TestForestFile:
         model.n_features_, model.metadata, model.fitted = 1, {"n_samples": 4, "n_features": 1}, True
         path = model.save(tmp_path / "f.bin")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "09e7a3cf0b21c92d2cb6935f6cc503d168c244878198163001a4eb6a1ffbc70a")
+            "f43eb0af0b04cd9644fc0ee23a5132d8d4f68930bea7a18075785aab2e4b192a")
+        header, blocks = read_model_file(path)
+        assert [(b["name"], b.get("dtype", "<f8")) for b in header["blocks"]] == [
+            ("feature", "<i2"), ("values", "<f8"), ("value_code", "|u1"), ("tree_start", "|u1")]
+        assert blocks["values"].tolist() == [0.5, 1.0, 2.0, 4.0]
+        assert blocks["value_code"].tolist() == [0, 1, 2, 3]
         assert load_model(path).predict(np.array([[0.0], [1.0]])).tolist() == [2.5, 3.0]
 
     def test_predict_matches_a_walk_of_each_tree_and_row(self):
@@ -644,7 +655,8 @@ class TestForestFile:
         (lambda b: edited(b, "feature", 0, -2), r"outside -1 and \[0, 2\)"),
         (lambda b: edited(b, "feature", b["tree_start"][1], -1),
          "tree 1 is complete at node 7, before its 'tree_start' bound 14$"),
-        (lambda b: {"feature": np.append(b["feature"], np.int32(-1)), "value": np.append(b["value"], 0.0),
+        (lambda b: {"feature": np.append(b["feature"], np.int32(-1)),
+                    "value_code": np.append(b["value_code"], np.int32(0)),
                     **edited(b, "tree_start", 2, b["tree_start"][2] + 1)},
          "tree 1 is complete at node 13, before its 'tree_start' bound 15$"),
         (lambda b: edited(b, "feature", b["tree_start"][1] - 1, 0),
@@ -652,11 +664,18 @@ class TestForestFile:
         (lambda b: edited(b, "tree_start", 1, b["tree_start"][1] - 1),
          "tree 0 is not complete at its 'tree_start' bound 6: a split lacks a child$"),
         (lambda b: {"feature": b["feature"].astype(float)}, "'feature' is <f8 of shape"),
-        (lambda b: {"value": b["value"][:-1].copy()}, "'value' is <f8 of shape"),
+        (lambda b: {"value_code": b["value_code"][:-1].copy()}, "'value_code' is <i4 of shape"),
+        (lambda b: edited(b, "value_code", 3, b["values"].size), r"'value_code' holds an index outside \[0, \d+\)$"),
+        (lambda b: edited(b, "value_code", 0, -1), r"'value_code' holds an index outside \[0, \d+\)$"),
+        (lambda b: {"values": b["values"][:0].copy()}, r"'value_code' holds an index outside \[0, 0\)$"),
+        (lambda b: {"values": b["values"].reshape(1, -1).copy()}, "'values' is <f8 of shape"),
+        (lambda b: {"value_code": b["value_code"].astype(float)}, "'value_code' is <f8 of shape"),
     ], ids=["start-not-zero", "start-not-rising", "start-short-of-the-nodes", "start-wrong-length",
             "feature-beyond-n_features", "feature-below-leaf", "tree-ends-before-its-bound",
             "nodes-left-over-after-the-last-tree", "split-without-children-at-the-bound",
-            "start-disagrees-with-the-structure", "feature-as-float64", "value-too-short"])
+            "start-disagrees-with-the-structure", "feature-as-float64", "value-too-short",
+            "value-code-past-the-values", "value-code-negative", "no-values", "values-2d",
+            "value-code-as-float64"])
     def test_a_corrupt_table_is_one_error_naming_the_file(self, tmp_path, change, match):
         path, header, blocks = forest_file(tmp_path)
         assert blocks["tree_start"].tolist() == [0, 7, 14]
@@ -703,6 +722,78 @@ class TestForestFile:
         assert str(info.value) == (
             f"{path}: {kind} model file: stores separate 'threshold', 'value' and 'right' blocks, "
             "a layout of older versions; train the model again")
+
+
+    @pytest.mark.parametrize("kind", ["random_forest", "tree"])
+    def test_a_file_with_one_value_per_node_is_an_older_layout(self, tmp_path, kind):
+        # the 12-bytes-a-node table, which stored every node's value
+        model = (RandomForestRegressor(n_trees=2, max_depth=2, seed=0) if kind == "random_forest"
+                 else DecisionTreeRegressor(max_depth=2))
+        X, y, _ = toy_problem(n=20, d=2, seed=40)
+        path = model.fit(X, y).save(tmp_path / "old.bin")
+        header, _ = read_model_file(path)
+        t = model.nodes_
+        write_model_file(path, kind, header["hyperparameters"], header["metadata"],
+                         [("feature", t.feature), ("value", t.value), ("tree_start", t.tree_start)])
+        with pytest.raises(CheckpointError) as info:
+            load_model(path)
+        assert str(info.value) == (f"{path}: {kind} model file: stores one 'value' per node, "
+                                   "a layout of older versions; train the model again")
+
+
+def signed_zero_leaves(model):
+    """Tree 0 sends x <= 0.5 to the leaf -0.0 and the rest to 0.0; a
+    three-tree forest's trees 1 and 2 are the leaves -0.0 and 0.0."""
+    feature, value, start = [0, -1, -1], [0.5, -0.0, 0.0], [0, 3]
+    if model.kind == "random_forest":
+        feature, value, start = feature + [-1, -1], value + [-0.0, 0.0], start + [4, 5]
+    model.nodes_ = _NodeTable(np.array(feature, dtype=np.int32), np.array(value),
+                              np.array(start, dtype=np.int32))
+    model.n_features_, model.metadata, model.fitted = 1, {"n_samples": 2, "n_features": 1}, True
+    return model, np.array([[0.0], [1.0]])
+
+
+def many_values(model):
+    """A fit to 400 distinct targets: far more than 256 distinct node values."""
+    rng = np.random.default_rng(41)
+    X = rng.normal(size=(400, 2))
+    return model.fit(X, rng.normal(size=400)), rng.normal(size=(100, 2))
+
+
+def wide_features(model):
+    """A fit whose only informative feature is index 32800."""
+    X = np.zeros((6, 32801))
+    X[:, 32800] = np.arange(6.0)
+    return model.fit(X, np.arange(6.0) ** 2), np.linspace(-1.0, 6.0, 15)[:, None] * X[1]
+
+
+class TestValueTable:
+    """A saved table stores each distinct node value once, compared by bytes."""
+
+    @pytest.mark.parametrize("make, dtypes", [
+        (signed_zero_leaves, {"feature": "<i2", "value_code": "|u1"}),
+        (many_values, {"feature": "<i2", "value_code": "<i2"}),
+        (wide_features, {"feature": "<i4", "value_code": "|u1"}),
+    ], ids=["signed-zeros", "more-than-256-values", "feature-past-32767"])
+    @pytest.mark.parametrize("model", [lambda: RandomForestRegressor(n_trees=3, seed=4),
+                                       lambda: DecisionTreeRegressor(seed=4)], ids=["forest", "tree"])
+    def test_round_trip_is_bit_exact(self, tmp_path, make, dtypes, model):
+        model, rows = make(model())
+        path = model.save(tmp_path / "m.bin")
+        header, blocks = read_model_file(path)
+        assert {b["name"]: b["dtype"] for b in header["blocks"] if b["name"] in dtypes} == dtypes
+        assert blocks["values"].size == len(set(model.nodes_.value.view("<u8").tolist()))
+        back = load_model(path)
+        for name in ("feature", "value", "tree_start"):
+            a, b = getattr(model.nodes_, name), getattr(back.nodes_, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert back.predict(rows).tobytes() == model.predict(rows).tobytes()
+        assert back.save(tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    def test_signed_zeros_stay_distinct(self, tmp_path):
+        model, _ = signed_zero_leaves(RandomForestRegressor(n_trees=3))
+        back = load_model(model.save(tmp_path / "z.bin"))
+        assert np.signbit(back.nodes_.value).tolist() == [False, True, False, True, False]
 
 
 class TestBlockShapes:
