@@ -242,7 +242,10 @@ class CycleData(tuple):
     and indexing or slicing builds records whose signals are views of the
     columns, anew on each access, so nothing is stored per cycle. It is a
     ``tuple`` subclass, as ``cycle_data`` was a tuple before, so code that
-    checks for a tuple keeps working; it holds no items of its own.
+    checks for a tuple keeps working; it holds no items of its own, so it
+    equals only another ``CycleData`` (never a tuple, even of the same
+    cycles), and ordering comparisons raise TypeError. Compare it with
+    ``len`` or with another ``CycleData``.
 
     The constructor takes the columns (a mapping of signal name to values;
     the five mandatory signals, plus ``temperature_in_C`` if any cycle has
@@ -380,7 +383,8 @@ class CycleData(tuple):
 
     def __eq__(self, other):
         if not isinstance(other, CycleData):
-            return NotImplemented
+            # tuple's own comparison would see this tuple's empty storage
+            return False if isinstance(other, tuple) else NotImplemented
         if other is self:
             return True
         has_r = self.has_internal_resistance
@@ -400,8 +404,6 @@ class CycleData(tuple):
     def __ne__(self, other):
         equal = self.__eq__(other)
         return equal if equal is NotImplemented else not equal
-
-    __hash__ = None
 
     def __repr__(self):
         return f"CycleData({len(self)} cycles, {self.columns['time_in_s'].size} points)"
@@ -423,7 +425,7 @@ class CycleData(tuple):
     __rmul__ = __mul__
 
     def _unordered(self, other):
-        return NotImplemented
+        raise TypeError(f"cycles are not ordered: cannot compare CycleData with {type(other).__name__}")
 
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
 

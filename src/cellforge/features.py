@@ -201,13 +201,14 @@ class FeatureMatrix:
 class BaseFeatureExtractor:
     """Shared per-cell iteration, sanitization, and matrix assembly."""
 
-    #: cycle indices the extractor reads; checked against observed_cycles
     def __init__(self, observed_cycles: int | None = None):
         if observed_cycles is not None and observed_cycles < 1:
             raise ValueError("observed_cycles must be >= 1")
         self.observed_cycles = observed_cycles
 
     def _check_observed(self, indices):
+        """Raise FeatureError when one of the cycle ``indices`` the extractor
+        reads lies past the ``observed_cycles`` budget."""
         if self.observed_cycles is None:
             return
         bad = [i for i in indices if i >= self.observed_cycles]
@@ -258,7 +259,12 @@ class VarianceModelFeatureExtractor(BaseFeatureExtractor):
         self.critical_cycles = tuple(int(c) for c in critical_cycles)
         self.v_min = v_min
         self.v_max = v_max
-        self._check_observed(self.critical_cycles)
+        self._check_observed(self._cycles_read())
+
+    def _cycles_read(self):
+        """The 0-based cycle indices that bound what ``process_cell`` reads;
+        none may lie past ``observed_cycles``."""
+        return self.critical_cycles
 
     def _delta(self, cell):
         _, early, late = self.critical_cycles
@@ -321,6 +327,9 @@ class FullModelFeatureExtractor(DischargeModelFeatureExtractor):
     CHARGE_TIME_CYCLES = (2, 6)
     INTEGRAL_CYCLES = (2, 99)
 
+    def _cycles_read(self):
+        return (*self.critical_cycles, *self.CHARGE_TIME_CYCLES, *self.INTEGRAL_CYCLES)
+
     @staticmethod
     def _charge_times(cycles, lo, hi):
         """Per cycle lo..hi, the time from its first to its last charging
@@ -340,7 +349,7 @@ class FullModelFeatureExtractor(DischargeModelFeatureExtractor):
 
     def process_cell(self, cell):
         lo, hi = self.CHARGE_TIME_CYCLES
-        self._require_cycles(cell, max(hi + 1, self.critical_cycles[2] + 1, self.INTEGRAL_CYCLES[1] + 1))
+        self._require_cycles(cell, max(self._cycles_read()) + 1)
         base = self._discharge_vector(cell)
         mean_ct = float(np.mean(self._charge_times(cell.cycle_data, lo, hi)))
 
@@ -481,6 +490,13 @@ def soc_step_features(
     return sanitize(np.hstack([base, block])), names
 
 
+def _cycle_index(name: str, value) -> int:
+    """``value`` when it is a non-negative integer; ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
 class SOHCycleFeatureExtractor(BaseFeatureExtractor):
     """One row per (cell, cycle) of :func:`soh_cycle_features`."""
 
@@ -488,7 +504,8 @@ class SOHCycleFeatureExtractor(BaseFeatureExtractor):
 
     def __init__(self, max_cycle_index: int | None = None, observed_cycles: int | None = None):
         super().__init__(observed_cycles)
-        self.max_cycle_index = max_cycle_index
+        self.max_cycle_index = (
+            None if max_cycle_index is None else _cycle_index("max_cycle_index", max_cycle_index))
 
     def _stop(self, cell):
         stop = len(cell.cycle_data)
@@ -518,6 +535,8 @@ class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
         observed_cycles: int | None = None,
     ):
         super().__init__(max_cycle_index, observed_cycles)
+        if n_qdlin < 2:
+            raise ValueError(f"n_qdlin must be >= 2, got {n_qdlin}")
         self.n_qdlin = int(n_qdlin)
         self.v_min = v_min
         self.v_max = v_max
@@ -550,10 +569,10 @@ class CapacityFadeSlopeFeatureExtractor(BaseFeatureExtractor):
 
     def __init__(self, first_cycle: int = 2, last_cycle: int = 99, observed_cycles: int | None = None):
         super().__init__(observed_cycles)
-        if not 0 <= first_cycle < last_cycle:
+        self.first_cycle = _cycle_index("first_cycle", first_cycle)
+        self.last_cycle = _cycle_index("last_cycle", last_cycle)
+        if not first_cycle < last_cycle:
             raise ValueError("need 0 <= first_cycle < last_cycle")
-        self.first_cycle = first_cycle
-        self.last_cycle = last_cycle
         self._check_observed([last_cycle])
 
     def process_cell(self, cell):

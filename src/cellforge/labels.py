@@ -176,6 +176,10 @@ class SOCLabelAnnotator:
     """One SOC label per (cell, cycle, step)."""
 
     def __init__(self, max_cycle_index: int | None = None):
+        if max_cycle_index is not None and (isinstance(max_cycle_index, bool)
+                                            or not isinstance(max_cycle_index, int)
+                                            or max_cycle_index < 0):
+            raise ValueError(f"max_cycle_index must be a non-negative integer, got {max_cycle_index!r}")
         self.max_cycle_index = max_cycle_index
 
     def annotate(self, cells: list[CellRecord]) -> tuple[LabelVector, list[tuple[str, str]]]:

@@ -199,17 +199,44 @@ def _grow(tree, X, y, rng, depth, max_depth, min_samples_leaf, n_candidates):
     _grow(tree, X[~left_mask], y[~left_mask], rng, depth + 1, max_depth, min_samples_leaf, n_candidates)
 
 
-def _build_tree(X, y, rng, max_depth, min_samples_leaf, feature_subsample_fraction):
-    d = X.shape[1]
-    n_candidates = max(1, int(np.ceil(feature_subsample_fraction * d)))
-    tree = ([], [])
-    _grow(tree, X, y, rng, 0, max_depth, min_samples_leaf, n_candidates)
-    return tree
-
-
 class _TreeModel(BaseRegressor):
-    """Prediction and checkpoint blocks shared by the tree and the forest,
-    whose fitted state is one :class:`_NodeTable` in ``nodes_``."""
+    """The constructor, fit over trees, prediction and checkpoint blocks
+    shared by the tree and the forest, whose fitted state is one
+    :class:`_NodeTable` in ``nodes_``. Tree k draws from
+    ``default_rng(seed + k)`` and grows on the rows :meth:`_rows` picks."""
+
+    n_trees = 1
+
+    def __init__(self, max_depth=None, min_samples_leaf: int = 1,
+                 feature_subsample_fraction: float = 1.0, seed: int = 0):
+        super().__init__()
+        if max_depth is not None and max_depth < 0:
+            raise ValueError("max_depth must be None or >= 0")
+        if min_samples_leaf < 1:
+            raise ValueError("min_samples_leaf must be >= 1")
+        if not 0.0 < feature_subsample_fraction <= 1.0:
+            raise ValueError("feature_subsample_fraction must be in (0, 1]")
+        self.max_depth = max_depth
+        self.min_samples_leaf = int(min_samples_leaf)
+        self.feature_subsample_fraction = float(feature_subsample_fraction)
+        self.seed = int(seed)
+
+    def _rows(self, rng, n: int):
+        return slice(None)
+
+    def _fit(self, X, y):
+        n_candidates = max(1, int(np.ceil(self.feature_subsample_fraction * X.shape[1])))
+        trees = []
+        for k in range(self.n_trees):
+            rng = np.random.default_rng(self.seed + k)
+            rows = self._rows(rng, X.shape[0])
+            tree = ([], [])
+            _grow(tree, X[rows], y[rows], rng, 0, self.max_depth, self.min_samples_leaf, n_candidates)
+            trees.append(tree)
+        self.nodes_ = _NodeTable.join(trees)
+
+    def _restore_blocks(self, blocks):
+        self.nodes_ = _NodeTable.from_blocks(blocks, self.n_trees, self.n_features_)
 
     def _predict(self, X):
         return self.nodes_.predict(X)
@@ -220,75 +247,27 @@ class _TreeModel(BaseRegressor):
     @property
     def trees_(self):
         """Each tree as a one-tree table of views."""
-        return [self.nodes_.tree(k) for k in range(len(self.nodes_.tree_start) - 1)]
+        return [self.nodes_.tree(k) for k in range(self.n_trees)]
 
 
 class DecisionTreeRegressor(_TreeModel):
-    """A single CART tree (no bootstrap); the forest's building block."""
+    """A single CART tree grown on every row; the forest's building block."""
 
     kind = "tree"
 
-    def __init__(self, max_depth=None, min_samples_leaf: int = 1,
-                 feature_subsample_fraction: float = 1.0, seed: int = 0):
-        super().__init__()
-        _check_forest_params(max_depth, min_samples_leaf, feature_subsample_fraction)
-        self.max_depth = max_depth
-        self.min_samples_leaf = int(min_samples_leaf)
-        self.feature_subsample_fraction = float(feature_subsample_fraction)
-        self.seed = int(seed)
-
-    def _fit(self, X, y):
-        rng = np.random.default_rng(self.seed)
-        self.nodes_ = _NodeTable.join([_build_tree(
-            X, y, rng, self.max_depth, self.min_samples_leaf, self.feature_subsample_fraction
-        )])
-
-    def _restore_blocks(self, blocks):
-        self.nodes_ = _NodeTable.from_blocks(blocks, 1, self.n_features_)
-
-
-def _check_forest_params(max_depth, min_samples_leaf, feature_subsample_fraction):
-    if max_depth is not None and max_depth < 0:
-        raise ValueError("max_depth must be None or >= 0")
-    if min_samples_leaf < 1:
-        raise ValueError("min_samples_leaf must be >= 1")
-    if not 0.0 < feature_subsample_fraction <= 1.0:
-        raise ValueError("feature_subsample_fraction must be in (0, 1]")
-
 
 class RandomForestRegressor(_TreeModel):
-    """Bagged CART trees; the prediction is the exact mean over trees."""
+    """Bagged CART trees, each grown on a bootstrap sample of the rows; the
+    prediction is the exact mean over trees."""
 
     kind = "random_forest"
 
-    def __init__(
-        self,
-        n_trees: int = 100,
-        max_depth=None,
-        min_samples_leaf: int = 1,
-        feature_subsample_fraction: float = 1.0,
-        seed: int = 0,
-    ):
-        super().__init__()
+    def __init__(self, n_trees: int = 100, max_depth=None, min_samples_leaf: int = 1,
+                 feature_subsample_fraction: float = 1.0, seed: int = 0):
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
-        _check_forest_params(max_depth, min_samples_leaf, feature_subsample_fraction)
+        super().__init__(max_depth, min_samples_leaf, feature_subsample_fraction, seed)
         self.n_trees = int(n_trees)
-        self.max_depth = max_depth
-        self.min_samples_leaf = int(min_samples_leaf)
-        self.feature_subsample_fraction = float(feature_subsample_fraction)
-        self.seed = int(seed)
 
-    def _fit_one(self, X, y, k):
-        rng = np.random.default_rng(self.seed + k)
-        idx = rng.integers(0, X.shape[0], X.shape[0])  # bootstrap sample
-        return _build_tree(
-            X[idx], y[idx], rng, self.max_depth, self.min_samples_leaf,
-            self.feature_subsample_fraction,
-        )
-
-    def _fit(self, X, y):
-        self.nodes_ = _NodeTable.join([self._fit_one(X, y, k) for k in range(self.n_trees)])
-
-    def _restore_blocks(self, blocks):
-        self.nodes_ = _NodeTable.from_blocks(blocks, self.n_trees, self.n_features_)
+    def _rows(self, rng, n: int):
+        return rng.integers(0, n, n)  # bootstrap sample

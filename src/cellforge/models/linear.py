@@ -1,8 +1,7 @@
 """Closed-form regressors: mean baseline, OLS, ridge, PCR, PLSR.
 
-All solvers go through orthogonal decompositions (numpy lstsq/SVD); none of
-them iterate except the NIPALS loop of PLSR, which is the classical power
-iteration with a 1e-10 convergence tolerance.
+All solvers go through orthogonal decompositions (numpy lstsq/SVD) or, for
+PLSR, one closed-form weight vector per component; none of them iterate.
 """
 
 from __future__ import annotations
@@ -120,22 +119,21 @@ class PCRRegressor(_AffineRegressor):
 
 
 class PLSRegressor(BaseRegressor):
-    """Partial least squares (PLS1) fit by NIPALS with deflation on X only.
+    """Partial least squares (PLS1) with deflation on X only.
 
-    Each component's weight vector is refined by the classical power loop
-    until it moves less than ``tol`` (or ``max_iter`` is hit); the final
+    Each component's weight vector is ``X'y / ||X'y||`` on the deflated X:
+    with one target, NIPALS's inner power loop returns that vector after one
+    step in exact arithmetic, so it is computed directly. The final
     regression vector is ``W (P'W)^-1 q`` on centered data.
     """
 
     kind = "plsr"
 
-    def __init__(self, n_components: int = 1, tol: float = 1e-10, max_iter: int = 500):
+    def __init__(self, n_components: int = 1):
         super().__init__()
         if n_components < 1:
             raise ValueError(f"n_components must be >= 1, got {n_components}")
         self.n_components = int(n_components)
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
 
     def _fit(self, X, y):
         _check_components(self.n_components, X)
@@ -152,22 +150,6 @@ class PLSRegressor(BaseRegressor):
             if norm < 1e-15:  # no covariance left to model
                 break
             w = w / norm
-            for _ in range(self.max_iter):
-                t = Xa @ w
-                tt = t @ t
-                if tt < 1e-30:
-                    break
-                q = (yc @ t) / tt
-                u = yc * q
-                w_new = Xa.T @ u
-                w_norm = np.linalg.norm(w_new)
-                if w_norm < 1e-15:
-                    break
-                w_new = w_new / w_norm
-                if np.linalg.norm(w_new - w) < self.tol:
-                    w = w_new
-                    break
-                w = w_new
             t = Xa @ w
             tt = t @ t
             if tt < 1e-30:

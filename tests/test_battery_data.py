@@ -1031,7 +1031,11 @@ class TestColumns:
             data[3]
         with pytest.raises(IndexError):
             data[-4]
-        assert CellRecord("EMPTY").cycle_data == () and len(CellRecord("EMPTY").cycle_data) == 0
+        assert len(CellRecord("EMPTY").cycle_data) == 0
+        # equal only to a CycleData: tuple's comparisons would see its empty storage
+        assert make_cell().cycle_data != () and data != tuple(data)
+        with pytest.raises(TypeError, match="not ordered"):
+            make_cell().cycle_data < (1,)
 
     def test_records_pickle_and_stay_read_only(self):
         cell = make_cell("PK")

@@ -275,6 +275,34 @@ class TestTrainEvaluate:
                      "--workspace", str(tmp_path / "ws")]) == 1
         assert_one_line_error(capsys, "alpha must be >= 0")
 
+    @pytest.mark.parametrize("section,params,message", [
+        ("feature", {"name": "SOHCycleFeatureExtractor", "max_cycle_index": 99.5},
+         "feature extractor 'SOHCycleFeatureExtractor': bad parameters: "
+         "max_cycle_index must be a non-negative integer, got 99.5"),
+        ("feature", {"name": "SOHCycleFeatureExtractor", "max_cycle_index": "10"},
+         "max_cycle_index must be a non-negative integer, got '10'"),
+        ("feature", {"name": "SOHCycleFeatureExtractor", "max_cycle_index": -1},
+         "max_cycle_index must be a non-negative integer, got -1"),
+        ("feature", {"name": "SOCStepFeatureExtractor", "max_cycle_index": True},
+         "max_cycle_index must be a non-negative integer, got True"),
+        ("feature", {"name": "SOCStepFeatureExtractor", "n_qdlin": 1},
+         "feature extractor 'SOCStepFeatureExtractor': bad parameters: n_qdlin must be >= 2, got 1"),
+        ("label", {"name": "SOCLabelAnnotator", "max_cycle_index": 2.0},
+         "label annotator 'SOCLabelAnnotator': bad parameters: "
+         "max_cycle_index must be a non-negative integer, got 2.0"),
+        ("feature", {"name": "CapacityFadeSlopeFeatureExtractor", "first_cycle": 2.5},
+         "first_cycle must be a non-negative integer, got 2.5"),
+        ("feature", {"name": "CapacityFadeSlopeFeatureExtractor", "last_cycle": -1},
+         "last_cycle must be a non-negative integer, got -1"),
+    ], ids=["float", "string", "negative", "bool", "n_qdlin-1", "label-float", "first-float",
+            "last-negative"])
+    def test_bad_cycle_index_is_one_line_error(self, corpus_dir, tmp_path, capsys,
+                                               section, params, message):
+        config_path = write_train_config(tmp_path, corpus_dir, **{section: params})
+        assert main(["train", "--config", str(config_path),
+                     "--workspace", str(tmp_path / "ws")]) == 1
+        assert_one_line_error(capsys, message)
+
     @pytest.mark.parametrize("edit,message", [
         # the linear model takes no seed, so a seed list is checked before it is used
         ({"seeds": [-3]}, "'seeds' must not be negative"),
@@ -342,21 +370,29 @@ class TestTrainEvaluate:
         assert_one_line_error(capsys, "log scale requires strictly positive data")
 
     def test_evaluate_rejects_stored_hyperparameters(self, corpus_dir, tmp_path, capsys):
-        # a forest file from before n_jobs was removed carries that parameter
-        config_path = write_train_config(
-            tmp_path, corpus_dir, model={"name": "RandomForestRegressor", "n_trees": 2}
-        )
-        ws = tmp_path / "ws"
-        assert main(["--quiet", "train", "--config", str(config_path),
-                     "--workspace", str(ws)]) == 0
-        (ckpt,) = ws.iterdir()
-        path = ckpt / "model_seed0.bin"
-        header, blocks = read_model_file(path)
-        write_model_file(path, header["kind"], {**header["hyperparameters"], "n_jobs": 1},
-                         header["metadata"],
-                         [(b["name"], blocks[b["name"]]) for b in header["blocks"]])
-        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
-        assert_one_line_error(capsys, "n_jobs")
+        for model, retired in [
+            # a forest file from before n_jobs was removed carries that parameter
+            ({"name": "RandomForestRegressor", "n_trees": 2}, {"n_jobs": 1}),
+            # a PLS file from before its power loop was removed carries its two knobs
+            ({"name": "PLSRegressor", "n_components": 1}, {"tol": 1e-10, "max_iter": 500}),
+        ]:
+            root = tmp_path / model["name"]
+            root.mkdir()
+            config_path = write_train_config(root, corpus_dir, model=model)
+            ws = root / "ws"
+            assert main(["--quiet", "train", "--config", str(config_path),
+                         "--workspace", str(ws)]) == 0
+            (ckpt,) = ws.iterdir()
+            path = ckpt / "model_seed0.bin"
+            header, blocks = read_model_file(path)
+            write_model_file(path, header["kind"], {**header["hyperparameters"], **retired},
+                             header["metadata"],
+                             [(b["name"], blocks[b["name"]]) for b in header["blocks"]])
+            assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: {header['kind']} model rejects the stored "
+                                  "hyperparameters: ") and err.count("\n") == 1
+            assert f"'{min(retired)}'" in err  # the header stores its keys sorted
 
     def test_evaluate_rejects_model_file_without_blocks(self, checkpoint_dir, tmp_path, capsys):
         ckpt = tmp_path / checkpoint_dir.name

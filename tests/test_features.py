@@ -314,9 +314,15 @@ class TestVarianceExtractor:
             VarianceModelFeatureExtractor(critical_cycles=(9, 99))
 
     def test_observed_cycles_budget_enforced_at_construction(self):
-        with pytest.raises(FeatureError, match="observed-cycle budget"):
-            VarianceModelFeatureExtractor(observed_cycles=50)
+        for make in (
+            lambda: VarianceModelFeatureExtractor(observed_cycles=50),
+            # the temperature integral and resistance rise read cycles 2-99
+            lambda: FullModelFeatureExtractor(critical_cycles=[2, 9, 40], observed_cycles=50),
+        ):
+            with pytest.raises(FeatureError, match=r"cycle indices \[99\] exceed the observed-cycle budget"):
+                make()
         VarianceModelFeatureExtractor(observed_cycles=100)  # index 99 fits
+        FullModelFeatureExtractor(observed_cycles=100)
 
     def test_empty_corpus(self):
         with pytest.raises(FeatureError, match="no cells"):
