@@ -26,6 +26,7 @@ import numpy as np
 
 from .battery_data import CellRecord, CycleData, CycleRecord
 from .errors import FeatureError
+from .registry import integer
 
 VARIANCE_FLOOR = 1e-12
 COULOMBIC_EPS = 1e-5
@@ -202,9 +203,8 @@ class BaseFeatureExtractor:
     """Shared per-cell iteration, sanitization, and matrix assembly."""
 
     def __init__(self, observed_cycles: int | None = None):
-        if observed_cycles is not None and observed_cycles < 1:
-            raise ValueError("observed_cycles must be >= 1")
-        self.observed_cycles = observed_cycles
+        self.observed_cycles = (
+            None if observed_cycles is None else integer("observed_cycles", observed_cycles, 1))
 
     def _check_observed(self, indices):
         """Raise FeatureError when one of the cycle ``indices`` the extractor
@@ -251,12 +251,11 @@ class VarianceModelFeatureExtractor(BaseFeatureExtractor):
         observed_cycles: int | None = None,
     ):
         super().__init__(observed_cycles)
-        if interp_dims < 2:
-            raise ValueError("interp_dims must be >= 2")
         if len(critical_cycles) != 3:
             raise ValueError("critical_cycles must list three 0-based cycle indices")
-        self.interp_dims = int(interp_dims)
-        self.critical_cycles = tuple(int(c) for c in critical_cycles)
+        self.interp_dims = integer("interp_dims", interp_dims, 2)
+        self.critical_cycles = tuple(
+            integer(f"critical_cycles[{k}]", c) for k, c in enumerate(critical_cycles))
         self.v_min = v_min
         self.v_max = v_max
         self._check_observed(self._cycles_read())
@@ -390,14 +389,10 @@ class VoltageCapacityMatrixFeatureExtractor(BaseFeatureExtractor):
         observed_cycles: int | None = None,
     ):
         super().__init__(observed_cycles)
-        if interp_dims < 2:
-            raise ValueError("interp_dims must be >= 2")
-        if diff_base < 0 or max_cycle_index < 0 or cycles_to_keep < 1:
-            raise ValueError("diff_base/max_cycle_index must be >= 0 and cycles_to_keep >= 1")
-        self.interp_dims = int(interp_dims)
-        self.diff_base = int(diff_base)
-        self.max_cycle_index = int(max_cycle_index)
-        self.cycles_to_keep = int(cycles_to_keep)
+        self.interp_dims = integer("interp_dims", interp_dims, 2)
+        self.diff_base = integer("diff_base", diff_base)
+        self.max_cycle_index = integer("max_cycle_index", max_cycle_index)
+        self.cycles_to_keep = integer("cycles_to_keep", cycles_to_keep, 1)
         self.v_min = v_min
         self.v_max = v_max
         self.row_indices = list(range(min(self.cycles_to_keep, self.max_cycle_index + 1)))
@@ -456,47 +451,6 @@ SOH_CYCLE_COL_NAMES = [
 ]
 
 
-def soc_step_features(
-    cell: CellRecord,
-    cycle_index: int,
-    *,
-    n_qdlin: int = 32,
-    v_min=None,
-    v_max=None,
-) -> tuple[np.ndarray, list[str]]:
-    """Per-step SOC features of one cycle.
-
-    Columns: the step's current, voltage, and elapsed time, then the previous
-    cycle's qdlinear curve downsampled to ``n_qdlin`` points and broadcast to
-    every step. For the first cycle the block is zero-filled and the block's
-    column names carry a ``(zero_filled)`` marker.
-    """
-    if not 0 <= cycle_index < len(cell.cycle_data):
-        raise FeatureError(f"{cell.cell_id}: cycle index {cycle_index} out of range")
-    cyc = cell.cycle_data[cycle_index]
-    t = np.asarray(cyc.time_in_s)
-    base = np.column_stack(
-        [np.asarray(cyc.current_in_A), np.asarray(cyc.voltage_in_V), t - t[0]]
-    )
-    names = ["current_in_A", "voltage_in_V", "elapsed_time_s"]
-    if cycle_index == 0:
-        block = np.zeros((len(t), n_qdlin))
-        names += [f"prev_qdlin_{k:02d}(zero_filled)" for k in range(n_qdlin)]
-    else:
-        lo, hi = voltage_bounds(cell, v_min, v_max)
-        prev = qdlinear(cell.cycle_data[cycle_index - 1], lo, hi, n_qdlin)
-        block = np.tile(prev, (len(t), 1))
-        names += [f"prev_qdlin_{k:02d}" for k in range(n_qdlin)]
-    return sanitize(np.hstack([base, block])), names
-
-
-def _cycle_index(name: str, value) -> int:
-    """``value`` when it is a non-negative integer; ValueError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    return value
-
-
 class SOHCycleFeatureExtractor(BaseFeatureExtractor):
     """One row per (cell, cycle) of :func:`soh_cycle_features`."""
 
@@ -505,7 +459,7 @@ class SOHCycleFeatureExtractor(BaseFeatureExtractor):
     def __init__(self, max_cycle_index: int | None = None, observed_cycles: int | None = None):
         super().__init__(observed_cycles)
         self.max_cycle_index = (
-            None if max_cycle_index is None else _cycle_index("max_cycle_index", max_cycle_index))
+            None if max_cycle_index is None else integer("max_cycle_index", max_cycle_index))
 
     def _stop(self, cell):
         stop = len(cell.cycle_data)
@@ -523,8 +477,10 @@ class SOHCycleFeatureExtractor(BaseFeatureExtractor):
 
 
 class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
-    """One row per (cell, cycle, step); zero-filled first-cycle history is
-    flagged by an indicator column so column names stay uniform."""
+    """One row per (cell, cycle, step): the step's current, voltage and time
+    since the cycle's start, the previous cycle's qdlinear curve on
+    ``n_qdlin`` (an integer >= 2) points, and a flag that is 1.0 on the
+    first cycle, whose curve is zero-filled, so column names stay uniform."""
 
     def __init__(
         self,
@@ -535,9 +491,7 @@ class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
         observed_cycles: int | None = None,
     ):
         super().__init__(max_cycle_index, observed_cycles)
-        if n_qdlin < 2:
-            raise ValueError(f"n_qdlin must be >= 2, got {n_qdlin}")
-        self.n_qdlin = int(n_qdlin)
+        self.n_qdlin = integer("n_qdlin", n_qdlin, 2)
         self.v_min = v_min
         self.v_max = v_max
         self.col_names = (
@@ -547,16 +501,22 @@ class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
         )
 
     def process_cell(self, cell):
+        cycles = cell.cycle_data
+        stop = self._stop(cell)
+        if stop > 1:
+            lo, hi = voltage_bounds(cell, self.v_min, self.v_max)
         blocks, keys = [], []
-        numbers = cell.cycle_data.cycle_number.tolist()
-        for idx in range(self._stop(cell)):
-            rows, _ = soc_step_features(
-                cell, idx, n_qdlin=self.n_qdlin, v_min=self.v_min, v_max=self.v_max
-            )
-            flag = np.full((rows.shape[0], 1), 1.0 if idx == 0 else 0.0)
-            blocks.append(np.hstack([rows, flag]))
-            keys.extend((cell.cell_id, numbers[idx], step) for step in range(rows.shape[0]))
-        return np.vstack(blocks), keys
+        for idx, number in enumerate(cycles.cycle_number[:stop].tolist()):
+            cyc = cycles[idx]
+            t = np.asarray(cyc.time_in_s)
+            if idx == 0:
+                prev, flag = np.zeros(self.n_qdlin), 1.0
+            else:
+                prev, flag = qdlinear(cycles[idx - 1], lo, hi, self.n_qdlin), 0.0
+            blocks.append(np.column_stack([cyc.current_in_A, cyc.voltage_in_V, t - t[0],
+                                           np.tile(prev, (len(t), 1)), np.full(len(t), flag)]))
+            keys.extend((cell.cell_id, number, step) for step in range(len(t)))
+        return sanitize(np.vstack(blocks)), keys
 
 
 class CapacityFadeSlopeFeatureExtractor(BaseFeatureExtractor):
@@ -569,11 +529,11 @@ class CapacityFadeSlopeFeatureExtractor(BaseFeatureExtractor):
 
     def __init__(self, first_cycle: int = 2, last_cycle: int = 99, observed_cycles: int | None = None):
         super().__init__(observed_cycles)
-        self.first_cycle = _cycle_index("first_cycle", first_cycle)
-        self.last_cycle = _cycle_index("last_cycle", last_cycle)
+        self.first_cycle = integer("first_cycle", first_cycle)
+        self.last_cycle = integer("last_cycle", last_cycle)
         if not first_cycle < last_cycle:
             raise ValueError("need 0 <= first_cycle < last_cycle")
-        self._check_observed([last_cycle])
+        self._check_observed([self.last_cycle])
 
     def process_cell(self, cell):
         from .labels import soh_per_cycle

@@ -23,13 +23,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .battery_data import CellRecord
 from .errors import LabelError, ThresholdNotReached
+from .registry import integer
 
 EOL_SOH_PERCENT_DEFAULT = 80.0
 
 
 @dataclass(frozen=True)
 class LabelSpec:
-    """Annotation parameters shared by the label functions."""
+    """Annotation parameters shared by the label functions;
+    ``smoothing_window`` is an odd integer >= 1."""
 
     eol_soh_percent: float = EOL_SOH_PERCENT_DEFAULT
     smoothing_window: int = 1
@@ -37,7 +39,9 @@ class LabelSpec:
     def __post_init__(self):
         if not 0.0 < self.eol_soh_percent < 100.0:
             raise ValueError(f"eol_soh_percent must be in (0, 100), got {self.eol_soh_percent}")
-        if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
+        object.__setattr__(self, "smoothing_window",
+                           integer("smoothing_window", self.smoothing_window, 1))
+        if self.smoothing_window % 2 == 0:
             raise ValueError(f"smoothing_window must be odd and >= 1, got {self.smoothing_window}")
 
 
@@ -173,14 +177,12 @@ class SOHLabelAnnotator:
 
 
 class SOCLabelAnnotator:
-    """One SOC label per (cell, cycle, step)."""
+    """One SOC label per (cell, cycle, step) of the cycles up to
+    ``max_cycle_index`` (a non-negative integer, or None for every cycle)."""
 
     def __init__(self, max_cycle_index: int | None = None):
-        if max_cycle_index is not None and (isinstance(max_cycle_index, bool)
-                                            or not isinstance(max_cycle_index, int)
-                                            or max_cycle_index < 0):
-            raise ValueError(f"max_cycle_index must be a non-negative integer, got {max_cycle_index!r}")
-        self.max_cycle_index = max_cycle_index
+        self.max_cycle_index = (
+            None if max_cycle_index is None else integer("max_cycle_index", max_cycle_index))
 
     def annotate(self, cells: list[CellRecord]) -> tuple[LabelVector, list[tuple[str, str]]]:
         values, keys = [], []

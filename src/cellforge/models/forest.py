@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CheckpointError
+from ..registry import integer
 from .base import BaseRegressor, param_block
 
 
@@ -203,23 +204,20 @@ class _TreeModel(BaseRegressor):
     """The constructor, fit over trees, prediction and checkpoint blocks
     shared by the tree and the forest, whose fitted state is one
     :class:`_NodeTable` in ``nodes_``. Tree k draws from
-    ``default_rng(seed + k)`` and grows on the rows :meth:`_rows` picks."""
+    ``default_rng(seed + k)`` and grows on the rows :meth:`_rows` picks.
+    ``max_depth`` is None or an integer >= 0, ``min_samples_leaf`` >= 1."""
 
     n_trees = 1
 
     def __init__(self, max_depth=None, min_samples_leaf: int = 1,
                  feature_subsample_fraction: float = 1.0, seed: int = 0):
         super().__init__()
-        if max_depth is not None and max_depth < 0:
-            raise ValueError("max_depth must be None or >= 0")
-        if min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
         if not 0.0 < feature_subsample_fraction <= 1.0:
             raise ValueError("feature_subsample_fraction must be in (0, 1]")
-        self.max_depth = max_depth
-        self.min_samples_leaf = int(min_samples_leaf)
+        self.max_depth = None if max_depth is None else integer("max_depth", max_depth)
+        self.min_samples_leaf = integer("min_samples_leaf", min_samples_leaf, 1)
         self.feature_subsample_fraction = float(feature_subsample_fraction)
-        self.seed = int(seed)
+        self.seed = integer("seed", seed)
 
     def _rows(self, rng, n: int):
         return slice(None)
@@ -258,16 +256,14 @@ class DecisionTreeRegressor(_TreeModel):
 
 class RandomForestRegressor(_TreeModel):
     """Bagged CART trees, each grown on a bootstrap sample of the rows; the
-    prediction is the exact mean over trees."""
+    prediction is the exact mean over trees. ``n_trees`` is an integer >= 1."""
 
     kind = "random_forest"
 
     def __init__(self, n_trees: int = 100, max_depth=None, min_samples_leaf: int = 1,
                  feature_subsample_fraction: float = 1.0, seed: int = 0):
-        if n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
         super().__init__(max_depth, min_samples_leaf, feature_subsample_fraction, seed)
-        self.n_trees = int(n_trees)
+        self.n_trees = integer("n_trees", n_trees, 1)
 
     def _rows(self, rng, n: int):
         return rng.integers(0, n, n)  # bootstrap sample

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CheckpointError, ModelError
+from ..registry import integer
 from .base import BaseRegressor, param_block
 
 
@@ -88,23 +89,24 @@ class RidgeRegressor(_AffineRegressor):
 
 
 def _check_components(n_components, X):
-    if n_components > min(X.shape):
+    # the centred X has rank at most n_samples - 1; a component past it fits rounding noise
+    bound = min(X.shape[0] - 1, X.shape[1])
+    if n_components > bound:
         raise ModelError(
-            f"n_components={n_components} exceeds min(n_samples, n_features)={min(X.shape)}"
+            f"n_components={n_components} exceeds min(n_samples - 1, n_features)={bound}"
         )
 
 
 class PCRRegressor(_AffineRegressor):
     """Principal component regression: center X, project onto the top-k right
-    singular vectors, regress y on the scores."""
+    singular vectors, regress y on the scores. ``n_components`` is an
+    integer from 1 to min(n_samples - 1, n_features)."""
 
     kind = "pcr"
 
     def __init__(self, n_components: int = 1):
         super().__init__()
-        if n_components < 1:
-            raise ValueError(f"n_components must be >= 1, got {n_components}")
-        self.n_components = int(n_components)
+        self.n_components = integer("n_components", n_components, 1)
 
     def _fit(self, X, y):
         _check_components(self.n_components, X)
@@ -124,16 +126,15 @@ class PLSRegressor(BaseRegressor):
     Each component's weight vector is ``X'y / ||X'y||`` on the deflated X:
     with one target, NIPALS's inner power loop returns that vector after one
     step in exact arithmetic, so it is computed directly. The final
-    regression vector is ``W (P'W)^-1 q`` on centered data.
+    regression vector is ``W (P'W)^-1 q`` on centered data. ``n_components``
+    is an integer from 1 to min(n_samples - 1, n_features).
     """
 
     kind = "plsr"
 
     def __init__(self, n_components: int = 1):
         super().__init__()
-        if n_components < 1:
-            raise ValueError(f"n_components must be >= 1, got {n_components}")
-        self.n_components = int(n_components)
+        self.n_components = integer("n_components", n_components, 1)
 
     def _fit(self, X, y):
         _check_components(self.n_components, X)

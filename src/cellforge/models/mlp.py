@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..registry import integer
 from .base import BaseRegressor, param_block
 
 _ACTIVATIONS = ("relu", "identity")
 
 
 class MLPRegressor(BaseRegressor):
+    """``hidden_dims`` lists the hidden layer widths; they, ``epochs`` and
+    ``batch_size`` are integers >= 1."""
+
     kind = "mlp"
 
     def __init__(
@@ -35,18 +39,15 @@ class MLPRegressor(BaseRegressor):
         super().__init__()
         if activation not in _ACTIVATIONS:
             raise ValueError(f"activation must be one of {_ACTIVATIONS}, got {activation!r}")
-        if epochs < 1 or batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
         if learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        self.hidden_dims = tuple(int(h) for h in hidden_dims)
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden layer widths must be >= 1")
+        self.hidden_dims = tuple(
+            integer(f"hidden_dims[{k}]", h, 1) for k, h in enumerate(hidden_dims))
         self.activation = activation
-        self.epochs = int(epochs)
-        self.batch_size = int(batch_size)
+        self.epochs = integer("epochs", epochs, 1)
+        self.batch_size = integer("batch_size", batch_size, 1)
         self.learning_rate = float(learning_rate)
-        self.seed = int(seed)
+        self.seed = integer("seed", seed)
 
     # -- network plumbing ---------------------------------------------------
 

@@ -2,7 +2,27 @@
 
 from __future__ import annotations
 
+import operator
+
 from .errors import CellforgeError, RegistryError
+
+
+def integer(name: str, value, minimum: int = 0) -> int:
+    """``value`` as a Python int when it is an integer of at least ``minimum``.
+
+    Every integer constructor parameter of a registered component goes
+    through here. A numpy integer passes; a bool, a string or any float,
+    whole ones included, raises a ValueError naming ``name``, which
+    :meth:`Registry.create` reports as one ``bad parameters`` line.
+    """
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < minimum:
+        bound = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return number
 
 
 class Registry:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .battery_data import json_document, read_file
 from .errors import SplitError
+from .registry import integer
 
 __all__ = [
     "SplitResult",
@@ -24,6 +25,14 @@ __all__ = [
     "ExplicitTrainTestSplitter",
     "FixedSplitTrainTestSplitter",
 ]
+
+
+def _cell_ids(name: str, ids) -> tuple[str, ...]:
+    """``ids`` as a tuple when it is a list or tuple of strings; a
+    :class:`SplitError` naming ``name`` otherwise."""
+    if not isinstance(ids, (list, tuple)) or not all(isinstance(c, str) for c in ids):
+        raise SplitError(f"{name} must be a list of strings")
+    return tuple(ids)
 
 
 @dataclass(frozen=True)
@@ -61,15 +70,12 @@ class SplitResult:
         for key in ("train", "test"):
             if key not in payload:
                 raise SplitError(f"split payload missing {key!r} list")
-            ids = payload[key]
-            if not isinstance(ids, list) or not all(isinstance(c, str) for c in ids):
-                raise SplitError(f"split payload {key!r} must be a list of strings")
         metadata = payload.get("metadata", {})
         if not isinstance(metadata, dict):
             raise SplitError("split payload 'metadata' must be an object")
         return cls(
-            train_cell_ids=tuple(payload["train"]),
-            test_cell_ids=tuple(payload["test"]),
+            train_cell_ids=_cell_ids("split payload 'train'", payload["train"]),
+            test_cell_ids=_cell_ids("split payload 'test'", payload["test"]),
             metadata=metadata,
         )
 
@@ -82,15 +88,14 @@ class BaseTrainTestSplitter:
 
 
 class RandomTrainTestSplitter(BaseTrainTestSplitter):
-    """Random partition; test count is floor(n * test_fraction), at least 1."""
+    """Random partition; test count is floor(n * test_fraction), at least 1,
+    drawn from ``default_rng(seed)``."""
 
     def __init__(self, test_fraction: float = 0.2, seed: int = 0):
         if not 0.0 < test_fraction < 1.0:
             raise SplitError(f"test_fraction must be in (0, 1), got {test_fraction}")
         self.test_fraction = float(test_fraction)
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise SplitError(f"seed must be >= 0, got {seed}")
+        self.seed = integer("seed", seed)
 
     def split(self, cell_ids: Sequence[str]) -> SplitResult:
         ids = sorted(cell_ids)
@@ -109,7 +114,7 @@ class RandomTrainTestSplitter(BaseTrainTestSplitter):
 
 
 class ExplicitTrainTestSplitter(BaseTrainTestSplitter):
-    """Partition given directly as two ID lists.
+    """Partition given directly as two lists (or tuples) of cell IDs.
 
     Every listed cell must be present in the corpus; corpus cells not
     listed are dropped from the experiment.
@@ -118,8 +123,8 @@ class ExplicitTrainTestSplitter(BaseTrainTestSplitter):
     def __init__(self, train_ids: Sequence[str], test_ids: Sequence[str],
                  metadata: dict | None = None):
         self._result = SplitResult(
-            train_cell_ids=tuple(train_ids),
-            test_cell_ids=tuple(test_ids),
+            train_cell_ids=_cell_ids("train_ids", train_ids),
+            test_cell_ids=_cell_ids("test_ids", test_ids),
             metadata=dict(metadata or {}),
         )
 

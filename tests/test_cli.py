@@ -286,7 +286,8 @@ class TestTrainEvaluate:
         ("feature", {"name": "SOCStepFeatureExtractor", "max_cycle_index": True},
          "max_cycle_index must be a non-negative integer, got True"),
         ("feature", {"name": "SOCStepFeatureExtractor", "n_qdlin": 1},
-         "feature extractor 'SOCStepFeatureExtractor': bad parameters: n_qdlin must be >= 2, got 1"),
+         "feature extractor 'SOCStepFeatureExtractor': bad parameters: "
+         "n_qdlin must be an integer >= 2, got 1"),
         ("label", {"name": "SOCLabelAnnotator", "max_cycle_index": 2.0},
          "label annotator 'SOCLabelAnnotator': bad parameters: "
          "max_cycle_index must be a non-negative integer, got 2.0"),
@@ -294,8 +295,21 @@ class TestTrainEvaluate:
          "first_cycle must be a non-negative integer, got 2.5"),
         ("feature", {"name": "CapacityFadeSlopeFeatureExtractor", "last_cycle": -1},
          "last_cycle must be a non-negative integer, got -1"),
+        # each of these trained, truncated the float or ended in a traceback
+        ("model", {"name": "RandomForestRegressor", "n_trees": 2.9},
+         "model 'RandomForestRegressor': bad parameters: n_trees must be an integer >= 1, got 2.9"),
+        ("label", {"name": "RULLabelAnnotator", "smoothing_window": 3.0},
+         "label annotator 'RULLabelAnnotator': bad parameters: "
+         "smoothing_window must be an integer >= 1, got 3.0"),
+        ("feature", {**TRAIN_CONFIG["feature"], "critical_cycles": [2, 9.7, 99]},
+         "critical_cycles[1] must be a non-negative integer, got 9.7"),
+        ("model", {"name": "MLPRegressor", "hidden_dims": [32.5]},
+         "hidden_dims[0] must be an integer >= 1, got 32.5"),
+        ("model", {"name": "DecisionTreeRegressor", "max_depth": 2.5},
+         "max_depth must be a non-negative integer, got 2.5"),
     ], ids=["float", "string", "negative", "bool", "n_qdlin-1", "label-float", "first-float",
-            "last-negative"])
+            "last-negative", "n_trees-float", "smoothing-float", "critical-float",
+            "hidden-float", "depth-float"])
     def test_bad_cycle_index_is_one_line_error(self, corpus_dir, tmp_path, capsys,
                                                section, params, message):
         config_path = write_train_config(tmp_path, corpus_dir, **{section: params})
@@ -307,7 +321,7 @@ class TestTrainEvaluate:
         # the linear model takes no seed, so a seed list is checked before it is used
         ({"seeds": [-3]}, "'seeds' must not be negative"),
         ({"train_test_split": {**TRAIN_CONFIG["train_test_split"], "seed": -2}},
-         "seed must be >= 0, got -2"),
+         "seed must be a non-negative integer, got -2"),
     ])
     def test_negative_seed_is_one_line_error(self, corpus_dir, tmp_path, capsys, edit, message):
         config = {**TRAIN_CONFIG, **edit}
@@ -317,6 +331,16 @@ class TestTrainEvaluate:
         assert main(["train", "--config", str(config_path),
                      "--workspace", str(tmp_path / "ws")]) == 1
         assert_one_line_error(capsys, message)
+
+    def test_split_ids_that_are_not_a_list_are_one_line_error(self, corpus_dir, tmp_path, capsys):
+        # a string was split into its characters, each reported absent from the corpus
+        config_path = tmp_path / "experiment.yaml"
+        config_path.write_text(yaml.safe_dump({**TRAIN_CONFIG, "train_test_split": {
+            "name": "ExplicitTrainTestSplitter", "cell_data_path": str(corpus_dir),
+            "train_ids": "SYN_0000", "test_ids": ["SYN_0001"]}}))
+        assert main(["train", "--config", str(config_path),
+                     "--workspace", str(tmp_path / "ws")]) == 1
+        assert_one_line_error(capsys, "error: train_ids must be a list of strings\n")
 
     def test_retired_packaged_splitter_is_one_line_error(self, corpus_dir, tmp_path, capsys):
         config_path = tmp_path / "experiment.yaml"
@@ -357,7 +381,7 @@ class TestTrainEvaluate:
         )
         ws = tmp_path / "ws"
         assert main(["train", "--config", str(config_path), "--workspace", str(ws)]) == 1
-        assert_one_line_error(capsys, "n_components=3 exceeds min(n_samples, n_features)=1")
+        assert_one_line_error(capsys, "n_components=3 exceeds min(n_samples - 1, n_features)=1")
         assert not ws.exists() or list(ws.iterdir()) == []
 
     def test_failing_transform_is_one_line_error(self, corpus_dir, tmp_path, capsys):
@@ -370,11 +394,16 @@ class TestTrainEvaluate:
         assert_one_line_error(capsys, "log scale requires strictly positive data")
 
     def test_evaluate_rejects_stored_hyperparameters(self, corpus_dir, tmp_path, capsys):
-        for model, retired in [
+        for model, stored, fragment in [
             # a forest file from before n_jobs was removed carries that parameter
-            ({"name": "RandomForestRegressor", "n_trees": 2}, {"n_jobs": 1}),
-            # a PLS file from before its power loop was removed carries its two knobs
-            ({"name": "PLSRegressor", "n_components": 1}, {"tol": 1e-10, "max_iter": 500}),
+            ({"name": "RandomForestRegressor", "n_trees": 2}, {"n_jobs": 1}, "'n_jobs'"),
+            # a PLS file from before its power loop was removed carries its two
+            # knobs; the header stores its keys sorted
+            ({"name": "PLSRegressor", "n_components": 1}, {"tol": 1e-10, "max_iter": 500},
+             "'max_iter'"),
+            # a float where an integer belongs is refused, not truncated
+            ({"name": "DecisionTreeRegressor", "max_depth": 3}, {"max_depth": 3.0},
+             "max_depth must be a non-negative integer, got 3.0"),
         ]:
             root = tmp_path / model["name"]
             root.mkdir()
@@ -385,14 +414,14 @@ class TestTrainEvaluate:
             (ckpt,) = ws.iterdir()
             path = ckpt / "model_seed0.bin"
             header, blocks = read_model_file(path)
-            write_model_file(path, header["kind"], {**header["hyperparameters"], **retired},
+            write_model_file(path, header["kind"], {**header["hyperparameters"], **stored},
                              header["metadata"],
                              [(b["name"], blocks[b["name"]]) for b in header["blocks"]])
             assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
             err = capsys.readouterr().err
             assert err.startswith(f"error: {path}: {header['kind']} model rejects the stored "
                                   "hyperparameters: ") and err.count("\n") == 1
-            assert f"'{min(retired)}'" in err  # the header stores its keys sorted
+            assert fragment in err
 
     def test_evaluate_rejects_model_file_without_blocks(self, checkpoint_dir, tmp_path, capsys):
         ckpt = tmp_path / checkpoint_dir.name

@@ -251,6 +251,16 @@ def stump_oracle_sse(X, y, min_leaf=1):
     return best
 
 
+@pytest.mark.parametrize("model", [PCRRegressor, PLSRegressor])
+def test_components_stop_at_the_rank_of_the_centred_X(model):
+    # four centred rows span at most three dimensions; a fourth component
+    # would be fitted to rounding noise
+    X, y, _ = toy_problem(n=4, d=10, seed=13)
+    with pytest.raises(ModelError, match=r"n_components=4 exceeds min\(n_samples - 1, n_features\)=3"):
+        model(n_components=4).fit(X, y)
+    assert model(n_components=3).fit(X, y).fitted
+
+
 class TestDecisionTree:
     def test_memorizes_distinct_training_data(self):
         rng = np.random.default_rng(12)

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import json
 import re
 import shutil
@@ -15,6 +16,7 @@ import yaml
 from cellforge.battery_data import load_cells, write_cell, write_container
 from cellforge.cli import main as cli_main
 from cellforge.errors import (
+    CellforgeError,
     CheckpointError,
     ConfigError,
     PipelineError,
@@ -38,7 +40,7 @@ from cellforge.pipeline import (
     run_evaluate,
     run_train,
 )
-from cellforge.registry import register
+from cellforge.registry import FEATURES, LABELS, MODELS, SPLITTERS, register
 from cellforge.synthetic import SynthSpec, generate_synthetic
 from cellforge.transforms import ZScoreDataTransformation, _Fitted
 
@@ -533,12 +535,17 @@ class TestSplitMetadataOverrides:
             assert row["y_true"] == rul_oracle(by_id[row["cell_id"]], percent=80.0)
 
     def test_observed_cycles_metadata_reaches_extractor(self, pipe_cells, tmp_path):
-        # a 50-cycle budget cannot cover the feature's cycle-99 read
-        cfg = make_config(
-            train_test_split=self.split_section(pipe_cells, {"observed_cycles": 50})
-        )
-        with pytest.raises(Exception, match="observed-cycle budget"):
-            run_train(cfg, workspace=tmp_path, cells=pipe_cells)
+        for observed, message in [
+            # a 50-cycle budget cannot cover the feature's cycle-99 read
+            (50, "observed-cycle budget"),
+            (2.5, "feature extractor 'VarianceModelFeatureExtractor': bad parameters: "
+                  "observed_cycles must be an integer >= 1, got 2.5"),
+        ]:
+            cfg = make_config(
+                train_test_split=self.split_section(pipe_cells, {"observed_cycles": observed})
+            )
+            with pytest.raises(CellforgeError, match=re.escape(message)):
+                run_train(cfg, workspace=tmp_path, cells=pipe_cells)
 
     def test_explicit_feature_params_beat_metadata(self, pipe_cells, tmp_path):
         cfg = make_config(
@@ -623,7 +630,43 @@ register("model", "MedianRegressor", _MedianRegressor)
 register("transform", "CenterDataTransformation", _CenterTransformation)
 
 
+# integer parameters whose default is None, with a value every component takes
+_NONE_DEFAULT_INTEGERS = {"max_depth": 100, "observed_cycles": 100, "max_cycle_index": 100}
+
+
+def _stored(component, parameter):
+    """The value a component keeps for ``parameter``: its attribute of that
+    name, or that of one of its attributes (a label annotator's spec)."""
+    for holder in (component, *vars(component).values()):
+        if hasattr(holder, parameter):
+            return getattr(holder, parameter)
+    raise AssertionError(f"{type(component).__name__} keeps no {parameter!r}")
+
+
 class TestRegisteredComponents:
+    def test_every_integer_parameter_refuses_what_is_not_an_integer(self):
+        seen = set()
+        for registry in (FEATURES, LABELS, MODELS, SPLITTERS):
+            for name in registry.names():
+                for p in inspect.signature(registry.get_factory(name)).parameters.values():
+                    if type(p.default) is int:
+                        valid = p.default
+                    elif p.name in _NONE_DEFAULT_INTEGERS:
+                        valid = _NONE_DEFAULT_INTEGERS[p.name]
+                    else:
+                        continue
+                    seen.add(p.name)
+                    for bad in (valid + 0.5, True, "3"):
+                        with pytest.raises(RegistryError, match=f"bad parameters: {p.name} "):
+                            registry.create(name, **{p.name: bad})
+                    for good in (valid, np.int64(valid)):
+                        value = _stored(registry.create(name, **{p.name: good}), p.name)
+                        assert type(value) is int and value == valid, (name, p.name, good)
+        assert {"observed_cycles", "interp_dims", "diff_base", "max_cycle_index",
+                "cycles_to_keep", "n_qdlin", "first_cycle", "last_cycle", "smoothing_window",
+                "n_components", "epochs", "batch_size", "seed", "max_depth",
+                "min_samples_leaf", "n_trees"} <= seen
+
     def test_registered_model_and_transform_survive_evaluate(self, pipe_cells, tmp_path):
         cfg = make_config(
             feature_transformation={"name": "CenterDataTransformation"},
