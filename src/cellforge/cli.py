@@ -81,9 +81,7 @@ def _load_synth_spec(path, seed_override) -> SynthSpec:
         fields["seed"] = seed_override
     try:
         return SynthSpec(**fields)
-    except TypeError as exc:
-        raise ConfigError(f"bad generator spec: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad generator spec: {exc}") from exc
 
 

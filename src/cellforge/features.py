@@ -7,7 +7,7 @@ Conventions used throughout this module:
   0-based and inclusive.
 * ``qdlinear`` resamples a cycle's discharge capacity onto a uniform voltage
   grid running from ``v_max`` down to ``v_min``. Grid bounds default to the
-  cell's voltage limits and may be overridden per extractor.
+  cell's voltage limits; an extractor's finite ``v_min``/``v_max`` override them.
 * Statistics of capacity-difference vectors are population moments; variance
   features take log10 with a 1e-12 floor, the multi-feature extractors take
   raw log10 and rely on sanitization.
@@ -26,7 +26,7 @@ import numpy as np
 
 from .battery_data import CellRecord, CycleData, CycleRecord
 from .errors import FeatureError
-from .registry import integer
+from .registry import integer, number
 
 VARIANCE_FLOOR = 1e-12
 COULOMBIC_EPS = 1e-5
@@ -256,8 +256,8 @@ class VarianceModelFeatureExtractor(BaseFeatureExtractor):
         self.interp_dims = integer("interp_dims", interp_dims, 2)
         self.critical_cycles = tuple(
             integer(f"critical_cycles[{k}]", c) for k, c in enumerate(critical_cycles))
-        self.v_min = v_min
-        self.v_max = v_max
+        self.v_min = None if v_min is None else number("v_min", v_min)
+        self.v_max = None if v_max is None else number("v_max", v_max)
         self._check_observed(self._cycles_read())
 
     def _cycles_read(self):
@@ -393,8 +393,8 @@ class VoltageCapacityMatrixFeatureExtractor(BaseFeatureExtractor):
         self.diff_base = integer("diff_base", diff_base)
         self.max_cycle_index = integer("max_cycle_index", max_cycle_index)
         self.cycles_to_keep = integer("cycles_to_keep", cycles_to_keep, 1)
-        self.v_min = v_min
-        self.v_max = v_max
+        self.v_min = None if v_min is None else number("v_min", v_min)
+        self.v_max = None if v_max is None else number("v_max", v_max)
         self.row_indices = list(range(min(self.cycles_to_keep, self.max_cycle_index + 1)))
         self._check_observed([self.diff_base, self.row_indices[-1]])
         self.col_names = [
@@ -462,17 +462,15 @@ class SOHCycleFeatureExtractor(BaseFeatureExtractor):
             None if max_cycle_index is None else integer("max_cycle_index", max_cycle_index))
 
     def _stop(self, cell):
-        stop = len(cell.cycle_data)
-        caps = [c for c in (self.max_cycle_index, None if self.observed_cycles is None else self.observed_cycles - 1) if c is not None]
-        if caps:
-            stop = min(stop, min(caps) + 1)
-        return stop
-
-    def process_cell(self, cell):
         if not cell.cycle_data:
             raise FeatureError(f"{cell.cell_id}: no cycles")
+        limits = (len(cell.cycle_data), self.observed_cycles,
+                  None if self.max_cycle_index is None else self.max_cycle_index + 1)
+        return min(n for n in limits if n is not None)
+
+    def process_cell(self, cell):
         stop = self._stop(cell)
-        keys = [(cell.cell_id, number, None) for number in cell.cycle_data.cycle_number[:stop].tolist()]
+        keys = [(cell.cell_id, cycle_no, None) for cycle_no in cell.cycle_data.cycle_number[:stop].tolist()]
         return _soh_cycle_rows(cell, 0, stop), keys
 
 
@@ -492,8 +490,8 @@ class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
     ):
         super().__init__(max_cycle_index, observed_cycles)
         self.n_qdlin = integer("n_qdlin", n_qdlin, 2)
-        self.v_min = v_min
-        self.v_max = v_max
+        self.v_min = None if v_min is None else number("v_min", v_min)
+        self.v_max = None if v_max is None else number("v_max", v_max)
         self.col_names = (
             ["current_in_A", "voltage_in_V", "elapsed_time_s"]
             + [f"prev_qdlin_{k:02d}" for k in range(self.n_qdlin)]
@@ -506,7 +504,7 @@ class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
         if stop > 1:
             lo, hi = voltage_bounds(cell, self.v_min, self.v_max)
         blocks, keys = [], []
-        for idx, number in enumerate(cycles.cycle_number[:stop].tolist()):
+        for idx, cycle_no in enumerate(cycles.cycle_number[:stop].tolist()):
             cyc = cycles[idx]
             t = np.asarray(cyc.time_in_s)
             if idx == 0:
@@ -515,7 +513,7 @@ class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
                 prev, flag = qdlinear(cycles[idx - 1], lo, hi, self.n_qdlin), 0.0
             blocks.append(np.column_stack([cyc.current_in_A, cyc.voltage_in_V, t - t[0],
                                            np.tile(prev, (len(t), 1)), np.full(len(t), flag)]))
-            keys.extend((cell.cell_id, number, step) for step in range(len(t)))
+            keys.extend((cell.cell_id, cycle_no, step) for step in range(len(t)))
         return sanitize(np.vstack(blocks)), keys
 
 

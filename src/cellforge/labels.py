@@ -23,22 +23,22 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .battery_data import CellRecord
 from .errors import LabelError, ThresholdNotReached
-from .registry import integer
+from .registry import integer, number
 
 EOL_SOH_PERCENT_DEFAULT = 80.0
 
 
 @dataclass(frozen=True)
 class LabelSpec:
-    """Annotation parameters shared by the label functions;
-    ``smoothing_window`` is an odd integer >= 1."""
+    """Annotation parameters shared by the label functions; ``eol_soh_percent``
+    is a number in (0, 100), ``smoothing_window`` an odd integer >= 1."""
 
     eol_soh_percent: float = EOL_SOH_PERCENT_DEFAULT
     smoothing_window: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.eol_soh_percent < 100.0:
-            raise ValueError(f"eol_soh_percent must be in (0, 100), got {self.eol_soh_percent}")
+        object.__setattr__(self, "eol_soh_percent",
+                           number("eol_soh_percent", self.eol_soh_percent, gt=0, lt=100))
         object.__setattr__(self, "smoothing_window",
                            integer("smoothing_window", self.smoothing_window, 1))
         if self.smoothing_window % 2 == 0:
@@ -170,9 +170,9 @@ class SOHLabelAnnotator:
         values, keys = [], []
         for cell in cells:
             soh = soh_per_cycle(cell)
-            for number, s in zip(cell.cycle_data.cycle_number.tolist(), soh):
+            for cycle_no, s in zip(cell.cycle_data.cycle_number.tolist(), soh):
                 values.append(s)
-                keys.append((cell.cell_id, number, None))
+                keys.append((cell.cell_id, cycle_no, None))
         return LabelVector(np.array(values), keys), []
 
 
@@ -190,9 +190,9 @@ class SOCLabelAnnotator:
             stop = len(cell.cycle_data)
             if self.max_cycle_index is not None:
                 stop = min(stop, self.max_cycle_index + 1)
-            for idx, number in enumerate(cell.cycle_data.cycle_number[:stop].tolist()):
+            for idx, cycle_no in enumerate(cell.cycle_data.cycle_number[:stop].tolist()):
                 soc = soc_per_step(cell, idx)
                 for step, s in enumerate(soc):
                     values.append(s)
-                    keys.append((cell.cell_id, number, step))
+                    keys.append((cell.cell_id, cycle_no, step))
         return LabelVector(np.array(values), keys), []

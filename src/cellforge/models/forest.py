@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CheckpointError
-from ..registry import integer
+from ..registry import integer, number
 from .base import BaseRegressor, param_block
 
 
@@ -201,22 +201,21 @@ def _grow(tree, X, y, rng, depth, max_depth, min_samples_leaf, n_candidates):
 
 
 class _TreeModel(BaseRegressor):
-    """The constructor, fit over trees, prediction and checkpoint blocks
-    shared by the tree and the forest, whose fitted state is one
-    :class:`_NodeTable` in ``nodes_``. Tree k draws from
-    ``default_rng(seed + k)`` and grows on the rows :meth:`_rows` picks.
-    ``max_depth`` is None or an integer >= 0, ``min_samples_leaf`` >= 1."""
+    """The constructor, fit over trees, prediction and checkpoint blocks shared
+    by the tree and the forest, whose fitted state is one :class:`_NodeTable`
+    in ``nodes_``. Tree k draws from ``default_rng(seed + k)`` and grows on the
+    rows :meth:`_rows` picks. ``max_depth`` is None or an integer >= 0,
+    ``min_samples_leaf`` >= 1, ``feature_subsample_fraction`` a number in (0, 1]."""
 
     n_trees = 1
 
     def __init__(self, max_depth=None, min_samples_leaf: int = 1,
                  feature_subsample_fraction: float = 1.0, seed: int = 0):
         super().__init__()
-        if not 0.0 < feature_subsample_fraction <= 1.0:
-            raise ValueError("feature_subsample_fraction must be in (0, 1]")
         self.max_depth = None if max_depth is None else integer("max_depth", max_depth)
         self.min_samples_leaf = integer("min_samples_leaf", min_samples_leaf, 1)
-        self.feature_subsample_fraction = float(feature_subsample_fraction)
+        self.feature_subsample_fraction = number(
+            "feature_subsample_fraction", feature_subsample_fraction, gt=0, le=1)
         self.seed = integer("seed", seed)
 
     def _rows(self, rng, n: int):

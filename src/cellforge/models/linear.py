@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CheckpointError, ModelError
-from ..registry import integer
+from ..registry import integer, number
 from .base import BaseRegressor, param_block
 
 
@@ -65,16 +65,14 @@ class RidgeRegressor(_AffineRegressor):
     """L2-penalized least squares with an unpenalized intercept.
 
     Solved as the augmented system ``[[Xc], [sqrt(alpha) I]] w = [[yc], [0]]``
-    on centered data, so ``alpha = 0`` reduces exactly to OLS.
+    on centered data; ``alpha`` is a finite number >= 0, and 0 is exactly OLS.
     """
 
     kind = "ridge"
 
     def __init__(self, alpha: float = 1.0):
         super().__init__()
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
-        self.alpha = float(alpha)
+        self.alpha = number("alpha", alpha, ge=0)
 
     def _fit(self, X, y):
         x_mean = X.mean(axis=0)

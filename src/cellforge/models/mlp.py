@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..registry import integer
+from ..registry import integer, number
 from .base import BaseRegressor, param_block
 
 _ACTIVATIONS = ("relu", "identity")
@@ -23,7 +23,7 @@ _ACTIVATIONS = ("relu", "identity")
 
 class MLPRegressor(BaseRegressor):
     """``hidden_dims`` lists the hidden layer widths; they, ``epochs`` and
-    ``batch_size`` are integers >= 1."""
+    ``batch_size`` are integers >= 1, ``learning_rate`` a finite number > 0."""
 
     kind = "mlp"
 
@@ -39,14 +39,12 @@ class MLPRegressor(BaseRegressor):
         super().__init__()
         if activation not in _ACTIVATIONS:
             raise ValueError(f"activation must be one of {_ACTIVATIONS}, got {activation!r}")
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
         self.hidden_dims = tuple(
             integer(f"hidden_dims[{k}]", h, 1) for k, h in enumerate(hidden_dims))
         self.activation = activation
         self.epochs = integer("epochs", epochs, 1)
         self.batch_size = integer("batch_size", batch_size, 1)
-        self.learning_rate = float(learning_rate)
+        self.learning_rate = number("learning_rate", learning_rate, gt=0)
         self.seed = integer("seed", seed)
 
     # -- network plumbing ---------------------------------------------------

@@ -374,7 +374,7 @@ def _score(seeds, models, lt, Xte, y_test):
         if not np.isfinite(predicted[seed]).all():
             raise PipelineError(
                 f"seed {seed}: {type(model).__name__} predicts non-finite values "
-                "(the fit diverged or overflowed)"
+                "(the fit diverged, or the label transformation overflowed)"
             )
     per_seed, preds = [], []
     for seed in seeds:

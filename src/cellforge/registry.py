@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 
 from .errors import CellforgeError, RegistryError
@@ -16,13 +18,30 @@ def integer(name: str, value, minimum: int = 0) -> int:
     :meth:`Registry.create` reports as one ``bad parameters`` line.
     """
     try:
-        number = None if isinstance(value, bool) else operator.index(value)
+        result = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        number = None
-    if number is None or number < minimum:
+        result = None
+    if result is None or result < minimum:
         bound = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
-    return number
+    return result
+
+
+def number(name: str, value, *, gt=None, ge=None, lt=None, le=None) -> float:
+    """``value`` as a Python float when it is a finite real number (numpy's too, a
+    bool not) within every bound given; else a ValueError naming ``name``, as :func:`integer`."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        result = float(value) if real else math.nan
+    except OverflowError:  # an int beyond float64
+        result = math.nan
+    if not math.isfinite(result):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    for op, holds, bound in ((">", operator.gt, gt), (">=", operator.ge, ge),
+                             ("<", operator.lt, lt), ("<=", operator.le, le)):
+        if bound is not None and not holds(result, bound):
+            raise ValueError(f"{name} must be {op} {bound}, got {value!r}")
+    return result
 
 
 class Registry:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .battery_data import json_document, read_file
 from .errors import SplitError
-from .registry import integer
+from .registry import integer, number
 
 __all__ = [
     "SplitResult",
@@ -89,12 +89,10 @@ class BaseTrainTestSplitter:
 
 class RandomTrainTestSplitter(BaseTrainTestSplitter):
     """Random partition; test count is floor(n * test_fraction), at least 1,
-    drawn from ``default_rng(seed)``."""
+    drawn from ``default_rng(seed)``; ``test_fraction`` is a number in (0, 1)."""
 
     def __init__(self, test_fraction: float = 0.2, seed: int = 0):
-        if not 0.0 < test_fraction < 1.0:
-            raise SplitError(f"test_fraction must be in (0, 1), got {test_fraction}")
-        self.test_fraction = float(test_fraction)
+        self.test_fraction = number("test_fraction", test_fraction, gt=0, lt=1)
         self.seed = integer("seed", seed)
 
     def split(self, cell_ids: Sequence[str]) -> SplitResult:

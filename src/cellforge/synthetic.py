@@ -23,12 +23,12 @@ corpora are reproducible cell-by-cell regardless of generation order.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .battery_data import CellRecord, CycleData, ProtocolStep
+from .registry import number
 
 # Fractional capacity lost at end of life: 16% through the power law plus 4%
 # through the post-knee quadratic, totalling the 20% that defines EOL.
@@ -57,30 +57,20 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if field.type == "int" and type(value) is not int:
-                raise ValueError(f"{field.name} must be an integer, got {value!r}")
-            # NaN, an infinity and an int beyond float64 all fail the bound
-            if field.type == "float" and (type(value) is bool or not isinstance(value, (int, float))
-                                          or not abs(value) <= sys.float_info.max):
-                raise ValueError(f"{field.name} must be a finite number, got {value!r}")
+        for name in ("n_cells", "points_per_cycle", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_cells < 1:
             raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
-        if not self.nominal_capacity_in_Ah > 0:
-            raise ValueError("nominal_capacity_in_Ah must be > 0")
-        if not self.voltage_min_V < self.voltage_max_V:
-            raise ValueError("voltage_min_V must be < voltage_max_V")
-        if not self.cycle_life_mean > 0:
-            raise ValueError("cycle_life_mean must be > 0")
-        if self.cycle_life_std < 0:
-            raise ValueError("cycle_life_std must be >= 0")
         if self.points_per_cycle < 16:
             raise ValueError(f"points_per_cycle must be >= 16, got {self.points_per_cycle}")
-        if not 0.0 < self.knee_fraction < 1.0:
-            raise ValueError("knee_fraction must be within (0, 1)")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        number("nominal_capacity_in_Ah", self.nominal_capacity_in_Ah, gt=0)
+        number("voltage_max_V", self.voltage_max_V,
+               gt=number("voltage_min_V", self.voltage_min_V))
+        number("cycle_life_mean", self.cycle_life_mean, gt=0)
+        number("cycle_life_std", self.cycle_life_std, ge=0)
+        number("knee_fraction", self.knee_fraction, gt=0, lt=1)
+        number("noise_sigma", self.noise_sigma, ge=0)
 
 
 def fade_curve(n: np.ndarray | int, life: int, knee_fraction: float) -> np.ndarray:

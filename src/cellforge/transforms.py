@@ -55,8 +55,8 @@ class _Fitted:
 
     def inverse_transform(self, data):
         self._require_fitted()
-        arr = np.asarray(data, dtype=float)
-        return self._inverse(arr)
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller checks for non-finite
+            return self._inverse(np.asarray(data, dtype=float))
 
     def to_dict(self) -> dict:
         self._require_fitted()

@@ -62,10 +62,7 @@ def write_spec(tmp_path, **extra):
 def write_train_config(root, corpus_dir, **sections):
     """TRAIN_CONFIG reading ``corpus_dir``; keyword args replace whole sections."""
     cfg = {**TRAIN_CONFIG, **sections}
-    cfg["train_test_split"] = {
-        **TRAIN_CONFIG["train_test_split"],
-        "cell_data_path": str(corpus_dir),
-    }
+    cfg["train_test_split"] = {**cfg["train_test_split"], "cell_data_path": str(corpus_dir)}
     path = root / "experiment.yaml"
     path.write_text(yaml.safe_dump(cfg))
     return path
@@ -307,9 +304,28 @@ class TestTrainEvaluate:
          "hidden_dims[0] must be an integer >= 1, got 32.5"),
         ("model", {"name": "DecisionTreeRegressor", "max_depth": 2.5},
          "max_depth must be a non-negative integer, got 2.5"),
+        # float parameters: each of these trained, or ended in a traceback or
+        # in a line that did not name the parameter
+        ("model", {"name": "RidgeRegressor", "alpha": float("inf")},
+         "model 'RidgeRegressor': bad parameters: alpha must be a finite number, got inf"),
+        ("model", {"name": "RidgeRegressor", "alpha": True},
+         "alpha must be a finite number, got True"),
+        ("model", {"name": "MLPRegressor", "learning_rate": float("nan")},
+         "model 'MLPRegressor': bad parameters: learning_rate must be a finite number, got nan"),
+        ("model", {"name": "MLPRegressor", "learning_rate": "0.1"},
+         "learning_rate must be a finite number, got '0.1'"),
+        ("feature", {**TRAIN_CONFIG["feature"], "v_min": "2.0", "v_max": True},
+         "feature extractor 'VarianceModelFeatureExtractor': bad parameters: "
+         "v_min must be a finite number, got '2.0'"),
+        ("label", {"name": "RULLabelAnnotator", "eol_soh_percent": "80"},
+         "label annotator 'RULLabelAnnotator': bad parameters: "
+         "eol_soh_percent must be a finite number, got '80'"),
+        ("train_test_split", {**TRAIN_CONFIG["train_test_split"], "test_fraction": 1.5},
+         "splitter 'RandomTrainTestSplitter': bad parameters: test_fraction must be < 1, got 1.5"),
     ], ids=["float", "string", "negative", "bool", "n_qdlin-1", "label-float", "first-float",
             "last-negative", "n_trees-float", "smoothing-float", "critical-float",
-            "hidden-float", "depth-float"])
+            "hidden-float", "depth-float", "alpha-inf", "alpha-bool", "learning-rate-nan",
+            "learning-rate-string", "v-min-string", "eol-string", "test-fraction-above-1"])
     def test_bad_cycle_index_is_one_line_error(self, corpus_dir, tmp_path, capsys,
                                                section, params, message):
         config_path = write_train_config(tmp_path, corpus_dir, **{section: params})
@@ -404,6 +420,9 @@ class TestTrainEvaluate:
             # a float where an integer belongs is refused, not truncated
             ({"name": "DecisionTreeRegressor", "max_depth": 3}, {"max_depth": 3.0},
              "max_depth must be a non-negative integer, got 3.0"),
+            # and a float parameter must be a finite number
+            ({"name": "RidgeRegressor", "alpha": 1.0}, {"alpha": float("inf")},
+             "alpha must be a finite number, got inf"),
         ]:
             root = tmp_path / model["name"]
             root.mkdir()
@@ -496,6 +515,25 @@ class TestTrainEvaluate:
         assert main(["train", "--config", str(config_path), "--workspace", str(ws)]) == 1
         assert_one_line_error(capsys, "seed 0: MLPRegressor predicts non-finite values")
         assert not ws.exists() or list(ws.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_label_inverse_is_one_line_error(self, corpus_dir, tmp_path, capsys):
+        # a tampered z-score scale makes the log scale's inverse overflow;
+        # numpy's overflow warning used to reach stderr before the error line
+        config_path = write_train_config(tmp_path, corpus_dir, label_transformation={
+            "name": "SequentialDataTransformation",
+            "transformations": [{"name": "LogScaleDataTransformation"},
+                                {"name": "ZScoreDataTransformation"}]})
+        ws = tmp_path / "ws"
+        assert main(["--quiet", "train", "--config", str(config_path), "--workspace", str(ws)]) == 0
+        (ckpt,) = ws.iterdir()
+        path = ckpt / "transforms.json"
+        stored = json.loads(path.read_text())
+        stored["label_transformation"]["state"]["children"][1]["state"]["std"] *= 1e6
+        path.write_text(json.dumps(stored))
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
+        assert_one_line_error(capsys, "error: seed 0: LinearRegressor predicts non-finite values "
+                              "(the fit diverged, or the label transformation overflowed)\n")
 
     def test_cell_without_discharge_samples_is_one_line_error(self, corpus_dir, tmp_path, capsys):
         # the first cycle of SYN_0000 keeps no points; the file reads, its label cannot be made

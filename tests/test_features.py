@@ -460,6 +460,12 @@ class TestSOCStepExtractor:
         assert fm.row_keys[0] == ("soc", 1, 0)
         assert fm.row_keys[-1] == ("soc", 2, n_pts - 1)
 
+    @pytest.mark.parametrize("extractor", [SOHCycleFeatureExtractor, SOCStepFeatureExtractor])
+    def test_cell_without_cycles_is_a_feature_error(self, extractor):
+        # the step extractor raised numpy's "need at least one array to concatenate"
+        with pytest.raises(FeatureError, match="^empty: no cycles$"):
+            extractor().process_cell(make_cell("empty", caps=()))
+
     def test_elapsed_time_starts_at_zero(self):
         cell = make_cell(caps=(1.0,))
         fm = SOCStepFeatureExtractor(n_qdlin=4).extract([cell])

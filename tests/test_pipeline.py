@@ -390,10 +390,9 @@ class TestRunTrain:
             run_train(cfg, workspace=tmp_path, cells=pipe_cells)
 
     def test_component_domain_errors_pass_through(self, pipe_cells, tmp_path):
-        cfg = make_config(
-            train_test_split={"name": "RandomTrainTestSplitter", "test_fraction": 1.5}
-        )
-        with pytest.raises(SplitError, match="test_fraction must be in"):
+        cfg = make_config(train_test_split={
+            "name": "ExplicitTrainTestSplitter", "train_ids": "SYN_0000", "test_ids": ["SYN_0001"]})
+        with pytest.raises(SplitError, match="train_ids must be a list of strings"):
             run_train(cfg, workspace=tmp_path, cells=pipe_cells)
 
     def test_transform_errors_pass_through_although_value_errors(self, pipe_cells, tmp_path):
@@ -547,6 +546,19 @@ class TestSplitMetadataOverrides:
             with pytest.raises(CellforgeError, match=re.escape(message)):
                 run_train(cfg, workspace=tmp_path, cells=pipe_cells)
 
+    def test_eol_soh_metadata_in_a_split_file_must_be_a_number(self, pipe_cells, tmp_path):
+        # a string threshold ended in a "'<' not supported" line naming nothing
+        ids = [c.cell_id for c in pipe_cells]
+        split_file = tmp_path / "split.json"
+        split_file.write_text(json.dumps(
+            {"train": ids[:6], "test": ids[6:], "metadata": {"eol_soh": "90"}}))
+        cfg = make_config(
+            train_test_split={"name": "FixedSplitTrainTestSplitter", "path": str(split_file)})
+        with pytest.raises(RegistryError, match=re.escape(
+                "label annotator 'RULLabelAnnotator': bad parameters: "
+                "eol_soh_percent must be a finite number, got '90'")):
+            run_train(cfg, workspace=tmp_path, cells=pipe_cells)
+
     def test_explicit_feature_params_beat_metadata(self, pipe_cells, tmp_path):
         cfg = make_config(
             train_test_split=self.split_section(pipe_cells, {"observed_cycles": 50}),
@@ -666,6 +678,27 @@ class TestRegisteredComponents:
                 "cycles_to_keep", "n_qdlin", "first_cycle", "last_cycle", "smoothing_window",
                 "n_components", "epochs", "batch_size", "seed", "max_depth",
                 "min_samples_leaf", "n_trees"} <= seen
+
+    def test_every_float_parameter_refuses_what_is_not_a_finite_number(self):
+        seen = set()
+        for registry in (FEATURES, LABELS, MODELS, SPLITTERS):
+            for name in registry.names():
+                for p in inspect.signature(registry.get_factory(name)).parameters.values():
+                    if type(p.default) is float:
+                        valid = p.default
+                    elif p.name in ("v_min", "v_max"):  # None takes the cell's limit
+                        valid = 3.0
+                    else:
+                        continue
+                    seen.add(p.name)
+                    for bad in (float("nan"), float("inf"), float("-inf"), True, "0.5"):
+                        with pytest.raises(RegistryError, match=f"bad parameters: {p.name} "):
+                            registry.create(name, **{p.name: bad})
+                    for good in (valid, np.float64(valid)):
+                        value = _stored(registry.create(name, **{p.name: good}), p.name)
+                        assert type(value) is float and value == valid, (name, p.name, good)
+        assert {"alpha", "learning_rate", "feature_subsample_fraction", "test_fraction",
+                "eol_soh_percent", "v_min", "v_max"} <= seen
 
     def test_registered_model_and_transform_survive_evaluate(self, pipe_cells, tmp_path):
         cfg = make_config(

@@ -78,7 +78,7 @@ class TestRandomSplitter:
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 2.0])
     def test_fraction_bounds(self, fraction):
-        with pytest.raises(SplitError):
+        with pytest.raises(ValueError, match="test_fraction"):
             RandomTrainTestSplitter(fraction)
 
     def test_duplicate_ids_rejected(self):
