@@ -788,6 +788,12 @@ def json_document(data: bytes):
         raise ValueError(f"not valid JSON: {exc}") from exc
 
 
+def write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as compact ASCII JSON without NaN or infinity; the one
+    JSON writer, as ``dumps`` with no ``indent`` runs in C where ``json.dump`` does not."""
+    Path(path).write_text(json.dumps(payload, separators=(",", ":"), allow_nan=False))
+
+
 def yaml_document(data: bytes):
     """The YAML document held in ``data``, decoded as strict UTF-8."""
     try:

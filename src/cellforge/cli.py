@@ -9,12 +9,11 @@ workspace for train checkpoints.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import components as _components  # noqa: F401  (populates registries)
-from .battery_data import load_cells, read_file, write_cell, yaml_document
+from .battery_data import load_cells, read_file, write_cell, write_json, yaml_document
 from .errors import CellforgeError, ConfigError
 from .ingestion import list_sources, preprocess_source
 from .pipeline import run_evaluate, run_train
@@ -130,8 +129,7 @@ def _cmd_evaluate(args, say) -> int:
     cells = load_cells(args.cells) if args.cells else None
     report = run_evaluate(args.checkpoint, cells=cells)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1)
+        write_json(args.out, report)
         say(f"report written to {args.out}")
     say(f"test RMSE {report['mean_rmse']:.4f} +/- {report['sd_rmse']:.4f} "
         f"(MAE {report['mean_mae']:.4f})")

@@ -14,12 +14,14 @@ class SchemaError(CellforgeError):
 
 
 class ValidationError(CellforgeError):
-    """A record failed invariant validation; carries the violation list."""
+    """A record failed invariant validation; the message shows five of its ``violations``."""
 
     def __init__(self, violations):
         self.violations = list(violations)
-        lines = "; ".join(str(v) for v in self.violations)
-        super().__init__(f"{len(self.violations)} violation(s): {lines}")
+        shown = [str(v) for v in self.violations[:5]]
+        if len(self.violations) > 5:
+            shown.append(f"and {len(self.violations) - 5} more")
+        super().__init__(f"{len(self.violations)} violation(s): {'; '.join(shown)}")
 
 
 class ThresholdNotReached(CellforgeError):

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .battery_data import CellRecord, CycleData, json_document, read_file, validate, write_cell
-from .errors import SchemaError
+from .errors import SchemaError, ValidationError
 
 log = logging.getLogger("cellforge")
 
@@ -225,8 +225,8 @@ def parse_csv_cycler(
     )
     violations = validate(cell)
     if violations:
-        detail = "; ".join(str(v) for v in violations[:5])
-        raise SchemaError(f"{path}: parsed data violates record invariants: {detail}")
+        raise SchemaError(f"{path}: parsed data violates record invariants: "
+                          f"{ValidationError(violations)}")
     return cell
 
 

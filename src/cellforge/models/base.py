@@ -116,7 +116,7 @@ def load_model(path):
     except KeyError as exc:
         raise CheckpointError(
             f"{path}: {kind} model file lacks parameter block {exc.args[0]!r} "
-            f"(stored blocks: {sorted(blocks)})"
+            f"(stored blocks: {sorted(blocks)}); train the model again"
         ) from exc
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {kind} model file: {exc}") from exc

@@ -98,15 +98,6 @@ class _NodeTable:
         """The table the blocks hold, checked so that each tree is one
         complete tree ending at its bound and reads features the model has;
         every walk then moves forward inside its own tree to a leaf."""
-        if "tree0_feature" in blocks:
-            raise CheckpointError("stores one block set per tree, a layout of older versions; "
-                                  "train the model again")
-        if "right" in blocks or "threshold" in blocks:
-            raise CheckpointError("stores separate 'threshold', 'value' and 'right' blocks, "
-                                  "a layout of older versions; train the model again")
-        if "value" in blocks:
-            raise CheckpointError("stores one 'value' per node, a layout of older versions; "
-                                  "train the model again")
         n = blocks["feature"].size
         feature = param_block(blocks, "feature", (n,), "<i4")
         values = param_block(blocks, "values", (blocks["values"].size,))

@@ -47,7 +47,7 @@ import numpy as np
 import yaml
 
 from . import components as _components  # noqa: F401  (populates registries)
-from .battery_data import CellRecord, json_document, load_cells, read_file, yaml_document
+from .battery_data import CellRecord, json_document, load_cells, read_file, write_json, yaml_document
 from .container import parse_container, write_container
 from .errors import CheckpointError, ConfigError, PipelineError
 from .features import FeatureMatrix
@@ -470,12 +470,10 @@ def _write_checkpoint(ckpt_dir, config, split, features_test, ft, lt, models, re
             shutil.copyfile(config.source_path, tmp / "config.yaml")
         else:
             (tmp / "config.yaml").write_text(yaml.safe_dump(config.to_dict()))
-        _write_json(tmp / "report.json", report)
-        _write_json(tmp / "split.json", split.to_dict())
-        _write_json(
-            tmp / "transforms.json",
-            {"feature_transformation": ft.to_dict(), "label_transformation": lt.to_dict()},
-        )
+        write_json(tmp / "report.json", report)
+        write_json(tmp / "split.json", split.to_dict())
+        write_json(tmp / "transforms.json",
+                   {"feature_transformation": ft.to_dict(), "label_transformation": lt.to_dict()})
         write_features(tmp / "features_test.bin", features_test)
         for seed, model in models.items():
             model.save(tmp / f"model_seed{seed}.bin")
@@ -484,11 +482,6 @@ def _write_checkpoint(ckpt_dir, config, split, features_test, ft, lt, models, re
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-
-
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, allow_nan=False)
 
 
 def write_features(path, matrix: FeatureMatrix) -> Path:

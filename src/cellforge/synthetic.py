@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .battery_data import CellRecord, CycleData, ProtocolStep
+from .battery_data import MAX_CYCLE_NUMBER, CellRecord, CycleData, ProtocolStep
+from .errors import ConfigError
 from .registry import number
 
 # Fractional capacity lost at end of life: 16% through the power law plus 4%
@@ -37,6 +38,7 @@ _PRE_KNEE_FADE = 0.16
 _KNEE_FADE = 0.04
 _SOH_FLOOR = 0.70  # generation stops at the first cycle below this fraction
 _MIN_LIFE = 10
+_MAX_LIFE = MAX_CYCLE_NUMBER // 3  # _n_cycles numbers up to 3x the life
 
 _MASK64 = (1 << 64) - 1
 
@@ -64,9 +66,11 @@ class SynthSpec:
             raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
         if self.points_per_cycle < 16:
             raise ValueError(f"points_per_cycle must be >= 16, got {self.points_per_cycle}")
-        number("nominal_capacity_in_Ah", self.nominal_capacity_in_Ah, gt=0)
-        number("voltage_max_V", self.voltage_max_V,
-               gt=number("voltage_min_V", self.voltage_min_V))
+        # the 2C discharge current, twice the capacity, must be finite too
+        number("nominal_capacity_in_Ah", self.nominal_capacity_in_Ah, gt=0, le=np.finfo(float).max / 2)
+        v_min = number("voltage_min_V", self.voltage_min_V)
+        number("voltage_max_V - voltage_min_V",
+               number("voltage_max_V", self.voltage_max_V, gt=v_min) - v_min)
         number("cycle_life_mean", self.cycle_life_mean, gt=0)
         number("cycle_life_std", self.cycle_life_std, ge=0)
         number("knee_fraction", self.knee_fraction, gt=0, lt=1)
@@ -93,7 +97,10 @@ def fade_curve(n: np.ndarray | int, life: int, knee_fraction: float) -> np.ndarr
 
 def _cell_life(rng: np.random.Generator, spec: SynthSpec) -> int:
     raw = rng.normal(spec.cycle_life_mean, spec.cycle_life_std)
-    return max(_MIN_LIFE, int(round(raw)))
+    if raw > _MAX_LIFE:  # refused before any cycle is made
+        raise ConfigError(f"bad generator spec: a cell draws a cycle life of {raw:g}; "
+                          f"lives above {_MAX_LIFE} would number cycles past {MAX_CYCLE_NUMBER}")
+    return int(round(max(raw, _MIN_LIFE)))
 
 
 def _n_cycles(life: int, knee_fraction: float) -> int:

@@ -216,6 +216,12 @@ class TestSerialization:
             write_cell(cell, tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("n, tail", [(5, "e4: bad"), (7, "e4: bad; and 2 more")])
+    def test_validation_error_shows_five_violations_and_counts_the_rest(self, n, tail):
+        error = ValidationError([Violation(f"e{i}", "bad") for i in range(n)])
+        assert str(error) == f"{n} violation(s): e0: bad; e1: bad; e2: bad; e3: bad; {tail}"
+        assert paths_of(error.violations) == [f"e{i}" for i in range(n)]
+
     def test_write_to_explicit_file_path(self, tmp_path):
         target = tmp_path / "custom_name.json"
         assert write_cell(make_cell(), target) == target

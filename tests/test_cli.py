@@ -207,7 +207,15 @@ class TestGenerate:
         ({"nominal_capacity_in_Ah": True}, "nominal_capacity_in_Ah must be a finite number, got True"),
         ({"knee_fraction": "0.5"}, "knee_fraction must be a finite number, got '0.5'"),
         ({"cycle_life_std": 10**400}, f"cycle_life_std must be a finite number, got {10**400}"),
-    ], ids=["infinite", "nan", "bool", "string", "int-beyond-float"])
+        ({"voltage_min_V": -1.0e308, "voltage_max_V": 1.0e308},
+         "voltage_max_V - voltage_min_V must be a finite number, got inf"),
+        ({"nominal_capacity_in_Ah": 1.0e308},
+         "nominal_capacity_in_Ah must be <= 8.988465674311579e+307, got 1e+308"),
+        ({"cycle_life_mean": 1.0e300, "cycle_life_std": 0.0},
+         "a cell draws a cycle life of 1e+300; lives above 715827882 would number cycles "
+         "past 2147483647"),
+    ], ids=["infinite", "nan", "bool", "string", "int-beyond-float", "voltage-span",
+            "discharge-current", "cycle-life"])
     def test_a_bad_float_field_is_one_line_naming_it(self, tmp_path, capsys, fields, message):
         spec = write_spec(tmp_path, **fields)
         out = tmp_path / "x"
@@ -389,6 +397,12 @@ class TestTrainEvaluate:
         out = tmp_path / "report.json"
         assert main(["evaluate", "--checkpoint", str(ckpt), "--out", str(out)]) == 0
         assert json.loads(out.read_text()) == report == run_evaluate(ckpt)
+
+    def test_evaluate_out_writes_the_bytes_of_report_json(self, checkpoint_dir, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["--quiet", "evaluate", "--checkpoint", str(checkpoint_dir),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (checkpoint_dir / "report.json").read_bytes()
 
     def test_failing_model_fit_is_one_line_error(self, corpus_dir, tmp_path, capsys):
         # the variance feature is one column, too few for three components

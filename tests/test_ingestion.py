@@ -301,8 +301,22 @@ class TestParseCsv:
         rows = simple_rows(1)
         rows[1][0] = rows[0][0]  # duplicate timestamp within the cycle
         p = write_csv(tmp_path / "dup.csv", list(SIMPLE_MAP.values()), rows)
-        with pytest.raises(SchemaError, match="violates record invariants"):
+        with pytest.raises(SchemaError, match="violates record invariants: 1 violation"):
             parse_csv_cycler(p, SIMPLE_MAP, nominal_capacity_in_Ah=1.0)
+
+    def test_many_violations_are_summarized(self, tmp_path):
+        # a duplicate timestamp in each of seven cycles: five shown, two counted
+        rows = []
+        for cycle in range(1, 8):
+            cycle_rows = simple_rows(cycle, t0=100.0 * cycle)
+            cycle_rows[1][0] = cycle_rows[0][0]
+            rows += cycle_rows
+        p = write_csv(tmp_path / "dup.csv", list(SIMPLE_MAP.values()), rows)
+        with pytest.raises(SchemaError) as info:
+            parse_csv_cycler(p, SIMPLE_MAP, nominal_capacity_in_Ah=1.0)
+        assert str(info.value).startswith(f"{p}: parsed data violates record invariants: "
+                                          "7 violation(s): cycle_data[0].time_in_s: ")
+        assert str(info.value).endswith("; and 2 more") and str(info.value).count(";") == 5
 
 
 class TestPreprocess:

@@ -707,10 +707,12 @@ class TestForestFile:
                 ("feature", [0.0, -1.0, -1.0]), ("threshold", [0.5, 0.0, 0.0]),
                 ("left", [1.0, -1.0, -1.0]), ("right", [2.0, -1.0, -1.0]),
                 ("value", [0.0, 1.0, 2.0])]])
-        with pytest.raises(CheckpointError, match="stores one block set per tree, a layout of "
-                                                  "older versions; train the model again") as info:
+        with pytest.raises(CheckpointError) as info:
             load_model(path)
-        assert str(info.value).startswith(f"{path}: {kind} model file: ")
+        assert str(info.value) == (
+            f"{path}: {kind} model file lacks parameter block 'feature' (stored blocks: "
+            "['tree0_feature', 'tree0_left', 'tree0_right', 'tree0_threshold', 'tree0_value']); "
+            "train the model again")
 
     @pytest.mark.parametrize("kind", ["random_forest", "tree"])
     def test_a_file_with_right_and_threshold_blocks_is_an_older_layout(self, tmp_path, kind):
@@ -730,8 +732,8 @@ class TestForestFile:
         with pytest.raises(CheckpointError) as info:
             load_model(path)
         assert str(info.value) == (
-            f"{path}: {kind} model file: stores separate 'threshold', 'value' and 'right' blocks, "
-            "a layout of older versions; train the model again")
+            f"{path}: {kind} model file lacks parameter block 'values' (stored blocks: "
+            "['feature', 'right', 'threshold', 'tree_start', 'value']); train the model again")
 
 
     @pytest.mark.parametrize("kind", ["random_forest", "tree"])
@@ -747,8 +749,9 @@ class TestForestFile:
                          [("feature", t.feature), ("value", t.value), ("tree_start", t.tree_start)])
         with pytest.raises(CheckpointError) as info:
             load_model(path)
-        assert str(info.value) == (f"{path}: {kind} model file: stores one 'value' per node, "
-                                   "a layout of older versions; train the model again")
+        assert str(info.value) == (
+            f"{path}: {kind} model file lacks parameter block 'values' (stored blocks: "
+            "['feature', 'tree_start', 'value']); train the model again")
 
 
 def signed_zero_leaves(model):

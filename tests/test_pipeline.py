@@ -1,5 +1,6 @@
 """End-to-end and unit tests for the config-driven experiment runner."""
 
+import ast
 import csv
 import hashlib
 import inspect
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
+import cellforge
 from cellforge.battery_data import load_cells, write_cell, write_container
 from cellforge.cli import main as cli_main
 from cellforge.errors import (
@@ -323,6 +325,18 @@ class TestRunTrain:
     def test_report_json_matches_returned_report(self, trained):
         on_disk = json.loads((trained.directory / "report.json").read_text())
         assert on_disk == trained.report
+
+    def test_no_module_writes_json_with_the_pure_python_encoder(self):
+        # json.dump and any indent run in pure Python; battery_data.write_json
+        # is the one writer, and it uses neither
+        calls = []
+        for path in sorted(Path(cellforge.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and (
+                        getattr(node.func, "attr", None) == "dump"
+                        or any(k.arg == "indent" for k in node.keywords)):
+                    calls.append(f"{path.name}:{node.lineno}")
+        assert calls == []
 
     def test_split_json_partitions_corpus(self, trained, pipe_cells):
         payload = json.loads((trained.directory / "split.json").read_text())
@@ -971,6 +985,9 @@ class TestShippedConfigs:
         ckpt = run_train(cfg, workspace=tmp_path, cells=quickstart_corpus.loaded)
         assert np.isfinite(ckpt.report["mean_rmse"])
         assert run_evaluate(ckpt.directory) == ckpt.report
+        for path in sorted(ckpt.directory.glob("*.json")):  # each written compactly
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), separators=(",", ":")), path.name
 
     def test_every_shipped_config_trains_in_tier_one(self):
         shipped = {path.stem for path in CONFIG_DIR.glob("*.yaml")}
@@ -1036,3 +1053,6 @@ class TestShippedMATRConfigs:
         ckpt = run_train(cfg, workspace=tmp_path)
         assert np.isfinite(ckpt.report["mean_rmse"])
         assert run_evaluate(ckpt.directory) == ckpt.report
+        for path in sorted(ckpt.directory.glob("*.json")):  # each written compactly
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), separators=(",", ":")), path.name

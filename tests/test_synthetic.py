@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cellforge.battery_data import validate
+from cellforge.battery_data import MAX_CYCLE_NUMBER, validate
+from cellforge.errors import ConfigError
 from cellforge.labels import rul_label, soh_per_cycle
 from cellforge.synthetic import SynthSpec, fade_curve, generate_synthetic, synthetic_cell
 
@@ -135,11 +136,33 @@ class TestSpecValidation:
             {"knee_fraction": 0.0},
             {"knee_fraction": 1.0},
             {"noise_sigma": -0.1},
+            {"voltage_min_V": -1.0e308, "voltage_max_V": 1.0e308},  # the span overflows
+            {"nominal_capacity_in_Ah": 1.0e308},  # the 2C discharge current overflows
         ],
     )
     def test_bad_parameters_rejected(self, kw):
         with pytest.raises(ValueError):
             spec(**kw)
+
+    @pytest.mark.parametrize("mean", [MAX_CYCLE_NUMBER // 3 + 1, 1.0e300])
+    def test_a_life_numbering_cycles_past_the_bound_is_refused_before_any_cycle(self, mean):
+        # _n_cycles numbers up to three times the life
+        s = spec(cycle_life_mean=float(mean), cycle_life_std=0.0)
+        with pytest.raises(ConfigError, match=f"lives above {MAX_CYCLE_NUMBER // 3} would number "
+                                              f"cycles past {MAX_CYCLE_NUMBER}"):
+            synthetic_cell(s, 0)
+
+    def test_the_widest_spread_is_refused_above_and_gives_the_shortest_life_below(self):
+        # the largest float spread draws lives far past float64 or the bound, on either side
+        s = spec(cycle_life_mean=800.0, cycle_life_std=np.finfo(float).max)
+        signs = [np.random.default_rng(s.seed ^ i).normal() > 0 for i in range(s.n_cells)]
+        assert any(signs) and not all(signs)
+        for index, positive in enumerate(signs):
+            if positive:
+                with pytest.raises(ConfigError, match="a cell draws a cycle life of (inf|[0-9.]+e)"):
+                    synthetic_cell(s, index)
+            else:
+                assert len(synthetic_cell(s, index).cycle_data) == 11  # a life of 10 cycles
 
     def test_spec_is_frozen_and_replaceable(self):
         s = spec()
