@@ -5,6 +5,7 @@ Fit, predict and save failures raise :class:`ModelError`."""
 from __future__ import annotations
 
 import inspect
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -46,16 +47,33 @@ def param_block(blocks, name, shape, dtype="<f8"):
     return arr
 
 
+class _ReadBlocks(Mapping):
+    """A file's blocks, read-only, recording in ``read`` each name looked up."""
+
+    def __init__(self, blocks):
+        self._blocks, self.read = blocks, set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return self._blocks[name]
+
+    def __iter__(self):
+        return iter(self._blocks)
+
+    def __len__(self):
+        return len(self._blocks)
+
+
 class BaseRegressor:
     """fit/predict contract shared by every model.
 
     Subclasses define ``kind``, implement ``_fit``/``_predict``, and expose
     their parameters through ``_param_blocks``/``_restore_blocks`` for the
     binary checkpoint format; ``_restore_blocks`` reads each block through
-    :func:`param_block`, so a block of the wrong shape fails the load. Each
-    constructor parameter is kept as the attribute of the same name, which
-    is how ``get_params`` reads it. Only the models that draw random numbers
-    take a ``seed``.
+    :func:`param_block`, so a block of the wrong shape fails the load, and
+    so does a stored block it does not read. Each constructor parameter is
+    kept as the attribute of the same name, which is how ``get_params``
+    reads it. Only the models that draw random numbers take a ``seed``.
     """
 
     kind: str = ""
@@ -111,8 +129,9 @@ def load_model(path):
         raise CheckpointError(f"{path}: {kind} model rejects the stored hyperparameters: {exc}") from exc
     model.metadata = dict(metadata)
     model.n_features_ = n_features
+    stored = _ReadBlocks(blocks)
     try:
-        model._restore_blocks(blocks)
+        model._restore_blocks(stored)
     except KeyError as exc:
         raise CheckpointError(
             f"{path}: {kind} model file lacks parameter block {exc.args[0]!r} "
@@ -120,9 +139,10 @@ def load_model(path):
         ) from exc
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {kind} model file: {exc}") from exc
-    extra = sorted(set(blocks) - {name for name, _ in model._param_blocks()})
+    extra = sorted(set(blocks) - stored.read)
     if extra:
-        raise CheckpointError(f"{path}: {kind} model file has unexpected parameter blocks {extra}")
+        raise CheckpointError(f"{path}: {kind} model file has unexpected parameter blocks {extra}; "
+                              "train the model again")
     model.fitted = True
     return model
 

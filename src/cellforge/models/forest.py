@@ -11,14 +11,14 @@ Each forest tree k draws its bootstrap sample and its per-split feature
 subsets from an independent ``default_rng(seed + k)``.
 
 A fitted tree or forest is one :class:`_NodeTable` of all its trees' nodes
-in preorder, saved as the four blocks ``feature`` (int32, -1 at a leaf),
+in preorder, saved as the three blocks ``feature`` (int32, -1 at a leaf),
 ``values`` (float64, each distinct node value once: a split's threshold or
-a leaf's prediction), ``value_code`` (int32, each node's index into
-``values``) and ``tree_start`` (int32, n_trees + 1 offsets). The container
-stores each integer block at its narrowest width, so a node of a forest
-with at most 32768 features and 256 distinct values takes 3 bytes. A
-split's right child is not stored; loading derives it and checks that each
-tree is one complete tree ending at its bound.
+a leaf's prediction) and ``value_code`` (int32, each node's index into
+``values``). The container stores each integer block at its narrowest
+width, so a node of a forest with at most 32768 features and 256 distinct
+values takes 3 bytes. Neither a split's right child nor a tree's bounds are
+stored: both follow from ``feature``, and loading checks that the table is
+exactly ``n_trees`` complete trees with no node after them.
 """
 
 from __future__ import annotations
@@ -30,53 +30,42 @@ from ..registry import integer, number
 from .base import BaseRegressor, param_block
 
 
-def _levels(feature):
-    """Splits minus leaves before each node in preorder, and after the last."""
-    return np.concatenate([[0], np.cumsum(np.where(feature >= 0, 1, -1))])
-
-
 class _NodeTable:
-    """Every tree's nodes in one preorder table of parallel arrays, the
+    """Every tree's nodes in one preorder table of two parallel arrays, the
     layout of scikit-learn's ``Tree`` with the trees laid end to end.
 
-    Tree k is nodes ``tree_start[k]:tree_start[k + 1]``. ``feature`` is -1
-    at a leaf and ``value`` holds a leaf's prediction or a split's
-    threshold, one field for both as in XGBoost's ``RegTree::Node``. A
-    split sends ``x[feature] <= value`` to the next node and the rest to
-    its right child, which is not stored: preorder puts it right after the
-    left child's subtree, and ``right`` (an index into the whole table, -1
-    at a leaf) is derived from ``feature`` alone.
+    ``feature`` is -1 at a leaf and ``value`` holds a leaf's prediction or a
+    split's threshold, one field for both as in XGBoost's ``RegTree::Node``.
+    A split sends ``x[feature] <= value`` to the next node and the rest to
+    its right child ``right`` (an index into the whole table, -1 at a leaf).
+    ``right`` and ``tree_start`` (tree k is nodes ``tree_start[k]:tree_start[k + 1]``)
+    are derived from ``feature`` alone; nodes after the last complete tree belong to none.
     """
 
-    def __init__(self, feature, value, tree_start):
-        self.feature, self.value, self.tree_start = feature, value, tree_start
+    def __init__(self, feature, value):
+        self.feature, self.value = feature, value
+        # splits minus leaves before each node in preorder, and after the last
+        level = np.concatenate([[0], np.cumsum(np.where(feature >= 0, 1, -1))])
+        # tree k ends where the level first falls to -(k + 1): at each new running minimum
+        self.tree_start = np.flatnonzero(np.diff(np.minimum.accumulate(level), prepend=1))
         # a split's left subtree starts one level up and ends where the level
         # first falls back, so the next node at a split's level is its right child
-        level = _levels(feature)[:-1]
-        order = np.argsort(level, kind="stable")  # by level, then by position
+        order = np.argsort(level[:-1], kind="stable")  # by level, then by position
         same = level[order[:-1]] == level[order[1:]]
         next_at_level = np.full(len(feature), -1, dtype=np.intp)
         next_at_level[order[:-1][same]] = order[1:][same]
         self.right = np.where(feature >= 0, next_at_level, -1)
 
-    @classmethod
-    def join(cls, trees):
-        """The table of trees given as (feature, value) lists in preorder."""
-        sizes = [len(feature) for feature, _ in trees]
-        return cls(np.array([f for feature, _ in trees for f in feature], dtype=np.int32),
-                   np.array([v for _, value in trees for v in value], dtype=np.float64),
-                   np.concatenate([[0], np.cumsum(sizes)]).astype(np.int32))
-
     def tree(self, k: int) -> "_NodeTable":
         """Tree k alone, as a one-tree table of views."""
         a, b = self.tree_start[k], self.tree_start[k + 1]
-        return _NodeTable(self.feature[a:b], self.value[a:b], np.array([0, b - a], dtype=np.int32))
+        return _NodeTable(self.feature[a:b], self.value[a:b])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """The mean over the trees of each row's leaf value: every tree
         walks at once over an (n_trees, n_rows) array of node indices."""
         rows = np.arange(X.shape[0])
-        node = np.repeat(self.tree_start[:-1, None].astype(np.intp), X.shape[0], axis=1)
+        node = np.repeat(self.tree_start[:-1, None], X.shape[0], axis=1)
         while True:
             feat = self.feature[node]
             internal = feat >= 0
@@ -91,41 +80,28 @@ class _NodeTable:
         ``-0.0`` and ``0.0`` stay distinct."""
         bits, code = np.unique(self.value.view("<u8"), return_inverse=True)
         return [("feature", self.feature), ("values", bits.view("<f8")),
-                ("value_code", code.astype(np.int32)), ("tree_start", self.tree_start)]
+                ("value_code", code.astype(np.int32))]
 
     @classmethod
     def from_blocks(cls, blocks, n_trees: int, n_features: int) -> "_NodeTable":
-        """The table the blocks hold, checked so that each tree is one
-        complete tree ending at its bound and reads features the model has;
-        every walk then moves forward inside its own tree to a leaf."""
+        """The table the blocks hold, checked so that it is exactly
+        ``n_trees`` complete trees with no node after them and reads
+        features the model has; every walk then moves forward inside its
+        own tree to a leaf."""
         n = blocks["feature"].size
         feature = param_block(blocks, "feature", (n,), "<i4")
         values = param_block(blocks, "values", (blocks["values"].size,))
         code = param_block(blocks, "value_code", (n,), "<i4")
-        start = param_block(blocks, "tree_start", (n_trees + 1,), "<i4")
         if ((code < 0) | (code >= values.size)).any():
             raise CheckpointError(f"'value_code' holds an index outside [0, {values.size})")
-        sizes = np.diff(start)
-        if start[0] != 0 or start[-1] != n or (sizes <= 0).any():
-            raise CheckpointError(f"'tree_start' must rise strictly from 0 to the node count {n}")
         if ((feature < -1) | (feature >= n_features)).any():
             raise CheckpointError(f"'feature' holds an index outside -1 and [0, {n_features})")
-        # counted from a tree's first node, the level stays >= 0 inside a
-        # complete tree and is -1 at its bound
-        level = _levels(feature)
-        first = level[start[:-1]]
-        inside = level[:-1] - np.repeat(first, sizes)
-        bad = (np.minimum.reduceat(inside, start[:-1]) < 0) | (level[start[1:]] - first != -1)
-        if bad.any():
-            k = int(np.argmax(bad))
-            a, b = start[k], start[k + 1]
-            if (inside[a:b] >= 0).all():
-                raise CheckpointError(f"tree {k} is not complete at its 'tree_start' bound {b}: "
-                                      "a split lacks a child")
-            node = a + int(np.argmax(inside[a:b] < 0)) - 1
-            raise CheckpointError(f"tree {k} is complete at node {node}, before its "
-                                  f"'tree_start' bound {b}")
-        return cls(feature, values[code], start)
+        table = cls(feature, values[code])
+        complete, end = len(table.tree_start) - 1, table.tree_start[-1]
+        if complete != n_trees or end != n:
+            raise CheckpointError(f"the node table holds {complete} complete trees and "
+                                  f"{n - end} nodes after them, expected {n_trees}")
+        return table
 
 
 def _best_split(X, y, candidates, min_samples_leaf):
@@ -214,14 +190,12 @@ class _TreeModel(BaseRegressor):
 
     def _fit(self, X, y):
         n_candidates = max(1, int(np.ceil(self.feature_subsample_fraction * X.shape[1])))
-        trees = []
+        feature, value = table = [], []  # every tree's nodes, one after another
         for k in range(self.n_trees):
             rng = np.random.default_rng(self.seed + k)
             rows = self._rows(rng, X.shape[0])
-            tree = ([], [])
-            _grow(tree, X[rows], y[rows], rng, 0, self.max_depth, self.min_samples_leaf, n_candidates)
-            trees.append(tree)
-        self.nodes_ = _NodeTable.join(trees)
+            _grow(table, X[rows], y[rows], rng, 0, self.max_depth, self.min_samples_leaf, n_candidates)
+        self.nodes_ = _NodeTable(np.array(feature, dtype=np.int32), np.array(value, dtype=np.float64))
 
     def _restore_blocks(self, blocks):
         self.nodes_ = _NodeTable.from_blocks(blocks, self.n_trees, self.n_features_)

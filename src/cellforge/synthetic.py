@@ -160,6 +160,10 @@ def synthetic_cell(spec: SynthSpec, index: int) -> CellRecord:
     life = _cell_life(rng, spec)
     n_cycles = _n_cycles(life, spec.knee_fraction)
     soh = fade_curve(np.arange(1, n_cycles + 1), life, spec.knee_fraction)
+    if soh[-1] <= 0:  # a knee this late packs the quadratic fade into the last cycle
+        raise ConfigError(f"bad generator spec: knee_fraction {spec.knee_fraction!r} drops cell {index}'s "
+                          f"SOH by {soh[-2] - soh[-1]:.4g} in its last cycle, to {soh[-1]:.4g}; "
+                          "the SOH must stay above 0")
 
     c0 = spec.nominal_capacity_in_Ah
     t, v, i, qc, qd = _cycle_columns(

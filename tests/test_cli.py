@@ -223,6 +223,26 @@ class TestGenerate:
         assert_one_line_error(capsys, f"error: bad generator spec: {message}\n")
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("knee_fraction, message", [
+        (0.99999, "drops cell 0's SOH by 4501 in its last cycle, to -4500"),
+        (0.9999999, "drops cell 0's SOH by 4.474e+07 in its last cycle, to -4.474e+07"),
+    ])
+    def test_a_knee_that_drives_the_soh_to_zero_is_one_line(self, tmp_path, capsys, knee_fraction, message):
+        spec = write_spec(tmp_path, n_cells=2, knee_fraction=knee_fraction, cycle_life_std=0.0)
+        out = tmp_path / "x"
+        assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: bad generator spec: knee_fraction {knee_fraction} "
+                                           f"{message}; the SOH must stay above 0\n")
+        assert not any(out.iterdir())
+
+    def test_a_late_knee_above_zero_writes_valid_cells(self, tmp_path):
+        spec = write_spec(tmp_path, n_cells=2, knee_fraction=0.999, cycle_life_std=0.0)
+        out = tmp_path / "x"
+        assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 0
+        cells = load_cells(out)
+        assert len(cells) == 2 and all(validate(cell) == [] for cell in cells)
+        assert all(0 < cell.cycle_data[-1].discharge_capacity_in_Ah.max() for cell in cells)
+
     def test_spec_must_be_mapping(self, tmp_path, capsys):
         spec = tmp_path / "list.yaml"
         spec.write_text("- 1\n- 2\n")

@@ -440,6 +440,46 @@ class TestSaveLoad:
         assert type(back) is type(model)
         assert back.get_params() == model.get_params()
         np.testing.assert_array_equal(back.predict(X), model.predict(X))
+        assert back.save(tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    def test_every_shipped_model_class_takes_the_round_trip(self):
+        shipped = {MODELS.get_factory(name) for name in MODELS.names()}
+        assert {type(m) for m in ALL_MODELS} == {
+            cls for cls in shipped if cls.__module__.startswith("cellforge.")}
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+    def test_loading_never_encodes_the_blocks(self, model, tmp_path, monkeypatch):
+        X, y, _ = toy_problem(n=30, d=3, seed=42)
+        path = model.fit(X, y).save(tmp_path / "m.bin")
+
+        def refuse(self):
+            raise AssertionError("load_model encoded the blocks")
+
+        monkeypatch.setattr(type(model), "_param_blocks", refuse)
+        assert load_model(path).predict(X).tobytes() == model.predict(X).tobytes()
+        header, blocks = read_model_file(path)
+        rewrite_blocks(path, header, blocks, {}, [("spare", np.zeros(2))])
+        with pytest.raises(CheckpointError) as info:
+            load_model(path)
+        assert str(info.value) == (f"{path}: {model.kind} model file has unexpected parameter "
+                                   "blocks ['spare']; train the model again")
+
+    def test_a_block_read_through_get_counts_as_read(self, tmp_path, monkeypatch):
+        class GetRegressor(DummyRegressor):
+            kind = "get_mean"
+
+            def _restore_blocks(self, blocks):
+                self.mean_ = float(blocks.get("mean")[0])
+
+        monkeypatch.setitem(MODELS._factories, "GetRegressor", GetRegressor)
+        X, y, _ = toy_problem(n=10, d=2)
+        path = GetRegressor().fit(X, y).save(tmp_path / "m.bin")
+        assert load_model(path).mean_ == y.mean()
+        header, blocks = read_model_file(path)
+        rewrite_blocks(path, header, blocks, {}, [("spare", np.zeros(1))])
+        with pytest.raises(CheckpointError, match=r"has unexpected parameter blocks \['spare'\]; "
+                                                  "train the model again$"):
+            load_model(path)
 
     def test_cannot_save_unfitted(self, tmp_path):
         with pytest.raises(ValueError, match="unfitted"):
@@ -524,13 +564,20 @@ def forest_file(tmp_path):
     y = X[:, 0] + rng.normal(size=30)
     path = RandomForestRegressor(n_trees=2, max_depth=2, seed=0).fit(X, y).save(tmp_path / "f.bin")
     header, blocks = read_model_file(path)
-    assert (blocks["feature"][blocks["tree_start"][:-1]] >= 0).all()
+    start = load_model(path).nodes_.tree_start
+    assert start.tolist() == [0, 7, 14] and (blocks["feature"][start[:-1]] >= 0).all()
     return path, header, blocks
 
 
-def rewrite_blocks(path, header, blocks, changed):
+def rewrite_blocks(path, header, blocks, changed, more=()):
     write_model_file(path, header["kind"], header["hyperparameters"], header["metadata"],
-                     [(b["name"], changed.get(b["name"], blocks[b["name"]])) for b in header["blocks"]])
+                     [(b["name"], changed.get(b["name"], blocks[b["name"]])) for b in header["blocks"]]
+                     + list(more))
+
+
+def nodes(blocks, index):
+    """The nodes ``index`` of the table: its ``feature`` and ``value_code``."""
+    return {name: blocks[name][index].copy() for name in ("feature", "value_code")}
 
 
 def edited(blocks, name, index, value):
@@ -555,20 +602,18 @@ def right_children(feature, start, stop):
 
 
 class TestForestFile:
-    """A tree or forest is one preorder node table of four blocks."""
+    """A tree or forest is one preorder node table of three blocks."""
 
     def test_blocks_dtypes_and_shapes(self, tmp_path):
         path, header, blocks = forest_file(tmp_path)
-        n, k = int(blocks["tree_start"][-1]), blocks["values"].size
+        n, k = blocks["feature"].size, blocks["values"].size
         assert [(b["name"], b.get("dtype", "<f8"), b["shape"]) for b in header["blocks"]] == [
-            ("feature", "<i2", [n]), ("values", "<f8", [k]), ("value_code", "|u1", [n]),
-            ("tree_start", "|u1", [3])]
-        assert blocks["tree_start"][0] == 0
-        assert all(blocks[name].dtype == np.int32 for name in ("feature", "value_code", "tree_start"))
+            ("feature", "<i2", [n]), ("values", "<f8", [k]), ("value_code", "|u1", [n])]
+        assert all(blocks[name].dtype == np.int32 for name in ("feature", "value_code"))
         # each distinct value once, and 3 bytes a node
         assert k == len(np.unique(load_model(path).nodes_.value))
         data = path.read_bytes()
-        assert len(data) - 8 - int.from_bytes(data[4:8], "little") == 3 * n + 8 * k + 3
+        assert len(data) - 8 - int.from_bytes(data[4:8], "little") == 3 * n + 8 * k
 
     def test_a_split_sends_its_left_rows_to_the_next_node(self):
         X, y, _ = toy_problem(n=40, d=3, noise=0.5, seed=33)
@@ -597,6 +642,7 @@ class TestForestFile:
         for forest in forests:
             for table in (forest.nodes_, load_model(forest.save(tmp_path / "f.bin")).nodes_):
                 start = table.tree_start
+                assert len(start) == forest.n_trees + 1 and start[-1] == len(table.feature)
                 fitted = {}
                 for k in range(len(start) - 1):
                     fitted.update(right_children(table.feature, start[k], start[k + 1]))
@@ -612,6 +658,7 @@ class TestForestFile:
         assert np.diff(model.nodes_.tree_start).tolist() == [7, 5, 5, 5, 7, 1, 5, 3]
         path = model.save(tmp_path / "f.bin")
         back = load_model(path)
+        assert back.nodes_.tree_start.tolist() == model.nodes_.tree_start.tolist()
         for (name, a), (_, b) in zip(model.nodes_.blocks(), back.nodes_.blocks()):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         rows = np.random.default_rng(34).normal(size=(500, 2))
@@ -621,15 +668,15 @@ class TestForestFile:
     def test_file_bytes_of_a_hand_built_table_are_pinned(self, tmp_path):
         # tree 0 splits on x <= 0.5 into leaves 1.0 and 2.0; tree 1 is the leaf 4.0
         model = RandomForestRegressor(n_trees=2, seed=0)
-        model.nodes_ = _NodeTable(np.array([0, -1, -1, -1], dtype=np.int32),
-                                  np.array([0.5, 1.0, 2.0, 4.0]), np.array([0, 3, 4], dtype=np.int32))
+        model.nodes_ = _NodeTable(np.array([0, -1, -1, -1], dtype=np.int32), np.array([0.5, 1.0, 2.0, 4.0]))
+        assert model.nodes_.tree_start.tolist() == [0, 3, 4]
         model.n_features_, model.metadata, model.fitted = 1, {"n_samples": 4, "n_features": 1}, True
         path = model.save(tmp_path / "f.bin")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "f43eb0af0b04cd9644fc0ee23a5132d8d4f68930bea7a18075785aab2e4b192a")
+            "95f2567c718e0474a29e442940998dfa285b18b323dfe2fc3391f2dd9e1757ac")
         header, blocks = read_model_file(path)
         assert [(b["name"], b.get("dtype", "<f8")) for b in header["blocks"]] == [
-            ("feature", "<i2"), ("values", "<f8"), ("value_code", "|u1"), ("tree_start", "|u1")]
+            ("feature", "<i2"), ("values", "<f8"), ("value_code", "|u1")]
         assert blocks["values"].tolist() == [0.5, 1.0, 2.0, 4.0]
         assert blocks["value_code"].tolist() == [0, 1, 2, 3]
         assert load_model(path).predict(np.array([[0.0], [1.0]])).tolist() == [2.5, 3.0]
@@ -657,22 +704,18 @@ class TestForestFile:
         assert all(np.shares_memory(t.value, m.nodes_.value) for t in m.trees_)
 
     @pytest.mark.parametrize("change, match", [
-        (lambda b: edited(b, "tree_start", 0, 1), "must rise strictly from 0"),
-        (lambda b: edited(b, "tree_start", 1, 0), "must rise strictly from 0"),
-        (lambda b: edited(b, "tree_start", 2, b["tree_start"][2] - 1), "to the node count"),
-        (lambda b: {"tree_start": b["tree_start"][::2].copy()}, r"'tree_start' is <i4 of shape \(2,\)"),
+        (lambda b: nodes(b, slice(0, 7)), "holds 1 complete trees and 0 nodes after them, expected 2$"),
+        (lambda b: nodes(b, np.r_[0:14, 0:7]), "holds 3 complete trees and 0 nodes after them, expected 2$"),
+        (lambda b: nodes(b, slice(0, 13)), "holds 1 complete trees and 6 nodes after them, expected 2$"),
+        (lambda b: edited(b, "feature", 13, 0), "holds 1 complete trees and 7 nodes after them, expected 2$"),
+        (lambda b: nodes(b, slice(0, 0)), "holds 0 complete trees and 0 nodes after them, expected 2$"),
         (lambda b: edited(b, "feature", 0, 2), r"outside -1 and \[0, 2\)"),
         (lambda b: edited(b, "feature", 0, -2), r"outside -1 and \[0, 2\)"),
-        (lambda b: edited(b, "feature", b["tree_start"][1], -1),
-         "tree 1 is complete at node 7, before its 'tree_start' bound 14$"),
-        (lambda b: {"feature": np.append(b["feature"], np.int32(-1)),
-                    "value_code": np.append(b["value_code"], np.int32(0)),
-                    **edited(b, "tree_start", 2, b["tree_start"][2] + 1)},
-         "tree 1 is complete at node 13, before its 'tree_start' bound 15$"),
-        (lambda b: edited(b, "feature", b["tree_start"][1] - 1, 0),
-         "tree 0 is not complete at its 'tree_start' bound 7: a split lacks a child$"),
-        (lambda b: edited(b, "tree_start", 1, b["tree_start"][1] - 1),
-         "tree 0 is not complete at its 'tree_start' bound 6: a split lacks a child$"),
+        (lambda b: edited(b, "feature", 7, -1), "holds 4 complete trees and 0 nodes after them, expected 2$"),
+        (lambda b: {"feature": np.append(b["feature"], np.int32(0)),
+                    "value_code": np.append(b["value_code"], np.int32(0))},
+         "holds 2 complete trees and 1 nodes after them, expected 2$"),
+        (lambda b: edited(b, "feature", 6, 0), "holds 0 complete trees and 14 nodes after them, expected 2$"),
         (lambda b: {"feature": b["feature"].astype(float)}, "'feature' is <f8 of shape"),
         (lambda b: {"value_code": b["value_code"][:-1].copy()}, "'value_code' is <i4 of shape"),
         (lambda b: edited(b, "value_code", 3, b["values"].size), r"'value_code' holds an index outside \[0, \d+\)$"),
@@ -680,20 +723,35 @@ class TestForestFile:
         (lambda b: {"values": b["values"][:0].copy()}, r"'value_code' holds an index outside \[0, 0\)$"),
         (lambda b: {"values": b["values"].reshape(1, -1).copy()}, "'values' is <f8 of shape"),
         (lambda b: {"value_code": b["value_code"].astype(float)}, "'value_code' is <f8 of shape"),
-    ], ids=["start-not-zero", "start-not-rising", "start-short-of-the-nodes", "start-wrong-length",
+    ], ids=["one-tree-short", "one-tree-too-many", "unfinished-tree-at-the-end",
+            "childless-split-at-the-end", "empty-table",
             "feature-beyond-n_features", "feature-below-leaf", "tree-ends-before-its-bound",
             "nodes-left-over-after-the-last-tree", "split-without-children-at-the-bound",
-            "start-disagrees-with-the-structure", "feature-as-float64", "value-too-short",
+            "feature-as-float64", "value-too-short",
             "value-code-past-the-values", "value-code-negative", "no-values", "values-2d",
             "value-code-as-float64"])
     def test_a_corrupt_table_is_one_error_naming_the_file(self, tmp_path, change, match):
         path, header, blocks = forest_file(tmp_path)
-        assert blocks["tree_start"].tolist() == [0, 7, 14]
         rewrite_blocks(path, header, blocks, change(blocks))
         with pytest.raises(CheckpointError, match=match) as info:
             load_model(path)
         assert str(info.value).startswith(f"{path}: random_forest model file: ")
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("kind", ["random_forest", "tree"])
+    def test_a_file_with_tree_bounds_is_an_older_layout(self, tmp_path, kind):
+        # the table that also stored each tree's first node and the node count
+        model = (RandomForestRegressor(n_trees=2, max_depth=2, seed=0) if kind == "random_forest"
+                 else DecisionTreeRegressor(max_depth=2))
+        X, y, _ = toy_problem(n=20, d=2, seed=40)
+        path = model.fit(X, y).save(tmp_path / "old.bin")
+        header, blocks = read_model_file(path)
+        rewrite_blocks(path, header, blocks, {}, [("tree_start", model.nodes_.tree_start.astype(np.int32))])
+        with pytest.raises(CheckpointError) as info:
+            load_model(path)
+        assert str(info.value) == (
+            f"{path}: {kind} model file has unexpected parameter blocks ['tree_start']; "
+            "train the model again")
 
     @pytest.mark.parametrize("kind, hyperparameters", [
         ("random_forest", {"n_trees": 1, "max_depth": None, "min_samples_leaf": 1,
@@ -728,7 +786,7 @@ class TestForestFile:
         write_model_file(path, kind, header["hyperparameters"], header["metadata"], [
             ("feature", t.feature), ("threshold", np.where(split, t.value, 0.0)),
             ("right", local_right.astype(np.int32)), ("value", np.where(split, 0.0, t.value)),
-            ("tree_start", t.tree_start)])
+            ("tree_start", t.tree_start.astype(np.int32))])
         with pytest.raises(CheckpointError) as info:
             load_model(path)
         assert str(info.value) == (
@@ -746,7 +804,7 @@ class TestForestFile:
         header, _ = read_model_file(path)
         t = model.nodes_
         write_model_file(path, kind, header["hyperparameters"], header["metadata"],
-                         [("feature", t.feature), ("value", t.value), ("tree_start", t.tree_start)])
+                         [("feature", t.feature), ("value", t.value), ("tree_start", t.tree_start.astype(np.int32))])
         with pytest.raises(CheckpointError) as info:
             load_model(path)
         assert str(info.value) == (
@@ -757,11 +815,10 @@ class TestForestFile:
 def signed_zero_leaves(model):
     """Tree 0 sends x <= 0.5 to the leaf -0.0 and the rest to 0.0; a
     three-tree forest's trees 1 and 2 are the leaves -0.0 and 0.0."""
-    feature, value, start = [0, -1, -1], [0.5, -0.0, 0.0], [0, 3]
+    feature, value = [0, -1, -1], [0.5, -0.0, 0.0]
     if model.kind == "random_forest":
-        feature, value, start = feature + [-1, -1], value + [-0.0, 0.0], start + [4, 5]
-    model.nodes_ = _NodeTable(np.array(feature, dtype=np.int32), np.array(value),
-                              np.array(start, dtype=np.int32))
+        feature, value = feature + [-1, -1], value + [-0.0, 0.0]
+    model.nodes_ = _NodeTable(np.array(feature, dtype=np.int32), np.array(value))
     model.n_features_, model.metadata, model.fitted = 1, {"n_samples": 2, "n_features": 1}, True
     return model, np.array([[0.0], [1.0]])
 
