@@ -18,7 +18,7 @@ from .errors import CellforgeError, ConfigError
 from .ingestion import list_sources, preprocess_source
 from .pipeline import run_evaluate, run_train
 from .plots import PLOT_KINDS, make_plot
-from .synthetic import SynthSpec, synthetic_cell
+from .synthetic import SynthSpec, check_cells, synthetic_cell
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,6 +110,7 @@ def _cmd_generate(args, say) -> int:
     spec = _load_synth_spec(args.spec, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    check_cells(spec)  # a cell refused after others were written would leave a partial corpus
     for index in range(spec.n_cells):  # one cell in memory at a time
         write_cell(synthetic_cell(spec, index), out_dir)
     say(f"wrote {spec.n_cells} synthetic cell(s) to {out_dir}")

@@ -9,6 +9,13 @@ is written at the narrowest of them that holds its values, and read back as
 int32. A block marked ``"repeat": true`` stores one element that every
 element of its shape repeats, in the way of Arrow's run-end encoding with a
 single run (https://arrow.apache.org/docs/format/Columnar.html#run-end-encoded-layout).
+
+A header that says ``"deflate": true`` stores the blocks as one zlib stream
+(RFC 1950, which ends in an Adler-32 checksum of the blocks) instead, and
+the stream must inflate to exactly the bytes the block list declares. A
+writer asks for it, and gets it only when it makes the file smaller: model
+files and stored features ask; cell files never do, so their blocks stay
+views of the mapped file.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ import json
 import math
 import os
 import struct
+import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -53,12 +62,13 @@ def _stored(arr: np.ndarray, dtype: str) -> tuple[np.ndarray, bool]:
     return flat, False
 
 
-def write_container(path, magic: bytes, header: dict, blocks) -> Path:
+def write_container(path, magic: bytes, header: dict, blocks, *, deflate: bool = False) -> Path:
     """Write ``header`` and the ordered (name, array) pairs ``blocks`` to
     ``path``, which appears complete or not at all. An int32 array is
     stored as the narrowest of ``|u1``, ``<i2`` and ``<i4`` that holds its
     values, any other array as ``<f8``; a block whose elements all have the
-    same bytes stores one of them."""
+    same bytes stores one of them. With ``deflate``, the blocks are stored
+    as one zlib stream when that makes the file smaller."""
     path = Path(path)
     specs, stored = [], []
     for name, arr in blocks:
@@ -73,7 +83,14 @@ def write_container(path, magic: bytes, header: dict, blocks) -> Path:
         specs.append(spec)
         stored.append(values)
     header = {**header, "blocks": specs}
+    header.pop("deflate", None)  # like "blocks", the container's own key
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
+    if deflate:
+        packer = zlib.compressobj()
+        stream = [packer.compress(values) for values in stored] + [packer.flush()]
+        packed = json.dumps({**header, "deflate": True}, sort_keys=True).encode("utf-8")
+        if len(packed) + sum(map(len, stream)) < len(payload) + sum(values.nbytes for values in stored):
+            payload, stored = packed, stream
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(magic)
@@ -89,13 +106,16 @@ def parse_container(data: bytes, magic: bytes, error) -> tuple[dict, dict]:
     """Split a container's bytes into its header and {block name: array}.
 
     The arrays are read-only, float64 or int32: a float64 or int32 block is
-    a view of ``data``, and a narrower integer block is widened to a new
-    int32 array. A repeated block is its one stored element broadcast to
-    the block's shape (every stride 0). A wrong magic, a truncated or
-    non-JSON header, a malformed block list (a ``dtype`` other than
-    ``<f8``, ``<i4``, ``<i2`` or ``|u1``, or a ``repeat`` other than true or
-    false, included), or blocks that do not fill the rest of the file
-    exactly raise ``error``.
+    a view of ``data`` (of the inflated bytes, when the blocks are one zlib
+    stream), and a narrower integer block is widened to a new int32 array.
+    A repeated block is its one stored element broadcast to the block's
+    shape (every stride 0). A wrong magic, a truncated or non-JSON header, a
+    malformed block list (a ``dtype`` other than ``<f8``, ``<i4``, ``<i2`` or
+    ``|u1``, or a ``repeat`` other than true or false, included), a
+    ``deflate`` other than true or false, blocks that do not fill the rest
+    of the file exactly, or a stream that is corrupt, incomplete, followed
+    by more bytes or inflates to any other size than the blocks declare
+    raise ``error``.
     """
     if data[:4] != magic:
         raise error(f"bad magic {data[:4]!r}, expected {magic!r}")
@@ -112,10 +132,10 @@ def parse_container(data: bytes, magic: bytes, error) -> tuple[dict, dict]:
     specs = header.get("blocks") if isinstance(header, dict) else None
     if not isinstance(specs, list):
         raise error("header must be a JSON object with a 'blocks' array")
-    blocks = {}
+    layout, declared = {}, 0
     for i, spec in enumerate(specs):
         name, shape = (spec.get("name"), spec.get("shape")) if isinstance(spec, dict) else (None, None)
-        if (not isinstance(name, str) or name in blocks or not isinstance(shape, list)
+        if (not isinstance(name, str) or name in layout or not isinstance(shape, list)
                 or not all(type(n) is int and n >= 0 for n in shape)):
             raise error(f"blocks[{i}]: expected a new name and a shape of non-negative integers")
         dtype = spec.get("dtype", "<f8")
@@ -126,6 +146,15 @@ def parse_container(data: bytes, magic: bytes, error) -> tuple[dict, dict]:
         if type(repeat) is not bool:
             raise error(f"blocks[{i}]: repeat must be true or false, got {repeat!r}")
         count = 1 if repeat else math.prod(shape)
+        layout[name] = (shape, dtype, repeat, count)
+        declared += count * np.dtype(dtype).itemsize
+    deflate = header.get("deflate", False)
+    if type(deflate) is not bool:
+        raise error(f"deflate must be true or false, got {deflate!r}")
+    if deflate:
+        data, offset = _inflate(memoryview(data)[offset:], declared, error), 0
+    blocks = {}
+    for name, (shape, dtype, repeat, count) in layout.items():
         size = count * np.dtype(dtype).itemsize
         if offset + size > len(data):
             raise error(f"truncated block '{name}'")
@@ -138,3 +167,23 @@ def parse_container(data: bytes, magic: bytes, error) -> tuple[dict, dict]:
     if offset != len(data):
         raise error(f"{len(data) - offset} bytes follow the last block")
     return header, blocks
+
+
+def _inflate(stream, size: int, error) -> bytes:
+    """The ``size`` bytes that the one zlib stream ``stream`` holds.
+    Inflating stops one byte past ``size``, so a stream that holds more
+    costs no more memory than one that holds enough."""
+    inflater = zlib.decompressobj()
+    try:
+        data = inflater.decompress(stream, min(size + 1, sys.maxsize))
+    except zlib.error as exc:
+        raise error(f"deflated blocks: {exc}") from exc
+    if len(data) > size:
+        raise error(f"deflated blocks: the stream holds more than the {size} bytes the blocks declare")
+    if not inflater.eof:
+        raise error("deflated blocks: the stream is truncated")
+    if inflater.unused_data:
+        raise error(f"deflated blocks: {len(inflater.unused_data)} bytes follow the stream")
+    if len(data) != size:
+        raise error(f"deflated blocks: the stream holds {len(data)} bytes, the blocks declare {size}")
+    return data

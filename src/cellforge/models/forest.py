@@ -11,14 +11,13 @@ Each forest tree k draws its bootstrap sample and its per-split feature
 subsets from an independent ``default_rng(seed + k)``.
 
 A fitted tree or forest is one :class:`_NodeTable` of all its trees' nodes
-in preorder, saved as the three blocks ``feature`` (int32, -1 at a leaf),
-``values`` (float64, each distinct node value once: a split's threshold or
-a leaf's prediction) and ``value_code`` (int32, each node's index into
-``values``). The container stores each integer block at its narrowest
-width, so a node of a forest with at most 32768 features and 256 distinct
-values takes 3 bytes. Neither a split's right child nor a tree's bounds are
-stored: both follow from ``feature``, and loading checks that the table is
-exactly ``n_trees`` complete trees with no node after them.
+in preorder, saved as the two blocks ``feature`` (int32, -1 at a leaf,
+stored at its narrowest width) and ``value`` (float64: a split's threshold
+or a leaf's prediction). The model file deflates them (see
+:mod:`cellforge.container`), which takes the place of a table of distinct
+values. Neither a split's right child nor a tree's bounds are stored: both
+follow from ``feature``, and loading checks that the table is exactly
+``n_trees`` complete trees with no node after them.
 """
 
 from __future__ import annotations
@@ -76,11 +75,8 @@ class _NodeTable:
         return self.value[node].mean(axis=0)
 
     def blocks(self):
-        """The saved blocks; values are told apart by their bytes, so that
-        ``-0.0`` and ``0.0`` stay distinct."""
-        bits, code = np.unique(self.value.view("<u8"), return_inverse=True)
-        return [("feature", self.feature), ("values", bits.view("<f8")),
-                ("value_code", code.astype(np.int32))]
+        """The saved blocks."""
+        return [("feature", self.feature), ("value", self.value)]
 
     @classmethod
     def from_blocks(cls, blocks, n_trees: int, n_features: int) -> "_NodeTable":
@@ -90,13 +86,10 @@ class _NodeTable:
         own tree to a leaf."""
         n = blocks["feature"].size
         feature = param_block(blocks, "feature", (n,), "<i4")
-        values = param_block(blocks, "values", (blocks["values"].size,))
-        code = param_block(blocks, "value_code", (n,), "<i4")
-        if ((code < 0) | (code >= values.size)).any():
-            raise CheckpointError(f"'value_code' holds an index outside [0, {values.size})")
+        value = param_block(blocks, "value", (n,))
         if ((feature < -1) | (feature >= n_features)).any():
             raise CheckpointError(f"'feature' holds an index outside -1 and [0, {n_features})")
-        table = cls(feature, values[code])
+        table = cls(feature, value)
         complete, end = len(table.tree_start) - 1, table.tree_start[-1]
         if complete != n_trees or end != n:
             raise CheckpointError(f"the node table holds {complete} complete trees and "

@@ -486,10 +486,10 @@ def _write_checkpoint(ckpt_dir, config, split, features_test, ft, lt, models, re
 
 def write_features(path, matrix: FeatureMatrix) -> Path:
     """Write ``matrix``'s row keys and values as one ``CFF1`` container
-    file; its column names stay out, as the config's feature section
-    rebuilds them."""
+    file, the values deflated when that makes it smaller; its column
+    names stay out, as the config's feature section rebuilds them."""
     return write_container(path, FEATURES_MAGIC, {"row_keys": [list(k) for k in matrix.row_keys]},
-                           [("values", matrix.values)])
+                           [("values", matrix.values)], deflate=True)
 
 
 def read_features(path) -> tuple[np.ndarray, list[tuple]]:

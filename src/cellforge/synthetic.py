@@ -154,17 +154,30 @@ def _cycle_columns(c_n, c0, v_min, v_max, ppc, rng, noise_sigma):
     return t, v, i, qc, qd
 
 
-def synthetic_cell(spec: SynthSpec, index: int) -> CellRecord:
-    """Cell ``index`` of the corpus ``spec`` describes, made on its own."""
+def _fade(spec: SynthSpec, index: int) -> tuple[np.random.Generator, np.ndarray]:
+    """Cell ``index``'s generator, past its life draw, and its SOH at each
+    cycle; a life or a fade that makes no valid cell raises ConfigError."""
     rng = np.random.default_rng((spec.seed ^ index) & _MASK64)
     life = _cell_life(rng, spec)
-    n_cycles = _n_cycles(life, spec.knee_fraction)
-    soh = fade_curve(np.arange(1, n_cycles + 1), life, spec.knee_fraction)
+    soh = fade_curve(np.arange(1, _n_cycles(life, spec.knee_fraction) + 1), life, spec.knee_fraction)
     if soh[-1] <= 0:  # a knee this late packs the quadratic fade into the last cycle
         raise ConfigError(f"bad generator spec: knee_fraction {spec.knee_fraction!r} drops cell {index}'s "
                           f"SOH by {soh[-2] - soh[-1]:.4g} in its last cycle, to {soh[-1]:.4g}; "
                           "the SOH must stay above 0")
+    return rng, soh
 
+
+def check_cells(spec: SynthSpec) -> None:
+    """Raise the ConfigError that :func:`synthetic_cell` would raise for
+    some cell of ``spec``, without making any cell."""
+    for index in range(spec.n_cells):
+        _fade(spec, index)
+
+
+def synthetic_cell(spec: SynthSpec, index: int) -> CellRecord:
+    """Cell ``index`` of the corpus ``spec`` describes, made on its own."""
+    rng, soh = _fade(spec, index)
+    n_cycles = len(soh)
     c0 = spec.nominal_capacity_in_Ah
     t, v, i, qc, qd = _cycle_columns(
         c0 * soh, c0, spec.voltage_min_V, spec.voltage_max_V,

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -823,6 +824,108 @@ class TestNarrowBlocks:
             read_model_file(path)
         assert str(info.value) == f"{path}: truncated block 'codes'"
 
+
+
+def deflated(header: dict, body: bytes, magic: bytes = b"TST1") -> bytes:
+    """A container of ``header`` whose bytes after the header are ``body``."""
+    payload = json.dumps({"deflate": True, **header}).encode()
+    return magic + struct.pack("<I", len(payload)) + payload + body
+
+
+class TestDeflatedBlocks:
+    """A writer that asks for it stores the blocks as one zlib stream when
+    that makes the file smaller; the stream must inflate to exactly the
+    blocks the header declares."""
+
+    BLOCKS = [("ints", np.tile(np.arange(40, dtype=np.int32), 5)), ("floats", np.tile([0.1, -2.5], 50)),
+              ("same", np.full(9, 7.0)), ("none", np.zeros((0, 2)))]
+
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        raw = write_container(tmp_path / "raw.bin", b"TST1", {"k": 1}, self.BLOCKS).read_bytes()
+        path = write_container(tmp_path / "z.bin", b"TST1", {"k": 1}, self.BLOCKS, deflate=True)
+        data = path.read_bytes()
+        header, blocks = parse_container(data, b"TST1", CheckpointError)
+        raw_header, raw_blocks = parse_container(raw, b"TST1", CheckpointError)
+        assert header == {**raw_header, "deflate": True} and "deflate" not in raw_header
+        assert len(data) < len(raw)
+        (length,) = struct.unpack_from("<I", data, 4)
+        assert zlib.decompress(data[8 + length:]) == raw[8 + struct.unpack_from("<I", raw, 4)[0]:]
+        for name, arr in raw_blocks.items():
+            back = blocks[name]
+            assert back.dtype == arr.dtype and back.shape == arr.shape and back.strides == arr.strides
+            assert back.tobytes() == arr.tobytes() and not back.flags.writeable, name
+
+    @pytest.mark.parametrize("blocks", [
+        [("x", np.random.default_rng(0).normal(size=20))],
+        [("x", np.array([1.0, 2.0]))],
+        [],
+    ], ids=["random-floats", "two-floats", "no-blocks"])
+    def test_blocks_that_do_not_shrink_the_file_stay_raw(self, tmp_path, blocks):
+        raw = write_container(tmp_path / "raw.bin", b"TST1", {}, blocks).read_bytes()
+        assert write_container(tmp_path / "z.bin", b"TST1", {}, blocks, deflate=True).read_bytes() == raw
+
+    def test_a_deflate_key_in_the_given_header_is_the_writers_own(self, tmp_path):
+        path = write_container(tmp_path / "x.bin", b"TST1", {"deflate": True}, [("x", np.array([1.0]))])
+        header, blocks = parse_container(path.read_bytes(), b"TST1", CheckpointError)
+        assert "deflate" not in header and blocks["x"].tolist() == [1.0]
+
+    def test_a_raw_file_reads_as_before(self, tmp_path):
+        raw = write_container(tmp_path / "raw.bin", b"TST1", {}, self.BLOCKS).read_bytes()
+        _, blocks = parse_container(raw, b"TST1", CheckpointError)
+        assert root_buffer(blocks["floats"]) is raw
+
+    HEADER = {"blocks": [{"name": "x", "shape": [4]}]}
+    BODY = np.arange(4.0).tobytes()
+
+    @pytest.mark.parametrize("header, body, message", [
+        ({**HEADER, "deflate": 1}, zlib.compress(BODY), "deflate must be true or false, got 1$"),
+        ({**HEADER, "deflate": "true"}, zlib.compress(BODY), "deflate must be true or false, got 'true'$"),
+        ({**HEADER, "deflate": None}, zlib.compress(BODY), "deflate must be true or false, got None$"),
+        (HEADER, BODY, "deflated blocks: Error -3 while decompressing data: "),
+        (HEADER, zlib.compress(BODY)[:-1], "deflated blocks: the stream is truncated$"),
+        (HEADER, zlib.compress(BODY)[:-4], "deflated blocks: the stream is truncated$"),
+        (HEADER, b"", "deflated blocks: the stream is truncated$"),
+        (HEADER, zlib.compress(BODY) + b"\0", "deflated blocks: 1 bytes follow the stream$"),
+        (HEADER, zlib.compress(BODY) * 2, r"deflated blocks: \d+ bytes follow the stream$"),
+        (HEADER, zlib.compress(BODY + b"\0"),
+         "deflated blocks: the stream holds more than the 32 bytes the blocks declare$"),
+        (HEADER, zlib.compress(bytes(10**6)),
+         "deflated blocks: the stream holds more than the 32 bytes the blocks declare$"),
+        (HEADER, zlib.compress(BODY[:-1]), "deflated blocks: the stream holds 31 bytes, the blocks declare 32$"),
+        ({"blocks": [{"name": "x", "shape": [2**62, 2**62]}]}, zlib.compress(BODY),
+         r"deflated blocks: the stream holds 32 bytes, the blocks declare \d+$"),
+        (HEADER, zlib.compress(BODY)[:-1] + bytes([zlib.compress(BODY)[-1] ^ 1]),
+         "deflated blocks: Error -3 while decompressing data: incorrect data check$"),
+    ], ids=["deflate-1", "deflate-string", "deflate-null", "raw-body", "no-checksum-byte",
+            "no-checksum", "empty-stream", "a-byte-after", "two-streams", "one-byte-more",
+            "a-million-bytes-more", "one-byte-less", "declared-beyond-memory", "bad-checksum"])
+    def test_a_bad_stream_is_the_callers_one_line_error(self, header, body, message):
+        with pytest.raises(CheckpointError, match=f"^{message}") as info:
+            parse_container(deflated(header, body), b"TST1", CheckpointError)
+        assert "\n" not in str(info.value)
+
+    def test_a_bad_stream_in_a_model_file_names_the_file(self, tmp_path):
+        path = write_model_file(tmp_path / "m.bin", "dummy", {}, {"n_features": 4},
+                                [("mean", np.tile([1.0, 2.0], 32))])
+        data = path.read_bytes()
+        assert read_model_file(path)[0]["deflate"] is True
+        path.write_bytes(data[:-1])
+        with pytest.raises(CheckpointError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: deflated blocks: the stream is truncated"
+
+    def test_a_cell_file_is_never_deflated(self, tmp_path):
+        # long cycles of evenly spaced samples: their columns would deflate well
+        cell = dataclasses.replace(make_cell("Z"), cycle_data=tuple(
+            linear_cycle(i + 1, n_charge=200, n_dis=400) for i in range(4)))
+        path, data, header = TestCellFile().written(tmp_path, cell)
+        body = data[8 + struct.unpack_from("<I", data, 4)[0]:]
+        assert len(zlib.compress(body)) < len(body) / 4
+        assert "deflate" not in header
+        back = read_cell(path)
+        assert back == cell
+        for column in back.cycle_data.columns.values():
+            assert isinstance(root_buffer(column), mmap.mmap)
 
 def file_reads(source: str) -> list[tuple[str, int]]:
     """(enclosing function, line) of each call in ``source`` that reads a file:

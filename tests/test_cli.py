@@ -235,6 +235,15 @@ class TestGenerate:
                                            f"{message}; the SOH must stay above 0\n")
         assert not any(out.iterdir())
 
+    def test_a_cell_refused_late_leaves_no_cell_files(self, tmp_path, capsys):
+        # of the default corpus, cell 8 is the first whose SOH this knee drives below 0
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(yaml.safe_dump({"knee_fraction": 0.9995}))
+        out = tmp_path / "x"
+        assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 1
+        assert_one_line_error(capsys, "error: bad generator spec: knee_fraction 0.9995 drops cell 8's SOH")
+        assert list(out.glob("*.cfc")) == []
+
     def test_a_late_knee_above_zero_writes_valid_cells(self, tmp_path):
         spec = write_spec(tmp_path, n_cells=2, knee_fraction=0.999, cycle_life_std=0.0)
         out = tmp_path / "x"
@@ -484,6 +493,17 @@ class TestTrainEvaluate:
         write_model_file(path, header["kind"], header["hyperparameters"], header["metadata"], [])
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
         assert_one_line_error(capsys, "model_seed0.bin: linear model file lacks parameter block 'coef'")
+
+    def test_evaluate_rejects_a_corrupted_deflated_model_file(self, corpus_dir, tmp_path, capsys):
+        config = write_train_config(tmp_path, corpus_dir, model={"name": "RandomForestRegressor", "n_trees": 5})
+        assert main(["--quiet", "train", "--config", str(config), "--workspace", str(tmp_path / "ws")]) == 0
+        (ckpt,) = (tmp_path / "ws").iterdir()
+        path = ckpt / "model_seed1.bin"
+        data = path.read_bytes()
+        assert read_model_file(path)[0]["deflate"] is True
+        path.write_bytes(data[:-1] + bytes([data[-1] ^ 0xFF]))  # the stream's checksum
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
+        assert_one_line_error(capsys, f"error: {path}: deflated blocks: ")
 
     def test_evaluate_rejects_checkpoint_of_the_older_layout(self, checkpoint_dir, tmp_path, capsys):
         # written before models without randomness lost their seed and before the

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -247,6 +248,20 @@ class TestFeatureMatrix:
         assert b"col_names" not in path.read_bytes() and b"dq_c0" not in path.read_bytes()
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "42e8ebcca08ba1de6d4a7551a0ed4f4c0d7f20868eeb045a6b4a9b869e903241")
+
+    def test_deflated_file_bytes_are_pinned(self, tmp_path):
+        fm = FeatureMatrix(np.tile([[0.5, -1.0], [2.0, 1e-3]], (4, 1)),
+                           [(f"C{i:04d}", None, None) for i in range(8)], ["dq_c0_v0", "dq_c0_v1"])
+        data = write_features(tmp_path / "feats.bin", fm).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "06105e99092b697e142c081df346d74429366a7597c18e5e378239f79daae003")
+        # the inflated blocks are the bytes that files stored before they were deflated
+        length = int.from_bytes(data[4:8], "little")
+        assert b'"deflate": true' in data[8:8 + length]
+        assert hashlib.sha256(zlib.decompress(data[8 + length:])).hexdigest() == (
+            "a227864234773ba6d6d0d1024715d1be3fa067be33febd703d88b6a50d82c439")
+        values, keys = read_features(tmp_path / "feats.bin")
+        assert values.tobytes() == fm.values.tobytes() and keys == fm.row_keys
 
     def test_older_files_with_column_names_read_the_same(self, tmp_path):
         path = write_container(tmp_path / "old.bin", FEATURES_MAGIC,

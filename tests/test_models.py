@@ -1,6 +1,7 @@
 """Regressors against closed-form oracles, plus the binary checkpoint format."""
 
 import hashlib
+import zlib
 
 import numpy as np
 import pytest
@@ -576,8 +577,8 @@ def rewrite_blocks(path, header, blocks, changed, more=()):
 
 
 def nodes(blocks, index):
-    """The nodes ``index`` of the table: its ``feature`` and ``value_code``."""
-    return {name: blocks[name][index].copy() for name in ("feature", "value_code")}
+    """The nodes ``index`` of the table: its ``feature`` and ``value``."""
+    return {name: blocks[name][index].copy() for name in ("feature", "value")}
 
 
 def edited(blocks, name, index, value):
@@ -602,18 +603,18 @@ def right_children(feature, start, stop):
 
 
 class TestForestFile:
-    """A tree or forest is one preorder node table of three blocks."""
+    """A tree or forest is one preorder node table of two blocks."""
 
     def test_blocks_dtypes_and_shapes(self, tmp_path):
         path, header, blocks = forest_file(tmp_path)
-        n, k = blocks["feature"].size, blocks["values"].size
+        n = blocks["feature"].size
         assert [(b["name"], b.get("dtype", "<f8"), b["shape"]) for b in header["blocks"]] == [
-            ("feature", "<i2", [n]), ("values", "<f8", [k]), ("value_code", "|u1", [n])]
-        assert all(blocks[name].dtype == np.int32 for name in ("feature", "value_code"))
-        # each distinct value once, and 3 bytes a node
-        assert k == len(np.unique(load_model(path).nodes_.value))
+            ("feature", "<i2", [n]), ("value", "<f8", [n])]
+        assert blocks["feature"].dtype == np.int32
+        # 10 bytes a node: these 14 nodes do not deflate smaller
+        assert "deflate" not in header
         data = path.read_bytes()
-        assert len(data) - 8 - int.from_bytes(data[4:8], "little") == 3 * n + 8 * k
+        assert len(data) - 8 - int.from_bytes(data[4:8], "little") == 10 * n
 
     def test_a_split_sends_its_left_rows_to_the_next_node(self):
         X, y, _ = toy_problem(n=40, d=3, noise=0.5, seed=33)
@@ -673,13 +674,31 @@ class TestForestFile:
         model.n_features_, model.metadata, model.fitted = 1, {"n_samples": 4, "n_features": 1}, True
         path = model.save(tmp_path / "f.bin")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "95f2567c718e0474a29e442940998dfa285b18b323dfe2fc3391f2dd9e1757ac")
+            "478c6284a6d8bf21bf03df8fb722824e648d2f932fb923f09831677010f3a63c")
         header, blocks = read_model_file(path)
         assert [(b["name"], b.get("dtype", "<f8")) for b in header["blocks"]] == [
-            ("feature", "<i2"), ("values", "<f8"), ("value_code", "|u1")]
-        assert blocks["values"].tolist() == [0.5, 1.0, 2.0, 4.0]
-        assert blocks["value_code"].tolist() == [0, 1, 2, 3]
+            ("feature", "<i2"), ("value", "<f8")]
+        # 40 bytes of blocks do not deflate smaller, so they are stored as they are
+        assert "deflate" not in header
+        assert path.read_bytes()[-40:] == (np.array([0, -1, -1, -1], "<i2").tobytes()
+                                           + np.array([0.5, 1.0, 2.0, 4.0]).tobytes())
         assert load_model(path).predict(np.array([[0.0], [1.0]])).tolist() == [2.5, 3.0]
+
+    def test_file_bytes_of_a_deflated_table_are_pinned(self, tmp_path):
+        # eight copies of the tree that splits on x <= 0.5 into leaves 1.0 and 2.0
+        model = RandomForestRegressor(n_trees=8, seed=0)
+        model.nodes_ = _NodeTable(np.tile(np.array([0, -1, -1], dtype=np.int32), 8),
+                                  np.tile([0.5, 1.0, 2.0], 8))
+        model.n_features_, model.metadata, model.fitted = 1, {"n_samples": 4, "n_features": 1}, True
+        path = model.save(tmp_path / "f.bin")
+        data = path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "72fd84d374e21d234d75aa609383006f865b853c7311aff78b4d730ff7626273")
+        header, _ = read_model_file(path)
+        assert header["deflate"] is True
+        assert zlib.decompress(data[8 + int.from_bytes(data[4:8], "little"):]) == (
+            model.nodes_.feature.astype("<i2").tobytes() + model.nodes_.value.tobytes())
+        assert load_model(path).predict(np.array([[0.0], [1.0]])).tolist() == [1.0, 2.0]
 
     def test_predict_matches_a_walk_of_each_tree_and_row(self):
         X, y, _ = toy_problem(n=40, d=3, noise=0.5, seed=37)
@@ -713,23 +732,19 @@ class TestForestFile:
         (lambda b: edited(b, "feature", 0, -2), r"outside -1 and \[0, 2\)"),
         (lambda b: edited(b, "feature", 7, -1), "holds 4 complete trees and 0 nodes after them, expected 2$"),
         (lambda b: {"feature": np.append(b["feature"], np.int32(0)),
-                    "value_code": np.append(b["value_code"], np.int32(0))},
+                    "value": np.append(b["value"], 0.0)},
          "holds 2 complete trees and 1 nodes after them, expected 2$"),
         (lambda b: edited(b, "feature", 6, 0), "holds 0 complete trees and 14 nodes after them, expected 2$"),
         (lambda b: {"feature": b["feature"].astype(float)}, "'feature' is <f8 of shape"),
-        (lambda b: {"value_code": b["value_code"][:-1].copy()}, "'value_code' is <i4 of shape"),
-        (lambda b: edited(b, "value_code", 3, b["values"].size), r"'value_code' holds an index outside \[0, \d+\)$"),
-        (lambda b: edited(b, "value_code", 0, -1), r"'value_code' holds an index outside \[0, \d+\)$"),
-        (lambda b: {"values": b["values"][:0].copy()}, r"'value_code' holds an index outside \[0, 0\)$"),
-        (lambda b: {"values": b["values"].reshape(1, -1).copy()}, "'values' is <f8 of shape"),
-        (lambda b: {"value_code": b["value_code"].astype(float)}, "'value_code' is <f8 of shape"),
+        (lambda b: {"value": b["value"][:-1].copy()}, r"'value' is <f8 of shape \(13,\)"),
+        (lambda b: {"value": b["value"][:0].copy()}, r"'value' is <f8 of shape \(0,\)"),
+        (lambda b: {"value": b["value"].reshape(1, -1).copy()}, r"'value' is <f8 of shape \(1, 14\)"),
+        (lambda b: {"value": b["value"].astype(np.int32)}, "'value' is <i4 of shape"),
     ], ids=["one-tree-short", "one-tree-too-many", "unfinished-tree-at-the-end",
             "childless-split-at-the-end", "empty-table",
             "feature-beyond-n_features", "feature-below-leaf", "tree-ends-before-its-bound",
             "nodes-left-over-after-the-last-tree", "split-without-children-at-the-bound",
-            "feature-as-float64", "value-too-short",
-            "value-code-past-the-values", "value-code-negative", "no-values", "values-2d",
-            "value-code-as-float64"])
+            "feature-as-float64", "value-too-short", "no-values", "values-2d", "value-as-int32"])
     def test_a_corrupt_table_is_one_error_naming_the_file(self, tmp_path, change, match):
         path, header, blocks = forest_file(tmp_path)
         rewrite_blocks(path, header, blocks, change(blocks))
@@ -790,9 +805,8 @@ class TestForestFile:
         with pytest.raises(CheckpointError) as info:
             load_model(path)
         assert str(info.value) == (
-            f"{path}: {kind} model file lacks parameter block 'values' (stored blocks: "
-            "['feature', 'right', 'threshold', 'tree_start', 'value']); train the model again")
-
+            f"{path}: {kind} model file has unexpected parameter blocks "
+            "['right', 'threshold', 'tree_start']; train the model again")
 
     @pytest.mark.parametrize("kind", ["random_forest", "tree"])
     def test_a_file_with_one_value_per_node_is_an_older_layout(self, tmp_path, kind):
@@ -808,8 +822,25 @@ class TestForestFile:
         with pytest.raises(CheckpointError) as info:
             load_model(path)
         assert str(info.value) == (
-            f"{path}: {kind} model file lacks parameter block 'values' (stored blocks: "
-            "['feature', 'tree_start', 'value']); train the model again")
+            f"{path}: {kind} model file has unexpected parameter blocks ['tree_start']; "
+            "train the model again")
+
+    @pytest.mark.parametrize("kind", ["random_forest", "tree"])
+    def test_a_file_with_a_value_dictionary_is_an_older_layout(self, tmp_path, kind):
+        # each distinct node value once, and each node's index into them
+        model = (RandomForestRegressor(n_trees=2, max_depth=2, seed=0) if kind == "random_forest"
+                 else DecisionTreeRegressor(max_depth=2))
+        X, y, _ = toy_problem(n=20, d=2, seed=40)
+        path = model.fit(X, y).save(tmp_path / "old.bin")
+        header, _ = read_model_file(path)
+        values, code = np.unique(model.nodes_.value, return_inverse=True)
+        write_model_file(path, kind, header["hyperparameters"], header["metadata"], [
+            ("feature", model.nodes_.feature), ("values", values), ("value_code", code.astype(np.int32))])
+        with pytest.raises(CheckpointError) as info:
+            load_model(path)
+        assert str(info.value) == (
+            f"{path}: {kind} model file lacks parameter block 'value' (stored blocks: "
+            "['feature', 'value_code', 'values']); train the model again")
 
 
 def signed_zero_leaves(model):
@@ -838,12 +869,12 @@ def wide_features(model):
 
 
 class TestValueTable:
-    """A saved table stores each distinct node value once, compared by bytes."""
+    """A saved table stores each node's value, bit for bit."""
 
     @pytest.mark.parametrize("make, dtypes", [
-        (signed_zero_leaves, {"feature": "<i2", "value_code": "|u1"}),
-        (many_values, {"feature": "<i2", "value_code": "<i2"}),
-        (wide_features, {"feature": "<i4", "value_code": "|u1"}),
+        (signed_zero_leaves, {"feature": "<i2"}),
+        (many_values, {"feature": "<i2"}),
+        (wide_features, {"feature": "<i4"}),
     ], ids=["signed-zeros", "more-than-256-values", "feature-past-32767"])
     @pytest.mark.parametrize("model", [lambda: RandomForestRegressor(n_trees=3, seed=4),
                                        lambda: DecisionTreeRegressor(seed=4)], ids=["forest", "tree"])
@@ -852,7 +883,7 @@ class TestValueTable:
         path = model.save(tmp_path / "m.bin")
         header, blocks = read_model_file(path)
         assert {b["name"]: b["dtype"] for b in header["blocks"] if b["name"] in dtypes} == dtypes
-        assert blocks["values"].size == len(set(model.nodes_.value.view("<u8").tolist()))
+        assert blocks["value"].tobytes() == model.nodes_.value.tobytes()
         back = load_model(path)
         for name in ("feature", "value", "tree_start"):
             a, b = getattr(model.nodes_, name), getattr(back.nodes_, name)

@@ -7,6 +7,8 @@ import inspect
 import json
 import re
 import shutil
+import struct
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,7 +31,7 @@ from cellforge.errors import (
 from cellforge.features import FeatureMatrix
 from cellforge.ingestion import packaged_column_map_path
 from cellforge.labels import LabelSpec, LabelVector, rul_label
-from cellforge.models import BaseRegressor, LinearRegressor
+from cellforge.models import BaseRegressor, LinearRegressor, load_model
 from cellforge.pipeline import (
     DEFAULT_SEEDS,
     FEATURES_MAGIC,
@@ -854,6 +856,12 @@ class TestRunEvaluate:
         with pytest.raises(CheckpointError, match=re.escape(f"{path}: truncated")):
             run_evaluate(dst)
 
+    def test_a_checkpoint_of_raw_files_evaluates(self, trained):
+        # one linear model and one feature column are too small to deflate
+        for name in ("model_seed0.bin", "features_test.bin"):
+            assert "deflate" not in container_parts((trained.directory / name).read_bytes())[0]
+        assert run_evaluate(trained.directory) == trained.report
+
     def test_older_features_file_with_column_names_evaluates_the_same(self, trained, tmp_path):
         # older versions also stored the column names, which evaluation never read
         dst = self.copy_checkpoint(trained, tmp_path)
@@ -993,6 +1001,94 @@ class TestShippedConfigs:
         shipped = {path.stem for path in CONFIG_DIR.glob("*.yaml")}
         assert sorted(shipped - set(SYNTHETIC_CONFIGS) - set(MATR_CONFIGS)) == []
 
+
+
+@pytest.fixture(scope="module")
+def forest_checkpoint(quickstart_corpus, tmp_path_factory):
+    """The shipped forest config trained on the quickstart corpus; its model
+    files and test features are deflated."""
+    cfg = yaml.safe_load((CONFIG_DIR / "synthetic_qdmatrix_forest.yaml").read_text())
+    return run_train(cfg, workspace=tmp_path_factory.mktemp("ws_forest"), cells=quickstart_corpus.loaded)
+
+
+def container_parts(data: bytes) -> tuple[dict, bytes]:
+    """A container file's header and the bytes after it."""
+    (length,) = struct.unpack_from("<I", data, 4)
+    return json.loads(data[8:8 + length]), data[8 + length:]
+
+
+def with_body(data: bytes, body: bytes) -> bytes:
+    (length,) = struct.unpack_from("<I", data, 4)
+    return data[:8 + length] + body
+
+
+def flipped(data: bytes, bit: int) -> bytes:
+    out = bytearray(data)
+    out[bit // 8] ^= 1 << bit % 8
+    return bytes(out)
+
+
+def mutations(data: bytes, kind: str):
+    """The mutated copies of ``data`` of one ``kind``: (whether the copy
+    must fail to read, bytes)."""
+    (length,) = struct.unpack_from("<I", data, 4)
+    inflated = zlib.decompress(container_parts(data)[1])
+    if kind == "truncation":
+        for cut in sorted({*np.linspace(0, len(data) - 1, 64, dtype=int), *range(len(data) - 8, len(data))}):
+            yield True, data[:cut]
+    elif kind == "bit-flip":
+        rng = np.random.default_rng(0)
+        tail = range(8 * (len(data) - 8), 8 * len(data))  # the stream's end and its checksum
+        for bit in sorted({*rng.integers(0, 8 * len(data), 400).tolist(), *range(32, 64), *tail}):
+            yield False, flipped(data, bit)
+    elif kind == "appended":
+        for extra in (b"\0", bytes(7), zlib.compress(b"x")):
+            yield True, data + extra
+    elif kind == "header-length":
+        for lie in (0, length - 8, length - 1, length + 1, length + 8, 2**32 - 1):
+            yield True, data[:4] + struct.pack("<I", lie) + data[8:]
+    elif kind == "inflated-size":
+        for body in (inflated + b"\0", inflated + bytes(10**5), inflated[:-1], inflated[:-8], b""):
+            yield True, with_body(data, zlib.compress(body))
+
+
+class TestDeflatedCheckpoint:
+    """A deflated file reads, or fails as one CheckpointError naming it."""
+
+    READERS = {"model_seed0.bin": load_model, "features_test.bin": read_features}
+
+    def test_model_files_and_features_are_deflated(self, forest_checkpoint):
+        for name in ("model_seed0.bin", "model_seed1.bin", "model_seed2.bin", "features_test.bin"):
+            assert container_parts((forest_checkpoint.directory / name).read_bytes())[0]["deflate"] is True
+        assert run_evaluate(forest_checkpoint.directory) == forest_checkpoint.report
+
+    def test_raw_files_of_the_same_blocks_evaluate_the_same(self, forest_checkpoint, tmp_path):
+        dst = tmp_path / "raw"
+        shutil.copytree(forest_checkpoint.directory, dst)
+        for path in dst.glob("*.bin"):
+            data = path.read_bytes()
+            header, body = container_parts(data)
+            del header["deflate"]
+            payload = json.dumps(header).encode()
+            path.write_bytes(data[:4] + struct.pack("<I", len(payload)) + payload + zlib.decompress(body))
+        assert run_evaluate(dst) == forest_checkpoint.report
+
+    @pytest.mark.parametrize("kind", ["truncation", "bit-flip", "appended", "header-length",
+                                      "inflated-size"])
+    @pytest.mark.parametrize("name", list(READERS))
+    def test_a_mutated_file_reads_or_is_one_error_naming_it(self, forest_checkpoint, tmp_path, name, kind):
+        data = (forest_checkpoint.directory / name).read_bytes()
+        path = tmp_path / name
+        cases = list(mutations(data, kind))
+        for must_fail, mutated in cases:
+            path.write_bytes(mutated)
+            try:
+                self.READERS[name](path)
+            except CheckpointError as exc:
+                assert str(path) in str(exc) and "\n" not in str(exc), str(exc)
+            else:
+                assert not must_fail, mutated
+        assert len(cases) >= 3
 
 @pytest.fixture(scope="module")
 def matr_corpus(tmp_path_factory):
