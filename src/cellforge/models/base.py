@@ -1,6 +1,14 @@
 """Shared regressor plumbing: input checks, metadata, save/load dispatch.
 
-Fit, predict and save failures raise :class:`ModelError`."""
+Fit, predict and save failures raise :class:`ModelError`.
+
+A model file is the package's binary container (see
+:mod:`cellforge.container`) with the magic ``CFM1``. The header records the
+model kind, its hyperparameters, training metadata, and the name, shape and
+dtype of every parameter block in order, so a file can be loaded without
+knowing anything but this format. The blocks are one zlib stream whenever
+that makes the file smaller.
+"""
 
 from __future__ import annotations
 
@@ -9,9 +17,12 @@ from collections.abc import Mapping
 
 import numpy as np
 
+from ..battery_data import read_file
+from ..container import parse_container, write_container
 from ..errors import CheckpointError, ModelError
 from ..registry import MODELS
-from .io import read_model_file, write_model_file
+
+MAGIC = b"CFM1"
 
 
 def check_X_y(X, y):
@@ -103,19 +114,20 @@ class BaseRegressor:
     def save(self, path):
         if not self.fitted:
             raise ModelError("cannot save an unfitted model")
-        return write_model_file(path, self.kind, self.get_params(), self.metadata, self._param_blocks())
+        header = {"kind": self.kind, "hyperparameters": self.get_params(), "metadata": self.metadata}
+        return write_container(path, MAGIC, header, self._param_blocks(), deflate=True)
 
 
 def load_model(path):
     """Load any saved regressor: the header's ``kind`` names the registered
     model class (see ``MODELS``) that restores it."""
-    header, blocks = read_model_file(path)
+    header, blocks = read_file(path, CheckpointError,
+                               lambda data: parse_container(data, MAGIC, CheckpointError))
+    blocks = {name: arr.copy() for name, arr in blocks.items()}
     kind = header.get("kind")
     cls = MODELS.find_class("kind", kind)
     if cls is None:
-        raise CheckpointError(
-            f"unknown model kind {kind!r} in {path}: no single registered model carries it"
-        )
+        raise CheckpointError(f"{path}: unknown model kind {kind!r}: no single registered model carries it")
     hyperparameters, metadata = header.get("hyperparameters"), header.get("metadata")
     if not isinstance(hyperparameters, dict) or not isinstance(metadata, dict):
         raise CheckpointError(f"{path}: 'hyperparameters' and 'metadata' must be JSON objects")

@@ -364,10 +364,11 @@ def _fit_transforms(config: PipelineConfig, X_train, y_train):
     return ft, lt
 
 
-def _score(seeds, models, lt, Xte, y_test):
+def _score(seeds, models, ft, lt, X_test, y_test):
     """Per-seed metrics plus the across-seed mean prediction per test row;
-    each fit predicts once, and a seed without a fit of its own is scored
-    with the first seed's fit."""
+    each fit predicts once on the transformed ``X_test``, and a seed without
+    a fit of its own is scored with the first seed's fit."""
+    Xte = ft.transform(X_test)
     predicted = {}
     for seed, model in models.items():
         predicted[seed] = lt.inverse_transform(model.predict(Xte))
@@ -402,7 +403,12 @@ def _prediction_rows(keys, y_true, y_pred):
     return rows
 
 
-def _report(config, per_seed, keys_test, y_test, mean_pred, excluded, overrides=()):
+def _report(config, models, ft, lt, X_test, keys_test, y_test, excluded, overrides=()):
+    """The evaluation report of ``models`` on the raw test features
+    ``X_test``, whose rows are ``keys_test`` and labels ``y_test``: the one
+    scoring tail of training, of checkpoint verification and of overridden
+    evaluations."""
+    per_seed, mean_pred = _score(config.seeds, models, ft, lt, X_test, y_test)
     rmses = np.array([s["rmse"] for s in per_seed])
     maes = np.array([s["mae"] for s in per_seed])
     report = {
@@ -444,15 +450,12 @@ def run_train(config, workspace=None, cells: list[CellRecord] | None = None) -> 
     ft, lt = _fit_transforms(config, train.values, y_train)
     Xtr = ft.transform(train.values)
     ytr = lt.transform(y_train)
-    Xte = ft.transform(features_test.values)
 
     models = {seed: MODELS.create(config.model.name, **params).fit(Xtr, ytr)
               for seed, params in _model_params(config.model, config.seeds).items()}
 
-    per_seed, mean_pred = _score(config.seeds, models, lt, Xte, y_test)
-    report = _report(
-        config, per_seed, features_test.row_keys, y_test, mean_pred, excl_train + excl_test
-    )
+    report = _report(config, models, ft, lt, features_test.values, features_test.row_keys,
+                     y_test, excl_train + excl_test)
 
     ckpt_dir = _resolve_workspace(workspace, config) / config.run_name()
     _write_checkpoint(ckpt_dir, config, split, features_test, ft, lt, models, report)
@@ -540,38 +543,27 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
                  cells: list[CellRecord] | None = None) -> dict:
     """Recompute the evaluation report of a stored checkpoint.
 
-    Without overrides the stored test features, transforms and models
-    recompute the predictions and metrics against the test labels and
-    exclusions of the stored report, so the result is bit-identical to the
-    report written at train time. ``overrides`` replaces whole
+    First the stored config, test features, transforms and models
+    recompute the report against the test labels and exclusions of the
+    stored report, and the checkpoint is refused unless the result equals
+    its ``report.json``; without overrides that report is returned, so what
+    evaluation returns is what training wrote. ``overrides`` replaces whole
     ``train_test_split``, ``feature`` or ``label`` sections and forces those
     stages to rerun on the test cells of a corpus (``cells`` or the split's
     ``cell_data_path``), the only cells scored; the report then flags which
-    sections were overridden and lists the test cells' exclusions. The stored transforms and models always score, so
-    overriding their sections is an error. A corpus passed without overrides
-    is checked for the stored test cells (missing ones are an error) but
-    stored features are still used.
+    sections were overridden and lists the test cells' exclusions. The
+    stored transforms and models always score, so overriding their sections
+    is an error. A corpus passed without overrides is checked for the stored
+    test cells (missing ones are an error) but stored features are still
+    used.
     """
     ckpt_dir = Path(checkpoint)
     if not ckpt_dir.is_dir():
         raise CheckpointError(f"checkpoint directory not found: {ckpt_dir}")
 
     stored_report = read_report(ckpt_dir)
-    config_path = ckpt_dir / "config.yaml"
-    stored_config = read_file(config_path, CheckpointError,
+    stored_config = read_file(ckpt_dir / "config.yaml", CheckpointError,
                               lambda data: PipelineConfig.from_dict(yaml_document(data)))
-    if stored_config.config_hash() != stored_report.get("config_hash"):
-        raise CheckpointError(
-            "stored config does not match the hash in report.json; the "
-            "checkpoint was modified after training"
-        )
-    # config_hash leaves the seeds out, so they are checked against the scored seeds
-    per_seed = stored_report.get("per_seed")
-    scored = ([s.get("seed") if isinstance(s, dict) else None for s in per_seed]
-              if isinstance(per_seed, list) else None)
-    if scored != list(stored_config.seeds):
-        raise CheckpointError(f"{config_path}: seeds {list(stored_config.seeds)} differ from "
-                              f"the seeds scored in report.json, {scored}")
 
     overrides = dict(overrides or {})
     unknown = sorted(set(overrides) - set(COMPONENT_KEYS))
@@ -583,14 +575,10 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
             f"cannot override {stored} at evaluation: the checkpoint's fitted "
             "transforms and models are what it scores; train a new checkpoint instead"
         )
-    merged = stored_config.to_dict()
-    merged.update({k: _jsonify(v) for k, v in overrides.items()})
-    merged.pop("workspace", None)
-    config = PipelineConfig.from_dict(merged)
 
     ft, lt = read_file(ckpt_dir / "transforms.json", CheckpointError, _transforms_document)
     models = {seed: load_model(ckpt_dir / f"model_seed{seed}.bin")
-              for seed in _model_params(config.model, config.seeds)}
+              for seed in _model_params(stored_config.model, stored_config.seeds)}
 
     stored_split = read_file(ckpt_dir / "split.json", CheckpointError,
                              lambda data: SplitResult.from_dict(json_document(data)))
@@ -600,27 +588,35 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
         if missing and "train_test_split" not in overrides:
             raise CheckpointError(f"corpus is missing stored test cells: {missing}")
 
+    X_test, keys_test = read_features(ckpt_dir / "features_test.bin")
+    rows = stored_report["predictions"]
+    if len(rows) != len(keys_test):
+        raise CheckpointError(f"{ckpt_dir / 'report.json'}: {len(rows)} prediction rows, but "
+                              f"features_test.bin stores {len(keys_test)} feature rows")
+    y_test = np.array([r["y_true"] for r in rows], dtype=float)
+    report = _report(stored_config, models, ft, lt, X_test, keys_test, y_test,
+                     stored_report["excluded"])
+    if report != stored_report:
+        differ = sorted(k for k in report.keys() | stored_report.keys()
+                        if (k in report, report.get(k)) != (k in stored_report, stored_report.get(k)))
+        raise CheckpointError(
+            f"{ckpt_dir / 'report.json'}: the stored config, features, transforms and models "
+            f"give a report that differs in {differ}; the checkpoint was modified after training"
+        )
     if not overrides:
-        X_test, keys_test = read_features(ckpt_dir / "features_test.bin")
-        rows = stored_report["predictions"]
-        if keys_test != [(r["cell_id"], r.get("cycle"), r.get("step")) for r in rows]:
-            raise CheckpointError(
-                f"{ckpt_dir / 'features_test.bin'}: feature rows differ from the "
-                "prediction rows in report.json"
-            )
-        y_test = np.array([r["y_true"] for r in rows], dtype=float)
-        excluded = stored_report["excluded"]
-    else:
-        split, _, test_cells = _split_cells(config, cells)
-        features_test, y_test, excluded = _label_and_featurize(config, split, test=test_cells)["test"]
-        X_test, keys_test = features_test.values, features_test.row_keys
+        return report
 
+    merged = stored_config.to_dict()
+    merged.update({k: _jsonify(v) for k, v in overrides.items()})
+    merged.pop("workspace", None)
+    config = PipelineConfig.from_dict(merged)
+    split, _, test_cells = _split_cells(config, cells)
+    features_test, y_test, excluded = _label_and_featurize(config, split, test=test_cells)["test"]
+    X_test, keys_test = features_test.values, features_test.row_keys
     widths = sorted({model.n_features_ for model in models.values()})
     if widths != [X_test.shape[1]]:
         raise ConfigError(
             f"features have {X_test.shape[1]} columns but the stored models take {widths}; "
             "a feature override must keep the trained feature width"
         )
-    Xte = ft.transform(X_test)
-    per_seed, mean_pred = _score(config.seeds, models, lt, Xte, y_test)
-    return _report(config, per_seed, keys_test, y_test, mean_pred, excluded, overrides=overrides)
+    return _report(config, models, ft, lt, X_test, keys_test, y_test, excluded, overrides=overrides)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,9 +10,23 @@ import pytest
 from hypothesis import strategies as st
 
 from cellforge.battery_data import CellRecord, CycleRecord, ProtocolStep, load_cells, write_cell
+from cellforge.container import parse_container, write_container
+from cellforge.errors import CheckpointError
+from cellforge.models.base import MAGIC as MODEL_MAGIC
 from cellforge.synthetic import SynthSpec, generate_synthetic
 
 V_MIN, V_MAX = 2.0, 3.6
+
+
+def read_model_file(path):
+    """The header and {block name: read-only array} of a model file."""
+    return parse_container(Path(path).read_bytes(), MODEL_MAGIC, CheckpointError)
+
+
+def write_model_file(path, kind, hyperparameters, metadata, blocks):
+    """A model file of any header and blocks, laid out as ``BaseRegressor.save`` writes one."""
+    header = {"kind": kind, "hyperparameters": hyperparameters, "metadata": metadata}
+    return write_container(path, MODEL_MAGIC, header, blocks, deflate=True)
 
 
 def linear_cycle(

@@ -49,9 +49,9 @@ from cellforge.battery_data import (
 )
 from cellforge.errors import CheckpointError, SchemaError, ValidationError
 from cellforge.models import load_model
-from cellforge.models.io import read_model_file, write_model_file
 from cellforge.synthetic import SynthSpec, generate_synthetic
-from conftest import cell_strategy, cycle_strategy, linear_cycle, make_cell, random_valid_cell
+from conftest import (cell_strategy, cycle_strategy, linear_cycle, make_cell, random_valid_cell,
+                      read_model_file, write_model_file)
 
 
 def paths_of(violations):
@@ -821,7 +821,7 @@ class TestNarrowBlocks:
         assert read_model_file(path)[0]["blocks"][-1] == {"dtype": "<i2", "name": "codes", "shape": [3]}
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(CheckpointError) as info:
-            read_model_file(path)
+            load_model(path)
         assert str(info.value) == f"{path}: truncated block 'codes'"
 
 

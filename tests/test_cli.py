@@ -19,7 +19,6 @@ from cellforge import cli
 from cellforge.cli import main
 from cellforge.errors import CheckpointError, ConfigError, SchemaError
 from cellforge.ingestion import SOURCES
-from cellforge.models.io import read_model_file, write_model_file
 from cellforge.pipeline import PipelineConfig, run_evaluate
 from cellforge.plots import (
     Series,
@@ -27,6 +26,8 @@ from cellforge.plots import (
     pred_vs_truth_series,
     write_series_csv,
 )
+
+from conftest import read_model_file, write_model_file
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 

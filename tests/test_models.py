@@ -1,6 +1,7 @@
 """Regressors against closed-form oracles, plus the binary checkpoint format."""
 
 import hashlib
+import re
 import zlib
 
 import numpy as np
@@ -21,8 +22,9 @@ from cellforge.models import (
     load_model,
 )
 from cellforge.models.forest import _NodeTable
-from cellforge.models.io import read_model_file, write_model_file
 from cellforge.registry import MODELS
+
+from conftest import read_model_file, write_model_file
 
 
 def toy_problem(n=60, d=4, noise=0.1, seed=0):
@@ -488,8 +490,6 @@ class TestSaveLoad:
 
     def test_file_bytes_are_pinned(self, tmp_path):
         # the binary container is shared with cell files; model files must not change
-        from cellforge.models.io import read_model_file
-
         X, y, _ = toy_problem(n=10, d=3)
         path = LinearRegressor().fit(X, y).save(tmp_path / "m.bin")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
@@ -520,11 +520,9 @@ class TestSaveLoad:
             load_model(p)
 
     def test_unknown_kind_rejected(self, tmp_path):
-        from cellforge.models.io import write_model_file
-
         p = tmp_path / "m.bin"
         write_model_file(p, "mystery", {}, {"n_features": 1}, [])
-        with pytest.raises(CheckpointError, match="unknown model kind"):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(p))}: unknown model kind 'mystery': "):
             load_model(p)
 
     @pytest.mark.parametrize("hyperparameters, metadata, match", [
@@ -545,8 +543,6 @@ class TestSaveLoad:
         assert str(p) in str(info.value)
 
     def test_extra_block_rejected(self, tmp_path):
-        from cellforge.models.io import read_model_file, write_model_file
-
         p = tmp_path / "m.bin"
         X, y, _ = toy_problem(n=10, d=2)
         RandomForestRegressor(n_trees=1, seed=0).fit(X, y).save(p)

@@ -818,15 +818,21 @@ class TestRunEvaluate:
         with pytest.raises(CheckpointError, match="modified after training"):
             run_evaluate(dst)
 
-    @pytest.mark.parametrize("seeds", [[0], [1, 0], [0, 1, 2]], ids=["cut", "reordered", "added"])
-    def test_edited_seeds_detected(self, trained, tmp_path, seeds):
+    @pytest.mark.parametrize("seeds, victim, fragment", [
+        ([0], "report.json", "['per_seed']"),
+        # the seedless model's one fit is stored under the first seed
+        ([1, 0], "model_seed1.bin", "cannot read"),
+        ([0, 1, 2], "report.json", "['per_seed']"),
+    ], ids=["cut", "reordered", "added"])
+    def test_edited_seeds_detected(self, trained, tmp_path, seeds, victim, fragment):
         # config_hash leaves the seeds out; the report's per-seed rows hold them
         dst = self.copy_checkpoint(trained, tmp_path)
         cfg = yaml.safe_load((dst / "config.yaml").read_text())
         cfg["seeds"] = seeds
         (dst / "config.yaml").write_text(yaml.safe_dump(cfg))
-        with pytest.raises(CheckpointError, match=f"^{re.escape(str(dst / 'config.yaml'))}: seeds "):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(dst / victim))}: ") as info:
             run_evaluate(dst)
+        assert fragment in str(info.value) and "\n" not in str(info.value)
 
     def test_unreadable_config_detected(self, trained, tmp_path):
         dst = self.copy_checkpoint(trained, tmp_path)
@@ -877,9 +883,62 @@ class TestRunEvaluate:
         report = json.loads((dst / "report.json").read_text())
         report["predictions"].reverse()
         (dst / "report.json").write_text(json.dumps(report))
-        with pytest.raises(CheckpointError, match="features_test.bin: feature rows differ from "
-                           "the prediction rows in report.json"):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(dst / 'report.json'))}: .*"
+                           "'predictions'.*modified after training$"):
             run_evaluate(dst)
+
+    def test_feature_row_count_must_match_prediction_rows(self, trained, tmp_path):
+        dst = self.copy_checkpoint(trained, tmp_path)
+        report = json.loads((dst / "report.json").read_text())
+        del report["predictions"][0]
+        (dst / "report.json").write_text(json.dumps(report))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(dst / 'report.json'))}: 1 "
+                           "prediction rows, but features_test.bin stores 2 feature rows$"):
+            run_evaluate(dst)
+
+    # one stored number changed each: a label z-score std, a test label, a
+    # test feature and a model coefficient (a high mantissa bit of the first
+    # float64 in each binary file's raw blocks)
+    STORED_NUMBER_EDITS = {
+        "transforms.json": lambda data: edited_digit(
+            data, json.loads(data)["label_transformation"]["state"]["std"]),
+        "report.json": lambda data: edited_digit(data, json.loads(data)["predictions"][0]["y_true"]),
+        "features_test.bin": lambda data: flipped(data, (len(data) - 16) * 8 + 51),
+        "model_seed0.bin": lambda data: flipped(data, (len(data) - 16) * 8 + 51),
+    }
+
+    @pytest.mark.parametrize("victim", sorted(STORED_NUMBER_EDITS))
+    def test_an_edited_stored_number_is_refused(self, trained, tmp_path, victim):
+        # each file holds two float64 blocks of one value, or two rows of one column
+        dst = self.copy_checkpoint(trained, tmp_path)
+        for name in ("features_test.bin", "model_seed0.bin"):
+            assert len(container_parts((dst / name).read_bytes())[1]) == 16
+        path = dst / victim
+        path.write_bytes(self.STORED_NUMBER_EDITS[victim](path.read_bytes()))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(dst / 'report.json'))}: .*"
+                           "modified after training$") as info:
+            run_evaluate(dst)
+        assert "\n" not in str(info.value)
+
+    def test_an_edited_stored_number_fails_evaluate_in_one_line(self, trained, tmp_path, capsys):
+        dst = self.copy_checkpoint(trained, tmp_path)
+        path = dst / "transforms.json"
+        path.write_bytes(self.STORED_NUMBER_EDITS["transforms.json"](path.read_bytes()))
+        assert cli_main(["evaluate", "--checkpoint", str(dst)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {dst / 'report.json'}: ") and err.count("\n") == 1
+
+    def test_tampered_config_detected_before_an_override(self, trained, pipe_cells, tmp_path):
+        # overrides rerun the stored split, label and feature sections, so an
+        # edited config.yaml must not reach them
+        dst = self.copy_checkpoint(trained, tmp_path)
+        cfg = yaml.safe_load((dst / "config.yaml").read_text())
+        cfg["feature"]["interp_dims"] = 99
+        (dst / "config.yaml").write_text(yaml.safe_dump(cfg))
+        with pytest.raises(CheckpointError, match="modified after training") as info:
+            run_evaluate(dst, overrides={"label": {"name": "RULLabelAnnotator", "eol_soh_percent": 85.0}},
+                         cells=pipe_cells)
+        assert "\n" not in str(info.value)
 
     def test_step_level_round_trip(self, tmp_path):
         # (cell, cycle, step) keys: evaluation rebuilds them from the report rows
@@ -1026,6 +1085,13 @@ def flipped(data: bytes, bit: int) -> bytes:
     out = bytearray(data)
     out[bit // 8] ^= 1 << bit % 8
     return bytes(out)
+
+
+def edited_digit(data: bytes, value: float) -> bytes:
+    """``data`` with the fourth-last digit of the one ``repr`` of ``value`` in it changed."""
+    old = repr(value).encode()
+    assert data.count(old) == 1 and old[-4:-3].isdigit()
+    return data.replace(old, old[:-4] + str((int(old[-4:-3]) + 1) % 10).encode() + old[-3:])
 
 
 def mutations(data: bytes, kind: str):
