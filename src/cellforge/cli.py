@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: list-sources, preprocess, generate, train, evaluate, plot.
-Domain failures and file-system errors exit 1 with a single-line message;
-bad flags exit 2 with usage text. CELLFORGE_WORKSPACE provides the default
-workspace for train checkpoints.
+Domain failures, file-system errors and memory exhaustion exit 1 with a
+single-line message; bad flags exit 2 with usage text. CELLFORGE_WORKSPACE
+provides the default workspace for train checkpoints.
 """
 
 from __future__ import annotations
@@ -170,6 +170,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args, say)
     except CellforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. an array that a size parameter makes too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # a write the file system refused
         message = f"{exc.filename}: {exc.strerror}" if exc.filename is not None else str(exc)

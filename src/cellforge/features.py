@@ -180,9 +180,9 @@ def sanitize(values: np.ndarray) -> np.ndarray:
 class FeatureMatrix:
     """2-D feature values plus row keys and column names.
 
-    A checkpoint stores the test rows' values and keys (see
-    :func:`cellforge.pipeline.write_features`) but not the names, which the
-    config's feature section rebuilds.
+    A checkpoint stores the test rows' values alone (see
+    :func:`cellforge.pipeline.write_features`): its report's prediction rows
+    hold the keys, and the config's feature section rebuilds the names.
     """
 
     values: np.ndarray

@@ -284,17 +284,21 @@ def _resolve_workspace(workspace, config: PipelineConfig) -> Path:
     return Path("workspace")
 
 
+def _corpus(config: PipelineConfig, cells):
+    """``cells``, or when it is None the corpus at the split section's ``cell_data_path``."""
+    if cells is not None:
+        return cells
+    cell_data_path = config.train_test_split.params.get("cell_data_path")
+    if cell_data_path is None:
+        raise ConfigError("train_test_split needs 'cell_data_path' when cells are not supplied")
+    return load_cells(cell_data_path)
+
+
 def _split_cells(config: PipelineConfig, cells):
     """Run the splitter and bind the resulting IDs back to cell records."""
     split_params = dict(config.train_test_split.params)
-    cell_data_path = split_params.pop("cell_data_path", None)
-    if cells is None:
-        if cell_data_path is None:
-            raise ConfigError(
-                "train_test_split needs 'cell_data_path' when cells are not supplied"
-            )
-        cells = load_cells(cell_data_path)
-    cells = sorted(cells, key=lambda c: c.cell_id)
+    split_params.pop("cell_data_path", None)
+    cells = sorted(_corpus(config, cells), key=lambda c: c.cell_id)
     if not cells:
         raise PipelineError("no cells to run on")
     splitter = SPLITTERS.create(config.train_test_split.name, **split_params)
@@ -303,6 +307,16 @@ def _split_cells(config: PipelineConfig, cells):
     train = [by_id[i] for i in split.train_cell_ids]
     test = [by_id[i] for i in split.test_cell_ids]
     return split, train, test
+
+
+def _stored_test_cells(split: SplitResult, cells):
+    """The cells of ``split``'s test IDs, in its order; a test cell that
+    ``cells`` lacks is a :class:`CheckpointError`."""
+    by_id = {c.cell_id: c for c in cells}
+    missing = [cid for cid in split.test_cell_ids if cid not in by_id]
+    if missing:
+        raise CheckpointError(f"corpus is missing stored test cells: {missing}")
+    return [by_id[cid] for cid in split.test_cell_ids]
 
 
 def _label_and_featurize(config: PipelineConfig, split: SplitResult, **partitions):
@@ -477,7 +491,7 @@ def _write_checkpoint(ckpt_dir, config, split, features_test, ft, lt, models, re
         write_json(tmp / "split.json", split.to_dict())
         write_json(tmp / "transforms.json",
                    {"feature_transformation": ft.to_dict(), "label_transformation": lt.to_dict()})
-        write_features(tmp / "features_test.bin", features_test)
+        write_features(tmp / "features_test.bin", features_test.values)
         for seed, model in models.items():
             model.save(tmp / f"model_seed{seed}.bin")
         shutil.rmtree(ckpt_dir, ignore_errors=True)
@@ -487,31 +501,28 @@ def _write_checkpoint(ckpt_dir, config, split, features_test, ft, lt, models, re
         raise
 
 
-def write_features(path, matrix: FeatureMatrix) -> Path:
-    """Write ``matrix``'s row keys and values as one ``CFF1`` container
-    file, the values deflated when that makes it smaller; its column
-    names stay out, as the config's feature section rebuilds them."""
-    return write_container(path, FEATURES_MAGIC, {"row_keys": [list(k) for k in matrix.row_keys]},
-                           [("values", matrix.values)], deflate=True)
+def write_features(path, values: np.ndarray) -> Path:
+    """Write the 2-D test feature ``values`` alone as one ``CFF1`` container file,
+    deflated when that makes it smaller; ``report.json``'s prediction rows hold
+    their row keys, and the config's feature section names their columns."""
+    return write_container(path, FEATURES_MAGIC, {}, [("values", values)], deflate=True)
 
 
-def read_features(path) -> tuple[np.ndarray, list[tuple]]:
-    """The values and row keys :func:`write_features` wrote to ``path``; a
-    ``col_names`` key that older versions wrote is ignored. A missing or
-    malformed file raises :class:`CheckpointError` naming it."""
+def read_features(path) -> np.ndarray:
+    """The values :func:`write_features` wrote to ``path``; a missing or malformed file,
+    or one of an older layout, raises :class:`CheckpointError` naming it."""
     return read_file(path, CheckpointError, _features_document)
 
 
 def _features_document(data: bytes):
     header, blocks = parse_container(data, FEATURES_MAGIC, CheckpointError)
-    keys = header.get("row_keys")
-    if not (isinstance(keys, list) and all(isinstance(k, list) for k in keys)):
-        raise CheckpointError("header needs 'row_keys' (arrays)")
+    older = sorted(set(header) - {"blocks", "deflate"})
+    if older:
+        raise CheckpointError(f"an older layout, whose header holds {older}; train the checkpoint again")
     shapes = {name: b.shape for name, b in blocks.items()}
-    if list(shapes) != ["values"] or len(shapes["values"]) != 2 or shapes["values"][0] != len(keys):
-        raise CheckpointError(f"expected one 2-D 'values' block of {len(keys)} rows, "
-                              f"got shapes {shapes}")
-    return blocks["values"], [tuple(k) for k in keys]
+    if list(shapes) != ["values"] or len(shapes["values"]) != 2:
+        raise CheckpointError(f"expected one 2-D 'values' block, got shapes {shapes}")
+    return blocks["values"]
 
 
 def read_report(checkpoint) -> dict:
@@ -524,9 +535,11 @@ def _report_document(data: bytes) -> dict:
     rows = report.get("predictions") if isinstance(report, dict) else None
     if not (isinstance(rows, list) and isinstance(report.get("excluded"), list) and all(
             isinstance(r, dict) and isinstance(r.get("cell_id"), str)
-            and all(type(r.get(k)) in (int, float) for k in ("y_true", "y_pred")) for r in rows)):
+            and all(type(r.get(k)) in (int, float) for k in ("y_true", "y_pred"))
+            and all(type(r[k]) is int for k in ("cycle", "step") if k in r) for r in rows)):
         raise CheckpointError("expected an 'excluded' list and 'predictions' rows with "
-                              "a string 'cell_id' and numeric 'y_true' and 'y_pred'")
+                              "a string 'cell_id' and numeric 'y_true' and 'y_pred', "
+                              "and an integer 'cycle' and 'step' where present")
     return report
 
 
@@ -544,18 +557,22 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
     """Recompute the evaluation report of a stored checkpoint.
 
     First the stored config, test features, transforms and models
-    recompute the report against the test labels and exclusions of the
-    stored report, and the checkpoint is refused unless the result equals
-    its ``report.json``; without overrides that report is returned, so what
-    evaluation returns is what training wrote. ``overrides`` replaces whole
-    ``train_test_split``, ``feature`` or ``label`` sections and forces those
-    stages to rerun on the test cells of a corpus (``cells`` or the split's
-    ``cell_data_path``), the only cells scored; the report then flags which
-    sections were overridden and lists the test cells' exclusions. The
-    stored transforms and models always score, so overriding their sections
-    is an error. A corpus passed without overrides is checked for the stored
-    test cells (missing ones are an error) but stored features are still
-    used.
+    recompute the report against the row keys, test labels and exclusions
+    of the stored report. The checkpoint is refused unless the result
+    equals its ``report.json`` and ``split.json``'s test cells are those
+    that the report scores or excludes; without overrides that report is
+    returned, so what evaluation returns is what training wrote.
+    ``overrides`` replaces whole ``train_test_split``, ``feature`` or
+    ``label`` sections and forces those stages to rerun on the test cells of
+    a corpus (``cells`` or the split's ``cell_data_path``), the only cells
+    scored: without a ``train_test_split`` override these are the stored
+    test cells, and the stored split's metadata feeds the label and feature
+    sections. The report then flags which sections were overridden and lists
+    the test cells' exclusions. The stored transforms and models always
+    score, so overriding their sections is an error. Without a
+    ``train_test_split`` override, a stored test cell missing from the
+    corpus is an error; a corpus passed without overrides is only checked
+    for them, as the stored features score.
     """
     ckpt_dir = Path(checkpoint)
     if not ckpt_dir.is_dir():
@@ -582,17 +599,21 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
 
     stored_split = read_file(ckpt_dir / "split.json", CheckpointError,
                              lambda data: SplitResult.from_dict(json_document(data)))
-    if cells is not None:
-        available = {c.cell_id for c in cells}
-        missing = [cid for cid in stored_split.test_cell_ids if cid not in available]
-        if missing and "train_test_split" not in overrides:
-            raise CheckpointError(f"corpus is missing stored test cells: {missing}")
-
-    X_test, keys_test = read_features(ckpt_dir / "features_test.bin")
+    X_test = read_features(ckpt_dir / "features_test.bin")
     rows = stored_report["predictions"]
-    if len(rows) != len(keys_test):
+    if len(rows) != len(X_test):
         raise CheckpointError(f"{ckpt_dir / 'report.json'}: {len(rows)} prediction rows, but "
-                              f"features_test.bin stores {len(keys_test)} feature rows")
+                              f"features_test.bin stores {len(X_test)} feature rows")
+    scored = {r["cell_id"] for r in rows}
+    accounted = scored | {e.get("cell_id") for e in stored_report["excluded"] if isinstance(e, dict)}
+    unlisted = sorted(scored - set(stored_split.test_cell_ids))
+    unaccounted = [cid for cid in stored_split.test_cell_ids if cid not in accounted]
+    if unlisted or unaccounted:
+        raise CheckpointError(
+            f"{ckpt_dir / 'split.json'}: its test cells differ from those report.json scores "
+            f"or excludes: it lacks {unlisted} and adds {unaccounted}"
+        )
+    keys_test = [(r["cell_id"], r.get("cycle"), r.get("step")) for r in rows]
     y_test = np.array([r["y_true"] for r in rows], dtype=float)
     report = _report(stored_config, models, ft, lt, X_test, keys_test, y_test,
                      stored_report["excluded"])
@@ -601,16 +622,23 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
                         if (k in report, report.get(k)) != (k in stored_report, stored_report.get(k)))
         raise CheckpointError(
             f"{ckpt_dir / 'report.json'}: the stored config, features, transforms and models "
-            f"give a report that differs in {differ}; the checkpoint was modified after training"
+            f"give a report that differs in {differ}; unless NumPy or its BLAS rounds differently "
+            'here than where the checkpoint was trained (see "Pipeline configs" in the README), '
+            "the checkpoint was modified after training"
         )
     if not overrides:
+        if cells is not None:
+            _stored_test_cells(stored_split, cells)
         return report
 
     merged = stored_config.to_dict()
     merged.update({k: _jsonify(v) for k, v in overrides.items()})
     merged.pop("workspace", None)
     config = PipelineConfig.from_dict(merged)
-    split, _, test_cells = _split_cells(config, cells)
+    if "train_test_split" in overrides:
+        split, _, test_cells = _split_cells(config, cells)
+    else:
+        split, test_cells = stored_split, _stored_test_cells(stored_split, _corpus(config, cells))
     features_test, y_test, excluded = _label_and_featurize(config, split, test=test_cells)["test"]
     X_test, keys_test = features_test.values, features_test.row_keys
     widths = sorted({model.n_features_ for model in models.values()})

@@ -210,26 +210,30 @@ class SequentialDataTransformation(_Fitted):
     """Children applied in order; fitting chains each child on the previous
     child's training output, inversion walks the chain backwards.
 
-    A child is a transformation or a config dict (``name`` plus parameters)
-    built through the ``TRANSFORMS`` registry.
+    ``transformations`` is a list or tuple; each child is a transformation
+    or a config dict (``name`` plus parameters) built through the
+    ``TRANSFORMS`` registry.
     """
 
     name = "SequentialDataTransformation"
 
     def __init__(self, transformations=()):
         super().__init__()
+        if not isinstance(transformations, (list, tuple)):
+            raise TransformError(f"sequential transformations must be a list, got {transformations!r}")
         self.transformations = [self._child(t) for t in transformations]
         if not self.transformations:
             raise TransformError("sequential transformation needs at least one child")
 
     @staticmethod
     def _child(child):
-        if not isinstance(child, dict):
+        if isinstance(child, _Fitted):
             return child
-        params = dict(child)
+        params = dict(child) if isinstance(child, dict) else {}
         name = params.pop("name", None)
         if not isinstance(name, str):
-            raise TransformError("sequential child needs a 'name' string")
+            raise TransformError(f"sequential child {child!r} must be a transformation "
+                                 "or a mapping with a 'name' string")
         return TRANSFORMS.create(name, **params)
 
     def _fit(self, arr):

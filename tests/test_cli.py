@@ -453,6 +453,30 @@ class TestTrainEvaluate:
                      "--workspace", str(tmp_path / "ws")]) == 1
         assert_one_line_error(capsys, "log scale requires strictly positive data")
 
+    @pytest.mark.parametrize("transformations, fragment", [
+        ("x", "sequential transformations must be a list, got 'x'"),
+        ({"name": "ZScoreDataTransformation"},
+         "sequential transformations must be a list, got {'name': 'ZScoreDataTransformation'}"),
+        ([1], "sequential child 1 must be a transformation or a mapping with a 'name' string"),
+        ([[1]], "sequential child [1] must be a transformation or a mapping with a 'name' string"),
+    ], ids=["string", "mapping", "number", "nested-list"])
+    def test_sequential_entry_that_is_no_transformation_is_one_line_error(
+            self, corpus_dir, tmp_path, capsys, transformations, fragment):
+        config_path = write_train_config(tmp_path, corpus_dir, label_transformation={
+            "name": "SequentialDataTransformation", "transformations": transformations})
+        assert main(["train", "--config", str(config_path),
+                     "--workspace", str(tmp_path / "ws")]) == 1
+        assert_one_line_error(capsys, fragment)
+
+    def test_an_array_too_large_to_exist_is_one_line_error(self, corpus_dir, tmp_path, capsys):
+        # NumPy refuses the 7.11 PiB voltage grid before the OS commits any memory
+        config_path = write_train_config(tmp_path, corpus_dir, feature={
+            "name": "VarianceModelFeatureExtractor", "interp_dims": 10**15})
+        ws = tmp_path / "ws"
+        assert main(["train", "--config", str(config_path), "--workspace", str(ws)]) == 1
+        assert_one_line_error(capsys, "error: out of memory: ")
+        assert not ws.exists() or list(ws.iterdir()) == []
+
     def test_evaluate_rejects_stored_hyperparameters(self, corpus_dir, tmp_path, capsys):
         for model, stored, fragment in [
             # a forest file from before n_jobs was removed carries that parameter

@@ -223,64 +223,58 @@ class TestSmallHelpers:
 
 
 class TestFeatureMatrix:
-    """The stored test features: row keys and values, no column names."""
+    """The stored test features: their values alone, without row keys (the
+    prediction rows of report.json hold them) or column names."""
 
     def test_save_load_round_trip(self, tmp_path):
-        fm = FeatureMatrix(
-            values=np.array([[1.5, -2.25], [0.0, 3.125]]),
-            row_keys=[("a", None, None), ("b", 4, 2)],
-            col_names=["f1", "f2"],
-        )
-        values, keys = read_features(write_features(tmp_path / "feats.bin", fm))
-        assert values.tobytes() == fm.values.tobytes() and values.shape == (2, 2)
-        assert keys == fm.row_keys
+        values = np.array([[1.5, -2.25], [0.0, 3.125]])
+        loaded = read_features(write_features(tmp_path / "feats.bin", values))
+        assert loaded.tobytes() == values.tobytes() and loaded.shape == (2, 2)
 
     def test_saved_as_one_container_file(self, tmp_path):
-        fm = FeatureMatrix(np.zeros((1, 1)), [("a", None, None)], ["x"])
-        assert write_features(tmp_path / "feats.bin", fm) == tmp_path / "feats.bin"
+        assert write_features(tmp_path / "feats.bin", np.zeros((1, 1))) == tmp_path / "feats.bin"
         assert [p.name for p in tmp_path.iterdir()] == ["feats.bin"]
         assert (tmp_path / "feats.bin").read_bytes()[:4] == FEATURES_MAGIC
 
     def test_file_bytes_are_pinned(self, tmp_path):
-        fm = FeatureMatrix(np.array([[0.5, -1.0], [2.0, 1e-3]]),
-                           [("C0001", None, None), ("C0002", 7, 3)], ["dq_c0_v0", "dq_c0_v1"])
-        path = write_features(tmp_path / "feats.bin", fm)
-        assert b"col_names" not in path.read_bytes() and b"dq_c0" not in path.read_bytes()
+        path = write_features(tmp_path / "feats.bin", np.array([[0.5, -1.0], [2.0, 1e-3]]))
+        length = int.from_bytes(path.read_bytes()[4:8], "little")
+        assert path.read_bytes()[8:8 + length] == b'{"blocks": [{"name": "values", "shape": [2, 2]}]}'
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "42e8ebcca08ba1de6d4a7551a0ed4f4c0d7f20868eeb045a6b4a9b869e903241")
+            "af4e98ebf48f3fedf1096f43e4ab2930fc29e69b24c94b3f6fcec5ef46891872")
 
     def test_deflated_file_bytes_are_pinned(self, tmp_path):
-        fm = FeatureMatrix(np.tile([[0.5, -1.0], [2.0, 1e-3]], (4, 1)),
-                           [(f"C{i:04d}", None, None) for i in range(8)], ["dq_c0_v0", "dq_c0_v1"])
-        data = write_features(tmp_path / "feats.bin", fm).read_bytes()
+        values = np.tile([[0.5, -1.0], [2.0, 1e-3]], (4, 1))
+        data = write_features(tmp_path / "feats.bin", values).read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
-            "06105e99092b697e142c081df346d74429366a7597c18e5e378239f79daae003")
+            "c732a827bf2e4b7e8f115cd4363c30241fb2c34fdb69eea62d295ee4e17d373f")
         # the inflated blocks are the bytes that files stored before they were deflated
         length = int.from_bytes(data[4:8], "little")
-        assert b'"deflate": true' in data[8:8 + length]
+        assert data[8:8 + length] == b'{"blocks": [{"name": "values", "shape": [8, 2]}], "deflate": true}'
         assert hashlib.sha256(zlib.decompress(data[8 + length:])).hexdigest() == (
             "a227864234773ba6d6d0d1024715d1be3fa067be33febd703d88b6a50d82c439")
-        values, keys = read_features(tmp_path / "feats.bin")
-        assert values.tobytes() == fm.values.tobytes() and keys == fm.row_keys
+        assert read_features(tmp_path / "feats.bin").tobytes() == values.tobytes()
 
-    def test_older_files_with_column_names_read_the_same(self, tmp_path):
+    def test_older_files_with_column_names_are_refused(self, tmp_path):
+        # older versions stored the column names and row keys next to the values
         path = write_container(tmp_path / "old.bin", FEATURES_MAGIC,
                                {"col_names": ["x", "y"], "row_keys": [["a", None, None]]},
                                [("values", np.array([[1.0, 2.0]]))])
-        values, keys = read_features(path)
-        assert values.tolist() == [[1.0, 2.0]] and keys == [("a", None, None)]
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: an older layout, whose header holds ['col_names', 'row_keys']; "
+                "train the checkpoint again")):
+            read_features(path)
 
     @pytest.mark.parametrize("header, blocks, match", [
-        ({}, [("values", np.zeros((1, 1)))], "needs 'row_keys'"),
-        ({"row_keys": "a"}, [("values", np.zeros((1, 1)))], "needs 'row_keys'"),
-        ({"col_names": ["x"], "row_keys": None}, [("values", np.zeros((1, 1)))], "needs 'row_keys'"),
-        ({"row_keys": ["a"]}, [("values", np.zeros((1, 1)))], "needs 'row_keys'"),
-        ({"col_names": ["x"], "row_keys": [["a"]]}, [("values", np.zeros((2, 1)))], "shape"),
-        ({"col_names": ["x"], "row_keys": [["a"]]}, [("values", np.zeros(1))], "shape"),
-        ({"col_names": ["x"], "row_keys": [["a"]]}, [], "shape"),
-        ({"col_names": ["x"], "row_keys": [["a"]]},
-         [("values", np.zeros((1, 1))), ("more", np.zeros(1))], "shape"),
-    ])
+        ({"row_keys": [["a", None, None]]}, [("values", np.zeros((1, 1)))], "train the checkpoint again"),
+        ({"col_names": ["x"]}, [("values", np.zeros((1, 1)))], "train the checkpoint again"),
+        ({"values": [[0.0]]}, [("values", np.zeros((1, 1)))], "train the checkpoint again"),
+        ({}, [("values", np.zeros(1))], "shape"),
+        ({}, [("values", np.zeros((1, 1, 1)))], "shape"),
+        ({}, [], "shape"),
+        ({}, [("rows", np.zeros((1, 1)))], "shape"),
+        ({}, [("values", np.zeros((1, 1))), ("more", np.zeros(1))], "shape"),
+    ], ids=["row_keys", "col_names", "other-key", "1-D", "3-D", "no-block", "misnamed", "two-blocks"])
     def test_malformed_file_rejected(self, tmp_path, header, blocks, match):
         path = write_container(tmp_path / "feats.bin", FEATURES_MAGIC, header, blocks)
         with pytest.raises(CheckpointError, match=match) as info:
@@ -288,8 +282,7 @@ class TestFeatureMatrix:
         assert str(path) in str(info.value)
 
     def test_truncated_and_missing_files_rejected(self, tmp_path):
-        fm = FeatureMatrix(np.ones((2, 1)), [("a", None, None), ("b", None, None)], ["x"])
-        path = write_features(tmp_path / "feats.bin", fm)
+        path = write_features(tmp_path / "feats.bin", np.ones((2, 1)))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CheckpointError, match=re.escape(f"{path}: truncated")):
             read_features(path)

@@ -81,17 +81,14 @@ def make_config(**sections):
     return cfg
 
 
+# every cell outlives cycle 99, which the variance feature reads; a larger
+# n_cells adds cells and leaves the first ones as they are
+PIPE_SPEC = dict(cycle_life_mean=150.0, cycle_life_std=12.0, points_per_cycle=16, seed=21)
+
+
 @pytest.fixture(scope="module")
 def pipe_cells():
-    # every cell outlives cycle 99, which the variance feature reads
-    spec = SynthSpec(
-        n_cells=8,
-        cycle_life_mean=150.0,
-        cycle_life_std=12.0,
-        points_per_cycle=16,
-        seed=21,
-    )
-    return generate_synthetic(spec)
+    return generate_synthetic(SynthSpec(n_cells=8, **PIPE_SPEC))
 
 
 @pytest.fixture(scope="module")
@@ -346,11 +343,14 @@ class TestRunTrain:
         assert listed == {c.cell_id for c in pipe_cells}
         assert not set(payload["train"]) & set(payload["test"])
 
-    def test_stored_feature_matrices_align_with_labels(self, trained):
-        values, keys = read_features(trained.directory / "features_test.bin")
+    def test_stored_feature_matrices_align_with_labels(self, trained, pipe_cells):
+        # the file stores no row keys: row i holds the features of prediction row i
+        values = read_features(trained.directory / "features_test.bin")
         rows = json.loads((trained.directory / "report.json").read_text())["predictions"]
-        assert values.shape == (2, 1)
-        assert keys == [(r["cell_id"], None, None) for r in rows]
+        assert values.shape == (len(rows), 1) == (2, 1)
+        by_id = {c.cell_id: c for c in pipe_cells}
+        extractor = FEATURES.create("VarianceModelFeatureExtractor", interp_dims=64)
+        assert values.tobytes() == extractor.extract([by_id[r["cell_id"]] for r in rows]).values.tobytes()
 
     def test_training_is_deterministic(self, pipe_cells, tmp_path):
         a = run_train(make_config(), workspace=tmp_path / "a", cells=pipe_cells)
@@ -868,15 +868,46 @@ class TestRunEvaluate:
             assert "deflate" not in container_parts((trained.directory / name).read_bytes())[0]
         assert run_evaluate(trained.directory) == trained.report
 
-    def test_older_features_file_with_column_names_evaluates_the_same(self, trained, tmp_path):
-        # older versions also stored the column names, which evaluation never read
+    def test_features_file_with_row_keys_is_refused(self, trained, tmp_path, capsys):
+        # older versions also stored each row's key, which report.json now holds alone
         dst = self.copy_checkpoint(trained, tmp_path)
-        values, keys = read_features(dst / "features_test.bin")
-        write_container(dst / "features_test.bin", FEATURES_MAGIC,
-                        {"col_names": ["log10_var_delta_qdlin"], "row_keys": [list(k) for k in keys]},
-                        [("values", values)])
-        assert b"col_names" in (dst / "features_test.bin").read_bytes()
-        assert run_evaluate(dst) == trained.report
+        keys = [[r["cell_id"], None, None] for r in trained.report["predictions"]]
+        write_container(dst / "features_test.bin", FEATURES_MAGIC, {"row_keys": keys},
+                        [("values", read_features(trained.directory / "features_test.bin"))])
+        assert cli_main(["evaluate", "--checkpoint", str(dst)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {dst / 'features_test.bin'}: an older layout, whose header holds "
+            "['row_keys']; train the checkpoint again\n")
+
+    @pytest.mark.parametrize("field, value", [
+        ("cycle", "x"), ("cycle", True), ("cycle", 2.0), ("cycle", None), ("step", "3"), ("step", False),
+    ])
+    def test_row_key_fields_must_be_integers(self, trained, tmp_path, field, value):
+        # evaluation builds each row key from the prediction row's cell_id, cycle and step
+        dst = self.copy_checkpoint(trained, tmp_path)
+        report = json.loads((dst / "report.json").read_text())
+        report["predictions"][0][field] = value
+        (dst / "report.json").write_text(json.dumps(report))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(dst / 'report.json'))}: .*"
+                           "an integer 'cycle' and 'step' where present$"):
+            run_evaluate(dst)
+
+    @pytest.mark.parametrize("edit", ["lost", "gained"])
+    def test_split_test_cells_must_be_those_the_report_scores(self, trained, tmp_path, edit):
+        dst = self.copy_checkpoint(trained, tmp_path)
+        split = json.loads((dst / "split.json").read_text())
+        if edit == "lost":  # a scored cell that split.json no longer lists as a test cell
+            split["train"].append(split["test"].pop())
+            lacks, adds = [split["train"][-1]], []
+        else:  # a listed test cell without a prediction row or an exclusion
+            split["test"].append(split["train"].pop())
+            lacks, adds = [], [split["test"][-1]]
+        (dst / "split.json").write_text(json.dumps(split))
+        want = (f"{dst / 'split.json'}: its test cells differ from those report.json scores "
+                f"or excludes: it lacks {lacks} and adds {adds}")
+        with pytest.raises(CheckpointError, match=f"^{re.escape(want)}$") as info:
+            run_evaluate(dst)
+        assert "\n" not in str(info.value)
 
     def test_feature_rows_must_match_label_keys(self, trained, tmp_path):
         dst = self.copy_checkpoint(trained, tmp_path)
@@ -927,9 +958,11 @@ class TestRunEvaluate:
         assert cli_main(["evaluate", "--checkpoint", str(dst)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {dst / 'report.json'}: ") and err.count("\n") == 1
+        # a NumPy or BLAS that rounds differently also changes the report
+        assert "unless NumPy or its BLAS rounds differently" in err
 
     def test_tampered_config_detected_before_an_override(self, trained, pipe_cells, tmp_path):
-        # overrides rerun the stored split, label and feature sections, so an
+        # overrides rerun the stored label and feature sections, so an
         # edited config.yaml must not reach them
         dst = self.copy_checkpoint(trained, tmp_path)
         cfg = yaml.safe_load((dst / "config.yaml").read_text())
@@ -1009,6 +1042,32 @@ class TestRunEvaluate:
         )
         assert [r["cell_id"] for r in report["predictions"]] == keep_test
 
+    def test_override_on_a_superset_corpus_scores_the_stored_test_cells(self, trained):
+        # the stored splitter would draw a new partition of the larger corpus
+        larger = generate_synthetic(SynthSpec(n_cells=12, **PIPE_SPEC))
+        label = yaml.safe_load((trained.directory / "config.yaml").read_text())["label"]
+        report = run_evaluate(trained.directory, overrides={"label": label}, cells=larger)
+        assert report["overrides"] == ["label"]
+        assert report["predictions"] == trained.report["predictions"]
+        assert report["mean_rmse"] == trained.report["mean_rmse"]
+
+    def test_override_reads_the_stored_test_cells_from_a_grown_directory(self, pipe_cells, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for cell in pipe_cells:
+            write_cell(cell, corpus)
+        cfg = make_config(train_test_split={"name": "RandomTrainTestSplitter", "test_fraction": 0.25,
+                                            "seed": 3, "cell_data_path": str(corpus)})
+        ckpt = run_train(cfg, workspace=tmp_path / "ws", cells=None)
+        for cell in generate_synthetic(SynthSpec(n_cells=12, **PIPE_SPEC))[8:]:
+            write_cell(cell, corpus)
+        report = run_evaluate(ckpt.directory, overrides={"label": cfg["label"]})
+        assert report["predictions"] == ckpt.report["predictions"]
+        gone = ckpt.report["predictions"][0]["cell_id"]
+        (corpus / f"{gone}.cfc").unlink()
+        with pytest.raises(CheckpointError, match=f"missing stored test cells: \\['{gone}'\\]"):
+            run_evaluate(ckpt.directory, overrides={"label": cfg["label"]})
+
     def test_override_without_corpus_needs_cell_data_path(self, trained):
         with pytest.raises(ConfigError, match="needs 'cell_data_path'"):
             run_evaluate(
@@ -1052,6 +1111,9 @@ class TestShippedConfigs:
         ckpt = run_train(cfg, workspace=tmp_path, cells=quickstart_corpus.loaded)
         assert np.isfinite(ckpt.report["mean_rmse"])
         assert run_evaluate(ckpt.directory) == ckpt.report
+        # report.json holds the test row keys; features_test.bin stores none
+        header = container_parts((ckpt.directory / "features_test.bin").read_bytes())[0]
+        assert set(header) <= {"blocks", "deflate"}
         for path in sorted(ckpt.directory.glob("*.json")):  # each written compactly
             text = path.read_text(encoding="utf-8")
             assert text == json.dumps(json.loads(text), separators=(",", ":")), path.name
