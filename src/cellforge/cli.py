@@ -53,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="recompute a checkpoint's report")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--cells", default=None,
-                   help="check that this cell directory holds the stored test cells")
     p.add_argument("--out", default=None, help="write the report JSON here")
 
     p = sub.add_parser("plot", help="export plot points (CSV) and a chart (SVG)")
@@ -127,8 +125,7 @@ def _cmd_train(args, say) -> int:
 
 
 def _cmd_evaluate(args, say) -> int:
-    cells = load_cells(args.cells) if args.cells else None
-    report = run_evaluate(args.checkpoint, cells=cells)
+    report = run_evaluate(args.checkpoint)
     if args.out:
         write_json(args.out, report)
         say(f"report written to {args.out}")

@@ -21,6 +21,7 @@ Extractors registered for pipeline use share one shape of contract:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -397,9 +398,11 @@ class VoltageCapacityMatrixFeatureExtractor(BaseFeatureExtractor):
         self.v_max = None if v_max is None else number("v_max", v_max)
         self.row_indices = list(range(min(self.cycles_to_keep, self.max_cycle_index + 1)))
         self._check_observed([self.diff_base, self.row_indices[-1]])
-        self.col_names = [
-            f"dq_c{j}_v{k}" for j in self.row_indices for k in range(self.interp_dims)
-        ]
+
+    @cached_property
+    def col_names(self) -> list[str]:
+        # built when first read, after the values exist: a huge interp_dims fails at its array
+        return [f"dq_c{j}_v{k}" for j in self.row_indices for k in range(self.interp_dims)]
 
     def matrix(self, cell) -> np.ndarray:
         """The unflattened (cycles_to_keep, interp_dims) matrix of one cell."""
@@ -492,11 +495,13 @@ class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
         self.n_qdlin = integer("n_qdlin", n_qdlin, 2)
         self.v_min = None if v_min is None else number("v_min", v_min)
         self.v_max = None if v_max is None else number("v_max", v_max)
-        self.col_names = (
-            ["current_in_A", "voltage_in_V", "elapsed_time_s"]
-            + [f"prev_qdlin_{k:02d}" for k in range(self.n_qdlin)]
-            + ["prev_qdlin_zero_filled"]
-        )
+
+    @cached_property
+    def col_names(self) -> list[str]:
+        # built when first read, as for VoltageCapacityMatrixFeatureExtractor
+        return (["current_in_A", "voltage_in_V", "elapsed_time_s"]
+                + [f"prev_qdlin_{k:02d}" for k in range(self.n_qdlin)]
+                + ["prev_qdlin_zero_filled"])
 
     def process_cell(self, cell):
         cycles = cell.cycle_data

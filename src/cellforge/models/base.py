@@ -100,7 +100,7 @@ class BaseRegressor:
     def fit(self, X, y):
         X, y = check_X_y(X, y)
         self.n_features_ = X.shape[1]
-        self.metadata = {"n_samples": X.shape[0], "n_features": X.shape[1]}
+        self.metadata = {"n_features": X.shape[1]}
         self._fit(X, y)
         self.fitted = True
         return self

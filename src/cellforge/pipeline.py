@@ -66,8 +66,6 @@ COMPONENT_KEYS = (
     "model",
 )
 OPTIONAL_KEYS = ("seeds", "workspace")
-# Sections whose fitted artifacts a checkpoint stores; evaluate cannot override them.
-STORED_KEYS = ("feature_transformation", "label_transformation", "model")
 DEFAULT_SEEDS = tuple(range(10))
 FEATURES_MAGIC = b"CFF1"
 
@@ -284,21 +282,17 @@ def _resolve_workspace(workspace, config: PipelineConfig) -> Path:
     return Path("workspace")
 
 
-def _corpus(config: PipelineConfig, cells):
-    """``cells``, or when it is None the corpus at the split section's ``cell_data_path``."""
-    if cells is not None:
-        return cells
-    cell_data_path = config.train_test_split.params.get("cell_data_path")
-    if cell_data_path is None:
-        raise ConfigError("train_test_split needs 'cell_data_path' when cells are not supplied")
-    return load_cells(cell_data_path)
-
-
 def _split_cells(config: PipelineConfig, cells):
-    """Run the splitter and bind the resulting IDs back to cell records."""
+    """Run the splitter on ``cells``, or when it is None on the corpus at the
+    split section's ``cell_data_path``, and bind the resulting IDs back to
+    cell records."""
     split_params = dict(config.train_test_split.params)
-    split_params.pop("cell_data_path", None)
-    cells = sorted(_corpus(config, cells), key=lambda c: c.cell_id)
+    cell_data_path = split_params.pop("cell_data_path", None)
+    if cells is None:
+        if cell_data_path is None:
+            raise ConfigError("train_test_split needs 'cell_data_path' when cells are not supplied")
+        cells = load_cells(cell_data_path)
+    cells = sorted(cells, key=lambda c: c.cell_id)
     if not cells:
         raise PipelineError("no cells to run on")
     splitter = SPLITTERS.create(config.train_test_split.name, **split_params)
@@ -307,16 +301,6 @@ def _split_cells(config: PipelineConfig, cells):
     train = [by_id[i] for i in split.train_cell_ids]
     test = [by_id[i] for i in split.test_cell_ids]
     return split, train, test
-
-
-def _stored_test_cells(split: SplitResult, cells):
-    """The cells of ``split``'s test IDs, in its order; a test cell that
-    ``cells`` lacks is a :class:`CheckpointError`."""
-    by_id = {c.cell_id: c for c in cells}
-    missing = [cid for cid in split.test_cell_ids if cid not in by_id]
-    if missing:
-        raise CheckpointError(f"corpus is missing stored test cells: {missing}")
-    return [by_id[cid] for cid in split.test_cell_ids]
 
 
 def _label_and_featurize(config: PipelineConfig, split: SplitResult, **partitions):
@@ -417,15 +401,14 @@ def _prediction_rows(keys, y_true, y_pred):
     return rows
 
 
-def _report(config, models, ft, lt, X_test, keys_test, y_test, excluded, overrides=()):
+def _report(config, models, ft, lt, X_test, keys_test, y_test, excluded):
     """The evaluation report of ``models`` on the raw test features
     ``X_test``, whose rows are ``keys_test`` and labels ``y_test``: the one
-    scoring tail of training, of checkpoint verification and of overridden
-    evaluations."""
+    scoring tail of training and of checkpoint verification."""
     per_seed, mean_pred = _score(config.seeds, models, ft, lt, X_test, y_test)
     rmses = np.array([s["rmse"] for s in per_seed])
     maes = np.array([s["mae"] for s in per_seed])
-    report = {
+    return {
         "config_hash": config.config_hash(),
         "per_seed": per_seed,
         "mean_rmse": float(rmses.mean()),
@@ -435,9 +418,6 @@ def _report(config, models, ft, lt, X_test, keys_test, y_test, excluded, overrid
         "predictions": _prediction_rows(keys_test, y_test, mean_pred),
         "excluded": excluded,
     }
-    if overrides:
-        report["overrides"] = sorted(overrides)
-    return report
 
 
 @dataclass(frozen=True)
@@ -552,27 +532,17 @@ def _transforms_document(data: bytes):
     return tuple(_Fitted.from_dict(payload[k]) for k in keys)
 
 
-def run_evaluate(checkpoint, overrides: dict | None = None,
-                 cells: list[CellRecord] | None = None) -> dict:
-    """Recompute the evaluation report of a stored checkpoint.
+def run_evaluate(checkpoint) -> dict:
+    """Recompute the evaluation report of a stored checkpoint from its
+    directory alone.
 
-    First the stored config, test features, transforms and models
-    recompute the report against the row keys, test labels and exclusions
-    of the stored report. The checkpoint is refused unless the result
-    equals its ``report.json`` and ``split.json``'s test cells are those
-    that the report scores or excludes; without overrides that report is
-    returned, so what evaluation returns is what training wrote.
-    ``overrides`` replaces whole ``train_test_split``, ``feature`` or
-    ``label`` sections and forces those stages to rerun on the test cells of
-    a corpus (``cells`` or the split's ``cell_data_path``), the only cells
-    scored: without a ``train_test_split`` override these are the stored
-    test cells, and the stored split's metadata feeds the label and feature
-    sections. The report then flags which sections were overridden and lists
-    the test cells' exclusions. The stored transforms and models always
-    score, so overriding their sections is an error. Without a
-    ``train_test_split`` override, a stored test cell missing from the
-    corpus is an error; a corpus passed without overrides is only checked
-    for them, as the stored features score.
+    The stored config, test features, transforms and models recompute the
+    report against the row keys, test labels and exclusions of the stored
+    report. The checkpoint is refused unless the result equals its
+    ``report.json`` and ``split.json``'s test cells are those that the
+    report scores or excludes; that report is returned, so what evaluation
+    returns is what training wrote. No cell is read: to score under another
+    label, feature or split section, train again with the edited config.
     """
     ckpt_dir = Path(checkpoint)
     if not ckpt_dir.is_dir():
@@ -581,18 +551,6 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
     stored_report = read_report(ckpt_dir)
     stored_config = read_file(ckpt_dir / "config.yaml", CheckpointError,
                               lambda data: PipelineConfig.from_dict(yaml_document(data)))
-
-    overrides = dict(overrides or {})
-    unknown = sorted(set(overrides) - set(COMPONENT_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown override keys: {unknown}")
-    stored = sorted(set(overrides) & set(STORED_KEYS))
-    if stored:
-        raise ConfigError(
-            f"cannot override {stored} at evaluation: the checkpoint's fitted "
-            "transforms and models are what it scores; train a new checkpoint instead"
-        )
-
     ft, lt = read_file(ckpt_dir / "transforms.json", CheckpointError, _transforms_document)
     models = {seed: load_model(ckpt_dir / f"model_seed{seed}.bin")
               for seed in _model_params(stored_config.model, stored_config.seeds)}
@@ -626,25 +584,4 @@ def run_evaluate(checkpoint, overrides: dict | None = None,
             'here than where the checkpoint was trained (see "Pipeline configs" in the README), '
             "the checkpoint was modified after training"
         )
-    if not overrides:
-        if cells is not None:
-            _stored_test_cells(stored_split, cells)
-        return report
-
-    merged = stored_config.to_dict()
-    merged.update({k: _jsonify(v) for k, v in overrides.items()})
-    merged.pop("workspace", None)
-    config = PipelineConfig.from_dict(merged)
-    if "train_test_split" in overrides:
-        split, _, test_cells = _split_cells(config, cells)
-    else:
-        split, test_cells = stored_split, _stored_test_cells(stored_split, _corpus(config, cells))
-    features_test, y_test, excluded = _label_and_featurize(config, split, test=test_cells)["test"]
-    X_test, keys_test = features_test.values, features_test.row_keys
-    widths = sorted({model.n_features_ for model in models.values()})
-    if widths != [X_test.shape[1]]:
-        raise ConfigError(
-            f"features have {X_test.shape[1]} columns but the stored models take {widths}; "
-            "a feature override must keep the trained feature width"
-        )
-    return _report(config, models, ft, lt, X_test, keys_test, y_test, excluded, overrides=overrides)
+    return report

@@ -223,3 +223,21 @@ def quickstart_corpus(tmp_path_factory):
     for cell in generated:
         write_cell(cell, directory)
     return SimpleNamespace(directory=directory, generated=generated, loaded=load_cells(directory))
+
+
+@pytest.fixture
+def capped_address_space():
+    """Cap this process's address space 256 MiB above its current size for one
+    test, so code that would grow without bound raises ``MemoryError`` instead
+    of exhausting the machine (Linux only)."""
+    resource = pytest.importorskip("resource")
+    statm = Path("/proc/self/statm")
+    if not statm.is_file():
+        pytest.skip("needs /proc/self/statm")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    size = int(statm.read_text().split()[0]) * resource.getpagesize()
+    resource.setrlimit(resource.RLIMIT_AS, (size + 2**28, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

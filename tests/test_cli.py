@@ -294,10 +294,6 @@ class TestTrainEvaluate:
         assert "test RMSE" in stdout
         assert out.read_text() == (checkpoint_dir / "report.json").read_text()
 
-    def test_evaluate_against_cell_directory(self, checkpoint_dir, corpus_dir, capsys):
-        assert main(["evaluate", "--checkpoint", str(checkpoint_dir),
-                     "--cells", str(corpus_dir)]) == 0
-
     def test_evaluate_missing_checkpoint(self, tmp_path, capsys):
         assert main(["evaluate", "--checkpoint", str(tmp_path / "none")]) == 1
         assert "checkpoint directory not found" in capsys.readouterr().err
@@ -476,6 +472,21 @@ class TestTrainEvaluate:
         assert main(["train", "--config", str(config_path), "--workspace", str(ws)]) == 1
         assert_one_line_error(capsys, "error: out of memory: ")
         assert not ws.exists() or list(ws.iterdir()) == []
+
+    @pytest.mark.parametrize("feature, label", [
+        ({"name": "VoltageCapacityMatrixFeatureExtractor", "interp_dims": 2**47},
+         {"name": "RULLabelAnnotator"}),
+        ({"name": "SOCStepFeatureExtractor", "n_qdlin": 2**47, "max_cycle_index": 1},
+         {"name": "SOCLabelAnnotator", "max_cycle_index": 1}),
+    ], ids=["interp_dims", "n_qdlin"])
+    def test_a_width_too_large_to_exist_is_one_line_error(
+            self, corpus_dir, tmp_path, capsys, capped_address_space, feature, label):
+        # 2**47 float64 columns exceed the address space, so NumPy refuses
+        # them before the OS commits any memory; no column name is built first
+        config_path = write_train_config(tmp_path, corpus_dir, feature=feature, label=label)
+        assert main(["train", "--config", str(config_path),
+                     "--workspace", str(tmp_path / "ws")]) == 1
+        assert_one_line_error(capsys, "error: out of memory: Unable to allocate ")
 
     def test_evaluate_rejects_stored_hyperparameters(self, corpus_dir, tmp_path, capsys):
         for model, stored, fragment in [

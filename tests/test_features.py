@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import re
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -479,6 +480,21 @@ class TestSOCStepExtractor:
         fm = SOCStepFeatureExtractor(n_qdlin=4).extract([cell])
         assert fm.values[0, 2] == 0.0
         assert np.all(np.diff(fm.values[:, 2]) > 0)
+
+
+@pytest.mark.parametrize("extractor, width", [
+    (VoltageCapacityMatrixFeatureExtractor, "interp_dims"),
+    (SOCStepFeatureExtractor, "n_qdlin"),
+])
+def test_a_huge_width_builds_no_column_names_at_construction(extractor, width, capped_address_space):
+    # the names are built when read; 2**47 columns are refused at their first array
+    tracemalloc.start()
+    try:
+        ex = extractor(**{width: 2**47})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert getattr(ex, width) == 2**47 and peak < 2**20
 
 
 class TestFadeSlopeExtractor:

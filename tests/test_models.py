@@ -491,10 +491,21 @@ class TestSaveLoad:
     def test_file_bytes_are_pinned(self, tmp_path):
         # the binary container is shared with cell files; model files must not change
         X, y, _ = toy_problem(n=10, d=3)
-        path = LinearRegressor().fit(X, y).save(tmp_path / "m.bin")
+        model = LinearRegressor().fit(X, y)
+        path = model.save(tmp_path / "m.bin")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "b41b352c6bb59b3b813bb6ddffcf7a7b20b08e6bc9e0a7613c74067e421c1766"
+        )
+        # files of older versions also store the sample count, which nothing
+        # reads; the pinned older file differs only by that key, and still loads
+        header, blocks = read_model_file(path)
+        assert header["metadata"] == {"n_features": 3}
+        older = write_model_file(tmp_path / "older.bin", "linear", {}, {"n_samples": 10, "n_features": 3},
+                                 list(blocks.items()))
+        assert hashlib.sha256(older.read_bytes()).hexdigest() == (
             "d914816c974a3a98a31bce8bc71baa3225a144376e2a1128b302c47be15b469f"
         )
+        assert load_model(older).predict(X).tobytes() == model.predict(X).tobytes()
         # the fit itself is the one pinned before the header lost its seed
         _, blocks = read_model_file(path)
         assert hashlib.sha256(blocks["coef"].tobytes() + blocks["intercept"].tobytes()).hexdigest() == (

@@ -1,4 +1,4 @@
-"""Training and overridden evaluation take the corpus one cell at a time.
+"""Training takes the corpus one cell at a time.
 
 ``pipeline._label_and_featurize`` labels and featurizes each cell on its own
 and drops it before the next. These tests hold it to the result of the
@@ -15,7 +15,7 @@ import pytest
 from cellforge import battery_data, pipeline
 from cellforge.battery_data import write_cell
 from cellforge.errors import FeatureError, PipelineError, ThresholdNotReached
-from cellforge.features import FeatureMatrix, VarianceModelFeatureExtractor
+from cellforge.features import FeatureMatrix
 from cellforge.labels import RULLabelAnnotator, rul_label
 from cellforge.pipeline import (
     PipelineConfig,
@@ -23,7 +23,6 @@ from cellforge.pipeline import (
     _label_and_featurize,
     _split_cells,
     _with_overrides,
-    run_evaluate,
     run_train,
 )
 from cellforge.registry import FEATURES, LABELS, register
@@ -138,67 +137,6 @@ def test_checkpoint_files_equal_the_whole_corpus_order(corpus, tmp_path, monkeyp
     assert sorted(p.name for p in mine.directory.iterdir()) == names
     for name in names:
         assert (mine.directory / name).read_bytes() == (theirs.directory / name).read_bytes(), name
-
-
-def test_overridden_evaluate_equals_the_whole_corpus_order(corpus, tmp_path, monkeypatch):
-    ckpt = run_train(make_config(*PAIRS[0]), workspace=tmp_path, cells=corpus)
-    overrides = {"label": {"name": "RULLabelAnnotator", "eol_soh_percent": 85.0},
-                 "feature": {"name": "VarianceModelFeatureExtractor", "interp_dims": 24}}
-    mine = run_evaluate(ckpt.directory, overrides=overrides, cells=corpus)
-    monkeypatch.setattr(pipeline, "_label_and_featurize", whole_corpus_label_and_featurize)
-    theirs = run_evaluate(ckpt.directory, overrides=overrides, cells=corpus)
-    assert mine["overrides"] == ["feature", "label"]
-    assert repr(mine) == repr(theirs)
-    assert [e["cell_id"] for e in mine["excluded"]] == ["NEVER_TEST"]  # test cells only
-
-
-class _CountingRULAnnotator(RULLabelAnnotator):
-    """Records the ID of every cell it is given."""
-
-    seen: list = []
-
-    def annotate(self, cells):
-        self.seen += [c.cell_id for c in cells]
-        return super().annotate(cells)
-
-
-class _CountingVarianceExtractor(VarianceModelFeatureExtractor):
-    """Records the ID of every cell it is given."""
-
-    seen: list = []
-
-    def extract(self, cells):
-        self.seen += [c.cell_id for c in cells]
-        return super().extract(cells)
-
-
-register("label", "CountingRULAnnotator", _CountingRULAnnotator)
-register("feature", "CountingVarianceExtractor", _CountingVarianceExtractor)
-COUNTING = {"label": {"name": "CountingRULAnnotator"},
-            "feature": {"name": "CountingVarianceExtractor", "interp_dims": 16}}
-
-
-def test_overridden_evaluate_takes_only_the_test_cells(corpus, tmp_path):
-    ckpt = run_train(make_config(*PAIRS[0]), workspace=tmp_path, cells=corpus)
-    _CountingRULAnnotator.seen.clear()
-    _CountingVarianceExtractor.seen.clear()
-    report = run_evaluate(ckpt.directory, overrides=COUNTING, cells=corpus)
-    assert _CountingRULAnnotator.seen == TEST_IDS
-    assert _CountingVarianceExtractor.seen == ["SYN_0004", "SYN_0005"]  # NEVER_TEST gets no label
-    assert [e["cell_id"] for e in report["excluded"]] == ["NEVER_TEST"]
-    assert {r["cell_id"] for r in report["predictions"]} == {"SYN_0004", "SYN_0005"}
-
-
-def test_overridden_evaluate_scores_test_cells_when_every_training_cell_is_excluded(corpus, tmp_path):
-    ckpt = run_train(make_config(*PAIRS[0]), workspace=tmp_path / "ws", cells=corpus)
-    split = {"name": "ExplicitTrainTestSplitter", "train_ids": ["NEVER_TRAIN"],
-             "test_ids": ["SYN_0004", "SYN_0005"]}
-    with pytest.raises(PipelineError, match="all training cells were excluded"):
-        run_train(make_config(*PAIRS[0], train_test_split=split), workspace=tmp_path / "other",
-                  cells=corpus)
-    report = run_evaluate(ckpt.directory, overrides={"train_test_split": split}, cells=corpus)
-    assert report["excluded"] == []
-    assert {r["cell_id"] for r in report["predictions"]} == {"SYN_0004", "SYN_0005"}
 
 
 def test_the_callers_cell_list_is_left_as_it_was(corpus, tmp_path):

@@ -17,6 +17,7 @@ import pytest
 import yaml
 
 import cellforge
+from cellforge import battery_data
 from cellforge.battery_data import load_cells, write_cell, write_container
 from cellforge.cli import main as cli_main
 from cellforge.errors import (
@@ -771,39 +772,9 @@ class TestRunEvaluate:
     def test_matches_training_report_exactly(self, trained):
         assert run_evaluate(trained.directory) == trained.report
 
-    def test_corpus_without_overrides_still_uses_stored_artifacts(self, trained, pipe_cells):
-        assert run_evaluate(trained.directory, cells=pipe_cells) == trained.report
-
-    def test_corpus_missing_stored_test_cell(self, trained, pipe_cells):
-        gone = trained.report["predictions"][0]["cell_id"]
-        reduced = [c for c in pipe_cells if c.cell_id != gone]
-        with pytest.raises(CheckpointError, match=f"missing stored test cells: \\['{gone}'\\]"):
-            run_evaluate(trained.directory, cells=reduced)
-
     def test_missing_directory(self, tmp_path):
         with pytest.raises(CheckpointError, match="checkpoint directory not found"):
             run_evaluate(tmp_path / "nowhere")
-
-    def test_unknown_override_keys(self, trained):
-        with pytest.raises(ConfigError, match=r"unknown override keys: \['banana'\]"):
-            run_evaluate(trained.directory, overrides={"banana": {"name": "x"}})
-
-    @pytest.mark.parametrize("key, section", [
-        ("model", {"name": "DummyRegressor"}),
-        ("feature_transformation", {"name": "MinMaxDataTransformation"}),
-        ("label_transformation", {"name": "MinMaxDataTransformation"}),
-    ])
-    def test_overrides_of_stored_artifacts_rejected(self, trained, pipe_cells, key, section):
-        with pytest.raises(ConfigError, match=f"cannot override \\['{key}'\\]"):
-            run_evaluate(trained.directory, overrides={key: section}, cells=pipe_cells)
-
-    def test_feature_override_changing_width_rejected(self, trained, pipe_cells):
-        with pytest.raises(ConfigError, match="features have 6 columns but the stored models take \\[1\\]"):
-            run_evaluate(
-                trained.directory,
-                overrides={"feature": {"name": "DischargeModelFeatureExtractor", "interp_dims": 64}},
-                cells=pipe_cells,
-            )
 
     def copy_checkpoint(self, trained, tmp_path):
         dst = tmp_path / trained.directory.name
@@ -961,18 +932,6 @@ class TestRunEvaluate:
         # a NumPy or BLAS that rounds differently also changes the report
         assert "unless NumPy or its BLAS rounds differently" in err
 
-    def test_tampered_config_detected_before_an_override(self, trained, pipe_cells, tmp_path):
-        # overrides rerun the stored label and feature sections, so an
-        # edited config.yaml must not reach them
-        dst = self.copy_checkpoint(trained, tmp_path)
-        cfg = yaml.safe_load((dst / "config.yaml").read_text())
-        cfg["feature"]["interp_dims"] = 99
-        (dst / "config.yaml").write_text(yaml.safe_dump(cfg))
-        with pytest.raises(CheckpointError, match="modified after training") as info:
-            run_evaluate(dst, overrides={"label": {"name": "RULLabelAnnotator", "eol_soh_percent": 85.0}},
-                         cells=pipe_cells)
-        assert "\n" not in str(info.value)
-
     def test_step_level_round_trip(self, tmp_path):
         # (cell, cycle, step) keys: evaluation rebuilds them from the report rows
         cells = generate_synthetic(SynthSpec(n_cells=5, cycle_life_mean=40, cycle_life_std=5,
@@ -988,94 +947,9 @@ class TestRunEvaluate:
         assert all({"cycle", "step"} <= set(row) for row in rows)
         assert run_evaluate(ckpt.directory) == ckpt.report
 
-    def test_label_override_relabels_with_stored_models(self, trained, pipe_cells):
-        report = run_evaluate(
-            trained.directory,
-            overrides={"label": {"name": "RULLabelAnnotator", "eol_soh_percent": 85.0}},
-            cells=pipe_cells,
-        )
-        assert report["overrides"] == ["label"]
-        by_id = {c.cell_id: c for c in pipe_cells}
-        old = {r["cell_id"]: r for r in trained.report["predictions"]}
-        assert len(report["predictions"]) == len(old)
-        for row in report["predictions"]:
-            assert row["y_true"] == rul_oracle(by_id[row["cell_id"]], percent=85.0)
-            assert row["y_true"] < old[row["cell_id"]]["y_true"]
-            # stored models and transforms are reused, so predictions persist
-            assert row["y_pred"] == old[row["cell_id"]]["y_pred"]
-
-    def test_split_override_scores_new_partition(self, trained, pipe_cells):
-        ids = sorted(c.cell_id for c in pipe_cells)
-        stored_test = {r["cell_id"] for r in trained.report["predictions"]}
-        new_test = [i for i in ids if i not in stored_test][:2]
-        new_train = [i for i in ids if i not in new_test]
-        report = run_evaluate(
-            trained.directory,
-            overrides={
-                "train_test_split": {
-                    "name": "ExplicitTrainTestSplitter",
-                    "train_ids": new_train,
-                    "test_ids": new_test,
-                }
-            },
-            cells=pipe_cells,
-        )
-        assert report["overrides"] == ["train_test_split"]
-        assert [r["cell_id"] for r in report["predictions"]] == new_test
-
-    def test_split_override_skips_stored_cell_check(self, trained, pipe_cells):
-        ids = sorted(c.cell_id for c in pipe_cells)
-        stored_test = sorted(r["cell_id"] for r in trained.report["predictions"])
-        reduced = [c for c in pipe_cells if c.cell_id != stored_test[0]]
-        keep_test = [stored_test[1]]
-        keep_train = [i for i in ids if i not in stored_test]
-        report = run_evaluate(
-            trained.directory,
-            overrides={
-                "train_test_split": {
-                    "name": "ExplicitTrainTestSplitter",
-                    "train_ids": keep_train,
-                    "test_ids": keep_test,
-                }
-            },
-            cells=reduced,
-        )
-        assert [r["cell_id"] for r in report["predictions"]] == keep_test
-
-    def test_override_on_a_superset_corpus_scores_the_stored_test_cells(self, trained):
-        # the stored splitter would draw a new partition of the larger corpus
-        larger = generate_synthetic(SynthSpec(n_cells=12, **PIPE_SPEC))
-        label = yaml.safe_load((trained.directory / "config.yaml").read_text())["label"]
-        report = run_evaluate(trained.directory, overrides={"label": label}, cells=larger)
-        assert report["overrides"] == ["label"]
-        assert report["predictions"] == trained.report["predictions"]
-        assert report["mean_rmse"] == trained.report["mean_rmse"]
-
-    def test_override_reads_the_stored_test_cells_from_a_grown_directory(self, pipe_cells, tmp_path):
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        for cell in pipe_cells:
-            write_cell(cell, corpus)
-        cfg = make_config(train_test_split={"name": "RandomTrainTestSplitter", "test_fraction": 0.25,
-                                            "seed": 3, "cell_data_path": str(corpus)})
-        ckpt = run_train(cfg, workspace=tmp_path / "ws", cells=None)
-        for cell in generate_synthetic(SynthSpec(n_cells=12, **PIPE_SPEC))[8:]:
-            write_cell(cell, corpus)
-        report = run_evaluate(ckpt.directory, overrides={"label": cfg["label"]})
-        assert report["predictions"] == ckpt.report["predictions"]
-        gone = ckpt.report["predictions"][0]["cell_id"]
-        (corpus / f"{gone}.cfc").unlink()
-        with pytest.raises(CheckpointError, match=f"missing stored test cells: \\['{gone}'\\]"):
-            run_evaluate(ckpt.directory, overrides={"label": cfg["label"]})
-
-    def test_override_without_corpus_needs_cell_data_path(self, trained):
-        with pytest.raises(ConfigError, match="needs 'cell_data_path'"):
-            run_evaluate(
-                trained.directory,
-                overrides={"label": {"name": "RULLabelAnnotator", "eol_soh_percent": 85.0}},
-            )
-
-    def test_checkpoint_trained_from_directory_evaluates_from_it(self, pipe_cells, tmp_path):
+    def test_checkpoint_trained_from_directory_evaluates_from_it(self, pipe_cells, tmp_path,
+                                                                 monkeypatch):
+        # evaluation reads the checkpoint alone: no corpus, and no cell read
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         for cell in pipe_cells:
@@ -1089,14 +963,13 @@ class TestRunEvaluate:
             }
         )
         ckpt = run_train(cfg, workspace=tmp_path / "ws", cells=None)
-        report = run_evaluate(
-            ckpt.directory,
-            overrides={"label": {"name": "RULLabelAnnotator", "eol_soh_percent": 85.0}},
-        )
-        assert report["overrides"] == ["label"]
-        by_id = {c.cell_id: c for c in pipe_cells}
-        for row in report["predictions"]:
-            assert row["y_true"] == rul_oracle(by_id[row["cell_id"]], percent=85.0)
+        shutil.rmtree(corpus)
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("evaluation read a cell")
+
+        monkeypatch.setattr(battery_data, "read_cell", no_cell)
+        assert run_evaluate(ckpt.directory) == ckpt.report
 
 
 # Every file in configs/ trains in one of the two tests below.
