@@ -294,6 +294,23 @@ class TestTrainEvaluate:
         assert "test RMSE" in stdout
         assert out.read_text() == (checkpoint_dir / "report.json").read_text()
 
+    def test_evaluate_takes_no_cell_directory(self, checkpoint_dir, corpus_dir, capsys):
+        assert main(["evaluate", "--checkpoint", str(checkpoint_dir),
+                     "--cells", str(corpus_dir)]) == 2
+        assert "unrecognized arguments: --cells" in capsys.readouterr().err
+
+    def test_evaluate_after_the_corpus_is_deleted(self, corpus_dir, tmp_path, capsys):
+        corpus = tmp_path / "cells"
+        shutil.copytree(corpus_dir, corpus)
+        config_path = write_train_config(tmp_path, corpus)
+        ws = tmp_path / "ws"
+        assert main(["train", "--config", str(config_path), "--workspace", str(ws)]) == 0
+        (ckpt,) = ws.iterdir()
+        shutil.rmtree(corpus)
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+        assert out.read_text() == (ckpt / "report.json").read_text()
+
     def test_evaluate_missing_checkpoint(self, tmp_path, capsys):
         assert main(["evaluate", "--checkpoint", str(tmp_path / "none")]) == 1
         assert "checkpoint directory not found" in capsys.readouterr().err

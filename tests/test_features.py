@@ -392,6 +392,15 @@ class TestMatrixExtractor:
         assert fm.col_names[0] == "dq_c0_v0"
         assert fm.col_names[-1] == "dq_c3_v4"
 
+    def test_names_are_built_when_read_and_list_every_column(self, synth_cells):
+        ex = VoltageCapacityMatrixFeatureExtractor(
+            interp_dims=3, diff_base=0, max_cycle_index=1, cycles_to_keep=2
+        )
+        assert "col_names" not in vars(ex)
+        fm = ex.extract(synth_cells[:1])
+        assert fm.col_names == ["dq_c0_v0", "dq_c0_v1", "dq_c0_v2", "dq_c1_v0", "dq_c1_v1", "dq_c1_v2"]
+        assert fm.values.shape == (1, 6)
+
     def test_keep_caps_row_count(self):
         ex = VoltageCapacityMatrixFeatureExtractor(
             interp_dims=4, diff_base=0, max_cycle_index=9, cycles_to_keep=3
@@ -450,6 +459,14 @@ class TestSOHCycleExtractor:
 
 
 class TestSOCStepExtractor:
+    def test_names_are_built_when_read_and_list_every_column(self):
+        ex = SOCStepFeatureExtractor(n_qdlin=2)
+        assert "col_names" not in vars(ex)
+        fm = ex.extract([make_cell("soc", caps=(1.0, 0.9), n_dis=6)])
+        assert fm.col_names == ["current_in_A", "voltage_in_V", "elapsed_time_s",
+                                "prev_qdlin_00", "prev_qdlin_01", "prev_qdlin_zero_filled"]
+        assert fm.values.shape[1] == 6
+
     def test_shapes_keys_and_first_cycle_flag(self):
         cell = make_cell("soc", caps=(1.0, 0.9), n_dis=6)
         ex = SOCStepFeatureExtractor(n_qdlin=8)

@@ -445,6 +445,19 @@ class TestSaveLoad:
         np.testing.assert_array_equal(back.predict(X), model.predict(X))
         assert back.save(tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+    def test_a_file_holding_the_sample_count_still_loads(self, model, tmp_path):
+        # files of older versions store metadata["n_samples"]; nothing reads it
+        X, y, _ = toy_problem(n=40, d=3, seed=7)
+        path = model.fit(X, y).save(tmp_path / "m.bin")
+        header, blocks = read_model_file(path)
+        assert "n_samples" not in header["metadata"]
+        older = write_model_file(tmp_path / "older.bin", header["kind"], header["hyperparameters"],
+                                 {**header["metadata"], "n_samples": 40},
+                                 [(b["name"], blocks[b["name"]]) for b in header["blocks"]])
+        assert len(older.read_bytes()) > len(path.read_bytes())
+        assert load_model(older).predict(X).tobytes() == model.predict(X).tobytes()
+
     def test_every_shipped_model_class_takes_the_round_trip(self):
         shipped = {MODELS.get_factory(name) for name in MODELS.names()}
         assert {type(m) for m in ALL_MODELS} == {

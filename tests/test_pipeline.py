@@ -789,6 +789,20 @@ class TestRunEvaluate:
         with pytest.raises(CheckpointError, match="modified after training"):
             run_evaluate(dst)
 
+    @pytest.mark.parametrize("argument", ["overrides", "cells"])
+    def test_takes_only_the_checkpoint(self, trained, pipe_cells, argument):
+        # scoring under another section means training again
+        with pytest.raises(TypeError, match=argument):
+            run_evaluate(trained.directory, **{argument: pipe_cells if argument == "cells" else {}})
+
+    def test_a_report_holding_an_overrides_key_is_refused(self, trained, tmp_path):
+        # only an overridden evaluation's report carried this key; no checkpoint's report holds it
+        dst = self.copy_checkpoint(trained, tmp_path)
+        report = json.loads((dst / "report.json").read_text())
+        (dst / "report.json").write_text(json.dumps({**report, "overrides": None}))
+        with pytest.raises(CheckpointError, match=r"differs in \['overrides'\]"):
+            run_evaluate(dst)
+
     @pytest.mark.parametrize("seeds, victim, fragment", [
         ([0], "report.json", "['per_seed']"),
         # the seedless model's one fit is stored under the first seed
