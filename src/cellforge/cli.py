@@ -169,7 +169,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # e.g. an array that a size parameter makes too large to allocate
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 1
     except OSError as exc:  # a write the file system refused
         message = f"{exc.filename}: {exc.strerror}" if exc.filename is not None else str(exc)

@@ -16,6 +16,20 @@ the stream must inflate to exactly the bytes the block list declares. A
 writer asks for it, and gets it only when it makes the file smaller: model
 files and stored features ask; cell files never do, so their blocks stay
 views of the mapped file.
+
+In a deflated file, a 2-D float64 block that does not repeat may be stored
+as the differences of its IEEE bit patterns, read as uint64, between
+neighbours along one axis (modulo 2**64, the first along that axis against
+0), the neighbour coding of Gorilla (Pelkonen et al., VLDB 2015): smooth
+rows of floats then share their high bits, which zlib shrinks where it
+cannot shrink the floats. Such a block says ``"dtype": "<u8"`` and
+``"delta": 0`` or ``1``, the axis, each valid only with the other and only
+on a 2-D shape, and reads back as the running sums of the differences along
+that axis, bit for bit the float64 block that was written. The writer
+deflates the file with no delta, then with every block that is at least 2
+long along axis 0 differenced along it, then the same for axis 1, and keeps
+whichever is smallest. Readers from before this block existed refuse
+``<u8`` as a dtype, so they refuse such a file instead of misreading it.
 """
 
 from __future__ import annotations
@@ -30,8 +44,9 @@ from pathlib import Path
 
 import numpy as np
 
-_DTYPES = ("<f8", "<i4", "<i2", "|u1")
+_DTYPES = ("<f8", "<i4", "<i2", "|u1")  # and "<u8", which only a delta block has
 _NARROW = ("|u1", "<i2")  # the integer dtypes below int32, narrowest first
+_SPEC_KEYS = {"name", "shape", "dtype", "repeat", "delta"}
 
 
 def _block_dtype(arr: np.ndarray) -> str:
@@ -62,13 +77,32 @@ def _stored(arr: np.ndarray, dtype: str) -> tuple[np.ndarray, bool]:
     return flat, False
 
 
+def _codings(specs, stored):
+    """The block ``specs`` and ``stored`` values as they are, then, for each
+    axis along which some block is eligible, with every eligible block (2-D,
+    float64, not repeated, at least 2 long along the axis) stored as the
+    differences of its uint64 bits along that axis."""
+    yield specs, stored
+    for axis in (0, 1):
+        coded, values = list(specs), list(stored)
+        for i, spec in enumerate(specs):
+            shape = spec["shape"]
+            if len(shape) == 2 and shape[axis] >= 2 and "dtype" not in spec and "repeat" not in spec:
+                bits = stored[i].view("<u8").reshape(shape)
+                values[i] = np.diff(bits, axis=axis, prepend=np.uint64(0))  # wraps modulo 2**64
+                coded[i] = {**spec, "dtype": "<u8", "delta": axis}
+        if coded != specs:
+            yield coded, values
+
+
 def write_container(path, magic: bytes, header: dict, blocks, *, deflate: bool = False) -> Path:
     """Write ``header`` and the ordered (name, array) pairs ``blocks`` to
     ``path``, which appears complete or not at all. An int32 array is
     stored as the narrowest of ``|u1``, ``<i2`` and ``<i4`` that holds its
     values, any other array as ``<f8``; a block whose elements all have the
     same bytes stores one of them. With ``deflate``, the blocks are stored
-    as one zlib stream when that makes the file smaller."""
+    as one zlib stream when that makes the file smaller, each 2-D float64
+    block as bit differences along the axis, if any, that makes it smallest."""
     path = Path(path)
     specs, stored = [], []
     for name, arr in blocks:
@@ -85,18 +119,20 @@ def write_container(path, magic: bytes, header: dict, blocks, *, deflate: bool =
     header = {**header, "blocks": specs}
     header.pop("deflate", None)  # like "blocks", the container's own key
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
-    if deflate:
+    body, size = stored, len(payload) + sum(values.nbytes for values in stored)
+    for coded, values in _codings(specs, stored) if deflate else ():  # no delta first: it wins a tie
         packer = zlib.compressobj()
-        stream = [packer.compress(values) for values in stored] + [packer.flush()]
-        packed = json.dumps({**header, "deflate": True}, sort_keys=True).encode("utf-8")
-        if len(packed) + sum(map(len, stream)) < len(payload) + sum(values.nbytes for values in stored):
-            payload, stored = packed, stream
+        stream = [packer.compress(block) for block in values] + [packer.flush()]
+        packed = json.dumps({**header, "blocks": coded, "deflate": True},
+                            sort_keys=True).encode("utf-8")
+        if len(packed) + sum(map(len, stream)) < size:
+            payload, body, size = packed, stream, len(packed) + sum(map(len, stream))
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", len(payload)))
         fh.write(payload)
-        for values in stored:
+        for values in body:
             fh.write(values)
     os.replace(tmp, path)
     return path
@@ -109,13 +145,17 @@ def parse_container(data: bytes, magic: bytes, error) -> tuple[dict, dict]:
     a view of ``data`` (of the inflated bytes, when the blocks are one zlib
     stream), and a narrower integer block is widened to a new int32 array.
     A repeated block is its one stored element broadcast to the block's
-    shape (every stride 0). A wrong magic, a truncated or non-JSON header, a
-    malformed block list (a ``dtype`` other than ``<f8``, ``<i4``, ``<i2`` or
-    ``|u1``, or a ``repeat`` other than true or false, included), a
-    ``deflate`` other than true or false, blocks that do not fill the rest
-    of the file exactly, or a stream that is corrupt, incomplete, followed
-    by more bytes or inflates to any other size than the blocks declare
-    raise ``error``.
+    shape (every stride 0). A delta block is the running sums of its uint64
+    differences along its axis, a new float64 array. A wrong magic, a
+    truncated or non-JSON header, a malformed block list (a key other than
+    ``name``, ``shape``, ``dtype``, ``repeat`` and ``delta``, a ``dtype``
+    other than ``<f8``, ``<i4``, ``<i2``, ``|u1`` and ``<u8``, a ``repeat``
+    other than true or false, or a ``<u8`` dtype and a ``delta`` of 0 or 1
+    that do not come together on a 2-D block that does not repeat,
+    included), a ``deflate`` other than true or false, blocks that do not
+    fill the rest of the file exactly, or a stream that is corrupt,
+    incomplete, followed by more bytes or inflates to any other size than
+    the blocks declare raise ``error``.
     """
     if data[:4] != magic:
         raise error(f"bad magic {data[:4]!r}, expected {magic!r}")
@@ -138,15 +178,25 @@ def parse_container(data: bytes, magic: bytes, error) -> tuple[dict, dict]:
         if (not isinstance(name, str) or name in layout or not isinstance(shape, list)
                 or not all(type(n) is int and n >= 0 for n in shape)):
             raise error(f"blocks[{i}]: expected a new name and a shape of non-negative integers")
+        unknown = sorted(set(spec) - _SPEC_KEYS)
+        if unknown:
+            raise error(f"blocks[{i}]: unknown key {', '.join(map(repr, unknown))}")
         dtype = spec.get("dtype", "<f8")
-        if dtype not in _DTYPES:
+        if dtype not in _DTYPES and dtype != "<u8":
             raise error(f"blocks[{i}]: dtype must be '<f8' (the default), '<i4', '<i2' or '|u1', "
                         f"got {dtype!r}")
         repeat = spec.get("repeat", False)
         if type(repeat) is not bool:
             raise error(f"blocks[{i}]: repeat must be true or false, got {repeat!r}")
+        delta = spec.get("delta")
+        if (dtype == "<u8" or delta is not None) and not (
+                dtype == "<u8" and type(delta) is int and delta in (0, 1)
+                and len(shape) == 2 and not repeat):
+            raise error(f"blocks[{i}]: dtype '<u8' and a delta of 0 or 1 go together, on a 2-D "
+                        f"block that does not repeat; got dtype {dtype!r}, delta {delta!r}, "
+                        f"shape {shape}, repeat {repeat}")
         count = 1 if repeat else math.prod(shape)
-        layout[name] = (shape, dtype, repeat, count)
+        layout[name] = (shape, dtype, repeat, count, delta)
         declared += count * np.dtype(dtype).itemsize
     deflate = header.get("deflate", False)
     if type(deflate) is not bool:
@@ -154,13 +204,16 @@ def parse_container(data: bytes, magic: bytes, error) -> tuple[dict, dict]:
     if deflate:
         data, offset = _inflate(memoryview(data)[offset:], declared, error), 0
     blocks = {}
-    for name, (shape, dtype, repeat, count) in layout.items():
+    for name, (shape, dtype, repeat, count, delta) in layout.items():
         size = count * np.dtype(dtype).itemsize
         if offset + size > len(data):
             raise error(f"truncated block '{name}'")
         arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
         if dtype in _NARROW:
             arr = arr.astype("<i4")
+            arr.flags.writeable = False
+        elif delta is not None:  # the sums wrap modulo 2**64, as the differences did
+            arr = np.cumsum(arr.reshape(shape), axis=delta, dtype=np.uint64).view("<f8")
             arr.flags.writeable = False
         blocks[name] = np.broadcast_to(arr.reshape(()), shape) if repeat else arr.reshape(shape)
         offset += size

@@ -396,8 +396,13 @@ class VoltageCapacityMatrixFeatureExtractor(BaseFeatureExtractor):
         self.cycles_to_keep = integer("cycles_to_keep", cycles_to_keep, 1)
         self.v_min = None if v_min is None else number("v_min", v_min)
         self.v_max = None if v_max is None else number("v_max", v_max)
-        self.row_indices = list(range(min(self.cycles_to_keep, self.max_cycle_index + 1)))
-        self._check_observed([self.diff_base, self.row_indices[-1]])
+        self._last_row = min(self.cycles_to_keep, self.max_cycle_index + 1) - 1
+        self._check_observed([self.diff_base, self._last_row])
+
+    @cached_property
+    def row_indices(self) -> list[int]:
+        # built when first read, after each cell is checked to hold the cycles
+        return list(range(self._last_row + 1))
 
     @cached_property
     def col_names(self) -> list[str]:
@@ -406,7 +411,7 @@ class VoltageCapacityMatrixFeatureExtractor(BaseFeatureExtractor):
 
     def matrix(self, cell) -> np.ndarray:
         """The unflattened (cycles_to_keep, interp_dims) matrix of one cell."""
-        self._require_cycles(cell, max(self.row_indices[-1], self.diff_base) + 1)
+        self._require_cycles(cell, max(self._last_row, self.diff_base) + 1)
         lo, hi = voltage_bounds(cell, self.v_min, self.v_max)
         base = qdlinear(cell.cycle_data[self.diff_base], lo, hi, self.interp_dims)
         rows = [

@@ -927,6 +927,119 @@ class TestDeflatedBlocks:
         for column in back.cycle_data.columns.values():
             assert isinstance(root_buffer(column), mmap.mmap)
 
+
+# NaN payloads (quiet, signalling, negative), -0.0, +-inf, subnormals at both
+# ends, the smallest normal and the largest finite value, as IEEE bit patterns
+SPECIAL_BITS = [0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000123, 0x8000000000000000,
+                0x7FF0000000000000, 0xFFF0000000000000, 0x1, 0x800FFFFFFFFFFFFF,
+                0x0010000000000000, 0x7FEFFFFFFFFFFFFF, 0x0]
+
+
+@st.composite
+def float_blocks(draw):
+    """A 2-D float64 block: a smooth ramp, as stored features are, with some
+    elements replaced by special or arbitrary bit patterns, so that
+    neighbour differences jump and wrap modulo 2**64."""
+    n = draw(st.integers(0, 64))
+    shape = draw(st.sampled_from([(1, n), (n, 1), (0, n), (n, 3), (3, n)]))
+    start, step = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1.0, 1.0))
+    bits = (start + step * np.arange(math.prod(shape))).view(np.uint64)
+    if bits.size:
+        for i, value in draw(st.lists(st.tuples(
+                st.integers(0, bits.size - 1),
+                st.sampled_from(SPECIAL_BITS) | st.integers(0, 2**64 - 1)), max_size=6)):
+            bits[i] = value
+    return bits.view(np.float64).reshape(shape)
+
+
+def as_bits(arr: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(arr).view(np.uint64 if arr.dtype.kind == "f" else arr.dtype)
+
+
+class TestDeltaBlocks:
+    """In a deflated file, a 2-D float64 block that does not repeat may be
+    stored as the uint64 differences of its bits along one axis, whichever
+    of no delta, axis 0 and axis 1 deflates smallest; it reads back bit for
+    bit."""
+
+    SMOOTH = np.cumsum(np.linspace(0.0, 1.0, 2000).reshape(2, 1000) ** 2, axis=1) / 7.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(block=float_blocks(), ints=st.lists(st.integers(-2**31, 2**31 - 1), max_size=8),
+           fill=st.sampled_from(SPECIAL_BITS))
+    def test_round_trip_is_bit_exact_and_never_larger_than_plain_deflate(self, tmp_path_factory,
+                                                                         block, ints, fill):
+        root = tmp_path_factory.mktemp("delta")
+        blocks = [("f", block), ("i", np.array(ints, dtype=np.int32)),
+                  ("r", np.full((2, 3), np.uint64(fill)).view(np.float64)), ("t", block.T.copy())]
+        raw = write_container(root / "raw.bin", b"TST1", {}, blocks).read_bytes()
+        data = write_container(root / "z.bin", b"TST1", {}, blocks, deflate=True).read_bytes()
+        raw_header, _ = parse_container(raw, b"TST1", CheckpointError)
+        (length,) = struct.unpack_from("<I", raw, 4)
+        plain = deflated(raw_header, zlib.compress(raw[8 + length:]))
+        assert len(data) <= min(len(raw), len(plain))
+        header, back = parse_container(data, b"TST1", CheckpointError)
+        for name, arr in blocks:
+            assert back[name].shape == arr.shape and not back[name].flags.writeable, name
+            assert back[name].dtype == (np.int32 if name == "i" else np.float64), name
+            assert np.array_equal(as_bits(back[name]), as_bits(arr)), name
+        for spec in header["blocks"]:
+            assert spec.get("dtype") != "<u8" or (spec["name"] in ("f", "t") and header["deflate"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(block=float_blocks(), axis=st.sampled_from([0, 1]))
+    def test_a_delta_block_reads_back_as_the_running_sums_of_its_differences(self, block, axis):
+        diffs = np.diff(block.view(np.uint64), axis=axis, prepend=np.uint64(0))
+        header = {"blocks": [{"name": "x", "shape": list(block.shape), "dtype": "<u8", "delta": axis}]}
+        _, back = parse_container(deflated(header, zlib.compress(diffs.tobytes())), b"TST1",
+                                  CheckpointError)
+        assert back["x"].dtype == np.float64 and not back["x"].flags.writeable
+        assert np.array_equal(as_bits(back["x"]), as_bits(block))
+
+    @pytest.mark.parametrize("block, axis", [(SMOOTH, 1), (SMOOTH.T.copy(), 0)],
+                             ids=["rows", "columns"])
+    def test_smooth_rows_are_differenced_along_them(self, tmp_path, block, axis):
+        raw = write_container(tmp_path / "raw.bin", b"TST1", {}, [("x", block)]).read_bytes()
+        data = write_container(tmp_path / "z.bin", b"TST1", {}, [("x", block)], deflate=True).read_bytes()
+        header, back = parse_container(data, b"TST1", CheckpointError)
+        # an older reader refuses the '<u8' dtype instead of misreading the differences
+        assert header["blocks"] == [{"name": "x", "shape": list(block.shape), "dtype": "<u8",
+                                     "delta": axis}]
+        assert len(data) < len(zlib.compress(raw))
+        assert np.array_equal(as_bits(back["x"]), as_bits(block))
+
+    def test_one_dimensional_blocks_are_never_differenced(self, tmp_path):
+        path = write_container(tmp_path / "z.bin", b"TST1", {}, [("x", self.SMOOTH.reshape(-1))],
+                               deflate=True)
+        header, _ = parse_container(path.read_bytes(), b"TST1", CheckpointError)
+        assert header["deflate"] and header["blocks"] == [{"name": "x", "shape": [2000]}]
+
+    @pytest.mark.parametrize("spec, fragment", [
+        ({"dtype": "<u8"}, "dtype '<u8' and a delta of 0 or 1 go together, on a 2-D block that "
+                           "does not repeat; got dtype '<u8', delta None, shape [2, 2], repeat False"),
+        ({"delta": 0}, "got dtype '<f8', delta 0,"),
+        ({"dtype": "<i4", "delta": 1}, "got dtype '<i4', delta 1,"),
+        ({"dtype": "<u8", "delta": 2}, "got dtype '<u8', delta 2,"),
+        ({"dtype": "<u8", "delta": -1}, "got dtype '<u8', delta -1,"),
+        ({"dtype": "<u8", "delta": True}, "got dtype '<u8', delta True,"),
+        ({"dtype": "<u8", "delta": 1.0}, "got dtype '<u8', delta 1.0,"),
+        ({"dtype": "<u8", "delta": "1"}, "got dtype '<u8', delta '1',"),
+        ({"dtype": "<u8", "delta": 0, "shape": [4]}, "got dtype '<u8', delta 0, shape [4],"),
+        ({"dtype": "<u8", "delta": 0, "shape": [1, 2, 2]}, "shape [1, 2, 2],"),
+        ({"dtype": "<u8", "delta": 0, "repeat": True}, "delta 0, shape [2, 2], repeat True"),
+        ({"axis": 1}, "unknown key 'axis'"),
+        ({"dtype": "<u8", "delta": 1, "order": "C", "axis": 1}, "unknown key 'axis', 'order'"),
+    ], ids=["u8-alone", "delta-alone", "delta-on-int32", "delta-2", "delta-negative",
+            "delta-bool", "delta-float", "delta-string", "one-dimensional", "three-dimensional",
+            "repeated", "unknown-key", "two-unknown-keys"])
+    def test_a_malformed_block_spec_is_the_callers_one_line_error(self, spec, fragment):
+        header = {"blocks": [{"name": "x", "shape": [2, 2], **spec}]}
+        with pytest.raises(CheckpointError) as info:
+            parse_container(deflated(header, zlib.compress(bytes(32))), b"TST1", CheckpointError)
+        message = str(info.value)
+        assert message.startswith("blocks[0]: ") and fragment in message and "\n" not in message
+
+
 def file_reads(source: str) -> list[tuple[str, int]]:
     """(enclosing function, line) of each call in ``source`` that reads a file:
     ``read_bytes``, ``read_text``, ``json.load``, ``yaml.safe_load``, or

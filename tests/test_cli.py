@@ -505,6 +505,25 @@ class TestTrainEvaluate:
                      "--workspace", str(tmp_path / "ws")]) == 1
         assert_one_line_error(capsys, "error: out of memory: Unable to allocate ")
 
+    def test_a_row_count_too_large_to_list_is_the_cells_cycle_count_error(
+            self, corpus_dir, tmp_path, capsys):
+        # 2**47 rows are counted, not listed: each cell is refused for its
+        # cycles before any per-row structure exists
+        config_path = write_train_config(tmp_path, corpus_dir, feature={
+            "name": "VoltageCapacityMatrixFeatureExtractor", "interp_dims": 4,
+            "cycles_to_keep": 2**47, "max_cycle_index": 2**47})
+        assert main(["train", "--config", str(config_path),
+                     "--workspace", str(tmp_path / "ws")]) == 1
+        assert_one_line_error(capsys, f": needs >= {2**47} cycles, has ")
+
+    def test_a_memory_error_without_a_message_is_one_line(self, monkeypatch, capsys):
+        def exhausted(args, say):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli._COMMANDS, "list-sources", exhausted)
+        assert main(["list-sources"]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
+
     def test_evaluate_rejects_stored_hyperparameters(self, corpus_dir, tmp_path, capsys):
         for model, stored, fragment in [
             # a forest file from before n_jobs was removed carries that parameter
