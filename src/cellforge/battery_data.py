@@ -12,7 +12,9 @@ cycles that have it, and internal resistance with one value per cycle that
 has it. Four integer blocks, read as int32, hold one value per cycle: its
 number, its point count, and whether it has a temperature and an internal
 resistance (0 or 1). A block whose values are all one value, such as a
-constant temperature or a fixed point count, stores that value once.
+constant temperature or a fixed point count, stores that value once, and a
+signal whose runs of one value take at most half its bytes, such as a
+current held through each step, stores each run once.
 :func:`read_cell` refuses the ``CFC1`` files of older versions with one
 line, and also reads a cell stored as one UTF-8 JSON document
 (``<cell_id>.json``), the format of older corpora; :func:`cell_to_dict`
@@ -41,8 +43,9 @@ presence, resistances and ``extra`` are short per-cell arrays and a sparse
 map. A record copies the arrays it is given, so it never shares a buffer
 its caller can still change, unless the code making it passes ``copy=False``:
 :func:`read_cell` does, handing over its columns as views of the file it
-maps (a repeated block is a stride-0 view of its one stored value), and
-builds one record per file. ``cycle_data`` still reads as
+maps (a repeated block is a stride-0 view of its one stored value, and a
+block stored as runs the new array they decode to), and builds one record
+per file. ``cycle_data`` still reads as
 a sequence of :class:`CycleRecord`: its length comes from the offsets, and
 indexing or slicing builds records whose signals are views of the columns,
 anew on every access. A :class:`CycleRecord` is the per-cycle value: built
@@ -68,7 +71,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .container import parse_container, write_container
+from .container import parse_container, read_header, write_container
 from .errors import CellforgeError, SchemaError, ValidationError
 
 # Allowance for sensor jitter when checking cumulative capacities (Ah).
@@ -846,6 +849,19 @@ def _cycle_index(key: str, n: int) -> int:
     return int(key)
 
 
+def _header_cell(header: dict) -> dict:
+    """The :class:`CellRecord` arguments, apart from its cycles, that a cell file's header holds."""
+    if not isinstance(header.get("cell"), dict):
+        raise SchemaError("header: 'cell' must be an object")
+    return _cell_fields(header["cell"])
+
+
+def _cell_id_from_bytes(data: bytes) -> str:
+    if data[:4] != CELL_MAGIC:
+        return _cell_from_bytes(data).cell_id
+    return _header_cell(read_header(data, CELL_MAGIC, SchemaError)[0])["cell_id"]
+
+
 def _cell_from_bytes(data: bytes) -> CellRecord:
     if data[:4] == b"CFC1":
         raise SchemaError("CFC1 cell file from an older cellforge; regenerate or preprocess it again")
@@ -872,12 +888,10 @@ def _cell_from_bytes(data: bytes) -> CellRecord:
     extras = header.get("cycle_extra")
     if not isinstance(extras, dict) or not all(isinstance(e, dict) for e in extras.values()):
         raise SchemaError("header: 'cycle_extra' must be an object of objects")
-    if not isinstance(header.get("cell"), dict):
-        raise SchemaError("header: 'cell' must be an object")
 
     resistance = np.full(n, np.nan)
     resistance[has_resistance] = blocks["internal_resistance_in_ohm"]
-    return CellRecord(**_cell_fields(header["cell"]), cycle_data=CycleData(
+    return CellRecord(**_header_cell(header), cycle_data=CycleData(
         numbers,
         {name: blocks[name] for name in _SIGNAL_FIELDS},
         _bounds(points),
@@ -893,26 +907,47 @@ def read_cell(path) -> CellRecord:
     """Read one cell file, binary or JSON: its first four bytes decide which.
 
     A binary cell's columns are views of the mapped file (see
-    :func:`read_file`). Malformed content raises :class:`SchemaError`
-    naming the file.
+    :func:`read_file`), apart from those stored as runs, which are new
+    arrays. Malformed content raises :class:`SchemaError` naming the file.
     """
     return read_file(path, SchemaError, _cell_from_bytes, mapped=True)
 
 
-def load_cells(cell_dir) -> list[CellRecord]:
-    """Read every ``*.cfc`` and ``*.json`` cell file in a directory, sorted
-    by file name. Two files holding one ``cell_id`` raise :class:`SchemaError`."""
+def _read_cell_id(path) -> str:
+    """The ``cell_id`` of one cell file, read from the header of a binary
+    cell alone; a JSON cell is read whole. Malformed content raises
+    :class:`SchemaError` naming the file."""
+    return read_file(path, SchemaError, _cell_id_from_bytes, mapped=True)
+
+
+def _each_cell(cell_dir, read):
+    """``(path, read(path))`` for every ``*.cfc`` and ``*.json`` cell file in
+    a directory, sorted by file name, each read when it is taken; ``read``
+    gives a :class:`CellRecord` or a ``cell_id``. A file holding a
+    ``cell_id`` that an earlier one holds raises :class:`SchemaError`."""
     cell_dir = Path(cell_dir)
     if not cell_dir.is_dir():
         raise SchemaError(f"cell directory not found: {cell_dir}")
     paths = sorted([*cell_dir.glob("*.cfc"), *cell_dir.glob("*.json")], key=lambda p: p.name)
     if not paths:
         raise SchemaError(f"no cell files (*.cfc or *.json) in {cell_dir}")
-    cells, seen = [], {}
+    seen = {}
     for p in paths:
-        cell = read_cell(p)
-        if cell.cell_id in seen:
-            raise SchemaError(f"cell_id {cell.cell_id!r} is in both {seen[cell.cell_id].name} and {p.name}")
-        seen[cell.cell_id] = p
-        cells.append(cell)
-    return cells
+        got = read(p)
+        cell_id = got.cell_id if isinstance(got, CellRecord) else got
+        if cell_id in seen:
+            raise SchemaError(f"cell_id {cell_id!r} is in both {seen[cell_id].name} and {p.name}")
+        seen[cell_id] = p
+        yield p, got
+
+
+def load_cells(cell_dir) -> list[CellRecord]:
+    """Read every ``*.cfc`` and ``*.json`` cell file in a directory, sorted
+    by file name. Two files holding one ``cell_id`` raise :class:`SchemaError`."""
+    return [cell for _, cell in _each_cell(cell_dir, read_cell)]
+
+
+def cell_files(cell_dir) -> dict[str, Path]:
+    """The file of each ``cell_id`` in a directory, as :func:`load_cells`
+    finds and checks them, reading only the headers of binary cells."""
+    return {cell_id: p for p, cell_id in _each_cell(cell_dir, _read_cell_id)}

@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from . import components as _components  # noqa: F401  (populates registries)
-from .battery_data import load_cells, read_file, write_cell, write_json, yaml_document
+from .battery_data import (cell_files, load_cells, read_cell, read_file, write_cell, write_json,
+                           yaml_document)
 from .errors import CellforgeError, ConfigError
 from .ingestion import list_sources, preprocess_source
 from .pipeline import run_evaluate, run_train
@@ -135,7 +136,14 @@ def _cmd_evaluate(args, say) -> int:
 
 
 def _cmd_plot(args, say) -> int:
-    cells = load_cells(args.cells) if args.cells else None
+    if args.cells and args.kind == "voltage-curves":  # plots one cell: read that one alone
+        files = cell_files(args.cells)
+        cell_id = min(files) if args.cell_id is None else args.cell_id
+        if cell_id not in files:
+            raise ConfigError(f"no cell with id {cell_id!r}")
+        cells = [read_cell(files[cell_id])]
+    else:
+        cells = load_cells(args.cells) if args.cells else None
     csv_path, svg_path = make_plot(args.kind, args.out, cells=cells,
                                    cell_id=args.cell_id, checkpoint=args.checkpoint)
     say(f"wrote {csv_path} and {svg_path}")

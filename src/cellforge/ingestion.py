@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import warnings
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -130,7 +131,9 @@ def _csv_columns(data: bytes, mapping: dict[str, str]) -> dict[str, np.ndarray]:
 
     Blank lines are skipped. A row's fields are read cycle index first, then
     in signal order, and the first one that is missing or not a number is
-    reported with its line.
+    reported with its line. NumPy's C parser reads the rows when it reads
+    them all (see :func:`_parsed_rows`); Python's ``csv`` and ``float`` read
+    the rest, and word each fault.
     """
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
     try:
@@ -146,7 +149,8 @@ def _csv_columns(data: bytes, mapping: dict[str, str]) -> dict[str, np.ndarray]:
         columns = {logical: array("d") for logical in ("cycle_index", *_SIGNALS) if logical in mapping}
         fields = [(mapping[logical], header.index(mapping[logical]), values.append)
                   for logical, values in columns.items()]
-        for row in reader:
+        table = _parsed_rows(data, [index for _, index, _ in fields])
+        for row in reader if table is None else ():
             if not row:
                 continue
             for column, index, append in fields:
@@ -160,15 +164,37 @@ def _csv_columns(data: bytes, mapping: dict[str, str]) -> dict[str, np.ndarray]:
     except UnicodeDecodeError:
         data.decode("utf-8-sig")  # raises the same error, its position counted from the file's start
         raise
-    if not columns["cycle_index"]:
+    if table is not None:
+        columns = dict(zip(columns, np.ascontiguousarray(table.T)))
+    elif not columns["cycle_index"]:
         raise SchemaError("no data rows")
-    columns = {logical: np.frombuffer(values) for logical, values in columns.items()}
+    else:
+        columns = {logical: np.frombuffer(values) for logical, values in columns.items()}
     lo, hi = columns["cycle_index"].min(), columns["cycle_index"].max()  # NaN if any index is NaN
     # parse_csv_cycler truncates the indices to int64 and numbers them from 1
     if not -2.0**63 <= lo <= hi < 2.0**63 or int(hi) - min(int(lo), 1) + 1 >= 2**63:
         raise SchemaError(f"column '{mapping['cycle_index']}': cycle indices {lo:g} to {hi:g} are not "
                           "finite or do not fit in int64 when numbered from 1")
     return columns
+
+
+def _parsed_rows(data: bytes, indices: list[int]) -> np.ndarray | None:
+    """The ``indices`` fields of each row after the header of the CSV
+    ``data``, read by ``np.loadtxt``; None when it refuses a field or finds
+    no rows, and when ``data`` holds a byte from 0x1C to 0x1F, which
+    ``loadtxt`` strips around a number and ``float`` refuses."""
+    if any(sep in data for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+        return None
+    try:
+        text = io.StringIO(data.decode("utf-8-sig"), newline="")
+        next(csv.reader(text))  # leaves the stream at the first row, as it reads a line at a time
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns when there are no rows
+            table = np.loadtxt(text, delimiter=",", quotechar='"', comments=None, usecols=indices,
+                               ndmin=2)
+    except ValueError:  # a field that is not a number, a row too short, bad UTF-8
+        return None
+    return table if len(table) else None
 
 
 def _integrate_split_by_sign(current_A: np.ndarray, time_s: np.ndarray):

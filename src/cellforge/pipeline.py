@@ -47,7 +47,8 @@ import numpy as np
 import yaml
 
 from . import components as _components  # noqa: F401  (populates registries)
-from .battery_data import CellRecord, json_document, load_cells, read_file, write_json, yaml_document
+from .battery_data import (CellRecord, cell_files, json_document, read_cell, read_file, write_json,
+                           yaml_document)
 from .container import parse_container, write_container
 from .errors import CheckpointError, ConfigError, PipelineError
 from .features import FeatureMatrix
@@ -283,21 +284,24 @@ def _resolve_workspace(workspace, config: PipelineConfig) -> Path:
 
 
 def _split_cells(config: PipelineConfig, cells):
-    """Run the splitter on ``cells``, or when it is None on the corpus at the
-    split section's ``cell_data_path``, and bind the resulting IDs back to
-    cell records."""
+    """Run the splitter on the IDs of ``cells``, or when it is None of the
+    cell files at the split section's ``cell_data_path``, read from their
+    headers alone, and bind the resulting IDs back to cell records or to
+    the files that hold them."""
     split_params = dict(config.train_test_split.params)
     cell_data_path = split_params.pop("cell_data_path", None)
-    if cells is None:
-        if cell_data_path is None:
-            raise ConfigError("train_test_split needs 'cell_data_path' when cells are not supplied")
-        cells = load_cells(cell_data_path)
-    cells = sorted(cells, key=lambda c: c.cell_id)
-    if not cells:
+    if cells is not None:
+        ids = [c.cell_id for c in cells]
+        by_id = dict(zip(ids, cells))
+    elif cell_data_path is not None:
+        by_id = cell_files(cell_data_path)
+        ids = list(by_id)
+    else:
+        raise ConfigError("train_test_split needs 'cell_data_path' when cells are not supplied")
+    if not ids:
         raise PipelineError("no cells to run on")
     splitter = SPLITTERS.create(config.train_test_split.name, **split_params)
-    split = splitter.split([c.cell_id for c in cells])
-    by_id = {c.cell_id: c for c in cells}
+    split = splitter.split(sorted(ids))
     train = [by_id[i] for i in split.train_cell_ids]
     test = [by_id[i] for i in split.test_cell_ids]
     return split, train, test
@@ -308,8 +312,8 @@ def _label_and_featurize(config: PipelineConfig, split: SplitResult, **partition
     each, ``(features, y, excluded)``, where ``features`` is a matrix whose
     rows are the partition's label keys and ``y`` the labels in that order.
 
-    Each partition is a list the pipeline owns; it is emptied one cell at a
-    time (see :func:`_take_partition`).
+    Each partition is a list the pipeline owns, of cell records or of cell
+    files; it is emptied one cell at a time (see :func:`_take_partition`).
     """
     meta = split.metadata
     label_params = _with_overrides(
@@ -326,19 +330,23 @@ def _label_and_featurize(config: PipelineConfig, split: SplitResult, **partition
 
 def _take_partition(annotator, extractor, cells, partition: str):
     """The aligned features, labels and exclusions of ``cells``, taken one
-    cell at a time: each is popped from ``cells``, labelled, featurized when
-    it got label rows, and dropped before the next, so a mapped cell's pages
-    leave memory before the next cell's are read. The per-cell rows are
-    joined once at the end, equal to those of the whole partition at once."""
+    cell at a time: each is popped from ``cells`` (and a cell file read),
+    labelled, featurized when it got label rows, and dropped before the
+    next is read, so one cell's columns are in memory at a time. The
+    per-cell rows are joined once at the end, equal to those of the whole
+    partition at once."""
     features, labels, excluded = [], [], []
     cells.reverse()  # pop from the end in the partition's order
     while cells:
         one = [cells.pop()]
+        if not isinstance(one[0], CellRecord):
+            one = [read_cell(one[0])]
         cell_labels, cell_excluded = annotator.annotate(one)
         excluded += [{"cell_id": cid, "reason": reason} for cid, reason in cell_excluded]
         if cell_labels.row_keys:
             labels.append(cell_labels)
             features.append(extractor.extract(one))
+        del one  # so the next cell is read with this one gone
     if not labels:
         raise PipelineError(f"all {partition} cells were excluded by the label annotator")
     X, y, keys = _align(

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cellforge
-from cellforge import battery_data
+from cellforge import battery_data, container
 from cellforge.battery_data import (
     CAPACITY_JITTER_TOL,
     CELL_MAGIC,
@@ -400,9 +400,25 @@ class TestArraySignals:
         ]
         digests = [hashlib.sha256(write_cell(c, tmp_path).read_bytes()).hexdigest() for c in cells]
         assert digests == [
-            "87ddead4794234a4f4c25b4b24d5822ed2f1eeda0827a2cb7df42ff0d500d1b9",
-            "1f8b5b09b813cf82bd5996c0b96bdbd41fc0335345c1972aee840f8d1e259476",
+            "af2784e1f003a5379c646d816b2f8e0aea95951255784ebda6a04e6cd1b039fa",
+            "288bb00a5ab84b67dc02c4fa2e09c1346f17950cda106d068d5434c7612d9f38",
         ]
+
+    def test_a_file_without_run_blocks_reads_with_every_column_mapped(self, tmp_path, monkeypatch):
+        # the bytes cellforge wrote before run blocks existed
+        cell = generate_synthetic(SynthSpec(
+            n_cells=2, cycle_life_mean=30.0, cycle_life_std=5.0,
+            points_per_cycle=16, noise_sigma=0.005, seed=3,
+        ))[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(container, "_runs", lambda flat: None)
+            path = write_cell(cell, tmp_path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "87ddead4794234a4f4c25b4b24d5822ed2f1eeda0827a2cb7df42ff0d500d1b9")
+        back = read_cell(path)
+        assert back == cell
+        for column in back.cycle_data.columns.values():
+            assert isinstance(root_buffer(column), mmap.mmap) and not column.flags.writeable
 
     def test_quickstart_corpus_reads_back_equal(self, quickstart_corpus):
         assert quickstart_corpus.loaded == quickstart_corpus.generated
@@ -546,8 +562,12 @@ class TestCellFile:
         assert all(specs[name]["dtype"] == "|u1" for name in per_cycle)
         assert all("dtype" not in specs[name] for name in (*TestArraySignals.SIGNALS,
                                                             "internal_resistance_in_ohm"))
-        floats = 5 * n + blocks["temperature_in_C"].size + 1
-        assert len(data) == 8 + struct.unpack_from("<I", data, 4)[0] + 8 * floats + 1 * 4 * 3
+        runs = {name: (spec["runs"], spec["lengths"]) for name, spec in specs.items() if "runs" in spec}
+        assert runs == {"current_in_A": (6, "|u1"), "charge_capacity_in_Ah": (12, "|u1"),
+                        "temperature_in_C": (2, "|u1")}
+        # three float64 signals of n values and one resistance; three run blocks of
+        # 20 runs in all, each a float64 value and a one-byte length
+        assert len(data) == 8 + struct.unpack_from("<I", data, 4)[0] + 8 * (3 * n + 1) + 9 * 20 + 1 * 4 * 3
         assert read_cell(path) == cell
 
     def test_uniform_per_cycle_blocks_store_one_value(self, tmp_path):
@@ -557,9 +577,13 @@ class TestCellFile:
         repeated = sorted(b["name"] for b in header["blocks"] if b.get("repeat"))
         assert repeated == ["has_internal_resistance", "has_temperature", "points", "temperature_in_C"]
         n = 3 * len(cell.cycle_data[0].time_in_s)
-        # five float64 signals of n values, a temperature of 25.0 stored once, no
-        # resistance, three one-byte cycle numbers and three one-byte blocks of one value
-        assert len(data) == 8 + struct.unpack_from("<I", data, 4)[0] + 8 * 5 * n + 8 + 1 * 3 + 1 * 3
+        # three float64 signals of n values, current and charge capacity as 6 and 12
+        # runs of a float64 value and a one-byte length, a temperature of 25.0 stored
+        # once, no resistance, three one-byte cycle numbers and three one-byte blocks
+        # of one value
+        assert [(b["name"], b["runs"]) for b in header["blocks"] if "runs" in b] == [
+            ("current_in_A", 6), ("charge_capacity_in_Ah", 12)]
+        assert len(data) == 8 + struct.unpack_from("<I", data, 4)[0] + 8 * 3 * n + 9 * 18 + 8 + 1 * 3 + 1 * 3
         assert read_cell(path) == cell
 
     def test_cfc1_file_is_one_line_error(self, tmp_path):
@@ -924,8 +948,13 @@ class TestDeflatedBlocks:
         assert "deflate" not in header
         back = read_cell(path)
         assert back == cell
-        for column in back.cycle_data.columns.values():
-            assert isinstance(root_buffer(column), mmap.mmap)
+        runs = {b["name"] for b in header["blocks"] if "runs" in b}
+        assert runs == {"current_in_A", "charge_capacity_in_Ah"}
+        for name, column in back.cycle_data.columns.items():
+            if name in runs:
+                assert column.flags.owndata and not column.flags.writeable
+            else:
+                assert isinstance(root_buffer(column), mmap.mmap)
 
 
 # NaN payloads (quiet, signalling, negative), -0.0, +-inf, subnormals at both
@@ -1040,6 +1069,185 @@ class TestDeltaBlocks:
         assert message.startswith("blocks[0]: ") and fragment in message and "\n" not in message
 
 
+@st.composite
+def run_blocks(draw):
+    """A 1-D float64 block of runs of special or arbitrary bit patterns, so
+    that runs may differ only in a zero's sign or a NaN's payload, with
+    lengths that cross the largest of a ``|u1`` and of an ``<i2``."""
+    runs = draw(st.lists(st.tuples(
+        st.sampled_from(SPECIAL_BITS) | st.integers(0, 2**64 - 1),
+        st.sampled_from([1, 2, 255, 256, 32767, 32768]) | st.integers(1, 300)), max_size=6))
+    bits = np.array([b for b, _ in runs], dtype=np.uint64)
+    return np.repeat(bits, np.array([n for _, n in runs], dtype=np.int64)).view(np.float64)
+
+
+def run_count(block: np.ndarray) -> int:
+    bits = block.view(np.uint64)
+    return int(bits.size and 1 + (bits[1:] != bits[:-1]).sum())
+
+
+def block_size(spec: dict) -> int:
+    """The bytes a block of a file that is not deflated takes."""
+    if "runs" in spec:
+        return spec["runs"] * (8 + np.dtype(spec["lengths"]).itemsize)
+    count = 1 if spec.get("repeat") else math.prod(spec["shape"])
+    return count * np.dtype(spec.get("dtype", "<f8")).itemsize
+
+
+class TestRunBlocks:
+    """A writer that does not deflate stores a 1-D float64 block as its runs
+    of equal bits when they take at most half of its bytes, each run a
+    float64 value and a length at the narrowest width; it reads back bit for
+    bit, as a read-only array of its own."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(block=run_blocks(), ints=st.lists(st.integers(-2**31, 2**31 - 1), max_size=8),
+           fill=st.sampled_from(SPECIAL_BITS), deflate=st.booleans())
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, block, ints, fill, deflate):
+        blocks = [("f", block), ("i", np.array(ints, dtype=np.int32)),
+                  ("r", np.full(3, np.uint64(fill)).view(np.float64)), ("one", block[:1]),
+                  ("none", block[:0]), ("m", TestDeltaBlocks.SMOOTH[:, :8])]
+        path = write_container(tmp_path_factory.mktemp("runs") / "x.bin", b"TST1", {}, blocks,
+                               deflate=deflate)
+        header, back = read_file(path, CheckpointError, lambda data: parse_container(
+            data, b"TST1", CheckpointError), mapped=True)
+        for name, arr in blocks:
+            assert back[name].shape == arr.shape and not back[name].flags.writeable, name
+            assert back[name].dtype == (np.int32 if name == "i" else np.float64), name
+            assert np.array_equal(as_bits(back[name]), as_bits(arr)), name
+        runs = run_count(block)
+        longest = int(np.diff(np.flatnonzero(np.r_[True, np.diff(block.view(np.uint64)) != 0,
+                                                   True])).max(initial=0))
+        width = 1 if longest <= 255 else 2 if longest <= 32767 else 4
+        coded = not deflate and runs >= 2 and 2 * runs * (8 + width) <= block.nbytes
+        specs = {spec["name"]: spec for spec in header["blocks"]}
+        assert ("runs" in specs["f"]) == coded
+        if coded:
+            assert specs["f"] == {"name": "f", "shape": [block.size], "runs": runs,
+                                  "lengths": {1: "|u1", 2: "<i2", 4: "<i4"}[width]}
+            assert back["f"].flags.owndata
+        assert not any("runs" in specs[name] for name in ("i", "r", "one", "none", "m"))
+
+    @pytest.mark.parametrize("longest, lengths", [(255, "|u1"), (256, "<i2"), (32767, "<i2"),
+                                                  (32768, "<i4")])
+    def test_lengths_take_the_narrowest_width(self, tmp_path, longest, lengths):
+        block = np.repeat([1.0, 2.0, 1.0], [longest, 1, 3])
+        path = write_container(tmp_path / "x.bin", b"TST1", {}, [("x", block)])
+        header, back = parse_container(path.read_bytes(), b"TST1", CheckpointError)
+        assert header["blocks"] == [{"name": "x", "shape": [longest + 4], "runs": 3,
+                                     "lengths": lengths}]
+        assert len(path.read_bytes()) == 8 + struct.unpack_from("<I", path.read_bytes(), 4)[0] + 3 * (
+            8 + np.dtype(lengths).itemsize)
+        assert back["x"].tobytes() == block.tobytes()
+
+    def test_signed_zeros_and_nan_payloads_are_runs_of_their_own(self, tmp_path):
+        bits = np.repeat(np.array([0x0, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000001],
+                                  dtype=np.uint64), 50)
+        path = write_container(tmp_path / "x.bin", b"TST1", {}, [("x", bits.view(np.float64))])
+        header, back = parse_container(path.read_bytes(), b"TST1", CheckpointError)
+        assert header["blocks"][0]["runs"] == 4
+        assert np.array_equal(back["x"].view(np.uint64), bits)
+
+    def test_a_block_is_coded_when_its_runs_take_at_most_half_its_bytes(self, tmp_path):
+        # four runs take 4 * (8 + 1) = 36 bytes: half of 9 float64 values, more than half of 8
+        half = np.repeat(np.arange(4.0), [3, 2, 2, 2])
+        over = np.repeat(np.arange(4.0), 2)
+        path = write_container(tmp_path / "x.bin", b"TST1", {}, [("half", half), ("over", over)])
+        header, back = parse_container(path.read_bytes(), b"TST1", CheckpointError)
+        assert header["blocks"] == [{"name": "half", "shape": [9], "runs": 4, "lengths": "|u1"},
+                                    {"name": "over", "shape": [8]}]
+        assert back["half"].tolist() == half.tolist() and back["over"].tolist() == over.tolist()
+
+    def test_a_run_block_spanning_pages_reads_from_a_mapping(self, tmp_path):
+        # 3,000 runs take 27,000 bytes, several whole pages the reader returns
+        block = np.repeat(np.arange(3000.0), 10)
+        after = np.linspace(0.0, 1.0, 5000)
+        path = write_container(tmp_path / "x.bin", b"TST1", {}, [("x", block), ("after", after)])
+        for _ in range(2):
+            header, back = read_file(path, CheckpointError, lambda data: parse_container(
+                data, b"TST1", CheckpointError), mapped=True)
+            assert header["blocks"][0]["runs"] == 3000
+            assert back["x"].tobytes() == block.tobytes()
+            assert back["after"].tobytes() == after.tobytes()
+            assert isinstance(root_buffer(back["after"]), mmap.mmap)
+
+    def run_cell(self, tmp_path, edit, lengths=None, cut=0):
+        """A cell file whose ``current_in_A`` run block's spec ``edit`` changes
+        in place, its lengths replaced by ``lengths`` if given and the file
+        cut ``cut`` bytes into the block."""
+        path = write_cell(make_cell("RUN"), tmp_path)
+        data = path.read_bytes()
+        (length,) = struct.unpack_from("<I", data, 4)
+        header = json.loads(data[8:8 + length])
+        offset = 8 + length
+        for spec in header["blocks"]:
+            if spec["name"] == "current_in_A":
+                break
+            offset += block_size(spec)
+        assert spec == {"name": "current_in_A", "shape": [36], "runs": 6, "lengths": "|u1"}
+        end = offset + block_size(spec)
+        body = data[offset:end]
+        if lengths is not None:
+            body = body[:48] + lengths.tobytes()
+        edit(spec)
+        payload = json.dumps(header).encode()
+        rest = data[end:] if not cut else b""
+        path.write_bytes(data[:4] + struct.pack("<I", len(payload)) + payload + data[8 + length:offset]
+                         + body[:cut or None] + rest)
+        return path
+
+    @pytest.mark.parametrize("edit, lengths, message", [
+        (lambda s: None, np.array([0, 12, 4, 8, 4, 8], dtype="|u1"),
+         "block 'current_in_A': run lengths must be at least 1, got 0"),
+        (lambda s: s.update(lengths="<i2"), np.array([-1, 13, 4, 8, 4, 8], dtype="<i2"),
+         "block 'current_in_A': run lengths must be at least 1, got -1"),
+        (lambda s: None, np.array([4, 8, 4, 8, 4, 7], dtype="|u1"),
+         "block 'current_in_A': run lengths sum to 35, its shape holds 36"),
+        (lambda s: s.update(lengths="<i4"), np.full(6, 2**31 - 1, dtype="<i4"),
+         "block 'current_in_A': run lengths sum to 12884901882, its shape holds 36"),
+        (lambda s: s.update(shape=[2, 18]), None,
+         "blocks[6]: a count of runs and their lengths go together, on a 1-D block without repeat, "
+         "dtype or delta; got runs 6, lengths '|u1', shape [2, 18], keys"),
+        (lambda s: s.update(shape=[]), None, "lengths '|u1', shape [], keys"),
+        (lambda s: s.update(repeat=True), None, "keys ['lengths', 'name', 'repeat', 'runs', 'shape']"),
+        (lambda s: s.update(repeat=False), None, "keys ['lengths', 'name', 'repeat', 'runs', 'shape']"),
+        (lambda s: s.update(dtype="<f8"), None, "keys ['dtype', 'lengths', 'name', 'runs', 'shape']"),
+        (lambda s: s.update(dtype="<u8", delta=0, shape=[2, 18]), None,
+         "keys ['delta', 'dtype', 'lengths', 'name', 'runs', 'shape']"),
+        (lambda s: s.update(delta=0), None, "dtype '<u8' and a delta of 0 or 1 go together"),
+        (lambda s: s.pop("runs"), None, "got runs None, lengths '|u1'"),
+        (lambda s: s.pop("lengths"), None, "got runs 6, lengths None"),
+        (lambda s: s.update(runs=-1), None, "got runs -1,"),
+        (lambda s: s.update(runs=True), None, "got runs True,"),
+        (lambda s: s.update(runs=6.0), None, "got runs 6.0,"),
+        (lambda s: s.update(runs="6"), None, "got runs '6',"),
+        (lambda s: s.update(lengths="<f8"), None, "blocks[6]: lengths must be '|u1', '<i2' or '<i4', "
+                                                  "got '<f8'"),
+        (lambda s: s.update(lengths="<u8"), None, "lengths must be '|u1', '<i2' or '<i4', got '<u8'"),
+        (lambda s: s.update(lengths="|i1"), None, "lengths must be '|u1', '<i2' or '<i4', got '|i1'"),
+        (lambda s: s.update(lengths=">i2"), None, "lengths must be '|u1', '<i2' or '<i4', got '>i2'"),
+        (lambda s: s.update(lengths=1), None, "lengths must be '|u1', '<i2' or '<i4', got 1"),
+        (lambda s: s.update(lengths=["|u1"]), None, "got ['|u1']"),
+    ], ids=["zero-length", "negative-length", "short-sum", "sum-beyond-int32", "two-dimensional",
+            "zero-dimensional", "with-repeat", "with-repeat-false", "with-dtype", "with-delta",
+            "delta-on-floats", "no-runs", "no-lengths", "runs-negative", "runs-bool", "runs-float",
+            "runs-string", "lengths-float", "lengths-u8", "lengths-i1", "lengths-big-endian",
+            "lengths-number", "lengths-list"])
+    def test_a_malformed_run_block_is_one_line_naming_the_file(self, tmp_path, edit, lengths, message):
+        path = self.run_cell(tmp_path, edit, lengths)
+        with pytest.raises(SchemaError) as info:
+            read_cell(path)
+        assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("cut", [1, 47, 48, 53])
+    def test_a_truncated_run_block_is_one_line_naming_the_file(self, tmp_path, cut):
+        path = self.run_cell(tmp_path, lambda s: None, cut=cut)
+        with pytest.raises(SchemaError) as info:
+            read_cell(path)
+        assert str(info.value) == f"{path}: truncated block 'current_in_A'"
+
+
 def file_reads(source: str) -> list[tuple[str, int]]:
     """(enclosing function, line) of each call in ``source`` that reads a file:
     ``read_bytes``, ``read_text``, ``json.load``, ``yaml.safe_load``, or
@@ -1109,6 +1317,10 @@ class TestReadFile:
             read_file(tmp_path / name, SchemaError, bytes)
 
 
+# the columns of linear_cycle cells that cell files store as runs
+RUN_CODED = ("current_in_A", "charge_capacity_in_Ah", "temperature_in_C")
+
+
 class TestColumns:
     """Cells hold one column per signal; ``cycle_data`` builds views on demand."""
 
@@ -1121,8 +1333,11 @@ class TestColumns:
             column = back.cycle_data.columns[name]
             assert np.shares_memory(getattr(first, name), column)
             assert np.shares_memory(getattr(second, name), column)
-            assert isinstance(root_buffer(column), mmap.mmap)
-            assert memoryview(root_buffer(column)).readonly
+            if name in RUN_CODED:
+                assert column.flags.owndata
+            else:
+                assert isinstance(root_buffer(column), mmap.mmap)
+                assert memoryview(root_buffer(column)).readonly
             assert not column.flags.writeable
             assert not getattr(first, name).flags.writeable
         assert root_buffer(back.cycle_data.columns["voltage_in_V"]) is root_buffer(
@@ -1140,7 +1355,10 @@ class TestColumns:
         assert read == cells[1]
         for name in TestArraySignals.SIGNALS:
             column = read.cycle_data.columns[name]
-            assert isinstance(root_buffer(column), bytes)
+            if name in RUN_CODED:
+                assert column.flags.owndata
+            else:
+                assert isinstance(root_buffer(column), bytes)
             assert np.shares_memory(getattr(read.cycle_data[0], name), column)
             assert not column.flags.writeable
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 import yaml
 
-from cellforge.battery_data import (CELL_MAGIC, load_cells, parse_container, validate,
-                                    write_cell, write_container)
+from cellforge.battery_data import (CELL_MAGIC, load_cells, parse_container, read_cell,
+                                    validate, write_cell, write_container)
 from cellforge import cli
 from cellforge.cli import main
 from cellforge.errors import CheckpointError, ConfigError, SchemaError
@@ -740,6 +740,16 @@ class TestPlotCommand:
         assert (tmp_path / "curves.csv").is_file()
         assert (tmp_path / "curves.svg").is_file()
         assert not out.exists()
+
+    @pytest.mark.parametrize("cell_id", [[], ["--cell-id", "SYN_0002"]], ids=["first", "named"])
+    def test_voltage_curves_read_the_plotted_cell_alone(self, corpus_dir, tmp_path, monkeypatch,
+                                                         cell_id):
+        read = []
+        monkeypatch.setattr(cli, "read_cell", lambda path: read.append(path.name) or read_cell(path))
+        monkeypatch.setattr(cli, "load_cells", lambda path: pytest.fail("every cell was read"))
+        assert main(["--quiet", "plot", "--kind", "voltage-curves", "--out", str(tmp_path / "v"),
+                     "--cells", str(corpus_dir), *cell_id]) == 0
+        assert read == [f"{cell_id[1] if cell_id else 'SYN_0000'}.cfc"]
 
     def test_unknown_cell_id(self, corpus_dir, tmp_path, capsys):
         assert main(["plot", "--kind", "voltage-curves", "--out", str(tmp_path / "v"),

@@ -3,10 +3,14 @@
 import csv
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cellforge import ingestion
 from cellforge.battery_data import read_cell, validate, write_cell
 from cellforge.errors import SchemaError
 from cellforge.ingestion import (
@@ -289,8 +293,8 @@ class TestParseCsv:
         assert cell.cycle_data[0].voltage_in_V.tolist() == [r[1] for r in simple_rows(1)]
 
     @pytest.mark.parametrize("mapping, digest", [
-        (SIMPLE_MAP, "c06d8f5ce963f9dd6b2b2b570370115290d5f3a79610dd883d6b1ef8254908f8"),
-        (NO_CAPACITY_MAP, "348457c4ebe7d8174bd6428b334ae558b4df5eff1964f72e20c83670715c786d"),
+        (SIMPLE_MAP, "48c0fa773a3b8506512b4d30ac0c3f91a9c85b3927cd08138d48c7a3a3b1398b"),
+        (NO_CAPACITY_MAP, "73d5edf762987d54a44d6daadef620896f96ad63ead08d0b0b7caabcdb9813e9"),
     ], ids=["capacity-columns", "integrated-capacity"])
     def test_written_bytes_are_pinned(self, tmp_path, mapping, digest):
         p = write_csv(tmp_path / "pin.csv", list(SIMPLE_MAP.values()), pinned_rows())
@@ -317,6 +321,56 @@ class TestParseCsv:
         assert str(info.value).startswith(f"{p}: parsed data violates record invariants: "
                                           "7 violation(s): cycle_data[0].time_in_s: ")
         assert str(info.value).endswith("; and 2 more") and str(info.value).count(";") == 5
+
+
+# fields both parsers read, then fields one or both refuse
+NUMBERS = ["1", "-2.5", " 3 ", '"4"', "5e-3", "nan", "-inf", "+0", "-0", "\xa06", "7.", ".5", "1e400"]
+OTHERS = ["1_0", "x", "", " ", "0x1", "1\x1c", "\x1f2", '"1"2', "\u0661", "#1", '"1\n"']
+
+
+def outcome(data, mapping):
+    try:
+        columns = ingestion._csv_columns(data, mapping)
+    except (SchemaError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return {name: values.view(np.uint64).tolist() for name, values in columns.items()}
+
+
+class TestCParser:
+    """``np.loadtxt`` reads an export's rows when it reads them all and the
+    csv loop reads the rest, so both give the same columns and errors."""
+
+    MAP = {"time_s": "t", "voltage_V": "v", "current_A": "i", "cycle_index": "c"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.lists(st.sampled_from(NUMBERS) | st.sampled_from(OTHERS),
+                                  min_size=3, max_size=6), max_size=5),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]), blank=st.booleans(), bom=st.booleans())
+    def test_the_c_parser_reads_as_the_csv_loop_does(self, rows, newline, blank, bom):
+        lines = ["c,t,v,i", *(",".join(row) for row in rows)]
+        if blank:
+            lines.insert(len(lines) // 2 + 1, "")
+        data = ("\ufeff" if bom else "").encode() + newline.join(lines).encode()
+        with mock.patch.object(ingestion, "_parsed_rows", lambda data, indices: None):
+            loop = outcome(data, self.MAP)
+        assert outcome(data, self.MAP) == loop
+
+    def test_a_clean_export_is_read_by_the_c_parser(self, tmp_path, monkeypatch):
+        path = write_csv(tmp_path / "clean.csv", list(SIMPLE_MAP.values()), pinned_rows())
+        tables, parse = [], ingestion._parsed_rows
+        monkeypatch.setattr(ingestion, "_parsed_rows", lambda *args: tables.append(parse(*args)) or tables[-1])
+        cell = parse_csv_cycler(path, SIMPLE_MAP, nominal_capacity_in_Ah=1.1)
+        assert [table.shape for table in tables] == [(12, 6)]
+        assert cycle_columns(cell)[0][1] == [0.0, 7.5, 15.0, 22.5, 30.0, 37.5]
+
+    @pytest.mark.parametrize("field", ["3.5\x1c", "\x1d3.5", "\x1e3.5\x1e", "3.5\x1f"])
+    def test_a_number_between_separator_bytes_is_refused(self, tmp_path, field):
+        rows = simple_rows(1)
+        rows[0][1] = field
+        path = write_csv(tmp_path / "sep.csv", list(SIMPLE_MAP.values()), rows)
+        with pytest.raises(SchemaError) as info:
+            parse_csv_cycler(path, SIMPLE_MAP, nominal_capacity_in_Ah=1.0)
+        assert str(info.value) == f"{path}: line 2: column 'v': not numeric: {field!r}"
 
 
 class TestPreprocess:

@@ -3,18 +3,21 @@
 ``pipeline._label_and_featurize`` labels and featurizes each cell on its own
 and drops it before the next. These tests hold it to the result of the
 whole-corpus order (every cell labelled, then every kept cell featurized),
-bit for bit, and check that a corpus read from ``cell_data_path`` releases
-each cell's mapping once the cell is processed.
+bit for bit, and check that a corpus read from ``cell_data_path`` is split
+on the cell IDs of its file headers and read one cell file at a time.
 """
 
 import gc
+import json
+import weakref
 from dataclasses import replace
 
 import pytest
 
 from cellforge import battery_data, pipeline
 from cellforge.battery_data import write_cell
-from cellforge.errors import FeatureError, PipelineError, ThresholdNotReached
+from cellforge.cli import main
+from cellforge.errors import FeatureError, PipelineError, SchemaError, ThresholdNotReached
 from cellforge.features import FeatureMatrix
 from cellforge.labels import RULLabelAnnotator, rul_label
 from cellforge.pipeline import (
@@ -185,7 +188,56 @@ def test_a_corpus_read_from_disk_holds_one_processed_cell_at_a_time(corpus, tmp_
     elsewhere = len(battery_data._MAPPINGS)  # mapped cells other tests still hold
     _MappingCountingRULAnnotator.live.clear()
     run_train(config, workspace=tmp_path / "ws")
-    n = len(corpus)
-    assert _MappingCountingRULAnnotator.live == [elsewhere + n - k for k in range(n)]
+    assert _MappingCountingRULAnnotator.live == [elsewhere + 1] * len(corpus)
     gc.collect()
     assert len(battery_data._MAPPINGS) == elsewhere
+
+
+def written_corpus(corpus, cell_dir):
+    cell_dir.mkdir()
+    for cell in corpus:
+        write_cell(cell, cell_dir)
+    config = make_config(*PAIRS[0])
+    config["train_test_split"]["cell_data_path"] = str(cell_dir)
+    return config
+
+
+def test_a_corpus_read_from_disk_is_read_one_cell_at_a_time(corpus, tmp_path, monkeypatch):
+    config = written_corpus(corpus, tmp_path / "cells")
+    read, alive = [], []
+
+    def spy(path):
+        alive.append(sum(ref() is not None for ref in read))
+        cell = battery_data.read_cell(path)
+        read.append(weakref.ref(cell))
+        return cell
+
+    monkeypatch.setattr(pipeline, "read_cell", spy)
+    run_train(config, workspace=tmp_path / "ws")
+    assert len(read) == len(TRAIN_IDS) + len(TEST_IDS) == len(corpus)
+    assert alive == [0] * len(corpus)
+    assert all(ref() is None for ref in read)
+
+
+def test_duplicate_ids_are_refused_before_a_cell_is_read(corpus, tmp_path, monkeypatch):
+    config = written_corpus(corpus, tmp_path / "cells")
+    write_cell(replace(corpus[0], cell_id="SYN_0003"), tmp_path / "cells" / "SYN_9999.cfc")
+    headers = []
+    monkeypatch.setattr(battery_data, "_cell_from_bytes", lambda data: pytest.fail("a cell was read"))
+    monkeypatch.setattr(battery_data, "_cell_id_from_bytes",
+                        lambda data, read=battery_data._cell_id_from_bytes: headers.append(1) or read(data))
+    with pytest.raises(SchemaError) as info:
+        run_train(config, workspace=tmp_path / "ws")
+    assert str(info.value) == "cell_id 'SYN_0003' is in both SYN_0003.cfc and SYN_9999.cfc"
+    assert len(headers) == len(corpus) + 1  # SYN_9999.cfc sorts last
+
+
+def test_a_corrupt_test_cell_is_one_error_line_and_no_checkpoint(corpus, tmp_path, capsys):
+    config = written_corpus(corpus, tmp_path / "cells")
+    path = tmp_path / "cells" / f"{TEST_IDS[-1]}.cfc"
+    path.write_bytes(path.read_bytes()[:-1])
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(config_path), "--workspace", str(tmp_path / "ws")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: truncated block 'temperature_in_C'\n"
+    assert not (tmp_path / "ws").exists()
