@@ -13,10 +13,11 @@ has it. Four integer blocks, read as int32, hold one value per cycle: its
 number, its point count, and whether it has a temperature and an internal
 resistance (0 or 1). A block whose values are all one value, such as a
 constant temperature or a fixed point count, stores that value once, and a
-signal whose runs of one value take at most half its bytes, such as a
-current held through each step, stores each run once.
-:func:`read_cell` refuses the ``CFC1`` files of older versions with one
-line, and also reads a cell stored as one UTF-8 JSON document
+signal whose second differences take at most half its bytes as int8
+residuals and escapes, such as a smooth voltage, stores those.
+:func:`read_cell` refuses the ``CFC1`` files of older versions, and the
+``CFC2`` files whose signals were stored as runs, with one line, and also
+reads a cell stored as one UTF-8 JSON document
 (``<cell_id>.json``), the format of older corpora; :func:`cell_to_dict`
 exports one.
 
@@ -43,9 +44,10 @@ presence, resistances and ``extra`` are short per-cell arrays and a sparse
 map. A record copies the arrays it is given, so it never shares a buffer
 its caller can still change, unless the code making it passes ``copy=False``:
 :func:`read_cell` does, handing over its columns as views of the file it
-maps (a repeated block is a stride-0 view of its one stored value, and a
-block stored as runs the new array they decode to), and builds one record
-per file. ``cycle_data`` still reads as
+maps (a repeated block is a stride-0 view of its one stored value), or, for
+a block stored as second differences, as the block itself, which is decoded
+into a new array the first time its column is read and then kept; it builds
+one record per file. ``cycle_data`` still reads as
 a sequence of :class:`CycleRecord`: its length comes from the offsets, and
 indexing or slicing builds records whose signals are views of the columns,
 anew on every access. A :class:`CycleRecord` is the per-cycle value: built
@@ -64,14 +66,15 @@ import mmap
 import operator
 import resource
 import weakref
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .container import parse_container, read_header, write_container
+from .container import Coded, parse_blocks, read_header, write_container
+from .container import parse_container  # noqa: F401  (re-exported for callers that import it here)
 from .errors import CellforgeError, SchemaError, ValidationError
 
 # Allowance for sensor jitter when checking cumulative capacities (Ah).
@@ -124,9 +127,12 @@ _SIGNAL_FIELDS = _CYCLE_SEQ_FIELDS + ("temperature_in_C",)
 _JSON_NUMBER_TYPES = frozenset((int, float))
 
 
-def _signal(values, name, copy=True) -> np.ndarray:
-    """A read-only one-dimensional float64 signal: a float64 array is kept
-    as it is when ``copy`` is False, and anything else is copied."""
+def _signal(values, name, copy=True) -> np.ndarray | Coded:
+    """A read-only one-dimensional float64 signal: a float64 array, or a
+    second-difference block not yet decoded, is kept as it is when ``copy``
+    is False, and anything else is copied."""
+    if not copy and isinstance(values, Coded):
+        return values
     if not copy and isinstance(values, np.ndarray) and values.dtype == np.float64:
         arr = values
     else:
@@ -227,12 +233,37 @@ class CycleRecord:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
+class _Columns(Mapping):
+    """A cell's columns by signal name. A column held as a second-difference
+    block is decoded the first time it is read, and the array kept."""
+
+    def __init__(self, columns: dict):
+        self._columns = columns
+
+    def __getitem__(self, name) -> np.ndarray:
+        column = self._columns[name]
+        if isinstance(column, Coded):
+            column = self._columns[name] = column.decode()
+        return column
+
+    def __contains__(self, name):
+        return name in self._columns
+
+    def __iter__(self):
+        return iter(self._columns)
+
+    def __len__(self):
+        return len(self._columns)
+
+
 class CycleData(tuple):
     """The cycles of one cell, held as columns; a cell's ``cycle_data``.
 
     ``columns[name]`` is one read-only float64 column per signal with every
     cycle's values in cycle order, and ``offsets[name]`` (n_cycles + 1 int64
     bounds) puts cycle ``i`` at ``columns[name][offsets[name][i]:offsets[name][i + 1]]``.
+    A column that :func:`read_cell` left as a second-difference block is
+    decoded the first time ``columns`` gives it, or a cycle view reads it.
     The mandatory signals share one offsets array unless a cycle's signals
     differ in length (which :func:`validate` reports); the temperature
     column holds only the cycles flagged in ``has_temperature``.
@@ -261,8 +292,8 @@ class CycleData(tuple):
     are copied, so the cell never shares a buffer its caller can still
     change, unless the caller passes ``copy=False`` to hand over float64
     columns that nothing else will change: ones it made for the cell alone,
-    a read-only broadcast of one value, or the read-only views of a file
-    that :func:`read_cell` makes. They are made read-only.
+    a read-only broadcast of one value, or the read-only views and coded
+    blocks of a file that :func:`read_cell` makes. They are made read-only.
     """
 
     def __new__(cls, cycle_number=(), columns=None, offsets=(0,), *, has_temperature=None,
@@ -297,7 +328,7 @@ class CycleData(tuple):
         self = super().__new__(cls)
         self.__dict__.update(
             cycle_number=numbers,
-            columns=signals,
+            columns=_Columns(signals),
             offsets=bounds,
             has_temperature=has_temperature,
             internal_resistance_in_ohm=_small(
@@ -312,7 +343,8 @@ class CycleData(tuple):
 
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, whose copies are read-only
-        return copyreg.__newobj_ex__, (type(self), (self.cycle_number, self.columns, self.offsets), {
+        columns = dict(self.columns)  # decoded: a coded block holds its file's mapping
+        return copyreg.__newobj_ex__, (type(self), (self.cycle_number, columns, self.offsets), {
             "has_temperature": self.has_temperature,
             "internal_resistance_in_ohm": self.internal_resistance_in_ohm,
             "has_internal_resistance": self.has_internal_resistance,
@@ -409,7 +441,7 @@ class CycleData(tuple):
         return equal if equal is NotImplemented else not equal
 
     def __repr__(self):
-        return f"CycleData({len(self)} cycles, {self.columns['time_in_s'].size} points)"
+        return f"CycleData({len(self)} cycles, {self.offsets['time_in_s'][-1]} points)"
 
     # The sequence operations tuple would run on its own (empty) items.
     __contains__ = Sequence.__contains__
@@ -867,7 +899,11 @@ def _cell_from_bytes(data: bytes) -> CellRecord:
         raise SchemaError("CFC1 cell file from an older cellforge; regenerate or preprocess it again")
     if data[:4] != CELL_MAGIC:
         return cell_from_dict(json_document(bytes(data)))
-    header, blocks = parse_container(data, CELL_MAGIC, SchemaError)
+    header, offset = read_header(data, CELL_MAGIC, SchemaError)
+    if any(isinstance(spec, dict) and "runs" in spec for spec in header["blocks"]):
+        raise SchemaError("cell file with run blocks from an older cellforge; "
+                          "regenerate or preprocess it again")
+    blocks = parse_blocks(data, header, offset, SchemaError)
     n = blocks["cycle_number"].size if "cycle_number" in blocks else -1
     per_cycle = [blocks.get(name) for name in _PER_CYCLE_BLOCKS]
     if not all(b is not None and b.dtype == np.int32 and b.shape == (n,) for b in per_cycle):
@@ -890,7 +926,8 @@ def _cell_from_bytes(data: bytes) -> CellRecord:
         raise SchemaError("header: 'cycle_extra' must be an object of objects")
 
     resistance = np.full(n, np.nan)
-    resistance[has_resistance] = blocks["internal_resistance_in_ohm"]
+    stored = blocks["internal_resistance_in_ohm"]
+    resistance[has_resistance] = stored.decode() if isinstance(stored, Coded) else stored
     return CellRecord(**_header_cell(header), cycle_data=CycleData(
         numbers,
         {name: blocks[name] for name in _SIGNAL_FIELDS},
@@ -899,7 +936,7 @@ def _cell_from_bytes(data: bytes) -> CellRecord:
         internal_resistance_in_ohm=resistance,
         has_internal_resistance=has_resistance,
         extra={_cycle_index(k, n): e for k, e in extras.items()},
-        copy=False,  # read-only views of the file read_file read
+        copy=False,  # read-only views and coded blocks of the file read_file read
     ))
 
 
@@ -907,8 +944,9 @@ def read_cell(path) -> CellRecord:
     """Read one cell file, binary or JSON: its first four bytes decide which.
 
     A binary cell's columns are views of the mapped file (see
-    :func:`read_file`), apart from those stored as runs, which are new
-    arrays. Malformed content raises :class:`SchemaError` naming the file.
+    :func:`read_file`), apart from those stored as second differences,
+    which are checked here and decoded into new arrays when first read.
+    Malformed content raises :class:`SchemaError` naming the file.
     """
     return read_file(path, SchemaError, _cell_from_bytes, mapped=True)
 

@@ -13,8 +13,7 @@ import sys
 from pathlib import Path
 
 from . import components as _components  # noqa: F401  (populates registries)
-from .battery_data import (cell_files, load_cells, read_cell, read_file, write_cell, write_json,
-                           yaml_document)
+from .battery_data import cell_files, read_cell, read_file, write_cell, write_json, yaml_document
 from .errors import CellforgeError, ConfigError
 from .ingestion import list_sources, preprocess_source
 from .pipeline import run_evaluate, run_train
@@ -142,8 +141,11 @@ def _cmd_plot(args, say) -> int:
         if cell_id not in files:
             raise ConfigError(f"no cell with id {cell_id!r}")
         cells = [read_cell(files[cell_id])]
+    elif args.cells:  # degradation reads each cell when it draws it, and holds one
+        files = cell_files(args.cells)
+        cells = (read_cell(files[cell_id]) for cell_id in sorted(files))
     else:
-        cells = load_cells(args.cells) if args.cells else None
+        cells = None
     csv_path, svg_path = make_plot(args.kind, args.out, cells=cells,
                                    cell_id=args.cell_id, checkpoint=args.checkpoint)
     say(f"wrote {csv_path} and {svg_path}")

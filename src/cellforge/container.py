@@ -10,16 +10,20 @@ int32. A block marked ``"repeat": true`` stores one element that every
 element of its shape repeats, in the way of Arrow's run-end encoding with a
 single run (https://arrow.apache.org/docs/format/Columnar.html#run-end-encoded-layout).
 
-A 1-D float64 block that does not repeat may be stored as its runs of
-elements with the same bytes (so ``0.0`` and ``-0.0``, or two NaN payloads,
-start new runs), Arrow's run-end encoding with the run lengths in place of
-their ends: ``"runs": r`` and ``"lengths"`` of ``|u1``, ``<i2`` or ``<i4``,
-and a body of the r run values, then the r lengths at that width, each at
-least 1 and together the block's length. It reads back as a new float64
-array. A writer that does not deflate stores a block so when its runs take
-at most half of its plain bytes: in a cell file, a current held through
-each step and a capacity held through the other half of the cycle. Readers
-from before this block existed refuse the unknown key ``runs``.
+A 1-D float64 block that does not repeat may be stored as the second
+differences of its IEEE bit patterns, read as uint64 (modulo 2**64, the
+first two elements differenced against 0), the delta-of-delta coding of
+Gorilla's timestamps (Pelkonen et al., VLDB 2015): smooth samples then
+differ twice by little. Such a block says ``"escapes": e`` and stores one
+int8 residual per element, then e little-endian int64 escape values; the
+residual -128 takes its second difference from the next escape value, and
+every other residual is its second difference. It reads back as the running
+sums, taken twice, of its second differences, bit for bit the float64 block
+that was written, as a new array. A writer that does not deflate stores a
+block so when its residuals and escapes take at most half of its plain
+bytes: in a cell file, voltage, current, time and usually the discharge
+capacity. Readers from before this block existed refuse the unknown key
+``escapes``.
 
 A header that says ``"deflate": true`` stores the blocks as one zlib stream
 (RFC 1950, which ends in an Adler-32 checksum of the blocks) instead, and
@@ -58,8 +62,8 @@ import numpy as np
 
 _DTYPES = ("<f8", "<i4", "<i2", "|u1")  # and "<u8", which only a delta block has
 _NARROW = ("|u1", "<i2")  # the integer dtypes below int32, narrowest first
-_LENGTHS = ("|u1", "<i2", "<i4")  # the dtypes of a run block's lengths
-_SPEC_KEYS = {"name", "shape", "dtype", "repeat", "delta", "runs", "lengths"}
+_SPEC_KEYS = {"name", "shape", "dtype", "repeat", "delta", "escapes"}
+_ESCAPE = -128  # the residual that takes its second difference from the escape values
 
 
 def _block_dtype(arr: np.ndarray) -> str:
@@ -90,20 +94,19 @@ def _stored(arr: np.ndarray, dtype: str) -> tuple[np.ndarray, bool]:
     return flat, False
 
 
-def _runs(flat: np.ndarray):
-    """The body of a run block of the float64 ``flat`` and the keys its spec
-    adds, or None when the block would take more than half of ``flat``'s bytes."""
+def _second_differences(flat: np.ndarray):
+    """The body of a second-difference block of the float64 ``flat`` and its
+    escape count, or None when the block would take more than half of
+    ``flat``'s bytes or is empty."""
     bits = flat.view("<u8")
-    changes = bits[1:] != bits[:-1]
-    if 2 * 9 * (np.count_nonzero(changes) + 1) > flat.nbytes or flat.size > 2**31 - 1:
-        return None  # as a run takes 9 bytes or more
-    starts = np.flatnonzero(changes) + 1
-    lengths = _narrowest(np.diff(starts, prepend=0, append=flat.size).astype(np.int32))
-    values = flat[np.append(0, starts)]
-    if 2 * (values.nbytes + lengths.nbytes) > flat.nbytes:
+    second = np.diff(np.diff(bits, prepend=np.uint64(0)), prepend=np.uint64(0)).view("<i8")
+    escaped = (second < -127) | (second > 127)
+    escapes = int(np.count_nonzero(escaped))
+    if not flat.size or 2 * (flat.size + 8 * escapes) > flat.nbytes:
         return None
-    body = np.concatenate((values.view(np.uint8), lengths.view(np.uint8)))
-    return body, {"runs": values.size, "lengths": lengths.dtype.str}
+    residuals = second.astype(np.int8)
+    residuals[escaped] = _ESCAPE
+    return np.concatenate((residuals.view(np.uint8), second[escaped].view(np.uint8))), escapes
 
 
 def _codings(specs, stored):
@@ -132,23 +135,23 @@ def write_container(path, magic: bytes, header: dict, blocks, *, deflate: bool =
     same bytes stores one of them. With ``deflate``, the blocks are stored
     as one zlib stream when that makes the file smaller, each 2-D float64
     block as bit differences along the axis, if any, that makes it smallest;
-    without it, a 1-D float64 block is stored as runs when they take at most
-    half of its bytes."""
+    without it, a 1-D float64 block is stored as second differences when
+    they take at most half of its bytes."""
     path = Path(path)
     specs, stored = [], []
     for name, arr in blocks:
         dtype = _block_dtype(arr)
         values, repeat = _stored(arr, dtype)
         spec = {"name": name, "shape": list(arr.shape)}
-        runs = None if deflate or repeat or dtype != "<f8" or arr.ndim != 1 else _runs(values)
+        coded = None if deflate or repeat or dtype != "<f8" or arr.ndim != 1 else (
+            _second_differences(values))
         if dtype == "<i4":
             values = _narrowest(values)
             spec["dtype"] = values.dtype.str
         if repeat:
             spec["repeat"] = True
-        if runs is not None:
-            values, keys = runs
-            spec.update(keys)
+        if coded is not None:
+            values, spec["escapes"] = coded
         specs.append(spec)
         stored.append(values)
     header = {**header, "blocks": specs}
@@ -202,23 +205,34 @@ def parse_container(data: bytes, magic: bytes, error) -> tuple[dict, dict]:
     stream), and a narrower integer block is widened to a new int32 array.
     A repeated block is its one stored element broadcast to the block's
     shape (every stride 0). A delta block is the running sums of its uint64
-    differences along its axis, a new float64 array, and a run block its
-    runs repeated, another; when ``data`` is an ``mmap``, the whole pages
-    inside a run block are returned to the system once it is decoded. What
-    :func:`read_header` refuses, a malformed block list (a key other than
-    ``name``, ``shape``, ``dtype``, ``repeat``, ``delta``, ``runs`` and
-    ``lengths``, a ``dtype`` other than ``<f8``, ``<i4``, ``<i2``, ``|u1``
-    and ``<u8``, a ``repeat`` other than true or false, a ``<u8`` dtype and
-    a ``delta`` of 0 or 1 that do not come together on a 2-D block that
-    does not repeat, a ``runs`` and ``lengths`` that do not come together on
-    a 1-D block without ``repeat``, ``dtype`` and ``delta``, or a
-    ``lengths`` other than ``|u1``, ``<i2`` and ``<i4``, included), run
-    lengths below 1 or not summing to the block's length, a ``deflate``
-    other than true or false, blocks that do not fill the rest of the file
-    exactly, or a stream that is corrupt, incomplete, followed by more bytes
-    or inflates to any other size than the blocks declare raise ``error``.
+    differences along its axis, a new float64 array, and a second-difference
+    block is decoded into another (see :meth:`Coded.decode`). What
+    :func:`read_header` and :func:`parse_blocks` refuse raises ``error``.
     """
     header, offset = read_header(data, magic, error)
+    blocks = parse_blocks(data, header, offset, error)
+    return header, {name: arr.decode() if isinstance(arr, Coded) else arr
+                    for name, arr in blocks.items()}
+
+
+def parse_blocks(data: bytes, header: dict, offset: int, error) -> dict:
+    """The blocks of a container whose ``header`` :func:`read_header` read
+    from ``data`` and whose first block starts at ``offset``, as
+    :func:`parse_container` returns them, except that a second-difference
+    block is a :class:`Coded`, checked and not yet decoded.
+
+    A malformed block list (a key other than ``name``, ``shape``, ``dtype``,
+    ``repeat``, ``delta`` and ``escapes``, a ``dtype`` other than ``<f8``,
+    ``<i4``, ``<i2``, ``|u1`` and ``<u8``, a ``repeat`` other than true or
+    false, a ``<u8`` dtype and a ``delta`` of 0 or 1 that do not come
+    together on a 2-D block that does not repeat, or an ``escapes`` that is
+    not a count from 0 to the length of a 1-D block without ``dtype``,
+    ``repeat`` and ``delta``), a count of -128 residuals other than the
+    block's ``escapes``, a ``deflate`` other than true or false, blocks that
+    do not fill the rest of the file exactly, or a stream that is corrupt,
+    incomplete, followed by more bytes or inflates to any other size than
+    the blocks declare raise ``error``.
+    """
     layout, declared = {}, 0
     for i, spec in enumerate(header["blocks"]):
         name, shape = (spec.get("name"), spec.get("shape")) if isinstance(spec, dict) else (None, None)
@@ -242,21 +256,18 @@ def parse_container(data: bytes, magic: bytes, error) -> tuple[dict, dict]:
             raise error(f"blocks[{i}]: dtype '<u8' and a delta of 0 or 1 go together, on a 2-D "
                         f"block that does not repeat; got dtype {dtype!r}, delta {delta!r}, "
                         f"shape {shape}, repeat {repeat}")
-        runs, lengths = spec.get("runs"), spec.get("lengths")
-        if (runs is not None or lengths is not None) and not (
-                type(runs) is int and runs >= 0 and lengths is not None and len(shape) == 1
-                and not {"dtype", "repeat", "delta"} & spec.keys()):
-            raise error(f"blocks[{i}]: a count of runs and their lengths go together, on a 1-D "
-                        f"block without repeat, dtype or delta; got runs {runs!r}, lengths "
-                        f"{lengths!r}, shape {shape}, keys {sorted(spec)}")
-        if lengths is not None and lengths not in _LENGTHS:
-            raise error(f"blocks[{i}]: lengths must be '|u1', '<i2' or '<i4', got {lengths!r}")
-        if runs is not None:
-            count, size = runs, runs * (8 + np.dtype(lengths).itemsize)
-        else:
-            count = 1 if repeat else math.prod(shape)
+        count = 1 if repeat else math.prod(shape)
+        escapes = spec.get("escapes")
+        if "escapes" not in spec:
             size = count * np.dtype(dtype).itemsize
-        layout[name] = (shape, dtype, repeat, count, size, delta, lengths)
+        elif (type(escapes) is int and 0 <= escapes <= count and len(shape) == 1
+              and not {"dtype", "repeat", "delta"} & spec.keys()):
+            size = count + 8 * escapes
+        else:
+            raise error(f"blocks[{i}]: escapes must count from 0 to the length of a 1-D block "
+                        f"without repeat, dtype or delta; got escapes {escapes!r}, shape {shape}, "
+                        f"keys {sorted(spec)}")
+        layout[name] = (shape, dtype, repeat, count, size, delta, escapes)
         declared += size
     deflate = header.get("deflate", False)
     if type(deflate) is not bool:
@@ -264,13 +275,18 @@ def parse_container(data: bytes, magic: bytes, error) -> tuple[dict, dict]:
     if deflate:
         data, offset = _inflate(memoryview(data)[offset:], declared, error), 0
     blocks = {}
-    for name, (shape, dtype, repeat, count, size, delta, lengths) in layout.items():
+    for name, (shape, dtype, repeat, count, size, delta, escapes) in layout.items():
         if offset + size > len(data):
             raise error(f"truncated block '{name}'")
-        if lengths is not None:
-            arr = _repeat_runs(data, offset, count, lengths, shape[0], name, error)
-        else:
-            arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+        if escapes is not None:
+            blocks[name] = Coded(data, offset, count, escapes)
+            found = int(np.count_nonzero(blocks[name].residuals() == _ESCAPE))  # one pass
+            if found != escapes:
+                raise error(f"block '{name}': {found} residuals are escapes, "
+                            f"its spec declares {escapes}")
+            offset += size
+            continue
+        arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
         if dtype in _NARROW:
             arr = arr.astype("<i4")
         elif delta is not None:  # the sums wrap modulo 2**64, as the differences did
@@ -282,27 +298,47 @@ def parse_container(data: bytes, magic: bytes, error) -> tuple[dict, dict]:
         offset += size
     if offset != len(data):
         raise error(f"{len(data) - offset} bytes follow the last block")
-    return header, blocks
+    return blocks
 
 
-def _repeat_runs(data, offset: int, runs: int, lengths: str, n: int, name: str, error) -> np.ndarray:
-    """The ``n`` float64 elements of the run block at ``offset`` in ``data``;
-    when ``data`` is an ``mmap``, the whole pages the block spans leave this
-    process's memory, as the block is read once."""
-    values = np.frombuffer(data, dtype="<f8", count=runs, offset=offset)
-    counts = np.frombuffer(data, dtype=lengths, count=runs, offset=offset + 8 * runs)
-    if runs and counts.min() < 1:
-        raise error(f"block '{name}': run lengths must be at least 1, got {counts.min()}")
-    total = int(counts.sum(dtype=np.int64))
-    if total != n:
-        raise error(f"block '{name}': run lengths sum to {total}, its shape holds {n}")
-    arr = np.repeat(values, counts)
-    if isinstance(data, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED"):
-        start = -(-offset // mmap.PAGESIZE) * mmap.PAGESIZE
-        stop = (offset + values.nbytes + counts.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
-        if start < stop:
-            data.madvise(mmap.MADV_DONTNEED, start, stop - start)
-    return arr
+class Coded:
+    """A second-difference block of ``n`` elements at ``offset`` in ``data``,
+    with ``escapes`` escape values, kept undecoded until :meth:`decode`."""
+
+    __slots__ = ("_data", "_offset", "shape", "escapes")
+
+    def __init__(self, data, offset: int, n: int, escapes: int):
+        self._data, self._offset, self.shape, self.escapes = data, offset, (n,), escapes
+
+    @property
+    def size(self) -> int:
+        return self.shape[0]
+
+    def residuals(self) -> np.ndarray:
+        """The block's int8 residuals, a view of ``data``."""
+        return np.frombuffer(self._data, dtype=np.int8, count=self.size, offset=self._offset)
+
+    def decode(self) -> np.ndarray:
+        """The block's float64 elements, a new read-only array: its second
+        differences summed twice, modulo 2**64. When ``data`` is an
+        ``mmap``, the whole pages the block spans leave this process's
+        memory, as a block is decoded once."""
+        residuals, arr = self.residuals(), np.empty(self.size, dtype="<f8")
+        second = arr.view(np.int64)
+        np.copyto(second, residuals)
+        if self.escapes:
+            second[residuals == _ESCAPE] = np.frombuffer(
+                self._data, dtype="<i8", count=self.escapes, offset=self._offset + self.size)
+        bits = arr.view(np.uint64)
+        np.cumsum(bits, dtype=np.uint64, out=bits)  # the first differences
+        np.cumsum(bits, dtype=np.uint64, out=bits)  # the bits
+        if isinstance(self._data, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED"):
+            start = -(-self._offset // mmap.PAGESIZE) * mmap.PAGESIZE
+            stop = (self._offset + self.size + 8 * self.escapes) // mmap.PAGESIZE * mmap.PAGESIZE
+            if start < stop:
+                self._data.madvise(mmap.MADV_DONTNEED, start, stop - start)
+        arr.flags.writeable = False
+        return arr
 
 
 def _inflate(stream, size: int, error) -> bytes:

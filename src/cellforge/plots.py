@@ -16,6 +16,7 @@ Kinds:
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,13 +53,15 @@ class Series:
             raise ValueError(f"series {self.name!r} is empty")
 
 
-def degradation_series(cells: list[CellRecord]) -> list[Series]:
-    out = []
-    for cell in sorted(cells, key=lambda c: c.cell_id):
-        soh = soh_per_cycle(cell)
-        cycles = cell.cycle_data.cycle_number.astype(float)
-        out.append(Series(cell.cell_id, tuple(cycles.tolist()), tuple(soh.tolist())))
-    return out
+def degradation_series(cells: Iterable[CellRecord]) -> list[Series]:
+    """One SOH series per cell, in ``cell_id`` order. ``cells`` may be any
+    iterable: each cell is dropped before the next is taken."""
+    return sorted(map(_soh_series, cells), key=lambda s: s.name)
+
+
+def _soh_series(cell: CellRecord) -> Series:
+    cycles = cell.cycle_data.cycle_number.astype(float)
+    return Series(cell.cell_id, tuple(cycles.tolist()), tuple(soh_per_cycle(cell).tolist()))
 
 
 def voltage_curve_series(cell: CellRecord) -> list[Series]:
@@ -208,9 +211,13 @@ _KIND_LABELS = {
 }
 
 
-def make_plot(kind: str, out, *, cells: list[CellRecord] | None = None,
+def make_plot(kind: str, out, *, cells: Iterable[CellRecord] | None = None,
               cell_id: str | None = None, checkpoint=None) -> tuple[Path, Path]:
-    """Produce <out>.csv and <out>.svg for the requested plot kind."""
+    """Produce <out>.csv and <out>.svg for the requested plot kind.
+
+    ``degradation`` takes ``cells`` one at a time, so they may come from an
+    iterator that reads each cell when it is taken; ``voltage-curves`` takes
+    a list."""
     if kind not in PLOT_KINDS:
         raise ConfigError(f"unknown plot kind {kind!r}; kinds: {', '.join(PLOT_KINDS)}")
     if kind == "pred-vs-truth":
@@ -222,6 +229,8 @@ def make_plot(kind: str, out, *, cells: list[CellRecord] | None = None,
             raise ConfigError(f"{kind} needs cells")
         if kind == "degradation":
             series = degradation_series(cells)
+            if not series:  # an iterator is true even when it holds no cell
+                raise ConfigError(f"{kind} needs cells")
         else:
             if cell_id is not None:
                 matches = [c for c in cells if c.cell_id == cell_id]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import math
+import struct
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cellforge.battery_data import CellRecord, CycleRecord, ProtocolStep, load_cells, write_cell
+from cellforge.battery_data import (CELL_MAGIC, CellRecord, CycleRecord, ProtocolStep, load_cells,
+                                    write_cell)
 from cellforge.container import parse_container, write_container
-from cellforge.errors import CheckpointError
+from cellforge.errors import CheckpointError, SchemaError
 from cellforge.models.base import MAGIC as MODEL_MAGIC
 from cellforge.synthetic import SynthSpec, generate_synthetic
 
@@ -27,6 +31,41 @@ def write_model_file(path, kind, hyperparameters, metadata, blocks):
     """A model file of any header and blocks, laid out as ``BaseRegressor.save`` writes one."""
     header = {"kind": kind, "hyperparameters": hyperparameters, "metadata": metadata}
     return write_container(path, MODEL_MAGIC, header, blocks, deflate=True)
+
+
+def block_size(spec: dict) -> int:
+    """The bytes a block of a file that is not deflated takes."""
+    if "escapes" in spec:
+        return spec["shape"][0] + 8 * spec["escapes"]
+    count = 1 if spec.get("repeat") else math.prod(spec["shape"])
+    return count * np.dtype(spec.get("dtype", "<f8")).itemsize
+
+
+def store_current_as_runs(path) -> Path:
+    """Rewrite the cell file at ``path`` with its ``current_in_A`` block in
+    the layout cellforge wrote before second-difference blocks: its runs of
+    equal bits as ``"runs": r`` values, then their ``"lengths"`` as ``|u1``."""
+    path = Path(path)
+    data = path.read_bytes()
+    (length,) = struct.unpack_from("<I", data, 4)
+    header = json.loads(data[8 : 8 + length])
+    offset = 8 + length
+    for spec in header["blocks"]:
+        if spec["name"] == "current_in_A":
+            break
+        offset += block_size(spec)
+    end = offset + block_size(spec)
+    current = parse_container(data, CELL_MAGIC, SchemaError)[1]["current_in_A"]
+    bits = current.view(np.uint64)
+    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+    lengths = np.diff(np.r_[starts, bits.size])
+    assert lengths.max() <= 255
+    spec.clear()
+    spec.update(name="current_in_A", shape=[current.size], runs=int(starts.size), lengths="|u1")
+    payload = json.dumps(header).encode()
+    path.write_bytes(data[:4] + struct.pack("<I", len(payload)) + payload + data[8 + length : offset]
+                     + current[starts].tobytes() + lengths.astype(np.uint8).tobytes() + data[end:])
+    return path
 
 
 def linear_cycle(

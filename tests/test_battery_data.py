@@ -48,10 +48,13 @@ from cellforge.battery_data import (
     write_container,
 )
 from cellforge.errors import CheckpointError, SchemaError, ValidationError
+from cellforge.labels import soh_per_cycle
 from cellforge.models import load_model
+from cellforge.models.base import MAGIC as MODEL_MAGIC
+from cellforge.pipeline import FEATURES_MAGIC, read_features
 from cellforge.synthetic import SynthSpec, generate_synthetic
-from conftest import (cell_strategy, cycle_strategy, linear_cycle, make_cell, random_valid_cell,
-                      read_model_file, write_model_file)
+from conftest import (block_size, cell_strategy, cycle_strategy, linear_cycle, make_cell,
+                      random_valid_cell, read_model_file, store_current_as_runs, write_model_file)
 
 
 def paths_of(violations):
@@ -398,21 +401,29 @@ class TestArraySignals:
             "b34b222161ea3381ff73a740c330f5fa45c3353e36643962a8daf05736d92bec",
             "9fe3fa93f7f1eda2aa6886f842327d82c6f39b62c91e3155320ff8d2164c0104",
         ]
+        # noisy voltages of 16-point cycles code no block: the bytes of the plain layout
         digests = [hashlib.sha256(write_cell(c, tmp_path).read_bytes()).hexdigest() for c in cells]
         assert digests == [
-            "af2784e1f003a5379c646d816b2f8e0aea95951255784ebda6a04e6cd1b039fa",
-            "288bb00a5ab84b67dc02c4fa2e09c1346f17950cda106d068d5434c7612d9f38",
+            "87ddead4794234a4f4c25b4b24d5822ed2f1eeda0827a2cb7df42ff0d500d1b9",
+            "1f8b5b09b813cf82bd5996c0b96bdbd41fc0335345c1972aee840f8d1e259476",
+        ]
+        # without noise the voltage is a second-difference block
+        smooth = generate_synthetic(SynthSpec(
+            n_cells=2, cycle_life_mean=30.0, cycle_life_std=5.0, points_per_cycle=16, seed=3,
+        ))
+        digests = [hashlib.sha256(write_cell(c, tmp_path).read_bytes()).hexdigest() for c in smooth]
+        assert digests == [
+            "f3e9c573a2d4c8ba17876716e19cd3db15e68641a7b83028e9800a54715ccfbd",
+            "49f4ba98909d69d5265ee244a78e7ba6e0d3ba88b8e54127c40eef582ea5e8fd",
         ]
 
-    def test_a_file_without_run_blocks_reads_with_every_column_mapped(self, tmp_path, monkeypatch):
-        # the bytes cellforge wrote before run blocks existed
+    def test_a_cell_without_coded_blocks_reads_with_every_column_mapped(self, tmp_path):
+        # the bytes cellforge wrote before run and second-difference blocks existed
         cell = generate_synthetic(SynthSpec(
             n_cells=2, cycle_life_mean=30.0, cycle_life_std=5.0,
             points_per_cycle=16, noise_sigma=0.005, seed=3,
         ))[0]
-        with monkeypatch.context() as patch:
-            patch.setattr(container, "_runs", lambda flat: None)
-            path = write_cell(cell, tmp_path)
+        path = write_cell(cell, tmp_path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "87ddead4794234a4f4c25b4b24d5822ed2f1eeda0827a2cb7df42ff0d500d1b9")
         back = read_cell(path)
@@ -562,12 +573,12 @@ class TestCellFile:
         assert all(specs[name]["dtype"] == "|u1" for name in per_cycle)
         assert all("dtype" not in specs[name] for name in (*TestArraySignals.SIGNALS,
                                                             "internal_resistance_in_ohm"))
-        runs = {name: (spec["runs"], spec["lengths"]) for name, spec in specs.items() if "runs" in spec}
-        assert runs == {"current_in_A": (6, "|u1"), "charge_capacity_in_Ah": (12, "|u1"),
-                        "temperature_in_C": (2, "|u1")}
-        # three float64 signals of n values and one resistance; three run blocks of
-        # 20 runs in all, each a float64 value and a one-byte length
-        assert len(data) == 8 + struct.unpack_from("<I", data, 4)[0] + 8 * (3 * n + 1) + 9 * 20 + 1 * 4 * 3
+        coded = {name: spec["escapes"] for name, spec in specs.items() if "escapes" in spec}
+        assert coded == {"voltage_in_V": 9, "current_in_A": 12, "temperature_in_C": 4}
+        # three float64 signals of n values and one resistance; voltage and current
+        # as n int8 residuals each, temperature as n - 9 of them, and 25 int64 escapes
+        assert len(data) == (8 + struct.unpack_from("<I", data, 4)[0] + 8 * (3 * n + 1)
+                             + 2 * n + (n - 9) + 8 * 25 + 1 * 4 * 3)
         assert read_cell(path) == cell
 
     def test_uniform_per_cycle_blocks_store_one_value(self, tmp_path):
@@ -577,13 +588,13 @@ class TestCellFile:
         repeated = sorted(b["name"] for b in header["blocks"] if b.get("repeat"))
         assert repeated == ["has_internal_resistance", "has_temperature", "points", "temperature_in_C"]
         n = 3 * len(cell.cycle_data[0].time_in_s)
-        # three float64 signals of n values, current and charge capacity as 6 and 12
-        # runs of a float64 value and a one-byte length, a temperature of 25.0 stored
-        # once, no resistance, three one-byte cycle numbers and three one-byte blocks
-        # of one value
-        assert [(b["name"], b["runs"]) for b in header["blocks"] if "runs" in b] == [
-            ("current_in_A", 6), ("charge_capacity_in_Ah", 12)]
-        assert len(data) == 8 + struct.unpack_from("<I", data, 4)[0] + 8 * 3 * n + 9 * 18 + 8 + 1 * 3 + 1 * 3
+        # three float64 signals of n values, voltage and current as n int8 residuals
+        # each and 9 and 12 int64 escapes, a temperature of 25.0 stored once, no
+        # resistance, three one-byte cycle numbers and three one-byte blocks of one value
+        assert [(b["name"], b["escapes"]) for b in header["blocks"] if "escapes" in b] == [
+            ("voltage_in_V", 9), ("current_in_A", 12)]
+        assert len(data) == (8 + struct.unpack_from("<I", data, 4)[0] + 8 * 3 * n + 2 * n + 8 * 21
+                             + 8 + 1 * 3 + 1 * 3)
         assert read_cell(path) == cell
 
     def test_cfc1_file_is_one_line_error(self, tmp_path):
@@ -592,6 +603,13 @@ class TestCellFile:
         with pytest.raises(SchemaError) as info:
             read_cell(path)
         assert str(info.value) == (f"{path}: CFC1 cell file from an older cellforge; "
+                                   "regenerate or preprocess it again")
+
+    def test_run_coded_file_is_one_line_error(self, tmp_path):
+        path = store_current_as_runs(write_cell(make_cell("RUN"), tmp_path))
+        with pytest.raises(SchemaError) as info:
+            read_cell(path)
+        assert str(info.value) == (f"{path}: cell file with run blocks from an older cellforge; "
                                    "regenerate or preprocess it again")
 
     def test_format_is_read_from_content_not_name(self, tmp_path):
@@ -948,10 +966,10 @@ class TestDeflatedBlocks:
         assert "deflate" not in header
         back = read_cell(path)
         assert back == cell
-        runs = {b["name"] for b in header["blocks"] if "runs" in b}
-        assert runs == {"current_in_A", "charge_capacity_in_Ah"}
+        coded = {b["name"] for b in header["blocks"] if "escapes" in b}
+        assert coded == set(TestArraySignals.SIGNALS[:5])
         for name, column in back.cycle_data.columns.items():
-            if name in runs:
+            if name in coded:
                 assert column.flags.owndata and not column.flags.writeable
             else:
                 assert isinstance(root_buffer(column), mmap.mmap)
@@ -1070,112 +1088,137 @@ class TestDeltaBlocks:
 
 
 @st.composite
-def run_blocks(draw):
-    """A 1-D float64 block of runs of special or arbitrary bit patterns, so
-    that runs may differ only in a zero's sign or a NaN's payload, with
-    lengths that cross the largest of a ``|u1`` and of an ``<i2``."""
-    runs = draw(st.lists(st.tuples(
-        st.sampled_from(SPECIAL_BITS) | st.integers(0, 2**64 - 1),
-        st.sampled_from([1, 2, 255, 256, 32767, 32768]) | st.integers(1, 300)), max_size=6))
-    bits = np.array([b for b, _ in runs], dtype=np.uint64)
-    return np.repeat(bits, np.array([n for _, n in runs], dtype=np.int64)).view(np.float64)
+def coded_blocks(draw):
+    """A 1-D float64 block of any length from 0: a smooth ramp, or bits whose
+    second differences are drawn around the residual limits (-129 to -127,
+    127 and 128) and from all 64 bits, so that differences wrap; then some
+    elements replaced by special or arbitrary bit patterns."""
+    n = draw(st.sampled_from([0, 1, 2, 3]) | st.integers(0, 300))
+    if draw(st.booleans()):
+        start, step = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1.0, 1.0))
+        bits = (start + step * np.arange(n)).view(np.uint64)
+    else:
+        second = draw(st.lists(st.sampled_from([-129, -128, -127, -1, 0, 1, 126, 127, 128])
+                               | st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n))
+        bits = np.array(second, dtype=np.int64).view(np.uint64)
+        bits = np.cumsum(np.cumsum(bits, dtype=np.uint64), dtype=np.uint64)
+    if n:
+        for i, value in draw(st.lists(st.tuples(
+                st.integers(0, n - 1), st.sampled_from(SPECIAL_BITS) | st.integers(0, 2**64 - 1)),
+                max_size=4)):
+            bits[i] = value
+    return bits.view(np.float64)
 
 
-def run_count(block: np.ndarray) -> int:
-    bits = block.view(np.uint64)
-    return int(bits.size and 1 + (bits[1:] != bits[:-1]).sum())
+def escape_count(block: np.ndarray) -> int:
+    """The second differences of ``block``'s bits outside [-127, 127], in Python integers."""
+    count = previous = previous_difference = 0
+    for bits in block.view(np.uint64).tolist():
+        difference = (bits - previous) % 2**64
+        second = (difference - previous_difference + 2**63) % 2**64 - 2**63
+        count += not -127 <= second <= 127
+        previous, previous_difference = bits, difference
+    return count
 
 
-def block_size(spec: dict) -> int:
-    """The bytes a block of a file that is not deflated takes."""
-    if "runs" in spec:
-        return spec["runs"] * (8 + np.dtype(spec["lengths"]).itemsize)
-    count = 1 if spec.get("repeat") else math.prod(spec["shape"])
-    return count * np.dtype(spec.get("dtype", "<f8")).itemsize
+def coded_columns(cell) -> dict:
+    """The columns of a cell read by :func:`read_cell` that are still coded."""
+    return {name: column for name, column in cell.cycle_data.columns._columns.items()
+            if isinstance(column, container.Coded)}
 
 
-class TestRunBlocks:
-    """A writer that does not deflate stores a 1-D float64 block as its runs
-    of equal bits when they take at most half of its bytes, each run a
-    float64 value and a length at the narrowest width; it reads back bit for
-    bit, as a read-only array of its own."""
+class TestSecondDifferenceBlocks:
+    """A writer that does not deflate stores a 1-D float64 block as int8
+    second differences of its bits, with escapes, when they take at most half
+    of its bytes; it reads back bit for bit, as a read-only array of its own,
+    and a cell decodes such a column the first time it is read."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(block=run_blocks(), ints=st.lists(st.integers(-2**31, 2**31 - 1), max_size=8),
+    @settings(max_examples=200, deadline=None)
+    @given(block=coded_blocks(), ints=st.lists(st.integers(-2**31, 2**31 - 1), max_size=8),
            fill=st.sampled_from(SPECIAL_BITS), deflate=st.booleans())
     def test_round_trip_is_bit_exact(self, tmp_path_factory, block, ints, fill, deflate):
         blocks = [("f", block), ("i", np.array(ints, dtype=np.int32)),
                   ("r", np.full(3, np.uint64(fill)).view(np.float64)), ("one", block[:1]),
                   ("none", block[:0]), ("m", TestDeltaBlocks.SMOOTH[:, :8])]
-        path = write_container(tmp_path_factory.mktemp("runs") / "x.bin", b"TST1", {}, blocks,
+        path = write_container(tmp_path_factory.mktemp("coded") / "x.bin", b"TST1", {}, blocks,
                                deflate=deflate)
-        header, back = read_file(path, CheckpointError, lambda data: parse_container(
-            data, b"TST1", CheckpointError), mapped=True)
-        for name, arr in blocks:
-            assert back[name].shape == arr.shape and not back[name].flags.writeable, name
-            assert back[name].dtype == (np.int32 if name == "i" else np.float64), name
-            assert np.array_equal(as_bits(back[name]), as_bits(arr)), name
-        runs = run_count(block)
-        longest = int(np.diff(np.flatnonzero(np.r_[True, np.diff(block.view(np.uint64)) != 0,
-                                                   True])).max(initial=0))
-        width = 1 if longest <= 255 else 2 if longest <= 32767 else 4
-        coded = not deflate and runs >= 2 and 2 * runs * (8 + width) <= block.nbytes
+        for mapped in (False, True):
+            header, back = read_file(path, CheckpointError, lambda data: parse_container(
+                data, b"TST1", CheckpointError), mapped=mapped)
+            for name, arr in blocks:
+                assert back[name].shape == arr.shape and not back[name].flags.writeable, name
+                assert back[name].dtype == (np.int32 if name == "i" else np.float64), name
+                assert np.array_equal(as_bits(back[name]), as_bits(arr)), name
         specs = {spec["name"]: spec for spec in header["blocks"]}
-        assert ("runs" in specs["f"]) == coded
-        if coded:
-            assert specs["f"] == {"name": "f", "shape": [block.size], "runs": runs,
-                                  "lengths": {1: "|u1", 2: "<i2", 4: "<i4"}[width]}
-            assert back["f"].flags.owndata
-        assert not any("runs" in specs[name] for name in ("i", "r", "one", "none", "m"))
+        for name in ("f", "one"):
+            arr = dict(blocks)[name]
+            bits = arr.view(np.uint64)
+            repeat = arr.size >= 2 and (bits == bits[0]).all()
+            escapes = escape_count(arr)
+            coded = not deflate and not repeat and arr.size and 2 * (arr.size + 8 * escapes) <= arr.nbytes
+            assert ("escapes" in specs[name]) == bool(coded), name
+            if coded:
+                assert specs[name] == {"name": name, "shape": [arr.size], "escapes": escapes}
+                assert back[name].flags.owndata
+        assert not any("escapes" in specs[name] for name in ("i", "r", "none", "m"))
+        if not deflate:
+            assert path.stat().st_size == 8 + struct.unpack_from("<I", path.read_bytes(), 4)[0] + sum(
+                block_size(spec) for spec in header["blocks"])
 
-    @pytest.mark.parametrize("longest, lengths", [(255, "|u1"), (256, "<i2"), (32767, "<i2"),
-                                                  (32768, "<i4")])
-    def test_lengths_take_the_narrowest_width(self, tmp_path, longest, lengths):
-        block = np.repeat([1.0, 2.0, 1.0], [longest, 1, 3])
+    @pytest.mark.parametrize("second, escapes", [
+        ([0, -127, 127, 0, 0, 0, 0, 0], 0), ([5, -128, 0, 0, 0, 0, 0, 0], 1),
+        ([5, 128, 0, 0, 0, 0, 0, 0], 1), ([0, -2**63, 2**63 - 1, 0, 0, 0, 0, 0], 2)])
+    def test_residuals_at_their_limits(self, tmp_path, second, escapes):
+        # -128 is the escape, so it is stored as one, as are 128 and beyond
+        bits = np.cumsum(np.cumsum(np.array(second, dtype=np.int64).view(np.uint64),
+                                   dtype=np.uint64), dtype=np.uint64)
+        block = bits.view(np.float64)
         path = write_container(tmp_path / "x.bin", b"TST1", {}, [("x", block)])
         header, back = parse_container(path.read_bytes(), b"TST1", CheckpointError)
-        assert header["blocks"] == [{"name": "x", "shape": [longest + 4], "runs": 3,
-                                     "lengths": lengths}]
-        assert len(path.read_bytes()) == 8 + struct.unpack_from("<I", path.read_bytes(), 4)[0] + 3 * (
-            8 + np.dtype(lengths).itemsize)
-        assert back["x"].tobytes() == block.tobytes()
+        assert header["blocks"] == [{"name": "x", "shape": [8], "escapes": escapes}]
+        assert back["x"].view(np.uint64).tolist() == bits.tolist()
 
-    def test_signed_zeros_and_nan_payloads_are_runs_of_their_own(self, tmp_path):
-        bits = np.repeat(np.array([0x0, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000001],
-                                  dtype=np.uint64), 50)
-        path = write_container(tmp_path / "x.bin", b"TST1", {}, [("x", bits.view(np.float64))])
+    def test_a_block_is_coded_when_it_takes_at_most_half_its_bytes(self, tmp_path):
+        # 3 escapes take 8 + 24 = 32 bytes of 8 elements, half of 64; 4 would take 40
+        second = np.zeros(8, dtype=np.uint64)
+        second[[0, 3, 6]] = [2**40, 2**41, 2**42]
+        half = np.cumsum(np.cumsum(second, dtype=np.uint64), dtype=np.uint64).view(np.float64)
+        second[7] = 2**43
+        over = np.cumsum(np.cumsum(second, dtype=np.uint64), dtype=np.uint64).view(np.float64)
+        path = write_container(tmp_path / "x.bin", b"TST1", {}, [
+            ("half", half), ("over", over), ("zero", np.zeros(1)), ("empty", np.zeros(0))])
         header, back = parse_container(path.read_bytes(), b"TST1", CheckpointError)
-        assert header["blocks"][0]["runs"] == 4
-        assert np.array_equal(back["x"].view(np.uint64), bits)
-
-    def test_a_block_is_coded_when_its_runs_take_at_most_half_its_bytes(self, tmp_path):
-        # four runs take 4 * (8 + 1) = 36 bytes: half of 9 float64 values, more than half of 8
-        half = np.repeat(np.arange(4.0), [3, 2, 2, 2])
-        over = np.repeat(np.arange(4.0), 2)
-        path = write_container(tmp_path / "x.bin", b"TST1", {}, [("half", half), ("over", over)])
+        assert [escape_count(half), escape_count(over)] == [3, 4]
+        assert back["half"].tobytes() == half.tobytes() and back["over"].tobytes() == over.tobytes()
+        assert back["zero"].tolist() == [0.0] and back["empty"].size == 0
+        assert header["blocks"] == [{"name": "half", "shape": [8], "escapes": 3},
+                                    {"name": "over", "shape": [8]},
+                                    {"name": "zero", "shape": [1], "escapes": 0},
+                                    {"name": "empty", "shape": [0]}]
+        smooth = np.linspace(3.0, 4.0, 64)
+        ramp = np.r_[smooth[:40], smooth[40:] + 1.0]  # one step: two escapes
+        path = write_container(tmp_path / "y.bin", b"TST1", {}, [("x", ramp)])
         header, back = parse_container(path.read_bytes(), b"TST1", CheckpointError)
-        assert header["blocks"] == [{"name": "half", "shape": [9], "runs": 4, "lengths": "|u1"},
-                                    {"name": "over", "shape": [8]}]
-        assert back["half"].tolist() == half.tolist() and back["over"].tolist() == over.tolist()
+        assert header["blocks"][0]["escapes"] == escape_count(ramp) <= 24
+        assert back["x"].tobytes() == ramp.tobytes()
 
-    def test_a_run_block_spanning_pages_reads_from_a_mapping(self, tmp_path):
-        # 3,000 runs take 27,000 bytes, several whole pages the reader returns
-        block = np.repeat(np.arange(3000.0), 10)
+    def test_a_coded_block_spanning_pages_reads_from_a_mapping(self, tmp_path):
+        # 30,000 residuals span several whole pages, which decoding returns
+        block = np.linspace(2.0, 3.9, 30000)
         after = np.linspace(0.0, 1.0, 5000)
         path = write_container(tmp_path / "x.bin", b"TST1", {}, [("x", block), ("after", after)])
         for _ in range(2):
             header, back = read_file(path, CheckpointError, lambda data: parse_container(
                 data, b"TST1", CheckpointError), mapped=True)
-            assert header["blocks"][0]["runs"] == 3000
+            assert "escapes" in header["blocks"][0]
             assert back["x"].tobytes() == block.tobytes()
             assert back["after"].tobytes() == after.tobytes()
-            assert isinstance(root_buffer(back["after"]), mmap.mmap)
 
-    def run_cell(self, tmp_path, edit, lengths=None, cut=0):
-        """A cell file whose ``current_in_A`` run block's spec ``edit`` changes
-        in place, its lengths replaced by ``lengths`` if given and the file
-        cut ``cut`` bytes into the block."""
-        path = write_cell(make_cell("RUN"), tmp_path)
+    def coded_cell(self, tmp_path, edit=lambda spec: None, escape=False, cut=0):
+        """A cell file whose ``current_in_A`` block's spec ``edit`` changes in
+        place, its first residual that is not an escape made one if
+        ``escape``, and the file cut ``cut`` bytes into the block."""
+        path = write_cell(make_cell("CODED"), tmp_path)
         data = path.read_bytes()
         (length,) = struct.unpack_from("<I", data, 4)
         header = json.loads(data[8:8 + length])
@@ -1184,68 +1227,144 @@ class TestRunBlocks:
             if spec["name"] == "current_in_A":
                 break
             offset += block_size(spec)
-        assert spec == {"name": "current_in_A", "shape": [36], "runs": 6, "lengths": "|u1"}
+        assert spec == {"name": "current_in_A", "shape": [36], "escapes": 12}
         end = offset + block_size(spec)
-        body = data[offset:end]
-        if lengths is not None:
-            body = body[:48] + lengths.tobytes()
+        body = bytearray(data[offset:end])
+        if escape:
+            body[next(i for i, b in enumerate(body) if b != 0x80)] = 0x80
         edit(spec)
         payload = json.dumps(header).encode()
         rest = data[end:] if not cut else b""
         path.write_bytes(data[:4] + struct.pack("<I", len(payload)) + payload + data[8 + length:offset]
-                         + body[:cut or None] + rest)
+                         + bytes(body[:cut or None]) + rest)
         return path
 
-    @pytest.mark.parametrize("edit, lengths, message", [
-        (lambda s: None, np.array([0, 12, 4, 8, 4, 8], dtype="|u1"),
-         "block 'current_in_A': run lengths must be at least 1, got 0"),
-        (lambda s: s.update(lengths="<i2"), np.array([-1, 13, 4, 8, 4, 8], dtype="<i2"),
-         "block 'current_in_A': run lengths must be at least 1, got -1"),
-        (lambda s: None, np.array([4, 8, 4, 8, 4, 7], dtype="|u1"),
-         "block 'current_in_A': run lengths sum to 35, its shape holds 36"),
-        (lambda s: s.update(lengths="<i4"), np.full(6, 2**31 - 1, dtype="<i4"),
-         "block 'current_in_A': run lengths sum to 12884901882, its shape holds 36"),
+    @pytest.mark.parametrize("edit, escape, message", [
+        (lambda s: s.update(escapes=11), None,
+         "block 'current_in_A': 12 residuals are escapes, its spec declares 11"),
+        (lambda s: s.update(escapes=13), None,
+         "block 'current_in_A': 12 residuals are escapes, its spec declares 13"),
+        (lambda s: None, True, "block 'current_in_A': 13 residuals are escapes, its spec declares 12"),
         (lambda s: s.update(shape=[2, 18]), None,
-         "blocks[6]: a count of runs and their lengths go together, on a 1-D block without repeat, "
-         "dtype or delta; got runs 6, lengths '|u1', shape [2, 18], keys"),
-        (lambda s: s.update(shape=[]), None, "lengths '|u1', shape [], keys"),
-        (lambda s: s.update(repeat=True), None, "keys ['lengths', 'name', 'repeat', 'runs', 'shape']"),
-        (lambda s: s.update(repeat=False), None, "keys ['lengths', 'name', 'repeat', 'runs', 'shape']"),
-        (lambda s: s.update(dtype="<f8"), None, "keys ['dtype', 'lengths', 'name', 'runs', 'shape']"),
+         "blocks[6]: escapes must count from 0 to the length of a 1-D block without repeat, dtype "
+         "or delta; got escapes 12, shape [2, 18], keys ['escapes', 'name', 'shape']"),
+        (lambda s: s.update(shape=[]), None, "got escapes 12, shape [], keys"),
+        (lambda s: s.update(escapes=-1), None, "got escapes -1, shape [36]"),
+        (lambda s: s.update(escapes=37), None, "got escapes 37, shape [36]"),
+        (lambda s: s.update(escapes=True), None, "got escapes True,"),
+        (lambda s: s.update(escapes=12.0), None, "got escapes 12.0,"),
+        (lambda s: s.update(escapes="12"), None, "got escapes '12',"),
+        (lambda s: s.update(escapes=None), None, "got escapes None,"),
+        (lambda s: s.update(repeat=True), None, "keys ['escapes', 'name', 'repeat', 'shape']"),
+        (lambda s: s.update(repeat=False), None, "keys ['escapes', 'name', 'repeat', 'shape']"),
+        (lambda s: s.update(dtype="<f8"), None, "keys ['dtype', 'escapes', 'name', 'shape']"),
+        (lambda s: s.update(dtype="|u1"), None, "keys ['dtype', 'escapes', 'name', 'shape']"),
         (lambda s: s.update(dtype="<u8", delta=0, shape=[2, 18]), None,
-         "keys ['delta', 'dtype', 'lengths', 'name', 'runs', 'shape']"),
+         "keys ['delta', 'dtype', 'escapes', 'name', 'shape']"),
         (lambda s: s.update(delta=0), None, "dtype '<u8' and a delta of 0 or 1 go together"),
-        (lambda s: s.pop("runs"), None, "got runs None, lengths '|u1'"),
-        (lambda s: s.pop("lengths"), None, "got runs 6, lengths None"),
-        (lambda s: s.update(runs=-1), None, "got runs -1,"),
-        (lambda s: s.update(runs=True), None, "got runs True,"),
-        (lambda s: s.update(runs=6.0), None, "got runs 6.0,"),
-        (lambda s: s.update(runs="6"), None, "got runs '6',"),
-        (lambda s: s.update(lengths="<f8"), None, "blocks[6]: lengths must be '|u1', '<i2' or '<i4', "
-                                                  "got '<f8'"),
-        (lambda s: s.update(lengths="<u8"), None, "lengths must be '|u1', '<i2' or '<i4', got '<u8'"),
-        (lambda s: s.update(lengths="|i1"), None, "lengths must be '|u1', '<i2' or '<i4', got '|i1'"),
-        (lambda s: s.update(lengths=">i2"), None, "lengths must be '|u1', '<i2' or '<i4', got '>i2'"),
-        (lambda s: s.update(lengths=1), None, "lengths must be '|u1', '<i2' or '<i4', got 1"),
-        (lambda s: s.update(lengths=["|u1"]), None, "got ['|u1']"),
-    ], ids=["zero-length", "negative-length", "short-sum", "sum-beyond-int32", "two-dimensional",
-            "zero-dimensional", "with-repeat", "with-repeat-false", "with-dtype", "with-delta",
-            "delta-on-floats", "no-runs", "no-lengths", "runs-negative", "runs-bool", "runs-float",
-            "runs-string", "lengths-float", "lengths-u8", "lengths-i1", "lengths-big-endian",
-            "lengths-number", "lengths-list"])
-    def test_a_malformed_run_block_is_one_line_naming_the_file(self, tmp_path, edit, lengths, message):
-        path = self.run_cell(tmp_path, edit, lengths)
+        (lambda s: s.update(lengths="|u1"), None, "blocks[6]: unknown key 'lengths'"),
+        (lambda s: s.update(runs=6), None,
+         "cell file with run blocks from an older cellforge; regenerate or preprocess it again"),
+    ], ids=["fewer-escapes", "more-escapes", "extra-escape-residual", "two-dimensional",
+            "zero-dimensional", "negative", "more-than-n", "bool", "float", "string", "null",
+            "with-repeat", "with-repeat-false", "with-dtype", "with-narrow-dtype", "with-delta",
+            "delta-on-floats", "with-lengths", "with-runs"])
+    def test_a_malformed_coded_block_is_one_line_naming_the_file(self, tmp_path, edit, escape,
+                                                                 message):
+        path = self.coded_cell(tmp_path, edit, escape)
         with pytest.raises(SchemaError) as info:
             read_cell(path)
         assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
         assert "\n" not in str(info.value)
 
-    @pytest.mark.parametrize("cut", [1, 47, 48, 53])
-    def test_a_truncated_run_block_is_one_line_naming_the_file(self, tmp_path, cut):
-        path = self.run_cell(tmp_path, lambda s: None, cut=cut)
+    def test_a_run_block_in_another_container_is_an_unknown_key(self):
+        header = json.dumps({"blocks": [{"name": "x", "shape": [2], "runs": 1, "lengths": "|u1"}]})
+        data = b"TST1" + struct.pack("<I", len(header)) + header.encode() + bytes(9)
+        with pytest.raises(CheckpointError, match=r"^blocks\[0\]: unknown key 'lengths', 'runs'$"):
+            parse_container(data, b"TST1", CheckpointError)
+
+    @pytest.mark.parametrize("cut", [1, 35, 36, 131])
+    def test_a_truncated_coded_block_is_one_line_naming_the_file(self, tmp_path, cut):
+        path = self.coded_cell(tmp_path, cut=cut)
         with pytest.raises(SchemaError) as info:
             read_cell(path)
         assert str(info.value) == f"{path}: truncated block 'current_in_A'"
+
+    def test_reading_a_cell_decodes_nothing(self, quickstart_corpus, monkeypatch):
+        monkeypatch.setattr(container.Coded, "decode",
+                            lambda self: pytest.fail("a block was decoded"))
+        cells = load_cells(quickstart_corpus.directory)
+        assert [len(c.cycle_data) for c in cells] == [len(c.cycle_data) for c in quickstart_corpus.generated]
+        assert all(len(coded_columns(cell)) == 4 for cell in cells)
+        assert repr(cells[0].cycle_data).startswith(f"CycleData({len(cells[0].cycle_data)} cycles")
+
+    def test_a_column_is_decoded_when_first_read_and_kept(self, quickstart_corpus, monkeypatch):
+        decoded = []
+        monkeypatch.setattr(container.Coded, "decode",
+                            lambda self, decode=container.Coded.decode: decoded.append(self) or decode(self))
+        path = quickstart_corpus.directory / "SYN_0000.cfc"
+        cell = read_cell(path)
+        coded = coded_columns(cell)
+        expected = quickstart_corpus.generated[0].cycle_data.columns
+        assert decoded == []
+        voltage = cell.cycle_data.columns["voltage_in_V"]
+        assert decoded == [coded["voltage_in_V"]] and voltage.tobytes() == expected["voltage_in_V"].tobytes()
+        assert cell.cycle_data.columns["voltage_in_V"] is voltage and len(decoded) == 1
+        assert "time_in_s" in cell.cycle_data.columns and len(decoded) == 1
+        cell.cycle_data[3]  # a cycle view reads every column
+        assert {id(block) for block in decoded} == {id(block) for block in coded.values()}
+        # the labels read the discharge capacity alone
+        cell = read_cell(path)
+        coded, decoded[:] = coded_columns(cell), []
+        soh_per_cycle(cell)
+        assert decoded == [coded["discharge_capacity_in_Ah"]]
+        assert set(coded_columns(cell)) == {"voltage_in_V", "current_in_A", "time_in_s"}
+
+    @pytest.mark.parametrize("trip", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_a_lazily_read_cell_decodes_to_pickle_copy_and_compare(self, quickstart_corpus, trip):
+        path = quickstart_corpus.directory / "SYN_0001.cfc"
+        cell = read_cell(path)
+        assert coded_columns(cell)
+        back = trip(cell)
+        assert not any(isinstance(c, container.Coded) for c in back.cycle_data.columns._columns.values())
+        assert back == read_cell(path) == quickstart_corpus.generated[1]
+        assert not any(c.flags.writeable for c in back.cycle_data.columns.values())
+        assert not any(c.flags.writeable for c in cell.cycle_data.columns.values())
+
+    def test_the_quickstart_corpus_stays_small(self, quickstart_corpus):
+        on_disk = sum(p.stat().st_size for p in quickstart_corpus.directory.iterdir())
+        assert on_disk <= 10.0e6, f"{on_disk} bytes"
+        data = (quickstart_corpus.directory / "SYN_0000.cfc").read_bytes()
+        header = json.loads(data[8:8 + struct.unpack_from("<I", data, 4)[0]])
+        assert {b["name"] for b in header["blocks"] if "escapes" in b} == {
+            "voltage_in_V", "current_in_A", "discharge_capacity_in_Ah", "time_in_s"}
+
+    def test_model_and_feature_files_read_coded_blocks_as_arrays(self, tmp_path):
+        # files cellforge writes deflate, so never code; one written by hand may
+        coef = np.linspace(-1.0, 1.0, 64)
+        path = write_container(tmp_path / "model.bin", MODEL_MAGIC, {
+            "kind": "linear", "hyperparameters": {}, "metadata": {"n_features": 64}},
+            [("coef", coef), ("intercept", np.array([0.5]))])
+        assert "escapes" in read_model_file(path)[0]["blocks"][0]
+        model = load_model(path)
+        assert type(model.coef_) is np.ndarray and model.coef_.tobytes() == coef.tobytes()
+        assert model.predict(np.ones((1, 64))).tolist() == [coef.sum() + 0.5]
+        escapes = escape_count(coef)
+        data = bytearray(path.read_bytes())
+        start = 8 + struct.unpack_from("<I", data, 4)[0]
+        data[next(i for i in range(start, start + 64) if data[i] != 0x80)] = 0x80
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError) as info:
+            load_model(path)
+        assert str(info.value) == (f"{path}: block 'coef': {escapes + 1} residuals are escapes, "
+                                   f"its spec declares {escapes}")
+        features = write_container(tmp_path / "features_test.bin", FEATURES_MAGIC, {},
+                                   [("values", coef)])
+        with pytest.raises(CheckpointError) as info:
+            read_features(features)
+        assert str(info.value) == (f"{features}: expected one 2-D 'values' block, "
+                                   "got shapes {'values': (64,)}")
 
 
 def file_reads(source: str) -> list[tuple[str, int]]:
@@ -1318,7 +1437,8 @@ class TestReadFile:
 
 
 # the columns of linear_cycle cells that cell files store as runs
-RUN_CODED = ("current_in_A", "charge_capacity_in_Ah", "temperature_in_C")
+# the columns of a cell of two linear_cycle()s that are second-difference blocks
+CODED = ("voltage_in_V", "current_in_A", "charge_capacity_in_Ah", "temperature_in_C")
 
 
 class TestColumns:
@@ -1333,14 +1453,14 @@ class TestColumns:
             column = back.cycle_data.columns[name]
             assert np.shares_memory(getattr(first, name), column)
             assert np.shares_memory(getattr(second, name), column)
-            if name in RUN_CODED:
+            if name in CODED:
                 assert column.flags.owndata
             else:
                 assert isinstance(root_buffer(column), mmap.mmap)
                 assert memoryview(root_buffer(column)).readonly
             assert not column.flags.writeable
             assert not getattr(first, name).flags.writeable
-        assert root_buffer(back.cycle_data.columns["voltage_in_V"]) is root_buffer(
+        assert root_buffer(back.cycle_data.columns["discharge_capacity_in_Ah"]) is root_buffer(
             back.cycle_data.columns["time_in_s"])
 
     def test_past_the_mapping_cap_a_cell_is_read_as_bytes(self, tmp_path, monkeypatch):
@@ -1355,7 +1475,7 @@ class TestColumns:
         assert read == cells[1]
         for name in TestArraySignals.SIGNALS:
             column = read.cycle_data.columns[name]
-            if name in RUN_CODED:
+            if name in CODED:
                 assert column.flags.owndata
             else:
                 assert isinstance(root_buffer(column), bytes)

@@ -15,7 +15,7 @@ import yaml
 
 from cellforge.battery_data import (CELL_MAGIC, load_cells, parse_container, read_cell,
                                     validate, write_cell, write_container)
-from cellforge import cli
+from cellforge import battery_data, cli
 from cellforge.cli import main
 from cellforge.errors import CheckpointError, ConfigError, SchemaError
 from cellforge.ingestion import SOURCES
@@ -27,7 +27,7 @@ from cellforge.plots import (
     write_series_csv,
 )
 
-from conftest import read_model_file, write_model_file
+from conftest import read_model_file, store_current_as_runs, write_model_file
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -689,6 +689,17 @@ class TestTrainEvaluate:
         assert_one_line_error(capsys, f"error: {path}: CFC1 cell file from an older cellforge; "
                                       "regenerate or preprocess it again")
 
+    def test_run_coded_corpus_is_one_line_error(self, corpus_dir, tmp_path, capsys):
+        # cellforge once stored a signal as its runs; such a cell is refused, not misread
+        cells = shutil.copytree(corpus_dir, tmp_path / "cells")
+        path = store_current_as_runs(cells / "SYN_0003.cfc")
+        config_path = write_train_config(tmp_path, cells)
+        assert main(["train", "--config", str(config_path),
+                     "--workspace", str(tmp_path / "ws")]) == 1
+        assert_one_line_error(capsys, f"error: {path}: cell file with run blocks from an older "
+                                      "cellforge; regenerate or preprocess it again")
+        assert not (tmp_path / "ws").exists()
+
     def test_checkpoint_holding_labels_json_evaluates(self, checkpoint_dir, tmp_path):
         # older checkpoints also stored labels.json; evaluation ignores it
         ckpt = tmp_path / checkpoint_dir.name
@@ -744,12 +755,32 @@ class TestPlotCommand:
     @pytest.mark.parametrize("cell_id", [[], ["--cell-id", "SYN_0002"]], ids=["first", "named"])
     def test_voltage_curves_read_the_plotted_cell_alone(self, corpus_dir, tmp_path, monkeypatch,
                                                          cell_id):
-        read = []
+        read, parsed = [], []
         monkeypatch.setattr(cli, "read_cell", lambda path: read.append(path.name) or read_cell(path))
-        monkeypatch.setattr(cli, "load_cells", lambda path: pytest.fail("every cell was read"))
+        monkeypatch.setattr(battery_data, "_cell_from_bytes",
+                            lambda data, parse=battery_data._cell_from_bytes: parsed.append(1) or parse(data))
         assert main(["--quiet", "plot", "--kind", "voltage-curves", "--out", str(tmp_path / "v"),
                      "--cells", str(corpus_dir), *cell_id]) == 0
-        assert read == [f"{cell_id[1] if cell_id else 'SYN_0000'}.cfc"]
+        assert read == [f"{cell_id[1] if cell_id else 'SYN_0000'}.cfc"] and parsed == [1]
+
+    def test_degradation_holds_one_cell_at_a_time(self, corpus_dir, tmp_path, monkeypatch):
+        read, alive = [], []
+
+        def spy(path):
+            alive.append(sum(ref() is not None for ref in read))
+            cell = read_cell(path)
+            read.append(weakref.ref(cell))
+            return cell
+
+        monkeypatch.setattr(cli, "read_cell", spy)
+        out = tmp_path / "soh"
+        assert main(["--quiet", "plot", "--kind", "degradation", "--out", str(out),
+                     "--cells", str(corpus_dir)]) == 0
+        cells = load_cells(corpus_dir)
+        assert len(read) == len(cells) and alive == [0] * len(cells)
+        assert all(ref() is None for ref in read)
+        make_plot("degradation", tmp_path / "whole", cells=cells)
+        assert out.with_suffix(".csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_unknown_cell_id(self, corpus_dir, tmp_path, capsys):
         assert main(["plot", "--kind", "voltage-curves", "--out", str(tmp_path / "v"),
@@ -784,6 +815,11 @@ class TestPlotCommand:
     def test_line_plots_require_cells(self, tmp_path, capsys):
         assert main(["plot", "--kind", "degradation", "--out", str(tmp_path / "x")]) == 1
         assert "needs cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cells", [[], iter([])], ids=["list", "iterator"])
+    def test_degradation_of_no_cells_is_one_line(self, tmp_path, cells):
+        with pytest.raises(ConfigError, match="^degradation needs cells$"):
+            make_plot("degradation", tmp_path / "x", cells=cells)
 
 
 class TestPreprocessCommand:

@@ -293,8 +293,8 @@ class TestParseCsv:
         assert cell.cycle_data[0].voltage_in_V.tolist() == [r[1] for r in simple_rows(1)]
 
     @pytest.mark.parametrize("mapping, digest", [
-        (SIMPLE_MAP, "48c0fa773a3b8506512b4d30ac0c3f91a9c85b3927cd08138d48c7a3a3b1398b"),
-        (NO_CAPACITY_MAP, "73d5edf762987d54a44d6daadef620896f96ad63ead08d0b0b7caabcdb9813e9"),
+        (SIMPLE_MAP, "57ed2a100a89e2597c91f0b72c49f6b717d162ac5ee3fa17ef60294d8983665c"),
+        (NO_CAPACITY_MAP, "2ba500b523ee0512c208df80fa752b5b80c4e12be93cc2ff8cb436eca6c831db"),
     ], ids=["capacity-columns", "integrated-capacity"])
     def test_written_bytes_are_pinned(self, tmp_path, mapping, digest):
         p = write_csv(tmp_path / "pin.csv", list(SIMPLE_MAP.values()), pinned_rows())
