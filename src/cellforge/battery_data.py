@@ -185,6 +185,27 @@ class ProtocolStep:
                 object.__setattr__(self, name, float(v))
 
 
+class _Signal:
+    """A signal field of :class:`CycleRecord`, a non-data descriptor. A record
+    holds each signal in its ``__dict__``, which hides the descriptor, except
+    a cycle view of a column not yet decoded: there the first read slices the
+    cell's column, which decodes it, and the record keeps the slice."""
+
+    def __init__(self, default):
+        self.default = default
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self.default  # the dataclass field's default
+        cycles, i = record.__dict__["_view_of"]
+        off = cycles.offsets[self.name]
+        value = record.__dict__[self.name] = cycles.columns[self.name][off[i] : off[i + 1]]
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class CycleRecord:
     """Time-series signals of one full cycle.
@@ -193,16 +214,16 @@ class CycleRecord:
     optional per source; internal resistance is an optional per-cycle scalar.
     Built directly, a record holds a read-only float64 copy of each signal
     passed in; ``cell.cycle_data[i]`` returns one whose signals are views of
-    the cell's columns.
+    the cell's columns, a column not yet decoded sliced when first read.
     """
 
     cycle_number: int
-    voltage_in_V: np.ndarray = ()
-    current_in_A: np.ndarray = ()
-    charge_capacity_in_Ah: np.ndarray = ()
-    discharge_capacity_in_Ah: np.ndarray = ()
-    time_in_s: np.ndarray = ()
-    temperature_in_C: np.ndarray | None = None
+    voltage_in_V: np.ndarray = _Signal(())
+    current_in_A: np.ndarray = _Signal(())
+    charge_capacity_in_Ah: np.ndarray = _Signal(())
+    discharge_capacity_in_Ah: np.ndarray = _Signal(())
+    time_in_s: np.ndarray = _Signal(())
+    temperature_in_C: np.ndarray | None = _Signal(None)
     internal_resistance_in_ohm: float | None = None
     extra: dict = field(default_factory=dict)
 
@@ -402,18 +423,19 @@ class CycleData(tuple):
         return map(self._cycle, range(len(self)))
 
     def _cycle(self, i: int) -> CycleRecord:
-        view = {}
-        for name in _SIGNAL_FIELDS:
-            off = self.offsets[name]
-            view[name] = self.columns[name][off[i] : off[i + 1]]
+        cyc = object.__new__(CycleRecord)  # a view: the copying constructor is skipped
+        view = cyc.__dict__
+        for name, column in self.columns._columns.items():
+            if not isinstance(column, Coded):  # a coded one is sliced when read (see _Signal)
+                off = self.offsets[name]
+                view[name] = column[off[i] : off[i + 1]]
         if not self.has_temperature[i]:
             view["temperature_in_C"] = None
         view["cycle_number"] = int(self.cycle_number[i])
         view["internal_resistance_in_ohm"] = (
             float(self.internal_resistance_in_ohm[i]) if self.has_internal_resistance[i] else None)
         view["extra"] = self.extra.get(i, {})
-        cyc = object.__new__(CycleRecord)  # a view: the copying constructor is skipped
-        cyc.__dict__.update(view)
+        view["_view_of"] = (self, i)
         return cyc
 
     def __eq__(self, other):

@@ -120,7 +120,7 @@ def _cmd_train(args, say) -> int:
     report = ckpt.report
     say(f"checkpoint: {ckpt.directory}")
     say(f"test RMSE {report['mean_rmse']:.4f} +/- {report['sd_rmse']:.4f} "
-        f"(MAE {report['mean_mae']:.4f}) over {len(report['per_seed'])} seed(s)")
+        f"(MAE {report['mean_mae']:.4f}) over {len(report['per_seed']['seed'])} seed(s)")
     return 0
 
 

@@ -29,6 +29,12 @@ from .battery_data import CellRecord, CycleData, CycleRecord
 from .errors import FeatureError
 from .registry import integer, number
 
+# The bound of every parameter that sets an array's length: half the most
+# float64 values one array can hold. np.linspace refuses counts within 64 of
+# that most with a ValueError; below it, too large an array is a MemoryError,
+# one line from the CLI.
+MAX_POINTS = np.iinfo(np.intp).max // 16
+
 VARIANCE_FLOOR = 1e-12
 COULOMBIC_EPS = 1e-5
 _DEGENERATE_SPAN_V = 1e-6
@@ -254,7 +260,7 @@ class VarianceModelFeatureExtractor(BaseFeatureExtractor):
         super().__init__(observed_cycles)
         if len(critical_cycles) != 3:
             raise ValueError("critical_cycles must list three 0-based cycle indices")
-        self.interp_dims = integer("interp_dims", interp_dims, 2)
+        self.interp_dims = integer("interp_dims", interp_dims, 2, MAX_POINTS)
         self.critical_cycles = tuple(
             integer(f"critical_cycles[{k}]", c) for k, c in enumerate(critical_cycles))
         self.v_min = None if v_min is None else number("v_min", v_min)
@@ -390,7 +396,7 @@ class VoltageCapacityMatrixFeatureExtractor(BaseFeatureExtractor):
         observed_cycles: int | None = None,
     ):
         super().__init__(observed_cycles)
-        self.interp_dims = integer("interp_dims", interp_dims, 2)
+        self.interp_dims = integer("interp_dims", interp_dims, 2, MAX_POINTS)
         self.diff_base = integer("diff_base", diff_base)
         self.max_cycle_index = integer("max_cycle_index", max_cycle_index)
         self.cycles_to_keep = integer("cycles_to_keep", cycles_to_keep, 1)
@@ -497,7 +503,7 @@ class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
         observed_cycles: int | None = None,
     ):
         super().__init__(max_cycle_index, observed_cycles)
-        self.n_qdlin = integer("n_qdlin", n_qdlin, 2)
+        self.n_qdlin = integer("n_qdlin", n_qdlin, 2, MAX_POINTS)
         self.v_min = None if v_min is None else number("v_min", v_min)
         self.v_max = None if v_max is None else number("v_max", v_max)
 

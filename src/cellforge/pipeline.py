@@ -41,6 +41,7 @@ import json
 import os
 import shutil
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -371,9 +372,10 @@ def _fit_transforms(config: PipelineConfig, X_train, y_train):
 
 
 def _score(seeds, models, ft, lt, X_test, y_test):
-    """Per-seed metrics plus the across-seed mean prediction per test row;
-    each fit predicts once on the transformed ``X_test``, and a seed without
-    a fit of its own is scored with the first seed's fit."""
+    """Per-seed metrics, as ``seed``, ``rmse`` and ``mae`` columns, plus the
+    across-seed mean prediction per test row; each fit predicts once on the
+    transformed ``X_test``, and a seed without a fit of its own is scored
+    with the first seed's fit."""
     Xte = ft.transform(X_test)
     predicted = {}
     for seed, model in models.items():
@@ -383,30 +385,30 @@ def _score(seeds, models, ft, lt, X_test, y_test):
                 f"seed {seed}: {type(model).__name__} predicts non-finite values "
                 "(the fit diverged, or the label transformation overflowed)"
             )
-    per_seed, preds = [], []
-    for seed in seeds:
-        y_pred = predicted.get(seed, predicted[seeds[0]])
-        preds.append(y_pred)
-        per_seed.append(
-            {"seed": seed, "rmse": rmse(y_test, y_pred), "mae": mae(y_test, y_pred)}
-        )
-    mean_pred = np.mean(np.stack(preds), axis=0)
-    return per_seed, mean_pred
+    preds = [predicted.get(seed, predicted[seeds[0]]) for seed in seeds]
+    per_seed = {"seed": list(seeds), "rmse": [rmse(y_test, p) for p in preds],
+                "mae": [mae(y_test, p) for p in preds]}
+    return per_seed, np.mean(np.stack(preds), axis=0)
 
 
-def _prediction_rows(keys, y_true, y_pred):
-    rows = []
-    for key, yt, yp in zip(keys, y_true, y_pred):
-        cell_id, cycle, step = key
-        row = {"cell_id": cell_id}
-        if cycle is not None:
-            row["cycle"] = int(cycle)
-        if step is not None:
-            row["step"] = int(step)
-        row["y_true"] = float(yt)
-        row["y_pred"] = float(yp)
-        rows.append(row)
-    return rows
+def _prediction_columns(keys, y_true, y_pred) -> dict:
+    """``report["predictions"]``: the test rows as columns, in row order. The
+    cell IDs are ``[id, count]`` runs, and ``cycle`` and ``step`` are present
+    when the row keys have them."""
+    runs = groupby(key[0] for key in keys)
+    columns = {"cell_id": [[cell_id, sum(1 for _ in run)] for cell_id, run in runs]}
+    for i, name in ((1, "cycle"), (2, "step")):
+        if keys and keys[0][i] is not None:
+            columns[name] = [int(k[i]) for k in keys]
+    columns["y_true"] = np.asarray(y_true, dtype=float).tolist()
+    columns["y_pred"] = np.asarray(y_pred, dtype=float).tolist()
+    return columns
+
+
+def _first_unordered(keys):
+    """The first row key that does not strictly follow the one before it
+    within one cell, or None: training writes each cell's rows in key order."""
+    return next((b for a, b in zip(keys, keys[1:]) if a[0] == b[0] and not a < b), None)
 
 
 def _report(config, models, ft, lt, X_test, keys_test, y_test, excluded):
@@ -414,8 +416,8 @@ def _report(config, models, ft, lt, X_test, keys_test, y_test, excluded):
     ``X_test``, whose rows are ``keys_test`` and labels ``y_test``: the one
     scoring tail of training and of checkpoint verification."""
     per_seed, mean_pred = _score(config.seeds, models, ft, lt, X_test, y_test)
-    rmses = np.array([s["rmse"] for s in per_seed])
-    maes = np.array([s["mae"] for s in per_seed])
+    rmses = np.array(per_seed["rmse"])
+    maes = np.array(per_seed["mae"])
     return {
         "config_hash": config.config_hash(),
         "per_seed": per_seed,
@@ -423,7 +425,7 @@ def _report(config, models, ft, lt, X_test, keys_test, y_test, excluded):
         "sd_rmse": float(rmses.std()),
         "mean_mae": float(maes.mean()),
         "sd_mae": float(maes.std()),
-        "predictions": _prediction_rows(keys_test, y_test, mean_pred),
+        "predictions": _prediction_columns(keys_test, y_test, mean_pred),
         "excluded": excluded,
     }
 
@@ -449,6 +451,11 @@ def run_train(config, workspace=None, cells: list[CellRecord] | None = None) -> 
     train, y_train, excl_train = data["training"]
     features_test, y_test, excl_test = data["test"]
 
+    unordered = _first_unordered(features_test.row_keys)
+    if unordered is not None:  # evaluation would refuse the checkpoint
+        raise PipelineError(f"{unordered[0]}: its test rows do not strictly increase in (cycle, step), "
+                            "so evaluation would refuse the checkpoint; validate() reports a cell "
+                            "whose cycle numbers do not increase")
     ft, lt = _fit_transforms(config, train.values, y_train)
     Xtr = ft.transform(train.values)
     ytr = lt.transform(y_train)
@@ -518,16 +525,37 @@ def read_report(checkpoint) -> dict:
     return read_file(Path(checkpoint) / "report.json", CheckpointError, _report_document)
 
 
+# The per-row columns of report["predictions"] besides its 'cell_id' runs, with the
+# types json.load gives their values (bool is its own type).
+_ROW_COLUMNS = {"cycle": (int,), "step": (int,), "y_true": (int, float), "y_pred": (int, float)}
+
+
 def _report_document(data: bytes) -> dict:
     report = json_document(data)
-    rows = report.get("predictions") if isinstance(report, dict) else None
-    if not (isinstance(rows, list) and isinstance(report.get("excluded"), list) and all(
-            isinstance(r, dict) and isinstance(r.get("cell_id"), str)
-            and all(type(r.get(k)) in (int, float) for k in ("y_true", "y_pred"))
-            and all(type(r[k]) is int for k in ("cycle", "step") if k in r) for r in rows)):
-        raise CheckpointError("expected an 'excluded' list and 'predictions' rows with "
-                              "a string 'cell_id' and numeric 'y_true' and 'y_pred', "
-                              "and an integer 'cycle' and 'step' where present")
+    if isinstance(report, dict) and any(isinstance(report.get(k), list)
+                                        for k in ("per_seed", "predictions")):
+        raise CheckpointError("an older report layout, with one object per row; "
+                              "train the checkpoint again")
+    columns = report.get("predictions") if isinstance(report, dict) else None
+    if not (isinstance(columns, dict) and isinstance(report.get("excluded"), list)
+            and all(isinstance(columns.get(k), list) for k in ("cell_id", "y_true", "y_pred"))
+            and all(isinstance(columns[k], list) for k in ("cycle", "step") if k in columns)):
+        raise CheckpointError("expected an 'excluded' list and a 'predictions' object of 'cell_id', "
+                              "'y_true' and 'y_pred' lists, and 'cycle' and 'step' lists where present")
+    runs = columns["cell_id"]
+    if not all(isinstance(r, list) and len(r) == 2 and isinstance(r[0], str)
+               and type(r[1]) is int and r[1] > 0 for r in runs):
+        raise CheckpointError("'predictions' 'cell_id' must be [id, count] runs of a string ID "
+                              "and a positive integer count")
+    for name, types in _ROW_COLUMNS.items():
+        if name in columns and not all(type(v) in types for v in columns[name]):
+            kind = "integers" if float not in types else "numbers"
+            raise CheckpointError(f"'predictions' '{name}' must hold {kind} alone")
+    rows = sum(count for _, count in runs)
+    lengths = {name: len(columns[name]) for name in _ROW_COLUMNS if name in columns}
+    if set(lengths.values()) != {rows}:
+        raise CheckpointError(f"'predictions' columns differ in length: the 'cell_id' runs "
+                              f"count {rows} rows, and the columns hold {lengths}")
     return report
 
 
@@ -547,8 +575,10 @@ def run_evaluate(checkpoint) -> dict:
     The stored config, test features, transforms and models recompute the
     report against the row keys, test labels and exclusions of the stored
     report. The checkpoint is refused unless the result equals its
-    ``report.json`` and ``split.json``'s test cells are those that the
-    report scores or excludes; that report is returned, so what evaluation
+    ``report.json``, ``split.json``'s test cells are those that the report
+    scores or excludes, and the report's rows follow those cells in order,
+    each cell's in key order, as training writes them; that report is
+    returned, so what evaluation
     returns is what training wrote. No cell is read: to score under another
     label, feature or split section, train again with the edited config.
     """
@@ -566,11 +596,13 @@ def run_evaluate(checkpoint) -> dict:
     stored_split = read_file(ckpt_dir / "split.json", CheckpointError,
                              lambda data: SplitResult.from_dict(json_document(data)))
     X_test = read_features(ckpt_dir / "features_test.bin")
-    rows = stored_report["predictions"]
-    if len(rows) != len(X_test):
-        raise CheckpointError(f"{ckpt_dir / 'report.json'}: {len(rows)} prediction rows, but "
+    columns = stored_report["predictions"]
+    n = len(columns["y_true"])
+    if n != len(X_test):
+        raise CheckpointError(f"{ckpt_dir / 'report.json'}: {n} prediction rows, but "
                               f"features_test.bin stores {len(X_test)} feature rows")
-    scored = {r["cell_id"] for r in rows}
+    runs = columns["cell_id"]
+    scored = {cell_id for cell_id, _ in runs}
     accounted = scored | {e.get("cell_id") for e in stored_report["excluded"] if isinstance(e, dict)}
     unlisted = sorted(scored - set(stored_split.test_cell_ids))
     unaccounted = [cid for cid in stored_split.test_cell_ids if cid not in accounted]
@@ -579,8 +611,18 @@ def run_evaluate(checkpoint) -> dict:
             f"{ckpt_dir / 'split.json'}: its test cells differ from those report.json scores "
             f"or excludes: it lacks {unlisted} and adds {unaccounted}"
         )
-    keys_test = [(r["cell_id"], r.get("cycle"), r.get("step")) for r in rows]
-    y_test = np.array([r["y_true"] for r in rows], dtype=float)
+    # training scores the test cells in split.json's order
+    position = {cell_id: i for i, cell_id in enumerate(stored_split.test_cell_ids)}
+    order = [position[cell_id] for cell_id, _ in runs]
+    if any(a >= b for a, b in zip(order, order[1:])):
+        raise CheckpointError(f"{ckpt_dir / 'report.json'}: its 'cell_id' runs do not follow "
+                              "split.json's test cells in order, one run per cell")
+    ids = [cell_id for cell_id, count in runs for _ in range(count)]
+    keys_test = list(zip(ids, *(columns.get(k, [None] * n) for k in ("cycle", "step"))))
+    if _first_unordered(keys_test) is not None:
+        raise CheckpointError(f"{ckpt_dir / 'report.json'}: its ('cycle', 'step') keys do not "
+                              "strictly increase within a cell's run")
+    y_test = np.array(columns["y_true"], dtype=float)
     report = _report(stored_config, models, ft, lt, X_test, keys_test, y_test,
                      stored_report["excluded"])
     if report != stored_report:

@@ -83,11 +83,10 @@ def voltage_curve_series(cell: CellRecord) -> list[Series]:
 
 
 def pred_vs_truth_series(checkpoint_dir) -> list[Series]:
-    rows = read_report(checkpoint_dir)["predictions"]
-    if not rows:
+    columns = read_report(checkpoint_dir)["predictions"]
+    if not columns["y_true"]:
         raise CheckpointError(f"{Path(checkpoint_dir) / 'report.json'}: no predictions")
-    x = tuple(float(r["y_true"]) for r in rows)
-    y = tuple(float(r["y_pred"]) for r in rows)
+    x, y = (tuple(map(float, columns[name])) for name in ("y_true", "y_pred"))
     return [Series("test cells", x, y)]
 
 

@@ -9,8 +9,9 @@ import operator
 from .errors import CellforgeError, RegistryError
 
 
-def integer(name: str, value, minimum: int = 0) -> int:
-    """``value`` as a Python int when it is an integer of at least ``minimum``.
+def integer(name: str, value, minimum: int = 0, maximum: int | None = None) -> int:
+    """``value`` as a Python int when it is an integer of at least ``minimum``
+    and, when ``maximum`` is given, at most ``maximum``.
 
     Every integer constructor parameter of a registered component goes
     through here. A numpy integer passes; a bool, a string or any float,
@@ -23,8 +24,11 @@ def integer(name: str, value, minimum: int = 0) -> int:
         result = None
     if result is None or result < minimum:
         bound = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
-        raise ValueError(f"{name} must be {bound}, got {value!r}")
-    return result
+    elif maximum is not None and result > maximum:
+        bound = f"an integer <= {maximum}"
+    else:
+        return result
+    raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
 def number(name: str, value, *, gt=None, ge=None, lt=None, le=None) -> float:

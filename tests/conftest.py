@@ -41,6 +41,17 @@ def block_size(spec: dict) -> int:
     return count * np.dtype(spec.get("dtype", "<f8")).itemsize
 
 
+def prediction_rows(columns: dict) -> list[dict]:
+    """The rows a report's ``predictions`` columns hold, one object per row
+    with the keys of its columns: the ``cell_id`` runs expanded, then
+    ``cycle``, ``step``, ``y_true`` and ``y_pred`` where present."""
+    ids = [cell_id for cell_id, count in columns["cell_id"] for _ in range(count)]
+    names = [k for k in ("cycle", "step", "y_true", "y_pred") if k in columns]
+    assert all(len(columns[k]) == len(ids) for k in names)
+    return [{"cell_id": cell_id, **dict(zip(names, values))}
+            for cell_id, *values in zip(ids, *(columns[k] for k in names))]
+
+
 def store_current_as_runs(path) -> Path:
     """Rewrite the cell file at ``path`` with its ``current_in_A`` block in
     the layout cellforge wrote before second-difference blocks: its runs of

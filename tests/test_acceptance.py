@@ -48,7 +48,7 @@ from cellforge.transforms import (
     SequentialDataTransformation,
     ZScoreDataTransformation,
 )
-from conftest import make_cell, random_valid_cell
+from conftest import make_cell, prediction_rows, random_valid_cell
 from test_features import discharge_cycle, interp_oracle
 from test_labels import soc_cycle
 
@@ -318,7 +318,7 @@ def test_criterion_6_end_to_end_signal_recovery(tmp_path):
     by_id = {c.cell_id: c for c in cells}
     split = json.loads((dummy.directory / "split.json").read_text())
     y_train = np.array([rul_label(by_id[cid]) for cid in split["train"]], dtype=float)
-    rows = dummy.report["predictions"]
+    rows = prediction_rows(dummy.report["predictions"])
     y_test = np.array([row["y_true"] for row in rows])
     assert y_test.tolist() == [rul_label(by_id[row["cell_id"]]) for row in rows]
     assert dummy.report["excluded"] == []
@@ -359,9 +359,9 @@ def test_criterion_7_ten_seed_protocol(tmp_path):
     first = run_train(cfg, workspace=tmp_path / "a", cells=cells)
     report = first.report
 
-    assert [s["seed"] for s in report["per_seed"]] == list(range(10))
-    rmses = np.array([s["rmse"] for s in report["per_seed"]])
-    maes = np.array([s["mae"] for s in report["per_seed"]])
+    assert report["per_seed"]["seed"] == list(range(10))
+    rmses = np.array(report["per_seed"]["rmse"])
+    maes = np.array(report["per_seed"]["mae"])
     assert report["mean_rmse"] == float(rmses.mean())
     assert report["sd_rmse"] == float(rmses.std())
     assert report["mean_mae"] == float(maes.mean())

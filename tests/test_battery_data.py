@@ -1311,14 +1311,37 @@ class TestSecondDifferenceBlocks:
         assert decoded == [coded["voltage_in_V"]] and voltage.tobytes() == expected["voltage_in_V"].tobytes()
         assert cell.cycle_data.columns["voltage_in_V"] is voltage and len(decoded) == 1
         assert "time_in_s" in cell.cycle_data.columns and len(decoded) == 1
-        cell.cycle_data[3]  # a cycle view reads every column
+        # a cycle view decodes a column when one of its signals reads it, and keeps the slice
+        view = cell.cycle_data[3]
+        assert len(decoded) == 1
+        current = view.current_in_A
+        assert decoded[1:] == [coded["current_in_A"]] and view.current_in_A is current
+        offsets = cell.cycle_data.offsets["current_in_A"]
+        assert current.tobytes() == expected["current_in_A"][offsets[3] : offsets[4]].tobytes()
+        assert view == quickstart_corpus.generated[0].cycle_data[3]  # == reads every signal
         assert {id(block) for block in decoded} == {id(block) for block in coded.values()}
+        assert len(decoded) == len(coded)
         # the labels read the discharge capacity alone
         cell = read_cell(path)
         coded, decoded[:] = coded_columns(cell), []
         soh_per_cycle(cell)
         assert decoded == [coded["discharge_capacity_in_Ah"]]
         assert set(coded_columns(cell)) == {"voltage_in_V", "current_in_A", "time_in_s"}
+
+    @pytest.mark.parametrize("trip", [lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_a_view_of_coded_columns_is_a_record_to_pickle_copy_and_compare(self, quickstart_corpus, trip):
+        cell = read_cell(quickstart_corpus.directory / "SYN_0002.cfc")
+        assert coded_columns(cell)
+        view, source = cell.cycle_data[5], quickstart_corpus.generated[2].cycle_data[5]
+        built = CycleRecord(**{f.name: getattr(source, f.name) for f in dataclasses.fields(CycleRecord)})
+        back = trip(view)  # before any signal of the view is read
+        assert type(view) is type(back) is CycleRecord
+        assert back == built and built == back and view == built and built == view
+        assert repr(back) == repr(built) == repr(cell.cycle_data[5])
+        assert not any(getattr(back, name).flags.writeable for name in battery_data._CYCLE_SEQ_FIELDS)
+        renumbered = dataclasses.replace(cell.cycle_data[5], cycle_number=7)
+        assert renumbered == dataclasses.replace(built, cycle_number=7)
 
     @pytest.mark.parametrize("trip", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy],
                              ids=["pickle", "deepcopy"])

@@ -18,6 +18,7 @@ from cellforge.battery_data import (CELL_MAGIC, load_cells, parse_container, rea
 from cellforge import battery_data, cli
 from cellforge.cli import main
 from cellforge.errors import CheckpointError, ConfigError, SchemaError
+from cellforge.features import MAX_POINTS
 from cellforge.ingestion import SOURCES
 from cellforge.pipeline import PipelineConfig, run_evaluate
 from cellforge.plots import (
@@ -277,7 +278,7 @@ class TestTrainEvaluate:
                      "--workspace", str(tmp_path / "ws")]) == 0
         out = capsys.readouterr().out
         assert "checkpoint: " in out
-        assert "test RMSE" in out
+        assert "test RMSE" in out and out.endswith(" over 2 seed(s)\n")
 
     def test_quiet_train_prints_nothing(self, corpus_dir, tmp_path, capsys):
         config_path = write_train_config(tmp_path, corpus_dir)
@@ -383,6 +384,22 @@ class TestTrainEvaluate:
         assert main(["train", "--config", str(config_path),
                      "--workspace", str(tmp_path / "ws")]) == 1
         assert_one_line_error(capsys, message)
+
+    @pytest.mark.parametrize("value", [2**63 - 1, 2**63])
+    @pytest.mark.parametrize("name, parameter", [
+        ("VoltageCapacityMatrixFeatureExtractor", "interp_dims"),
+        ("VarianceModelFeatureExtractor", "interp_dims"),
+        ("SOCStepFeatureExtractor", "n_qdlin"),
+    ])
+    def test_an_array_length_no_array_can_have_is_one_line_error(self, corpus_dir, tmp_path, capsys,
+                                                                 name, parameter, value):
+        # these reached np.linspace or np.zeros and ended in an IndexError or ValueError
+        # traceback; the bound refuses them when the extractor is built, before any array
+        config_path = write_train_config(tmp_path, corpus_dir, feature={"name": name, parameter: value})
+        assert main(["train", "--config", str(config_path),
+                     "--workspace", str(tmp_path / "ws")]) == 1
+        assert_one_line_error(capsys, f"feature extractor '{name}': bad parameters: {parameter} "
+                                      f"must be an integer <= {MAX_POINTS}, got {value}")
 
     @pytest.mark.parametrize("edit,message", [
         # the linear model takes no seed, so a seed list is checked before it is used
@@ -602,11 +619,13 @@ class TestTrainEvaluate:
 
     @pytest.mark.parametrize("name, edit, fragment", [
         ("report.json", lambda p: [],
-         "report.json: expected an 'excluded' list and 'predictions' rows"),
-        ("report.json", lambda p: {**p, "predictions": [{"cell_id": "SYN_0000"}]},
-         "rows with a string 'cell_id' and numeric 'y_true' and 'y_pred'"),
-        ("report.json", lambda p: {**p, "predictions": [{**p["predictions"][0], "y_true": True}]},
-         "rows with a string 'cell_id' and numeric 'y_true' and 'y_pred'"),
+         "report.json: expected an 'excluded' list and a 'predictions' object"),
+        ("report.json", lambda p: {**p, "predictions": {"cell_id": [["SYN_0000", 1]], "y_pred": [1.0]}},
+         "a 'predictions' object of 'cell_id', 'y_true' and 'y_pred' lists"),
+        ("report.json",
+         lambda p: {**p, "predictions": {**p["predictions"],
+                                         "y_true": [True] * len(p["predictions"]["y_true"])}},
+         "'predictions' 'y_true' must hold numbers alone"),
         ("transforms.json", lambda p: [], "expected an object with"),
         ("transforms.json", lambda p: {"label_transformation": p["label_transformation"]},
          "expected an object with ['feature_transformation', 'label_transformation']"),
@@ -616,7 +635,7 @@ class TestTrainEvaluate:
          "malformed ZScoreDataTransformation state: KeyError: 'mean'"),
         ("report.json", None, "not valid JSON"),
         ("split.json", lambda p: [], "split.json: split payload must be an object"),
-    ], ids=["report-list", "report-row-without-y_true", "report-bool-y_true", "transforms-list",
+    ], ids=["report-list", "report-without-y_true", "report-bool-y_true", "transforms-list",
             "transforms-without-feature-transformation", "zscore-without-mean",
             "report-not-utf8", "split-list"])
     def test_malformed_checkpoint_json_is_one_line_error(self, checkpoint_dir, tmp_path, capsys,
@@ -796,9 +815,9 @@ class TestPlotCommand:
 
     @pytest.mark.parametrize("text, fragment", [
         ("{not json", "report.json: not valid JSON"),
-        (json.dumps({"predictions": [{"cell_id": "SYN_0000", "y_pred": 1.0}], "excluded": []}),
-         "rows with a string 'cell_id' and numeric 'y_true' and 'y_pred'"),
-    ], ids=["not-json", "row-without-y_true"])
+        (json.dumps({"predictions": {"cell_id": [["SYN_0000", 1]], "y_pred": [1.0]}, "excluded": []}),
+         "a 'predictions' object of 'cell_id', 'y_true' and 'y_pred' lists"),
+    ], ids=["not-json", "without-y_true"])
     def test_pred_vs_truth_rejects_malformed_report(self, checkpoint_dir, tmp_path, capsys,
                                                     text, fragment):
         ckpt = tmp_path / checkpoint_dir.name
@@ -981,7 +1000,8 @@ class TestPlotsModule:
             pred_vs_truth_series(tmp_path)
 
     def test_empty_predictions(self, tmp_path):
-        (tmp_path / "report.json").write_text(json.dumps({"predictions": [], "excluded": []}))
+        (tmp_path / "report.json").write_text(json.dumps(
+            {"predictions": {"cell_id": [], "y_true": [], "y_pred": []}, "excluded": []}))
         with pytest.raises(CheckpointError, match="no predictions"):
             pred_vs_truth_series(tmp_path)
 

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -18,7 +19,7 @@ import yaml
 
 import cellforge
 from cellforge import battery_data
-from cellforge.battery_data import load_cells, write_cell, write_container
+from cellforge.battery_data import CycleData, load_cells, write_cell, write_container
 from cellforge.cli import main as cli_main
 from cellforge.errors import (
     CellforgeError,
@@ -29,7 +30,7 @@ from cellforge.errors import (
     SplitError,
     TransformError,
 )
-from cellforge.features import FeatureMatrix
+from cellforge.features import MAX_POINTS, FeatureMatrix
 from cellforge.ingestion import packaged_column_map_path
 from cellforge.labels import LabelSpec, LabelVector, rul_label
 from cellforge.models import BaseRegressor, LinearRegressor, load_model
@@ -45,11 +46,11 @@ from cellforge.pipeline import (
     run_evaluate,
     run_train,
 )
-from cellforge.registry import FEATURES, LABELS, MODELS, SPLITTERS, register
+from cellforge.registry import FEATURES, LABELS, MODELS, SPLITTERS, integer, register
 from cellforge.synthetic import SynthSpec, generate_synthetic
 from cellforge.transforms import ZScoreDataTransformation, _Fitted
 
-from conftest import make_cell
+from conftest import make_cell, prediction_rows
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # every file of the ``trained`` checkpoint; the linear model takes no seed, so
@@ -303,9 +304,9 @@ class TestRunTrain:
             "predictions",
             "excluded",
         }
-        assert [s["seed"] for s in report["per_seed"]] == [0, 1]
-        rmses = np.array([s["rmse"] for s in report["per_seed"]])
-        maes = np.array([s["mae"] for s in report["per_seed"]])
+        assert report["per_seed"]["seed"] == [0, 1]
+        rmses = np.array(report["per_seed"]["rmse"])
+        maes = np.array(report["per_seed"]["mae"])
         assert report["mean_rmse"] == float(rmses.mean())
         assert report["sd_rmse"] == float(rmses.std())
         assert report["mean_mae"] == float(maes.mean())
@@ -315,7 +316,7 @@ class TestRunTrain:
 
     def test_predictions_cover_test_cells_with_true_labels(self, trained, pipe_cells):
         by_id = {c.cell_id: c for c in pipe_cells}
-        rows = trained.report["predictions"]
+        rows = prediction_rows(trained.report["predictions"])
         assert len(rows) == 2  # 8 cells, test_fraction 0.25
         for row in rows:
             assert set(row) == {"cell_id", "y_true", "y_pred"}
@@ -347,7 +348,7 @@ class TestRunTrain:
     def test_stored_feature_matrices_align_with_labels(self, trained, pipe_cells):
         # the file stores no row keys: row i holds the features of prediction row i
         values = read_features(trained.directory / "features_test.bin")
-        rows = json.loads((trained.directory / "report.json").read_text())["predictions"]
+        rows = prediction_rows(json.loads((trained.directory / "report.json").read_text())["predictions"])
         assert values.shape == (len(rows), 1) == (2, 1)
         by_id = {c.cell_id: c for c in pipe_cells}
         extractor = FEATURES.create("VarianceModelFeatureExtractor", interp_dims=64)
@@ -430,8 +431,8 @@ class TestSeedsAndFits:
         assert len(fits) == 1
         assert sorted(p.name for p in ckpt.directory.glob("model_seed*")) == ["model_seed0.bin"]
         per_seed = ckpt.report["per_seed"]
-        assert [s["seed"] for s in per_seed] == list(range(10))
-        assert len({(s["rmse"], s["mae"]) for s in per_seed}) == 1
+        assert per_seed["seed"] == list(range(10))
+        assert len(set(zip(per_seed["rmse"], per_seed["mae"]))) == 1
         assert ckpt.report["sd_rmse"] == 0.0
         assert run_evaluate(ckpt.directory) == ckpt.report
         assert len(fits) == 1
@@ -447,7 +448,7 @@ class TestSeedsAndFits:
                             lambda self, X: calls.append(id(self)) or original(self, X))
         ckpt = run_train(make_config(model=model, seeds=seeds), workspace=tmp_path, cells=pipe_cells)
         assert len(calls) == len(set(calls)) == fits
-        assert [s["seed"] for s in ckpt.report["per_seed"]] == seeds
+        assert ckpt.report["per_seed"]["seed"] == seeds
         calls.clear()
         assert run_evaluate(ckpt.directory) == ckpt.report
         assert len(calls) == fits
@@ -505,7 +506,7 @@ class TestExclusions:
         entry = ckpt.report["excluded"][0]
         assert entry["cell_id"] == "IMMORTAL"
         assert "80" in entry["reason"]
-        assert [r["cell_id"] for r in ckpt.report["predictions"]] == [ids[6]]
+        assert [r["cell_id"] for r in prediction_rows(ckpt.report["predictions"])] == [ids[6]]
 
     def test_all_training_cells_excluded(self, pipe_cells, tmp_path):
         ids = [c.cell_id for c in pipe_cells]
@@ -536,7 +537,7 @@ class TestSplitMetadataOverrides:
         )
         ckpt = run_train(cfg, workspace=tmp_path, cells=pipe_cells)
         by_id = {c.cell_id: c for c in pipe_cells}
-        for row in ckpt.report["predictions"]:
+        for row in prediction_rows(ckpt.report["predictions"]):
             assert row["y_true"] == rul_oracle(by_id[row["cell_id"]], percent=90.0)
             assert row["y_true"] < rul_oracle(by_id[row["cell_id"]], percent=80.0)
 
@@ -547,7 +548,7 @@ class TestSplitMetadataOverrides:
         )
         ckpt = run_train(cfg, workspace=tmp_path, cells=pipe_cells)
         by_id = {c.cell_id: c for c in pipe_cells}
-        for row in ckpt.report["predictions"]:
+        for row in prediction_rows(ckpt.report["predictions"]):
             assert row["y_true"] == rul_oracle(by_id[row["cell_id"]], percent=80.0)
 
     def test_observed_cycles_metadata_reaches_extractor(self, pipe_cells, tmp_path):
@@ -586,7 +587,7 @@ class TestSplitMetadataOverrides:
             },
         )
         ckpt = run_train(cfg, workspace=tmp_path, cells=pipe_cells)
-        assert len(ckpt.report["predictions"]) == 2
+        assert len(prediction_rows(ckpt.report["predictions"])) == 2
 
 
 class _SpyTransformation(ZScoreDataTransformation):
@@ -695,6 +696,28 @@ class TestRegisteredComponents:
                 "cycles_to_keep", "n_qdlin", "first_cycle", "last_cycle", "smoothing_window",
                 "n_components", "epochs", "batch_size", "seed", "max_depth",
                 "min_samples_leaf", "n_trees"} <= seen
+
+    def test_an_integer_maximum_is_inclusive(self):
+        assert integer("n", 5, 2, 5) == 5
+        with pytest.raises(ValueError, match=r"^n must be an integer <= 5, got 6$"):
+            integer("n", 6, 2, 5)
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 2, got 1$"):
+            integer("n", 1, 2, 5)
+
+    @pytest.mark.parametrize("name, parameter", [
+        ("VarianceModelFeatureExtractor", "interp_dims"),
+        ("DischargeModelFeatureExtractor", "interp_dims"),
+        ("FullModelFeatureExtractor", "interp_dims"),
+        ("VoltageCapacityMatrixFeatureExtractor", "interp_dims"),
+        ("SOCStepFeatureExtractor", "n_qdlin"),
+    ])
+    def test_every_array_length_parameter_is_bounded(self, name, parameter):
+        # constructing allocates nothing the parameter sizes, so the bound itself is safe here
+        assert getattr(FEATURES.create(name, **{parameter: MAX_POINTS}), parameter) == MAX_POINTS
+        with pytest.raises(RegistryError, match=re.escape(
+                f"bad parameters: {parameter} must be an integer <= {MAX_POINTS}, "
+                f"got {MAX_POINTS + 1}")):
+            FEATURES.create(name, **{parameter: MAX_POINTS + 1})
 
     def test_every_float_parameter_refuses_what_is_not_a_finite_number(self):
         seen = set()
@@ -856,7 +879,7 @@ class TestRunEvaluate:
     def test_features_file_with_row_keys_is_refused(self, trained, tmp_path, capsys):
         # older versions also stored each row's key, which report.json now holds alone
         dst = self.copy_checkpoint(trained, tmp_path)
-        keys = [[r["cell_id"], None, None] for r in trained.report["predictions"]]
+        keys = [[r["cell_id"], None, None] for r in prediction_rows(trained.report["predictions"])]
         write_container(dst / "features_test.bin", FEATURES_MAGIC, {"row_keys": keys},
                         [("values", read_features(trained.directory / "features_test.bin"))])
         assert cli_main(["evaluate", "--checkpoint", str(dst)]) == 1
@@ -868,13 +891,13 @@ class TestRunEvaluate:
         ("cycle", "x"), ("cycle", True), ("cycle", 2.0), ("cycle", None), ("step", "3"), ("step", False),
     ])
     def test_row_key_fields_must_be_integers(self, trained, tmp_path, field, value):
-        # evaluation builds each row key from the prediction row's cell_id, cycle and step
+        # evaluation builds each row key from the prediction columns cell_id, cycle and step
         dst = self.copy_checkpoint(trained, tmp_path)
         report = json.loads((dst / "report.json").read_text())
-        report["predictions"][0][field] = value
+        report["predictions"][field] = [0, value]
         (dst / "report.json").write_text(json.dumps(report))
-        with pytest.raises(CheckpointError, match=f"^{re.escape(str(dst / 'report.json'))}: .*"
-                           "an integer 'cycle' and 'step' where present$"):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(dst / 'report.json'))}: "
+                           f"'predictions' '{field}' must hold integers alone$"):
             run_evaluate(dst)
 
     @pytest.mark.parametrize("edit", ["lost", "gained"])
@@ -897,7 +920,8 @@ class TestRunEvaluate:
     def test_feature_rows_must_match_label_keys(self, trained, tmp_path):
         dst = self.copy_checkpoint(trained, tmp_path)
         report = json.loads((dst / "report.json").read_text())
-        report["predictions"].reverse()
+        for name in ("y_true", "y_pred"):  # the rows' numbers, against their keys and feature rows
+            report["predictions"][name].reverse()
         (dst / "report.json").write_text(json.dumps(report))
         with pytest.raises(CheckpointError, match=f"^{re.escape(str(dst / 'report.json'))}: .*"
                            "'predictions'.*modified after training$"):
@@ -906,7 +930,8 @@ class TestRunEvaluate:
     def test_feature_row_count_must_match_prediction_rows(self, trained, tmp_path):
         dst = self.copy_checkpoint(trained, tmp_path)
         report = json.loads((dst / "report.json").read_text())
-        del report["predictions"][0]
+        for column in report["predictions"].values():  # the first row of each column
+            del column[0]
         (dst / "report.json").write_text(json.dumps(report))
         with pytest.raises(CheckpointError, match=f"^{re.escape(str(dst / 'report.json'))}: 1 "
                            "prediction rows, but features_test.bin stores 2 feature rows$"):
@@ -918,7 +943,7 @@ class TestRunEvaluate:
     STORED_NUMBER_EDITS = {
         "transforms.json": lambda data: edited_digit(
             data, json.loads(data)["label_transformation"]["state"]["std"]),
-        "report.json": lambda data: edited_digit(data, json.loads(data)["predictions"][0]["y_true"]),
+        "report.json": lambda data: edited_digit(data, json.loads(data)["predictions"]["y_true"][0]),
         "features_test.bin": lambda data: flipped(data, (len(data) - 16) * 8 + 51),
         "model_seed0.bin": lambda data: flipped(data, (len(data) - 16) * 8 + 51),
     }
@@ -956,7 +981,7 @@ class TestRunEvaluate:
             label={"name": "SOCLabelAnnotator", "max_cycle_index": 2},
         )
         ckpt = run_train(cfg, workspace=tmp_path, cells=cells)
-        rows = ckpt.report["predictions"]
+        rows = prediction_rows(ckpt.report["predictions"])
         assert len(rows) == 96  # two test cells, 48 steps over their first three cycles
         assert all({"cycle", "step"} <= set(row) for row in rows)
         assert run_evaluate(ckpt.directory) == ckpt.report
@@ -984,6 +1009,183 @@ class TestRunEvaluate:
 
         monkeypatch.setattr(battery_data, "read_cell", no_cell)
         assert run_evaluate(ckpt.directory) == ckpt.report
+
+
+_RUNS = "'predictions' 'cell_id' must be [id, count] runs of a string ID and a positive integer count"
+
+
+@pytest.fixture(scope="module")
+def row_cells():
+    return generate_synthetic(SynthSpec(n_cells=5, cycle_life_mean=40, cycle_life_std=5,
+                                        points_per_cycle=16, seed=3))
+
+
+@pytest.fixture(scope="module")
+def row_checkpoints(row_cells, tmp_path_factory):
+    """A per-cycle SOH and a per-step SOC checkpoint, each scoring two test cells."""
+    split = {"name": "RandomTrainTestSplitter", "test_fraction": 0.4, "seed": 3}
+    configs = {
+        "soh": make_config(train_test_split=split, label={"name": "SOHLabelAnnotator"},
+                           feature={"name": "SOHCycleFeatureExtractor", "max_cycle_index": 9}),
+        "soc": make_config(train_test_split=split,
+                           feature={"name": "SOCStepFeatureExtractor", "n_qdlin": 4, "max_cycle_index": 2},
+                           label={"name": "SOCLabelAnnotator", "max_cycle_index": 2}),
+    }
+    return {kind: run_train(cfg, workspace=tmp_path_factory.mktemp(f"ws_{kind}"), cells=row_cells)
+            for kind, cfg in configs.items()}
+
+
+def row_layout(report: dict) -> dict:
+    """``report`` with its per-seed metrics and predictions as one object per
+    row, the layout of report.json before it stored them by column."""
+    per_seed = [dict(zip(report["per_seed"], values)) for values in zip(*report["per_seed"].values())]
+    return {**report, "per_seed": per_seed, "predictions": prediction_rows(report["predictions"])}
+
+
+class TestReportColumns:
+    """report.json stores its per-seed metrics and prediction rows by column."""
+
+    def test_a_per_cell_report(self, trained):
+        report = trained.report
+        assert list(report["per_seed"]) == ["seed", "rmse", "mae"] and report["per_seed"]["seed"] == [0, 1]
+        columns = report["predictions"]
+        split = json.loads((trained.directory / "split.json").read_text())
+        assert list(columns) == ["cell_id", "y_true", "y_pred"]
+        assert columns["cell_id"] == [[cell_id, 1] for cell_id in split["test"]]
+
+    @pytest.mark.parametrize("kind", ["soh", "soc"])
+    def test_per_cycle_and_per_step_columns(self, row_checkpoints, row_cells, kind):
+        ckpt = row_checkpoints[kind]
+        columns = ckpt.report["predictions"]
+        test_ids = json.loads((ckpt.directory / "split.json").read_text())["test"]
+        by_id = {c.cell_id: c.cycle_data for c in row_cells}
+        if kind == "soh":  # cycles 0 to 9 of each test cell, one row each
+            cycles = [by_id[cid].cycle_number[:10].tolist() for cid in test_ids]
+            steps = None
+        else:  # every step of cycles 0 to 2
+            points = {cid: np.diff(by_id[cid].offsets["time_in_s"])[:3].tolist() for cid in test_ids}
+            cycles = [[number for number, n in zip(by_id[cid].cycle_number.tolist(), points[cid])
+                       for _ in range(n)] for cid in test_ids]
+            steps = [step for cid in test_ids for n in points[cid] for step in range(n)]
+        assert list(columns) == ["cell_id", "cycle", *(["step"] if steps else []), "y_true", "y_pred"]
+        assert columns["cell_id"] == [[cid, len(c)] for cid, c in zip(test_ids, cycles)]
+        assert columns["cycle"] == [number for c in cycles for number in c]
+        assert columns.get("step") == steps
+        assert len(columns["y_true"]) == len(columns["y_pred"]) == len(columns["cycle"])
+        assert json.loads((ckpt.directory / "report.json").read_text()) == ckpt.report
+        assert run_evaluate(ckpt.directory) == ckpt.report
+
+    def test_columns_take_at_most_45_percent_of_the_row_layout(self, row_checkpoints):
+        ckpt = row_checkpoints["soc"]
+        rows = len(json.dumps(row_layout(ckpt.report), separators=(",", ":")))
+        assert (ckpt.directory / "report.json").stat().st_size <= 0.45 * rows
+
+    def test_pred_vs_truth_plots_the_columns(self, row_checkpoints, tmp_path):
+        ckpt = row_checkpoints["soc"]
+        assert cli_main(["--quiet", "plot", "--kind", "pred-vs-truth", "--out", str(tmp_path / "p"),
+                         "--checkpoint", str(ckpt.directory)]) == 0
+        with open(tmp_path / "p.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        columns = ckpt.report["predictions"]
+        assert rows == [["test cells", repr(x), repr(y)]
+                        for x, y in zip(columns["y_true"], columns["y_pred"])]
+
+    @pytest.mark.parametrize("lists", [("predictions",), ("per_seed",), ("per_seed", "predictions")])
+    def test_a_row_layout_report_is_one_line(self, trained, tmp_path, capsys, lists):
+        dst = tmp_path / trained.directory.name
+        shutil.copytree(trained.directory, dst)
+        rows = row_layout(trained.report)
+        (dst / "report.json").write_text(json.dumps({**trained.report, **{k: rows[k] for k in lists}}))
+        assert cli_main(["evaluate", "--checkpoint", str(dst)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {dst / 'report.json'}: an older report layout, with one object per row; "
+            "train the checkpoint again\n")
+
+    def edited(self, ckpt, tmp_path, edit):
+        """A copy of ``ckpt`` whose report.json predictions ``edit`` changed in place."""
+        dst = tmp_path / ckpt.directory.name
+        shutil.copytree(ckpt.directory, dst)
+        report = json.loads((dst / "report.json").read_text())
+        edit(report["predictions"])
+        (dst / "report.json").write_text(json.dumps(report))
+        return dst
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c["y_pred"].append(1.0),
+         "'predictions' columns differ in length: the 'cell_id' runs count 2 rows, "
+         "and the columns hold {'y_true': 2, 'y_pred': 3}"),
+        (lambda c: c["cell_id"][0].__setitem__(1, 2),
+         "'predictions' columns differ in length: the 'cell_id' runs count 3 rows, "
+         "and the columns hold {'y_true': 2, 'y_pred': 2}"),
+        (lambda c: c["cell_id"][0].__setitem__(1, 0), _RUNS),
+        (lambda c: c["cell_id"][0].__setitem__(1, -1), _RUNS),
+        (lambda c: c["cell_id"][0].__setitem__(1, True), _RUNS),
+        (lambda c: c["cell_id"][0].__setitem__(0, 7), _RUNS),
+        (lambda c: c["cell_id"][0].append(1), _RUNS),
+        (lambda c: c["y_pred"].__setitem__(1, "1.0"), "'predictions' 'y_pred' must hold numbers alone"),
+        (lambda c: c.update(cell_id={}), "a 'predictions' object of 'cell_id', 'y_true' and 'y_pred' lists"),
+        (lambda c: c.update(step=3), "a 'predictions' object of 'cell_id', 'y_true' and 'y_pred' lists"),
+    ], ids=["length", "run-total", "zero-count", "negative-count", "bool-count", "int-id",
+            "run-of-three", "string-y_pred", "runs-not-a-list", "step-not-a-list"])
+    def test_a_malformed_column_is_one_line(self, trained, tmp_path, capsys, edit, message):
+        # a bool y_true is a case of tests/test_cli.py's malformed-checkpoint test
+        dst = self.edited(trained, tmp_path, edit)
+        assert cli_main(["evaluate", "--checkpoint", str(dst)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {dst / 'report.json'}: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_swapped_cell_ids_are_refused(self, trained, tmp_path):
+        # each run keeps its numbers, so the recomputed report would carry the same swap
+        def swap(columns):
+            (a, _), (b, _) = columns["cell_id"]
+            columns["cell_id"][0][0], columns["cell_id"][1][0] = b, a
+
+        dst = self.edited(trained, tmp_path, swap)
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(dst / 'report.json'))}: its 'cell_id' "
+                           "runs do not follow split.json's test cells in order, one run per cell$"):
+            run_evaluate(dst)
+
+    def test_a_cell_in_two_runs_is_refused(self, row_checkpoints, tmp_path):
+        def split_first_run(columns):
+            (a, n), rest = columns["cell_id"][0], columns["cell_id"][1:]
+            columns["cell_id"] = [[a, n - 4], *rest, [a, 4]]
+            for name in ("cycle", "y_true", "y_pred"):  # the first cell's last four rows move last
+                column = columns[name]
+                columns[name] = column[: n - 4] + column[n:] + column[n - 4 : n]
+
+        dst = self.edited(row_checkpoints["soh"], tmp_path, split_first_run)
+        with pytest.raises(CheckpointError, match="runs do not follow split.json's test cells in order"):
+            run_evaluate(dst)
+
+    def test_training_refuses_rows_evaluation_would_refuse(self, row_cells, tmp_path):
+        # cells in memory are not validated: one whose cycle numbers fall gives falling row keys
+        def falling(cell):
+            n = len(cell.cycle_data)
+            return dataclasses.replace(cell, cycle_data=CycleData.from_cycles(
+                [dataclasses.replace(c, cycle_number=n - i) for i, c in enumerate(cell.cycle_data)]))
+
+        cells = [falling(c) for c in row_cells]
+        split = {"name": "RandomTrainTestSplitter", "test_fraction": 0.4, "seed": 3}
+        config = make_config(train_test_split=split, label={"name": "SOHLabelAnnotator"},
+                             feature={"name": "SOHCycleFeatureExtractor", "max_cycle_index": 9})
+        with pytest.raises(PipelineError, match=r"^SYN_\d{4}: its test rows do not strictly increase in "
+                           r"\(cycle, step\), so evaluation would refuse the checkpoint; "):
+            run_train(config, workspace=tmp_path, cells=cells)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind, column", [("soh", "cycle"), ("soc", "cycle"), ("soc", "step")])
+    def test_swapped_cycles_or_steps_are_refused(self, row_checkpoints, tmp_path, kind, column):
+        def swap(columns):  # two rows of the first run; at SOC, rows of two cycles or two steps
+            i, j = (0, 1) if column == "step" or kind == "soh" else (0, 16)
+            values = columns[column]
+            assert values[i] != values[j]
+            values[i], values[j] = values[j], values[i]
+
+        dst = self.edited(row_checkpoints[kind], tmp_path, swap)
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(dst / 'report.json'))}: its "
+                           r"\('cycle', 'step'\) keys do not strictly increase within a cell's run$"):
+            run_evaluate(dst)
 
 
 # Every file in configs/ trains in one of the two tests below.
