@@ -1,7 +1,9 @@
 """Closed-form regressors: mean baseline, OLS, ridge, PCR, PLSR.
 
-All solvers go through orthogonal decompositions (numpy lstsq/SVD) or, for
-PLSR, one closed-form weight vector per component; none of them iterate.
+Every model but the baseline stores ``coef`` and ``intercept`` and predicts
+``X @ coef + intercept``. OLS solves through numpy's lstsq; ridge and PCR
+fit through one thin SVD of the centred X, in O(n·d) memory; PLSR computes
+one closed-form weight vector per component. None of them iterate.
 """
 
 from __future__ import annotations
@@ -32,8 +34,18 @@ class DummyRegressor(BaseRegressor):
 
 
 class _AffineRegressor(BaseRegressor):
-    """Shared prediction and checkpoint blocks of the models that fit
-    ``coef_`` and ``intercept_`` (blocks stored in that order)."""
+    """Shared fit, prediction and checkpoint blocks of the linear models, which
+    predict ``X @ coef_ + intercept_`` and store ``coef`` and ``intercept``
+    in that order.
+
+    A subclass fits ``coef_`` on the centred data in ``_centred_coef``; the
+    intercept ``y_mean - x_mean @ coef_`` then puts the fit through the means.
+    """
+
+    def _fit(self, X, y):
+        x_mean, y_mean = X.mean(axis=0), y.mean()
+        self.coef_ = self._centred_coef(X - x_mean, y - y_mean)
+        self.intercept_ = float(y_mean - x_mean @ self.coef_)
 
     def _predict(self, X):
         return X @ self.coef_ + self.intercept_
@@ -61,11 +73,22 @@ class LinearRegressor(_AffineRegressor):
             self.metadata["rank_deficient"] = True
 
 
+def _svd_coef(Xc, yc, gain):
+    """``V diag(gain(s)) U' yc`` over the thin SVD ``Xc = U diag(s) V'``, in
+    O(n·d) memory. Singular values at or below lstsq's default cutoff,
+    ``eps * max(n, d) * s[0]``, count as zero, so ``gain`` sees only the
+    positive rest."""
+    U, s, Vt = np.linalg.svd(Xc, full_matrices=False)
+    r = np.count_nonzero(s > np.finfo(float).eps * max(Xc.shape) * s.max(initial=0.0))
+    return Vt[:r].T @ (gain(s[:r]) * (U[:, :r].T @ yc))
+
+
 class RidgeRegressor(_AffineRegressor):
     """L2-penalized least squares with an unpenalized intercept.
 
-    Solved as the augmented system ``[[Xc], [sqrt(alpha) I]] w = [[yc], [0]]``
-    on centered data; ``alpha`` is a finite number >= 0, and 0 is exactly OLS.
+    Fitted through one thin SVD of the centred X, each singular direction
+    weighted ``s / (s^2 + alpha)``; ``alpha`` is a finite number >= 0, and
+    at 0 this is the minimum-norm least-squares fit.
     """
 
     kind = "ridge"
@@ -74,100 +97,77 @@ class RidgeRegressor(_AffineRegressor):
         super().__init__()
         self.alpha = number("alpha", alpha, ge=0)
 
-    def _fit(self, X, y):
-        x_mean = X.mean(axis=0)
-        y_mean = y.mean()
-        Xc = X - x_mean
-        yc = y - y_mean
-        d = X.shape[1]
-        A = np.vstack([Xc, np.sqrt(self.alpha) * np.eye(d)])
-        b = np.concatenate([yc, np.zeros(d)])
-        self.coef_, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
-        self.intercept_ = float(y_mean - x_mean @ self.coef_)
+    def _centred_coef(self, Xc, yc):
+        # s / (s^2 + alpha) with no s^2 to overflow; where alpha / s
+        # overflows, the weight is below the smallest float, and 1 / inf is 0
+        with np.errstate(over="ignore"):
+            return _svd_coef(Xc, yc, lambda s: 1.0 / (s + self.alpha / s))
 
 
-def _check_components(n_components, X):
-    # the centred X has rank at most n_samples - 1; a component past it fits rounding noise
-    bound = min(X.shape[0] - 1, X.shape[1])
-    if n_components > bound:
-        raise ModelError(
-            f"n_components={n_components} exceeds min(n_samples - 1, n_features)={bound}"
-        )
-
-
-class PCRRegressor(_AffineRegressor):
-    """Principal component regression: center X, project onto the top-k right
-    singular vectors, regress y on the scores. ``n_components`` is an
-    integer from 1 to min(n_samples - 1, n_features)."""
-
-    kind = "pcr"
+class _ComponentRegressor(_AffineRegressor):
+    """A linear model of the first ``n_components`` components of the
+    centred X, an integer from 1 to min(n_samples - 1, n_features)."""
 
     def __init__(self, n_components: int = 1):
         super().__init__()
         self.n_components = integer("n_components", n_components, 1)
 
     def _fit(self, X, y):
-        _check_components(self.n_components, X)
-        x_mean = X.mean(axis=0)
-        Xc = X - x_mean
-        _, _, vt = np.linalg.svd(Xc, full_matrices=False)
-        components = vt[: self.n_components]
-        scores = Xc @ components.T
-        gamma, _, _, _ = np.linalg.lstsq(scores, y - y.mean(), rcond=None)
-        self.coef_ = components.T @ gamma
-        self.intercept_ = float(y.mean() - x_mean @ self.coef_)
+        # the centred X has rank at most n_samples - 1; a component past it fits rounding noise
+        bound = min(X.shape[0] - 1, X.shape[1])
+        if self.n_components > bound:
+            raise ModelError(
+                f"n_components={self.n_components} exceeds min(n_samples - 1, n_features)={bound}")
+        super()._fit(X, y)
 
 
-class PLSRegressor(BaseRegressor):
+class PCRRegressor(_ComponentRegressor):
+    """Principal component regression: y regressed on the scores of the top
+    ``n_components`` right singular vectors of the centred X, through the
+    same thin SVD as ridge."""
+
+    kind = "pcr"
+
+    def _centred_coef(self, Xc, yc):
+        # 1/s on the kept components, 0 past them
+        return _svd_coef(Xc, yc, lambda s: (np.arange(s.size) < self.n_components) / s)
+
+
+class PLSRegressor(_ComponentRegressor):
     """Partial least squares (PLS1) with deflation on X only.
 
     Each component's weight vector is ``X'y / ||X'y||`` on the deflated X:
     with one target, NIPALS's inner power loop returns that vector after one
-    step in exact arithmetic, so it is computed directly. The final
-    regression vector is ``W (P'W)^-1 q`` on centered data. ``n_components``
-    is an integer from 1 to min(n_samples - 1, n_features).
+    step in exact arithmetic, so it is computed directly. Components stop
+    once ``||X'y||`` of the deflated X falls to ``eps * max(n, d) ||X|| ||y||``
+    on the centred data, the size of its rounding noise. The regression
+    vector is ``W (P'W)^-1 q`` on centred data. A model file written before
+    PLSR stored ``coef`` and ``intercept`` lacks the ``intercept`` block, and
+    loading it fails with one line naming that block.
     """
 
     kind = "plsr"
 
-    def __init__(self, n_components: int = 1):
-        super().__init__()
-        self.n_components = integer("n_components", n_components, 1)
-
-    def _fit(self, X, y):
-        _check_components(self.n_components, X)
-        d = X.shape[1]
-        self.x_mean_ = X.mean(axis=0)
-        self.y_mean_ = float(y.mean())
-        Xa = X - self.x_mean_
-        yc = y - self.y_mean_
-
+    def _centred_coef(self, Xa, yc):
+        floor = np.finfo(float).eps * max(Xa.shape) * np.linalg.norm(Xa) * np.linalg.norm(yc)
         W, P, Q = [], [], []
         for _ in range(self.n_components):
             w = Xa.T @ yc
             norm = np.linalg.norm(w)
-            if norm < 1e-15:  # no covariance left to model
+            if norm <= floor:  # no covariance left to model, only rounding noise
                 break
             w = w / norm
             t = Xa @ w
             tt = t @ t
-            if tt < 1e-30:
-                break
-            p = Xa.T @ t / tt
-            q = float(yc @ t / tt)
             W.append(w)
-            P.append(p)
-            Q.append(q)
-            Xa = Xa - np.outer(t, p)
-
-        if not W:
-            self.coef_ = np.zeros(d)
-        else:
-            Wm = np.column_stack(W)
-            Pm = np.column_stack(P)
-            qv = np.array(Q)
-            self.coef_ = Wm @ np.linalg.solve(Pm.T @ Wm, qv)
+            P.append(Xa.T @ t / tt)
+            Q.append(yc @ t / tt)
+            Xa = Xa - np.outer(t, P[-1])
         self.metadata["effective_components"] = len(W)
+        if not W:
+            return np.zeros(Xa.shape[1])
+        Wm = np.column_stack(W)
+        return Wm @ np.linalg.solve(np.column_stack(P).T @ Wm, np.array(Q))
 
     @property
     def effective_components_(self):
@@ -175,20 +175,8 @@ class PLSRegressor(BaseRegressor):
         model file's metadata; None for a file of an older version."""
         return self.metadata.get("effective_components")
 
-    def _predict(self, X):
-        return (X - self.x_mean_) @ self.coef_ + self.y_mean_
-
-    def _param_blocks(self):
-        return [
-            ("x_mean", self.x_mean_),
-            ("y_mean", np.array([self.y_mean_])),
-            ("coef", self.coef_),
-        ]
-
     def _restore_blocks(self, blocks):
-        self.x_mean_ = param_block(blocks, "x_mean", (self.n_features_,))
-        self.y_mean_ = float(param_block(blocks, "y_mean", (1,))[0])
-        self.coef_ = param_block(blocks, "coef", (self.n_features_,))
+        super()._restore_blocks(blocks)
         count = self.metadata.get("effective_components")
         if count is not None and (type(count) is not int or not 0 <= count <= self.n_components):
             raise CheckpointError(f"metadata 'effective_components' must be an integer in "

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ModelError
+from ..features import MAX_POINTS
 from ..registry import integer, number
 from .base import BaseRegressor, param_block
 
@@ -53,7 +55,10 @@ class MLPRegressor(BaseRegressor):
         dims = [n_features, *self.hidden_dims, 1]
         self.weights_ = []
         self.biases_ = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        for l, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+            if fan_in * fan_out > MAX_POINTS:  # NumPy would refuse it with a bare ValueError
+                raise ModelError(f"MLP layer {l} needs {fan_in} x {fan_out} weights, more than "
+                                 f"the {MAX_POINTS} one array may hold")
             self.weights_.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, fan_out)))
             self.biases_.append(np.zeros(fan_out))
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .battery_data import MAX_CYCLE_NUMBER, CellRecord, CycleData, ProtocolStep
 from .errors import ConfigError
+from .features import MAX_POINTS
 from .registry import number
 
 # Fractional capacity lost at end of life: 16% through the power law plus 4%
@@ -156,7 +157,8 @@ def _cycle_columns(c_n, c0, v_min, v_max, ppc, rng, noise_sigma):
 
 def _fade(spec: SynthSpec, index: int) -> tuple[np.random.Generator, np.ndarray]:
     """Cell ``index``'s generator, past its life draw, and its SOH at each
-    cycle; a life or a fade that makes no valid cell raises ConfigError."""
+    cycle; a life, a fade or a point count that makes no valid cell raises
+    ConfigError."""
     rng = np.random.default_rng((spec.seed ^ index) & _MASK64)
     life = _cell_life(rng, spec)
     soh = fade_curve(np.arange(1, _n_cycles(life, spec.knee_fraction) + 1), life, spec.knee_fraction)
@@ -164,6 +166,9 @@ def _fade(spec: SynthSpec, index: int) -> tuple[np.random.Generator, np.ndarray]
         raise ConfigError(f"bad generator spec: knee_fraction {spec.knee_fraction!r} drops cell {index}'s "
                           f"SOH by {soh[-2] - soh[-1]:.4g} in its last cycle, to {soh[-1]:.4g}; "
                           "the SOH must stay above 0")
+    if len(soh) * spec.points_per_cycle > MAX_POINTS:  # NumPy would refuse the arrays with a bare ValueError
+        raise ConfigError(f"bad generator spec: cell {index} needs {len(soh)} cycles x "
+                          f"{spec.points_per_cycle} points, more than the {MAX_POINTS} one array may hold")
     return rng, soh
 
 

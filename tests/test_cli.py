@@ -237,6 +237,17 @@ class TestGenerate:
                                            f"{message}; the SOH must stay above 0\n")
         assert not any(out.iterdir())
 
+    def test_a_cell_too_large_for_one_array_is_one_line_error(self, tmp_path, capsys, capped_address_space):
+        # NumPy refuses 21 cycles of 2**63 points with a bare ValueError, so
+        # the spec is refused before any cell is made
+        spec = write_spec(tmp_path, n_cells=1, cycle_life_mean=20.0, cycle_life_std=0.0,
+                          points_per_cycle=2**63)
+        out = tmp_path / "x"
+        assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 1
+        assert_one_line_error(capsys, f"error: bad generator spec: cell 0 needs 21 cycles x {2**63} points, "
+                                      f"more than the {MAX_POINTS} one array may hold\n")
+        assert not out.exists() or not any(out.iterdir())
+
     def test_a_cell_refused_late_leaves_no_cell_files(self, tmp_path, capsys):
         # of the default corpus, cell 8 is the first whose SOH this knee drives below 0
         spec = tmp_path / "spec.yaml"
@@ -521,6 +532,18 @@ class TestTrainEvaluate:
         assert main(["train", "--config", str(config_path),
                      "--workspace", str(tmp_path / "ws")]) == 1
         assert_one_line_error(capsys, "error: out of memory: Unable to allocate ")
+
+    @pytest.mark.parametrize("width", [2**62, 2**63])
+    def test_a_layer_too_large_for_one_array_is_one_line_error(
+            self, corpus_dir, tmp_path, capsys, capped_address_space, width):
+        # NumPy refuses such a weight matrix with a bare ValueError, so the
+        # model refuses it first
+        config_path = write_train_config(tmp_path, corpus_dir, model={
+            "name": "MLPRegressor", "hidden_dims": [width], "epochs": 1})
+        assert main(["train", "--config", str(config_path),
+                     "--workspace", str(tmp_path / "ws")]) == 1
+        assert_one_line_error(capsys, f"error: MLP layer 0 needs 1 x {width} weights, more than the "
+                                      f"{MAX_POINTS} one array may hold")
 
     def test_a_row_count_too_large_to_list_is_the_cells_cycle_count_error(
             self, corpus_dir, tmp_path, capsys):

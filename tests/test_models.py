@@ -23,6 +23,7 @@ from cellforge.models import (
 )
 from cellforge.models.forest import _NodeTable
 from cellforge.registry import MODELS
+from cellforge.transforms import ColumnwiseZScoreDataTransformation
 
 from conftest import read_model_file, write_model_file
 
@@ -238,6 +239,45 @@ class TestPLS:
             assert str(info.value) == (
                 f"{tmp_path / 'bad.bin'}: plsr model file: metadata 'effective_components' must be "
                 f"an integer in [0, 2], got {bad!r}")
+
+    @pytest.mark.parametrize("seed, n, scale", [(2, 25, 1.0), (4, 12, 0.01), (6, 25, 100.0)])
+    def test_a_duplicated_column_stops_at_one_component(self, seed, n, scale):
+        # z-scored, x and 2x are one column twice; the X'y of the deflated X
+        # is rounding noise, and a component fitted to it made P'W singular
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n) * scale
+        raw = np.column_stack([x, 2 * x])
+        X = ColumnwiseZScoreDataTransformation().fit(raw).transform(raw)
+        y = rng.normal(size=n)
+        m = PLSRegressor(n_components=2).fit(X, y)
+        assert m.effective_components_ == 1
+        np.testing.assert_allclose(m.predict(X), PLSRegressor(n_components=1).fit(X, y).predict(X),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_a_file_of_the_mean_centred_layout_is_one_line_naming_intercept(self, tmp_path):
+        # older versions stored x_mean, y_mean and coef; every linear model
+        # now stores coef and intercept
+        X, y, _ = toy_problem(n=20, d=3, seed=13)
+        m = PLSRegressor(n_components=2).fit(X, y)
+        path = write_model_file(tmp_path / "old.bin", "plsr", m.get_params(), m.metadata, [
+            ("x_mean", X.mean(axis=0)), ("y_mean", np.array([y.mean()])), ("coef", m.coef_)])
+        with pytest.raises(CheckpointError) as info:
+            load_model(path)
+        assert str(info.value) == (
+            f"{path}: plsr model file lacks parameter block 'intercept' "
+            "(stored blocks: ['coef', 'x_mean', 'y_mean']); train the model again")
+
+
+@pytest.mark.parametrize("name, params", [
+    *(pytest.param(name, {"RandomForestRegressor": {"n_trees": 3}, "MLPRegressor": {"epochs": 2}}
+                   .get(name, {}), id=name) for name in MODELS.names()),
+    pytest.param("RidgeRegressor", {"alpha": 0.0}, id="RidgeRegressor-alpha0"),
+])
+def test_no_fit_grows_with_the_square_of_the_width(name, params, capped_address_space):
+    # a 20,000 x 20,000 float64 matrix is 3.2 GB, far past the cap
+    X, y, _ = toy_problem(n=16, d=20_000, seed=14)
+    model = MODELS.create(name, **params).fit(X, y)
+    assert model.predict(X).shape == (16,)
 
 
 def stump_oracle_sse(X, y, min_leaf=1):
@@ -924,13 +964,13 @@ class TestBlockShapes:
         (LinearRegressor(), "intercept", (1, 1)),
         (RidgeRegressor(alpha=0.7), "coef", (2, 1)),
         (PCRRegressor(n_components=1), "coef", ()),
-        (PLSRegressor(n_components=1), "x_mean", (1,)),
-        (PLSRegressor(n_components=1), "y_mean", (0,)),
+        (PLSRegressor(n_components=1), "coef", (1,)),
+        (PLSRegressor(n_components=1), "intercept", (0,)),
         (MLPRegressor(hidden_dims=(3, 2), epochs=2, seed=0), "layer0_W", (3, 2)),
         (MLPRegressor(hidden_dims=(3, 2), epochs=2, seed=0), "layer1_W", (3, 3)),
         (MLPRegressor(hidden_dims=(3, 2), epochs=2, seed=0), "layer2_b", (2,)),
     ], ids=["dummy-mean", "linear-coef", "linear-intercept", "ridge-coef", "pcr-coef",
-            "pls-x_mean", "pls-y_mean", "mlp-layer0_W", "mlp-layer1_W", "mlp-layer2_b"])
+            "pls-coef", "pls-intercept", "mlp-layer0_W", "mlp-layer1_W", "mlp-layer2_b"])
     def test_a_block_of_the_wrong_shape_is_one_error_naming_file_and_block(
             self, tmp_path, model, name, shape):
         X, y, _ = toy_problem(n=12, d=2, seed=36)
