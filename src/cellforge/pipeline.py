@@ -526,8 +526,9 @@ def read_report(checkpoint) -> dict:
 
 
 # The per-row columns of report["predictions"] besides its 'cell_id' runs, with the
-# types json.load gives their values (bool is its own type).
-_ROW_COLUMNS = {"cycle": (int,), "step": (int,), "y_true": (int, float), "y_pred": (int, float)}
+# types json.load gives the values training writes there: integer keys, and float
+# labels and predictions (bool is its own type).
+_ROW_COLUMNS = {"cycle": (int,), "step": (int,), "y_true": (float,), "y_pred": (float,)}
 
 
 def _report_document(data: bytes) -> dict:
@@ -549,8 +550,8 @@ def _report_document(data: bytes) -> dict:
                               "and a positive integer count")
     for name, types in _ROW_COLUMNS.items():
         if name in columns and not all(type(v) in types for v in columns[name]):
-            kind = "integers" if float not in types else "numbers"
-            raise CheckpointError(f"'predictions' '{name}' must hold {kind} alone")
+            kind = "integers alone" if float not in types else "numbers alone, written as floats"
+            raise CheckpointError(f"'predictions' '{name}' must hold {kind}")
     rows = sum(count for _, count in runs)
     lengths = {name: len(columns[name]) for name in _ROW_COLUMNS if name in columns}
     if set(lengths.values()) != {rows}:

@@ -86,7 +86,7 @@ def pred_vs_truth_series(checkpoint_dir) -> list[Series]:
     columns = read_report(checkpoint_dir)["predictions"]
     if not columns["y_true"]:
         raise CheckpointError(f"{Path(checkpoint_dir) / 'report.json'}: no predictions")
-    x, y = (tuple(map(float, columns[name])) for name in ("y_true", "y_pred"))
+    x, y = (tuple(columns[name]) for name in ("y_true", "y_pred"))
     return [Series("test cells", x, y)]
 
 

@@ -8,6 +8,7 @@ for byte.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -51,6 +52,10 @@ class SplitResult:
         overlap = set(self.train_cell_ids) & set(self.test_cell_ids)
         if overlap:
             raise SplitError(f"cells in both train and test: {sorted(overlap)}")
+        for name, ids in (("train", self.train_cell_ids), ("test", self.test_cell_ids)):
+            repeated = sorted(c for c, n in Counter(ids).items() if n > 1)
+            if repeated:
+                raise SplitError(f"cells listed more than once in {name}: {repeated}")
         if not self.train_cell_ids:
             raise SplitError("empty train partition")
         if not self.test_cell_ids:
@@ -101,9 +106,7 @@ class RandomTrainTestSplitter(BaseTrainTestSplitter):
             raise SplitError("duplicate cell ids")
         if len(ids) < 2:
             raise SplitError(f"need at least 2 cells to split, got {len(ids)}")
-        n_test = max(1, int(len(ids) * self.test_fraction))
-        if n_test >= len(ids):
-            n_test = len(ids) - 1
+        n_test = max(1, int(len(ids) * self.test_fraction))  # below len(ids), as test_fraction < 1
         rng = np.random.default_rng(self.seed)
         perm = rng.permutation(len(ids))
         test = tuple(sorted(ids[i] for i in perm[:n_test]))

@@ -8,7 +8,10 @@ training data and then applied to anything of the same shape family;
 
 Fitted state serializes to plain dicts (JSON-safe) via ``to_dict`` /
 ``from_dict`` for storage inside pipeline checkpoints; ``from_dict`` finds
-the class through the ``TRANSFORMS`` registry by its ``name``.
+the class through the ``TRANSFORMS`` registry by its ``name``. A restore
+runs the same check of the fitted state as a fit, declared once per class
+(see ``_Fitted``), so overflowed statistics and an edited state that
+cannot be used are both refused with one line.
 """
 
 from __future__ import annotations
@@ -20,13 +23,22 @@ from .registry import TRANSFORMS
 
 
 class _Fitted:
-    """fit/transform plumbing shared by every transformation."""
+    """fit/transform plumbing shared by every transformation.
+
+    A transformation names its fitted attributes once, in ``_FITTED``; each
+    is stored under its name without the trailing underscore, and restored
+    as float64 (a Python float when it is a scalar). ``_check`` raises a
+    :class:`TransformError` unless those attributes are usable; it runs at
+    the end of every ``fit`` and after every restore. A transformation
+    whose state is not a set of float arrays overrides ``_state`` and
+    ``_restore`` instead.
+    """
 
     name: str
+    _FITTED: tuple[str, ...] = ()
 
     def __init__(self):
         self.fitted = False
-        self.fit_row_count = 0  # leakage instrumentation: rows seen at fit time
 
     def _require_fitted(self):
         if not self.fitted:
@@ -43,10 +55,14 @@ class _Fitted:
 
     def fit(self, data):
         arr = self._as_finite_array(data, context="fit")
-        self._fit(arr)
+        with np.errstate(over="ignore", invalid="ignore"):  # _check refuses what overflowed
+            self._fit(arr)
+        self._check()
         self.fitted = True
-        self.fit_row_count = arr.shape[0]
         return self
+
+    def _check(self):
+        """Raise a :class:`TransformError` unless the fitted state is usable."""
 
     def transform(self, data):
         self._require_fitted()
@@ -62,10 +78,22 @@ class _Fitted:
         self._require_fitted()
         return {"name": self.name, "state": self._state()}
 
+    def _state(self):
+        return {attr.rstrip("_"): np.asarray(getattr(self, attr)).tolist() for attr in self._FITTED}
+
+    @classmethod
+    def _restore(cls, state):
+        t = cls()
+        for attr in cls._FITTED:
+            value = np.asarray(state[attr.rstrip("_")], dtype=float)
+            setattr(t, attr, value if value.ndim else float(value))
+        return t
+
     @classmethod
     def from_dict(cls, obj: dict) -> "_Fitted":
         """The fitted transformation ``to_dict`` stored; a payload of any
-        other shape is a :class:`CheckpointError`."""
+        other shape, or a state that ``_check`` refuses, is a
+        :class:`CheckpointError`."""
         name = obj.get("name") if isinstance(obj, dict) else None
         found = TRANSFORMS.find_class("name", name)
         if found is None:
@@ -74,6 +102,7 @@ class _Fitted:
             )
         try:
             t = found._restore(obj.get("state", {}))
+            t._check()
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed {name} state: {type(exc).__name__}: {exc}") from exc
         t.fitted = True
@@ -84,12 +113,22 @@ class ZScoreDataTransformation(_Fitted):
     """(x - mean) / sd with global statistics (population sd)."""
 
     name = "ZScoreDataTransformation"
+    _FITTED = ("mean_", "std_")
+    _MAX_NDIM = 0  # the statistics are scalars
 
     def _fit(self, arr):
         self.mean_ = float(arr.mean())
         self.std_ = float(arr.std())
-        if self.std_ == 0.0:
-            raise TransformError("degenerate data: standard deviation is zero")
+
+    def _check(self):
+        mean, std = np.asarray(self.mean_), np.asarray(self.std_)
+        if mean.ndim > self._MAX_NDIM or std.shape != mean.shape:
+            raise TransformError(f"mean and std must be {('numbers', 'numbers or 1-D arrays')[self._MAX_NDIM]}"
+                                 f" of one shape, got shapes {mean.shape} and {std.shape}")
+        if not np.isfinite([mean, std]).all():
+            raise TransformError("mean and standard deviation must be finite")
+        if not (std > 0).all():
+            raise TransformError("degenerate data: standard deviation is zero or negative")
 
     def _transform(self, arr):
         return (arr - self.mean_) / self.std_
@@ -97,18 +136,8 @@ class ZScoreDataTransformation(_Fitted):
     def _inverse(self, arr):
         return arr * self.std_ + self.mean_
 
-    def _state(self):
-        return {"mean": self.mean_, "std": self.std_}
 
-    @classmethod
-    def _restore(cls, state):
-        t = cls()
-        t.mean_ = float(state["mean"])
-        t.std_ = float(state["std"])
-        return t
-
-
-class ColumnwiseZScoreDataTransformation(_Fitted):
+class ColumnwiseZScoreDataTransformation(ZScoreDataTransformation):
     """Per-column z-score for 2-D matrices (1-D data is a single column).
 
     A column that is constant in the training data is only centred: its
@@ -120,49 +149,51 @@ class ColumnwiseZScoreDataTransformation(_Fitted):
     """
 
     name = "ColumnwiseZScoreDataTransformation"
+    _FITTED = ("mean_", "std_", "constant_columns_")
+    _MAX_NDIM = 1  # one statistic per column
     CONSTANT_RTOL = 1e-12
 
     def _fit(self, arr):
-        if arr.ndim > 2:
+        if not 1 <= arr.ndim <= 2:
             raise TransformError("columnwise z-score expects 1-D or 2-D data")
         self.mean_ = arr.mean(axis=0)
         std = arr.std(axis=0)
         constant = std <= self.CONSTANT_RTOL * np.abs(arr).max(axis=0)
-        self.constant_columns_ = np.flatnonzero(constant).tolist()
+        self.constant_columns_ = np.flatnonzero(constant)
         self.std_ = np.where(constant, 1.0, std)
 
-    def _transform(self, arr):
-        return (arr - self.mean_) / self.std_
+    @property
+    def constant_columns_(self) -> list[int]:
+        """The indexes of the columns only centred; a restore sets them as
+        float64, which ``_check`` requires to be whole and in range."""
+        return [int(i) for i in self._constant]
 
-    def _inverse(self, arr):
-        return arr * self.std_ + self.mean_
+    @constant_columns_.setter
+    def constant_columns_(self, value):
+        self._constant = np.asarray(value)
 
-    def _state(self):
-        return {
-            "mean": np.asarray(self.mean_).tolist(),
-            "std": np.asarray(self.std_).tolist(),
-            "constant_columns": self.constant_columns_,
-        }
-
-    @classmethod
-    def _restore(cls, state):
-        t = cls()
-        t.mean_ = np.asarray(state["mean"], dtype=float)
-        t.std_ = np.asarray(state["std"], dtype=float)
-        t.constant_columns_ = [int(i) for i in state.get("constant_columns", ())]
-        return t
+    def _check(self):
+        super()._check()
+        if not (self._constant.ndim == 1 and np.isin(self._constant, range(np.size(self.std_))).all()):
+            raise TransformError(f"constant_columns must list column indexes below {np.size(self.std_)}")
 
 
 class MinMaxDataTransformation(_Fitted):
     """(x - min) / (max - min) with global statistics."""
 
     name = "MinMaxDataTransformation"
+    _FITTED = ("min_", "max_")
 
     def _fit(self, arr):
         self.min_ = float(arr.min())
         self.max_ = float(arr.max())
-        if self.max_ == self.min_:
-            raise TransformError("degenerate data: max equals min")
+
+    def _check(self):
+        span = self.max_ - self.min_
+        if np.ndim(span) or not np.isfinite(span):
+            raise TransformError("min and max must be numbers whose difference is finite")
+        if not span > 0:
+            raise TransformError("degenerate data: max equals min" if span == 0 else "max is below min")
 
     def _transform(self, arr):
         return (arr - self.min_) / (self.max_ - self.min_)
@@ -170,19 +201,9 @@ class MinMaxDataTransformation(_Fitted):
     def _inverse(self, arr):
         return arr * (self.max_ - self.min_) + self.min_
 
-    def _state(self):
-        return {"min": self.min_, "max": self.max_}
-
-    @classmethod
-    def _restore(cls, state):
-        t = cls()
-        t.min_ = float(state["min"])
-        t.max_ = float(state["max"])
-        return t
-
 
 class LogScaleDataTransformation(_Fitted):
-    """Base-10 logarithm; stateless (fit only records the row count)."""
+    """Base-10 logarithm; stateless."""
 
     name = "LogScaleDataTransformation"
 
@@ -197,13 +218,6 @@ class LogScaleDataTransformation(_Fitted):
 
     def _inverse(self, arr):
         return np.power(10.0, arr)
-
-    def _state(self):
-        return {}
-
-    @classmethod
-    def _restore(cls, state):
-        return cls()
 
 
 class SequentialDataTransformation(_Fitted):
@@ -258,7 +272,5 @@ class SequentialDataTransformation(_Fitted):
 
     @classmethod
     def _restore(cls, state):
-        children = [_Fitted.from_dict(c) for c in state["children"]]
-        t = cls(transformations=children)
-        return t
+        return cls(transformations=[_Fitted.from_dict(c) for c in state["children"]])
 

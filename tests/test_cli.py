@@ -20,7 +20,7 @@ from cellforge.cli import main
 from cellforge.errors import CheckpointError, ConfigError, SchemaError
 from cellforge.features import MAX_POINTS
 from cellforge.ingestion import SOURCES
-from cellforge.pipeline import PipelineConfig, run_evaluate
+from cellforge.pipeline import PipelineConfig, run_evaluate, run_train
 from cellforge.plots import (
     Series,
     make_plot,
@@ -95,6 +95,23 @@ def checkpoint_dir(corpus_dir, tmp_path_factory):
     children = list(ws.iterdir())
     assert len(children) == 1
     return children[0]
+
+
+@pytest.fixture(scope="module")
+def mlp_checkpoint(quickstart_corpus, tmp_path_factory):
+    """The shipped MLP config, whose features take the columnwise z-score,
+    trained on the quickstart corpus."""
+    cfg = yaml.safe_load((CONFIG_DIR / "synthetic_soh_mlp.yaml").read_text())
+    return run_train(cfg, workspace=tmp_path_factory.mktemp("ws_mlp"),
+                     cells=quickstart_corpus.loaded).directory
+
+
+def zscore_std(value):
+    """A transforms.json edit: the feature z-score's ``std`` becomes ``value``."""
+    def edit(p):
+        state = {**p["feature_transformation"]["state"], "std": value}
+        return {**p, "feature_transformation": {**p["feature_transformation"], "state": state}}
+    return edit
 
 
 class TestExitCodes:
@@ -437,6 +454,20 @@ class TestTrainEvaluate:
                      "--workspace", str(tmp_path / "ws")]) == 1
         assert_one_line_error(capsys, "error: train_ids must be a list of strings\n")
 
+    @pytest.mark.parametrize("listed", ["train", "test"])
+    def test_split_file_listing_a_cell_twice_is_one_line_error(self, corpus_dir, tmp_path, capsys,
+                                                               listed):
+        split = {"train": ["SYN_0000", "SYN_0001", "SYN_0002"], "test": ["SYN_0003", "SYN_0004"]}
+        split[listed].append(split[listed][0])
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(split))
+        config_path = write_train_config(tmp_path, corpus_dir, train_test_split={
+            "name": "FixedSplitTrainTestSplitter", "path": str(path)})
+        assert main(["train", "--config", str(config_path),
+                     "--workspace", str(tmp_path / "ws")]) == 1
+        assert_one_line_error(capsys, f"error: {path}: cells listed more than once in {listed}: "
+                                      f"['{split[listed][0]}']\n")
+
     def test_retired_packaged_splitter_is_one_line_error(self, corpus_dir, tmp_path, capsys):
         config_path = tmp_path / "experiment.yaml"
         config_path.write_text(yaml.safe_dump({**TRAIN_CONFIG, "train_test_split": {
@@ -658,9 +689,20 @@ class TestTrainEvaluate:
          "malformed ZScoreDataTransformation state: KeyError: 'mean'"),
         ("report.json", None, "not valid JSON"),
         ("split.json", lambda p: [], "split.json: split payload must be an object"),
+        ("report.json",
+         lambda p: {**p, "predictions": {**p["predictions"],
+                                         "y_true": [10**400, *p["predictions"]["y_true"][1:]]}},
+         "report.json: 'predictions' 'y_true' must hold numbers alone, written as floats"),
+        ("transforms.json", zscore_std(0),
+         "transforms.json: malformed ZScoreDataTransformation state: TransformError: "
+         "degenerate data: standard deviation is zero"),
+        ("transforms.json", zscore_std(float("nan")),
+         "transforms.json: malformed ZScoreDataTransformation state: TransformError: "
+         "mean and standard deviation must be finite"),
     ], ids=["report-list", "report-without-y_true", "report-bool-y_true", "transforms-list",
             "transforms-without-feature-transformation", "zscore-without-mean",
-            "report-not-utf8", "split-list"])
+            "report-not-utf8", "split-list", "report-int-y_true", "zscore-zero-std",
+            "zscore-nan-std"])
     def test_malformed_checkpoint_json_is_one_line_error(self, checkpoint_dir, tmp_path, capsys,
                                                          name, edit, fragment):
         ckpt = tmp_path / checkpoint_dir.name
@@ -741,6 +783,23 @@ class TestTrainEvaluate:
         assert_one_line_error(capsys, f"error: {path}: cell file with run blocks from an older "
                                       "cellforge; regenerate or preprocess it again")
         assert not (tmp_path / "ws").exists()
+
+    @pytest.mark.parametrize("edit, fragment", [
+        (lambda mean: mean[:5], "got shapes (5,) and (6,)"),
+        (lambda mean: [mean], "got shapes (1, 6) and (6,)"),
+    ], ids=["short-mean", "2d-mean"])
+    def test_evaluate_rejects_an_unusable_columnwise_state(self, mlp_checkpoint, tmp_path, capsys,
+                                                           edit, fragment):
+        ckpt = shutil.copytree(mlp_checkpoint, tmp_path / "ckpt")
+        path = ckpt / "transforms.json"
+        stored = json.loads(path.read_text())
+        state = stored["feature_transformation"]["state"]
+        state["mean"] = edit(state["mean"])
+        path.write_text(json.dumps(stored))
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
+        assert_one_line_error(capsys, f"error: {path}: malformed ColumnwiseZScoreDataTransformation "
+                                      f"state: TransformError: mean and std must be numbers or 1-D "
+                                      f"arrays of one shape, {fragment}\n")
 
     def test_checkpoint_holding_labels_json_evaluates(self, checkpoint_dir, tmp_path):
         # older checkpoints also stored labels.json; evaluation ignores it
@@ -840,7 +899,10 @@ class TestPlotCommand:
         ("{not json", "report.json: not valid JSON"),
         (json.dumps({"predictions": {"cell_id": [["SYN_0000", 1]], "y_pred": [1.0]}, "excluded": []}),
          "a 'predictions' object of 'cell_id', 'y_true' and 'y_pred' lists"),
-    ], ids=["not-json", "without-y_true"])
+        (json.dumps({"predictions": {"cell_id": [["SYN_0000", 1]], "y_true": [10**400], "y_pred": [1.0]},
+                     "excluded": []}),
+         "report.json: 'predictions' 'y_true' must hold numbers alone, written as floats"),
+    ], ids=["not-json", "without-y_true", "int-y_true"])
     def test_pred_vs_truth_rejects_malformed_report(self, checkpoint_dir, tmp_path, capsys,
                                                     text, fragment):
         ckpt = tmp_path / checkpoint_dir.name

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellforge.battery_data import CellRecord, CycleRecord
+from cellforge.battery_data import CellRecord, CycleRecord, validate
 from cellforge.errors import CellforgeError, LabelError, ThresholdNotReached
 from cellforge.labels import (
     LabelSpec,
@@ -177,6 +177,18 @@ class TestLabelSpec:
             LabelSpec(**kw)
 
 
+def naive_soc(qc, qd):
+    """SOC percentages by clamped coulomb counting, one step at a time."""
+    c_full = qd.max()
+    net = qc - qd
+    s = min(max(c_full + net[0], 0.0), c_full)
+    naive = [s]
+    for k in range(1, len(net)):
+        s = min(max(s + net[k] - net[k - 1], 0.0), c_full)
+        naive.append(s)
+    return 100.0 * np.array(naive) / c_full
+
+
 class TestSOC:
     def test_discharge_only_prefix_is_bit_exact(self):
         qd = np.array([0.0, 0.3, 0.7, 1.1, 1.3])
@@ -213,15 +225,18 @@ class TestSOC:
                 continue
             cell = dataclasses.replace(make_cell(), cycle_data=(soc_cycle(qc, qd),))
             soc = soc_per_step(cell, 0)
+            np.testing.assert_allclose(soc, naive_soc(qc, qd), atol=1e-9)
 
-            c_full = qd.max()
-            net = qc - qd
-            s = min(max(c_full + net[0], 0.0), c_full)
-            naive = [s]
-            for k in range(1, n):
-                s = min(max(s + net[k] - net[k - 1], 0.0), c_full)
-                naive.append(s)
-            np.testing.assert_allclose(soc, 100.0 * np.array(naive) / c_full, atol=1e-9)
+    def test_charge_jitter_below_empty_clamps_at_zero(self):
+        # a charge capacity that dips within the validation tolerance would
+        # take SOC to -1e-8 % at the last step without the lower clamp
+        qc = np.array([0.0, 0.0, 0.0, -1e-10])
+        qd = np.array([0.0, 0.5, 1.0, 1.0])
+        cell = dataclasses.replace(make_cell(), cycle_data=(soc_cycle(qc, qd),))
+        validate(cell)
+        soc = soc_per_step(cell, 0)
+        np.testing.assert_array_equal(soc, [100.0, 50.0, 0.0, 0.0])
+        np.testing.assert_array_equal(soc, naive_soc(qc, qd))
 
     def test_zero_discharge_cycle_rejected(self):
         cyc = soc_cycle(np.array([0.0, 0.1]), np.array([0.0, 0.0]))

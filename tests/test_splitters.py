@@ -28,6 +28,14 @@ class TestSplitResult:
         with pytest.raises(SplitError, match="empty"):
             SplitResult(train, test)
 
+    @pytest.mark.parametrize("listed", ["train", "test"])
+    def test_rejects_a_cell_listed_twice(self, listed):
+        payload = {"train": ["a", "b"], "test": ["c"]}
+        payload[listed] += ["d", payload[listed][0], "d"]
+        with pytest.raises(SplitError, match=re.escape(
+                f"cells listed more than once in {listed}: {sorted(['d', payload[listed][0]])}")):
+            SplitResult.from_dict(payload)
+
     def test_dict_round_trip(self):
         r = SplitResult(("a", "b"), ("c",), metadata={"observed_cycles": 20})
         assert SplitResult.from_dict(r.to_dict()) == r

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from cellforge.errors import CheckpointError
+from cellforge.errors import CheckpointError, TransformError
 from cellforge.features import SOHCycleFeatureExtractor
 from cellforge.splitters import RandomTrainTestSplitter
 from cellforge.transforms import (
@@ -26,6 +26,10 @@ ALL_CLASSES = [
     MinMaxDataTransformation,
     LogScaleDataTransformation,
 ]
+
+
+def sequential():
+    return SequentialDataTransformation([LogScaleDataTransformation(), ZScoreDataTransformation()])
 
 
 def varied(shape=(20, 3), seed=0, positive=False):
@@ -103,9 +107,9 @@ class TestStatistics:
         t = LogScaleDataTransformation().fit(np.array([1.0, 10.0]))
         np.testing.assert_array_equal(t.transform(np.array([1.0, 100.0])), [0.0, 2.0])
 
-    def test_fit_row_count_records_training_rows(self):
-        t = ZScoreDataTransformation().fit(varied(shape=(17, 2)))
-        assert t.fit_row_count == 17
+    def test_log_scale_fits_a_scalar(self):
+        t = LogScaleDataTransformation().fit(5.0)
+        assert t.transform(100.0) == 2.0
 
 
 class TestErrors:
@@ -162,6 +166,21 @@ class TestErrors:
         assert t.constant_columns_ == []
         np.testing.assert_allclose(t.transform(x)[:, 0].std(), 1.0)
 
+    @pytest.mark.parametrize("cls, x, message", [
+        (ZScoreDataTransformation, [1e308, -1e308], "mean and standard deviation must be finite"),
+        (ColumnwiseZScoreDataTransformation, [[1e160], [-1e160]],
+         "mean and standard deviation must be finite"),
+        (MinMaxDataTransformation, [1e308, -1e308], "min and max must be numbers whose difference is finite"),
+    ], ids=["zscore", "columnwise", "minmax"])
+    def test_fit_refuses_statistics_that_overflow(self, cls, x, message):
+        # numpy's overflow warning is an error in this suite, so none is raised
+        with pytest.raises(TransformError, match=message):
+            cls().fit(np.array(x))
+
+    def test_columnwise_rejects_scalar_data(self):
+        with pytest.raises(TransformError, match="1-D or 2-D"):
+            ColumnwiseZScoreDataTransformation().fit(5.0)
+
     def test_minmax_rejects_constant_data(self):
         with pytest.raises(ValueError, match="max equals min"):
             MinMaxDataTransformation().fit(np.full(4, 1.0))
@@ -179,17 +198,48 @@ class TestErrors:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("cls", ALL_CLASSES)
+    @pytest.mark.parametrize("cls", ALL_CLASSES + [sequential])
     def test_json_state_round_trip(self, cls):
-        import json
-
         x = varied(positive=True)
         t = cls().fit(x)
         payload = json.loads(json.dumps(t.to_dict()))
         back = _Fitted.from_dict(payload)
+        assert back.to_dict() == t.to_dict()
         y = varied(seed=9, positive=True)
         np.testing.assert_array_equal(back.transform(y), t.transform(y))
         np.testing.assert_array_equal(back.inverse_transform(y), t.inverse_transform(y))
+
+    @pytest.mark.parametrize("name, state, message", [
+        ("ZScoreDataTransformation", {"mean": 1.0, "std": 0.0}, "standard deviation is zero"),
+        ("ZScoreDataTransformation", {"mean": 1.0, "std": -2.0}, "standard deviation is zero or negative"),
+        ("ZScoreDataTransformation", {"mean": 1.0, "std": float("nan")}, "must be finite"),
+        ("ZScoreDataTransformation", {"mean": [1.0, 2.0], "std": [1.0, 1.0]},
+         r"must be numbers of one shape, got shapes \(2,\) and \(2,\)"),
+        ("ZScoreDataTransformation", {"mean": "one", "std": 1.0}, "ValueError: could not convert"),
+        ("ColumnwiseZScoreDataTransformation",
+         {"mean": [0.0] * 5, "std": [1.0] * 6, "constant_columns": []}, r"got shapes \(5,\) and \(6,\)"),
+        ("ColumnwiseZScoreDataTransformation",
+         {"mean": [[0.0] * 6], "std": [[1.0] * 6], "constant_columns": []}, r"got shapes \(1, 6\)"),
+        ("ColumnwiseZScoreDataTransformation",
+         {"mean": [0.0] * 2, "std": [1.0] * 2, "constant_columns": [2]}, "column indexes below 2"),
+        ("ColumnwiseZScoreDataTransformation",
+         {"mean": [0.0] * 2, "std": [1.0] * 2, "constant_columns": [0.5]}, "column indexes below 2"),
+        ("ColumnwiseZScoreDataTransformation", {"mean": [0.0] * 2, "std": [1.0] * 2},
+         "KeyError: 'constant_columns'"),
+        ("MinMaxDataTransformation", {"min": 1.0, "max": 1.0}, "max equals min"),
+        ("MinMaxDataTransformation", {"min": 2.0, "max": 1.0}, "max is below min"),
+        ("MinMaxDataTransformation", {"min": -1e308, "max": 1e308}, "difference is finite"),
+        ("MinMaxDataTransformation", {"min": [0.0, 1.0], "max": 2.0}, "difference is finite"),
+        ("SequentialDataTransformation", {"children": [
+            {"name": "ZScoreDataTransformation", "state": {"mean": 0.0, "std": 0.0}}]},
+         "malformed ZScoreDataTransformation state: .*standard deviation is zero"),
+    ], ids=["zscore-zero-std", "zscore-negative-std", "zscore-nan-std", "zscore-arrays",
+            "zscore-string", "columnwise-short-mean", "columnwise-2d", "columnwise-index-out-of-range",
+            "columnwise-fractional-index", "columnwise-without-constant-columns", "minmax-equal",
+            "minmax-reversed", "minmax-span-overflows", "minmax-array", "sequential-child"])
+    def test_restore_runs_the_fit_check(self, name, state, message):
+        with pytest.raises(CheckpointError, match=message):
+            _Fitted.from_dict({"name": name, "state": state})
 
     def test_sequential_state_round_trip(self):
         x = varied(positive=True)
