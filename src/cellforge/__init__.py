@@ -42,7 +42,7 @@ from .labels import (
     soc_per_step,
     soh_per_cycle,
 )
-from .models import load_model
+from .models import load_model, save_models
 from .pipeline import Checkpoint, PipelineConfig, run_evaluate, run_train
 from .registry import FEATURES, LABELS, MODELS, SPLITTERS, TRANSFORMS, register
 from .splitters import RandomTrainTestSplitter, SplitResult
@@ -82,6 +82,7 @@ __all__ = [
     "soc_per_step",
     "soh_per_cycle",
     "load_model",
+    "save_models",
     "Checkpoint",
     "PipelineConfig",
     "run_evaluate",

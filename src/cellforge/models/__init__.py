@@ -1,6 +1,6 @@
 """Regression models with a uniform fit/predict/save contract."""
 
-from .base import BaseRegressor, load_model
+from .base import BaseRegressor, load_model, model_seeds, save_models
 from .forest import DecisionTreeRegressor, RandomForestRegressor
 from .linear import DummyRegressor, LinearRegressor, PCRRegressor, PLSRegressor, RidgeRegressor
 from .mlp import MLPRegressor, gradient_check
@@ -17,4 +17,6 @@ __all__ = [
     "RidgeRegressor",
     "gradient_check",
     "load_model",
+    "model_seeds",
+    "save_models",
 ]

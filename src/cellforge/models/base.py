@@ -8,6 +8,13 @@ model kind, its hyperparameters, training metadata, and the name, shape and
 dtype of every parameter block in order, so a file can be loaded without
 knowing anything but this format. The blocks are one zlib stream whenever
 that makes the file smaller.
+
+A file of one fit (:meth:`BaseRegressor.save`) stores the hyperparameters
+whole and names its blocks bare. A file of several fits that differ only in
+their ``seed`` (:func:`save_models`) states the kind, the metadata and the
+hyperparameters without ``seed`` once, lists the fits' ``seeds``, and names
+each fit's blocks ``<seed>/<block>``, so every fit's blocks share one zlib
+stream. :func:`load_model` reads one fit from either.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from ..battery_data import read_file
-from ..container import parse_container, write_container
+from ..container import parse_container, read_header, write_container
 from ..errors import CheckpointError, ModelError
 from ..registry import MODELS
 
@@ -118,12 +125,38 @@ class BaseRegressor:
         return write_container(path, MAGIC, header, self._param_blocks(), deflate=True)
 
 
-def load_model(path):
-    """Load any saved regressor: the header's ``kind`` names the registered
-    model class (see ``MODELS``) that restores it."""
+def save_models(path, fits):
+    """Write the fits of one run to ``path``: one fit as :meth:`BaseRegressor.save`
+    writes it, several in one file under their ``seeds``, in the order given.
+    Several fits must be of one kind and metadata and differ only in their
+    ``seed``, else :class:`ModelError`."""
+    fits = list(fits)
+    if not fits:
+        raise ModelError("no fit to save")
+    if len(fits) == 1:
+        return fits[0].save(path)
+    if not all(fit.fitted for fit in fits):
+        raise ModelError("cannot save an unfitted model")
+    params = [fit.get_params() for fit in fits]
+    seeds = [p.pop("seed", None) for p in params]
+    shared = [(fit.kind, p, fit.metadata) for fit, p in zip(fits, params)]
+    if None in seeds or len(set(seeds)) < len(seeds) or shared.count(shared[0]) < len(shared):
+        raise ModelError("the fits of one file must share their kind, metadata and hyperparameters "
+                         f"and differ in their seed, got seeds {seeds}")
+    kind, hyperparameters, metadata = shared[0]
+    header = {"kind": kind, "hyperparameters": hyperparameters, "metadata": metadata, "seeds": seeds}
+    blocks = [(f"{seed}/{name}", arr) for seed, fit in zip(seeds, fits) for name, arr in fit._param_blocks()]
+    return write_container(path, MAGIC, header, blocks, deflate=True)
+
+
+def load_model(path, seed=None):
+    """Load one saved fit: the only fit of a file, or the fit of ``seed`` in
+    a file of several, which needs it. Asked for a ``seed``, a file of one
+    fit must hold that seed's fit; the fit of a model that takes no seed
+    stands for every seed. The header's ``kind`` names the registered model
+    class (see ``MODELS``) that restores it."""
     header, blocks = read_file(path, CheckpointError,
                                lambda data: parse_container(data, MAGIC, CheckpointError))
-    blocks = {name: arr.copy() for name, arr in blocks.items()}
     kind = header.get("kind")
     cls = MODELS.find_class("kind", kind)
     if cls is None:
@@ -131,6 +164,12 @@ def load_model(path):
     hyperparameters, metadata = header.get("hyperparameters"), header.get("metadata")
     if not isinstance(hyperparameters, dict) or not isinstance(metadata, dict):
         raise CheckpointError(f"{path}: 'hyperparameters' and 'metadata' must be JSON objects")
+    if "seeds" in header:
+        hyperparameters, blocks = _fit_of_seed(path, header["seeds"], hyperparameters, blocks, seed)
+    elif seed is not None and hyperparameters.get("seed", seed) != seed:
+        raise CheckpointError(f"{path}: holds the fit of seed {hyperparameters['seed']!r}, "
+                              f"not of seed {seed}")
+    blocks = {name: arr.copy() for name, arr in blocks.items()}
     n_features = metadata.get("n_features")
     if type(n_features) is not int or n_features < 0:
         raise CheckpointError(f"{path}: metadata 'n_features' must be a non-negative integer, "
@@ -158,3 +197,29 @@ def load_model(path):
     model.fitted = True
     return model
 
+
+def model_seeds(path):
+    """The ``seeds`` a file of several fits lists, read from its header
+    alone, or None for a file of one fit."""
+    return read_file(path, CheckpointError,
+                     lambda data: read_header(data, MAGIC, CheckpointError)[0].get("seeds"))
+
+
+def _fit_of_seed(path, seeds, hyperparameters, blocks, seed):
+    """The hyperparameters and bare-named blocks of ``seed``'s fit in a file
+    of several fits, each of whose blocks must belong to one of ``seeds``."""
+    if (not isinstance(seeds, list) or not all(type(s) is int for s in seeds)
+            or len(set(seeds)) < len(seeds) or "seed" in hyperparameters):
+        raise CheckpointError(f"{path}: 'seeds' must list distinct integers, and the hyperparameters "
+                              f"leave 'seed' out; got seeds {seeds!r}")
+    if seed not in seeds:
+        raise CheckpointError(f"{path}: holds the fits of seeds {seeds}, "
+                              + ("name one to load" if seed is None else f"not of seed {seed}"))
+    owners = {f"{s}/" for s in seeds}
+    stray = sorted(name for name in blocks if name[:name.find("/") + 1] not in owners)
+    if stray:
+        raise CheckpointError(f"{path}: parameter blocks {stray} belong to none of the seeds {seeds}; "
+                              "train the model again")
+    prefix = f"{seed}/"
+    return ({**hyperparameters, "seed": seed},
+            {name[len(prefix):]: arr for name, arr in blocks.items() if name.startswith(prefix)})

@@ -54,7 +54,7 @@ from .container import parse_container, write_container
 from .errors import CheckpointError, ConfigError, PipelineError
 from .features import FeatureMatrix
 from .labels import LabelVector
-from .models import load_model
+from .models import load_model, model_seeds, save_models
 from .registry import FEATURES, LABELS, MODELS, SPLITTERS, TRANSFORMS
 from .splitters import SplitResult
 from .transforms import _Fitted
@@ -214,10 +214,7 @@ class PipelineConfig:
 
 def _accepts(factory, param: str) -> bool:
     """Whether a registry factory's signature has the named parameter."""
-    try:
-        sig = inspect.signature(factory)
-    except (TypeError, ValueError):
-        return False
+    sig = inspect.signature(factory)
     if param in sig.parameters:
         return True
     return any(p.kind is inspect.Parameter.VAR_KEYWORD for p in sig.parameters.values())
@@ -487,8 +484,7 @@ def _write_checkpoint(ckpt_dir, config, split, features_test, ft, lt, models, re
         write_json(tmp / "transforms.json",
                    {"feature_transformation": ft.to_dict(), "label_transformation": lt.to_dict()})
         write_features(tmp / "features_test.bin", features_test.values)
-        for seed, model in models.items():
-            model.save(tmp / f"model_seed{seed}.bin")
+        save_models(tmp / "models.bin", models.values())
         shutil.rmtree(ckpt_dir, ignore_errors=True)
         tmp.rename(ckpt_dir)
     except BaseException:
@@ -569,6 +565,21 @@ def _transforms_document(data: bytes):
     return tuple(_Fitted.from_dict(payload[k]) for k in keys)
 
 
+def _load_models(ckpt_dir, seeds) -> dict:
+    """The fit of each of ``seeds`` in the checkpoint's ``models.bin``, which
+    must hold the fits of those seeds alone, in that order."""
+    older = sorted(ckpt_dir.glob("model_seed*.bin"))
+    if older:
+        raise CheckpointError(f"{older[0]}: an older layout, one model file per seed; "
+                              "train the checkpoint again")
+    path = ckpt_dir / "models.bin"
+    stored = model_seeds(path)
+    if stored not in (None, seeds):
+        raise CheckpointError(f"{path}: holds the fits of seeds {stored}, where the config asks for "
+                              f"{seeds}; train the checkpoint again")
+    return {seed: load_model(path, seed) for seed in seeds}
+
+
 def run_evaluate(checkpoint) -> dict:
     """Recompute the evaluation report of a stored checkpoint from its
     directory alone.
@@ -591,8 +602,7 @@ def run_evaluate(checkpoint) -> dict:
     stored_config = read_file(ckpt_dir / "config.yaml", CheckpointError,
                               lambda data: PipelineConfig.from_dict(yaml_document(data)))
     ft, lt = read_file(ckpt_dir / "transforms.json", CheckpointError, _transforms_document)
-    models = {seed: load_model(ckpt_dir / f"model_seed{seed}.bin")
-              for seed in _model_params(stored_config.model, stored_config.seeds)}
+    models = _load_models(ckpt_dir, list(_model_params(stored_config.model, stored_config.seeds)))
 
     stored_split = read_file(ckpt_dir / "split.json", CheckpointError,
                              lambda data: SplitResult.from_dict(json_document(data)))

@@ -177,6 +177,19 @@ class ColumnwiseZScoreDataTransformation(ZScoreDataTransformation):
         if not (self._constant.ndim == 1 and np.isin(self._constant, range(np.size(self.std_))).all()):
             raise TransformError(f"constant_columns must list column indexes below {np.size(self.std_)}")
 
+    def _transform(self, arr):
+        return super()._transform(self._of_width(arr))
+
+    def _inverse(self, arr):
+        return super()._inverse(self._of_width(arr))
+
+    def _of_width(self, arr):
+        """``arr``, whose last axis must be as long as the statistics, if they are 1-D."""
+        width = np.shape(self.mean_)
+        if width and arr.shape[-1:] != width:
+            raise TransformError(f"{self.name} was fit on {width[0]} columns, got data of shape {arr.shape}")
+        return arr
+
 
 class MinMaxDataTransformation(_Fitted):
     """(x - min) / (max - min) with global statistics."""

@@ -27,9 +27,12 @@ def read_model_file(path):
     return parse_container(Path(path).read_bytes(), MODEL_MAGIC, CheckpointError)
 
 
-def write_model_file(path, kind, hyperparameters, metadata, blocks):
-    """A model file of any header and blocks, laid out as ``BaseRegressor.save`` writes one."""
+def write_model_file(path, kind, hyperparameters, metadata, blocks, seeds=None):
+    """A model file of any header and blocks, laid out as ``BaseRegressor.save`` writes one,
+    or as ``save_models`` writes several fits when ``seeds`` is given."""
     header = {"kind": kind, "hyperparameters": hyperparameters, "metadata": metadata}
+    if seeds is not None:
+        header["seeds"] = seeds
     return write_container(path, MODEL_MAGIC, header, blocks, deflate=True)
 
 

@@ -28,7 +28,7 @@ from cellforge.plots import (
     write_series_csv,
 )
 
-from conftest import read_model_file, store_current_as_runs, write_model_file
+from conftest import make_cell, read_model_file, store_current_as_runs, write_model_file
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -298,7 +298,7 @@ class TestTrainEvaluate:
     def test_checkpoint_directory_written(self, checkpoint_dir):
         assert checkpoint_dir.name.startswith("experiment_")
         assert (checkpoint_dir / "report.json").is_file()
-        assert (checkpoint_dir / "model_seed0.bin").is_file()
+        assert (checkpoint_dir / "models.bin").is_file()
 
     def test_train_reports_rmse(self, corpus_dir, tmp_path, capsys):
         config_path = write_train_config(tmp_path, corpus_dir)
@@ -617,31 +617,41 @@ class TestTrainEvaluate:
             assert main(["--quiet", "train", "--config", str(config_path),
                          "--workspace", str(ws)]) == 0
             (ckpt,) = ws.iterdir()
-            path = ckpt / "model_seed0.bin"
+            path = ckpt / "models.bin"
             header, blocks = read_model_file(path)
             write_model_file(path, header["kind"], {**header["hyperparameters"], **stored},
                              header["metadata"],
-                             [(b["name"], blocks[b["name"]]) for b in header["blocks"]])
+                             [(b["name"], blocks[b["name"]]) for b in header["blocks"]],
+                             header.get("seeds"))
             assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
             err = capsys.readouterr().err
             assert err.startswith(f"error: {path}: {header['kind']} model rejects the stored "
                                   "hyperparameters: ") and err.count("\n") == 1
             assert fragment in err
 
+    def test_evaluate_refuses_a_checkpoint_of_one_model_file_per_seed(self, checkpoint_dir, tmp_path,
+                                                                      capsys):
+        # written before every fit of a run went into models.bin
+        ckpt = shutil.copytree(checkpoint_dir, tmp_path / "ckpt")
+        (ckpt / "models.bin").rename(ckpt / "model_seed0.bin")
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
+        assert_one_line_error(capsys, f"error: {ckpt / 'model_seed0.bin'}: an older layout, one model "
+                                      "file per seed; train the checkpoint again\n")
+
     def test_evaluate_rejects_model_file_without_blocks(self, checkpoint_dir, tmp_path, capsys):
         ckpt = tmp_path / checkpoint_dir.name
         shutil.copytree(checkpoint_dir, ckpt)
-        path = ckpt / "model_seed0.bin"
+        path = ckpt / "models.bin"
         header, _ = read_model_file(path)
         write_model_file(path, header["kind"], header["hyperparameters"], header["metadata"], [])
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
-        assert_one_line_error(capsys, "model_seed0.bin: linear model file lacks parameter block 'coef'")
+        assert_one_line_error(capsys, "models.bin: linear model file lacks parameter block 'coef'")
 
     def test_evaluate_rejects_a_corrupted_deflated_model_file(self, corpus_dir, tmp_path, capsys):
         config = write_train_config(tmp_path, corpus_dir, model={"name": "RandomForestRegressor", "n_trees": 5})
         assert main(["--quiet", "train", "--config", str(config), "--workspace", str(tmp_path / "ws")]) == 0
         (ckpt,) = (tmp_path / "ws").iterdir()
-        path = ckpt / "model_seed1.bin"
+        path = ckpt / "models.bin"
         data = path.read_bytes()
         assert read_model_file(path)[0]["deflate"] is True
         path.write_bytes(data[:-1] + bytes([data[-1] ^ 0xFF]))  # the stream's checksum
@@ -655,7 +665,7 @@ class TestTrainEvaluate:
         shutil.copytree(checkpoint_dir, ckpt)
         (ckpt / "features_test.bin").unlink()
         np.save(ckpt / "features_test.npy", np.zeros((2, 1)))
-        path = ckpt / "model_seed0.bin"
+        path = ckpt / "models.bin"
         header, blocks = read_model_file(path)
         write_model_file(path, header["kind"], {"seed": 0}, {**header["metadata"], "seed": 0},
                          [(b["name"], blocks[b["name"]]) for b in header["blocks"]])
@@ -800,6 +810,20 @@ class TestTrainEvaluate:
         assert_one_line_error(capsys, f"error: {path}: malformed ColumnwiseZScoreDataTransformation "
                                       f"state: TransformError: mean and std must be numbers or 1-D "
                                       f"arrays of one shape, {fragment}\n")
+
+    def test_evaluate_rejects_a_columnwise_state_of_another_width(self, mlp_checkpoint, tmp_path,
+                                                                  capsys):
+        # both statistics cut alike pass the restore check; the 6-column features do not fit them
+        ckpt = shutil.copytree(mlp_checkpoint, tmp_path / "ckpt")
+        path = ckpt / "transforms.json"
+        stored = json.loads(path.read_text())
+        state = stored["feature_transformation"]["state"]
+        assert len(state["mean"]) == len(state["std"]) == 6
+        state["mean"], state["std"] = state["mean"][:5], state["std"][:5]
+        path.write_text(json.dumps(stored))
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
+        assert_one_line_error(capsys, "error: ColumnwiseZScoreDataTransformation was fit on 5 "
+                                      "columns, got data of shape (")
 
     def test_checkpoint_holding_labels_json_evaluates(self, checkpoint_dir, tmp_path):
         # older checkpoints also stored labels.json; evaluation ignores it
@@ -1030,7 +1054,7 @@ class TestUnreadableFiles:
         path = raw / "cell.csv" if role == "csv" else tmp_path / f"{role}.file"
         if role == "model":
             shutil.copytree(checkpoint_dir, tmp_path / "ckpt")
-            path = tmp_path / "ckpt" / "model_seed0.bin"
+            path = tmp_path / "ckpt" / "models.bin"
         if content == "directory":
             path.mkdir()
         elif callable(content):
@@ -1079,6 +1103,13 @@ class TestPlotsModule:
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown plot kind"):
             make_plot("heatmap", tmp_path / "x")
+
+    def test_voltage_curves_of_an_unknown_cell_id(self, tmp_path):
+        # the CLI checks the ID first; an API caller reaches make_plot's own check
+        cells = [make_cell("A", (1.0, 0.9))]
+        with pytest.raises(ConfigError, match="^no cell with id 'B'$"):
+            make_plot("voltage-curves", tmp_path / "x", cells=cells, cell_id="B")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_report(self, tmp_path):
         with pytest.raises(CheckpointError, match=re.escape(f"{tmp_path / 'report.json'}: cannot read")):

@@ -20,6 +20,7 @@ from cellforge.models import (
     RidgeRegressor,
     gradient_check,
     load_model,
+    save_models,
 )
 from cellforge.models.forest import _NodeTable
 from cellforge.registry import MODELS
@@ -341,6 +342,13 @@ class TestDecisionTree:
         m = DecisionTreeRegressor(max_depth=0).fit(X, y)
         np.testing.assert_allclose(m.predict(X), y.mean(), atol=1e-12)
 
+    def test_constant_columns_give_one_leaf_predicting_the_mean(self):
+        # y varies, so the tree looks for a split, and no column has two distinct values
+        X, y = np.full((6, 2), 3.0), np.arange(6.0)
+        m = DecisionTreeRegressor().fit(X, y)
+        assert m.nodes_.feature.tolist() == [-1] and m.nodes_.value.tolist() == [y.mean()]
+        np.testing.assert_array_equal(m.predict(X), np.full(6, y.mean()))
+
     def test_min_samples_leaf_blocks_splitting(self):
         X, y, _ = toy_problem(n=9)
         m = DecisionTreeRegressor(min_samples_leaf=5).fit(X, y)
@@ -369,6 +377,14 @@ class TestRandomForest:
         m = RandomForestRegressor(n_trees=4, seed=0).fit(X, y)
         stacked = np.stack([t.predict(X) for t in m.trees_])
         np.testing.assert_array_equal(m.predict(X), stacked.mean(axis=0))
+
+    def test_constant_columns_give_single_leaf_trees(self):
+        X, y = np.full((8, 3), -1.5), np.arange(8.0) ** 2
+        m = RandomForestRegressor(n_trees=3, seed=4).fit(X, y)
+        # tree k is one leaf holding the mean of its bootstrap sample
+        means = [y[np.random.default_rng(4 + k).integers(0, 8, 8)].mean() for k in range(3)]
+        assert m.nodes_.feature.tolist() == [-1, -1, -1] and m.nodes_.value.tolist() == means
+        np.testing.assert_array_equal(m.predict(X[:2]), np.full(2, np.mean(means)))
 
     def test_feature_subsampling_changes_trees(self):
         X, y, _ = toy_problem(n=60, d=6, noise=0.5, seed=17)
@@ -616,6 +632,117 @@ class TestSaveLoad:
                          stored + [("tree1_value", np.zeros(1))])
         with pytest.raises(CheckpointError, match=r"unexpected parameter blocks \['tree1_value'\]"):
             load_model(p)
+
+
+class TestModelsFile:
+    """Every seed's fit of a run in one file, written by ``save_models`` and read
+    one fit at a time by ``load_model(path, seed)``."""
+
+    SEEDED = {
+        "tree": lambda seed: DecisionTreeRegressor(max_depth=3, feature_subsample_fraction=0.5, seed=seed),
+        "forest": lambda seed: RandomForestRegressor(n_trees=4, max_depth=3, seed=seed),
+        "mlp": lambda seed: MLPRegressor(hidden_dims=(5, 3), epochs=20, seed=seed),
+    }
+
+    def fits(self, name, seeds=(0, 1, 2), d=4):
+        X, y, _ = toy_problem(n=40, d=d, noise=0.4, seed=5)
+        return X, [self.SEEDED[name](seed).fit(X, y) for seed in seeds]
+
+    @pytest.mark.parametrize("name", list(SEEDED))
+    def test_each_fit_loads_bit_identical_to_its_fit(self, name, tmp_path):
+        X, fits = self.fits(name, seeds=(3, 0, 7))
+        assert len({fit.predict(X).tobytes() for fit in fits}) == 3  # the seeds matter
+        path = save_models(tmp_path / "models.bin", fits)
+        header, _ = read_model_file(path)
+        assert header["seeds"] == [3, 0, 7] and "seed" not in header["hyperparameters"]
+        assert [b["name"] for b in header["blocks"]][:1] == [f"3/{fits[0]._param_blocks()[0][0]}"]
+        for fit in fits:
+            back = load_model(path, fit.seed)
+            assert type(back) is type(fit) and back.get_params() == fit.get_params()
+            assert back.predict(X).tobytes() == fit.predict(X).tobytes()
+            assert back.save(tmp_path / "a.bin").read_bytes() == fit.save(tmp_path / "b.bin").read_bytes()
+
+    @pytest.mark.parametrize("name", list(SEEDED))
+    def test_one_fit_is_written_as_it_saves_alone(self, name, tmp_path):
+        _, (fit,) = self.fits(name, seeds=(5,))
+        path = save_models(tmp_path / "models.bin", [fit])
+        assert path.read_bytes() == fit.save(tmp_path / "alone.bin").read_bytes()
+        assert load_model(path).seed == load_model(path, 5).seed == 5
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: holds the fit of seed 5, "
+                                                  "not of seed 6$"):
+            load_model(path, 6)
+
+    def test_the_fit_of_a_seedless_model_stands_for_every_seed(self, tmp_path):
+        X, y, _ = toy_problem(n=10, d=3)
+        fit = LinearRegressor().fit(X, y)
+        path = save_models(tmp_path / "models.bin", [fit])
+        assert path.read_bytes() == fit.save(tmp_path / "alone.bin").read_bytes()
+        for seed in (None, 0, 9):
+            assert load_model(path, seed).predict(X).tobytes() == fit.predict(X).tobytes()
+
+    def test_three_forest_fits_take_fewer_bytes_than_three_files(self, tmp_path):
+        _, fits = self.fits("forest")
+        together = save_models(tmp_path / "models.bin", fits).stat().st_size
+        apart = [fit.save(tmp_path / f"model_seed{fit.seed}.bin").stat().st_size for fit in fits]
+        assert together < sum(apart)
+
+    def test_a_file_of_several_fits_is_read_by_one_of_its_seeds(self, tmp_path):
+        _, fits = self.fits("forest")
+        path = save_models(tmp_path / "models.bin", fits)
+        for seed, fragment in ((None, "name one to load"), (3, "not of seed 3")):
+            with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: holds the fits of "
+                                                      rf"seeds \[0, 1, 2\], {fragment}$"):
+                load_model(path, seed)
+
+    def test_save_models_refuses_fits_that_differ_beyond_their_seed(self, tmp_path):
+        X, y, _ = toy_problem(n=20, d=3)
+        forest = lambda seed, n_trees=2: RandomForestRegressor(n_trees=n_trees, seed=seed).fit(X, y)
+        linear = LinearRegressor().fit(X, y)
+        _, (wider,) = self.fits("forest", seeds=(1,), d=5)
+        for fits, message in [
+            ([], "no fit to save"),
+            ([forest(0), RandomForestRegressor(n_trees=2, seed=1)], "cannot save an unfitted model"),
+            ([linear, linear], "got seeds [None, None]"),
+            ([forest(0), forest(0)], "got seeds [0, 0]"),
+            ([forest(0), forest(1, n_trees=3)], "got seeds [0, 1]"),
+            ([forest(0), DecisionTreeRegressor(seed=1).fit(X, y)], "got seeds [0, 1]"),
+            ([self.fits("forest", seeds=(0,))[1][0], wider], "got seeds [0, 1]"),  # n_features differ
+        ]:
+            with pytest.raises(ModelError, match=re.escape(message)):
+                save_models(tmp_path / "models.bin", fits)
+        assert not (tmp_path / "models.bin").exists()
+
+    @pytest.mark.parametrize("seeds, extra, fragment", [
+        ("0,1", [], "'seeds' must list distinct integers"),
+        ([0, 0], [], "'seeds' must list distinct integers"),
+        ([0, 1.0], [], "'seeds' must list distinct integers"),
+        ([0, True], [], "'seeds' must list distinct integers"),
+        ([0], [], r"parameter blocks \['1/feature', '1/value'\] belong to none of the seeds \[0\]"),
+        ([0, 1], [("2/value", np.zeros(1))], r"parameter blocks \['2/value'\] belong to none of the seeds"),
+        ([0, 1], [("value", np.zeros(1))], r"parameter blocks \['value'\] belong to none of the seeds"),
+        ([0, 1], [("0/spare", np.zeros(1))], r"unexpected parameter blocks \['spare'\]"),
+        ([0, 1, 2], [], r"lacks parameter block 'feature' \(stored blocks: \[\]\)"),
+    ], ids=["not-a-list", "repeated", "float", "bool", "seed-cut", "stray-seed", "bare-name",
+            "unread", "seed-without-blocks"])
+    def test_a_malformed_file_of_several_fits_is_one_error(self, tmp_path, seeds, extra, fragment):
+        _, fits = self.fits("forest", seeds=(0, 1))
+        path = save_models(tmp_path / "models.bin", fits)
+        header, blocks = read_model_file(path)
+        write_model_file(path, header["kind"], header["hyperparameters"], header["metadata"],
+                         list(blocks.items()) + extra, seeds)
+        loaded = 2 if seeds == [0, 1, 2] else 0
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: .*{fragment}") as info:
+            load_model(path, loaded)
+        assert "\n" not in str(info.value)
+
+    def test_a_seed_among_the_shared_hyperparameters_is_refused(self, tmp_path):
+        _, fits = self.fits("forest", seeds=(0, 1))
+        path = save_models(tmp_path / "models.bin", fits)
+        header, blocks = read_model_file(path)
+        write_model_file(path, header["kind"], {**header["hyperparameters"], "seed": 0},
+                         header["metadata"], list(blocks.items()), header["seeds"])
+        with pytest.raises(CheckpointError, match="the hyperparameters leave 'seed' out"):
+            load_model(path, 0)
 
 
 def forest_file(tmp_path):

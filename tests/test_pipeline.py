@@ -50,7 +50,7 @@ from cellforge.registry import FEATURES, LABELS, MODELS, SPLITTERS, integer, reg
 from cellforge.synthetic import SynthSpec, generate_synthetic
 from cellforge.transforms import ZScoreDataTransformation, _Fitted
 
-from conftest import make_cell, prediction_rows
+from conftest import make_cell, prediction_rows, read_model_file
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # every file of the ``trained`` checkpoint; the linear model takes no seed, so
@@ -61,7 +61,7 @@ CHECKPOINT_FILES = (
     "split.json",
     "transforms.json",
     "features_test.bin",
-    "model_seed0.bin",
+    "models.bin",
 )
 
 def make_config(**sections):
@@ -358,8 +358,8 @@ class TestRunTrain:
         a = run_train(make_config(), workspace=tmp_path / "a", cells=pipe_cells)
         b = run_train(make_config(), workspace=tmp_path / "b", cells=pipe_cells)
         assert a.report == b.report
-        assert (a.directory / "model_seed0.bin").read_bytes() == (
-            b.directory / "model_seed0.bin"
+        assert (a.directory / "models.bin").read_bytes() == (
+            b.directory / "models.bin"
         ).read_bytes()
 
     def test_config_file_is_copied_verbatim(self, pipe_cells, tmp_path):
@@ -429,7 +429,8 @@ class TestSeedsAndFits:
                             lambda self, X, y: fits.append(1) or original(self, X, y))
         ckpt = run_train(make_config(seeds=list(range(10))), workspace=tmp_path, cells=pipe_cells)
         assert len(fits) == 1
-        assert sorted(p.name for p in ckpt.directory.glob("model_seed*")) == ["model_seed0.bin"]
+        assert sorted(p.name for p in ckpt.directory.glob("model*")) == ["models.bin"]
+        assert "seeds" not in read_model_file(ckpt.directory / "models.bin")[0]  # one fit
         per_seed = ckpt.report["per_seed"]
         assert per_seed["seed"] == list(range(10))
         assert len(set(zip(per_seed["rmse"], per_seed["mae"]))) == 1
@@ -456,10 +457,28 @@ class TestSeedsAndFits:
     def test_seeded_model_fits_every_seed(self, pipe_cells, tmp_path):
         cfg = make_config(model={"name": "RandomForestRegressor", "n_trees": 3}, seeds=[4, 7])
         ckpt = run_train(cfg, workspace=tmp_path, cells=pipe_cells)
-        assert sorted(p.name for p in ckpt.directory.glob("model_seed*")) == [
-            "model_seed4.bin", "model_seed7.bin",
-        ]
+        assert sorted(p.name for p in ckpt.directory.glob("model*")) == ["models.bin"]
+        assert read_model_file(ckpt.directory / "models.bin")[0]["seeds"] == [4, 7]
         assert run_evaluate(ckpt.directory) == ckpt.report
+
+    @pytest.mark.parametrize("trained, edited, fragment", [
+        ([4, 7], [4], "holds the fits of seeds [4, 7], where the config asks for [4]; "
+                      "train the checkpoint again"),
+        ([4, 7], [4, 7, 9], "holds the fits of seeds [4, 7], where the config asks for [4, 7, 9]; "
+                            "train the checkpoint again"),
+        ([4, 7], [7, 4], "holds the fits of seeds [4, 7], where the config asks for [7, 4]; "
+                         "train the checkpoint again"),
+        ([4], [5], "holds the fit of seed 4, not of seed 5"),
+        ([4], [4, 5], "holds the fit of seed 4, not of seed 5"),
+    ], ids=["cut", "added", "reordered", "one-fit-other", "one-fit-added"])
+    def test_a_models_file_of_other_seeds_than_the_config_is_refused(self, pipe_cells, tmp_path,
+                                                                     trained, edited, fragment):
+        cfg = make_config(model={"name": "RandomForestRegressor", "n_trees": 2}, seeds=trained)
+        ckpt = run_train(cfg, workspace=tmp_path, cells=pipe_cells).directory
+        (ckpt / "config.yaml").write_text(yaml.safe_dump({**cfg, "seeds": edited}))
+        message = f"{ckpt / 'models.bin'}: {fragment}"
+        with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+            run_evaluate(ckpt)
 
 
 class TestAtomicCheckpoint:
@@ -828,8 +847,8 @@ class TestRunEvaluate:
 
     @pytest.mark.parametrize("seeds, victim, fragment", [
         ([0], "report.json", "['per_seed']"),
-        # the seedless model's one fit is stored under the first seed
-        ([1, 0], "model_seed1.bin", "cannot read"),
+        # the seedless model's one fit stands for every seed, in any order
+        ([1, 0], "report.json", "['per_seed']"),
         ([0, 1, 2], "report.json", "['per_seed']"),
     ], ids=["cut", "reordered", "added"])
     def test_edited_seeds_detected(self, trained, tmp_path, seeds, victim, fragment):
@@ -872,7 +891,7 @@ class TestRunEvaluate:
 
     def test_a_checkpoint_of_raw_files_evaluates(self, trained):
         # one linear model and one feature column are too small to deflate
-        for name in ("model_seed0.bin", "features_test.bin"):
+        for name in ("models.bin", "features_test.bin"):
             assert "deflate" not in container_parts((trained.directory / name).read_bytes())[0]
         assert run_evaluate(trained.directory) == trained.report
 
@@ -945,14 +964,14 @@ class TestRunEvaluate:
             data, json.loads(data)["label_transformation"]["state"]["std"]),
         "report.json": lambda data: edited_digit(data, json.loads(data)["predictions"]["y_true"][0]),
         "features_test.bin": lambda data: flipped(data, (len(data) - 16) * 8 + 51),
-        "model_seed0.bin": lambda data: flipped(data, (len(data) - 16) * 8 + 51),
+        "models.bin": lambda data: flipped(data, (len(data) - 16) * 8 + 51),
     }
 
     @pytest.mark.parametrize("victim", sorted(STORED_NUMBER_EDITS))
     def test_an_edited_stored_number_is_refused(self, trained, tmp_path, victim):
         # each file holds two float64 blocks of one value, or two rows of one column
         dst = self.copy_checkpoint(trained, tmp_path)
-        for name in ("features_test.bin", "model_seed0.bin"):
+        for name in ("features_test.bin", "models.bin"):
             assert len(container_parts((dst / name).read_bytes())[1]) == 16
         path = dst / victim
         path.write_bytes(self.STORED_NUMBER_EDITS[victim](path.read_bytes()))
@@ -1272,12 +1291,20 @@ def mutations(data: bytes, kind: str):
 class TestDeflatedCheckpoint:
     """A deflated file reads, or fails as one CheckpointError naming it."""
 
-    READERS = {"model_seed0.bin": load_model, "features_test.bin": read_features}
+    READERS = {"models.bin": lambda path: [load_model(path, seed) for seed in (0, 1, 2)],
+               "features_test.bin": read_features}
 
     def test_model_files_and_features_are_deflated(self, forest_checkpoint):
-        for name in ("model_seed0.bin", "model_seed1.bin", "model_seed2.bin", "features_test.bin"):
+        for name in ("models.bin", "features_test.bin"):
             assert container_parts((forest_checkpoint.directory / name).read_bytes())[0]["deflate"] is True
         assert run_evaluate(forest_checkpoint.directory) == forest_checkpoint.report
+
+    def test_one_models_file_is_smaller_than_a_file_per_seed(self, forest_checkpoint, tmp_path):
+        path = forest_checkpoint.directory / "models.bin"
+        seeds = read_model_file(path)[0]["seeds"]
+        apart = [load_model(path, seed).save(tmp_path / f"model_seed{seed}.bin").stat().st_size
+                 for seed in seeds]
+        assert len(seeds) == 3 and path.stat().st_size < sum(apart)
 
     def test_raw_files_of_the_same_blocks_evaluate_the_same(self, forest_checkpoint, tmp_path):
         dst = tmp_path / "raw"

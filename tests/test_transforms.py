@@ -1,6 +1,7 @@
 """Invertible transformations: round-trips, statistics, serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,19 @@ class TestErrors:
     def test_columnwise_rejects_scalar_data(self):
         with pytest.raises(TransformError, match="1-D or 2-D"):
             ColumnwiseZScoreDataTransformation().fit(5.0)
+
+    def test_columnwise_refuses_data_of_another_width(self):
+        x = np.arange(12.0).reshape(4, 3) ** 2
+        t = ColumnwiseZScoreDataTransformation().fit(x)
+        for data in (x[:, :2], x[0, :2], np.hstack([x, x])):
+            for apply in (t.transform, t.inverse_transform):
+                message = f"ColumnwiseZScoreDataTransformation was fit on 3 columns, got data of shape {data.shape}"
+                with pytest.raises(TransformError, match=f"^{re.escape(message)}$"):
+                    apply(data)
+        np.testing.assert_array_equal(t.transform(x[0]), t.transform(x)[0])
+        # fit on 1-D data, its statistics are scalars, which apply to any width
+        one = ColumnwiseZScoreDataTransformation().fit(np.arange(4.0))
+        assert one.transform(x).shape == x.shape
 
     def test_minmax_rejects_constant_data(self):
         with pytest.raises(ValueError, match="max equals min"):
