@@ -13,8 +13,8 @@ has it. Four integer blocks, read as int32, hold one value per cycle: its
 number, its point count, and whether it has a temperature and an internal
 resistance (0 or 1). A block whose values are all one value, such as a
 constant temperature or a fixed point count, stores that value once, and a
-signal whose second differences take at most half its bytes as int8
-residuals and escapes, such as a smooth voltage, stores those.
+signal whose second differences take fewer bytes than it as int8 residuals
+and escapes, such as a smooth voltage or capacity, stores those.
 :func:`read_cell` refuses the ``CFC1`` files of older versions, and the
 ``CFC2`` files whose signals were stored as runs, with one line, and also
 reads a cell stored as one UTF-8 JSON document

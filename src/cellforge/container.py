@@ -20,10 +20,10 @@ residual -128 takes its second difference from the next escape value, and
 every other residual is its second difference. It reads back as the running
 sums, taken twice, of its second differences, bit for bit the float64 block
 that was written, as a new array. A writer that does not deflate stores a
-block so when its residuals and escapes take at most half of its plain
-bytes: in a cell file, voltage, current, time and usually the discharge
-capacity. Readers from before this block existed refuse the unknown key
-``escapes``.
+block so when its residuals and escapes take fewer bytes than the plain
+block, which wins a tie: in a cell file, every signal of smooth samples,
+where a noisy voltage stays plain. Readers from before this block existed
+refuse the unknown key ``escapes``.
 
 A header that says ``"deflate": true`` stores the blocks as one zlib stream
 (RFC 1950, which ends in an Adler-32 checksum of the blocks) instead, and
@@ -41,9 +41,12 @@ cannot shrink the floats. Such a block says ``"dtype": "<u8"`` and
 ``"delta": 0`` or ``1``, the axis, each valid only with the other and only
 on a 2-D shape, and reads back as the running sums of the differences along
 that axis, bit for bit the float64 block that was written. The writer
-deflates the file with no delta, then with every block that is at least 2
-long along axis 0 differenced along it, then the same for axis 1, and keeps
-whichever is smallest. Readers from before this block existed refuse
+deflates the first 64 KiB of the blocks with no delta, then with every
+block that is at least 2 long along axis 0 differenced along it, then the
+same for axis 1, and deflates the whole file in whichever made that
+smallest, the first on a tie; a file of at most 64 KiB of blocks, as every
+model file and the stored features of the shipped configs are, so keeps
+the smallest of the three. Readers from before this block existed refuse
 ``<u8`` as a dtype, so they refuse such a file instead of misreading it.
 """
 
@@ -64,6 +67,10 @@ _DTYPES = ("<f8", "<i4", "<i2", "|u1")  # and "<u8", which only a delta block ha
 _NARROW = ("|u1", "<i2")  # the integer dtypes below int32, narrowest first
 _SPEC_KEYS = {"name", "shape", "dtype", "repeat", "delta", "escapes"}
 _ESCAPE = -128  # the residual that takes its second difference from the escape values
+# The bytes of the blocks whose deflated size chooses a deflated file's delta axis. On a
+# 2-CPU x86 host the three trials take about 2 ms, where one whole deflate of 5 MB of
+# stored features takes about 55 ms; every shipped model file is smaller, so is tried whole.
+_TRIAL = 1 << 16
 
 
 def _block_dtype(arr: np.ndarray) -> str:
@@ -96,13 +103,13 @@ def _stored(arr: np.ndarray, dtype: str) -> tuple[np.ndarray, bool]:
 
 def _second_differences(flat: np.ndarray):
     """The body of a second-difference block of the float64 ``flat`` and its
-    escape count, or None when the block would take more than half of
-    ``flat``'s bytes or is empty."""
+    escape count, or None when the block would take at least ``flat``'s
+    bytes (plain wins a tie) or is empty."""
     bits = flat.view("<u8")
     second = np.diff(np.diff(bits, prepend=np.uint64(0)), prepend=np.uint64(0)).view("<i8")
     escaped = (second < -127) | (second > 127)
     escapes = int(np.count_nonzero(escaped))
-    if not flat.size or 2 * (flat.size + 8 * escapes) > flat.nbytes:
+    if not flat.size or flat.size + 8 * escapes >= flat.nbytes:
         return None
     residuals = second.astype(np.int8)
     residuals[escaped] = _ESCAPE
@@ -127,6 +134,19 @@ def _codings(specs, stored):
             yield coded, values
 
 
+def _deflated(values, limit: int | None = None) -> list:
+    """The zlib stream of the blocks ``values`` in order, in pieces; with
+    ``limit``, of their first ``limit`` bytes alone."""
+    packer, stream = zlib.compressobj(), []
+    for block in values:
+        data = block.reshape(-1).view(np.uint8)
+        if limit is not None:
+            data = data[:limit]
+            limit -= data.size
+        stream.append(packer.compress(data))
+    return [*stream, packer.flush()]
+
+
 def write_container(path, magic: bytes, header: dict, blocks, *, deflate: bool = False) -> Path:
     """Write ``header`` and the ordered (name, array) pairs ``blocks`` to
     ``path``, which appears complete or not at all. An int32 array is
@@ -134,9 +154,10 @@ def write_container(path, magic: bytes, header: dict, blocks, *, deflate: bool =
     values, any other array as ``<f8``; a block whose elements all have the
     same bytes stores one of them. With ``deflate``, the blocks are stored
     as one zlib stream when that makes the file smaller, each 2-D float64
-    block as bit differences along the axis, if any, that makes it smallest;
-    without it, a 1-D float64 block is stored as second differences when
-    they take at most half of its bytes."""
+    block as bit differences along the axis, if any, that makes the stream
+    of the blocks' first ``_TRIAL`` bytes smallest; without it, a 1-D
+    float64 block is stored as second differences when they take fewer
+    bytes than it."""
     path = Path(path)
     specs, stored = [], []
     for name, arr in blocks:
@@ -157,14 +178,21 @@ def write_container(path, magic: bytes, header: dict, blocks, *, deflate: bool =
     header = {**header, "blocks": specs}
     header.pop("deflate", None)  # like "blocks", the container's own key
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
-    body, size = stored, len(payload) + sum(values.nbytes for values in stored)
+    nbytes = sum(values.nbytes for values in stored)
+    body, best = stored, None
     for coded, values in _codings(specs, stored) if deflate else ():  # no delta first: it wins a tie
-        packer = zlib.compressobj()
-        stream = [packer.compress(block) for block in values] + [packer.flush()]
         packed = json.dumps({**header, "blocks": coded, "deflate": True},
                             sort_keys=True).encode("utf-8")
-        if len(packed) + sum(map(len, stream)) < size:
-            payload, body, size = packed, stream, len(packed) + sum(map(len, stream))
+        stream = _deflated(values, _TRIAL)
+        trial = len(packed) + sum(map(len, stream))
+        if best is None or trial < best[0]:
+            best = trial, packed, values, stream
+    if best is not None:
+        _, packed, values, stream = best
+        if nbytes > _TRIAL:  # the trial deflated a prefix alone
+            stream = _deflated(values)
+        if len(packed) + sum(map(len, stream)) < len(payload) + nbytes:
+            payload, body = packed, stream
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(magic)

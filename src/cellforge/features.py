@@ -444,13 +444,14 @@ def _soh_cycle_rows(cell: CellRecord, start: int, stop: int) -> np.ndarray:
     """:func:`soh_cycle_features` of cycles ``start`` to ``stop - 1``, read
     from the columns at once."""
     cycles = cell.cycle_data
+    efficiency = _coulombic_efficiencies(cycles, start, stop)  # first: it names an empty cycle
     charge = cycles.maxima("charge_capacity_in_Ah", start, stop) / cell.nominal_capacity_in_Ah
     v0 = cycles[0].voltage_in_V
     first = np.array([v0.mean(), v0.min(), v0.max()])
     return sanitize(np.column_stack([
         charge,
         np.tile(first, (stop - start, 1)),
-        _coulombic_efficiencies(cycles, start, stop),
+        efficiency,
         cycles.cycle_number[start:stop].astype(float),
     ]))
 

@@ -51,7 +51,7 @@ from . import components as _components  # noqa: F401  (populates registries)
 from .battery_data import (CellRecord, cell_files, json_document, read_cell, read_file, write_json,
                            yaml_document)
 from .container import parse_container, write_container
-from .errors import CheckpointError, ConfigError, PipelineError
+from .errors import CheckpointError, ConfigError, PipelineError, TransformError
 from .features import FeatureMatrix
 from .labels import LabelVector
 from .models import load_model, model_seeds, save_models
@@ -607,6 +607,11 @@ def run_evaluate(checkpoint) -> dict:
     stored_split = read_file(ckpt_dir / "split.json", CheckpointError,
                              lambda data: SplitResult.from_dict(json_document(data)))
     X_test = read_features(ckpt_dir / "features_test.bin")
+    try:  # no rows: only a state of another width than the features refuses them
+        ft.inverse_transform(X_test[:0])
+    except TransformError as exc:
+        raise CheckpointError(f"{ckpt_dir / 'transforms.json'}: its feature transformation does not "
+                              f"fit the {X_test.shape[1]} columns of features_test.bin ({exc})") from exc
     columns = stored_report["predictions"]
     n = len(columns["y_true"])
     if n != len(X_test):

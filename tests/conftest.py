@@ -44,6 +44,30 @@ def block_size(spec: dict) -> int:
     return count * np.dtype(spec.get("dtype", "<f8")).itemsize
 
 
+def store_plain(path, *names) -> Path:
+    """Rewrite the container file at ``path``, which is not deflated, with
+    its second-difference blocks among ``names`` stored as plain float64, as
+    a writer that codes fewer blocks lays them out; every other byte is
+    kept."""
+    path = Path(path)
+    data = path.read_bytes()
+    (length,) = struct.unpack_from("<I", data, 4)
+    header = json.loads(data[8 : 8 + length])
+    decoded = parse_container(data, data[:4], SchemaError)[1]
+    offset, body = 8 + length, []
+    for spec in header["blocks"]:
+        size = block_size(spec)
+        if spec["name"] in names and "escapes" in spec:
+            del spec["escapes"]
+            body.append(decoded[spec["name"]].tobytes())
+        else:
+            body.append(data[offset : offset + size])
+        offset += size
+    payload = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(data[:4] + struct.pack("<I", len(payload)) + payload + b"".join(body))
+    return path
+
+
 def prediction_rows(columns: dict) -> list[dict]:
     """The rows a report's ``predictions`` columns hold, one object per row
     with the keys of its columns: the ``cell_id`` runs expanded, then

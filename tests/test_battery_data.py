@@ -54,7 +54,8 @@ from cellforge.models.base import MAGIC as MODEL_MAGIC
 from cellforge.pipeline import FEATURES_MAGIC, read_features
 from cellforge.synthetic import SynthSpec, generate_synthetic
 from conftest import (block_size, cell_strategy, cycle_strategy, linear_cycle, make_cell,
-                      random_valid_cell, read_model_file, store_current_as_runs, write_model_file)
+                      random_valid_cell, read_model_file, store_current_as_runs, store_plain,
+                      write_model_file)
 
 
 def paths_of(violations):
@@ -401,20 +402,20 @@ class TestArraySignals:
             "b34b222161ea3381ff73a740c330f5fa45c3353e36643962a8daf05736d92bec",
             "9fe3fa93f7f1eda2aa6886f842327d82c6f39b62c91e3155320ff8d2164c0104",
         ]
-        # noisy voltages of 16-point cycles code no block: the bytes of the plain layout
+        # a noisy voltage of 16-point cycles stays plain; every other signal is coded
         digests = [hashlib.sha256(write_cell(c, tmp_path).read_bytes()).hexdigest() for c in cells]
         assert digests == [
-            "87ddead4794234a4f4c25b4b24d5822ed2f1eeda0827a2cb7df42ff0d500d1b9",
-            "1f8b5b09b813cf82bd5996c0b96bdbd41fc0335345c1972aee840f8d1e259476",
+            "348ea335a9e19493652484a13298710348437445b5d495327412ec2a4f909bf6",
+            "1ca07d3d5f2edbbb607ae752e4052d0f57abdd4e93cd9df41a401435817cc5db",
         ]
-        # without noise the voltage is a second-difference block
+        # without noise the voltage is a second-difference block too
         smooth = generate_synthetic(SynthSpec(
             n_cells=2, cycle_life_mean=30.0, cycle_life_std=5.0, points_per_cycle=16, seed=3,
         ))
         digests = [hashlib.sha256(write_cell(c, tmp_path).read_bytes()).hexdigest() for c in smooth]
         assert digests == [
-            "f3e9c573a2d4c8ba17876716e19cd3db15e68641a7b83028e9800a54715ccfbd",
-            "49f4ba98909d69d5265ee244a78e7ba6e0d3ba88b8e54127c40eef582ea5e8fd",
+            "933cc3da6d44bab90130894c8f63d6dd6a77aec5432ba9c931e36aa7d02b663f",
+            "551524ae260949c1d2f62e6825ca365802299e4ea8ffed53cd03edcd4ab0b170",
         ]
 
     def test_a_cell_without_coded_blocks_reads_with_every_column_mapped(self, tmp_path):
@@ -423,7 +424,7 @@ class TestArraySignals:
             n_cells=2, cycle_life_mean=30.0, cycle_life_std=5.0,
             points_per_cycle=16, noise_sigma=0.005, seed=3,
         ))[0]
-        path = write_cell(cell, tmp_path)
+        path = store_plain(write_cell(cell, tmp_path), *self.SIGNALS)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "87ddead4794234a4f4c25b4b24d5822ed2f1eeda0827a2cb7df42ff0d500d1b9")
         back = read_cell(path)
@@ -574,11 +575,12 @@ class TestCellFile:
         assert all("dtype" not in specs[name] for name in (*TestArraySignals.SIGNALS,
                                                             "internal_resistance_in_ohm"))
         coded = {name: spec["escapes"] for name, spec in specs.items() if "escapes" in spec}
-        assert coded == {"voltage_in_V": 9, "current_in_A": 12, "temperature_in_C": 4}
-        # three float64 signals of n values and one resistance; voltage and current
-        # as n int8 residuals each, temperature as n - 9 of them, and 25 int64 escapes
-        assert len(data) == (8 + struct.unpack_from("<I", data, 4)[0] + 8 * (3 * n + 1)
-                             + 2 * n + (n - 9) + 8 * 25 + 1 * 4 * 3)
+        assert coded == {"voltage_in_V": 9, "current_in_A": 12, "charge_capacity_in_Ah": 14,
+                         "discharge_capacity_in_Ah": 16, "time_in_s": 24, "temperature_in_C": 4}
+        # one float64 resistance; five signals as n int8 residuals each, temperature
+        # as n - 9 of them, and 79 int64 escapes
+        assert len(data) == (8 + struct.unpack_from("<I", data, 4)[0] + 8 * 1
+                             + 5 * n + (n - 9) + 8 * 79 + 1 * 4 * 3)
         assert read_cell(path) == cell
 
     def test_uniform_per_cycle_blocks_store_one_value(self, tmp_path):
@@ -588,12 +590,13 @@ class TestCellFile:
         repeated = sorted(b["name"] for b in header["blocks"] if b.get("repeat"))
         assert repeated == ["has_internal_resistance", "has_temperature", "points", "temperature_in_C"]
         n = 3 * len(cell.cycle_data[0].time_in_s)
-        # three float64 signals of n values, voltage and current as n int8 residuals
-        # each and 9 and 12 int64 escapes, a temperature of 25.0 stored once, no
-        # resistance, three one-byte cycle numbers and three one-byte blocks of one value
+        # five signals as n int8 residuals each and 77 int64 escapes, a temperature of
+        # 25.0 stored once, no resistance, three one-byte cycle numbers and three
+        # one-byte blocks of one value
         assert [(b["name"], b["escapes"]) for b in header["blocks"] if "escapes" in b] == [
-            ("voltage_in_V", 9), ("current_in_A", 12)]
-        assert len(data) == (8 + struct.unpack_from("<I", data, 4)[0] + 8 * 3 * n + 2 * n + 8 * 21
+            ("voltage_in_V", 9), ("current_in_A", 12), ("charge_capacity_in_Ah", 14),
+            ("discharge_capacity_in_Ah", 16), ("time_in_s", 26)]
+        assert len(data) == (8 + struct.unpack_from("<I", data, 4)[0] + 5 * n + 8 * 77
                              + 8 + 1 * 3 + 1 * 3)
         assert read_cell(path) == cell
 
@@ -727,10 +730,10 @@ class TestContainerDtypes:
         assert parse_container(data, b"TST1", CheckpointError)[1]["x"].tolist() == [2.5]
 
     def test_other_integer_arrays_are_still_stored_as_float64(self, tmp_path):
-        path = write_container(tmp_path / "x.bin", b"TST1", {}, [("n", np.arange(3))])
+        path = write_container(tmp_path / "x.bin", b"TST1", {}, [("n", np.arange(1, 4))])
         header, blocks = parse_container(path.read_bytes(), b"TST1", CheckpointError)
         assert header["blocks"] == [{"name": "n", "shape": [3]}]
-        assert blocks["n"].dtype == np.dtype("<f8") and blocks["n"].tolist() == [0.0, 1.0, 2.0]
+        assert blocks["n"].dtype == np.dtype("<f8") and blocks["n"].tolist() == [1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("dtype", ["<f4", "|O", "<i8", ">i4", 8, None, ["<i4"], "|i1", ">i2", "<u2"])
     def test_any_other_dtype_is_the_callers_one_line_error(self, tmp_path, dtype):
@@ -765,7 +768,7 @@ class TestRepeatBlocks:
         return header["blocks"][0], blocks["x"], len(data) - 8 - struct.unpack_from("<I", data, 4)[0]
 
     @pytest.mark.parametrize("arr, repeat, width", [
-        (np.array([0.0, -0.0]), False, 8),
+        (np.array([[0.0, -0.0]]), False, 8),  # 2-D: a 1-D pair would code its one escape
         (np.array([-0.0, -0.0, -0.0]), True, 8),
         (_nans(1, 2), False, 8),
         (_nans(5, 5, 5), True, 8),
@@ -1006,8 +1009,8 @@ def as_bits(arr: np.ndarray) -> np.ndarray:
 class TestDeltaBlocks:
     """In a deflated file, a 2-D float64 block that does not repeat may be
     stored as the uint64 differences of its bits along one axis, whichever
-    of no delta, axis 0 and axis 1 deflates smallest; it reads back bit for
-    bit."""
+    of no delta, axis 0 and axis 1 deflates the first 64 KiB of the blocks
+    smallest; it reads back bit for bit."""
 
     SMOOTH = np.cumsum(np.linspace(0.0, 1.0, 2000).reshape(2, 1000) ** 2, axis=1) / 7.0
 
@@ -1054,6 +1057,38 @@ class TestDeltaBlocks:
                                      "delta": axis}]
         assert len(data) < len(zlib.compress(raw))
         assert np.array_equal(as_bits(back["x"]), as_bits(block))
+
+    @pytest.mark.parametrize("rows, deflated_bytes", [
+        (2, [16_000] * 3),  # each coding whole: the trial chose the file
+        (200, [65_536] * 3 + [1_600_000]),  # a prefix of each, then the chosen whole once
+    ], ids=["within-the-trial", "beyond-the-trial"])
+    def test_the_axis_is_chosen_from_the_first_64_kib(self, tmp_path, monkeypatch, rows,
+                                                       deflated_bytes):
+        block = np.cumsum(np.linspace(0.0, 1.0, rows * 1000).reshape(rows, 1000) ** 2, axis=1) / 7.0
+        fed, compressobj = [], zlib.compressobj
+
+        class Counted:
+            def __init__(self):
+                self.packer = compressobj()
+                fed.append(0)
+
+            def compress(self, data):
+                fed[-1] += memoryview(data).nbytes
+                return self.packer.compress(data)
+
+            def flush(self):
+                return self.packer.flush()
+
+        monkeypatch.setattr(zlib, "compressobj", Counted)
+        path = write_container(tmp_path / "z.bin", b"TST1", {}, [("x", block)], deflate=True)
+        monkeypatch.undo()
+        assert fed == deflated_bytes
+        header, back = parse_container(path.read_bytes(), b"TST1", CheckpointError)
+        assert header["blocks"] == [{"name": "x", "shape": [rows, 1000], "dtype": "<u8", "delta": 1}]
+        assert np.array_equal(as_bits(back["x"]), as_bits(block))
+        diffs = np.diff(block.view(np.uint64), axis=1, prepend=np.uint64(0))
+        assert path.read_bytes()[8 + struct.unpack_from("<I", path.read_bytes(), 4)[0]:] == (
+            zlib.compress(diffs.tobytes()))
 
     def test_one_dimensional_blocks_are_never_differenced(self, tmp_path):
         path = write_container(tmp_path / "z.bin", b"TST1", {}, [("x", self.SMOOTH.reshape(-1))],
@@ -1129,9 +1164,9 @@ def coded_columns(cell) -> dict:
 
 class TestSecondDifferenceBlocks:
     """A writer that does not deflate stores a 1-D float64 block as int8
-    second differences of its bits, with escapes, when they take at most half
-    of its bytes; it reads back bit for bit, as a read-only array of its own,
-    and a cell decodes such a column the first time it is read."""
+    second differences of its bits, with escapes, when they take fewer bytes
+    than the block; it reads back bit for bit, as a read-only array of its
+    own, and a cell decodes such a column the first time it is read."""
 
     @settings(max_examples=200, deadline=None)
     @given(block=coded_blocks(), ints=st.lists(st.integers(-2**31, 2**31 - 1), max_size=8),
@@ -1155,7 +1190,7 @@ class TestSecondDifferenceBlocks:
             bits = arr.view(np.uint64)
             repeat = arr.size >= 2 and (bits == bits[0]).all()
             escapes = escape_count(arr)
-            coded = not deflate and not repeat and arr.size and 2 * (arr.size + 8 * escapes) <= arr.nbytes
+            coded = not deflate and not repeat and arr.size and arr.size + 8 * escapes < arr.nbytes
             assert ("escapes" in specs[name]) == bool(coded), name
             if coded:
                 assert specs[name] == {"name": name, "shape": [arr.size], "escapes": escapes}
@@ -1178,21 +1213,21 @@ class TestSecondDifferenceBlocks:
         assert header["blocks"] == [{"name": "x", "shape": [8], "escapes": escapes}]
         assert back["x"].view(np.uint64).tolist() == bits.tolist()
 
-    def test_a_block_is_coded_when_it_takes_at_most_half_its_bytes(self, tmp_path):
-        # 3 escapes take 8 + 24 = 32 bytes of 8 elements, half of 64; 4 would take 40
+    def test_a_block_is_coded_when_it_takes_fewer_bytes_than_plain(self, tmp_path):
+        # 6 escapes take 8 + 48 = 56 bytes of 8 elements' 64; 7 take 64, a tie plain wins
         second = np.zeros(8, dtype=np.uint64)
-        second[[0, 3, 6]] = [2**40, 2**41, 2**42]
-        half = np.cumsum(np.cumsum(second, dtype=np.uint64), dtype=np.uint64).view(np.float64)
-        second[7] = 2**43
-        over = np.cumsum(np.cumsum(second, dtype=np.uint64), dtype=np.uint64).view(np.float64)
+        second[:6] = [2**40, 2**41, 2**42, 2**43, 2**44, 2**45]
+        fewer = np.cumsum(np.cumsum(second, dtype=np.uint64), dtype=np.uint64).view(np.float64)
+        second[6] = 2**46
+        tie = np.cumsum(np.cumsum(second, dtype=np.uint64), dtype=np.uint64).view(np.float64)
         path = write_container(tmp_path / "x.bin", b"TST1", {}, [
-            ("half", half), ("over", over), ("zero", np.zeros(1)), ("empty", np.zeros(0))])
+            ("fewer", fewer), ("tie", tie), ("zero", np.zeros(1)), ("empty", np.zeros(0))])
         header, back = parse_container(path.read_bytes(), b"TST1", CheckpointError)
-        assert [escape_count(half), escape_count(over)] == [3, 4]
-        assert back["half"].tobytes() == half.tobytes() and back["over"].tobytes() == over.tobytes()
+        assert [escape_count(fewer), escape_count(tie)] == [6, 7]
+        assert back["fewer"].tobytes() == fewer.tobytes() and back["tie"].tobytes() == tie.tobytes()
         assert back["zero"].tolist() == [0.0] and back["empty"].size == 0
-        assert header["blocks"] == [{"name": "half", "shape": [8], "escapes": 3},
-                                    {"name": "over", "shape": [8]},
+        assert header["blocks"] == [{"name": "fewer", "shape": [8], "escapes": 6},
+                                    {"name": "tie", "shape": [8]},
                                     {"name": "zero", "shape": [1], "escapes": 0},
                                     {"name": "empty", "shape": [0]}]
         smooth = np.linspace(3.0, 4.0, 64)
@@ -1295,7 +1330,7 @@ class TestSecondDifferenceBlocks:
                             lambda self: pytest.fail("a block was decoded"))
         cells = load_cells(quickstart_corpus.directory)
         assert [len(c.cycle_data) for c in cells] == [len(c.cycle_data) for c in quickstart_corpus.generated]
-        assert all(len(coded_columns(cell)) == 4 for cell in cells)
+        assert all(len(coded_columns(cell)) == 5 for cell in cells)
         assert repr(cells[0].cycle_data).startswith(f"CycleData({len(cells[0].cycle_data)} cycles")
 
     def test_a_column_is_decoded_when_first_read_and_kept(self, quickstart_corpus, monkeypatch):
@@ -1326,7 +1361,8 @@ class TestSecondDifferenceBlocks:
         coded, decoded[:] = coded_columns(cell), []
         soh_per_cycle(cell)
         assert decoded == [coded["discharge_capacity_in_Ah"]]
-        assert set(coded_columns(cell)) == {"voltage_in_V", "current_in_A", "time_in_s"}
+        assert set(coded_columns(cell)) == {"voltage_in_V", "current_in_A", "charge_capacity_in_Ah",
+                                            "time_in_s"}
 
     @pytest.mark.parametrize("trip", [lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy],
                              ids=["pickle", "copy", "deepcopy"])
@@ -1355,13 +1391,55 @@ class TestSecondDifferenceBlocks:
         assert not any(c.flags.writeable for c in back.cycle_data.columns.values())
         assert not any(c.flags.writeable for c in cell.cycle_data.columns.values())
 
+    @staticmethod
+    def coded_names(path) -> set:
+        data = Path(path).read_bytes()
+        header = json.loads(data[8:8 + struct.unpack_from("<I", data, 4)[0]])
+        return {b["name"] for b in header["blocks"] if "escapes" in b}
+
+    def test_a_cell_in_the_half_size_layout_reads_bit_identically(self, quickstart_corpus, tmp_path):
+        # the layout of writers that coded a signal only within half its bytes:
+        # a quickstart cell's charge capacity plain, every other signal coded
+        cell = quickstart_corpus.generated[0]
+        path = store_plain(write_cell(cell, tmp_path), "charge_capacity_in_Ah")
+        assert self.coded_names(path) == {"voltage_in_V", "current_in_A", "discharge_capacity_in_Ah",
+                                          "time_in_s"}
+        back = read_cell(path)
+        assert isinstance(root_buffer(back.cycle_data.columns["charge_capacity_in_Ah"]), mmap.mmap)
+        assert back == cell and validate(back) == []
+        for name in TestArraySignals.SIGNALS:
+            assert np.array_equal(as_bits(back.cycle_data.columns[name]),
+                                  as_bits(cell.cycle_data.columns[name])), name
+        # a smooth 16-point cell coded only its voltage: byte for byte such a writer's file
+        smooth = generate_synthetic(SynthSpec(
+            n_cells=1, cycle_life_mean=30.0, cycle_life_std=5.0, points_per_cycle=16, seed=3,
+        ))[0]
+        path = store_plain(write_cell(smooth, tmp_path), "current_in_A", "charge_capacity_in_Ah",
+                           "discharge_capacity_in_Ah", "time_in_s")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "f3e9c573a2d4c8ba17876716e19cd3db15e68641a7b83028e9800a54715ccfbd")
+        back = read_cell(path)
+        assert back == smooth and validate(back) == []
+
+    def test_a_16_point_cell_codes_every_mandatory_signal(self, tmp_path):
+        cells = generate_synthetic(SynthSpec(
+            n_cells=2, cycle_life_mean=30.0, cycle_life_std=5.0, points_per_cycle=16, seed=3,
+        ))
+        for cell in cells:
+            path = write_cell(cell, tmp_path)
+            assert self.coded_names(path) == set(battery_data._CYCLE_SEQ_FIELDS)
+            back = read_cell(path)
+            assert set(coded_columns(back)) == set(battery_data._CYCLE_SEQ_FIELDS)
+            for name in TestArraySignals.SIGNALS:
+                assert np.array_equal(as_bits(back.cycle_data.columns[name]),
+                                      as_bits(cell.cycle_data.columns[name])), name
+            assert back == cell and validate(back) == []
+
     def test_the_quickstart_corpus_stays_small(self, quickstart_corpus):
         on_disk = sum(p.stat().st_size for p in quickstart_corpus.directory.iterdir())
-        assert on_disk <= 10.0e6, f"{on_disk} bytes"
-        data = (quickstart_corpus.directory / "SYN_0000.cfc").read_bytes()
-        header = json.loads(data[8:8 + struct.unpack_from("<I", data, 4)[0]])
-        assert {b["name"] for b in header["blocks"] if "escapes" in b} == {
-            "voltage_in_V", "current_in_A", "discharge_capacity_in_Ah", "time_in_s"}
+        assert on_disk <= 7.7e6, f"{on_disk} bytes"
+        for path in quickstart_corpus.directory.iterdir():
+            assert self.coded_names(path) == set(battery_data._CYCLE_SEQ_FIELDS), path.name
 
     def test_model_and_feature_files_read_coded_blocks_as_arrays(self, tmp_path):
         # files cellforge writes deflate, so never code; one written by hand may
@@ -1459,17 +1537,24 @@ class TestReadFile:
             read_file(tmp_path / name, SchemaError, bytes)
 
 
-# the columns of linear_cycle cells that cell files store as runs
-# the columns of a cell of two linear_cycle()s that are second-difference blocks
-CODED = ("voltage_in_V", "current_in_A", "charge_capacity_in_Ah", "temperature_in_C")
+def noisy_cells(*cell_ids, seed=3) -> list:
+    """Synthetic cells of 16-point cycles whose noisy voltage stays a plain
+    block, mapped, as does their one repeated temperature; their other
+    signals are coded (see ``CODED``)."""
+    cells = generate_synthetic(SynthSpec(n_cells=len(cell_ids), cycle_life_mean=30.0, cycle_life_std=5.0,
+                                         points_per_cycle=16, noise_sigma=0.005, seed=seed))
+    return [dataclasses.replace(cell, cell_id=cell_id) for cell, cell_id in zip(cells, cell_ids)]
+
+
+# the columns of noisy_cells() that are second-difference blocks
+CODED = ("current_in_A", "charge_capacity_in_Ah", "discharge_capacity_in_Ah", "time_in_s")
 
 
 class TestColumns:
     """Cells hold one column per signal; ``cycle_data`` builds views on demand."""
 
     def test_read_cell_views_share_the_file_buffer(self, tmp_path):
-        cell = dataclasses.replace(make_cell("ZC"), cycle_data=(
-            linear_cycle(1, temperature=25.0), linear_cycle(2, temperature=26.0)))
+        (cell,) = noisy_cells("ZC")
         back = read_cell(write_cell(cell, tmp_path))
         first, second = back.cycle_data[0], back.cycle_data[1]
         for name in TestArraySignals.SIGNALS:
@@ -1483,18 +1568,17 @@ class TestColumns:
                 assert memoryview(root_buffer(column)).readonly
             assert not column.flags.writeable
             assert not getattr(first, name).flags.writeable
-        assert root_buffer(back.cycle_data.columns["discharge_capacity_in_Ah"]) is root_buffer(
-            back.cycle_data.columns["time_in_s"])
+        assert root_buffer(back.cycle_data.columns["voltage_in_V"]) is root_buffer(
+            back.cycle_data.columns["temperature_in_C"])
 
     def test_past_the_mapping_cap_a_cell_is_read_as_bytes(self, tmp_path, monkeypatch):
         gc.collect()
         # room for exactly one more mapping
         limit = 2 * (len(battery_data._MAPPINGS) + 1)
         monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, resource.RLIM_INFINITY))
-        cells = [dataclasses.replace(make_cell(cell_id), cycle_data=(
-            linear_cycle(1, temperature=25.0), linear_cycle(2, temperature=26.0))) for cell_id in ("MAPPED", "READ")]
+        cells = noisy_cells("MAPPED", "READ")
         mapped, read = [read_cell(write_cell(cell, tmp_path)) for cell in cells]
-        assert isinstance(root_buffer(mapped.cycle_data.columns["time_in_s"]), mmap.mmap)
+        assert isinstance(root_buffer(mapped.cycle_data.columns["voltage_in_V"]), mmap.mmap)
         assert read == cells[1]
         for name in TestArraySignals.SIGNALS:
             column = read.cycle_data.columns[name]
@@ -1506,11 +1590,10 @@ class TestColumns:
             assert not column.flags.writeable
 
     def test_rewriting_a_mapped_cell_keeps_the_loaded_record(self, tmp_path):
-        cell = make_cell("RW")
+        (cell,), (rewritten,) = noisy_cells("RW"), noisy_cells("RW", seed=4)
         path = write_cell(cell, tmp_path)
         back = read_cell(path)
-        assert isinstance(root_buffer(back.cycle_data.columns["time_in_s"]), mmap.mmap)
-        rewritten = make_cell("RW", caps=(2.0, 1.9))
+        assert isinstance(root_buffer(back.cycle_data.columns["voltage_in_V"]), mmap.mmap)
         write_cell(rewritten, path)
         assert back == cell
         assert read_cell(path) == rewritten
@@ -1585,7 +1668,7 @@ class TestColumns:
 
     def test_a_constant_column_costs_no_pages(self, tmp_path):
         generated = generate_synthetic(SynthSpec(n_cells=1, cycle_life_mean=60.0, cycle_life_std=5.0,
-                                                 points_per_cycle=16, seed=3))[0]
+                                                 points_per_cycle=16, noise_sigma=0.005, seed=3))[0]
         mapped = read_cell(write_cell(generated, tmp_path))
         for cell in (generated, mapped):
             temperature = cell.cycle_data.columns["temperature_in_C"]
@@ -1594,7 +1677,7 @@ class TestColumns:
             assert cell.cycle_data[5].temperature_in_C.strides == (0,)
         column = mapped.cycle_data.columns["temperature_in_C"]
         assert isinstance(root_buffer(column), mmap.mmap)
-        assert root_buffer(column) is root_buffer(mapped.cycle_data.columns["time_in_s"])
+        assert root_buffer(column) is root_buffer(mapped.cycle_data.columns["voltage_in_V"])
         for cell in (generated, mapped):
             assert copy.deepcopy(cell) == cell == pickle.loads(pickle.dumps(cell))
 
@@ -1674,6 +1757,21 @@ class TestColumns:
         columns = {name: np.arange(3.0) for name in TestArraySignals.SIGNALS[:5]}
         with pytest.raises(ValueError, match="offsets"):
             CycleData([1], columns, offsets)
+
+    def test_temperature_values_of_a_cycle_without_temperature_are_refused(self):
+        columns = {name: np.arange(6.0) for name in TestArraySignals.SIGNALS}
+        offsets = dict.fromkeys(TestArraySignals.SIGNALS, [0, 3, 6])
+        with pytest.raises(ValueError, match="^temperature values given for a cycle without a temperature$"):
+            CycleData([1, 2], columns, offsets, has_temperature=[True, False])
+        assert CycleData([1, 2], columns, offsets, has_temperature=[True, True])[1].temperature_in_C.tolist() == [
+            3.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_extra_of_a_cycle_out_of_range_is_refused(self, index):
+        columns = {name: np.arange(6.0) for name in TestArraySignals.SIGNALS[:5]}
+        with pytest.raises(ValueError, match=re.escape("extra: cycle indices must lie in [0, 2)")):
+            CycleData([1, 2], columns, [0, 3, 6], extra={index: {"step": "rest"}})
+        assert CycleData([1, 2], columns, [0, 3, 6], extra={1: {"step": "rest"}})[1].extra == {"step": "rest"}
 
 
 def root_buffer(arr):

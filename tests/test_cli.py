@@ -20,6 +20,7 @@ from cellforge.cli import main
 from cellforge.errors import CheckpointError, ConfigError, SchemaError
 from cellforge.features import MAX_POINTS
 from cellforge.ingestion import SOURCES
+from cellforge.models import MLPRegressor
 from cellforge.pipeline import PipelineConfig, run_evaluate, run_train
 from cellforge.plots import (
     Series,
@@ -812,7 +813,7 @@ class TestTrainEvaluate:
                                       f"arrays of one shape, {fragment}\n")
 
     def test_evaluate_rejects_a_columnwise_state_of_another_width(self, mlp_checkpoint, tmp_path,
-                                                                  capsys):
+                                                                  capsys, monkeypatch):
         # both statistics cut alike pass the restore check; the 6-column features do not fit them
         ckpt = shutil.copytree(mlp_checkpoint, tmp_path / "ckpt")
         path = ckpt / "transforms.json"
@@ -822,8 +823,13 @@ class TestTrainEvaluate:
         state["mean"], state["std"] = state["mean"][:5], state["std"][:5]
         path.write_text(json.dumps(stored))
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 1
-        assert_one_line_error(capsys, "error: ColumnwiseZScoreDataTransformation was fit on 5 "
-                                      "columns, got data of shape (")
+        assert_one_line_error(capsys, f"error: {path}: its feature transformation does not fit the 6 "
+                                      "columns of features_test.bin (ColumnwiseZScoreDataTransformation "
+                                      "was fit on 5 columns, got data of shape (0, 6))")
+        # refused before scoring: no model predicts
+        monkeypatch.setattr(MLPRegressor, "predict", lambda self, X: pytest.fail("a model predicted"))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: "):
+            run_evaluate(ckpt)
 
     def test_checkpoint_holding_labels_json_evaluates(self, checkpoint_dir, tmp_path):
         # older checkpoints also stored labels.json; evaluation ignores it

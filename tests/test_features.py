@@ -207,6 +207,12 @@ class TestSmallHelpers:
         # largest |dI| is the 0.9 -> -2.1 step: |dV/dI| = 0.3 / 3.0
         assert estimate_internal_resistance(cyc) == pytest.approx(0.1, abs=1e-12)
 
+    def test_internal_resistance_needs_two_samples(self):
+        cyc = CycleRecord(cycle_number=3, voltage_in_V=[3.5], current_in_A=[1.0], charge_capacity_in_Ah=[0.0],
+                          discharge_capacity_in_Ah=[0.0], time_in_s=[0.0])
+        with pytest.raises(FeatureError, match=r"^cycle 3: need >= 2 samples$"):
+            estimate_internal_resistance(cyc)
+
     def test_internal_resistance_needs_current_step(self):
         cyc = dataclasses.replace(linear_cycle(1), current_in_A=[0.5] * 12)
         with pytest.raises(FeatureError, match="constant"):
@@ -456,6 +462,25 @@ class TestSOHCycleExtractor:
     def test_bad_cycle_index(self):
         with pytest.raises(FeatureError, match="out of range"):
             soh_cycle_features(make_cell(caps=(1.0,)), 3)
+
+    def test_a_cell_without_cycles(self):
+        cell = dataclasses.replace(make_cell("NONE"), cycle_data=())
+        with pytest.raises(FeatureError, match="^NONE: no cycles$"):
+            soh_cycle_features(cell, 0)
+        with pytest.raises(FeatureError, match="^NONE: no cycles$"):
+            SOHCycleFeatureExtractor().extract([cell])
+
+    @pytest.mark.parametrize("empty", [
+        CycleRecord(cycle_number=2),
+        dataclasses.replace(linear_cycle(2), discharge_capacity_in_Ah=[]),
+    ], ids=["every-signal", "discharge-capacity"])
+    def test_a_cycle_without_capacities_is_named(self, empty):
+        # one FeatureError, before the charge maxima's ValueError that names no cycle
+        cell = dataclasses.replace(make_cell("EMPTY"), cycle_data=(linear_cycle(1), empty))
+        with pytest.raises(FeatureError, match="^cycle 2: empty capacity sequences$"):
+            soh_cycle_features(cell, 1)
+        with pytest.raises(FeatureError, match="^cycle 2: empty capacity sequences$"):
+            SOHCycleFeatureExtractor().extract([cell])
 
 
 class TestSOCStepExtractor:
