@@ -50,7 +50,10 @@ into a new array the first time its column is read and then kept; it builds
 one record per file. ``cycle_data`` still reads as
 a sequence of :class:`CycleRecord`: its length comes from the offsets, and
 indexing or slicing builds records whose signals are views of the columns,
-anew on every access. A :class:`CycleRecord` is the per-cycle value: built
+anew on every access. ``cell.head(h)`` is the cell with its first ``h``
+cycles alone, each column cut at its ``offsets[h]`` and a column not yet
+decoded cut as a block, so that no value past them is decoded through it.
+A :class:`CycleRecord` is the per-cycle value: built
 directly it copies its signals, and a sequence of them given as
 ``CellRecord(cycle_data=...)`` is gathered into columns. Record equality is
 exact: two cells are equal when their scalars, ``extra`` maps and every
@@ -67,7 +70,7 @@ import operator
 import resource
 import weakref
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +402,25 @@ class CycleData(tuple):
             copy=False,  # the concatenated columns are new
         )
 
+    def head(self, h: int) -> CycleData:
+        """The first ``h`` cycles (all of them when there are no more): the
+        same columns cut at each signal's ``offsets[h]``, as views, and a
+        column not yet decoded as the block of its first values alone, so
+        that nothing past them is ever decoded through the result."""
+        if h >= len(self):
+            return self
+        columns = {name: column[: self.offsets[name][h]]
+                   if isinstance(column, np.ndarray) else column.head(int(self.offsets[name][h]))
+                   for name, column in self.columns._columns.items()}
+        return CycleData(
+            self.cycle_number[:h], columns, {name: off[: h + 1] for name, off in self.offsets.items()},
+            has_temperature=self.has_temperature[:h],
+            internal_resistance_in_ohm=self.internal_resistance_in_ohm[:h],
+            has_internal_resistance=self.has_internal_resistance[:h],
+            extra={i: e for i, e in self.extra.items() if i < h},
+            copy=False,  # views and blocks of this cell's read-only columns
+        )
+
     def maxima(self, name: str, start: int = 0, stop: int | None = None) -> np.ndarray:
         """The largest value of signal ``name`` in each cycle from ``start``
         up to ``stop`` (exclusive; the last cycle by default). Raises
@@ -513,6 +535,11 @@ class CellRecord:
     discharge_protocol: tuple = ()
     description: str | None = None
     extra: dict = field(default_factory=dict)
+
+    def head(self, h: int) -> CellRecord:
+        """The same cell with its first ``h`` cycles alone (see :meth:`CycleData.head`)."""
+        cycles = self.cycle_data.head(h)
+        return self if cycles is self.cycle_data else replace(self, cycle_data=cycles)
 
     def __post_init__(self):
         for name, kind in _CELL_SCALARS.items():

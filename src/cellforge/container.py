@@ -331,12 +331,15 @@ def parse_blocks(data: bytes, header: dict, offset: int, error) -> dict:
 
 class Coded:
     """A second-difference block of ``n`` elements at ``offset`` in ``data``,
-    with ``escapes`` escape values, kept undecoded until :meth:`decode`."""
+    with ``escapes`` escape values, kept undecoded until :meth:`decode`; or,
+    made by :meth:`head`, the first ``n`` elements of such a block, whose
+    escape values start at ``escapes_at``."""
 
-    __slots__ = ("_data", "_offset", "shape", "escapes")
+    __slots__ = ("_data", "_offset", "_escapes_at", "shape", "escapes")
 
-    def __init__(self, data, offset: int, n: int, escapes: int):
+    def __init__(self, data, offset: int, n: int, escapes: int, escapes_at: int | None = None):
         self._data, self._offset, self.shape, self.escapes = data, offset, (n,), escapes
+        self._escapes_at = offset + n if escapes_at is None else escapes_at
 
     @property
     def size(self) -> int:
@@ -346,25 +349,36 @@ class Coded:
         """The block's int8 residuals, a view of ``data``."""
         return np.frombuffer(self._data, dtype=np.int8, count=self.size, offset=self._offset)
 
+    def head(self, k: int) -> Coded:
+        """The block of the first ``k`` elements, undecoded: ``k`` residuals
+        and the escape values of the escapes among them, which come first."""
+        escapes = int(np.count_nonzero(self.residuals()[:k] == _ESCAPE))
+        return Coded(self._data, self._offset, k, escapes, self._escapes_at)
+
     def decode(self) -> np.ndarray:
         """The block's float64 elements, a new read-only array: its second
         differences summed twice, modulo 2**64. When ``data`` is an
-        ``mmap``, the whole pages the block spans leave this process's
-        memory, as a block is decoded once."""
+        ``mmap``, the whole pages within the block's residuals and within
+        its escape values leave this process's memory, as a block is
+        decoded once."""
         residuals, arr = self.residuals(), np.empty(self.size, dtype="<f8")
         second = arr.view(np.int64)
         np.copyto(second, residuals)
         if self.escapes:
             second[residuals == _ESCAPE] = np.frombuffer(
-                self._data, dtype="<i8", count=self.escapes, offset=self._offset + self.size)
+                self._data, dtype="<i8", count=self.escapes, offset=self._escapes_at)
         bits = arr.view(np.uint64)
         np.cumsum(bits, dtype=np.uint64, out=bits)  # the first differences
         np.cumsum(bits, dtype=np.uint64, out=bits)  # the bits
         if isinstance(self._data, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED"):
-            start = -(-self._offset // mmap.PAGESIZE) * mmap.PAGESIZE
-            stop = (self._offset + self.size + 8 * self.escapes) // mmap.PAGESIZE * mmap.PAGESIZE
-            if start < stop:
-                self._data.madvise(mmap.MADV_DONTNEED, start, stop - start)
+            spans = [[self._offset, self._offset + self.size],
+                     [self._escapes_at, self._escapes_at + 8 * self.escapes]]
+            if spans[0][1] == spans[1][0]:  # a whole block: one span
+                spans = [[spans[0][0], spans[1][1]]]
+            for lo, hi in spans:
+                start, stop = -(-lo // mmap.PAGESIZE) * mmap.PAGESIZE, hi // mmap.PAGESIZE * mmap.PAGESIZE
+                if start < stop:
+                    self._data.madvise(mmap.MADV_DONTNEED, start, stop - start)
         arr.flags.writeable = False
         return arr
 

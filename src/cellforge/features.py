@@ -15,7 +15,9 @@ Conventions used throughout this module:
 
 Extractors registered for pipeline use share one shape of contract:
 ``process_cell(cell) -> (values (k, d), row_keys)`` and
-``extract(cells) -> FeatureMatrix``.
+``extract(cells) -> FeatureMatrix``. Each states one ``horizon``, the number
+of leading cycles it reads, and ``extract`` alone calls ``process_cell``,
+with ``cell.head(horizon)``: no extractor sees a cycle past its horizon.
 """
 
 from __future__ import annotations
@@ -207,29 +209,25 @@ class FeatureMatrix:
 
 
 class BaseFeatureExtractor:
-    """Shared per-cell iteration, sanitization, and matrix assembly."""
+    """Shared per-cell iteration, sanitization, and matrix assembly.
+
+    A subclass sets ``horizon``, the number of leading cycles it reads (None
+    for every cycle), before it calls this ``__init__``; :meth:`extract`
+    hands :meth:`process_cell` only ``cell.head(horizon)``. An extractor of
+    fixed cycles refuses a horizon past ``observed_cycles`` and a cell
+    shorter than it; a per-cycle one (``fixed_horizon`` False) stops at both.
+    """
+
+    fixed_horizon = True
 
     def __init__(self, observed_cycles: int | None = None):
         self.observed_cycles = (
             None if observed_cycles is None else integer("observed_cycles", observed_cycles, 1))
-
-    def _check_observed(self, indices):
-        """Raise FeatureError when one of the cycle ``indices`` the extractor
-        reads lies past the ``observed_cycles`` budget."""
-        if self.observed_cycles is None:
-            return
-        bad = [i for i in indices if i >= self.observed_cycles]
-        if bad:
-            raise FeatureError(
-                f"{type(self).__name__}: cycle indices {bad} exceed the observed-cycle "
-                f"budget of {self.observed_cycles}"
-            )
-
-    def _require_cycles(self, cell, count):
-        if len(cell.cycle_data) < count:
-            raise FeatureError(
-                f"{cell.cell_id}: needs >= {count} cycles, has {len(cell.cycle_data)}"
-            )
+        if self.observed_cycles is not None and (self.horizon is None or self.horizon > self.observed_cycles):
+            if self.fixed_horizon:
+                raise FeatureError(f"{type(self).__name__}: reads the first {self.horizon} cycles, "
+                                   f"past the observed-cycle budget of {self.observed_cycles}")
+            self.horizon = self.observed_cycles
 
     def process_cell(self, cell: CellRecord) -> tuple[np.ndarray, list[tuple]]:
         raise NotImplementedError
@@ -237,7 +235,12 @@ class BaseFeatureExtractor:
     def extract(self, cells: list[CellRecord]) -> FeatureMatrix:
         if not cells:
             raise FeatureError("no cells to extract features from")
-        parts = [self.process_cell(c) for c in cells]
+        h, parts = self.horizon, []
+        for cell in cells:
+            n = len(cell.cycle_data)
+            if self.fixed_horizon and n < h:
+                raise FeatureError(f"{cell.cell_id}: needs >= {h} cycles, has {n}")
+            parts.append(self.process_cell(cell if h is None else cell.head(h)))
         values = np.vstack([p[0] for p in parts])
         keys = [k for p in parts for k in p[1]]
         return FeatureMatrix(values=sanitize(values), row_keys=keys, col_names=list(self.col_names))
@@ -257,7 +260,6 @@ class VarianceModelFeatureExtractor(BaseFeatureExtractor):
         v_max=None,
         observed_cycles: int | None = None,
     ):
-        super().__init__(observed_cycles)
         if len(critical_cycles) != 3:
             raise ValueError("critical_cycles must list three 0-based cycle indices")
         self.interp_dims = integer("interp_dims", interp_dims, 2, MAX_POINTS)
@@ -265,16 +267,14 @@ class VarianceModelFeatureExtractor(BaseFeatureExtractor):
             integer(f"critical_cycles[{k}]", c) for k, c in enumerate(critical_cycles))
         self.v_min = None if v_min is None else number("v_min", v_min)
         self.v_max = None if v_max is None else number("v_max", v_max)
-        self._check_observed(self._cycles_read())
+        super().__init__(observed_cycles)
 
-    def _cycles_read(self):
-        """The 0-based cycle indices that bound what ``process_cell`` reads;
-        none may lie past ``observed_cycles``."""
-        return self.critical_cycles
+    @property
+    def horizon(self) -> int:
+        return max(self.critical_cycles) + 1
 
     def _delta(self, cell):
         _, early, late = self.critical_cycles
-        self._require_cycles(cell, late + 1)
         return delta_q(cell, late, early, interp_dims=self.interp_dims,
                        v_min=self.v_min, v_max=self.v_max)
 
@@ -301,7 +301,7 @@ class DischargeModelFeatureExtractor(VarianceModelFeatureExtractor):
         cap_idx, _, late = self.critical_cycles
         dq = self._delta(cell)
         mn, var, skew, kurt = _moments(dq)
-        caps = cell.cycle_data.maxima("discharge_capacity_in_Ah", 0, late + 1)
+        caps = cell.cycle_data.maxima("discharge_capacity_in_Ah", 0, max(cap_idx, late) + 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             row = np.array(
                 [
@@ -333,8 +333,9 @@ class FullModelFeatureExtractor(DischargeModelFeatureExtractor):
     CHARGE_TIME_CYCLES = (2, 6)
     INTEGRAL_CYCLES = (2, 99)
 
-    def _cycles_read(self):
-        return (*self.critical_cycles, *self.CHARGE_TIME_CYCLES, *self.INTEGRAL_CYCLES)
+    @property
+    def horizon(self) -> int:
+        return max(*self.critical_cycles, self.CHARGE_TIME_CYCLES[1], self.INTEGRAL_CYCLES[1]) + 1
 
     @staticmethod
     def _charge_times(cycles, lo, hi):
@@ -355,7 +356,6 @@ class FullModelFeatureExtractor(DischargeModelFeatureExtractor):
 
     def process_cell(self, cell):
         lo, hi = self.CHARGE_TIME_CYCLES
-        self._require_cycles(cell, max(self._cycles_read()) + 1)
         base = self._discharge_vector(cell)
         mean_ct = float(np.mean(self._charge_times(cell.cycle_data, lo, hi)))
 
@@ -395,7 +395,6 @@ class VoltageCapacityMatrixFeatureExtractor(BaseFeatureExtractor):
         v_max=None,
         observed_cycles: int | None = None,
     ):
-        super().__init__(observed_cycles)
         self.interp_dims = integer("interp_dims", interp_dims, 2, MAX_POINTS)
         self.diff_base = integer("diff_base", diff_base)
         self.max_cycle_index = integer("max_cycle_index", max_cycle_index)
@@ -403,7 +402,8 @@ class VoltageCapacityMatrixFeatureExtractor(BaseFeatureExtractor):
         self.v_min = None if v_min is None else number("v_min", v_min)
         self.v_max = None if v_max is None else number("v_max", v_max)
         self._last_row = min(self.cycles_to_keep, self.max_cycle_index + 1) - 1
-        self._check_observed([self.diff_base, self._last_row])
+        self.horizon = max(self._last_row, self.diff_base) + 1
+        super().__init__(observed_cycles)
 
     @cached_property
     def row_indices(self) -> list[int]:
@@ -417,7 +417,6 @@ class VoltageCapacityMatrixFeatureExtractor(BaseFeatureExtractor):
 
     def matrix(self, cell) -> np.ndarray:
         """The unflattened (cycles_to_keep, interp_dims) matrix of one cell."""
-        self._require_cycles(cell, max(self._last_row, self.diff_base) + 1)
         lo, hi = voltage_bounds(cell, self.v_min, self.v_max)
         base = qdlinear(cell.cycle_data[self.diff_base], lo, hi, self.interp_dims)
         rows = [
@@ -470,23 +469,23 @@ class SOHCycleFeatureExtractor(BaseFeatureExtractor):
     """One row per (cell, cycle) of :func:`soh_cycle_features`."""
 
     col_names = SOH_CYCLE_COL_NAMES
+    fixed_horizon = False
 
     def __init__(self, max_cycle_index: int | None = None, observed_cycles: int | None = None):
-        super().__init__(observed_cycles)
         self.max_cycle_index = (
             None if max_cycle_index is None else integer("max_cycle_index", max_cycle_index))
+        self.horizon = None if self.max_cycle_index is None else self.max_cycle_index + 1
+        super().__init__(observed_cycles)
 
-    def _stop(self, cell):
+    @staticmethod
+    def _cycles(cell) -> CycleData:
         if not cell.cycle_data:
             raise FeatureError(f"{cell.cell_id}: no cycles")
-        limits = (len(cell.cycle_data), self.observed_cycles,
-                  None if self.max_cycle_index is None else self.max_cycle_index + 1)
-        return min(n for n in limits if n is not None)
+        return cell.cycle_data
 
     def process_cell(self, cell):
-        stop = self._stop(cell)
-        keys = [(cell.cell_id, cycle_no, None) for cycle_no in cell.cycle_data.cycle_number[:stop].tolist()]
-        return _soh_cycle_rows(cell, 0, stop), keys
+        keys = [(cell.cell_id, cycle_no, None) for cycle_no in self._cycles(cell).cycle_number.tolist()]
+        return _soh_cycle_rows(cell, 0, len(keys)), keys
 
 
 class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
@@ -516,12 +515,11 @@ class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
                 + ["prev_qdlin_zero_filled"])
 
     def process_cell(self, cell):
-        cycles = cell.cycle_data
-        stop = self._stop(cell)
-        if stop > 1:
+        cycles = self._cycles(cell)
+        if len(cycles) > 1:
             lo, hi = voltage_bounds(cell, self.v_min, self.v_max)
         blocks, keys = [], []
-        for idx, cycle_no in enumerate(cycles.cycle_number[:stop].tolist()):
+        for idx, cycle_no in enumerate(cycles.cycle_number.tolist()):
             cyc = cycles[idx]
             t = np.asarray(cyc.time_in_s)
             if idx == 0:
@@ -543,17 +541,16 @@ class CapacityFadeSlopeFeatureExtractor(BaseFeatureExtractor):
     col_names = ["soh_slope_percent_per_cycle"]
 
     def __init__(self, first_cycle: int = 2, last_cycle: int = 99, observed_cycles: int | None = None):
-        super().__init__(observed_cycles)
         self.first_cycle = integer("first_cycle", first_cycle)
         self.last_cycle = integer("last_cycle", last_cycle)
         if not first_cycle < last_cycle:
             raise ValueError("need 0 <= first_cycle < last_cycle")
-        self._check_observed([self.last_cycle])
+        self.horizon = self.last_cycle + 1
+        super().__init__(observed_cycles)
 
     def process_cell(self, cell):
         from .labels import soh_per_cycle
 
-        self._require_cycles(cell, self.last_cycle + 1)
         soh = soh_per_cycle(cell)[self.first_cycle : self.last_cycle + 1]
         n = np.arange(self.first_cycle, self.last_cycle + 1, dtype=float)
         slope = np.polyfit(n, soh, 1)[0]

@@ -104,8 +104,7 @@ class MLPRegressor(BaseRegressor):
         rng = np.random.default_rng(self.seed)
         self._init_params(X.shape[1], rng)
         n = X.shape[0]
-        # a diverging fit overflows to inf and NaN; its non-finite predictions
-        # are reported as one error when the model is scored
+        # a diverging fit overflows to inf and NaN, refused once it ends
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(self.epochs):
                 order = rng.permutation(n)
@@ -115,9 +114,13 @@ class MLPRegressor(BaseRegressor):
                     for l in range(len(self.weights_)):
                         self.weights_[l] -= self.learning_rate * gW[l]
                         self.biases_[l] -= self.learning_rate * gb[l]
+        if not all(np.isfinite(p).all() for p in (*self.weights_, *self.biases_)):
+            raise ModelError(f"seed {self.seed}: MLPRegressor diverged: its weights are not finite "
+                             f"after {self.epochs} epochs at learning_rate {self.learning_rate!r}")
 
     def _predict(self, X):
-        return self._forward(X)[2]
+        with np.errstate(over="ignore", invalid="ignore"):  # scoring refuses non-finite predictions
+            return self._forward(X)[2]
 
     def _param_blocks(self):
         blocks = []

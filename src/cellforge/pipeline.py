@@ -35,11 +35,14 @@ units (predictions are inverse-transformed before scoring).
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import hashlib
 import inspect
 import json
 import os
 import shutil
+import tempfile
 from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
@@ -382,6 +385,10 @@ def _score(seeds, models, ft, lt, X_test, y_test):
                 f"seed {seed}: {type(model).__name__} predicts non-finite values "
                 "(the fit diverged, or the label transformation overflowed)"
             )
+        with np.errstate(over="ignore"):  # refused here, with the seed
+            if not np.isfinite(rmse(y_test, predicted[seed])):
+                raise PipelineError(f"seed {seed}: {type(model).__name__} predicts values whose "
+                                    "squared error overflows (the fit diverged)")
     preds = [predicted.get(seed, predicted[seeds[0]]) for seed in seeds]
     per_seed = {"seed": list(seeds), "rmse": [rmse(y_test, p) for p in preds],
                 "mae": [mae(y_test, p) for p in preds]}
@@ -469,27 +476,39 @@ def run_train(config, workspace=None, cells: list[CellRecord] | None = None) -> 
 
 
 def _write_checkpoint(ckpt_dir, config, split, features_test, ft, lt, models, report):
-    """Write the checkpoint into ``<run>.tmp/``, then replace any older
-    ``<run>/`` with it; on failure the temporary directory is removed."""
-    tmp = ckpt_dir.with_name(ckpt_dir.name + ".tmp")
-    shutil.rmtree(tmp, ignore_errors=True)
-    tmp.mkdir(parents=True)
+    """Write the checkpoint into a new directory of its own beside ``<run>/``
+    (``tempfile.mkdtemp``), then swap it in with two renames: any older
+    ``<run>/`` aside, then the new one in. A train of the same run that
+    swaps its checkpoint in between the two is moved aside in turn, so the
+    last to finish wins. What was moved aside, or written before a failure,
+    is removed with the temporary directory."""
+    ckpt_dir.parent.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f"{ckpt_dir.name}.", suffix=".tmp", dir=ckpt_dir.parent))
+    new, old = work / "new", work / "old"
     try:
+        new.mkdir()  # with the permissions of any other directory made here
         if config.source_path is not None and config.source_path.is_file():
-            shutil.copyfile(config.source_path, tmp / "config.yaml")
+            shutil.copyfile(config.source_path, new / "config.yaml")
         else:
-            (tmp / "config.yaml").write_text(yaml.safe_dump(config.to_dict()))
-        write_json(tmp / "report.json", report)
-        write_json(tmp / "split.json", split.to_dict())
-        write_json(tmp / "transforms.json",
+            (new / "config.yaml").write_text(yaml.safe_dump(config.to_dict()))
+        write_json(new / "report.json", report)
+        write_json(new / "split.json", split.to_dict())
+        write_json(new / "transforms.json",
                    {"feature_transformation": ft.to_dict(), "label_transformation": lt.to_dict()})
-        write_features(tmp / "features_test.bin", features_test.values)
-        save_models(tmp / "models.bin", models.values())
-        shutil.rmtree(ckpt_dir, ignore_errors=True)
-        tmp.rename(ckpt_dir)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
+        write_features(new / "features_test.bin", features_test.values)
+        save_models(new / "models.bin", models.values())
+        while True:
+            with contextlib.suppress(FileNotFoundError):  # no older checkpoint
+                ckpt_dir.rename(old)
+            try:
+                new.rename(ckpt_dir)
+                break
+            except OSError as exc:  # another train's checkpoint came in between the renames
+                if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
+                    raise
+                shutil.rmtree(old, ignore_errors=True)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
 
 
 def write_features(path, values: np.ndarray) -> Path:

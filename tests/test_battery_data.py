@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cellforge
@@ -1547,6 +1547,114 @@ def noisy_cells(*cell_ids, seed=3) -> list:
 
 
 # the columns of noisy_cells() that are second-difference blocks
+@st.composite
+def escaped_blocks(draw):
+    """A 1-D float64 block of 1 to 20,000 elements, long enough to span
+    pages: a smooth ramp with some elements replaced by arbitrary bit
+    patterns, each of which makes up to three escapes."""
+    n = draw(st.integers(1, 20000))
+    start, step = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1.0, 1.0))
+    bits = (start + step * np.arange(n)).view(np.uint64)
+    for i, value in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 2**64 - 1)),
+                                  max_size=min(n // 4, 400))):
+        bits[i] = value
+    return bits.view(np.float64)
+
+
+class _AdvisedMap(mmap.mmap):
+    """A read-only mapping that records the (start, length) of each ``madvise``."""
+
+    def madvise(self, option, start, length):
+        self.advised.append((start, length))
+        return super().madvise(option, start, length)
+
+
+class TestPrefixDecode:
+    """``Coded.head(k)`` is the block of a coded block's first ``k`` values,
+    still undecoded: its ``k`` residuals and the escape values of the
+    escapes among them, which come first."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=escaped_blocks(), data=st.data())
+    def test_a_prefix_decodes_to_the_first_values(self, tmp_path_factory, block, data):
+        path = write_container(tmp_path_factory.mktemp("prefix") / "x.bin", b"TST1", {},
+                               [("x", block)])
+        raw = path.read_bytes()
+        header, offset = container.read_header(raw, b"TST1", CheckpointError)
+        assume("escapes" in header["blocks"][0])
+        k = data.draw(st.integers(0, block.size), label="k")
+        j = data.draw(st.integers(0, k), label="j")
+        with open(path, "rb") as fh:
+            mapped = _AdvisedMap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        for source in (raw, mapped):
+            mapped.advised = []
+            coded = container.parse_blocks(source, header, offset, CheckpointError)["x"]
+            prefix = coded.head(k)
+            assert prefix.shape == (k,) and prefix.escapes == escape_count(block[:k])
+            assert as_bits(prefix.decode()).tobytes() == as_bits(block[:k]).tobytes()
+            # only whole pages of the prefix's own residuals and escape values leave memory
+            residuals = (offset, offset + k)
+            escapes = (offset + block.size, offset + block.size + 8 * prefix.escapes)
+            spans = [(residuals[0], escapes[1])] if residuals[1] == escapes[0] else [residuals, escapes]
+            for start, length in mapped.advised:
+                assert start % mmap.PAGESIZE == 0 and length % mmap.PAGESIZE == 0 and length > 0
+                assert any(lo <= start and start + length <= hi for lo, hi in spans), (start, length)
+            assert as_bits(prefix.head(j).decode()).tobytes() == as_bits(block[:j]).tobytes()
+            assert as_bits(coded.decode()).tobytes() == as_bits(block).tobytes()  # the whole block after
+
+    def test_a_long_prefix_drops_the_pages_it_decodes_alone(self, tmp_path):
+        block = np.linspace(2.0, 3.9, 30000)
+        block[[100, 20000, 29000]] = [1e300, -5.0, 7.0]  # three escapes each, beside the first two
+        path = write_container(tmp_path / "x.bin", b"TST1", {}, [("x", block)])
+        header, offset = container.read_header(path.read_bytes(), b"TST1", CheckpointError)
+        with open(path, "rb") as fh:
+            mapped = _AdvisedMap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        mapped.advised = []
+        coded = container.parse_blocks(mapped, header, offset, CheckpointError)["x"]
+        assert coded.escapes == escape_count(block) == 11 and coded.head(25000).escapes == 8
+        assert coded.head(25000).decode().tobytes() == block[:25000].tobytes()
+        start = -(-offset // mmap.PAGESIZE) * mmap.PAGESIZE
+        assert mapped.advised == [(start, (offset + 25000) // mmap.PAGESIZE * mmap.PAGESIZE - start)]
+
+
+class TestHead:
+    """``cell.head(h)`` is the cell with its first ``h`` cycles alone, its
+    columns cut as views and its coded columns as coded prefixes."""
+
+    def test_a_read_cell_keeps_its_columns_lazy(self, quickstart_corpus, monkeypatch):
+        decoded = []
+        monkeypatch.setattr(container.Coded, "decode",
+                            lambda self, decode=container.Coded.decode: decoded.append(self.size) or decode(self))
+        generated = quickstart_corpus.generated[0]
+        cell = read_cell(quickstart_corpus.directory / "SYN_0000.cfc")
+        n, offsets = len(cell.cycle_data), cell.cycle_data.offsets["time_in_s"]
+        capacity = cell.cycle_data.columns["discharge_capacity_in_Ah"]  # decoded whole, as labels read it
+        assert decoded == [offsets[-1]]
+        head = cell.head(100)
+        assert decoded == [offsets[-1]] and len(head.cycle_data) == 100
+        assert head.cycle_data.columns["discharge_capacity_in_Ah"].base is capacity
+        assert set(coded_columns(head)) == set(coded_columns(cell)) == set(CODED) - {
+            "discharge_capacity_in_Ah"} | {"voltage_in_V"}
+        assert all(column.size == offsets[100] for column in coded_columns(head).values())
+        assert head == generated.head(100) == dataclasses.replace(
+            generated, cycle_data=generated.cycle_data[:100])  # == decodes the prefixes alone
+        assert decoded == [offsets[-1]] + [offsets[100]] * 4
+        assert cell.head(n) is cell and cell.head(n + 1) is cell and generated.head(n) is generated
+        assert validate(head) == []
+
+    @pytest.mark.parametrize("h", [0, 1, 2, 3])
+    def test_per_cycle_facts_are_cut_with_the_columns(self, tmp_path, h):
+        cycles = (linear_cycle(1, temperature=25.0), linear_cycle(2, internal_resistance=0.02),
+                  dataclasses.replace(linear_cycle(3, temperature=26.0), extra={"note": "x"}),
+                  linear_cycle(4, internal_resistance=0.03))
+        cell = dataclasses.replace(make_cell("MIX"), cycle_data=cycles)
+        for source in (cell, read_cell(write_cell(cell, tmp_path))):
+            head = source.head(h)
+            assert head == dataclasses.replace(cell, cycle_data=cycles[:h])
+            assert head.cycle_data.extra == ({2: {"note": "x"}} if h > 2 else {})
+            assert list(head.cycle_data) == list(cycles[:h])
+
+
 CODED = ("current_in_A", "charge_capacity_in_Ah", "discharge_capacity_in_Ah", "time_in_s")
 
 

@@ -6,6 +6,7 @@ import hashlib
 import json
 import re
 import shutil
+import warnings
 import weakref
 from pathlib import Path
 
@@ -734,8 +735,21 @@ class TestTrainEvaluate:
             "name": "MLPRegressor", "hidden_dims": [32], "epochs": 10, "learning_rate": 1e6})
         ws = tmp_path / "ws"
         assert main(["train", "--config", str(config_path), "--workspace", str(ws)]) == 1
-        assert_one_line_error(capsys, "seed 0: MLPRegressor predicts non-finite values")
+        assert_one_line_error(capsys, "error: seed 0: MLPRegressor diverged: its weights are not "
+                                      "finite after 10 epochs at learning_rate 1000000.0\n")
         assert not ws.exists() or list(ws.iterdir()) == []
+
+    def test_a_diverging_mlp_prints_no_numpy_warning(self, corpus_dir, tmp_path, capsys):
+        # the fit's last weights were not finite, and predicting from them
+        # printed four RuntimeWarning lines before the error line
+        config_path = write_train_config(tmp_path, corpus_dir, model={
+            "name": "MLPRegressor", "hidden_dims": [32], "epochs": 10, "learning_rate": 2**47})
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # printed to stderr, as outside the test suite
+            assert main(["train", "--config", str(config_path), "--workspace", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: seed 0: MLPRegressor diverged: its weights are not finite after 10 epochs "
+            f"at learning_rate {float(2**47)!r}\n")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_label_inverse_is_one_line_error(self, corpus_dir, tmp_path, capsys):

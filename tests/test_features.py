@@ -1,15 +1,18 @@
 """Feature extraction: interpolation oracles, extractors, persistence."""
 
+import ast
 import dataclasses
 import hashlib
 import re
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cellforge.battery_data import CycleRecord, write_container
+import cellforge
+from cellforge.battery_data import CycleData, CycleRecord, validate, write_container
 from cellforge.errors import CheckpointError, FeatureError
 from cellforge.features import (
     COULOMBIC_EPS,
@@ -30,6 +33,7 @@ from cellforge.features import (
     voltage_bounds,
 )
 from cellforge.pipeline import FEATURES_MAGIC, read_features, write_features
+from cellforge.registry import FEATURES
 from conftest import V_MAX, V_MIN, linear_cycle, make_cell
 
 SPAN = V_MAX - V_MIN
@@ -334,7 +338,8 @@ class TestVarianceExtractor:
             # the temperature integral and resistance rise read cycles 2-99
             lambda: FullModelFeatureExtractor(critical_cycles=[2, 9, 40], observed_cycles=50),
         ):
-            with pytest.raises(FeatureError, match=r"cycle indices \[99\] exceed the observed-cycle budget"):
+            with pytest.raises(FeatureError, match="reads the first 100 cycles, past the "
+                                                   "observed-cycle budget of 50"):
                 make()
         VarianceModelFeatureExtractor(observed_cycles=100)  # index 99 fits
         FullModelFeatureExtractor(observed_cycles=100)
@@ -353,6 +358,13 @@ class TestDischargeExtractor:
         assert len(row) == 6
         assert row[4] == caps[0]
         assert row[5] == pytest.approx(max(caps) - caps[0], abs=1e-12)
+
+    def test_a_capacity_cycle_past_the_late_cycle(self):
+        # the capacities stopped at the late cycle, so indexing the capacity cycle raised IndexError
+        caps = (1.0, 1.04, 1.02, 0.9)
+        ex = DischargeModelFeatureExtractor(critical_cycles=(3, 1, 2), interp_dims=64)
+        row = ex.extract([make_cell(caps=caps)]).values[0]
+        assert row[4] == caps[3] and row[5] == pytest.approx(max(caps) - caps[3], abs=1e-12)
 
     def test_degenerate_difference_sanitizes_to_zero(self):
         cell = make_cell(caps=(1.0,) * 4)
@@ -555,3 +567,133 @@ class TestFadeSlopeExtractor:
         ex = CapacityFadeSlopeFeatureExtractor(first_cycle=0, last_cycle=9)
         with pytest.raises(FeatureError, match="needs >= 10"):
             ex.extract([make_cell(caps=(1.0, 0.9))])
+
+
+# Every registered extractor with parameters that set its horizon below the
+# test cells' length, and that horizon: the number of leading cycles it reads.
+HORIZONS = {
+    "VarianceModelFeatureExtractor": ({"interp_dims": 16, "critical_cycles": (2, 9, 19)}, 20),
+    "DischargeModelFeatureExtractor": ({"interp_dims": 16, "critical_cycles": (2, 19, 9)}, 20),
+    # the charge time and temperature integral read cycles 2-6 and 2-99 whatever critical_cycles says
+    "FullModelFeatureExtractor": ({"interp_dims": 16, "critical_cycles": (2, 9, 19)}, 100),
+    "VoltageCapacityMatrixFeatureExtractor": (
+        {"interp_dims": 4, "diff_base": 12, "max_cycle_index": 9, "cycles_to_keep": 10}, 13),
+    "SOHCycleFeatureExtractor": ({"max_cycle_index": 9}, 10),
+    "SOCStepFeatureExtractor": ({"n_qdlin": 4, "max_cycle_index": 9}, 10),
+    "CapacityFadeSlopeFeatureExtractor": ({"first_cycle": 2, "last_cycle": 29}, 30),
+}
+
+# A change to each signal that keeps a cycle valid: capacities stay
+# non-decreasing and times strictly increasing.
+_EDITS = {
+    "voltage_in_V": lambda v: v + 0.01,
+    "current_in_A": lambda i: 1.5 * i,
+    "charge_capacity_in_Ah": lambda q: 0.9 * q,
+    "discharge_capacity_in_Ah": lambda q: 0.9 * q,
+    "time_in_s": lambda t: t + 7.0,
+    "temperature_in_C": lambda t: t + 1.0,
+}
+
+
+def edited_from(cell, h):
+    """``cell`` with every signal of its cycles ``h`` onwards changed."""
+    cycles = cell.cycle_data
+    columns = {}
+    for name, edit in _EDITS.items():
+        column, start = np.array(cycles.columns[name]), cycles.offsets[name][h]
+        column[start:] = edit(column[start:])
+        columns[name] = column
+    resistance = cycles.internal_resistance_in_ohm.copy()
+    resistance[h:] *= 2.0
+    return dataclasses.replace(cell, cycle_data=CycleData(
+        cycles.cycle_number, columns, cycles.offsets, has_temperature=cycles.has_temperature,
+        internal_resistance_in_ohm=resistance, has_internal_resistance=cycles.has_internal_resistance,
+        extra=cycles.extra))
+
+
+class TestHorizon:
+    def test_every_registered_extractor_is_covered(self):
+        assert set(HORIZONS) == set(FEATURES.names())
+
+    @pytest.mark.parametrize("name", sorted(HORIZONS))
+    def test_cycles_past_the_horizon_change_no_feature(self, name, synth_cells):
+        # the leakage oracle: what an extractor is never given cannot reach its features
+        params, h = HORIZONS[name]
+        extractor = FEATURES.create(name, **params)
+        assert extractor.horizon == h
+        cell = synth_cells[0]
+        edited = edited_from(cell, h)
+        assert validate(edited) == [] and edited != cell
+        assert edited.cycle_data.head(h) == cell.cycle_data.head(h)
+        for signal, column in cell.cycle_data.columns.items():
+            start = cell.cycle_data.offsets[signal][h]
+            assert not np.array_equal(edited.cycle_data.columns[signal][start:], column[start:])
+        truncated = dataclasses.replace(cell, cycle_data=cell.cycle_data[:h])
+        expected = extractor.extract([cell])
+        for other in (edited, truncated):
+            got = extractor.extract([other])
+            assert got.values.tobytes() == expected.values.tobytes()
+            assert got.row_keys == expected.row_keys
+
+    @pytest.mark.parametrize("name", sorted(HORIZONS))
+    def test_process_cell_is_given_the_cycles_of_the_horizon_alone(self, name, synth_cells):
+        params, h = HORIZONS[name]
+        extractor = FEATURES.create(name, **params)
+        given = []
+
+        def spy(cell, process_cell=extractor.process_cell):
+            given.append(len(cell.cycle_data))
+            return process_cell(cell)
+
+        extractor.process_cell = spy
+        cell = synth_cells[0]
+        short = dataclasses.replace(cell, cycle_data=cell.cycle_data[: h - 1])
+        extractor.extract([cell])
+        if extractor.fixed_horizon:
+            with pytest.raises(FeatureError, match=f"^{cell.cell_id}: needs >= {h} cycles, has {h - 1}$"):
+                extractor.extract([short])
+            assert given == [h]
+        else:  # a per-cycle extractor takes what cycles a shorter cell has
+            extractor.extract([short])
+            assert given == [h, h - 1]
+
+    @pytest.mark.parametrize("extractor", [SOHCycleFeatureExtractor, SOCStepFeatureExtractor])
+    def test_a_per_cycle_horizon_is_cut_to_the_observed_cycles(self, extractor):
+        assert extractor().horizon is None
+        assert extractor(observed_cycles=5).horizon == 5
+        assert extractor(max_cycle_index=9, observed_cycles=50).horizon == 10
+        assert extractor(max_cycle_index=99, observed_cycles=50).horizon == 50
+
+    def test_only_extract_calls_process_cell(self):
+        # extract hands process_cell the cell's head; any other caller could hand it the whole cell
+        src = Path(cellforge.__file__).parent
+        found = [f"{path.relative_to(src)}:{line} in {owner}"
+                 for path in sorted(src.rglob("*.py"))
+                 for owner, line in process_cell_uses(path.read_text(encoding="utf-8"))
+                 if owner != "BaseFeatureExtractor.extract"]
+        assert found == []
+
+    @pytest.mark.parametrize("source, uses", [
+        ("class A:\n    def f(self, c):\n        return self.process_cell(c)\n", [("A.f", 3)]),
+        ("def f(ex, c):\n    g = ex.process_cell\n    return g(c)\n", [("f", 2)]),
+        ("class A:\n    def process_cell(self, c):\n        return c\n", []),
+    ])
+    def test_guard_recognises_uses(self, source, uses):
+        assert process_cell_uses(source) == uses
+
+
+def process_cell_uses(source: str) -> list[tuple[str, int]]:
+    """(enclosing class and function, line) of each use of an attribute
+    named ``process_cell`` in ``source``; defining one is not a use."""
+    uses = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if isinstance(node, ast.Attribute) and node.attr == "process_cell":
+            uses.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return uses

@@ -6,9 +6,12 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,7 +21,7 @@ import pytest
 import yaml
 
 import cellforge
-from cellforge import battery_data
+from cellforge import battery_data, container
 from cellforge.battery_data import CycleData, load_cells, write_cell, write_container
 from cellforge.cli import main as cli_main
 from cellforge.errors import (
@@ -46,7 +49,7 @@ from cellforge.pipeline import (
     run_evaluate,
     run_train,
 )
-from cellforge.registry import FEATURES, LABELS, MODELS, SPLITTERS, integer, register
+from cellforge.registry import FEATURES, LABELS, MODELS, SPLITTERS, TRANSFORMS, integer, register
 from cellforge.synthetic import SynthSpec, generate_synthetic
 from cellforge.transforms import ZScoreDataTransformation, _Fitted
 
@@ -500,6 +503,26 @@ class TestAtomicCheckpoint:
         assert not (second.directory / "model_seed5.bin").exists()
         assert run_evaluate(second.directory) == second.report
 
+    def test_concurrent_trains_of_one_run_both_succeed(self, pipe_cells, tmp_path):
+        # both wrote into one fixed <run>.tmp/, which each removed when it started
+        corpus, ws, config = tmp_path / "cells", tmp_path / "ws", tmp_path / "config.yaml"
+        corpus.mkdir()
+        for cell in pipe_cells:
+            write_cell(cell, corpus)
+        split = {"name": "RandomTrainTestSplitter", "test_fraction": 0.25, "seed": 3,
+                 "cell_data_path": str(corpus)}
+        config.write_text(yaml.safe_dump(make_config(train_test_split=split)))
+        src = str(Path(cellforge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        command = [sys.executable, "-m", "cellforge.cli", "--quiet", "train", "--config", str(config),
+                   "--workspace", str(ws)]
+        runs = [subprocess.Popen(command, env=env, stderr=subprocess.PIPE, text=True) for _ in range(2)]
+        for run in runs:
+            assert run.wait(timeout=300) == 0, run.stderr.read()
+            run.stderr.close()
+        (checkpoint,) = ws.iterdir()  # nothing else is left in the workspace
+        assert run_evaluate(checkpoint) == json.loads((checkpoint / "report.json").read_text())
+
 
 class TestExclusions:
     def immortal(self):
@@ -692,6 +715,74 @@ def _stored(component, parameter):
     raise AssertionError(f"{type(component).__name__} keeps no {parameter!r}")
 
 
+# The values the hostile-value walk gives each constructor parameter, one at a time.
+HOSTILE_VALUES = ["x", True, None, [], ["x"], {"a": 1}, -1, 0, 1.5, 2**47, 2**63]
+# Loop counts: a huge one is a request that runs for ages, not one that fails.
+LOOP_COUNTS = {"epochs", "n_trees", "n_cells"}
+# Per registry, the config section its class fills.
+WALKED_SECTIONS = {"train_test_split": SPLITTERS, "feature": FEATURES, "label": LABELS,
+                   "label_transformation": TRANSFORMS, "model": MODELS}
+
+
+def walk_start(name: str, corpus: Path, split_file: Path) -> dict:
+    """The config sections a walk of the class registered as ``name`` starts
+    from, over a fast RUL config: parameters that keep each case small, and
+    the feature or label whose rows the class's rows match."""
+    ids = sorted(p.stem for p in corpus.glob("*.cfc"))
+    soh_feature = {"name": "SOHCycleFeatureExtractor", "max_cycle_index": 9}
+    soc_feature = {"name": "SOCStepFeatureExtractor", "n_qdlin": 4, "max_cycle_index": 9}
+    soc_label = {"name": "SOCLabelAnnotator", "max_cycle_index": 9}
+    return {
+        "VarianceModelFeatureExtractor": {"feature": {"interp_dims": 8}},
+        "DischargeModelFeatureExtractor": {"feature": {"interp_dims": 8}},
+        "FullModelFeatureExtractor": {"feature": {"interp_dims": 8}},
+        "VoltageCapacityMatrixFeatureExtractor": {
+            "feature": {"interp_dims": 4, "max_cycle_index": 9, "cycles_to_keep": 10}},
+        "SOHCycleFeatureExtractor": {"feature": soh_feature, "label": {"name": "SOHLabelAnnotator"}},
+        "SOCStepFeatureExtractor": {"feature": soc_feature, "label": soc_label},
+        "SOHLabelAnnotator": {"feature": soh_feature},
+        "SOCLabelAnnotator": {"feature": soc_feature, "label": soc_label},
+        "SequentialDataTransformation": {
+            "label_transformation": {"transformations": [{"name": "ZScoreDataTransformation"}]}},
+        "MLPRegressor": {"model": {"epochs": 3}},
+        "RandomForestRegressor": {"model": {"n_trees": 2}},
+        "ExplicitTrainTestSplitter": {"train_test_split": {"train_ids": ids[:4], "test_ids": ids[4:]}},
+        "FixedSplitTrainTestSplitter": {"train_test_split": {"path": str(split_file)}},
+    }.get(name, {})
+
+
+def hostile_cases(corpus: Path, split_file: Path):
+    """``(case, command, document)`` for every constructor parameter of every
+    registered class and of ``SynthSpec``, set to each hostile value in turn:
+    a config for ``train``, or a generator spec for ``generate``."""
+    base = make_config(train_test_split={"name": "RandomTrainTestSplitter", "test_fraction": 0.34},
+                       feature={"name": "VarianceModelFeatureExtractor", "interp_dims": 8},
+                       seeds=[0])
+    base["train_test_split"]["cell_data_path"] = str(corpus)
+    spec = {"n_cells": 2, "cycle_life_mean": 20.0, "cycle_life_std": 0.0, "points_per_cycle": 16}
+    walked = [("generate", "SynthSpec", [f.name for f in dataclasses.fields(SynthSpec)], None)]
+    for section, registry in WALKED_SECTIONS.items():
+        for name in registry.names():
+            factory = registry.get_factory(name)
+            parameters = [p.name for p in inspect.signature(factory).parameters.values()
+                          if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
+            walked.append(("train", name, parameters, section))
+    for command, name, parameters, section in walked:
+        start = json.loads(json.dumps(base))
+        for key, fields in walk_start(name, corpus, split_file).items():
+            start[key] = {**start[key], **fields}
+        for parameter in parameters:
+            for value in HOSTILE_VALUES:
+                if parameter in LOOP_COUNTS and isinstance(value, int) and value >= 2**47:
+                    continue
+                case = f"{name}.{parameter}={value!r}"
+                if command == "generate":
+                    yield case, command, {**spec, parameter: value}
+                else:
+                    yield case, command, {**start, section: {**start[section], "name": name,
+                                                             parameter: value}}
+
+
 class TestRegisteredComponents:
     def test_every_integer_parameter_refuses_what_is_not_an_integer(self):
         seen = set()
@@ -758,6 +849,37 @@ class TestRegisteredComponents:
                         assert type(value) is float and value == valid, (name, p.name, good)
         assert {"alpha", "learning_rate", "feature_subsample_fraction", "test_fraction",
                 "eol_soh_percent", "v_min", "v_max"} <= seen
+
+    def test_no_hostile_value_ends_in_a_traceback_or_a_warning(self, tmp_path, capsys,
+                                                                 capped_address_space):
+        # every constructor parameter takes each hostile value through the CLI, in this process
+        # (numpy warnings are errors here); each case exits 0 or 2, or 1 with one error line
+        corpus, split_file = tmp_path / "cells", tmp_path / "split.json"
+        corpus.mkdir()
+        for cell in generate_synthetic(SynthSpec(n_cells=6, cycle_life_mean=110.0, cycle_life_std=5.0,
+                                                 points_per_cycle=16, seed=5)):
+            write_cell(cell, corpus)
+        ids = sorted(p.stem for p in corpus.glob("*.cfc"))
+        split_file.write_text(json.dumps({"train": ids[:4], "test": ids[4:]}))
+        failures, cases = [], 0
+        for case, command, document in hostile_cases(corpus, split_file):
+            cases += 1
+            path = tmp_path / "case.yaml"
+            path.write_text(yaml.safe_dump(document))
+            argv = (["--quiet", "train", "--config", str(path), "--workspace", str(tmp_path / "ws")]
+                    if command == "train" else
+                    ["--quiet", "generate", "--spec", str(path), "--out", str(tmp_path / "out")])
+            try:
+                code = cli_main(argv)
+            except BaseException as exc:  # a traceback, or a warning raised as an error
+                code = f"{type(exc).__name__}: {exc}"
+            err = capsys.readouterr().err
+            one_line = code == 1 and err.startswith("error: ") and err.count("\n") == 1
+            if not (code in (0, 2) or one_line):
+                failures.append(f"{case}: exit {code}, stderr {err!r}")
+            shutil.rmtree(tmp_path / "ws", ignore_errors=True)
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        assert failures == [] and cases > 500
 
     def test_registered_model_and_transform_survive_evaluate(self, pipe_cells, tmp_path):
         cfg = make_config(
@@ -1229,6 +1351,31 @@ class TestShippedConfigs:
     def test_every_shipped_config_trains_in_tier_one(self):
         shipped = {path.stem for path in CONFIG_DIR.glob("*.yaml")}
         assert sorted(shipped - set(SYNTHETIC_CONFIGS) - set(MATR_CONFIGS)) == []
+
+    def test_a_linear_train_decodes_the_horizon_of_what_its_feature_reads(
+            self, pipe_cells, tmp_path, monkeypatch):
+        # the label reads discharge capacity whole; the variance feature reads
+        # current, voltage and discharge capacity of cycles 0-99 alone
+        corpus = tmp_path / "cells"
+        corpus.mkdir()
+        expected = []
+        for cell in pipe_cells:
+            header = container_parts(write_cell(cell, corpus).read_bytes())[0]
+            assert {b["name"] for b in header["blocks"] if "escapes" in b} == {
+                "voltage_in_V", "current_in_A", "charge_capacity_in_Ah", "discharge_capacity_in_Ah",
+                "time_in_s"}
+            offsets = cell.cycle_data.offsets["time_in_s"]
+            expected += [offsets[-1], offsets[100], offsets[100]]
+        decoded = []
+        monkeypatch.setattr(container.Coded, "decode",
+                            lambda self, decode=container.Coded.decode: decoded.append(self.size) or decode(self))
+        cfg = yaml.safe_load((CONFIG_DIR / "synthetic_variance_linear.yaml").read_text())
+        cfg["train_test_split"]["cell_data_path"] = str(corpus)
+        run_train(cfg, workspace=tmp_path / "ws")
+        assert sorted(decoded) == sorted(expected)
+        # 1,274 cycles of 16 points, then two columns to the horizon in each of 8 cells; the
+        # whole of each of the three columns came to 61,152
+        assert sum(decoded) == 1274 * 16 + 8 * 2 * 100 * 16 == 45984
 
 
 
