@@ -167,32 +167,25 @@ class SOHLabelAnnotator:
     """One SOH label per (cell, cycle)."""
 
     def annotate(self, cells: list[CellRecord]) -> tuple[LabelVector, list[tuple[str, str]]]:
-        values, keys = [], []
-        for cell in cells:
-            soh = soh_per_cycle(cell)
-            for cycle_no, s in zip(cell.cycle_data.cycle_number.tolist(), soh):
-                values.append(s)
-                keys.append((cell.cell_id, cycle_no, None))
-        return LabelVector(np.array(values), keys), []
+        values = [soh_per_cycle(cell) for cell in cells]
+        keys = [(cell.cell_id, cycle_no, None)
+                for cell in cells for cycle_no in cell.cycle_data.cycle_number.tolist()]
+        return LabelVector(np.concatenate([np.empty(0), *values]), keys), []
 
 
 class SOCLabelAnnotator:
     """One SOC label per (cell, cycle, step) of the cycles up to
-    ``max_cycle_index`` (a non-negative integer, or None for every cycle)."""
+    ``max_cycle_index`` (a non-negative integer, or None for every cycle),
+    read through ``cell.head(max_cycle_index + 1)`` alone."""
 
     def __init__(self, max_cycle_index: int | None = None):
         self.max_cycle_index = (
             None if max_cycle_index is None else integer("max_cycle_index", max_cycle_index))
 
     def annotate(self, cells: list[CellRecord]) -> tuple[LabelVector, list[tuple[str, str]]]:
-        values, keys = [], []
-        for cell in cells:
-            stop = len(cell.cycle_data)
-            if self.max_cycle_index is not None:
-                stop = min(stop, self.max_cycle_index + 1)
-            for idx, cycle_no in enumerate(cell.cycle_data.cycle_number[:stop].tolist()):
-                soc = soc_per_step(cell, idx)
-                for step, s in enumerate(soc):
-                    values.append(s)
-                    keys.append((cell.cell_id, cycle_no, step))
-        return LabelVector(np.array(values), keys), []
+        if self.max_cycle_index is not None:
+            cells = [cell.head(self.max_cycle_index + 1) for cell in cells]
+        socs = [(cell.cell_id, cycle_no, soc_per_step(cell, idx)) for cell in cells
+                for idx, cycle_no in enumerate(cell.cycle_data.cycle_number.tolist())]
+        keys = [(cell_id, cycle_no, step) for cell_id, cycle_no, soc in socs for step in range(len(soc))]
+        return LabelVector(np.concatenate([np.empty(0), *(soc for *_, soc in socs)]), keys), []

@@ -23,9 +23,10 @@ A run is described by a YAML file with six component sections plus optional
         name: 'LinearRegressionRULPredictor'
 
 Training splits the corpus, then takes one cell at a time, the training
-cells before the test cells, through labels and features and drops it before
-the next, so a run that reads ``cell_data_path`` holds one cell's pages
-instead of the corpus's. It then fits the transforms (on train rows only)
+cells before the test cells, through labels and features, joins its feature
+and label rows by row key and drops all but the joined rows before the
+next, so a run that reads ``cell_data_path`` holds one cell's pages instead
+of the corpus's. It then fits the transforms (on train rows only)
 and one model per seed (one model for all seeds when the model takes no
 ``seed``), and persists everything under
 ``<workspace>/<config stem>_<hash8>/``; its ``report.json`` is the one home of
@@ -56,7 +57,6 @@ from .battery_data import (CellRecord, cell_files, json_document, read_cell, rea
 from .container import parse_container, write_container
 from .errors import CheckpointError, ConfigError, PipelineError, TransformError
 from .features import FeatureMatrix
-from .labels import LabelVector
 from .models import load_model, model_seeds, save_models
 from .registry import FEATURES, LABELS, MODELS, SPLITTERS, TRANSFORMS
 from .splitters import SplitResult
@@ -248,29 +248,22 @@ def _model_params(spec: ComponentSpec, seeds) -> dict:
 
 
 def _align(features, label_vector):
-    """Join feature rows to labels by row key, keeping feature-row order.
+    """Join feature rows to labels by row key, keeping feature-row order:
+    ``(X, y, keys)`` of the rows both sides have. Training joins one cell's
+    rows at a time (see :func:`_take_partition`).
 
     Rows of either side without a partner are dropped (an extractor may
-    cover fewer cycles than the annotator, or vice versa); an empty join
-    is an error.
+    cover fewer cycles than the annotator, or vice versa), so the join may
+    be empty; a repeated label key is an error.
     """
     by_key = {}
     for key, value in zip(label_vector.row_keys, label_vector.values):
         if key in by_key:
             raise PipelineError(f"duplicate label row key {key!r}")
         by_key[key] = value
-    rows, y, keys = [], [], []
-    for i, key in enumerate(features.row_keys):
-        if key in by_key:
-            rows.append(i)
-            y.append(by_key[key])
-            keys.append(key)
-    if not rows:
-        raise PipelineError(
-            "feature rows and label rows share no keys; feature and label "
-            "granularity (cell/cycle/step) must match"
-        )
-    return features.values[rows], np.asarray(y, dtype=float), keys
+    rows = [i for i, key in enumerate(features.row_keys) if key in by_key]
+    keys = [features.row_keys[i] for i in rows]
+    return features.values[rows], np.array([by_key[key] for key in keys], dtype=float), keys
 
 
 def _resolve_workspace(workspace, config: PipelineConfig) -> Path:
@@ -330,33 +323,34 @@ def _label_and_featurize(config: PipelineConfig, split: SplitResult, **partition
 
 
 def _take_partition(annotator, extractor, cells, partition: str):
-    """The aligned features, labels and exclusions of ``cells``, taken one
+    """The joined features, labels and exclusions of ``cells``, taken one
     cell at a time: each is popped from ``cells`` (and a cell file read),
-    labelled, featurized when it got label rows, and dropped before the
-    next is read, so one cell's columns are in memory at a time. The
-    per-cell rows are joined once at the end, equal to those of the whole
-    partition at once."""
-    features, labels, excluded = [], [], []
+    labelled, featurized when it got label rows, joined (:func:`_align`),
+    and dropped with all but its joined rows before the next is read. Every
+    row key carries its cell's ID, so the rows equal those of one join of
+    the whole partition."""
+    joined, excluded = [], []
     cells.reverse()  # pop from the end in the partition's order
     while cells:
         one = [cells.pop()]
         if not isinstance(one[0], CellRecord):
             one = [read_cell(one[0])]
-        cell_labels, cell_excluded = annotator.annotate(one)
+        labels, cell_excluded = annotator.annotate(one)
         excluded += [{"cell_id": cid, "reason": reason} for cid, reason in cell_excluded]
-        if cell_labels.row_keys:
-            labels.append(cell_labels)
-            features.append(extractor.extract(one))
+        if labels.row_keys:
+            features = extractor.extract(one)
+            joined.append(_align(features, labels))
         del one  # so the next cell is read with this one gone
-    if not labels:
+    if not joined:
         raise PipelineError(f"all {partition} cells were excluded by the label annotator")
-    X, y, keys = _align(
-        FeatureMatrix(np.concatenate([f.values for f in features]),
-                      [k for f in features for k in f.row_keys], features[0].col_names),
-        LabelVector(np.concatenate([lv.values for lv in labels]),
-                    [k for lv in labels for k in lv.row_keys]),
-    )
-    return FeatureMatrix(X, keys, features[0].col_names), y, excluded
+    X, y, keys = zip(*joined)
+    keys = [key for cell_keys in keys for key in cell_keys]
+    if not keys:
+        raise PipelineError(
+            "feature rows and label rows share no keys; feature and label "
+            "granularity (cell/cycle/step) must match"
+        )
+    return FeatureMatrix(np.concatenate(X), keys, features.col_names), np.concatenate(y), excluded
 
 
 def _fit_transforms(config: PipelineConfig, X_train, y_train):

@@ -42,6 +42,7 @@ _MIN_LIFE = 10
 _MAX_LIFE = MAX_CYCLE_NUMBER // 3  # _n_cycles numbers up to 3x the life
 
 _MASK64 = (1 << 64) - 1
+MAX_CELLS = 10_000  # IDs SYN_0000-SYN_9999: four digits, so file-name order is index order
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,8 @@ class SynthSpec:
         for name in ("n_cells", "points_per_cycle", "seed"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n_cells < 1:
-            raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
+        if not 1 <= self.n_cells <= MAX_CELLS:
+            raise ValueError(f"n_cells must be between 1 and {MAX_CELLS}, got {self.n_cells}")
         if self.points_per_cycle < 16:
             raise ValueError(f"points_per_cycle must be >= 16, got {self.points_per_cycle}")
         # the 2C discharge current, twice the capacity, must be finite too

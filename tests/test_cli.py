@@ -209,6 +209,7 @@ class TestGenerate:
         "fields,message",
         [
             ({"n_cells": 0}, "bad generator spec"),
+            ({"n_cells": 10001}, "bad generator spec: n_cells must be between 1 and 10000, got 10001"),
             ({"points_per_cycle": 4}, "bad generator spec"),
             ({"no_such_field": 1}, "bad generator spec"),
             ({"n_cells": 2.5}, "bad generator spec: n_cells must be an integer, got 2.5"),

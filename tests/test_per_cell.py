@@ -1,10 +1,12 @@
 """Training takes the corpus one cell at a time.
 
-``pipeline._label_and_featurize`` labels and featurizes each cell on its own
-and drops it before the next. These tests hold it to the result of the
-whole-corpus order (every cell labelled, then every kept cell featurized),
-bit for bit, and check that a corpus read from ``cell_data_path`` is split
-on the cell IDs of its file headers and read one cell file at a time.
+``pipeline._label_and_featurize`` labels and featurizes each cell on its own,
+joins its feature and label rows, and drops it before the next. These tests
+hold it to the result of the whole-corpus order (every cell labelled, then
+every kept cell featurized, and one join of each partition), bit for bit,
+also when a cell joins no rows, and check that a corpus read from
+``cell_data_path`` is split on the cell IDs of its file headers and read one
+cell file at a time.
 """
 
 import gc
@@ -12,13 +14,14 @@ import json
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cellforge import battery_data, pipeline
 from cellforge.battery_data import write_cell
 from cellforge.cli import main
 from cellforge.errors import FeatureError, PipelineError, SchemaError, ThresholdNotReached
-from cellforge.features import FeatureMatrix
+from cellforge.features import FeatureMatrix, VarianceModelFeatureExtractor
 from cellforge.labels import RULLabelAnnotator, rul_label
 from cellforge.pipeline import (
     PipelineConfig,
@@ -129,6 +132,35 @@ def test_per_cell_equals_whole_corpus(corpus, label, feature):
         assert excluded == want_excluded
     if label["name"] == "RULLabelAnnotator":
         assert [e["cell_id"] for name in got for e in got[name][2]] == ["NEVER_TRAIN", "NEVER_TEST"]
+
+
+class _SkipsOneCellVarianceExtractor(VarianceModelFeatureExtractor):
+    """The variance feature, with no row for the training cell SYN_0001."""
+
+    def process_cell(self, cell):
+        if cell.cell_id == "SYN_0001":
+            return np.empty((0, 1)), []
+        return super().process_cell(cell)
+
+
+def test_a_cell_without_feature_rows_drops_out_of_the_join(corpus, tmp_path, monkeypatch):
+    # registered for this test alone, so the registry-wide tests do not walk it
+    monkeypatch.setitem(FEATURES._factories, "SkipsOneCellVarianceExtractor",
+                        _SkipsOneCellVarianceExtractor)
+    config = make_config({"name": "RULLabelAnnotator"},
+                         {"name": "SkipsOneCellVarianceExtractor", "interp_dims": 16})
+    parsed = PipelineConfig.from_dict(config)
+    split, train, test = _split_cells(parsed, corpus)
+    got = _label_and_featurize(parsed, split, training=train, test=test)
+    split, train, test = _split_cells(parsed, corpus)
+    want = whole_corpus_label_and_featurize(parsed, split, training=train, test=test)
+    for name in ("training", "test"):
+        assert_bit_identical(got[name][0].values, want[name][0].values)
+        assert got[name][0].row_keys == want[name][0].row_keys
+        assert_bit_identical(got[name][1], want[name][1])
+    assert [key[0] for key in got["training"][0].row_keys] == ["SYN_0000", "SYN_0002", "SYN_0003"]
+    ckpt = run_train(config, workspace=tmp_path, cells=corpus)
+    assert [run[0] for run in ckpt.report["predictions"]["cell_id"]] == ["SYN_0004", "SYN_0005"]
 
 
 def test_checkpoint_files_equal_the_whole_corpus_order(corpus, tmp_path, monkeypatch):

@@ -272,11 +272,26 @@ class TestAlign:
         with pytest.raises(PipelineError, match="duplicate label row key"):
             _align(feats, labels)
 
-    def test_disjoint_granularity_rejected(self):
+    def test_a_cell_of_no_shared_keys_joins_no_rows(self):
         feats = self.make_features([("A", None, None)])
         labels = LabelVector(values=[1.0], row_keys=[("A", 1, None)])
-        with pytest.raises(PipelineError, match="granularity"):
-            _align(feats, labels)
+        X, y, keys = _align(feats, labels)
+        assert X.shape == (0, 1) and y.shape == (0,) and keys == []
+
+    def test_a_train_whose_rows_share_no_keys_is_one_error_line(self, pipe_cells, tmp_path, capsys):
+        # per-cycle SOH labels and one variance row per cell: no cell joins a row
+        corpus = tmp_path / "cells"
+        corpus.mkdir()
+        for cell in pipe_cells:
+            write_cell(cell, corpus)
+        cfg = make_config(label={"name": "SOHLabelAnnotator"})
+        cfg["train_test_split"]["cell_data_path"] = str(corpus)
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert cli_main(["train", "--config", str(path), "--workspace", str(tmp_path / "ws")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "share no keys" in err
+        assert not (tmp_path / "ws").exists()
 
 
 class TestRunTrain:
@@ -718,7 +733,7 @@ def _stored(component, parameter):
 # The values the hostile-value walk gives each constructor parameter, one at a time.
 HOSTILE_VALUES = ["x", True, None, [], ["x"], {"a": 1}, -1, 0, 1.5, 2**47, 2**63]
 # Loop counts: a huge one is a request that runs for ages, not one that fails.
-LOOP_COUNTS = {"epochs", "n_trees", "n_cells"}
+LOOP_COUNTS = {"epochs", "n_trees"}
 # Per registry, the config section its class fills.
 WALKED_SECTIONS = {"train_test_split": SPLITTERS, "feature": FEATURES, "label": LABELS,
                    "label_transformation": TRANSFORMS, "model": MODELS}
@@ -1334,6 +1349,26 @@ SYNTHETIC_CONFIGS = ["synthetic_soh_mlp", "synthetic_variance_linear", "syntheti
 MATR_CONFIGS = ["matr1_variance", "matr1_discharge_ridge"]
 
 
+# (config, the values one cell decodes in a train, from its offsets, and their sum on
+# pipe_cells: 1,274 cycles of 16 points, 100 cycles of each cell at offsets[100] and 10 at
+# offsets[10]). RUL and SOH labels decode discharge capacity whole; a feature then reads it
+# through that column, and two more columns to its horizon. SOC labels decode charge and
+# discharge capacity to their own horizon, and the step feature four columns to the same one.
+DECODES = [
+    ("synthetic_variance_linear", lambda offsets: [offsets[-1], offsets[100], offsets[100]],
+     1274 * 16 + 8 * 2 * 100 * 16),  # 45,984
+    ("synthetic_qdmatrix_forest", lambda offsets: [offsets[-1], offsets[10], offsets[10]],
+     1274 * 16 + 8 * 2 * 10 * 16),  # 22,944
+    ("synthetic_soh_mlp", lambda offsets: [offsets[-1], offsets[100], offsets[100]],
+     1274 * 16 + 8 * 2 * 100 * 16),  # 45,984
+    ("soc_step", lambda offsets: [offsets[10]] * 6, 8 * 6 * 10 * 16),  # 7,680
+]
+SOC_STEP_CONFIG = make_config(
+    train_test_split={"name": "RandomTrainTestSplitter", "test_fraction": 0.2, "seed": 0},
+    feature={"name": "SOCStepFeatureExtractor", "n_qdlin": 4, "max_cycle_index": 9},
+    label={"name": "SOCLabelAnnotator", "max_cycle_index": 9}, seeds=[0])
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize("name", SYNTHETIC_CONFIGS)
     def test_trains_on_quickstart_corpus(self, quickstart_corpus, tmp_path, name):
@@ -1352,10 +1387,9 @@ class TestShippedConfigs:
         shipped = {path.stem for path in CONFIG_DIR.glob("*.yaml")}
         assert sorted(shipped - set(SYNTHETIC_CONFIGS) - set(MATR_CONFIGS)) == []
 
-    def test_a_linear_train_decodes_the_horizon_of_what_its_feature_reads(
-            self, pipe_cells, tmp_path, monkeypatch):
-        # the label reads discharge capacity whole; the variance feature reads
-        # current, voltage and discharge capacity of cycles 0-99 alone
+    @pytest.mark.parametrize("name, per_cell, total", DECODES, ids=[row[0] for row in DECODES])
+    def test_a_train_decodes_the_horizon_of_what_it_reads(self, pipe_cells, tmp_path, monkeypatch,
+                                                          name, per_cell, total):
         corpus = tmp_path / "cells"
         corpus.mkdir()
         expected = []
@@ -1364,19 +1398,16 @@ class TestShippedConfigs:
             assert {b["name"] for b in header["blocks"] if "escapes" in b} == {
                 "voltage_in_V", "current_in_A", "charge_capacity_in_Ah", "discharge_capacity_in_Ah",
                 "time_in_s"}
-            offsets = cell.cycle_data.offsets["time_in_s"]
-            expected += [offsets[-1], offsets[100], offsets[100]]
+            expected += per_cell(cell.cycle_data.offsets["time_in_s"])
         decoded = []
         monkeypatch.setattr(container.Coded, "decode",
                             lambda self, decode=container.Coded.decode: decoded.append(self.size) or decode(self))
-        cfg = yaml.safe_load((CONFIG_DIR / "synthetic_variance_linear.yaml").read_text())
-        cfg["train_test_split"]["cell_data_path"] = str(corpus)
+        cfg = SOC_STEP_CONFIG if name == "soc_step" else yaml.safe_load(
+            (CONFIG_DIR / f"{name}.yaml").read_text())
+        cfg = {**cfg, "train_test_split": {**cfg["train_test_split"], "cell_data_path": str(corpus)}}
         run_train(cfg, workspace=tmp_path / "ws")
         assert sorted(decoded) == sorted(expected)
-        # 1,274 cycles of 16 points, then two columns to the horizon in each of 8 cells; the
-        # whole of each of the three columns came to 61,152
-        assert sum(decoded) == 1274 * 16 + 8 * 2 * 100 * 16 == 45984
-
+        assert sum(decoded) == total
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ import pytest
 from cellforge.battery_data import MAX_CYCLE_NUMBER, validate
 from cellforge.errors import ConfigError
 from cellforge.labels import rul_label, soh_per_cycle
-from cellforge.synthetic import SynthSpec, fade_curve, generate_synthetic, synthetic_cell
+from cellforge.synthetic import MAX_CELLS, SynthSpec, fade_curve, generate_synthetic, synthetic_cell
 
 
 def spec(**kw):
@@ -163,6 +163,13 @@ class TestSpecValidation:
                     synthetic_cell(s, index)
             else:
                 assert len(synthetic_cell(s, index).cycle_data) == 11  # a life of 10 cycles
+
+    def test_at_most_ten_thousand_cells_whose_ids_keep_four_digits(self):
+        assert spec(n_cells=MAX_CELLS).n_cells == MAX_CELLS == 10_000
+        assert synthetic_cell(spec(n_cells=MAX_CELLS), MAX_CELLS - 1).cell_id == "SYN_9999"
+        for n_cells in (MAX_CELLS + 1, 2**47, 2**63):  # no spec generate_synthetic takes holds them
+            with pytest.raises(ValueError, match=rf"^n_cells must be between 1 and 10000, got {n_cells}$"):
+                dataclasses.replace(spec(), n_cells=n_cells)
 
     def test_spec_is_frozen_and_replaceable(self):
         s = spec()
