@@ -45,9 +45,15 @@ map. A record copies the arrays it is given, so it never shares a buffer
 its caller can still change, unless the code making it passes ``copy=False``:
 :func:`read_cell` does, handing over its columns as views of the file it
 maps (a repeated block is a stride-0 view of its one stored value), or, for
-a block stored as second differences, as the block itself, which is decoded
-into a new array the first time its column is read and then kept; it builds
-one record per file. ``cycle_data`` still reads as
+a block stored as second differences, as the block itself; it builds one
+record per file. The reads that features and labels repeat,
+``columns[name]``, a cycle view and ``maxima``, decode such a block into a new
+array the first time they read its column, and the cell keeps the array
+(``head`` cuts the block, and the cut cell keeps what they decode). The
+passes over the whole record, :func:`validate`, ``==``, :func:`write_cell`
+and pickling or copying, decode a coded column for that pass alone and leave
+the cell's block coded (a copy holds decoded arrays), so a loaded corpus
+stays the size of its files once it is checked. ``cycle_data`` still reads as
 a sequence of :class:`CycleRecord`: its length comes from the offsets, and
 indexing or slicing builds records whose signals are views of the columns,
 anew on every access. ``cell.head(h)`` is the cell with its first ``h``
@@ -63,6 +69,7 @@ signal's per-cycle lengths and values match. Records are unhashable.
 from __future__ import annotations
 
 import copyreg
+import itertools
 import json
 import math
 import mmap
@@ -259,7 +266,8 @@ class CycleRecord:
 
 class _Columns(Mapping):
     """A cell's columns by signal name. A column held as a second-difference
-    block is decoded the first time it is read, and the array kept."""
+    block is decoded the first time ``columns[name]`` reads it, and the array
+    kept; :meth:`peek` decodes it anew on each call and keeps nothing."""
 
     def __init__(self, columns: dict):
         self._columns = columns
@@ -269,6 +277,12 @@ class _Columns(Mapping):
         if isinstance(column, Coded):
             column = self._columns[name] = column.decode()
         return column
+
+    def peek(self, name) -> np.ndarray:
+        """The column ``name`` for one pass over it: a plain column as it is,
+        and a coded one as a new decoded array that the cell does not keep."""
+        column = self._columns[name]
+        return column.decode() if isinstance(column, Coded) else column
 
     def __contains__(self, name):
         return name in self._columns
@@ -287,7 +301,9 @@ class CycleData(tuple):
     cycle's values in cycle order, and ``offsets[name]`` (n_cycles + 1 int64
     bounds) puts cycle ``i`` at ``columns[name][offsets[name][i]:offsets[name][i + 1]]``.
     A column that :func:`read_cell` left as a second-difference block is
-    decoded the first time ``columns`` gives it, or a cycle view reads it.
+    decoded and kept the first time ``columns`` gives it, or a cycle view
+    reads it; ``columns.peek(name)``, which :func:`validate`, ``==``,
+    :func:`write_cell` and pickling read through, decodes it and keeps nothing.
     The mandatory signals share one offsets array unless a cycle's signals
     differ in length (which :func:`validate` reports); the temperature
     column holds only the cycles flagged in ``has_temperature``.
@@ -367,7 +383,8 @@ class CycleData(tuple):
 
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, whose copies are read-only
-        columns = dict(self.columns)  # decoded: a coded block holds its file's mapping
+        # decoded, as a coded block holds its file's mapping; this cell keeps its blocks
+        columns = {name: self.columns.peek(name) for name in self.columns}
         return copyreg.__newobj_ex__, (type(self), (self.cycle_number, columns, self.offsets), {
             "has_temperature": self.has_temperature,
             "internal_resistance_in_ohm": self.internal_resistance_in_ohm,
@@ -475,7 +492,7 @@ class CycleData(tuple):
             and self.extra == other.extra
             and all(
                 np.array_equal(self.offsets[name], other.offsets[name])
-                and np.array_equal(self.columns[name], other.columns[name])
+                and np.array_equal(self.columns.peek(name), other.columns.peek(name))
                 for name in _SIGNAL_FIELDS
             )
         )
@@ -581,6 +598,16 @@ def _flag_cycles(bad, offsets, n, *, steps=False) -> np.ndarray:
     return hit
 
 
+# The signals that may not step backwards within a cycle: the test that flags a
+# step (``np.diff`` of the column) as backwards, and what the violation says.
+_CUMULATIVE = "must be non-decreasing (cumulative per cycle)"
+_FORWARD = {
+    "time_in_s": (lambda steps: steps <= 0, "must be strictly increasing"),
+    "charge_capacity_in_Ah": (lambda steps: steps < -CAPACITY_JITTER_TOL, _CUMULATIVE),
+    "discharge_capacity_in_Ah": (lambda steps: steps < -CAPACITY_JITTER_TOL, _CUMULATIVE),
+}
+
+
 def _validate_cycles(cycles: CycleData, out: list):
     """The per-cycle checks, computed over the columns at once and reported
     cycle by cycle, in the order a check of one cycle after another finds them."""
@@ -593,13 +620,16 @@ def _validate_cycles(cycles: CycleData, out: list):
     for name in _CYCLE_SEQ_FIELDS:
         ragged |= lengths[name] != points
     bad_temperature = cycles.has_temperature & (lengths["temperature_in_C"] != points)
-    non_finite = {name: _flag_cycles(~np.isfinite(cols[name]), offs[name], n) for name in _SIGNAL_FIELDS}
+    non_finite, backwards = {}, {}
+    for name in _SIGNAL_FIELDS:
+        column = cols.peek(name)  # one decode per call, dropped before the next signal's
+        non_finite[name] = _flag_cycles(~np.isfinite(column), offs[name], n)
+        if name in _FORWARD:
+            with np.errstate(invalid="ignore", over="ignore"):  # steps of non-finite cycles are not reported
+                bad = _FORWARD[name][0](np.diff(column))
+            backwards[name] = _flag_cycles(bad, offs[name], n, steps=True)
+        del column
     bad_resistance = cycles.has_internal_resistance & ~np.isfinite(cycles.internal_resistance_in_ohm)
-    with np.errstate(invalid="ignore", over="ignore"):  # steps of non-finite cycles are not reported
-        backwards = {"time_in_s": np.diff(cols["time_in_s"]) <= 0}
-        for name in ("charge_capacity_in_Ah", "discharge_capacity_in_Ah"):
-            backwards[name] = np.diff(cols[name]) < -CAPACITY_JITTER_TOL
-    backwards = {name: _flag_cycles(bad, offs[name], n, steps=True) for name, bad in backwards.items()}
     flagged = (descending | (numbers < 1) | (numbers > MAX_CYCLE_NUMBER) | ragged | (points < 2)
                | bad_temperature | bad_resistance)
     for flags in (*non_finite.values(), *backwards.values()):
@@ -629,11 +659,9 @@ def _validate_cycles(cycles: CycleData, out: list):
             out.append(Violation(f"{path}.internal_resistance_in_ohm", "non-finite"))
         if any(non_finite[name][i] for name in _SIGNAL_FIELDS):
             continue
-        if backwards["time_in_s"][i]:
-            out.append(Violation(f"{path}.time_in_s", "must be strictly increasing"))
-        for name in ("charge_capacity_in_Ah", "discharge_capacity_in_Ah"):
+        for name, (_, message) in _FORWARD.items():
             if backwards[name][i]:
-                out.append(Violation(f"{path}.{name}", "must be non-decreasing (cumulative per cycle)"))
+                out.append(Violation(f"{path}.{name}", message))
 
 
 def _validate_protocol(steps, path, out):
@@ -920,8 +948,9 @@ def write_cell(cell: CellRecord, path) -> Path:
     blocks = [(name, values.astype(np.int32)) for name, values in zip(_PER_CYCLE_BLOCKS, per_cycle)]
     resistance = cycles.internal_resistance_in_ohm[cycles.has_internal_resistance]
     blocks.append(("internal_resistance_in_ohm", resistance))
-    blocks += [(name, cycles.columns[name]) for name in _SIGNAL_FIELDS]
-    return write_container(path, CELL_MAGIC, header, blocks)
+    # each signal read as it is written, so a coded column is decoded for its block alone
+    signals = ((name, cycles.columns.peek(name)) for name in _SIGNAL_FIELDS)
+    return write_container(path, CELL_MAGIC, header, itertools.chain(blocks, signals))
 
 
 def _cycle_index(key: str, n: int) -> int:
@@ -994,7 +1023,8 @@ def read_cell(path) -> CellRecord:
 
     A binary cell's columns are views of the mapped file (see
     :func:`read_file`), apart from those stored as second differences,
-    which are checked here and decoded into new arrays when first read.
+    which are checked here and decoded into new arrays when read (see
+    :class:`CycleData`).
     Malformed content raises :class:`SchemaError` naming the file.
     """
     return read_file(path, SchemaError, _cell_from_bytes, mapped=True)

@@ -359,8 +359,11 @@ class Coded:
         """The block's float64 elements, a new read-only array: its second
         differences summed twice, modulo 2**64. When ``data`` is an
         ``mmap``, the whole pages within the block's residuals and within
-        its escape values leave this process's memory, as a block is
-        decoded once."""
+        its escape values leave this process's memory, as the decoded array
+        is either kept by its reader or dropped after one pass; a later
+        decode faults them back in from the page cache of the same file,
+        since a file written by :func:`write_container` is replaced, never
+        rewritten in place."""
         residuals, arr = self.residuals(), np.empty(self.size, dtype="<f8")
         second = arr.view(np.int64)
         np.copyto(second, residuals)

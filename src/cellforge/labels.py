@@ -12,6 +12,9 @@ A cycle record is assumed to begin at full charge, so SOC starts at 100 and
 is clamped to [0, 100] step by step: discharging lowers it by the discharged
 charge, charging raises it by the charged capacity. For discharge-only
 prefixes this reduces exactly to 100 * (C_full - Q_d(t)) / C_full.
+
+Like a feature extractor, each annotator states its ``horizon``: the number
+of leading cycles of a cell it reads, or None for every cycle.
 """
 
 from __future__ import annotations
@@ -149,6 +152,8 @@ class LabelVector:
 class RULLabelAnnotator:
     """One RUL label per cell; never-crossing cells are excluded with a reason."""
 
+    horizon = None
+
     def __init__(self, eol_soh_percent: float = EOL_SOH_PERCENT_DEFAULT, smoothing_window: int = 1):
         self.spec = LabelSpec(eol_soh_percent=eol_soh_percent, smoothing_window=smoothing_window)
 
@@ -166,6 +171,8 @@ class RULLabelAnnotator:
 class SOHLabelAnnotator:
     """One SOH label per (cell, cycle)."""
 
+    horizon = None
+
     def annotate(self, cells: list[CellRecord]) -> tuple[LabelVector, list[tuple[str, str]]]:
         values = [soh_per_cycle(cell) for cell in cells]
         keys = [(cell.cell_id, cycle_no, None)
@@ -176,15 +183,17 @@ class SOHLabelAnnotator:
 class SOCLabelAnnotator:
     """One SOC label per (cell, cycle, step) of the cycles up to
     ``max_cycle_index`` (a non-negative integer, or None for every cycle),
-    read through ``cell.head(max_cycle_index + 1)`` alone."""
+    read through ``cell.head(horizon)`` alone, ``horizon`` being
+    ``max_cycle_index + 1``."""
 
     def __init__(self, max_cycle_index: int | None = None):
         self.max_cycle_index = (
             None if max_cycle_index is None else integer("max_cycle_index", max_cycle_index))
+        self.horizon = None if self.max_cycle_index is None else self.max_cycle_index + 1
 
     def annotate(self, cells: list[CellRecord]) -> tuple[LabelVector, list[tuple[str, str]]]:
-        if self.max_cycle_index is not None:
-            cells = [cell.head(self.max_cycle_index + 1) for cell in cells]
+        if self.horizon is not None:
+            cells = [cell.head(self.horizon) for cell in cells]
         socs = [(cell.cell_id, cycle_no, soc_per_step(cell, idx)) for cell in cells
                 for idx, cycle_no in enumerate(cell.cycle_data.cycle_number.tolist())]
         keys = [(cell_id, cycle_no, step) for cell_id, cycle_no, soc in socs for step in range(len(soc))]

@@ -328,13 +328,20 @@ def _take_partition(annotator, extractor, cells, partition: str):
     labelled, featurized when it got label rows, joined (:func:`_align`),
     and dropped with all but its joined rows before the next is read. Every
     row key carries its cell's ID, so the rows equal those of one join of
-    the whole partition."""
+    the whole partition. When the annotator and the extractor both read a
+    fixed number of leading cycles, they share one ``cell.head`` of the
+    larger, so a column both read is decoded once; one that states no
+    ``horizon`` reads every cycle."""
     joined, excluded = [], []
+    horizons = (getattr(annotator, "horizon", None), getattr(extractor, "horizon", None))
+    h = None if None in horizons else max(horizons)
     cells.reverse()  # pop from the end in the partition's order
     while cells:
         one = [cells.pop()]
         if not isinstance(one[0], CellRecord):
             one = [read_cell(one[0])]
+        if h is not None:
+            one = [one[0].head(h)]
         labels, cell_excluded = annotator.annotate(one)
         excluded += [{"cell_id": cid, "reason": reason} for cid, reason in cell_excluded]
         if labels.row_keys:

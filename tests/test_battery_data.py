@@ -1701,9 +1701,18 @@ class TestColumns:
         (cell,), (rewritten,) = noisy_cells("RW"), noisy_cells("RW", seed=4)
         path = write_cell(cell, tmp_path)
         back = read_cell(path)
+        coded = coded_columns(back)
         assert isinstance(root_buffer(back.cycle_data.columns["voltage_in_V"]), mmap.mmap)
+        assert set(coded) == set(CODED)
+        # written back onto its own path, a loaded cell gives the same bytes and stays coded
+        written = path.read_bytes()
+        write_cell(back, path)
+        assert path.read_bytes() == written and coded_columns(back) == coded
         write_cell(rewritten, path)
-        assert back == cell
+        for _ in range(2):  # each pass decodes the bytes of the replaced file anew
+            assert validate(back) == []
+            assert back == cell and back != rewritten
+        assert coded_columns(back) == coded
         assert read_cell(path) == rewritten
 
     def test_empty_cell_file_is_one_line_error(self, tmp_path):
@@ -1773,6 +1782,38 @@ class TestColumns:
             tracemalloc.stop()
         assert len(cells) == 10
         assert peak <= 1.05 * on_disk, f"peak {peak} bytes for {on_disk} bytes on disk"
+
+    def test_checking_writing_and_pickling_a_loaded_corpus_keeps_it_coded(self, quickstart_corpus, tmp_path):
+        """validate, ==, write_cell and a pickle round trip of each loaded cell
+        decode its coded columns for that pass alone: the peak stays within
+        the corpus bytes plus one cell's decoded columns (5% slack, as for
+        loading), where keeping the decodes would hold every cell's."""
+        on_disk = sum(p.stat().st_size for p in quickstart_corpus.directory.iterdir())
+        one_cell = max(sum(cell.cycle_data.columns[name].nbytes for name in battery_data._CYCLE_SEQ_FIELDS)
+                       for cell in quickstart_corpus.generated)
+
+        def round_trip(cell):  # out of band, so pickle adds no copies of its own to the columns
+            buffers = []
+            data = pickle.dumps(cell, protocol=5, buffer_callback=buffers.append)
+            return pickle.loads(data, buffers=buffers)
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cells = load_cells(quickstart_corpus.directory)
+            coded = [coded_columns(cell) for cell in cells]
+            for cell, generated in zip(cells, quickstart_corpus.generated, strict=True):
+                assert validate(cell) == []
+                assert cell == generated
+                write_cell(cell, tmp_path)
+                assert round_trip(cell) == generated
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * on_disk + one_cell, (
+            f"peak {peak} bytes for {on_disk} bytes on disk and {one_cell} bytes of one cell's columns")
+        assert sum(map(len, coded)) == 5 * len(cells)
+        assert [coded_columns(cell) for cell in cells] == coded  # the same blocks, still coded
 
     def test_a_constant_column_costs_no_pages(self, tmp_path):
         generated = generate_synthetic(SynthSpec(n_cells=1, cycle_life_mean=60.0, cycle_life_std=5.0,
@@ -1880,6 +1921,92 @@ class TestColumns:
         with pytest.raises(ValueError, match=re.escape("extra: cycle indices must lie in [0, 2)")):
             CycleData([1, 2], columns, [0, 3, 6], extra={index: {"step": "rest"}})
         assert CycleData([1, 2], columns, [0, 3, 6], extra={1: {"step": "rest"}})[1].extra == {"step": "rest"}
+
+
+def with_values(path, changes, to=None) -> Path:
+    """The cell file at ``path`` written again, to ``to`` if given, through
+    ``write_container`` (which checks nothing) with each ``(signal, index,
+    value)`` of ``changes`` set in its column; every other block as it was."""
+    header, blocks = parse_container(Path(path).read_bytes(), CELL_MAGIC, SchemaError)
+    for name, i, value in changes:
+        column = blocks[name] = blocks[name].copy()
+        column[i] = value
+    return write_container(to or path, CELL_MAGIC, header, blocks.items())
+
+
+class TestOnePassReads:
+    """validate and == read a coded column for one pass alone, and find what
+    they find in the same cell with its columns decoded and kept."""
+
+    # (signal, cycle, point, value): a non-finite value to set, or a finite step from the point before
+    FAULTS = {
+        "non_finite": [("current_in_A", 3, 5, np.nan), ("time_in_s", 3, 7, -1.0)],  # a step not reported
+        "time": [("time_in_s", 5, 7, -1.0)],
+        "capacity": [("discharge_capacity_in_Ah", 7, 12, -10 * CAPACITY_JITTER_TOL),
+                     ("charge_capacity_in_Ah", 2, 9, -0.5 * CAPACITY_JITTER_TOL)],  # jitter: not reported
+        "infinite": [("charge_capacity_in_Ah", 6, 3, np.inf)],
+    }
+    FOUND = {
+        "non_finite": ["cycle_data[3].current_in_A"],
+        "time": ["cycle_data[5].time_in_s"],
+        "capacity": ["cycle_data[7].discharge_capacity_in_Ah"],
+        "infinite": ["cycle_data[6].charge_capacity_in_Ah"],
+    }
+
+    @staticmethod
+    def faulty_cell(tmp_path, faults):
+        """A cell file whose coded columns hold ``faults``, and the names of those columns."""
+        (cell,) = noisy_cells("FAULTY")
+        cycles = cell.cycle_data
+        changes = []
+        for name, cycle, point, value in faults:
+            i = cycles.offsets[name][cycle] + point
+            changes.append((name, i, cycles.columns[name][i - 1] + value if np.isfinite(value) else value))
+        path = with_values(write_cell(cell, tmp_path), changes)
+        return path, {name for name, *_ in faults}
+
+    @pytest.mark.parametrize("kinds", [*([kind] for kind in FAULTS), list(FAULTS)],
+                             ids=[*FAULTS, "all"])
+    def test_validate_of_a_coded_cell_equals_that_of_its_decoded_copy(self, tmp_path, kinds):
+        path, names = self.faulty_cell(tmp_path, [f for kind in kinds for f in self.FAULTS[kind]])
+        back = read_cell(path)
+        coded = coded_columns(back)
+        assert names <= set(coded)  # each fault sits in a block stored as second differences
+        found = validate(back)
+        assert validate(back) == found and coded_columns(back) == coded
+        decoded = read_cell(path)
+        dict(decoded.cycle_data.columns)  # reads every column, which decodes it and keeps the array
+        assert coded_columns(decoded) == {}
+        assert validate(decoded) == found == validate_per_cycle(decoded)
+        assert paths_of(found) == sorted(found_at for kind in kinds for found_at in self.FOUND[kind])
+
+    # (left, right, whether the cells are equal): the discharge capacity on each side at the
+    # fourth point of cycle 2, which is 0.0 in the cell written
+    SAMES = {
+        "signed_zero": (0.0, -0.0, True),
+        "nan": (np.nan, np.nan, False),
+        "one_ulp": (0.0, np.nextafter(0.0, 1.0), False),
+        "same": (0.0, 0.0, True),
+    }
+
+    @pytest.mark.parametrize("left, right, equal", SAMES.values(), ids=SAMES)
+    @pytest.mark.parametrize("plain", [False, True], ids=["coded_coded", "coded_plain"])
+    def test_equality_of_a_coded_column_is_exact(self, tmp_path, left, right, equal, plain):
+        (cell,) = noisy_cells("EQ")
+        name = "discharge_capacity_in_Ah"
+        i = cell.cycle_data.offsets[name][2] + 3
+        assert cell.cycle_data.columns[name][i] == 0.0
+        written = write_cell(cell, tmp_path)
+        a = read_cell(with_values(written, [(name, i, left)], to=tmp_path / "left.cfc"))
+        b = read_cell(with_values(written, [(name, i, right)], to=tmp_path / "right.cfc"))
+        assert name in coded_columns(a) and name in coded_columns(b)
+        if plain:
+            b.cycle_data.columns[name]  # decoded and kept
+            assert name not in coded_columns(b)
+        coded = coded_columns(a), coded_columns(b)
+        assert (a == b) is (b == a) is (a.cycle_data == b.cycle_data) is equal
+        assert (a != b) is (not equal)
+        assert (coded_columns(a), coded_columns(b)) == coded
 
 
 def root_buffer(arr):

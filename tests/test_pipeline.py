@@ -1352,8 +1352,9 @@ MATR_CONFIGS = ["matr1_variance", "matr1_discharge_ridge"]
 # (config, the values one cell decodes in a train, from its offsets, and their sum on
 # pipe_cells: 1,274 cycles of 16 points, 100 cycles of each cell at offsets[100] and 10 at
 # offsets[10]). RUL and SOH labels decode discharge capacity whole; a feature then reads it
-# through that column, and two more columns to its horizon. SOC labels decode charge and
-# discharge capacity to their own horizon, and the step feature four columns to the same one.
+# through that column, and two more columns to its horizon. SOC labels and the step feature
+# share one head at their common horizon: the labels decode charge and discharge capacity,
+# and the feature reads discharge capacity through that head and decodes three more columns.
 DECODES = [
     ("synthetic_variance_linear", lambda offsets: [offsets[-1], offsets[100], offsets[100]],
      1274 * 16 + 8 * 2 * 100 * 16),  # 45,984
@@ -1361,7 +1362,7 @@ DECODES = [
      1274 * 16 + 8 * 2 * 10 * 16),  # 22,944
     ("synthetic_soh_mlp", lambda offsets: [offsets[-1], offsets[100], offsets[100]],
      1274 * 16 + 8 * 2 * 100 * 16),  # 45,984
-    ("soc_step", lambda offsets: [offsets[10]] * 6, 8 * 6 * 10 * 16),  # 7,680
+    ("soc_step", lambda offsets: [offsets[10]] * 5, 8 * 5 * 10 * 16),  # 6,400
 ]
 SOC_STEP_CONFIG = make_config(
     train_test_split={"name": "RandomTrainTestSplitter", "test_fraction": 0.2, "seed": 0},
@@ -1408,6 +1409,34 @@ class TestShippedConfigs:
         run_train(cfg, workspace=tmp_path / "ws")
         assert sorted(decoded) == sorted(expected)
         assert sum(decoded) == total
+
+
+class _StepCurrentOfEveryCycle:
+    """An extractor in the shape of the README's example: ``col_names`` and
+    ``extract`` alone, stating no ``horizon``. Records each cell's cycle count."""
+
+    col_names = ["current_in_A"]
+    seen: list = []
+
+    def extract(self, cells):
+        values, keys = [], []
+        for cell in cells:
+            type(self).seen.append(len(cell.cycle_data))
+            for cyc in cell.cycle_data:
+                values += cyc.current_in_A.tolist()
+                keys += [(cell.cell_id, cyc.cycle_number, step) for step in range(cyc.current_in_A.size)]
+        return FeatureMatrix(np.array(values).reshape(-1, 1), keys, self.col_names)
+
+
+def test_an_extractor_without_a_horizon_sees_every_cycle(pipe_cells, tmp_path, monkeypatch):
+    monkeypatch.setitem(FEATURES._factories, "StepCurrentOfEveryCycle", _StepCurrentOfEveryCycle)
+    _StepCurrentOfEveryCycle.seen.clear()
+    cfg = {**SOC_STEP_CONFIG, "feature": {"name": "StepCurrentOfEveryCycle"},
+           "label": {"name": "SOCLabelAnnotator", "max_cycle_index": 2}}
+    ckpt = run_train(cfg, workspace=tmp_path, cells=pipe_cells)
+    assert sorted(_StepCurrentOfEveryCycle.seen) == sorted(len(cell.cycle_data) for cell in pipe_cells)
+    rows = prediction_rows(ckpt.report["predictions"])
+    assert len(rows) == len({row["cell_id"] for row in rows}) * 3 * 16  # the labelled steps alone
 
 
 @pytest.fixture(scope="module")
