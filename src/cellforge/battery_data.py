@@ -44,16 +44,21 @@ presence, resistances and ``extra`` are short per-cell arrays and a sparse
 map. A record copies the arrays it is given, so it never shares a buffer
 its caller can still change, unless the code making it passes ``copy=False``:
 :func:`read_cell` does, handing over its columns as views of the file it
-maps (a repeated block is a stride-0 view of its one stored value), or, for
-a block stored as second differences, as the block itself; it builds one
-record per file. The reads that features and labels repeat,
-``columns[name]``, a cycle view and ``maxima``, decode such a block into a new
-array the first time they read its column, and the cell keeps the array
-(``head`` cuts the block, and the cut cell keeps what they decode). The
-passes over the whole record, :func:`validate`, ``==``, :func:`write_cell`
-and pickling or copying, decode a coded column for that pass alone and leave
-the cell's block coded (a copy holds decoded arrays), so a loaded corpus
-stays the size of its files once it is checked. ``cycle_data`` still reads as
+maps (a repeated block is a stride-0 view of its one stored value); it
+builds one record per file. A signal stored as second differences is held
+as that block, a :class:`~cellforge.container.Coded`, which is immutable
+and so never copied: :func:`read_cell` keeps its file's block, and the
+synthetic generator codes each signal it samples through
+:func:`~cellforge.container.stored_form`, the writer's rule, so a generated
+cell holds its columns as its file will. The reads that features and labels
+repeat, ``columns[name]``, a cycle view and ``maxima``, decode such a block
+into a new array the first time they read its column, and the cell keeps
+the array (``head`` cuts the block, and the cut cell keeps what they
+decode). :func:`validate` and ``==`` decode a coded column for that pass
+alone and leave the cell's block coded; :func:`write_cell` writes the block
+as it is, without decoding or coding it again, and pickling or copying
+hands it over as it is, so a corpus, generated or loaded, stays the size of
+its files once it is checked, written or copied. ``cycle_data`` still reads as
 a sequence of :class:`CycleRecord`: its length comes from the offsets, and
 indexing or slicing builds records whose signals are views of the columns,
 anew on every access. ``cell.head(h)`` is the cell with its first ``h``
@@ -68,7 +73,6 @@ signal's per-cycle lengths and values match. Records are unhashable.
 
 from __future__ import annotations
 
-import copyreg
 import itertools
 import json
 import math
@@ -138,10 +142,10 @@ _JSON_NUMBER_TYPES = frozenset((int, float))
 
 
 def _signal(values, name, copy=True) -> np.ndarray | Coded:
-    """A read-only one-dimensional float64 signal: a float64 array, or a
-    second-difference block not yet decoded, is kept as it is when ``copy``
-    is False, and anything else is copied."""
-    if not copy and isinstance(values, Coded):
+    """A read-only one-dimensional float64 signal: a second-difference block
+    not yet decoded, which is immutable, is kept as it is, as is a float64
+    array when ``copy`` is False, and anything else is copied."""
+    if isinstance(values, Coded):
         return values
     if not copy and isinstance(values, np.ndarray) and values.dtype == np.float64:
         arr = values
@@ -300,10 +304,13 @@ class CycleData(tuple):
     ``columns[name]`` is one read-only float64 column per signal with every
     cycle's values in cycle order, and ``offsets[name]`` (n_cycles + 1 int64
     bounds) puts cycle ``i`` at ``columns[name][offsets[name][i]:offsets[name][i + 1]]``.
-    A column that :func:`read_cell` left as a second-difference block is
-    decoded and kept the first time ``columns`` gives it, or a cycle view
-    reads it; ``columns.peek(name)``, which :func:`validate`, ``==``,
-    :func:`write_cell` and pickling read through, decodes it and keeps nothing.
+    A column held as a second-difference block, as :func:`read_cell` and
+    the synthetic generator leave one, is decoded and kept the first time
+    ``columns`` gives it, or a cycle view reads it; ``columns.peek(name)``,
+    which :func:`validate` and ``==`` read through, decodes it and keeps
+    nothing. :func:`write_cell` writes such a block as it is, and pickling
+    or copying hands it over as it is (a block pickles as its residuals and
+    escape values, a repeated column as its one value).
     The mandatory signals share one offsets array unless a cycle's signals
     differ in length (which :func:`validate` reports); the temperature
     column holds only the cycles flagged in ``has_temperature``.
@@ -332,8 +339,9 @@ class CycleData(tuple):
     are copied, so the cell never shares a buffer its caller can still
     change, unless the caller passes ``copy=False`` to hand over float64
     columns that nothing else will change: ones it made for the cell alone,
-    a read-only broadcast of one value, or the read-only views and coded
-    blocks of a file that :func:`read_cell` makes. They are made read-only.
+    a read-only broadcast of one value, or the read-only views of a file
+    that :func:`read_cell` makes. They are made read-only. A coded block is
+    immutable, so it is kept as it is either way.
     """
 
     def __new__(cls, cycle_number=(), columns=None, offsets=(0,), *, has_temperature=None,
@@ -351,9 +359,12 @@ class CycleData(tuple):
             offsets["temperature_in_C"] = (
                 shared if has_temperature.all() else _bounds(np.diff(shared) * has_temperature))
         signals = {name: _signal(columns.get(name, ()), name, copy) for name in _SIGNAL_FIELDS}
-        bounds = {}
+        bounds, copies = {}, {}  # one copy of an offsets array that several signals share
         for name, column in signals.items():
-            off = bounds[name] = _small(offsets[name], np.int64, f"offsets[{name!r}]", n + 1)
+            given = offsets[name]
+            if id(given) not in copies:
+                copies[id(given)] = _small(given, np.int64, f"offsets[{name!r}]", n + 1)
+            off = bounds[name] = copies[id(given)]
             if off[0] != 0 or off[-1] != column.size or np.any(np.diff(off) < 0):
                 raise ValueError(f"offsets[{name!r}] must rise from 0 to the column's {column.size} values")
         if np.diff(bounds["temperature_in_C"])[~has_temperature].any():
@@ -382,16 +393,22 @@ class CycleData(tuple):
         raise AttributeError(f"CycleData is read-only: cannot set {name!r}")
 
     def __reduce__(self):
-        # pickle and copy rebuild through the constructor, whose copies are read-only
-        # decoded, as a coded block holds its file's mapping; this cell keeps its blocks
-        columns = {name: self.columns.peek(name) for name in self.columns}
-        return copyreg.__newobj_ex__, (type(self), (self.cycle_number, columns, self.offsets), {
+        # pickle and copy rebuild through the constructor, whose copies are read-only; a
+        # coded block goes as it is, and pickles as its residuals and escape values, and a
+        # column of one repeated value (every stride 0) goes as that value and its length
+        columns, repeated = {}, {}
+        for name, column in self.columns._columns.items():
+            if isinstance(column, np.ndarray) and column.size >= 2 and not any(column.strides):
+                repeated[name] = column[:1], column.size
+            else:
+                columns[name] = column
+        return _rebuilt, (type(self), (self.cycle_number, columns, self.offsets), {
             "has_temperature": self.has_temperature,
             "internal_resistance_in_ohm": self.internal_resistance_in_ohm,
             "has_internal_resistance": self.has_internal_resistance,
             "extra": self.extra,
             "copy": False,  # the columns are read-only and the cell's own
-        })
+        }, repeated)
 
     @classmethod
     def from_cycles(cls, cycles) -> CycleData:
@@ -524,6 +541,15 @@ class CycleData(tuple):
         raise TypeError(f"cycles are not ordered: cannot compare CycleData with {type(other).__name__}")
 
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+
+def _rebuilt(cls, args, kwargs, repeated) -> CycleData:
+    """The :class:`CycleData` that ``CycleData.__reduce__`` hands over: its
+    constructor's arguments, and each repeated column as its value and length."""
+    numbers, columns, offsets = args
+    columns = {**columns, **{name: np.broadcast_to(value.reshape(()), n)
+                             for name, (value, n) in repeated.items()}}
+    return cls(numbers, columns, offsets, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -930,7 +956,10 @@ def write_cell(cell: CellRecord, path) -> Path:
 
     Given a directory, the file is named ``<cell_id>.cfc``; any other path
     is used as it is. Raises :class:`ValidationError` when the record does
-    not validate.
+    not validate. A coded column is written as its block, residuals and
+    escape values copied as they are, and only a plain column is coded
+    (see :func:`~cellforge.container.stored_form`), so the file is byte for
+    byte the one the cell's plain columns would make.
     """
     violations = validate(cell)
     if violations:
@@ -948,8 +977,8 @@ def write_cell(cell: CellRecord, path) -> Path:
     blocks = [(name, values.astype(np.int32)) for name, values in zip(_PER_CYCLE_BLOCKS, per_cycle)]
     resistance = cycles.internal_resistance_in_ohm[cycles.has_internal_resistance]
     blocks.append(("internal_resistance_in_ohm", resistance))
-    # each signal read as it is written, so a coded column is decoded for its block alone
-    signals = ((name, cycles.columns.peek(name)) for name in _SIGNAL_FIELDS)
+    # a coded column is written as its block, never decoded or coded again here
+    signals = ((name, cycles.columns._columns[name]) for name in _SIGNAL_FIELDS)
     return write_container(path, CELL_MAGIC, header, itertools.chain(blocks, signals))
 
 

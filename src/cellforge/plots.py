@@ -16,6 +16,8 @@ Kinds:
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,14 +92,23 @@ def pred_vs_truth_series(checkpoint_dir) -> list[Series]:
     return [Series("test cells", x, y)]
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of several fields."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow([text, ""])
+    return out.getvalue()[:-1]
+
+
 def write_series_csv(series: list[Series], path) -> Path:
+    """The rows ``csv.writer`` writes for ``series``, each value as the
+    ``repr`` of its float, joined in one pass per series."""
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", "x", "y"])
-        for s in series:
-            for xv, yv in zip(s.x, s.y):
-                writer.writerow([s.name, repr(float(xv)), repr(float(yv))])
+    rows = ["series,x,y"]
+    for s in series:
+        x, y = (np.asarray(values, dtype=float).tolist() for values in (s.x, s.y))
+        rows += map(",".join, zip(itertools.repeat(_csv_field(s.name)), map(repr, x), map(repr, y)))
+    rows.append("")
+    path.write_text("\r\n".join(rows), encoding="utf-8", newline="")
     return path
 
 
@@ -124,11 +135,17 @@ class _Projection:
         self.plot_w = WIDTH - 2 * MARGIN
         self.plot_h = HEIGHT - 2 * MARGIN
 
+    # a float or an array of them, in the same IEEE operations in the same order
     def px(self, x):
         return MARGIN + (x - self.x_lo) / (self.x_hi - self.x_lo) * self.plot_w
 
     def py(self, y):
         return HEIGHT - MARGIN - (y - self.y_lo) / (self.y_hi - self.y_lo) * self.plot_h
+
+    def points(self, s: Series) -> zip:
+        """The (x, y) pixel positions of the points of ``s``, as floats."""
+        return zip(self.px(np.asarray(s.x, dtype=float)).tolist(),
+                   self.py(np.asarray(s.y, dtype=float)).tolist())
 
 
 def _axes(proj: _Projection, x_label: str, y_label: str, title: str):
@@ -185,16 +202,11 @@ def render_svg(series: list[Series], path, *, scatter: bool,
             )
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        if scatter:
-            for xv, yv in zip(s.x, s.y):
-                parts.append(
-                    f'<circle cx="{_fmt(proj.px(xv))}" cy="{_fmt(proj.py(yv))}" r="4" '
-                    f'fill="{color}" fill-opacity="0.7"/>'
-                )
+        if scatter:  # "%.2f" formats as _fmt does
+            circle = f'<circle cx="%.2f" cy="%.2f" r="4" fill="{color}" fill-opacity="0.7"/>'
+            parts += map(circle.__mod__, proj.points(s))
         else:
-            pts = " ".join(
-                f"{_fmt(proj.px(xv))},{_fmt(proj.py(yv))}" for xv, yv in zip(s.x, s.y)
-            )
+            pts = " ".join(map("%.2f,%.2f".__mod__, proj.points(s)))
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )

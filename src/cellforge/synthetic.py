@@ -19,6 +19,10 @@ Gaussian noise (``noise_sigma``) perturbs the voltage signal only.
 
 Determinism: cell i uses the sub-seed ``seed XOR i`` (masked to 64 bits), so
 corpora are reproducible cell-by-cell regardless of generation order.
+
+A generated cell holds each sampled signal in the form its cell file stores
+it (:func:`cellforge.container.stored_form`), coded as soon as it is made,
+so a generated corpus takes about the memory of its files.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .battery_data import MAX_CYCLE_NUMBER, CellRecord, CycleData, ProtocolStep
+from .container import stored_form
 from .errors import ConfigError
 from .features import MAX_POINTS
 from .registry import number
@@ -42,6 +47,9 @@ _MIN_LIFE = 10
 _MAX_LIFE = MAX_CYCLE_NUMBER // 3  # _n_cycles numbers up to 3x the life
 
 _MASK64 = (1 << 64) - 1
+# the signals _cycle_columns returns, in its order
+_SAMPLED = ("time_in_s", "voltage_in_V", "current_in_A", "charge_capacity_in_Ah",
+            "discharge_capacity_in_Ah")
 MAX_CELLS = 10_000  # IDs SYN_0000-SYN_9999: four digits, so file-name order is index order
 
 
@@ -185,21 +193,18 @@ def synthetic_cell(spec: SynthSpec, index: int) -> CellRecord:
     rng, soh = _fade(spec, index)
     n_cycles = len(soh)
     c0 = spec.nominal_capacity_in_Ah
-    t, v, i, qc, qd = _cycle_columns(
+    signals = list(_cycle_columns(
         c0 * soh, c0, spec.voltage_min_V, spec.voltage_max_V,
         spec.points_per_cycle, rng, spec.noise_sigma,
-    )
+    ))
+    points = signals[0].shape[1]
+    columns = {}
+    for name in _SAMPLED:  # each in the form its cell file stores, its 2-D array dropped
+        columns[name] = stored_form(signals.pop(0).ravel())
     cycles = CycleData(
         np.arange(1, n_cycles + 1),
-        {
-            "voltage_in_V": v.ravel(),
-            "current_in_A": i.ravel(),
-            "charge_capacity_in_Ah": qc.ravel(),
-            "discharge_capacity_in_Ah": qd.ravel(),
-            "time_in_s": t.ravel(),
-            "temperature_in_C": np.broadcast_to(np.float64(30.0), t.size),  # one value, no column
-        },
-        np.arange(n_cycles + 1) * t.shape[1],
+        {**columns, "temperature_in_C": np.broadcast_to(np.float64(30.0), n_cycles * points)},  # one value
+        np.arange(n_cycles + 1) * points,
         internal_resistance_in_ohm=0.015 * (1.0 + 0.5 * (1.0 - soh)),
         copy=False,  # the columns are made here for this cell alone
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cellforge.battery_data import (CELL_MAGIC, CellRecord, CycleRecord, ProtocolStep, load_cells,
-                                    write_cell)
+from cellforge.battery_data import (CELL_MAGIC, CellRecord, CycleData, CycleRecord, ProtocolStep,
+                                    load_cells, write_cell)
 from cellforge.container import parse_container, write_container
 from cellforge.errors import CheckpointError, SchemaError
 from cellforge.models.base import MAGIC as MODEL_MAGIC
@@ -145,6 +146,17 @@ def linear_cycle(
         temperature_in_C=None if temperature is None else np.full(n_charge + n_dis, temperature),
         internal_resistance_in_ohm=internal_resistance,
     )
+
+
+def plain_copy(cell: CellRecord) -> CellRecord:
+    """``cell`` with every column a plain float64 array of its own: a coded
+    column is decoded for the copy alone, and ``cell`` keeps its blocks."""
+    cycles = cell.cycle_data
+    return dataclasses.replace(cell, cycle_data=CycleData(
+        cycles.cycle_number, {name: cycles.columns.peek(name) for name in cycles.columns},
+        dict(cycles.offsets), has_temperature=cycles.has_temperature,
+        internal_resistance_in_ohm=cycles.internal_resistance_in_ohm,
+        has_internal_resistance=cycles.has_internal_resistance, extra=cycles.extra))
 
 
 def make_cell(

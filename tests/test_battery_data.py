@@ -52,10 +52,10 @@ from cellforge.labels import soh_per_cycle
 from cellforge.models import load_model
 from cellforge.models.base import MAGIC as MODEL_MAGIC
 from cellforge.pipeline import FEATURES_MAGIC, read_features
-from cellforge.synthetic import SynthSpec, generate_synthetic
+from cellforge.synthetic import SynthSpec, generate_synthetic, synthetic_cell
 from conftest import (block_size, cell_strategy, cycle_strategy, linear_cycle, make_cell,
-                      random_valid_cell, read_model_file, store_current_as_runs, store_plain,
-                      write_model_file)
+                      plain_copy, random_valid_cell, read_model_file, store_current_as_runs,
+                      store_plain, write_model_file)
 
 
 def paths_of(violations):
@@ -1334,13 +1334,15 @@ class TestSecondDifferenceBlocks:
         assert repr(cells[0].cycle_data).startswith(f"CycleData({len(cells[0].cycle_data)} cycles")
 
     def test_a_column_is_decoded_when_first_read_and_kept(self, quickstart_corpus, monkeypatch):
+        # the reference, whose generated columns are coded too, is decoded before decodes count
+        reference = plain_copy(quickstart_corpus.generated[0])
+        expected = reference.cycle_data.columns
         decoded = []
         monkeypatch.setattr(container.Coded, "decode",
                             lambda self, decode=container.Coded.decode: decoded.append(self) or decode(self))
         path = quickstart_corpus.directory / "SYN_0000.cfc"
         cell = read_cell(path)
         coded = coded_columns(cell)
-        expected = quickstart_corpus.generated[0].cycle_data.columns
         assert decoded == []
         voltage = cell.cycle_data.columns["voltage_in_V"]
         assert decoded == [coded["voltage_in_V"]] and voltage.tobytes() == expected["voltage_in_V"].tobytes()
@@ -1353,7 +1355,7 @@ class TestSecondDifferenceBlocks:
         assert decoded[1:] == [coded["current_in_A"]] and view.current_in_A is current
         offsets = cell.cycle_data.offsets["current_in_A"]
         assert current.tobytes() == expected["current_in_A"][offsets[3] : offsets[4]].tobytes()
-        assert view == quickstart_corpus.generated[0].cycle_data[3]  # == reads every signal
+        assert view == reference.cycle_data[3]  # == reads every signal
         assert {id(block) for block in decoded} == {id(block) for block in coded.values()}
         assert len(decoded) == len(coded)
         # the labels read the discharge capacity alone
@@ -1379,17 +1381,30 @@ class TestSecondDifferenceBlocks:
         renumbered = dataclasses.replace(cell.cycle_data[5], cycle_number=7)
         assert renumbered == dataclasses.replace(built, cycle_number=7)
 
-    @pytest.mark.parametrize("trip", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy],
-                             ids=["pickle", "deepcopy"])
-    def test_a_lazily_read_cell_decodes_to_pickle_copy_and_compare(self, quickstart_corpus, trip):
+    @pytest.mark.parametrize("trip", [lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_a_lazily_read_cell_stays_coded_to_pickle_copy_and_compare(self, quickstart_corpus, trip):
         path = quickstart_corpus.directory / "SYN_0001.cfc"
         cell = read_cell(path)
-        assert coded_columns(cell)
+        coded = coded_columns(cell)
+        assert len(coded) == 5
         back = trip(cell)
-        assert not any(isinstance(c, container.Coded) for c in back.cycle_data.columns._columns.values())
+        assert set(coded_columns(back)) == set(coded) and coded_columns(cell) == coded
+        temperature = back.cycle_data.columns["temperature_in_C"]
+        assert temperature.strides == (0,) and not temperature.flags.writeable  # one value still
         assert back == read_cell(path) == quickstart_corpus.generated[1]
         assert not any(c.flags.writeable for c in back.cycle_data.columns.values())
         assert not any(c.flags.writeable for c in cell.cycle_data.columns.values())
+
+    def test_a_pickled_cell_is_the_size_of_its_file(self, quickstart_corpus, tmp_path):
+        # the largest quickstart cell pickled as 3.6 times its file while a copy held decoded arrays
+        path = max(quickstart_corpus.directory.iterdir(), key=lambda p: p.stat().st_size)
+        generated = next(c for c in quickstart_corpus.generated if path.stem == c.cell_id)
+        for cell in (generated, read_cell(path)):
+            data = pickle.dumps(cell)
+            assert len(data) <= 1.05 * path.stat().st_size
+            back = pickle.loads(data)
+            assert back == cell and write_cell(back, tmp_path).read_bytes() == path.read_bytes()
 
     @staticmethod
     def coded_names(path) -> set:
@@ -1466,6 +1481,97 @@ class TestSecondDifferenceBlocks:
             read_features(features)
         assert str(info.value) == (f"{features}: expected one 2-D 'values' block, "
                                    "got shapes {'values': (64,)}")
+
+
+@st.composite
+def repeated_blocks(draw):
+    """A 1-D float64 block of 0 to 5 elements that all have one bit pattern,
+    held as an array of its own or as a stride-0 view of one element."""
+    value = np.uint64(draw(st.sampled_from(SPECIAL_BITS) | st.integers(0, 2**64 - 1)))
+    n = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        return np.broadcast_to(value.view(np.float64), n)
+    return np.full(n, value).view(np.float64)
+
+
+# a block of arbitrary bit patterns, whose second differences almost all escape
+escaped_only = st.lists(st.integers(0, 2**64 - 1), max_size=40).map(
+    lambda bits: np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+class TestStoredForm:
+    """``stored_form`` gives a 1-D float64 array in the form a file that is
+    not deflated stores it, the one rule ``write_container`` also follows; a
+    generated cell holds its signals in that form, as a loaded cell does, and
+    ``write_cell`` copies a coded block as it is."""
+
+    @staticmethod
+    def written(path, block, deflate=False) -> bytes:
+        return write_container(path, b"TST1", {}, [("x", block)], deflate=deflate).read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(block=coded_blocks() | repeated_blocks() | escaped_only, cut=st.integers(0, 300))
+    def test_the_stored_form_is_the_form_a_file_stores(self, tmp_path_factory, block, cut):
+        path = tmp_path_factory.mktemp("form") / "x.bin"
+        form = container.stored_form(block)
+        data = self.written(path, block)
+        spec = container.read_header(data, b"TST1", CheckpointError)[0]["blocks"][0]
+        bits = as_bits(block)
+        repeat = block.size >= 2 and (bits == bits[0]).all()
+        coded = not repeat and block.size and block.size + 8 * escape_count(block) < block.nbytes
+        assert isinstance(form, container.Coded) == bool(coded) == ("escapes" in spec)
+        if not coded:
+            assert form is block
+            return
+        assert form.shape == block.shape and form.escapes == escape_count(block)
+        assert as_bits(form.decode()).tobytes() == bits.tobytes()
+        assert container.stored_form(form) is form
+        assert self.written(path, form) == data
+        assert self.written(path, form, deflate=True) == self.written(path, block, deflate=True)
+        back = pickle.loads(pickle.dumps(form))
+        assert back.escapes == form.escapes and as_bits(back.decode()).tobytes() == bits.tobytes()
+        # a prefix may repeat, or hold too many escapes: its form is still its values' form
+        k = min(cut, block.size)
+        prefix = form.head(k)
+        assert as_bits(prefix.decode()).tobytes() == bits[:k].tobytes()
+        assert self.written(path, prefix) == self.written(path, block[:k])
+        assert isinstance(container.stored_form(prefix), container.Coded) == isinstance(
+            container.stored_form(block[:k]), container.Coded)
+
+    def test_a_generated_corpus_is_held_at_its_file_size(self, quickstart_corpus):
+        # 23.0 MB of plain columns were held for the 7.55 MB of its files
+        on_disk = sum(p.stat().st_size for p in quickstart_corpus.directory.iterdir())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cells = generate_synthetic(SynthSpec())
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.1 * on_disk, f"{held} bytes held for {on_disk} bytes of files"
+        assert cells == quickstart_corpus.generated
+
+    @pytest.mark.parametrize("source", ["generated", "loaded", "head"])
+    def test_write_cell_copies_coded_blocks(self, quickstart_corpus, tmp_path, monkeypatch, source):
+        cell = synthetic_cell(SynthSpec(), 0)
+        if source != "generated":
+            cell = read_cell(quickstart_corpus.directory / "SYN_0000.cfc")
+        if source == "head":
+            cell = cell.head(100)
+        coded = coded_columns(cell)
+        assert set(coded) == set(battery_data._CYCLE_SEQ_FIELDS)
+        assert all(block.escapes for block in coded.values())
+        expected = write_cell(plain_copy(cell), tmp_path / "plain.cfc").read_bytes()
+        decoded, differenced = [], []
+        monkeypatch.setattr(container.Coded, "decode",
+                            lambda self, decode=container.Coded.decode: decoded.append(self) or decode(self))
+        monkeypatch.setattr(container, "_second_differences",
+                            lambda flat, code=container._second_differences: differenced.append(flat.size)
+                            or code(flat))
+        assert write_cell(cell, tmp_path / "coded.cfc").read_bytes() == expected
+        assert sorted(map(id, decoded)) == sorted(map(id, coded.values()))  # once each, to validate
+        assert differenced == [len(cell.cycle_data)]  # the resistances alone
+        assert coded_columns(cell) == coded
 
 
 def file_reads(source: str) -> list[tuple[str, int]]:
@@ -1622,10 +1728,10 @@ class TestHead:
     columns cut as views and its coded columns as coded prefixes."""
 
     def test_a_read_cell_keeps_its_columns_lazy(self, quickstart_corpus, monkeypatch):
+        generated = plain_copy(quickstart_corpus.generated[0])  # coded too, so decoded before counting
         decoded = []
         monkeypatch.setattr(container.Coded, "decode",
                             lambda self, decode=container.Coded.decode: decoded.append(self.size) or decode(self))
-        generated = quickstart_corpus.generated[0]
         cell = read_cell(quickstart_corpus.directory / "SYN_0000.cfc")
         n, offsets = len(cell.cycle_data), cell.cycle_data.offsets["time_in_s"]
         capacity = cell.cycle_data.columns["discharge_capacity_in_Ah"]  # decoded whole, as labels read it
