@@ -33,7 +33,7 @@ from .errors import (
     ThresholdNotReached,
     ValidationError,
 )
-from .features import FeatureMatrix, delta_q, qdlinear
+from .features import FeatureMatrix, RowKeys, delta_q, qdlinear
 from .labels import (
     RULLabelAnnotator,
     SOCLabelAnnotator,
@@ -73,6 +73,7 @@ __all__ = [
     "ThresholdNotReached",
     "ValidationError",
     "FeatureMatrix",
+    "RowKeys",
     "delta_q",
     "qdlinear",
     "RULLabelAnnotator",

@@ -14,10 +14,12 @@ Conventions used throughout this module:
 * Extractor output is sanitized: NaN and +/-Inf entries become 0.0.
 
 Extractors registered for pipeline use share one shape of contract:
-``process_cell(cell) -> (values (k, d), row_keys)`` and
-``extract(cells) -> FeatureMatrix``. Each states one ``horizon``, the number
-of leading cycles it reads, and ``extract`` alone calls ``process_cell``,
-with ``cell.head(horizon)``: no extractor sees a cycle past its horizon.
+``process_cell(cell) -> (values (k, d), RowKeys of the k rows)`` and
+``extract(cells) -> FeatureMatrix``; :class:`RowKeys` is the one form of row
+keys from an extractor or annotator to ``report.json``. Each states one
+``horizon``, the number of leading cycles it reads, and ``extract`` alone
+calls ``process_cell``, with ``cell.head(horizon)``: no extractor sees a
+cycle past its horizon.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .battery_data import CellRecord, CycleData, CycleRecord
+from .battery_data import CellRecord, CycleData, CycleRecord, _small
 from .errors import FeatureError
 from .registry import integer, number
 
@@ -185,9 +187,70 @@ def sanitize(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Feature matrix
 
+@dataclass(eq=False)
+class RowKeys:
+    """Row keys as ``report["predictions"]`` stores them: ``cell_id`` as
+    ``[id, count]`` runs of positive counts, and ``cycle`` and ``step`` as
+    read-only int64 arrays, or None where the task has no such level."""
+
+    cell_id: list
+    cycle: np.ndarray | None = None
+    step: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.cell_id = [[cell_id, int(n)] for cell_id, n in self.cell_id]
+        if min([n for _, n in self.cell_id], default=1) < 1:
+            raise ValueError(f"row key runs need positive counts, got {self.cell_id}")
+        self.cycle, self.step = (None if a is None else _small(a, np.int64, name, len(self))
+                                 for name, a in (("cycle", self.cycle), ("step", self.step)))
+
+    @classmethod
+    def steps(cls, cell_id, cycle_number, counts) -> RowKeys:
+        """One cell's keys of ``counts[i]`` steps of cycle ``cycle_number[i]``."""
+        n = int(np.sum(counts))
+        return cls([[cell_id, n]] if n else [], np.repeat(cycle_number, counts),
+                   np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts))
+
+    @classmethod
+    def concat(cls, parts) -> RowKeys:
+        """The rows of ``parts``, which share their levels, in order."""
+        levels = ([getattr(part, name) for part in parts] for name in ("cycle", "step"))
+        return cls([run for part in parts for run in part.cell_id],
+                   *(None if all(a is None for a in level) else np.concatenate(level) for level in levels))
+
+    def __len__(self) -> int:
+        return sum(n for _, n in self.cell_id)
+
+    def __eq__(self, other) -> bool:  # equal keys, in the form a report stores
+        return isinstance(other, RowKeys) and self.columns() == other.columns()
+
+    def runs(self) -> np.ndarray:
+        """Each row's index into ``cell_id``."""
+        return np.repeat(np.arange(len(self.cell_id)), [n for _, n in self.cell_id])
+
+    def take(self, rows) -> RowKeys:
+        """The keys of ``rows``, increasing row indices."""
+        counts = np.bincount(self.runs()[rows], minlength=len(self.cell_id)).tolist()
+        return RowKeys([[cell_id, n] for (cell_id, _), n in zip(self.cell_id, counts) if n],
+                       *(None if a is None else a[rows] for a in (self.cycle, self.step)))
+
+    def columns(self) -> dict:
+        """``report["predictions"]``'s key columns, as lists."""
+        levels = (("cycle", self.cycle), ("step", self.step))
+        return {"cell_id": [list(run) for run in self.cell_id],
+                **{name: a.tolist() for name, a in levels if a is not None}}
+
+
+def _check_rows(values: np.ndarray, ndim: int, row_keys):
+    if values.ndim != ndim:
+        raise ValueError(f"values must be {ndim}-D, got shape {values.shape}")
+    if not (isinstance(row_keys, RowKeys) and len(row_keys) == len(values)):
+        raise ValueError(f"row keys must be one RowKeys of the {len(values)} rows they align")
+
+
 @dataclass
 class FeatureMatrix:
-    """2-D feature values plus row keys and column names.
+    """2-D feature values plus :class:`RowKeys` and column names.
 
     A checkpoint stores the test rows' values alone (see
     :func:`cellforge.pipeline.write_features`): its report's prediction rows
@@ -195,15 +258,12 @@ class FeatureMatrix:
     """
 
     values: np.ndarray
-    row_keys: list[tuple]
+    row_keys: RowKeys
     col_names: list[str]
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError(f"feature values must be 2-D, got shape {self.values.shape}")
-        if self.values.shape[0] != len(self.row_keys):
-            raise ValueError("row count and row keys disagree")
+        _check_rows(self.values, 2, self.row_keys)
         if self.values.shape[1] != len(self.col_names):
             raise ValueError("column count and column names disagree")
 
@@ -229,7 +289,7 @@ class BaseFeatureExtractor:
                                    f"past the observed-cycle budget of {self.observed_cycles}")
             self.horizon = self.observed_cycles
 
-    def process_cell(self, cell: CellRecord) -> tuple[np.ndarray, list[tuple]]:
+    def process_cell(self, cell: CellRecord) -> tuple[np.ndarray, RowKeys]:
         raise NotImplementedError
 
     def extract(self, cells: list[CellRecord]) -> FeatureMatrix:
@@ -242,7 +302,7 @@ class BaseFeatureExtractor:
                 raise FeatureError(f"{cell.cell_id}: needs >= {h} cycles, has {n}")
             parts.append(self.process_cell(cell if h is None else cell.head(h)))
         values = np.vstack([p[0] for p in parts])
-        keys = [k for p in parts for k in p[1]]
+        keys = RowKeys.concat([p[1] for p in parts])
         return FeatureMatrix(values=sanitize(values), row_keys=keys, col_names=list(self.col_names))
 
 
@@ -281,7 +341,7 @@ class VarianceModelFeatureExtractor(BaseFeatureExtractor):
     def process_cell(self, cell):
         dq = self._delta(cell)
         var = max(float(np.var(dq)), VARIANCE_FLOOR)
-        return np.array([[np.log10(var)]]), [(cell.cell_id, None, None)]
+        return np.array([[np.log10(var)]]), RowKeys([[cell.cell_id, 1]])
 
 
 class DischargeModelFeatureExtractor(VarianceModelFeatureExtractor):
@@ -316,7 +376,7 @@ class DischargeModelFeatureExtractor(VarianceModelFeatureExtractor):
         return row
 
     def process_cell(self, cell):
-        return self._discharge_vector(cell)[None, :], [(cell.cell_id, None, None)]
+        return self._discharge_vector(cell)[None, :], RowKeys([[cell.cell_id, 1]])
 
 
 class FullModelFeatureExtractor(DischargeModelFeatureExtractor):
@@ -374,7 +434,7 @@ class FullModelFeatureExtractor(DischargeModelFeatureExtractor):
         ir_rise = resistances[0] - resistances[present].min() if present.size and present[0] else np.nan
 
         row = np.concatenate([base, [mean_ct, log_integral, ir_rise]])
-        return row[None, :], [(cell.cell_id, None, None)]
+        return row[None, :], RowKeys([[cell.cell_id, 1]])
 
 
 class VoltageCapacityMatrixFeatureExtractor(BaseFeatureExtractor):
@@ -426,7 +486,7 @@ class VoltageCapacityMatrixFeatureExtractor(BaseFeatureExtractor):
         return np.vstack(rows)
 
     def process_cell(self, cell):
-        return self.matrix(cell).reshape(1, -1), [(cell.cell_id, None, None)]
+        return self.matrix(cell).reshape(1, -1), RowKeys([[cell.cell_id, 1]])
 
 
 def soh_cycle_features(cell: CellRecord, cycle_index: int) -> np.ndarray:
@@ -484,8 +544,8 @@ class SOHCycleFeatureExtractor(BaseFeatureExtractor):
         return cell.cycle_data
 
     def process_cell(self, cell):
-        keys = [(cell.cell_id, cycle_no, None) for cycle_no in self._cycles(cell).cycle_number.tolist()]
-        return _soh_cycle_rows(cell, 0, len(keys)), keys
+        numbers = self._cycles(cell).cycle_number
+        return _soh_cycle_rows(cell, 0, len(numbers)), RowKeys([[cell.cell_id, len(numbers)]], numbers)
 
 
 class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
@@ -518,8 +578,8 @@ class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
         cycles = self._cycles(cell)
         if len(cycles) > 1:
             lo, hi = voltage_bounds(cell, self.v_min, self.v_max)
-        blocks, keys = [], []
-        for idx, cycle_no in enumerate(cycles.cycle_number.tolist()):
+        blocks = []
+        for idx in range(len(cycles)):
             cyc = cycles[idx]
             t = np.asarray(cyc.time_in_s)
             if idx == 0:
@@ -528,8 +588,8 @@ class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
                 prev, flag = qdlinear(cycles[idx - 1], lo, hi, self.n_qdlin), 0.0
             blocks.append(np.column_stack([cyc.current_in_A, cyc.voltage_in_V, t - t[0],
                                            np.tile(prev, (len(t), 1)), np.full(len(t), flag)]))
-            keys.extend((cell.cell_id, cycle_no, step) for step in range(len(t)))
-        return sanitize(np.vstack(blocks)), keys
+        return sanitize(np.vstack(blocks)), RowKeys.steps(
+            cell.cell_id, cycles.cycle_number, np.diff(cycles.offsets["time_in_s"]))
 
 
 class CapacityFadeSlopeFeatureExtractor(BaseFeatureExtractor):
@@ -554,4 +614,4 @@ class CapacityFadeSlopeFeatureExtractor(BaseFeatureExtractor):
         soh = soh_per_cycle(cell)[self.first_cycle : self.last_cycle + 1]
         n = np.arange(self.first_cycle, self.last_cycle + 1, dtype=float)
         slope = np.polyfit(n, soh, 1)[0]
-        return np.array([[slope]]), [(cell.cell_id, None, None)]
+        return np.array([[slope]]), RowKeys([[cell.cell_id, 1]])

@@ -26,6 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .battery_data import CellRecord
 from .errors import LabelError, ThresholdNotReached
+from .features import RowKeys, _check_rows
 from .registry import integer, number
 
 EOL_SOH_PERCENT_DEFAULT = 80.0
@@ -134,19 +135,16 @@ def soc_per_step(cell: CellRecord, cycle_index: int) -> np.ndarray:
 
 @dataclass
 class LabelVector:
-    """Labels plus the row keys that align them with a feature matrix.
-
-    Row keys are ``(cell_id, cycle_number or None, step or None)`` tuples;
-    the populated tail of the key encodes the task granularity.
-    """
+    """Labels plus the :class:`~cellforge.features.RowKeys` of their rows,
+    which align them with a feature matrix; the levels the keys hold
+    (``cycle``, ``step``) are the task's granularity."""
 
     values: np.ndarray
-    row_keys: list[tuple]
+    row_keys: RowKeys
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1 or len(self.values) != len(self.row_keys):
-            raise ValueError("labels and row keys must align one-to-one")
+        _check_rows(self.values, 1, self.row_keys)
 
 
 class RULLabelAnnotator:
@@ -162,10 +160,10 @@ class RULLabelAnnotator:
         for cell in cells:
             try:
                 values.append(float(rul_label(cell, self.spec)))
-                keys.append((cell.cell_id, None, None))
+                keys.append([cell.cell_id, 1])
             except ThresholdNotReached as exc:
                 excluded.append((cell.cell_id, str(exc)))
-        return LabelVector(np.array(values), keys), excluded
+        return LabelVector(np.array(values), RowKeys(keys)), excluded
 
 
 class SOHLabelAnnotator:
@@ -175,8 +173,8 @@ class SOHLabelAnnotator:
 
     def annotate(self, cells: list[CellRecord]) -> tuple[LabelVector, list[tuple[str, str]]]:
         values = [soh_per_cycle(cell) for cell in cells]
-        keys = [(cell.cell_id, cycle_no, None)
-                for cell in cells for cycle_no in cell.cycle_data.cycle_number.tolist()]
+        keys = RowKeys.concat([RowKeys([[cell.cell_id, len(cell.cycle_data)]], cell.cycle_data.cycle_number)
+                               for cell in cells])
         return LabelVector(np.concatenate([np.empty(0), *values]), keys), []
 
 
@@ -194,7 +192,7 @@ class SOCLabelAnnotator:
     def annotate(self, cells: list[CellRecord]) -> tuple[LabelVector, list[tuple[str, str]]]:
         if self.horizon is not None:
             cells = [cell.head(self.horizon) for cell in cells]
-        socs = [(cell.cell_id, cycle_no, soc_per_step(cell, idx)) for cell in cells
-                for idx, cycle_no in enumerate(cell.cycle_data.cycle_number.tolist())]
-        keys = [(cell_id, cycle_no, step) for cell_id, cycle_no, soc in socs for step in range(len(soc))]
-        return LabelVector(np.concatenate([np.empty(0), *(soc for *_, soc in socs)]), keys), []
+        socs = [[soc_per_step(cell, idx) for idx in range(len(cell.cycle_data))] for cell in cells]
+        keys = RowKeys.concat([RowKeys.steps(cell.cell_id, cell.cycle_data.cycle_number, list(map(len, soc)))
+                               for cell, soc in zip(cells, socs)])
+        return LabelVector(np.concatenate([np.empty(0), *(s for soc in socs for s in soc)]), keys), []

@@ -45,7 +45,6 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +55,7 @@ from .battery_data import (CellRecord, cell_files, json_document, read_cell, rea
                            yaml_document)
 from .container import parse_container, write_container
 from .errors import CheckpointError, ConfigError, PipelineError, TransformError
-from .features import FeatureMatrix
+from .features import FeatureMatrix, RowKeys
 from .models import load_model, model_seeds, save_models
 from .registry import FEATURES, LABELS, MODELS, SPLITTERS, TRANSFORMS
 from .splitters import SplitResult
@@ -247,6 +246,20 @@ def _model_params(spec: ComponentSpec, seeds) -> dict:
     return {seeds[0]: spec.params}
 
 
+def _key_codes(keys: RowKeys) -> np.ndarray:
+    """One int64 code per row, ordered as the keys within a cell: the dense
+    rank of its cell, then of that and each level's dense rank in turn, so
+    no value range is assumed and no code reaches the square of the rows."""
+    ids = {}
+    code = np.array([ids.setdefault(cell_id, len(ids)) for cell_id, _ in keys.cell_id],
+                    dtype=np.int64)[keys.runs()]
+    for level in (keys.cycle, keys.step):
+        if level is not None:
+            values, rank = np.unique(level, return_inverse=True)
+            code = np.unique(code * len(values) + rank, return_inverse=True)[1]
+    return code
+
+
 def _align(features, label_vector):
     """Join feature rows to labels by row key, keeping feature-row order:
     ``(X, y, keys)`` of the rows both sides have. Training joins one cell's
@@ -256,14 +269,20 @@ def _align(features, label_vector):
     cover fewer cycles than the annotator, or vice versa), so the join may
     be empty; a repeated label key is an error.
     """
-    by_key = {}
-    for key, value in zip(label_vector.row_keys, label_vector.values):
-        if key in by_key:
-            raise PipelineError(f"duplicate label row key {key!r}")
-        by_key[key] = value
-    rows = [i for i, key in enumerate(features.row_keys) if key in by_key]
-    keys = [features.row_keys[i] for i in rows]
-    return features.values[rows], np.array([by_key[key] for key in keys], dtype=float), keys
+    fk, lk = features.row_keys, label_vector.row_keys
+    same = (fk.cycle is None, fk.step is None) == (lk.cycle is None, lk.step is None)
+    codes = _key_codes(RowKeys.concat([lk, fk] if same else [lk]))
+    order = np.argsort(codes[: len(lk)], kind="stable")
+    label_codes, feature_codes = codes[order], codes[len(lk):]
+    repeated = order[1:][label_codes[1:] == label_codes[:-1]]
+    if repeated.size:
+        i = repeated.min()
+        cycle, step = (None if a is None else int(a[i]) for a in (lk.cycle, lk.step))
+        raise PipelineError(f"duplicate label row key "
+                            f"({lk.cell_id[lk.runs()[i]][0]!r}, {cycle!r}, {step!r})")
+    at = np.searchsorted(label_codes, feature_codes).clip(max=max(len(lk) - 1, 0))
+    rows = np.flatnonzero(label_codes[at] == feature_codes) if len(lk) else at[:0]
+    return features.values[rows], label_vector.values[order[at[rows]]], fk.take(rows)
 
 
 def _resolve_workspace(workspace, config: PipelineConfig) -> Path:
@@ -351,25 +370,13 @@ def _take_partition(annotator, extractor, cells, partition: str):
     if not joined:
         raise PipelineError(f"all {partition} cells were excluded by the label annotator")
     X, y, keys = zip(*joined)
-    keys = [key for cell_keys in keys for key in cell_keys]
+    keys = RowKeys.concat(keys)
     if not keys:
         raise PipelineError(
             "feature rows and label rows share no keys; feature and label "
             "granularity (cell/cycle/step) must match"
         )
     return FeatureMatrix(np.concatenate(X), keys, features.col_names), np.concatenate(y), excluded
-
-
-def _fit_transforms(config: PipelineConfig, X_train, y_train):
-    ft = TRANSFORMS.create(
-        config.feature_transformation.name, **config.feature_transformation.params
-    )
-    lt = TRANSFORMS.create(
-        config.label_transformation.name, **config.label_transformation.params
-    )
-    ft.fit(X_train)
-    lt.fit(y_train)
-    return ft, lt
 
 
 def _score(seeds, models, ft, lt, X_test, y_test):
@@ -396,30 +403,20 @@ def _score(seeds, models, ft, lt, X_test, y_test):
     return per_seed, np.mean(np.stack(preds), axis=0)
 
 
-def _prediction_columns(keys, y_true, y_pred) -> dict:
-    """``report["predictions"]``: the test rows as columns, in row order. The
-    cell IDs are ``[id, count]`` runs, and ``cycle`` and ``step`` are present
-    when the row keys have them."""
-    runs = groupby(key[0] for key in keys)
-    columns = {"cell_id": [[cell_id, sum(1 for _ in run)] for cell_id, run in runs]}
-    for i, name in ((1, "cycle"), (2, "step")):
-        if keys and keys[0][i] is not None:
-            columns[name] = [int(k[i]) for k in keys]
-    columns["y_true"] = np.asarray(y_true, dtype=float).tolist()
-    columns["y_pred"] = np.asarray(y_pred, dtype=float).tolist()
-    return columns
+def _first_unordered(keys: RowKeys):
+    """The index of the first row whose key does not strictly follow the one
+    before it in its cell's run, or None: training writes each cell's rows
+    in key order."""
+    code, runs = _key_codes(keys), keys.runs()
+    unordered = np.flatnonzero((runs[1:] == runs[:-1]) & (code[1:] <= code[:-1]))
+    return int(unordered[0]) + 1 if unordered.size else None
 
 
-def _first_unordered(keys):
-    """The first row key that does not strictly follow the one before it
-    within one cell, or None: training writes each cell's rows in key order."""
-    return next((b for a, b in zip(keys, keys[1:]) if a[0] == b[0] and not a < b), None)
-
-
-def _report(config, models, ft, lt, X_test, keys_test, y_test, excluded):
+def _report(config, models, ft, lt, X_test, key_columns, y_test, excluded):
     """The evaluation report of ``models`` on the raw test features
-    ``X_test``, whose rows are ``keys_test`` and labels ``y_test``: the one
-    scoring tail of training and of checkpoint verification."""
+    ``X_test``, whose rows have the ``report["predictions"]`` key columns
+    ``key_columns`` and labels ``y_test``: the one scoring tail of training
+    and of checkpoint verification."""
     per_seed, mean_pred = _score(config.seeds, models, ft, lt, X_test, y_test)
     rmses = np.array(per_seed["rmse"])
     maes = np.array(per_seed["mae"])
@@ -430,7 +427,7 @@ def _report(config, models, ft, lt, X_test, keys_test, y_test, excluded):
         "sd_rmse": float(rmses.std()),
         "mean_mae": float(maes.mean()),
         "sd_mae": float(maes.std()),
-        "predictions": _prediction_columns(keys_test, y_test, mean_pred),
+        "predictions": {**key_columns, "y_true": y_test.tolist(), "y_pred": mean_pred.tolist()},
         "excluded": excluded,
     }
 
@@ -451,24 +448,27 @@ def run_train(config, workspace=None, cells: list[CellRecord] | None = None) -> 
     ``cell_data_path``.
     """
     config = PipelineConfig.load(config)
+    # built before the first cell is read, so a bad section fails at once
+    ft, lt = (TRANSFORMS.create(spec.name, **spec.params)
+              for spec in (config.feature_transformation, config.label_transformation))
+    models = {seed: MODELS.create(config.model.name, **params)
+              for seed, params in _model_params(config.model, config.seeds).items()}
     split, train_cells, test_cells = _split_cells(config, cells)
     data = _label_and_featurize(config, split, training=train_cells, test=test_cells)
     train, y_train, excl_train = data["training"]
     features_test, y_test, excl_test = data["test"]
 
-    unordered = _first_unordered(features_test.row_keys)
+    keys = features_test.row_keys
+    unordered = _first_unordered(keys)
     if unordered is not None:  # evaluation would refuse the checkpoint
-        raise PipelineError(f"{unordered[0]}: its test rows do not strictly increase in (cycle, step), "
-                            "so evaluation would refuse the checkpoint; validate() reports a cell "
-                            "whose cycle numbers do not increase")
-    ft, lt = _fit_transforms(config, train.values, y_train)
-    Xtr = ft.transform(train.values)
-    ytr = lt.transform(y_train)
+        raise PipelineError(f"{keys.cell_id[keys.runs()[unordered]][0]}: its test rows do not strictly "
+                            "increase in (cycle, step), so evaluation would refuse the checkpoint; "
+                            "validate() reports a cell whose cycle numbers do not increase")
+    Xtr = ft.fit(train.values).transform(train.values)
+    ytr = lt.fit(y_train).transform(y_train)
+    models = {seed: model.fit(Xtr, ytr) for seed, model in models.items()}
 
-    models = {seed: MODELS.create(config.model.name, **params).fit(Xtr, ytr)
-              for seed, params in _model_params(config.model, config.seeds).items()}
-
-    report = _report(config, models, ft, lt, features_test.values, features_test.row_keys,
+    report = _report(config, models, ft, lt, features_test.values, keys.columns(),
                      y_test, excl_train + excl_test)
 
     ckpt_dir = _resolve_workspace(workspace, config) / config.run_name()
@@ -653,13 +653,17 @@ def run_evaluate(checkpoint) -> dict:
     if any(a >= b for a, b in zip(order, order[1:])):
         raise CheckpointError(f"{ckpt_dir / 'report.json'}: its 'cell_id' runs do not follow "
                               "split.json's test cells in order, one run per cell")
-    ids = [cell_id for cell_id, count in runs for _ in range(count)]
-    keys_test = list(zip(ids, *(columns.get(k, [None] * n) for k in ("cycle", "step"))))
-    if _first_unordered(keys_test) is not None:
+    try:  # training writes int64 keys
+        keys = RowKeys(runs, columns.get("cycle"), columns.get("step"))
+    except OverflowError:
+        raise CheckpointError(f"{ckpt_dir / 'report.json'}: a 'cycle' or 'step' key is past "
+                              "the int64 range") from None
+    if _first_unordered(keys) is not None:
         raise CheckpointError(f"{ckpt_dir / 'report.json'}: its ('cycle', 'step') keys do not "
                               "strictly increase within a cell's run")
     y_test = np.array(columns["y_true"], dtype=float)
-    report = _report(stored_config, models, ft, lt, X_test, keys_test, y_test,
+    report = _report(stored_config, models, ft, lt, X_test,
+                     {k: columns[k] for k in ("cell_id", "cycle", "step") if k in columns}, y_test,
                      stored_report["excluded"])
     if report != stored_report:
         differ = sorted(k for k in report.keys() | stored_report.keys()

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .battery_data import CellRecord
+from .battery_data import CellRecord, _signal
 from .errors import CheckpointError, ConfigError
 from .labels import soh_per_cycle
 from .pipeline import read_report
@@ -40,18 +40,21 @@ PALETTE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Series:
-    """One named line or point set."""
+    """One named line or point set, its ``x`` and ``y`` held as read-only
+    float64 arrays of their own."""
 
     name: str
-    x: tuple[float, ...]
-    y: tuple[float, ...]
+    x: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
+        for name in ("x", "y"):
+            object.__setattr__(self, name, _signal(getattr(self, name), name))
         if len(self.x) != len(self.y):
             raise ValueError("x and y must have the same length")
-        if not self.x:
+        if not self.x.size:
             raise ValueError(f"series {self.name!r} is empty")
 
 
@@ -62,8 +65,7 @@ def degradation_series(cells: Iterable[CellRecord]) -> list[Series]:
 
 
 def _soh_series(cell: CellRecord) -> Series:
-    cycles = cell.cycle_data.cycle_number.astype(float)
-    return Series(cell.cell_id, tuple(cycles.tolist()), tuple(soh_per_cycle(cell).tolist()))
+    return Series(cell.cell_id, cell.cycle_data.cycle_number, soh_per_cycle(cell))
 
 
 def voltage_curve_series(cell: CellRecord) -> list[Series]:
@@ -76,9 +78,7 @@ def voltage_curve_series(cell: CellRecord) -> list[Series]:
             continue
         q = np.asarray(cyc.discharge_capacity_in_Ah)[mask]
         v = np.asarray(cyc.voltage_in_V)[mask]
-        out.append(
-            Series(f"cycle {cyc.cycle_number}", tuple(map(float, q)), tuple(map(float, v)))
-        )
+        out.append(Series(f"cycle {cyc.cycle_number}", q, v))
     if not out:
         raise ConfigError(f"{cell.cell_id}: no cycle has a discharge segment to plot")
     return out
@@ -88,8 +88,7 @@ def pred_vs_truth_series(checkpoint_dir) -> list[Series]:
     columns = read_report(checkpoint_dir)["predictions"]
     if not columns["y_true"]:
         raise CheckpointError(f"{Path(checkpoint_dir) / 'report.json'}: no predictions")
-    x, y = (tuple(columns[name]) for name in ("y_true", "y_pred"))
-    return [Series("test cells", x, y)]
+    return [Series("test cells", columns["y_true"], columns["y_pred"])]
 
 
 def _csv_field(text: str) -> str:
@@ -105,16 +104,16 @@ def write_series_csv(series: list[Series], path) -> Path:
     path = Path(path)
     rows = ["series,x,y"]
     for s in series:
-        x, y = (np.asarray(values, dtype=float).tolist() for values in (s.x, s.y))
-        rows += map(",".join, zip(itertools.repeat(_csv_field(s.name)), map(repr, x), map(repr, y)))
+        rows += map(",".join, zip(itertools.repeat(_csv_field(s.name)),
+                                  map(repr, s.x.tolist()), map(repr, s.y.tolist())))
     rows.append("")
     path.write_text("\r\n".join(rows), encoding="utf-8", newline="")
     return path
 
 
 def _data_range(series, attr):
-    values = [v for s in series for v in getattr(s, attr)]
-    lo, hi = min(values), max(values)
+    values = np.concatenate([getattr(s, attr) for s in series])
+    lo, hi = float(values.min()), float(values.max())
     if lo == hi:  # flat data still needs a nonzero span to project onto
         lo, hi = lo - 0.5, hi + 0.5
     return lo, hi
@@ -144,8 +143,7 @@ class _Projection:
 
     def points(self, s: Series) -> zip:
         """The (x, y) pixel positions of the points of ``s``, as floats."""
-        return zip(self.px(np.asarray(s.x, dtype=float)).tolist(),
-                   self.py(np.asarray(s.y, dtype=float)).tolist())
+        return zip(self.px(s.x).tolist(), self.py(s.y).tolist())
 
 
 def _axes(proj: _Projection, x_label: str, y_label: str, title: str):

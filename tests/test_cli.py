@@ -1115,7 +1115,7 @@ class TestPlotsModule:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["series", "x", "y"]
-        expected = [(s.name, xv, yv) for s in series for xv, yv in zip(s.x, s.y)]
+        expected = [(s.name, xv, yv) for s in series for xv, yv in zip(s.x.tolist(), s.y.tolist())]
         assert len(rows) == 1 + len(expected)
         for (name, x, y), (ename, xv, yv) in zip(rows[1:], expected):
             assert (name, x, y) == (ename, repr(xv), repr(yv))

@@ -20,6 +20,7 @@ from cellforge.features import (
     DischargeModelFeatureExtractor,
     FeatureMatrix,
     FullModelFeatureExtractor,
+    RowKeys,
     SOCStepFeatureExtractor,
     SOHCycleFeatureExtractor,
     VarianceModelFeatureExtractor,
@@ -302,11 +303,13 @@ class TestFeatureMatrix:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="2-D"):
-            FeatureMatrix(np.zeros(3), [("a",)] * 3, ["x"])
+            FeatureMatrix(np.zeros(3), RowKeys([["a", 3]]), ["x"])
         with pytest.raises(ValueError, match="row"):
-            FeatureMatrix(np.zeros((2, 1)), [("a",)], ["x"])
+            FeatureMatrix(np.zeros((2, 1)), RowKeys([["a", 1]]), ["x"])
         with pytest.raises(ValueError, match="column"):
-            FeatureMatrix(np.zeros((1, 2)), [("a",)], ["x"])
+            FeatureMatrix(np.zeros((1, 2)), RowKeys([["a", 1]]), ["x"])
+        with pytest.raises(ValueError, match="one RowKeys"):  # the one form of row keys
+            FeatureMatrix(np.zeros((1, 1)), [("a", None, None)], ["x"])
 
 
 class TestVarianceExtractor:
@@ -315,7 +318,7 @@ class TestVarianceExtractor:
         fm = VarianceModelFeatureExtractor().extract([cell])
         dq = delta_q(cell, 99, 9, interp_dims=1000)
         assert fm.values[0, 0] == np.log10(max(np.var(dq), 1e-12))
-        assert fm.row_keys == [(cell.cell_id, None, None)]
+        assert fm.row_keys == RowKeys([[cell.cell_id, 1]])
         assert fm.col_names == ["log10_var_delta_qdlin"]
 
     def test_variance_floor(self):
@@ -454,7 +457,7 @@ class TestSOHCycleExtractor:
         assert row0[2] == v0.min() and row0[3] == v0.max()
         assert row0[4] == pytest.approx(caps[0] / (caps[0] + COULOMBIC_EPS), abs=1e-12)
         assert row0[5] == 1.0
-        assert fm.row_keys == [("sc", 1, None), ("sc", 2, None)]
+        assert fm.row_keys == RowKeys([["sc", 2]], [1, 2])
 
     def test_direct_function_matches_extractor(self):
         cell = make_cell(caps=(1.0, 0.9))
@@ -520,8 +523,8 @@ class TestSOCStepExtractor:
         prev = qd(cell.cycle_data[0], V_MIN, V_MAX, 8)
         np.testing.assert_array_equal(fm.values[n_pts:, 3:11], np.tile(prev, (n_pts, 1)))
         np.testing.assert_array_equal(fm.values[n_pts:, 11], 0.0)
-        assert fm.row_keys[0] == ("soc", 1, 0)
-        assert fm.row_keys[-1] == ("soc", 2, n_pts - 1)
+        assert fm.row_keys == RowKeys([["soc", 2 * n_pts]], [1] * n_pts + [2] * n_pts,
+                                      [*range(n_pts), *range(n_pts)])
 
     @pytest.mark.parametrize("extractor", [SOHCycleFeatureExtractor, SOCStepFeatureExtractor])
     def test_cell_without_cycles_is_a_feature_error(self, extractor):

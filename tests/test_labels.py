@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cellforge.battery_data import CellRecord, CycleRecord, validate
 from cellforge.errors import CellforgeError, LabelError, ThresholdNotReached
+from cellforge.features import RowKeys
 from cellforge.labels import (
     LabelSpec,
     LabelVector,
@@ -264,7 +265,7 @@ class TestAnnotators:
             cell_with_soh([99.0, 98.0], cell_id="survives"),
         ]
         vec, excluded = RULLabelAnnotator().annotate(cells)
-        assert vec.row_keys == [("dies", None, None)]
+        assert vec.row_keys == RowKeys([["dies", 1]])
         assert vec.values.tolist() == [3.0]
         assert len(excluded) == 1
         assert excluded[0][0] == "survives"
@@ -279,7 +280,7 @@ class TestAnnotators:
         cells = [cell_with_soh([101.0, 95.0], cell_id="a"), cell_with_soh([90.0], cell_id="b")]
         vec, excluded = SOHLabelAnnotator().annotate(cells)
         assert excluded == []
-        assert vec.row_keys == [("a", 1, None), ("a", 2, None), ("b", 1, None)]
+        assert vec.row_keys == RowKeys([["a", 2], ["b", 1]], [1, 2, 1])
         np.testing.assert_array_equal(vec.values, [101.0, 95.0, 90.0])
 
     def test_soc_annotator_keys_cover_steps(self):
@@ -287,16 +288,17 @@ class TestAnnotators:
         vec, _ = SOCLabelAnnotator().annotate([cell])
         n_points = len(cell.cycle_data[0].time_in_s)
         assert len(vec.values) == n_points
-        assert vec.row_keys[0] == ("c", 1, 0)
-        assert vec.row_keys[-1] == ("c", 1, n_points - 1)
+        assert vec.row_keys == RowKeys([["c", n_points]], [1] * n_points, range(n_points))
 
     def test_soc_annotator_cycle_cap(self):
         cell = make_cell("c", caps=(1.0, 0.9, 0.8))
         vec_all, _ = SOCLabelAnnotator().annotate([cell])
         vec_capped, _ = SOCLabelAnnotator(max_cycle_index=0).annotate([cell])
         assert len(vec_capped.values) == len(vec_all.values) // 3
-        assert {k[1] for k in vec_capped.row_keys} == {1}
+        assert set(vec_capped.row_keys.cycle.tolist()) == {1}
 
     def test_label_vector_alignment_enforced(self):
         with pytest.raises(ValueError, match="align"):
-            LabelVector(np.array([1.0, 2.0]), [("a", None, None)])
+            LabelVector(np.array([1.0, 2.0]), RowKeys([["a", 1]]))
+        with pytest.raises(ValueError, match="one RowKeys"):  # the one form of row keys
+            LabelVector(np.array([1.0]), [("a", None, None)])

@@ -21,7 +21,7 @@ from cellforge import battery_data, pipeline
 from cellforge.battery_data import write_cell
 from cellforge.cli import main
 from cellforge.errors import FeatureError, PipelineError, SchemaError, ThresholdNotReached
-from cellforge.features import FeatureMatrix, VarianceModelFeatureExtractor
+from cellforge.features import FeatureMatrix, RowKeys, VarianceModelFeatureExtractor
 from cellforge.labels import RULLabelAnnotator, rul_label
 from cellforge.pipeline import (
     PipelineConfig,
@@ -91,7 +91,7 @@ def whole_corpus_label_and_featurize(config, split, **partitions):
     labelled = {name: annotator.annotate(cells) for name, cells in partitions.items()}
     kept = {}
     for name, cells in partitions.items():
-        labeled = {key[0] for key in labelled[name][0].row_keys}
+        labeled = {cell_id for cell_id, _ in labelled[name][0].row_keys.cell_id}
         kept[name] = [c for c in cells if c.cell_id in labeled]
         if not kept[name]:
             raise PipelineError(f"all {name} cells were excluded by the label annotator")
@@ -139,7 +139,7 @@ class _SkipsOneCellVarianceExtractor(VarianceModelFeatureExtractor):
 
     def process_cell(self, cell):
         if cell.cell_id == "SYN_0001":
-            return np.empty((0, 1)), []
+            return np.empty((0, 1)), RowKeys([])
         return super().process_cell(cell)
 
 
@@ -158,7 +158,7 @@ def test_a_cell_without_feature_rows_drops_out_of_the_join(corpus, tmp_path, mon
         assert_bit_identical(got[name][0].values, want[name][0].values)
         assert got[name][0].row_keys == want[name][0].row_keys
         assert_bit_identical(got[name][1], want[name][1])
-    assert [key[0] for key in got["training"][0].row_keys] == ["SYN_0000", "SYN_0002", "SYN_0003"]
+    assert got["training"][0].row_keys.cell_id == [["SYN_0000", 1], ["SYN_0002", 1], ["SYN_0003", 1]]
     ckpt = run_train(config, workspace=tmp_path, cells=corpus)
     assert [run[0] for run in ckpt.report["predictions"]["cell_id"]] == ["SYN_0004", "SYN_0005"]
 

@@ -19,10 +19,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellforge
-from cellforge import battery_data, container
-from cellforge.battery_data import CycleData, load_cells, write_cell, write_container
+from cellforge import battery_data, container, pipeline
+from cellforge.battery_data import CycleData, load_cells, read_cell, write_cell, write_container
 from cellforge.cli import main as cli_main
 from cellforge.errors import (
     CellforgeError,
@@ -33,7 +35,7 @@ from cellforge.errors import (
     SplitError,
     TransformError,
 )
-from cellforge.features import MAX_POINTS, FeatureMatrix
+from cellforge.features import MAX_POINTS, FeatureMatrix, RowKeys
 from cellforge.ingestion import packaged_column_map_path
 from cellforge.labels import LabelSpec, LabelVector, rul_label
 from cellforge.models import BaseRegressor, LinearRegressor, load_model
@@ -43,6 +45,7 @@ from cellforge.pipeline import (
     Checkpoint,
     PipelineConfig,
     _align,
+    _first_unordered,
     mae,
     read_features,
     rmse,
@@ -253,30 +256,107 @@ class TestMetrics:
         assert mae([0.0, 0.0], [3.0, -4.0]) == 3.5
 
 
+def random_keys(data, levels, pools, adjacent_cells_differ=False):
+    """Random runs of cells ``A``–``D`` with the given levels, their values
+    drawn from ``pools``: the keys as ``RowKeys`` and as the
+    ``(cell_id, cycle, step)`` tuples they stood for."""
+    cells = data.draw(st.lists(st.sampled_from("ABCD"), max_size=4))
+    if adjacent_cells_differ:
+        cells = [c for i, c in enumerate(cells) if i == 0 or c != cells[i - 1]]
+    runs, tuples = [], []
+    for cell_id in cells:
+        n = data.draw(st.integers(1, 5))
+        rows = [[data.draw(st.sampled_from(pool)) if name in levels else None
+                 for name, pool in zip(("cycle", "step"), pools)] for _ in range(n)]
+        runs.append([cell_id, n])
+        tuples += [(cell_id, *row) for row in rows]
+    columns = {name: [t[i] for t in tuples] for i, name in ((1, "cycle"), (2, "step")) if name in levels}
+    return RowKeys(runs, columns.get("cycle"), columns.get("step")), tuples
+
+
+def as_tuples(keys):
+    """``keys`` as ``(cell_id, cycle, step)`` tuples, None for a level they lack."""
+    columns = keys.columns()
+    ids = [cell_id for cell_id, n in columns["cell_id"] for _ in range(n)]
+    return list(zip(ids, *(columns.get(name, [None] * len(ids)) for name in ("cycle", "step"))))
+
+
 class TestAlign:
     def make_features(self, keys):
         values = np.arange(len(keys), dtype=float).reshape(-1, 1)
         return FeatureMatrix(values=values, row_keys=keys, col_names=["f"])
 
     def test_join_keeps_feature_row_order_and_drops_unmatched(self):
-        feats = self.make_features([("A", None, None), ("B", None, None), ("C", None, None)])
-        labels = LabelVector(values=[20.0, 10.0], row_keys=[("B", None, None), ("A", None, None)])
+        feats = self.make_features(RowKeys([["A", 1], ["B", 1], ["C", 1]]))
+        labels = LabelVector(values=[20.0, 10.0], row_keys=RowKeys([["B", 1], ["A", 1]]))
         X, y, keys = _align(feats, labels)
-        assert keys == [("A", None, None), ("B", None, None)]
+        assert keys == RowKeys([["A", 1], ["B", 1]])
         assert X.tolist() == [[0.0], [1.0]]
         assert y.tolist() == [10.0, 20.0]
 
     def test_duplicate_label_key_rejected(self):
-        feats = self.make_features([("A", None, None)])
-        labels = LabelVector(values=[1.0, 2.0], row_keys=[("A", None, None), ("A", None, None)])
+        feats = self.make_features(RowKeys([["A", 1]]))
+        labels = LabelVector(values=[1.0, 2.0], row_keys=RowKeys([["A", 2]]))
         with pytest.raises(PipelineError, match="duplicate label row key"):
             _align(feats, labels)
 
     def test_a_cell_of_no_shared_keys_joins_no_rows(self):
-        feats = self.make_features([("A", None, None)])
-        labels = LabelVector(values=[1.0], row_keys=[("A", 1, None)])
+        feats = self.make_features(RowKeys([["A", 1]]))
+        labels = LabelVector(values=[1.0], row_keys=RowKeys([["A", 1]], [1]))
         X, y, keys = _align(feats, labels)
-        assert X.shape == (0, 1) and y.shape == (0,) and keys == []
+        assert X.shape == (0, 1) and y.shape == (0,) and keys == RowKeys([])
+
+    @staticmethod
+    def dict_join(features, f_keys, labels, l_keys):
+        """The join ``_align`` replaced, on keys as ``(cell_id, cycle, step)`` tuples."""
+        by_key = {}
+        for key, value in zip(l_keys, labels):
+            if key in by_key:
+                raise PipelineError(f"duplicate label row key {key!r}")
+            by_key[key] = value
+        rows = [i for i, key in enumerate(f_keys) if key in by_key]
+        keys = [f_keys[i] for i in rows]
+        return features[rows], np.array([by_key[key] for key in keys], dtype=float), keys
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_the_join_equals_the_dict_join(self, data):
+        # keys drawn from small pools spread over the int64 range, so the two sides share some
+        # keys, the label side may repeat one, and a side may name cells the other lacks
+        pools = [data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=3))
+                 for _ in range(2)]
+        level_sets = [(), ("cycle",), ("step",), ("cycle", "step")]
+        label_levels = data.draw(st.sampled_from(level_sets))
+        feature_levels = data.draw(st.sampled_from([label_levels] * 3 + level_sets))  # mostly equal
+        sides = [random_keys(data, levels, pools) for levels in (feature_levels, label_levels)]
+        (f_keys, f_tuples), (l_keys, l_tuples) = sides
+        values = np.arange(len(f_tuples), dtype=float).reshape(-1, 1) * np.array([[1.0, -1.0]])
+        labels = np.arange(len(l_tuples), dtype=float) + 0.5
+        features = FeatureMatrix(values, f_keys, ["a", "b"])
+        try:
+            want = self.dict_join(values, f_tuples, labels, l_tuples)
+        except PipelineError as exc:
+            with pytest.raises(PipelineError) as info:
+                _align(features, LabelVector(labels, l_keys))
+            assert str(info.value) == str(exc)
+            return
+        X, y, keys = _align(features, LabelVector(labels, l_keys))
+        assert X.tobytes() == want[0].tobytes() and X.shape == want[0].shape
+        assert y.tobytes() == want[1].tobytes()
+        assert as_tuples(keys) == want[2]
+        assert feature_levels == label_levels or want[2] == []  # another granularity shares no key
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_first_unordered_equals_the_pairwise_scan(self, data):
+        pools = [data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=3))
+                 for _ in range(2)]
+        levels = data.draw(st.sampled_from([(), ("cycle",), ("step",), ("cycle", "step")]))
+        keys, tuples = random_keys(data, levels, pools, adjacent_cells_differ=True)
+        # the scan it replaced, which returned the row key that breaks the order
+        want = next((i for i, (a, b) in enumerate(zip(tuples, tuples[1:]), 1)
+                     if a[0] == b[0] and not a < b), None)
+        assert _first_unordered(keys) == want
 
     def test_a_train_whose_rows_share_no_keys_is_one_error_line(self, pipe_cells, tmp_path, capsys):
         # per-cycle SOH labels and one variance row per cell: no cell joins a row
@@ -291,6 +371,54 @@ class TestAlign:
         assert cli_main(["train", "--config", str(path), "--workspace", str(tmp_path / "ws")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "share no keys" in err
+        assert not (tmp_path / "ws").exists()
+
+
+@pytest.fixture(scope="module")
+def pipe_corpus(pipe_cells, tmp_path_factory):
+    """The ``pipe_cells`` as cell files."""
+    corpus = tmp_path_factory.mktemp("pipe_corpus")
+    for cell in pipe_cells:
+        write_cell(cell, corpus)
+    return corpus
+
+
+class TestConfigRefusedBeforeReading:
+    """A bad model or transformation section fails before the first cell is read."""
+
+    def train(self, corpus, tmp_path, monkeypatch, **sections):
+        reads = []
+        monkeypatch.setattr(pipeline, "read_cell", lambda path: reads.append(path) or read_cell(path))
+        cfg = make_config(**sections)
+        cfg["train_test_split"]["cell_data_path"] = str(corpus)
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        return cli_main(["train", "--config", str(path), "--workspace", str(tmp_path / "ws")]), reads
+
+    def test_a_good_config_reads_every_cell(self, pipe_corpus, tmp_path, monkeypatch):
+        code, reads = self.train(pipe_corpus, tmp_path, monkeypatch)
+        assert code == 0 and sorted(reads) == sorted(pipe_corpus.iterdir())
+
+    @pytest.mark.parametrize("section, value", [
+        ("model", {"name": "NoSuchModel"}),
+        ("model", {"name": "RidgeRegressor", "alpha": -1}),
+        ("feature_transformation", {"name": "NoSuchTransformation"}),
+        ("feature_transformation", {"name": "ZScoreDataTransformation", "scale": 2}),
+        ("label_transformation", {"name": "NoSuchTransformation"}),
+        ("label_transformation", {"name": "ZScoreDataTransformation", "scale": 2}),
+        ("feature_transformation", {"name": "SequentialDataTransformation",
+                                    "transformations": [{"name": "NoSuchTransformation"}]}),
+        ("label_transformation", {"name": "SequentialDataTransformation",
+                                  "transformations": [{"name": "LogScaleDataTransformation"},
+                                                      {"name": "ZScoreDataTransformation", "scale": 2}]}),
+    ], ids=["model-name", "model-parameter", "feature-transformation-name",
+            "feature-transformation-parameter", "label-transformation-name",
+            "label-transformation-parameter", "sequential-child-name", "sequential-child-parameter"])
+    def test_one_error_line_and_no_cell_read(self, pipe_corpus, tmp_path, monkeypatch, capsys,
+                                             section, value):
+        assert self.train(pipe_corpus, tmp_path, monkeypatch, **{section: value}) == (1, [])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "ws").exists()
 
 
@@ -1056,6 +1184,17 @@ class TestRunEvaluate:
                            f"'predictions' '{field}' must hold integers alone$"):
             run_evaluate(dst)
 
+    @pytest.mark.parametrize("field, value", [("cycle", 2**63), ("step", -2**63 - 1)])
+    def test_row_keys_past_int64_are_refused(self, trained, tmp_path, capsys, field, value):
+        # training writes int64 keys; evaluation holds them as int64 columns
+        dst = self.copy_checkpoint(trained, tmp_path)
+        report = json.loads((dst / "report.json").read_text())
+        report["predictions"][field] = [0, value]
+        (dst / "report.json").write_text(json.dumps(report))
+        assert cli_main(["evaluate", "--checkpoint", str(dst)]) == 1
+        assert capsys.readouterr().err == (f"error: {dst / 'report.json'}: a 'cycle' or 'step' key "
+                                           "is past the int64 range\n")
+
     @pytest.mark.parametrize("edit", ["lost", "gained"])
     def test_split_test_cells_must_be_those_the_report_scores(self, trained, tmp_path, edit):
         dst = self.copy_checkpoint(trained, tmp_path)
@@ -1424,8 +1563,9 @@ class _StepCurrentOfEveryCycle:
             type(self).seen.append(len(cell.cycle_data))
             for cyc in cell.cycle_data:
                 values += cyc.current_in_A.tolist()
-                keys += [(cell.cell_id, cyc.cycle_number, step) for step in range(cyc.current_in_A.size)]
-        return FeatureMatrix(np.array(values).reshape(-1, 1), keys, self.col_names)
+            keys.append(RowKeys.steps(cell.cell_id, cell.cycle_data.cycle_number,
+                                      [cyc.current_in_A.size for cyc in cell.cycle_data]))
+        return FeatureMatrix(np.array(values).reshape(-1, 1), RowKeys.concat(keys), self.col_names)
 
 
 def test_an_extractor_without_a_horizon_sees_every_cycle(pipe_cells, tmp_path, monkeypatch):
@@ -1437,6 +1577,16 @@ def test_an_extractor_without_a_horizon_sees_every_cycle(pipe_cells, tmp_path, m
     assert sorted(_StepCurrentOfEveryCycle.seen) == sorted(len(cell.cycle_data) for cell in pipe_cells)
     rows = prediction_rows(ckpt.report["predictions"])
     assert len(rows) == len({row["cell_id"] for row in rows}) * 3 * 16  # the labelled steps alone
+
+
+def test_the_readme_extractor_trains_and_evaluates(pipe_cells, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("### Extending\n\n```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.setattr(FEATURES, "_factories", dict(FEATURES._factories))  # registers for this test
+    exec(example, {})
+    ckpt = run_train(make_config(feature={"name": "MyExtractor"}), workspace=tmp_path, cells=pipe_cells)
+    assert run_evaluate(ckpt.directory) == ckpt.report
+    assert [count for _, count in ckpt.report["predictions"]["cell_id"]] == [1, 1]
 
 
 @pytest.fixture(scope="module")
