@@ -36,8 +36,9 @@ never as null.
 
 In memory a cell keeps its cycles as columns, the layout its file has on
 disk: ``cell.cycle_data`` is a :class:`CycleData` holding each signal as one
-read-only float64 column with every cycle's values in cycle order, and an
-``offsets`` array of n_cycles + 1 bounds per signal that puts cycle ``i`` at
+read-only float64 column with every cycle's values in cycle order, and one
+``offsets`` array of n_cycles + 1 bounds, the running total of the file's
+point counts, that puts cycle ``i`` of every sampled signal at
 ``column[offsets[i]:offsets[i + 1]]`` (the values-plus-offsets layout of
 Arrow's variable-size lists). Cycle numbers, temperature and resistance
 presence, resistances and ``extra`` are short per-cell arrays and a sparse
@@ -66,7 +67,8 @@ cycles alone, each column cut at its ``offsets[h]`` and a column not yet
 decoded cut as a block, so that no value past them is decoded through it.
 A :class:`CycleRecord` is the per-cycle value: built
 directly it copies its signals, and a sequence of them given as
-``CellRecord(cycle_data=...)`` is gathered into columns. Record equality is
+``CellRecord(cycle_data=...)`` is gathered into columns, or refused with
+:func:`validate`'s text when a cycle's signals differ in length. Record equality is
 exact: two cells are equal when their scalars, ``extra`` maps and every
 signal's per-cycle lengths and values match. Records are unhashable.
 """
@@ -83,6 +85,7 @@ import weakref
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import yaml
@@ -224,7 +227,8 @@ class _Signal:
 class CycleRecord:
     """Time-series signals of one full cycle.
 
-    All mandatory sequences share one length (>= 2 points). Temperature is
+    All sequences, temperature included, share one length (>= 2 points); a
+    cell refuses a record whose signals do not. Temperature is
     optional per source; internal resistance is an optional per-cycle scalar.
     Built directly, a record holds a read-only float64 copy of each signal
     passed in; ``cell.cycle_data[i]`` returns one whose signals are views of
@@ -304,6 +308,9 @@ class CycleData(tuple):
     ``columns[name]`` is one read-only float64 column per signal with every
     cycle's values in cycle order, and ``offsets[name]`` (n_cycles + 1 int64
     bounds) puts cycle ``i`` at ``columns[name][offsets[name][i]:offsets[name][i + 1]]``.
+    The five sampled signals share one offsets array, the running total of
+    a cell file's ``points`` block; temperature's bounds, derived from it,
+    skip the cycles not flagged in ``has_temperature``.
     A column held as a second-difference block, as :func:`read_cell` and
     the synthetic generator leave one, is decoded and kept the first time
     ``columns`` gives it, or a cycle view reads it; ``columns.peek(name)``,
@@ -311,9 +318,6 @@ class CycleData(tuple):
     nothing. :func:`write_cell` writes such a block as it is, and pickling
     or copying hands it over as it is (a block pickles as its residuals and
     escape values, a repeated column as its one value).
-    The mandatory signals share one offsets array unless a cycle's signals
-    differ in length (which :func:`validate` reports); the temperature
-    column holds only the cycles flagged in ``has_temperature``.
     ``cycle_number`` (int64), ``internal_resistance_in_ohm`` (float64, NaN
     where ``has_internal_resistance`` is False) and the two flags have one
     entry per cycle; ``extra`` maps a cycle index to that cycle's ``extra``
@@ -330,9 +334,8 @@ class CycleData(tuple):
 
     The constructor takes the columns (a mapping of signal name to values;
     the five mandatory signals, plus ``temperature_in_C`` if any cycle has
-    one) and either one offsets array for every signal or a mapping of
-    signal name to offsets. With one array, a cycle without temperature
-    takes no temperature values. ``has_temperature`` defaults to every
+    one) and the one offsets array; a cycle without temperature takes no
+    temperature values. ``has_temperature`` defaults to every
     cycle when a temperature column is given; ``has_internal_resistance``
     defaults to every cycle when resistances are given. ``extra`` maps a
     cycle index to that cycle's ``extra``; an empty one is dropped. Columns
@@ -353,22 +356,17 @@ class CycleData(tuple):
         if has_temperature is None:
             has_temperature = [columns.get("temperature_in_C") is not None] * n
         has_temperature = _small(has_temperature, bool, "has_temperature", n)
-        if not isinstance(offsets, dict):
-            shared = _small(offsets, np.int64, "offsets", n + 1)
-            offsets = dict.fromkeys(_CYCLE_SEQ_FIELDS, shared)
-            offsets["temperature_in_C"] = (
-                shared if has_temperature.all() else _bounds(np.diff(shared) * has_temperature))
+        points = _small(offsets, np.int64, "offsets", n + 1)
+        temperature = points if has_temperature.all() else _bounds(np.diff(points) * has_temperature)
+        temperature.flags.writeable = False
+        bounds = MappingProxyType({**dict.fromkeys(_CYCLE_SEQ_FIELDS, points), "temperature_in_C": temperature})
         signals = {name: _signal(columns.get(name, ()), name, copy) for name in _SIGNAL_FIELDS}
-        bounds, copies = {}, {}  # one copy of an offsets array that several signals share
-        for name, column in signals.items():
-            given = offsets[name]
-            if id(given) not in copies:
-                copies[id(given)] = _small(given, np.int64, f"offsets[{name!r}]", n + 1)
-            off = bounds[name] = copies[id(given)]
-            if off[0] != 0 or off[-1] != column.size or np.any(np.diff(off) < 0):
-                raise ValueError(f"offsets[{name!r}] must rise from 0 to the column's {column.size} values")
-        if np.diff(bounds["temperature_in_C"])[~has_temperature].any():
+        if signals["temperature_in_C"].size > temperature[-1] and not has_temperature.all():
             raise ValueError("temperature values given for a cycle without a temperature")
+        rises = points[0] == 0 and not (np.diff(points) < 0).any()
+        for name, column in signals.items():
+            if not rises or bounds[name][-1] != column.size:
+                raise ValueError(f"offsets[{name!r}] must rise from 0 to the column's {column.size} values")
         if internal_resistance_in_ohm is None:
             internal_resistance_in_ohm, has_internal_resistance = np.full(n, np.nan), [False] * n
         elif has_internal_resistance is None:
@@ -402,7 +400,7 @@ class CycleData(tuple):
                 repeated[name] = column[:1], column.size
             else:
                 columns[name] = column
-        return _rebuilt, (type(self), (self.cycle_number, columns, self.offsets), {
+        return _rebuilt, (type(self), (self.cycle_number, columns, self.offsets["time_in_s"]), {
             "has_temperature": self.has_temperature,
             "internal_resistance_in_ohm": self.internal_resistance_in_ohm,
             "has_internal_resistance": self.has_internal_resistance,
@@ -412,23 +410,29 @@ class CycleData(tuple):
 
     @classmethod
     def from_cycles(cls, cycles) -> CycleData:
-        """Gather a sequence of :class:`CycleRecord` into columns, in order."""
+        """Gather a sequence of :class:`CycleRecord` into columns, in order;
+        :class:`ValidationError` names each cycle whose signals, temperature
+        included, differ in length, as they cannot share one offsets array."""
         cycles = tuple(cycles)
+        points, ragged = [], []
         for i, cyc in enumerate(cycles):
             if not isinstance(cyc, CycleRecord):
                 raise TypeError(f"cycle_data[{i}]: expected a CycleRecord, got {type(cyc).__name__}")
-
-        def present(name):
-            return [getattr(c, name) for c in cycles if getattr(c, name) is not None]
-
-        def lengths(name):
-            return [0 if getattr(c, name) is None else getattr(c, name).size for c in cycles]
-
+            sizes = {name: getattr(cyc, name).size for name in _CYCLE_SEQ_FIELDS}
+            points.append(n := sizes["time_in_s"])
+            if len(set(sizes.values())) > 1:
+                ragged.append(Violation(f"cycle_data[{i}]", f"mandatory sequences differ in length: {sizes}"))
+            elif cyc.temperature_in_C is not None and cyc.temperature_in_C.size != n:
+                ragged.append(Violation(f"cycle_data[{i}].temperature_in_C",
+                                        f"length {cyc.temperature_in_C.size} != {n}"))
+        if ragged:
+            raise ValidationError(ragged)
         resistances = [c.internal_resistance_in_ohm for c in cycles]
         return cls(
             [c.cycle_number for c in cycles],
-            {name: np.concatenate([np.empty(0), *present(name)]) for name in _SIGNAL_FIELDS},
-            {name: _bounds(lengths(name)) for name in _SIGNAL_FIELDS},
+            {name: np.concatenate([np.empty(0), *(getattr(c, name) for c in cycles if getattr(c, name) is not None)])
+             for name in _SIGNAL_FIELDS},
+            _bounds(points),
             has_temperature=[c.temperature_in_C is not None for c in cycles],
             internal_resistance_in_ohm=[math.nan if r is None else r for r in resistances],
             has_internal_resistance=[r is not None for r in resistances],
@@ -447,7 +451,7 @@ class CycleData(tuple):
                    if isinstance(column, np.ndarray) else column.head(int(self.offsets[name][h]))
                    for name, column in self.columns._columns.items()}
         return CycleData(
-            self.cycle_number[:h], columns, {name: off[: h + 1] for name, off in self.offsets.items()},
+            self.cycle_number[:h], columns, self.offsets["time_in_s"][: h + 1],
             has_temperature=self.has_temperature[:h],
             internal_resistance_in_ohm=self.internal_resistance_in_ohm[:h],
             has_internal_resistance=self.has_internal_resistance[:h],
@@ -507,11 +511,8 @@ class CycleData(tuple):
             and np.array_equal(has_r, other.has_internal_resistance)
             and np.array_equal(self.internal_resistance_in_ohm[has_r], other.internal_resistance_in_ohm[has_r])
             and self.extra == other.extra
-            and all(
-                np.array_equal(self.offsets[name], other.offsets[name])
-                and np.array_equal(self.columns.peek(name), other.columns.peek(name))
-                for name in _SIGNAL_FIELDS
-            )
+            and np.array_equal(self.offsets["time_in_s"], other.offsets["time_in_s"])
+            and all(np.array_equal(self.columns.peek(name), other.columns.peek(name)) for name in _SIGNAL_FIELDS)
         )
 
     def __ne__(self, other):
@@ -639,13 +640,8 @@ def _validate_cycles(cycles: CycleData, out: list):
     cycle by cycle, in the order a check of one cycle after another finds them."""
     n = len(cycles)
     numbers, cols, offs = cycles.cycle_number, cycles.columns, cycles.offsets
-    lengths = {name: np.diff(offs[name]) for name in _SIGNAL_FIELDS}
-    points = lengths["time_in_s"]
+    points = np.diff(offs["time_in_s"])
     descending = numbers <= np.concatenate(([0], numbers[:-1]))
-    ragged = np.zeros(n, dtype=bool)
-    for name in _CYCLE_SEQ_FIELDS:
-        ragged |= lengths[name] != points
-    bad_temperature = cycles.has_temperature & (lengths["temperature_in_C"] != points)
     non_finite, backwards = {}, {}
     for name in _SIGNAL_FIELDS:
         column = cols.peek(name)  # one decode per call, dropped before the next signal's
@@ -656,8 +652,7 @@ def _validate_cycles(cycles: CycleData, out: list):
             backwards[name] = _flag_cycles(bad, offs[name], n, steps=True)
         del column
     bad_resistance = cycles.has_internal_resistance & ~np.isfinite(cycles.internal_resistance_in_ohm)
-    flagged = (descending | (numbers < 1) | (numbers > MAX_CYCLE_NUMBER) | ragged | (points < 2)
-               | bad_temperature | bad_resistance)
+    flagged = descending | (numbers < 1) | (numbers > MAX_CYCLE_NUMBER) | (points < 2) | bad_resistance
     for flags in (*non_finite.values(), *backwards.values()):
         flagged |= flags
 
@@ -669,15 +664,9 @@ def _validate_cycles(cycles: CycleData, out: list):
             out.append(Violation(f"{path}.cycle_number", "must be a positive integer"))
         if numbers[i] > MAX_CYCLE_NUMBER:
             out.append(Violation(f"{path}.cycle_number", f"must be at most {MAX_CYCLE_NUMBER}"))
-        if ragged[i]:
-            sizes = {name: int(lengths[name][i]) for name in _CYCLE_SEQ_FIELDS}
-            out.append(Violation(path, f"mandatory sequences differ in length: {sizes}"))
-            continue
         if points[i] < 2:
             out.append(Violation(path, f"sequences must have >= 2 points, got {points[i]}"))
             continue
-        if bad_temperature[i]:
-            out.append(Violation(f"{path}.temperature_in_C", f"length {lengths['temperature_in_C'][i]} != {points[i]}"))
         for name in _SIGNAL_FIELDS:
             if non_finite[name][i]:
                 out.append(Violation(f"{path}.{name}", "contains non-finite values"))

@@ -133,13 +133,12 @@ def coulombic_efficiency(cycle: CycleRecord) -> float:
 def _coulombic_efficiencies(cycles: CycleData, start: int, stop: int) -> np.ndarray:
     """:func:`coulombic_efficiency` of cycles ``start`` to ``stop - 1``, from
     the last value of each cycle in the capacity columns."""
-    qd_bounds = cycles.offsets["discharge_capacity_in_Ah"][start : stop + 1]
-    qc_bounds = cycles.offsets["charge_capacity_in_Ah"][start : stop + 1]
-    empty = np.flatnonzero((np.diff(qd_bounds) == 0) | (np.diff(qc_bounds) == 0))
+    bounds = cycles.offsets["time_in_s"][start : stop + 1]
+    empty = np.flatnonzero(np.diff(bounds) == 0)
     if empty.size:
         raise FeatureError(f"cycle {cycles.cycle_number[start + empty[0]]}: empty capacity sequences")
-    qd = cycles.columns["discharge_capacity_in_Ah"][qd_bounds[1:] - 1]
-    qc = cycles.columns["charge_capacity_in_Ah"][qc_bounds[1:] - 1]
+    qd = cycles.columns["discharge_capacity_in_Ah"][bounds[1:] - 1]
+    qc = cycles.columns["charge_capacity_in_Ah"][bounds[1:] - 1]
     return qd / (qc + COULOMBIC_EPS)
 
 
@@ -401,17 +400,15 @@ class FullModelFeatureExtractor(DischargeModelFeatureExtractor):
     def _charge_times(cycles, lo, hi):
         """Per cycle lo..hi, the time from its first to its last charging
         (current > 0) sample; NaN for a cycle with fewer than two."""
-        bounds = cycles.offsets["current_in_A"][lo : hi + 2]
+        bounds = cycles.offsets["time_in_s"][lo : hi + 2]
         pos = np.flatnonzero(cycles.columns["current_in_A"][bounds[0] : bounds[-1]] > 0) + bounds[0]
         cyc = np.searchsorted(bounds, pos, side="right") - 1
         first = np.searchsorted(cyc, np.arange(len(bounds) - 1))
         last = np.searchsorted(cyc, np.arange(len(bounds) - 1), side="right") - 1
         ok = last > first
-        # the time of each sample, found through its place within its cycle
-        time_at = pos - bounds[cyc] + cycles.offsets["time_in_s"][lo + cyc]
         times = np.full(len(bounds) - 1, np.nan)
         t = cycles.columns["time_in_s"]
-        times[ok] = t[time_at[last[ok]]] - t[time_at[first[ok]]]
+        times[ok] = t[pos[last[ok]]] - t[pos[first[ok]]]
         return times
 
     def process_cell(self, cell):
@@ -576,20 +573,19 @@ class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
 
     def process_cell(self, cell):
         cycles = self._cycles(cell)
+        off = cycles.offsets["time_in_s"]
+        counts = np.diff(off)
+        if not counts.all():
+            raise FeatureError(f"cycle {cycles.cycle_number[np.argmin(counts)]}: no points")
+        prev = [np.zeros(self.n_qdlin)]
         if len(cycles) > 1:
             lo, hi = voltage_bounds(cell, self.v_min, self.v_max)
-        blocks = []
-        for idx in range(len(cycles)):
-            cyc = cycles[idx]
-            t = np.asarray(cyc.time_in_s)
-            if idx == 0:
-                prev, flag = np.zeros(self.n_qdlin), 1.0
-            else:
-                prev, flag = qdlinear(cycles[idx - 1], lo, hi, self.n_qdlin), 0.0
-            blocks.append(np.column_stack([cyc.current_in_A, cyc.voltage_in_V, t - t[0],
-                                           np.tile(prev, (len(t), 1)), np.full(len(t), flag)]))
-        return sanitize(np.vstack(blocks)), RowKeys.steps(
-            cell.cell_id, cycles.cycle_number, np.diff(cycles.offsets["time_in_s"]))
+            prev += [qdlinear(cyc, lo, hi, self.n_qdlin) for cyc in cycles[:-1]]
+        t = cycles.columns["time_in_s"]
+        values = np.column_stack([
+            cycles.columns["current_in_A"], cycles.columns["voltage_in_V"], t - np.repeat(t[off[:-1]], counts),
+            np.repeat(prev, counts, axis=0), np.repeat(np.arange(len(cycles)) == 0, counts)])
+        return sanitize(values), RowKeys.steps(cell.cell_id, cycles.cycle_number, counts)
 
 
 class CapacityFadeSlopeFeatureExtractor(BaseFeatureExtractor):

@@ -248,15 +248,20 @@ def _model_params(spec: ComponentSpec, seeds) -> dict:
 
 def _key_codes(keys: RowKeys) -> np.ndarray:
     """One int64 code per row, ordered as the keys within a cell: the dense
-    rank of its cell, then of that and each level's dense rank in turn, so
-    no value range is assumed and no code reaches the square of the rows."""
+    rank of its key, cells ranked in the order they first appear, from one
+    lexsort and a running count of key changes, so no value range is
+    assumed and no code reaches the row count."""
     ids = {}
-    code = np.array([ids.setdefault(cell_id, len(ids)) for cell_id, _ in keys.cell_id],
-                    dtype=np.int64)[keys.runs()]
-    for level in (keys.cycle, keys.step):
-        if level is not None:
-            values, rank = np.unique(level, return_inverse=True)
-            code = np.unique(code * len(values) + rank, return_inverse=True)[1]
+    levels = [np.array([ids.setdefault(cell_id, len(ids)) for cell_id, _ in keys.cell_id],
+                       dtype=np.int64)[keys.runs()]]
+    levels += [level for level in (keys.cycle, keys.step) if level is not None]
+    order = np.lexsort(levels[::-1])
+    changed = np.zeros(len(order), dtype=np.int64)
+    for level in levels:
+        ordered = level[order]
+        changed[1:] |= ordered[1:] != ordered[:-1]
+    code = np.empty_like(changed)
+    code[order] = np.cumsum(changed)
     return code
 
 
@@ -345,7 +350,9 @@ def _take_partition(annotator, extractor, cells, partition: str):
     """The joined features, labels and exclusions of ``cells``, taken one
     cell at a time: each is popped from ``cells`` (and a cell file read),
     labelled, featurized when it got label rows, joined (:func:`_align`),
-    and dropped with all but its joined rows before the next is read. Every
+    and dropped with all but its joined rows before the next is read. A
+    labelled cell shorter than a fixed-horizon extractor's ``horizon`` is
+    excluded with its reason, as the annotator excludes a cell. Every
     row key carries its cell's ID, so the rows equal those of one join of
     the whole partition. When the annotator and the extractor both read a
     fixed number of leading cycles, they share one ``cell.head`` of the
@@ -354,6 +361,7 @@ def _take_partition(annotator, extractor, cells, partition: str):
     joined, excluded = [], []
     horizons = (getattr(annotator, "horizon", None), getattr(extractor, "horizon", None))
     h = None if None in horizons else max(horizons)
+    needs = horizons[1] if getattr(extractor, "fixed_horizon", False) else 0
     cells.reverse()  # pop from the end in the partition's order
     while cells:
         one = [cells.pop()]
@@ -363,12 +371,16 @@ def _take_partition(annotator, extractor, cells, partition: str):
             one = [one[0].head(h)]
         labels, cell_excluded = annotator.annotate(one)
         excluded += [{"cell_id": cid, "reason": reason} for cid, reason in cell_excluded]
-        if labels.row_keys:
+        n = len(one[0].cycle_data)  # a head of at least the extractor's horizon, when the cell has it
+        if labels.row_keys and n < needs:
+            excluded.append({"cell_id": one[0].cell_id, "reason": f"needs >= {needs} cycles, has {n}"})
+        elif labels.row_keys:
             features = extractor.extract(one)
             joined.append(_align(features, labels))
         del one  # so the next cell is read with this one gone
     if not joined:
-        raise PipelineError(f"all {partition} cells were excluded by the label annotator")
+        first = f", first {excluded[0]['cell_id']}: {excluded[0]['reason']}" if excluded else ""
+        raise PipelineError(f"all {partition} cells were excluded{first}")
     X, y, keys = zip(*joined)
     keys = RowKeys.concat(keys)
     if not keys:

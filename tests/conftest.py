@@ -154,7 +154,7 @@ def plain_copy(cell: CellRecord) -> CellRecord:
     cycles = cell.cycle_data
     return dataclasses.replace(cell, cycle_data=CycleData(
         cycles.cycle_number, {name: cycles.columns.peek(name) for name in cycles.columns},
-        dict(cycles.offsets), has_temperature=cycles.has_temperature,
+        cycles.offsets["time_in_s"], has_temperature=cycles.has_temperature,
         internal_resistance_in_ohm=cycles.internal_resistance_in_ohm,
         has_internal_resistance=cycles.has_internal_resistance, extra=cycles.extra))
 

@@ -110,10 +110,12 @@ class TestValidate:
         assert any("cycle_number" in p for p in paths_of(validate(cell)))
 
     def test_sequence_length_mismatch(self):
+        # signals of one cycle that differ in length share no offsets: the cell is refused when built
         cyc = linear_cycle(1)
         bad = dataclasses.replace(cyc, voltage_in_V=cyc.voltage_in_V[:-1])
-        cell = dataclasses.replace(make_cell(), cycle_data=(bad,))
-        assert any("differ in length" in v.message for v in validate(cell))
+        with pytest.raises(ValidationError) as refused:
+            dataclasses.replace(make_cell(), cycle_data=(bad,))
+        assert any("differ in length" in v.message for v in refused.value.violations)
 
     def test_too_few_points(self):
         cyc = CycleRecord(
@@ -129,8 +131,9 @@ class TestValidate:
 
     def test_temperature_length_mismatch(self):
         cyc = dataclasses.replace(linear_cycle(1), temperature_in_C=(25.0, 25.0))
-        cell = dataclasses.replace(make_cell(), cycle_data=(cyc,))
-        assert any(p.endswith("temperature_in_C") for p in paths_of(validate(cell)))
+        with pytest.raises(ValidationError) as refused:
+            dataclasses.replace(make_cell(), cycle_data=(cyc,))
+        assert any(p.endswith("temperature_in_C") for p in paths_of(refused.value.violations))
 
     def test_non_finite_voltage(self):
         cyc = linear_cycle(1)
@@ -2007,6 +2010,27 @@ class TestColumns:
         with pytest.raises(TypeError, match=r"cycle_data\[0\]: expected a CycleRecord"):
             CellRecord("X", 1.0, cycle_data=[{"cycle_number": 1}])
 
+    @pytest.mark.parametrize("form", ["generated", "loaded", "head", "pickled", "gathered"])
+    def test_the_sampled_signals_share_one_offsets_array(self, tmp_path, form):
+        # the cycles' point counts, as the file's points block holds them, bound
+        # every sampled signal; temperature's bounds skip the cycles without one
+        spec = SynthSpec(n_cells=1, cycle_life_mean=60.0, cycle_life_std=5.0, points_per_cycle=16, seed=3)
+        cell = {
+            "generated": lambda: generate_synthetic(spec)[0],
+            "loaded": lambda: read_cell(write_cell(generate_synthetic(spec)[0], tmp_path)),
+            "head": lambda: generate_synthetic(spec)[0].head(7),
+            "pickled": lambda: pickle.loads(pickle.dumps(generate_synthetic(spec)[0])),
+            "gathered": lambda: dataclasses.replace(make_cell("G"), cycle_data=(
+                linear_cycle(1, temperature=25.0), linear_cycle(2, n_dis=5), linear_cycle(3, temperature=20.0))),
+        }[form]()
+        offsets = cell.cycle_data.offsets
+        assert len({id(offsets[name]) for name in TestArraySignals.SIGNALS[:5]}) == 1
+        points = np.diff(offsets["time_in_s"])
+        assert np.diff(offsets["temperature_in_C"]).tolist() == (points * cell.cycle_data.has_temperature).tolist()
+        assert not any(a.flags.writeable for a in offsets.values())
+        with pytest.raises(TypeError):
+            offsets["time_in_s"] = offsets["time_in_s"]
+
     @pytest.mark.parametrize("offsets", [[0, 2], [1, 3], [0, 4], [0]])
     def test_offsets_must_cover_the_columns(self, offsets):
         columns = {name: np.arange(3.0) for name in TestArraySignals.SIGNALS[:5]}
@@ -2015,7 +2039,7 @@ class TestColumns:
 
     def test_temperature_values_of_a_cycle_without_temperature_are_refused(self):
         columns = {name: np.arange(6.0) for name in TestArraySignals.SIGNALS}
-        offsets = dict.fromkeys(TestArraySignals.SIGNALS, [0, 3, 6])
+        offsets = [0, 3, 6]
         with pytest.raises(ValueError, match="^temperature values given for a cycle without a temperature$"):
             CycleData([1, 2], columns, offsets, has_temperature=[True, False])
         assert CycleData([1, 2], columns, offsets, has_temperature=[True, True])[1].temperature_in_C.tolist() == [
@@ -2178,11 +2202,12 @@ def _validate_one_cycle(cyc, path, out):
         out.append(Violation(path, f"mandatory sequences differ in length: {lengths}"))
         return
     n = lengths["time_in_s"]
+    # checked before the point count: a cycle of any length is refused when built for it
+    if cyc.temperature_in_C is not None and len(cyc.temperature_in_C) != n:
+        out.append(Violation(f"{path}.temperature_in_C", f"length {len(cyc.temperature_in_C)} != {n}"))
     if n < 2:
         out.append(Violation(path, f"sequences must have >= 2 points, got {n}"))
         return
-    if cyc.temperature_in_C is not None and len(cyc.temperature_in_C) != n:
-        out.append(Violation(f"{path}.temperature_in_C", f"length {len(cyc.temperature_in_C)} != {n}"))
     ok = True
     for name in TestArraySignals.SIGNALS:
         values = getattr(cyc, name)
@@ -2243,17 +2268,35 @@ def corrupt(draw, cyc, kind):
 
 
 @st.composite
-def corrupted_cells(draw):
+def corrupted_cycles(draw):
     cycles = []
     for number in range(1, draw(st.integers(0, 5)) + 1):
         cyc = draw(cycle_strategy(number=number))
         for kind in draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=3)):
             cyc = corrupt(draw, cyc, kind)
         cycles.append(cyc)
-    return dataclasses.replace(make_cell("BAD"), cycle_data=tuple(cycles))
+    return tuple(cycles)
+
+
+def _unbuildable(violation):
+    """Whether ``violation`` is of a kind that refuses a cell when it is built:
+    a cycle whose signals, temperature included, differ in length."""
+    return (violation.message.startswith("mandatory sequences differ in length")
+            or (violation.path.endswith(".temperature_in_C") and violation.message.startswith("length ")))
 
 
 @settings(max_examples=300, deadline=None)
-@given(cell=corrupted_cells())
-def test_validate_matches_the_per_cycle_checks(cell):
-    assert validate(cell) == validate_per_cycle(cell)
+@given(cycles=corrupted_cycles())
+def test_validate_matches_the_per_cycle_checks(cycles):
+    # the oracle reads the cycles as given; a cell of cycles that cannot share
+    # one offsets array is refused when built, with exactly its violations of that kind
+    unbuilt = copy.copy(make_cell("BAD"))
+    object.__setattr__(unbuilt, "cycle_data", cycles)
+    expected = validate_per_cycle(unbuilt)
+    refused = [v for v in expected if _unbuildable(v)]
+    if refused:
+        with pytest.raises(ValidationError) as error:
+            dataclasses.replace(make_cell("BAD"), cycle_data=cycles)
+        assert error.value.violations == refused
+    else:
+        assert validate(dataclasses.replace(make_cell("BAD"), cycle_data=cycles)) == expected

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from cellforge.battery_data import (CELL_MAGIC, load_cells, parse_container, read_cell,
+from cellforge.battery_data import (CELL_MAGIC, cell_to_dict, load_cells, parse_container, read_cell,
                                     validate, write_cell, write_container)
 from cellforge import battery_data, cli
 from cellforge.cli import main
@@ -788,6 +788,26 @@ class TestTrainEvaluate:
                      "--workspace", str(tmp_path / "ws")]) == 1
         assert_one_line_error(capsys, "error: SYN_0000: a cycle has no discharge capacity samples")
 
+    def test_a_cell_too_short_for_the_feature_is_excluded_with_its_reason(self, tmp_path):
+        # at generator seed 84, SYN_0008 lives 11 cycles, short of the quickstart
+        # feature's 100: it is excluded, as a cell the annotator cannot label is
+        cells = tmp_path / "cells"
+        assert main(["--quiet", "--seed", "84", "generate", "--out", str(cells)]) == 0
+        assert len(read_cell(cells / "SYN_0008.cfc").cycle_data) == 11
+        cfg = yaml.safe_load((CONFIG_DIR / "synthetic_variance_linear.yaml").read_text())
+        cfg["train_test_split"]["cell_data_path"] = str(cells)
+        config_path = tmp_path / "synthetic_variance_linear.yaml"
+        config_path.write_text(yaml.safe_dump(cfg))
+        assert main(["--quiet", "train", "--config", str(config_path),
+                     "--workspace", str(tmp_path / "ws")]) == 0
+        (ckpt,) = (tmp_path / "ws").iterdir()
+        report = json.loads((ckpt / "report.json").read_text())
+        assert {"cell_id": "SYN_0008", "reason": "needs >= 100 cycles, has 11"} in report["excluded"]
+        assert "SYN_0008" not in [cell_id for cell_id, _ in report["predictions"]["cell_id"]]
+        out = tmp_path / "report.json"
+        assert main(["--quiet", "evaluate", "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+        assert out.read_text() == (ckpt / "report.json").read_text()
+
     def test_cfc1_corpus_is_one_line_error(self, corpus_dir, tmp_path, capsys):
         # cell files of older versions start with CFC1; the magic alone decides
         cells = shutil.copytree(corpus_dir, tmp_path / "cells")
@@ -927,6 +947,25 @@ class TestPlotCommand:
         assert all(ref() is None for ref in read)
         make_plot("degradation", tmp_path / "whole", cells=cells)
         assert out.with_suffix(".csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", [
+        ["train"], ["plot", "--kind", "voltage-curves"], ["plot", "--kind", "degradation"]],
+        ids=["train", "voltage-curves", "degradation"])
+    def test_a_ragged_json_cell_is_one_line_error(self, corpus_dir, tmp_path, capsys, command):
+        # one signal of cycle index 9 a value short: the cell is refused when it is read
+        cells = shutil.copytree(corpus_dir, tmp_path / "cells")
+        document = cell_to_dict(read_cell(cells / "SYN_0000.cfc"))
+        document["cycle_data"][9]["voltage_in_V"].pop()
+        path = cells / "SYN_0000.json"
+        path.write_text(json.dumps(document))
+        (cells / "SYN_0000.cfc").unlink()
+        if command == ["train"]:
+            args = ["--config", str(write_train_config(tmp_path, cells)), "--workspace", str(tmp_path / "ws")]
+        else:
+            args = ["--out", str(tmp_path / "p"), "--cells", str(cells)]
+        assert main(command + args) == 1
+        assert_one_line_error(capsys, f"error: {path}: 1 violation(s): cycle_data[9]: "
+                                      "mandatory sequences differ in length: {'voltage_in_V': 15, ")
 
     def test_unknown_cell_id(self, corpus_dir, tmp_path, capsys):
         assert main(["plot", "--kind", "voltage-curves", "--out", str(tmp_path / "v"),

@@ -10,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import cellforge
-from cellforge.battery_data import CycleData, CycleRecord, validate, write_container
-from cellforge.errors import CheckpointError, FeatureError
+from cellforge.battery_data import CellRecord, CycleData, CycleRecord, validate, write_container
+from cellforge.container import Coded, stored_form
+from cellforge.errors import CheckpointError, FeatureError, ValidationError
 from cellforge.features import (
     COULOMBIC_EPS,
     CapacityFadeSlopeFeatureExtractor,
@@ -490,12 +493,71 @@ class TestSOHCycleExtractor:
         dataclasses.replace(linear_cycle(2), discharge_capacity_in_Ah=[]),
     ], ids=["every-signal", "discharge-capacity"])
     def test_a_cycle_without_capacities_is_named(self, empty):
-        # one FeatureError, before the charge maxima's ValueError that names no cycle
+        # one FeatureError, before the charge maxima's ValueError that names no cycle;
+        # a cycle whose other signals have values is refused when its cell is built
+        if empty.time_in_s.size:
+            with pytest.raises(ValidationError, match=re.escape(
+                    "cycle_data[1]: mandatory sequences differ in length: {'voltage_in_V': 12, "
+                    "'current_in_A': 12, 'charge_capacity_in_Ah': 12, 'discharge_capacity_in_Ah': 0, "
+                    "'time_in_s': 12}")):
+                dataclasses.replace(make_cell("EMPTY"), cycle_data=(linear_cycle(1), empty))
+            return
         cell = dataclasses.replace(make_cell("EMPTY"), cycle_data=(linear_cycle(1), empty))
         with pytest.raises(FeatureError, match="^cycle 2: empty capacity sequences$"):
             soh_cycle_features(cell, 1)
         with pytest.raises(FeatureError, match="^cycle 2: empty capacity sequences$"):
             SOHCycleFeatureExtractor().extract([cell])
+
+
+def per_cycle_step_block(extractor, cell):
+    """The reference: the SOC step block built one cycle view at a time."""
+    cycles = extractor._cycles(cell)
+    if len(cycles) > 1:
+        lo, hi = voltage_bounds(cell, extractor.v_min, extractor.v_max)
+    blocks = []
+    for idx in range(len(cycles)):
+        cyc = cycles[idx]
+        t = np.asarray(cyc.time_in_s)
+        if idx == 0:
+            prev, flag = np.zeros(extractor.n_qdlin), 1.0
+        else:
+            prev, flag = qdlinear(cycles[idx - 1], lo, hi, extractor.n_qdlin), 0.0
+        blocks.append(np.column_stack([cyc.current_in_A, cyc.voltage_in_V, t - t[0],
+                                       np.tile(prev, (len(t), 1)), np.full(len(t), flag)]))
+    return sanitize(np.vstack(blocks))
+
+
+@st.composite
+def step_cells(draw):
+    """Cells of 1 to 6 cycles of 2 to 12 points, charge then discharge; some
+    hold a non-finite current, voltage or time, and half of them hold every
+    column as a cell file stores it, the smooth ones as second differences."""
+    cycles = []
+    for number in range(1, draw(st.integers(1, 6)) + 1):
+        n = draw(st.integers(2, 12))
+        n_charge = draw(st.integers(0, n - 2))
+        ramp = np.arange(n, dtype=float) / (n - 1)
+        signals = {
+            "voltage_in_V": np.r_[np.linspace(2.5, 3.6, n_charge), np.linspace(3.5, 2.1, n - n_charge)],
+            "current_in_A": np.r_[np.ones(n_charge), -np.ones(n - n_charge)],
+            "charge_capacity_in_Ah": ramp * draw(st.floats(0.5, 1.5)),
+            "discharge_capacity_in_Ah": ramp * draw(st.floats(0.5, 1.5)),
+            "time_in_s": 60.0 * np.arange(n) + draw(st.floats(0.0, 1e4)),
+        }
+        if draw(st.booleans()):
+            name = draw(st.sampled_from(["voltage_in_V", "current_in_A", "time_in_s"]))
+            signals[name][draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        cycles.append(CycleRecord(cycle_number=number, **signals))
+    cell = CellRecord("STEPS", 1.0, cycle_data=cycles, min_voltage_limit_in_V=V_MIN,
+                      max_voltage_limit_in_V=V_MAX)
+    if draw(st.booleans()):
+        data = cell.cycle_data
+        columns = {name: stored_form(data.columns[name]) for name in data.columns}
+        event(f"{sum(isinstance(column, Coded) for column in columns.values())} coded columns")
+        cell = dataclasses.replace(cell, cycle_data=CycleData(
+            data.cycle_number, columns, data.offsets["time_in_s"], has_temperature=data.has_temperature,
+            copy=False))
+    return cell
 
 
 class TestSOCStepExtractor:
@@ -537,6 +599,33 @@ class TestSOCStepExtractor:
         fm = SOCStepFeatureExtractor(n_qdlin=4).extract([cell])
         assert fm.values[0, 2] == 0.0
         assert np.all(np.diff(fm.values[:, 2]) > 0)
+
+    @pytest.mark.parametrize("at", [1, 2], ids=["middle", "last"])
+    def test_a_cycle_without_points_is_a_feature_error(self, at):
+        # a cycle of no points has no start time to subtract
+        cycles = [linear_cycle(1), linear_cycle(2), linear_cycle(3)]
+        cycles[at] = CycleRecord(cycle_number=at + 1)
+        cell = dataclasses.replace(make_cell("holed"), cycle_data=cycles)
+        with pytest.raises(FeatureError, match=f"^cycle {at + 1}: no points$"):
+            SOCStepFeatureExtractor(n_qdlin=4).extract([cell])
+
+    @settings(max_examples=200, deadline=None)
+    @given(cell=step_cells(), n_qdlin=st.integers(2, 6), max_cycle_index=st.none() | st.integers(0, 5))
+    def test_the_step_block_equals_the_per_cycle_loop(self, cell, n_qdlin, max_cycle_index):
+        extractor = SOCStepFeatureExtractor(n_qdlin=n_qdlin, max_cycle_index=max_cycle_index)
+        h = extractor.horizon or len(cell.cycle_data)
+        with np.errstate(invalid="ignore"):  # inf - inf, in both, where a time is infinite
+            try:
+                want = per_cycle_step_block(extractor, cell.head(h))
+            except FeatureError as exc:
+                with pytest.raises(FeatureError, match=f"^{re.escape(str(exc))}$"):
+                    extractor.process_cell(cell.head(h))
+                return
+            got, keys = extractor.process_cell(cell.head(h))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        head = cell.head(h).cycle_data
+        assert keys == RowKeys.steps(cell.cell_id, head.cycle_number, np.diff(head.offsets["time_in_s"]))
 
 
 @pytest.mark.parametrize("extractor, width", [
@@ -609,7 +698,7 @@ def edited_from(cell, h):
     resistance = cycles.internal_resistance_in_ohm.copy()
     resistance[h:] *= 2.0
     return dataclasses.replace(cell, cycle_data=CycleData(
-        cycles.cycle_number, columns, cycles.offsets, has_temperature=cycles.has_temperature,
+        cycles.cycle_number, columns, cycles.offsets["time_in_s"], has_temperature=cycles.has_temperature,
         internal_resistance_in_ohm=resistance, has_internal_resistance=cycles.has_internal_resistance,
         extra=cycles.extra))
 

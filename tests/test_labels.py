@@ -58,8 +58,11 @@ class TestSOH:
     def test_matches_per_cycle_max_with_uneven_cycle_lengths(self, synth_cells):
         # peaks placed first, in the middle and last, in cycles of 3, 5 and 2 points
         qd = ([2.0, 1.0, 0.5], [0.1, 0.4, 1.7, 0.2, 0.3], [0.05, 0.07])
+        others = ("voltage_in_V", "current_in_A", "charge_capacity_in_Ah", "time_in_s")
         odd = dataclasses.replace(make_cell(nominal=2.0), cycle_data=tuple(
-            CycleRecord(cycle_number=i + 1, discharge_capacity_in_Ah=q) for i, q in enumerate(qd)
+            CycleRecord(cycle_number=i + 1, discharge_capacity_in_Ah=q,
+                        **{name: np.arange(len(q), dtype=float) for name in others})
+            for i, q in enumerate(qd)
         ))
         for cell in [odd, *synth_cells]:
             expected = [100.0 * max(c.discharge_capacity_in_Ah.tolist()) / cell.nominal_capacity_in_Ah

@@ -20,7 +20,7 @@ import pytest
 from cellforge import battery_data, pipeline
 from cellforge.battery_data import write_cell
 from cellforge.cli import main
-from cellforge.errors import FeatureError, PipelineError, SchemaError, ThresholdNotReached
+from cellforge.errors import LabelError, PipelineError, SchemaError, ThresholdNotReached
 from cellforge.features import FeatureMatrix, RowKeys, VarianceModelFeatureExtractor
 from cellforge.labels import RULLabelAnnotator, rul_label
 from cellforge.pipeline import (
@@ -183,7 +183,8 @@ def test_the_callers_cell_list_is_left_as_it_was(corpus, tmp_path):
 
 def test_the_first_failing_cell_in_train_then_test_order_raises(corpus, tmp_path):
     # a train cell too short for the feature, then a test cell the annotator
-    # cannot label: the train cell's feature fault comes first
+    # cannot label: the short cell is excluded, so the test cell's label fault
+    # is the first failure
     empty = replace(corpus[3], cell_id="EMPTY", cycle_data=())
     short_life = generate_synthetic(SynthSpec(n_cells=1, cycle_life_mean=40.0, cycle_life_std=0.0,
                                               points_per_cycle=16, seed=3))[0]
@@ -191,7 +192,7 @@ def test_the_first_failing_cell_in_train_then_test_order_raises(corpus, tmp_path
     config = make_config(*PAIRS[0], train_test_split={
         "name": "ExplicitTrainTestSplitter", "train_ids": ["SYN_0000", "SHORT"],
         "test_ids": ["EMPTY"]})
-    with pytest.raises(FeatureError, match="SHORT: needs >= 100 cycles"):
+    with pytest.raises(LabelError, match="^EMPTY: no cycles$"):
         run_train(config, workspace=tmp_path, cells=[*corpus, short, empty])
 
 
