@@ -336,7 +336,7 @@ class CycleData(tuple):
     the five mandatory signals, plus ``temperature_in_C`` if any cycle has
     one) and the one offsets array; a cycle without temperature takes no
     temperature values. ``has_temperature`` defaults to every
-    cycle when a temperature column is given; ``has_internal_resistance``
+    cycle when a non-empty temperature column is given; ``has_internal_resistance``
     defaults to every cycle when resistances are given. ``extra`` maps a
     cycle index to that cycle's ``extra``; an empty one is dropped. Columns
     are copied, so the cell never shares a buffer its caller can still
@@ -353,14 +353,14 @@ class CycleData(tuple):
         columns = columns or {}
         numbers = _small(cycle_number, np.int64, "cycle_number", len(cycle_number))
         n = numbers.size
+        signals = {name: _signal(columns.get(name, ()), name, copy) for name in _SIGNAL_FIELDS}
         if has_temperature is None:
-            has_temperature = [columns.get("temperature_in_C") is not None] * n
+            has_temperature = [signals["temperature_in_C"].size > 0] * n
         has_temperature = _small(has_temperature, bool, "has_temperature", n)
         points = _small(offsets, np.int64, "offsets", n + 1)
         temperature = points if has_temperature.all() else _bounds(np.diff(points) * has_temperature)
         temperature.flags.writeable = False
         bounds = MappingProxyType({**dict.fromkeys(_CYCLE_SEQ_FIELDS, points), "temperature_in_C": temperature})
-        signals = {name: _signal(columns.get(name, ()), name, copy) for name in _SIGNAL_FIELDS}
         if signals["temperature_in_C"].size > temperature[-1] and not has_temperature.all():
             raise ValueError("temperature values given for a cycle without a temperature")
         rises = points[0] == 0 and not (np.diff(points) < 0).any()

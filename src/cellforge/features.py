@@ -19,7 +19,8 @@ Extractors registered for pipeline use share one shape of contract:
 keys from an extractor or annotator to ``report.json``. Each states one
 ``horizon``, the number of leading cycles it reads, and ``extract`` alone
 calls ``process_cell``, with ``cell.head(horizon)``: no extractor sees a
-cycle past its horizon.
+cycle past its horizon, nor past a split's ``observed_cycles``, which the
+pipeline enforces for every extractor (:func:`cellforge.pipeline._take_partition`).
 """
 
 from __future__ import annotations
@@ -271,22 +272,12 @@ class BaseFeatureExtractor:
     """Shared per-cell iteration, sanitization, and matrix assembly.
 
     A subclass sets ``horizon``, the number of leading cycles it reads (None
-    for every cycle), before it calls this ``__init__``; :meth:`extract`
-    hands :meth:`process_cell` only ``cell.head(horizon)``. An extractor of
-    fixed cycles refuses a horizon past ``observed_cycles`` and a cell
-    shorter than it; a per-cycle one (``fixed_horizon`` False) stops at both.
+    for every cycle); :meth:`extract` hands :meth:`process_cell` only
+    ``cell.head(horizon)``, and refuses a cell shorter than it unless the
+    extractor is per-cycle (``fixed_horizon`` False).
     """
 
     fixed_horizon = True
-
-    def __init__(self, observed_cycles: int | None = None):
-        self.observed_cycles = (
-            None if observed_cycles is None else integer("observed_cycles", observed_cycles, 1))
-        if self.observed_cycles is not None and (self.horizon is None or self.horizon > self.observed_cycles):
-            if self.fixed_horizon:
-                raise FeatureError(f"{type(self).__name__}: reads the first {self.horizon} cycles, "
-                                   f"past the observed-cycle budget of {self.observed_cycles}")
-            self.horizon = self.observed_cycles
 
     def process_cell(self, cell: CellRecord) -> tuple[np.ndarray, RowKeys]:
         raise NotImplementedError
@@ -317,7 +308,6 @@ class VarianceModelFeatureExtractor(BaseFeatureExtractor):
         critical_cycles=(2, 9, 99),
         v_min=None,
         v_max=None,
-        observed_cycles: int | None = None,
     ):
         if len(critical_cycles) != 3:
             raise ValueError("critical_cycles must list three 0-based cycle indices")
@@ -326,7 +316,6 @@ class VarianceModelFeatureExtractor(BaseFeatureExtractor):
             integer(f"critical_cycles[{k}]", c) for k, c in enumerate(critical_cycles))
         self.v_min = None if v_min is None else number("v_min", v_min)
         self.v_max = None if v_max is None else number("v_max", v_max)
-        super().__init__(observed_cycles)
 
     @property
     def horizon(self) -> int:
@@ -450,7 +439,6 @@ class VoltageCapacityMatrixFeatureExtractor(BaseFeatureExtractor):
         cycles_to_keep: int = 100,
         v_min=None,
         v_max=None,
-        observed_cycles: int | None = None,
     ):
         self.interp_dims = integer("interp_dims", interp_dims, 2, MAX_POINTS)
         self.diff_base = integer("diff_base", diff_base)
@@ -460,7 +448,6 @@ class VoltageCapacityMatrixFeatureExtractor(BaseFeatureExtractor):
         self.v_max = None if v_max is None else number("v_max", v_max)
         self._last_row = min(self.cycles_to_keep, self.max_cycle_index + 1) - 1
         self.horizon = max(self._last_row, self.diff_base) + 1
-        super().__init__(observed_cycles)
 
     @cached_property
     def row_indices(self) -> list[int]:
@@ -528,11 +515,10 @@ class SOHCycleFeatureExtractor(BaseFeatureExtractor):
     col_names = SOH_CYCLE_COL_NAMES
     fixed_horizon = False
 
-    def __init__(self, max_cycle_index: int | None = None, observed_cycles: int | None = None):
+    def __init__(self, max_cycle_index: int | None = None):
         self.max_cycle_index = (
             None if max_cycle_index is None else integer("max_cycle_index", max_cycle_index))
         self.horizon = None if self.max_cycle_index is None else self.max_cycle_index + 1
-        super().__init__(observed_cycles)
 
     @staticmethod
     def _cycles(cell) -> CycleData:
@@ -557,9 +543,8 @@ class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
         max_cycle_index: int | None = None,
         v_min=None,
         v_max=None,
-        observed_cycles: int | None = None,
     ):
-        super().__init__(max_cycle_index, observed_cycles)
+        super().__init__(max_cycle_index)
         self.n_qdlin = integer("n_qdlin", n_qdlin, 2, MAX_POINTS)
         self.v_min = None if v_min is None else number("v_min", v_min)
         self.v_max = None if v_max is None else number("v_max", v_max)
@@ -582,9 +567,10 @@ class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
             lo, hi = voltage_bounds(cell, self.v_min, self.v_max)
             prev += [qdlinear(cyc, lo, hi, self.n_qdlin) for cyc in cycles[:-1]]
         t = cycles.columns["time_in_s"]
-        values = np.column_stack([
-            cycles.columns["current_in_A"], cycles.columns["voltage_in_V"], t - np.repeat(t[off[:-1]], counts),
-            np.repeat(prev, counts, axis=0), np.repeat(np.arange(len(cycles)) == 0, counts)])
+        with np.errstate(invalid="ignore"):  # a time of inf - inf, which sanitize zeroes
+            values = np.column_stack([cycles.columns["current_in_A"], cycles.columns["voltage_in_V"],
+                                      t - np.repeat(t[off[:-1]], counts), np.repeat(prev, counts, axis=0),
+                                      np.repeat(np.arange(len(cycles)) == 0, counts)])
         return sanitize(values), RowKeys.steps(cell.cell_id, cycles.cycle_number, counts)
 
 
@@ -596,13 +582,12 @@ class CapacityFadeSlopeFeatureExtractor(BaseFeatureExtractor):
 
     col_names = ["soh_slope_percent_per_cycle"]
 
-    def __init__(self, first_cycle: int = 2, last_cycle: int = 99, observed_cycles: int | None = None):
+    def __init__(self, first_cycle: int = 2, last_cycle: int = 99):
         self.first_cycle = integer("first_cycle", first_cycle)
         self.last_cycle = integer("last_cycle", last_cycle)
         if not first_cycle < last_cycle:
             raise ValueError("need 0 <= first_cycle < last_cycle")
         self.horizon = self.last_cycle + 1
-        super().__init__(observed_cycles)
 
     def process_cell(self, cell):
         from .labels import soh_per_cycle

@@ -54,7 +54,7 @@ from . import components as _components  # noqa: F401  (populates registries)
 from .battery_data import (CellRecord, cell_files, json_document, read_cell, read_file, write_json,
                            yaml_document)
 from .container import parse_container, write_container
-from .errors import CheckpointError, ConfigError, PipelineError, TransformError
+from .errors import CheckpointError, ConfigError, FeatureError, PipelineError, TransformError
 from .features import FeatureMatrix, RowKeys
 from .models import load_model, model_seeds, save_models
 from .registry import FEATURES, LABELS, MODELS, SPLITTERS, TRANSFORMS
@@ -333,20 +333,20 @@ def _label_and_featurize(config: PipelineConfig, split: SplitResult, **partition
     Each partition is a list the pipeline owns, of cell records or of cell
     files; it is emptied one cell at a time (see :func:`_take_partition`).
     """
-    meta = split.metadata
-    label_params = _with_overrides(
-        config.label, LABELS, {"eol_soh_percent": meta.get("eol_soh")}
-    )
-    feature_params = _with_overrides(
-        config.feature, FEATURES, {"observed_cycles": meta.get("observed_cycles")}
-    )
+    label_params = _with_overrides(config.label, LABELS, {"eol_soh_percent": split.metadata.get("eol_soh")})
     annotator = LABELS.create(config.label.name, **label_params)
-    extractor = FEATURES.create(config.feature.name, **feature_params)
-    return {name: _take_partition(annotator, extractor, cells, name)
+    extractor = FEATURES.create(config.feature.name, **config.feature.params)
+    budget, horizon = split.metadata.get("observed_cycles"), getattr(extractor, "horizon", None)
+    fixed = getattr(extractor, "fixed_horizon", False)
+    if budget is not None and fixed and (horizon is None or horizon > budget):
+        reads = "every cycle" if horizon is None else f"the first {horizon} cycles"
+        raise FeatureError(f"{config.feature.name}: reads {reads}, "
+                           f"past the observed-cycle budget of {budget}")
+    return {name: _take_partition(annotator, extractor, cells, name, budget)
             for name, cells in partitions.items()}
 
 
-def _take_partition(annotator, extractor, cells, partition: str):
+def _take_partition(annotator, extractor, cells, partition: str, budget):
     """The joined features, labels and exclusions of ``cells``, taken one
     cell at a time: each is popped from ``cells`` (and a cell file read),
     labelled, featurized when it got label rows, joined (:func:`_align`),
@@ -354,14 +354,17 @@ def _take_partition(annotator, extractor, cells, partition: str):
     labelled cell shorter than a fixed-horizon extractor's ``horizon`` is
     excluded with its reason, as the annotator excludes a cell. Every
     row key carries its cell's ID, so the rows equal those of one join of
-    the whole partition. When the annotator and the extractor both read a
-    fixed number of leading cycles, they share one ``cell.head`` of the
-    larger, so a column both read is decoded once; one that states no
+    the whole partition. The extractor gets each cell cut at its
+    ``horizon`` and at the split's observed-cycle ``budget``, whichever is
+    fewer; the annotator reads its own ``horizon`` whatever the budget. When
+    both read a fixed number of leading cycles, they share one ``cell.head``
+    of the larger, so a column both read is decoded once; one that states no
     ``horizon`` reads every cycle."""
     joined, excluded = [], []
-    horizons = (getattr(annotator, "horizon", None), getattr(extractor, "horizon", None))
-    h = None if None in horizons else max(horizons)
-    needs = horizons[1] if getattr(extractor, "fixed_horizon", False) else 0
+    cut = min((h for h in (getattr(extractor, "horizon", None), budget) if h is not None), default=None)
+    label_h = getattr(annotator, "horizon", None)
+    h = None if None in (label_h, cut) else max(label_h, cut)
+    needs = cut if getattr(extractor, "fixed_horizon", False) else 0
     cells.reverse()  # pop from the end in the partition's order
     while cells:
         one = [cells.pop()]
@@ -375,7 +378,7 @@ def _take_partition(annotator, extractor, cells, partition: str):
         if labels.row_keys and n < needs:
             excluded.append({"cell_id": one[0].cell_id, "reason": f"needs >= {needs} cycles, has {n}"})
         elif labels.row_keys:
-            features = extractor.extract(one)
+            features = extractor.extract(one if cut is None else [one[0].head(cut)])
             joined.append(_align(features, labels))
         del one  # so the next cell is read with this one gone
     if not joined:
@@ -500,10 +503,7 @@ def _write_checkpoint(ckpt_dir, config, split, features_test, ft, lt, models, re
     new, old = work / "new", work / "old"
     try:
         new.mkdir()  # with the permissions of any other directory made here
-        if config.source_path is not None and config.source_path.is_file():
-            shutil.copyfile(config.source_path, new / "config.yaml")
-        else:
-            (new / "config.yaml").write_text(yaml.safe_dump(config.to_dict()))
+        (new / "config.yaml").write_text(yaml.safe_dump(config.to_dict()))  # the config as trained
         write_json(new / "report.json", report)
         write_json(new / "split.json", split.to_dict())
         write_json(new / "transforms.json",

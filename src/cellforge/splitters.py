@@ -41,7 +41,9 @@ class SplitResult:
     """A partition of cell identifiers plus optional dataset metadata.
 
     ``metadata`` may carry task overrides consumed downstream, e.g.
-    ``{"eol_soh": 90, "observed_cycles": 20}`` for early-prediction setups.
+    ``{"eol_soh": 90, "observed_cycles": 20}`` for early-prediction setups;
+    ``observed_cycles``, the cycles of each cell a feature extractor may
+    read, is an integer >= 1 (or None for every cycle).
     """
 
     train_cell_ids: tuple[str, ...]
@@ -60,6 +62,11 @@ class SplitResult:
             raise SplitError("empty train partition")
         if not self.test_cell_ids:
             raise SplitError("empty test partition")
+        if self.metadata.get("observed_cycles") is not None:
+            try:
+                integer("observed_cycles", self.metadata["observed_cycles"], 1)
+            except ValueError as exc:
+                raise SplitError(f"split metadata: {exc}") from None
 
     def to_dict(self) -> dict:
         return {

@@ -2045,6 +2045,16 @@ class TestColumns:
         assert CycleData([1, 2], columns, offsets, has_temperature=[True, True])[1].temperature_in_C.tolist() == [
             3.0, 4.0, 5.0]
 
+    def test_an_empty_temperature_column_means_no_cycle_has_one(self):
+        # the whole-column copy of a cell without temperature built it; it raised
+        # "offsets['temperature_in_C'] must rise from 0 to the column's 0 values"
+        d = make_cell("NOTEMP", caps=(1.0, 0.9)).cycle_data
+        copied = CycleData(d.cycle_number, {n: d.columns[n] for n in d.columns}, d.offsets["time_in_s"])
+        assert d.columns["temperature_in_C"].size == 0 and not d.has_temperature.any()
+        assert copied == CycleData(d.cycle_number, {n: d.columns[n] for n in TestArraySignals.SIGNALS[:5]},
+                                   d.offsets["time_in_s"])
+        assert not copied.has_temperature.any()
+
     @pytest.mark.parametrize("index", [2, -1])
     def test_extra_of_a_cycle_out_of_range_is_refused(self, index):
         columns = {name: np.arange(6.0) for name in TestArraySignals.SIGNALS[:5]}

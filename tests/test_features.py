@@ -36,11 +36,28 @@ from cellforge.features import (
     soh_cycle_features,
     voltage_bounds,
 )
-from cellforge.pipeline import FEATURES_MAGIC, read_features, write_features
+from cellforge.pipeline import FEATURES_MAGIC, read_features, run_train, write_features
 from cellforge.registry import FEATURES
 from conftest import V_MAX, V_MIN, linear_cycle, make_cell
 
 SPAN = V_MAX - V_MIN
+
+
+def train_under_budget(cells, workspace, budget, feature, label=None):
+    """``run_train`` of the ``feature`` section on ``cells``, the last two of
+    them the test cells, under a split whose metadata sets ``observed_cycles``
+    to ``budget``."""
+    ids = [cell.cell_id for cell in cells]
+    return run_train({
+        "train_test_split": {"name": "ExplicitTrainTestSplitter", "train_ids": ids[:-2],
+                             "test_ids": ids[-2:], "metadata": {"observed_cycles": budget}},
+        "feature": feature,
+        "feature_transformation": {"name": "ZScoreDataTransformation"},
+        "label": label or {"name": "RULLabelAnnotator"},
+        "label_transformation": {"name": "ZScoreDataTransformation"},
+        "model": {"name": "RidgeRegressor"},
+        "seeds": [0],
+    }, workspace=workspace, cells=cells)
 
 
 def discharge_cycle(v, qd, number=1):
@@ -338,17 +355,16 @@ class TestVarianceExtractor:
         with pytest.raises(ValueError, match="three"):
             VarianceModelFeatureExtractor(critical_cycles=(9, 99))
 
-    def test_observed_cycles_budget_enforced_at_construction(self):
-        for make in (
-            lambda: VarianceModelFeatureExtractor(observed_cycles=50),
-            # the temperature integral and resistance rise read cycles 2-99
-            lambda: FullModelFeatureExtractor(critical_cycles=[2, 9, 40], observed_cycles=50),
-        ):
-            with pytest.raises(FeatureError, match="reads the first 100 cycles, past the "
-                                                   "observed-cycle budget of 50"):
-                make()
-        VarianceModelFeatureExtractor(observed_cycles=100)  # index 99 fits
-        FullModelFeatureExtractor(observed_cycles=100)
+    def test_observed_cycles_budget_enforced_by_the_pipeline(self, synth_cells, tmp_path):
+        variance = {"name": "VarianceModelFeatureExtractor", "interp_dims": 16}
+        full = {"name": "FullModelFeatureExtractor", "interp_dims": 16}
+        # the temperature integral and resistance rise read cycles 2-99
+        for feature in (variance, {**full, "critical_cycles": [2, 9, 40]}):
+            with pytest.raises(FeatureError, match=f"^{feature['name']}: reads the first 100 cycles, "
+                                                   "past the observed-cycle budget of 50$"):
+                train_under_budget(synth_cells[:4], tmp_path, 50, feature)
+        for feature in (variance, full):  # index 99 fits
+            train_under_budget(synth_cells[:4], tmp_path, 100, feature)
 
     def test_empty_corpus(self):
         with pytest.raises(FeatureError, match="no cells"):
@@ -440,11 +456,11 @@ class TestMatrixExtractor:
         # rows scale with the capacity offset against the base cycle
         np.testing.assert_allclose(m[2], 2.0 * m[1], atol=1e-9)
 
-    def test_observed_budget(self):
-        with pytest.raises(FeatureError, match="observed-cycle budget"):
-            VoltageCapacityMatrixFeatureExtractor(
-                interp_dims=4, diff_base=9, max_cycle_index=99, observed_cycles=50
-            )
+    def test_observed_budget(self, synth_cells, tmp_path):
+        feature = {"name": "VoltageCapacityMatrixFeatureExtractor", "interp_dims": 4, "diff_base": 9,
+                   "max_cycle_index": 99}
+        with pytest.raises(FeatureError, match="observed-cycle budget of 50$"):
+            train_under_budget(synth_cells[:4], tmp_path, 50, feature)
 
 
 class TestSOHCycleExtractor:
@@ -472,10 +488,13 @@ class TestSOHCycleExtractor:
         fm = SOHCycleFeatureExtractor(max_cycle_index=1).extract([cell])
         assert fm.values.shape[0] == 2
 
-    def test_observed_cycles_cap(self):
-        cell = make_cell(caps=(1.0, 0.9, 0.8))
-        fm = SOHCycleFeatureExtractor(observed_cycles=2).extract([cell])
-        assert fm.values.shape[0] == 2
+    def test_observed_cycles_cap(self, synth_cells, tmp_path):
+        cells = synth_cells[:4]
+        report = train_under_budget(cells, tmp_path, 2, {"name": "SOHCycleFeatureExtractor"},
+                                    {"name": "SOHLabelAnnotator"}).report
+        numbers = [c.cycle_data.cycle_number[:2].tolist() for c in cells[-2:]]
+        assert report["predictions"]["cell_id"] == [[c.cell_id, 2] for c in cells[-2:]]
+        assert report["predictions"]["cycle"] == numbers[0] + numbers[1]
 
     def test_bad_cycle_index(self):
         with pytest.raises(FeatureError, match="out of range"):
@@ -614,14 +633,14 @@ class TestSOCStepExtractor:
     def test_the_step_block_equals_the_per_cycle_loop(self, cell, n_qdlin, max_cycle_index):
         extractor = SOCStepFeatureExtractor(n_qdlin=n_qdlin, max_cycle_index=max_cycle_index)
         h = extractor.horizon or len(cell.cycle_data)
-        with np.errstate(invalid="ignore"):  # inf - inf, in both, where a time is infinite
-            try:
+        try:
+            with np.errstate(invalid="ignore"):  # inf - inf in the reference, where a time is infinite
                 want = per_cycle_step_block(extractor, cell.head(h))
-            except FeatureError as exc:
-                with pytest.raises(FeatureError, match=f"^{re.escape(str(exc))}$"):
-                    extractor.process_cell(cell.head(h))
-                return
-            got, keys = extractor.process_cell(cell.head(h))
+        except FeatureError as exc:
+            with pytest.raises(FeatureError, match=f"^{re.escape(str(exc))}$"):
+                extractor.process_cell(cell.head(h))
+            return
+        got, keys = extractor.process_cell(cell.head(h))  # with no warning
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         head = cell.head(h).cycle_data
@@ -749,12 +768,20 @@ class TestHorizon:
             extractor.extract([short])
             assert given == [h, h - 1]
 
-    @pytest.mark.parametrize("extractor", [SOHCycleFeatureExtractor, SOCStepFeatureExtractor])
-    def test_a_per_cycle_horizon_is_cut_to_the_observed_cycles(self, extractor):
-        assert extractor().horizon is None
-        assert extractor(observed_cycles=5).horizon == 5
-        assert extractor(max_cycle_index=9, observed_cycles=50).horizon == 10
-        assert extractor(max_cycle_index=99, observed_cycles=50).horizon == 50
+    @pytest.mark.parametrize("feature, label", [
+        ({"name": "SOHCycleFeatureExtractor"}, {"name": "SOHLabelAnnotator"}),
+        ({"name": "SOCStepFeatureExtractor", "n_qdlin": 4}, {"name": "SOCLabelAnnotator"}),
+    ], ids=["SOHCycleFeatureExtractor", "SOCStepFeatureExtractor"])
+    def test_a_per_cycle_horizon_is_cut_to_the_observed_cycles(self, feature, label, synth_cells,
+                                                                 tmp_path):
+        # the rows stop at min(horizon, budget), and the horizon itself stays as built
+        cells = synth_cells[:4]
+        cases = [(None, None, 5, 5), (9, 10, 50, 10), (99, 100, 50, 50)]
+        for max_cycle_index, horizon, budget, rows in cases:
+            section = {**feature, "max_cycle_index": max_cycle_index}
+            assert FEATURES.create(**section).horizon == horizon
+            report = train_under_budget(cells, tmp_path, budget, section, label).report
+            assert sorted(set(report["predictions"]["cycle"])) == list(range(1, rows + 1))
 
     def test_only_extract_calls_process_cell(self):
         # extract hands process_cell the cell's head; any other caller could hand it the whole cell

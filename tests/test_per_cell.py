@@ -82,20 +82,22 @@ def make_config(label, feature, **sections):
 
 def whole_corpus_label_and_featurize(config, split, **partitions):
     """The reference order: label every cell of every partition, then
-    featurize every kept cell of each partition in one call."""
+    featurize every kept cell of each partition in one call, each cut at the
+    extractor's ``horizon`` and the split's ``observed_cycles``, whichever is
+    fewer."""
     meta = split.metadata
     label_params = _with_overrides(config.label, LABELS, {"eol_soh_percent": meta.get("eol_soh")})
-    feature_params = _with_overrides(
-        config.feature, FEATURES, {"observed_cycles": meta.get("observed_cycles")})
     annotator = LABELS.create(config.label.name, **label_params)
+    extractor = FEATURES.create(config.feature.name, **config.feature.params)
+    cut = min((h for h in (getattr(extractor, "horizon", None), meta.get("observed_cycles"))
+               if h is not None), default=None)
     labelled = {name: annotator.annotate(cells) for name, cells in partitions.items()}
     kept = {}
     for name, cells in partitions.items():
         labeled = {cell_id for cell_id, _ in labelled[name][0].row_keys.cell_id}
-        kept[name] = [c for c in cells if c.cell_id in labeled]
+        kept[name] = [c if cut is None else c.head(cut) for c in cells if c.cell_id in labeled]
         if not kept[name]:
             raise PipelineError(f"all {name} cells were excluded by the label annotator")
-    extractor = FEATURES.create(config.feature.name, **feature_params)
     out = {}
     for name, (labels, excluded) in labelled.items():
         features = extractor.extract(kept[name])
@@ -110,9 +112,34 @@ def assert_bit_identical(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("label, feature", PAIRS, ids=PAIR_IDS)
-def test_per_cell_equals_whole_corpus(corpus, label, feature):
-    config = PipelineConfig.from_dict(make_config(label, feature))
+class _CycleCountExtractor:
+    """Shaped like the README's "Extending" example, with no ``horizon``: one
+    row per cell, its first cycle's mean voltage and its number of cycles."""
+
+    col_names = ["first_cycle_mean_voltage", "cycles"]
+
+    def extract(self, cells):
+        values = [[cell.cycle_data[0].voltage_in_V.mean(), len(cell.cycle_data)] for cell in cells]
+        return FeatureMatrix(np.array(values), RowKeys([[cell.cell_id, 1] for cell in cells]), self.col_names)
+
+
+# under an observed-cycle budget: a per-cycle extractor past it, a fixed-horizon one
+# within it, and a registered one with no horizon
+BUDGETED = [
+    ({"name": "SOHLabelAnnotator"}, {"name": "SOHCycleFeatureExtractor", "max_cycle_index": 30}, 20),
+    ({"name": "RULLabelAnnotator"},
+     {"name": "VoltageCapacityMatrixFeatureExtractor", "interp_dims": 8, "cycles_to_keep": 4}, 30),
+    ({"name": "RULLabelAnnotator"}, {"name": "CycleCountExtractor"}, 20),
+]
+
+
+@pytest.mark.parametrize("label, feature, budget", [(*pair, None) for pair in PAIRS] + BUDGETED,
+                         ids=PAIR_IDS + [f"{feature['name']}-budget-{b}" for _, feature, b in BUDGETED])
+def test_per_cell_equals_whole_corpus(corpus, monkeypatch, label, feature, budget):
+    monkeypatch.setitem(FEATURES._factories, "CycleCountExtractor", _CycleCountExtractor)
+    split_section = {"name": "ExplicitTrainTestSplitter", "train_ids": TRAIN_IDS, "test_ids": TEST_IDS,
+                     "metadata": {"observed_cycles": budget}}
+    config = PipelineConfig.from_dict(make_config(label, feature, train_test_split=split_section))
 
     def partitions():
         split, train, test = _split_cells(config, corpus)
@@ -132,6 +159,10 @@ def test_per_cell_equals_whole_corpus(corpus, label, feature):
         assert excluded == want_excluded
     if label["name"] == "RULLabelAnnotator":
         assert [e["cell_id"] for name in got for e in got[name][2]] == ["NEVER_TRAIN", "NEVER_TEST"]
+    if feature["name"] == "CycleCountExtractor":  # every cell holds more cycles than the budget
+        assert {row[1] for name in got for row in got[name][0].values} == {budget}
+    if budget and feature["name"] == "SOHCycleFeatureExtractor":  # 31 cycles cut to 20
+        assert got["test"][0].row_keys.cell_id == [[cell_id, budget] for cell_id in TEST_IDS]
 
 
 class _SkipsOneCellVarianceExtractor(VarianceModelFeatureExtractor):

@@ -35,7 +35,7 @@ from cellforge.errors import (
     SplitError,
     TransformError,
 )
-from cellforge.features import MAX_POINTS, FeatureMatrix, RowKeys
+from cellforge.features import MAX_POINTS, FeatureMatrix, RowKeys, VarianceModelFeatureExtractor
 from cellforge.ingestion import packaged_column_map_path
 from cellforge.labels import LabelSpec, LabelVector, rul_label
 from cellforge.models import BaseRegressor, LinearRegressor, load_model
@@ -421,6 +421,31 @@ class TestConfigRefusedBeforeReading:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "ws").exists()
 
+    @pytest.mark.parametrize("feature, budget", [
+        ({"name": "VarianceModelFeatureExtractor", "interp_dims": 8}, 50),
+        ({"name": "FullModelFeatureExtractor", "interp_dims": 8, "critical_cycles": [2, 9, 40]}, 50),
+        ({"name": "VoltageCapacityMatrixFeatureExtractor", "interp_dims": 4, "max_cycle_index": 99}, 50),
+        ({"name": "EveryCycleFixedExtractor"}, 500),
+    ], ids=["variance", "full", "matrix", "fixed-without-horizon"])
+    def test_an_extractor_past_the_budget_reads_no_cell(self, pipe_corpus, tmp_path, monkeypatch, capsys,
+                                                       feature, budget):
+        monkeypatch.setitem(FEATURES._factories, "EveryCycleFixedExtractor", _EveryCycleFixedExtractor)
+        ids = sorted(p.stem for p in pipe_corpus.iterdir())
+        split = {"name": "ExplicitTrainTestSplitter", "train_ids": ids[:6], "test_ids": ids[6:],
+                 "metadata": {"observed_cycles": budget}}
+        code, reads = self.train(pipe_corpus, tmp_path, monkeypatch, train_test_split=split, feature=feature)
+        assert (code, reads) == (1, [])
+        what = "every cycle" if feature["name"] == "EveryCycleFixedExtractor" else "the first 100 cycles"
+        assert capsys.readouterr().err == (f"error: {feature['name']}: reads {what}, "
+                                           f"past the observed-cycle budget of {budget}\n")
+        assert not (tmp_path / "ws").exists()
+
+
+class _EveryCycleFixedExtractor(VarianceModelFeatureExtractor):
+    """The variance feature, stating no horizon but one of fixed cycles."""
+
+    horizon = None
+
 
 class TestRunTrain:
     def test_returns_checkpoint_with_report(self, trained):
@@ -508,13 +533,25 @@ class TestRunTrain:
             b.directory / "models.bin"
         ).read_bytes()
 
-    def test_config_file_is_copied_verbatim(self, pipe_cells, tmp_path):
+    def test_config_file_edited_while_training_is_not_what_the_checkpoint_stores(
+            self, pipe_cells, tmp_path, monkeypatch):
+        # the checkpoint stores the config that trained it, so evaluate accepts it
         path = tmp_path / "named_run.yaml"
-        text = "# local tweak of the variance experiment\n" + yaml.safe_dump(make_config())
-        path.write_text(text)
+        path.write_text("# local tweak of the variance experiment\n" + yaml.safe_dump(make_config()))
+        report = pipeline._report
+
+        def edit_then_report(*args):
+            path.write_text(yaml.safe_dump(make_config(
+                feature={"name": "VarianceModelFeatureExtractor", "interp_dims": 32})))
+            return report(*args)
+
+        monkeypatch.setattr(pipeline, "_report", edit_then_report)
         ckpt = run_train(path, workspace=tmp_path / "ws", cells=pipe_cells)
         assert ckpt.directory.name.startswith("named_run_")
-        assert (ckpt.directory / "config.yaml").read_text() == text
+        assert "interp_dims: 32" in path.read_text()
+        stored = (ckpt.directory / "config.yaml").read_text()
+        assert stored == yaml.safe_dump(PipelineConfig.from_dict(make_config()).to_dict())
+        assert run_evaluate(ckpt.directory) == ckpt.report
 
     def test_cells_loaded_from_cell_data_path(self, pipe_cells, tmp_path):
         corpus = tmp_path / "corpus"
@@ -739,15 +776,51 @@ class TestSplitMetadataOverrides:
     def test_observed_cycles_metadata_reaches_extractor(self, pipe_cells, tmp_path):
         for observed, message in [
             # a 50-cycle budget cannot cover the feature's cycle-99 read
-            (50, "observed-cycle budget"),
-            (2.5, "feature extractor 'VarianceModelFeatureExtractor': bad parameters: "
-                  "observed_cycles must be an integer >= 1, got 2.5"),
+            (50, "VarianceModelFeatureExtractor: reads the first 100 cycles, "
+                 "past the observed-cycle budget of 50"),
+            (2.5, "split metadata: observed_cycles must be an integer >= 1, got 2.5"),
         ]:
             cfg = make_config(
                 train_test_split=self.split_section(pipe_cells, {"observed_cycles": observed})
             )
-            with pytest.raises(CellforgeError, match=re.escape(message)):
+            with pytest.raises(CellforgeError, match=f"^{re.escape(message)}$"):
                 run_train(cfg, workspace=tmp_path, cells=pipe_cells)
+
+    @pytest.mark.parametrize("observed", [2.5, True, "20", 0])
+    def test_observed_cycles_in_a_split_file_must_be_an_integer_of_at_least_one(
+            self, pipe_cells, tmp_path, observed):
+        ids = [c.cell_id for c in pipe_cells]
+        split_file = tmp_path / "split.json"
+        split_file.write_text(json.dumps(
+            {"train": ids[:6], "test": ids[6:], "metadata": {"observed_cycles": observed}}))
+        cfg = make_config(
+            train_test_split={"name": "FixedSplitTrainTestSplitter", "path": str(split_file)})
+        with pytest.raises(SplitError, match=f"^{re.escape(str(split_file))}: split metadata: "
+                                             f"observed_cycles must be an integer >= 1, got "
+                                             f"{re.escape(repr(observed))}$"):
+            run_train(cfg, workspace=tmp_path, cells=pipe_cells)
+
+    def test_a_registered_extractor_sees_at_most_the_budget(self, pipe_cells, tmp_path, monkeypatch):
+        # an extractor shaped like the README's "Extending" example states no horizon;
+        # the budget binds it as it binds the built-in ones
+        seen = []
+
+        class FirstCycleVoltage:
+            col_names = ["first_cycle_mean_voltage"]
+
+            def extract(self, cells):
+                seen.extend((cell.cell_id, len(cell.cycle_data)) for cell in cells)
+                values = [[cell.cycle_data[0].voltage_in_V.mean()] for cell in cells]
+                return FeatureMatrix(np.array(values), RowKeys([[cell.cell_id, 1] for cell in cells]),
+                                     self.col_names)
+
+        monkeypatch.setitem(FEATURES._factories, "FirstCycleVoltage", FirstCycleVoltage)
+        cfg = make_config(train_test_split=self.split_section(pipe_cells, {"observed_cycles": 20}),
+                          feature={"name": "FirstCycleVoltage"})
+        ckpt = run_train(cfg, workspace=tmp_path, cells=pipe_cells)
+        assert seen == [(c.cell_id, 20) for c in pipe_cells]
+        assert all(len(c.cycle_data) > 20 for c in pipe_cells)
+        assert run_evaluate(ckpt.directory) == ckpt.report
 
     def test_eol_soh_metadata_in_a_split_file_must_be_a_number(self, pipe_cells, tmp_path):
         # a string threshold ended in a "'<' not supported" line naming nothing
@@ -762,17 +835,21 @@ class TestSplitMetadataOverrides:
                 "eol_soh_percent must be a finite number, got '90'")):
             run_train(cfg, workspace=tmp_path, cells=pipe_cells)
 
-    def test_explicit_feature_params_beat_metadata(self, pipe_cells, tmp_path):
-        cfg = make_config(
-            train_test_split=self.split_section(pipe_cells, {"observed_cycles": 50}),
-            feature={
-                "name": "VarianceModelFeatureExtractor",
-                "interp_dims": 64,
-                "observed_cycles": 120,
-            },
-        )
-        ckpt = run_train(cfg, workspace=tmp_path, cells=pipe_cells)
-        assert len(prediction_rows(ckpt.report["predictions"])) == 2
+    def test_a_feature_section_cannot_set_the_budget(self, pipe_cells, tmp_path):
+        # the budget is the split's alone: a feature section neither sets nor raises it
+        for metadata in ({}, {"observed_cycles": 50}):
+            cfg = make_config(
+                train_test_split=self.split_section(pipe_cells, metadata),
+                feature={
+                    "name": "VarianceModelFeatureExtractor",
+                    "interp_dims": 64,
+                    "observed_cycles": 120,
+                },
+            )
+            with pytest.raises(RegistryError, match=re.escape(
+                    "feature extractor 'VarianceModelFeatureExtractor': bad parameters: ") + ".*"
+                    + re.escape("unexpected keyword argument 'observed_cycles'")):
+                run_train(cfg, workspace=tmp_path, cells=pipe_cells)
 
 
 class _SpyTransformation(ZScoreDataTransformation):
@@ -846,7 +923,7 @@ register("transform", "CenterDataTransformation", _CenterTransformation)
 
 
 # integer parameters whose default is None, with a value every component takes
-_NONE_DEFAULT_INTEGERS = {"max_depth": 100, "observed_cycles": 100, "max_cycle_index": 100}
+_NONE_DEFAULT_INTEGERS = {"max_depth": 100, "max_cycle_index": 100}
 
 
 def _stored(component, parameter):
@@ -945,7 +1022,7 @@ class TestRegisteredComponents:
                     for good in (valid, np.int64(valid)):
                         value = _stored(registry.create(name, **{p.name: good}), p.name)
                         assert type(value) is int and value == valid, (name, p.name, good)
-        assert {"observed_cycles", "interp_dims", "diff_base", "max_cycle_index",
+        assert {"interp_dims", "diff_base", "max_cycle_index",
                 "cycles_to_keep", "n_qdlin", "first_cycle", "last_cycle", "smoothing_window",
                 "n_components", "epochs", "batch_size", "seed", "max_depth",
                 "min_samples_leaf", "n_trees"} <= seen
