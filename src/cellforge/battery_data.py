@@ -440,12 +440,12 @@ class CycleData(tuple):
             copy=False,  # the concatenated columns are new
         )
 
-    def head(self, h: int) -> CycleData:
-        """The first ``h`` cycles (all of them when there are no more): the
-        same columns cut at each signal's ``offsets[h]``, as views, and a
-        column not yet decoded as the block of its first values alone, so
-        that nothing past them is ever decoded through the result."""
-        if h >= len(self):
+    def head(self, h: int | None) -> CycleData:
+        """The first ``h`` cycles (all of them when there are no more, or ``h``
+        is None, as ``seq[:None]``): the same columns cut at each signal's
+        ``offsets[h]``, as views, and a column not yet decoded as the block of
+        its first values alone, so that nothing past them is ever decoded."""
+        if h is None or h >= len(self):
             return self
         columns = {name: column[: self.offsets[name][h]]
                    if isinstance(column, np.ndarray) else column.head(int(self.offsets[name][h]))
@@ -580,7 +580,7 @@ class CellRecord:
     description: str | None = None
     extra: dict = field(default_factory=dict)
 
-    def head(self, h: int) -> CellRecord:
+    def head(self, h: int | None) -> CellRecord:
         """The same cell with its first ``h`` cycles alone (see :meth:`CycleData.head`)."""
         cycles = self.cycle_data.head(h)
         return self if cycles is self.cycle_data else replace(self, cycle_data=cycles)

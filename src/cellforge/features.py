@@ -20,7 +20,7 @@ keys from an extractor or annotator to ``report.json``. Each states one
 ``horizon``, the number of leading cycles it reads, and ``extract`` alone
 calls ``process_cell``, with ``cell.head(horizon)``: no extractor sees a
 cycle past its horizon, nor past a split's ``observed_cycles``, which the
-pipeline enforces for every extractor (:func:`cellforge.pipeline._take_partition`).
+pipeline enforces for every extractor (:func:`cellforge.pipeline._label_and_featurize`).
 """
 
 from __future__ import annotations
@@ -271,12 +271,13 @@ class FeatureMatrix:
 class BaseFeatureExtractor:
     """Shared per-cell iteration, sanitization, and matrix assembly.
 
-    A subclass sets ``horizon``, the number of leading cycles it reads (None
-    for every cycle); :meth:`extract` hands :meth:`process_cell` only
-    ``cell.head(horizon)``, and refuses a cell shorter than it unless the
-    extractor is per-cycle (``fixed_horizon`` False).
+    A subclass sets ``horizon``, the number of leading cycles it reads (by
+    default None, every cycle with no minimum); :meth:`extract` hands
+    :meth:`process_cell` only ``cell.head(horizon)``, and refuses a cell
+    shorter than it unless the extractor is per-cycle (``fixed_horizon`` False).
     """
 
+    horizon = None
     fixed_horizon = True
 
     def process_cell(self, cell: CellRecord) -> tuple[np.ndarray, RowKeys]:
@@ -288,9 +289,9 @@ class BaseFeatureExtractor:
         h, parts = self.horizon, []
         for cell in cells:
             n = len(cell.cycle_data)
-            if self.fixed_horizon and n < h:
+            if self.fixed_horizon and n < (h or 0):
                 raise FeatureError(f"{cell.cell_id}: needs >= {h} cycles, has {n}")
-            parts.append(self.process_cell(cell if h is None else cell.head(h)))
+            parts.append(self.process_cell(cell.head(h)))
         values = np.vstack([p[0] for p in parts])
         keys = RowKeys.concat([p[1] for p in parts])
         return FeatureMatrix(values=sanitize(values), row_keys=keys, col_names=list(self.col_names))

@@ -190,8 +190,7 @@ class SOCLabelAnnotator:
         self.horizon = None if self.max_cycle_index is None else self.max_cycle_index + 1
 
     def annotate(self, cells: list[CellRecord]) -> tuple[LabelVector, list[tuple[str, str]]]:
-        if self.horizon is not None:
-            cells = [cell.head(self.horizon) for cell in cells]
+        cells = [cell.head(self.horizon) for cell in cells]
         socs = [[soc_per_step(cell, idx) for idx in range(len(cell.cycle_data))] for cell in cells]
         keys = RowKeys.concat([RowKeys.steps(cell.cell_id, cell.cycle_data.cycle_number, list(map(len, soc)))
                                for cell, soc in zip(cells, socs)])

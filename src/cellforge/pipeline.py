@@ -44,6 +44,7 @@ import json
 import os
 import shutil
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -215,33 +216,19 @@ class PipelineConfig:
 
 
 def _accepts(factory, param: str) -> bool:
-    """Whether a registry factory's signature has the named parameter."""
+    """Whether a registry factory (None for an unknown name) has the named parameter."""
+    if factory is None:
+        return False
     sig = inspect.signature(factory)
     if param in sig.parameters:
         return True
     return any(p.kind is inspect.Parameter.VAR_KEYWORD for p in sig.parameters.values())
 
 
-def _with_overrides(spec: ComponentSpec, registry, overrides: dict) -> dict:
-    """Component params plus split-metadata overrides the factory accepts.
-
-    Explicit config values win over split metadata.
-    """
-    params = dict(spec.params)
-    factory = registry.get_factory(spec.name)
-    for key, value in overrides.items():
-        if value is None or key in params or factory is None:
-            continue
-        if _accepts(factory, key):
-            params[key] = value
-    return params
-
-
 def _model_params(spec: ComponentSpec, seeds) -> dict:
     """Constructor parameters of each seed that gets a fit of its own: every
     seed when the model takes a ``seed``, otherwise only the first."""
-    factory = MODELS.get_factory(spec.name)
-    if factory is not None and _accepts(factory, "seed"):
+    if _accepts(MODELS.get_factory(spec.name), "seed"):
         return {seed: {**spec.params, "seed": seed} for seed in seeds}
     return {seeds[0]: spec.params}
 
@@ -311,6 +298,9 @@ def _split_cells(config: PipelineConfig, cells):
     if cells is not None:
         ids = [c.cell_id for c in cells]
         by_id = dict(zip(ids, cells))
+        if len(by_id) < len(ids):
+            repeated = next(i for i, n in Counter(ids).items() if n > 1)
+            raise PipelineError(f"cell_id {repeated!r} is given more than once")
     elif cell_data_path is not None:
         by_id = cell_files(cell_data_path)
         ids = list(by_id)
@@ -330,10 +320,16 @@ def _label_and_featurize(config: PipelineConfig, split: SplitResult, **partition
     each, ``(features, y, excluded)``, where ``features`` is a matrix whose
     rows are the partition's label keys and ``y`` the labels in that order.
 
+    The run's components and cycle window are worked out here, once (see
+    "Cycle windows" in the README). A split's ``eol_soh`` is the annotator's
+    ``eol_soh_percent``, unless the label section sets one or it takes none.
+
     Each partition is a list the pipeline owns, of cell records or of cell
     files; it is emptied one cell at a time (see :func:`_take_partition`).
     """
-    label_params = _with_overrides(config.label, LABELS, {"eol_soh_percent": split.metadata.get("eol_soh")})
+    label_params, eol_soh = dict(config.label.params), split.metadata.get("eol_soh")
+    if eol_soh is not None and _accepts(LABELS.get_factory(config.label.name), "eol_soh_percent"):
+        label_params.setdefault("eol_soh_percent", eol_soh)
     annotator = LABELS.create(config.label.name, **label_params)
     extractor = FEATURES.create(config.feature.name, **config.feature.params)
     budget, horizon = split.metadata.get("observed_cycles"), getattr(extractor, "horizon", None)
@@ -342,43 +338,37 @@ def _label_and_featurize(config: PipelineConfig, split: SplitResult, **partition
         reads = "every cycle" if horizon is None else f"the first {horizon} cycles"
         raise FeatureError(f"{config.feature.name}: reads {reads}, "
                            f"past the observed-cycle budget of {budget}")
-    return {name: _take_partition(annotator, extractor, cells, name, budget)
+    cut = min((h for h in (horizon, budget) if h is not None), default=None)
+    label_h = getattr(annotator, "horizon", None)
+    head = None if None in (label_h, cut) else max(label_h, cut)
+    needs = (horizon or 0) if fixed else 0
+    return {name: _take_partition(annotator, extractor, cells, name, head, cut, needs)
             for name, cells in partitions.items()}
 
 
-def _take_partition(annotator, extractor, cells, partition: str, budget):
+def _take_partition(annotator, extractor, cells, partition: str, head, cut, needs):
     """The joined features, labels and exclusions of ``cells``, taken one
-    cell at a time: each is popped from ``cells`` (and a cell file read),
-    labelled, featurized when it got label rows, joined (:func:`_align`),
-    and dropped with all but its joined rows before the next is read. A
-    labelled cell shorter than a fixed-horizon extractor's ``horizon`` is
-    excluded with its reason, as the annotator excludes a cell. Every
-    row key carries its cell's ID, so the rows equal those of one join of
-    the whole partition. The extractor gets each cell cut at its
-    ``horizon`` and at the split's observed-cycle ``budget``, whichever is
-    fewer; the annotator reads its own ``horizon`` whatever the budget. When
-    both read a fixed number of leading cycles, they share one ``cell.head``
-    of the larger, so a column both read is decoded once; one that states no
-    ``horizon`` reads every cycle."""
+    cell at a time: each is popped from ``cells`` (and a cell file read), cut
+    to its first ``head`` cycles, labelled, featurized when it got label rows
+    (cut to ``cut``), joined (:func:`_align`), and dropped with all but its
+    joined rows before the next is read; a cut of None keeps every cycle. A
+    labelled cell shorter than ``needs`` is excluded with its reason, as the
+    annotator excludes a cell. Every row key carries its cell's ID, so the
+    rows equal those of one join of the whole partition."""
     joined, excluded = [], []
-    cut = min((h for h in (getattr(extractor, "horizon", None), budget) if h is not None), default=None)
-    label_h = getattr(annotator, "horizon", None)
-    h = None if None in (label_h, cut) else max(label_h, cut)
-    needs = cut if getattr(extractor, "fixed_horizon", False) else 0
     cells.reverse()  # pop from the end in the partition's order
     while cells:
         one = [cells.pop()]
         if not isinstance(one[0], CellRecord):
             one = [read_cell(one[0])]
-        if h is not None:
-            one = [one[0].head(h)]
+        one = [one[0].head(head)]
         labels, cell_excluded = annotator.annotate(one)
         excluded += [{"cell_id": cid, "reason": reason} for cid, reason in cell_excluded]
         n = len(one[0].cycle_data)  # a head of at least the extractor's horizon, when the cell has it
         if labels.row_keys and n < needs:
             excluded.append({"cell_id": one[0].cell_id, "reason": f"needs >= {needs} cycles, has {n}"})
         elif labels.row_keys:
-            features = extractor.extract(one if cut is None else [one[0].head(cut)])
+            features = extractor.extract([one[0].head(cut)])
             joined.append(_align(features, labels))
         del one  # so the next cell is read with this one gone
     if not joined:
@@ -459,8 +449,8 @@ def run_train(config, workspace=None, cells: list[CellRecord] | None = None) -> 
     """Train per config and persist a checkpoint; returns it with the report.
 
     ``cells`` short-circuits corpus loading (callers that already hold the
-    records in memory) and is left as it is; otherwise cells come from
-    ``cell_data_path``.
+    records in memory, each under its own ``cell_id``) and is left as it
+    is; otherwise cells come from ``cell_data_path``.
     """
     config = PipelineConfig.load(config)
     # built before the first cell is read, so a bad section fails at once

@@ -42,8 +42,9 @@ class SplitResult:
 
     ``metadata`` may carry task overrides consumed downstream, e.g.
     ``{"eol_soh": 90, "observed_cycles": 20}`` for early-prediction setups;
+    ``eol_soh``, the label's end-of-life SOH, is a number in (0, 100), and
     ``observed_cycles``, the cycles of each cell a feature extractor may
-    read, is an integer >= 1 (or None for every cycle).
+    read, an integer >= 1 (either None when unset).
     """
 
     train_cell_ids: tuple[str, ...]
@@ -62,11 +63,13 @@ class SplitResult:
             raise SplitError("empty train partition")
         if not self.test_cell_ids:
             raise SplitError("empty test partition")
-        if self.metadata.get("observed_cycles") is not None:
-            try:
+        try:
+            if self.metadata.get("observed_cycles") is not None:
                 integer("observed_cycles", self.metadata["observed_cycles"], 1)
-            except ValueError as exc:
-                raise SplitError(f"split metadata: {exc}") from None
+            if self.metadata.get("eol_soh") is not None:
+                number("eol_soh", self.metadata["eol_soh"], gt=0, lt=100)
+        except ValueError as exc:
+            raise SplitError(f"split metadata: {exc}") from None
 
     def to_dict(self) -> dict:
         return {

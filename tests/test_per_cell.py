@@ -21,14 +21,14 @@ from cellforge import battery_data, pipeline
 from cellforge.battery_data import write_cell
 from cellforge.cli import main
 from cellforge.errors import LabelError, PipelineError, SchemaError, ThresholdNotReached
-from cellforge.features import FeatureMatrix, RowKeys, VarianceModelFeatureExtractor
+from cellforge.features import (BaseFeatureExtractor, FeatureMatrix, RowKeys,
+                                VarianceModelFeatureExtractor)
 from cellforge.labels import RULLabelAnnotator, rul_label
 from cellforge.pipeline import (
     PipelineConfig,
     _align,
     _label_and_featurize,
     _split_cells,
-    _with_overrides,
     run_train,
 )
 from cellforge.registry import FEATURES, LABELS, register
@@ -84,10 +84,11 @@ def whole_corpus_label_and_featurize(config, split, **partitions):
     """The reference order: label every cell of every partition, then
     featurize every kept cell of each partition in one call, each cut at the
     extractor's ``horizon`` and the split's ``observed_cycles``, whichever is
-    fewer."""
+    fewer. No case here sets the split's ``eol_soh``, so the label section
+    alone builds the annotator."""
     meta = split.metadata
-    label_params = _with_overrides(config.label, LABELS, {"eol_soh_percent": meta.get("eol_soh")})
-    annotator = LABELS.create(config.label.name, **label_params)
+    assert meta.get("eol_soh") is None
+    annotator = LABELS.create(config.label.name, **config.label.params)
     extractor = FEATURES.create(config.feature.name, **config.feature.params)
     cut = min((h for h in (getattr(extractor, "horizon", None), meta.get("observed_cycles"))
                if h is not None), default=None)
@@ -123,20 +124,45 @@ class _CycleCountExtractor:
         return FeatureMatrix(np.array(values), RowKeys([[cell.cell_id, 1] for cell in cells]), self.col_names)
 
 
-# under an observed-cycle budget: a per-cycle extractor past it, a fixed-horizon one
-# within it, and a registered one with no horizon
+class _BaseCycleCountExtractor(BaseFeatureExtractor):
+    """A ``BaseFeatureExtractor`` subclass that states no ``horizon``: one row
+    per cell holding its number of cycles."""
+
+    col_names = ["cycles"]
+
+    def process_cell(self, cell):
+        return np.array([[len(cell.cycle_data)]]), RowKeys([[cell.cell_id, 1]])
+
+
+class _AnyLengthCycleCountExtractor(_BaseCycleCountExtractor):
+    """The same, taking the cycles a shorter cell has (``fixed_horizon``
+    False), so that a budget cuts it where it refuses the fixed one."""
+
+    fixed_horizon = False
+
+
+# with no budget, a subclass of BaseFeatureExtractor that states no horizon; under an
+# observed-cycle budget: a per-cycle extractor past it, a fixed-horizon one within it,
+# a registered one with no horizon, and a subclass with no horizon that is not fixed
+HORIZONLESS = [({"name": "RULLabelAnnotator"}, {"name": "BaseCycleCountExtractor"}, None)]
 BUDGETED = [
     ({"name": "SOHLabelAnnotator"}, {"name": "SOHCycleFeatureExtractor", "max_cycle_index": 30}, 20),
     ({"name": "RULLabelAnnotator"},
      {"name": "VoltageCapacityMatrixFeatureExtractor", "interp_dims": 8, "cycles_to_keep": 4}, 30),
     ({"name": "RULLabelAnnotator"}, {"name": "CycleCountExtractor"}, 20),
+    ({"name": "RULLabelAnnotator"}, {"name": "AnyLengthCycleCountExtractor"}, 20),
 ]
 
 
-@pytest.mark.parametrize("label, feature, budget", [(*pair, None) for pair in PAIRS] + BUDGETED,
-                         ids=PAIR_IDS + [f"{feature['name']}-budget-{b}" for _, feature, b in BUDGETED])
+@pytest.mark.parametrize("label, feature, budget",
+                         [(*pair, None) for pair in PAIRS] + HORIZONLESS + BUDGETED,
+                         ids=PAIR_IDS + [f"{feature['name']}-budget-{b}"
+                                         for _, feature, b in HORIZONLESS + BUDGETED])
 def test_per_cell_equals_whole_corpus(corpus, monkeypatch, label, feature, budget):
     monkeypatch.setitem(FEATURES._factories, "CycleCountExtractor", _CycleCountExtractor)
+    monkeypatch.setitem(FEATURES._factories, "BaseCycleCountExtractor", _BaseCycleCountExtractor)
+    monkeypatch.setitem(FEATURES._factories, "AnyLengthCycleCountExtractor",
+                        _AnyLengthCycleCountExtractor)
     split_section = {"name": "ExplicitTrainTestSplitter", "train_ids": TRAIN_IDS, "test_ids": TEST_IDS,
                      "metadata": {"observed_cycles": budget}}
     config = PipelineConfig.from_dict(make_config(label, feature, train_test_split=split_section))
@@ -159,8 +185,13 @@ def test_per_cell_equals_whole_corpus(corpus, monkeypatch, label, feature, budge
         assert excluded == want_excluded
     if label["name"] == "RULLabelAnnotator":
         assert [e["cell_id"] for name in got for e in got[name][2]] == ["NEVER_TRAIN", "NEVER_TEST"]
-    if feature["name"] == "CycleCountExtractor":  # every cell holds more cycles than the budget
-        assert {row[1] for name in got for row in got[name][0].values} == {budget}
+    if feature["name"] in ("CycleCountExtractor", "AnyLengthCycleCountExtractor"):
+        # every cell holds more cycles than the budget
+        assert {row[-1] for name in got for row in got[name][0].values} == {budget}
+    if feature["name"] == "BaseCycleCountExtractor":  # every cycle of each labelled cell
+        lengths = {cell.cell_id: len(cell.cycle_data) for cell in corpus}
+        assert [row[0] for name in got for row in got[name][0].values] == [
+            lengths[cell_id] for name in got for cell_id, _ in got[name][0].row_keys.cell_id]
     if budget and feature["name"] == "SOHCycleFeatureExtractor":  # 31 cycles cut to 20
         assert got["test"][0].row_keys.cell_id == [[cell_id, budget] for cell_id in TEST_IDS]
 

@@ -35,7 +35,8 @@ from cellforge.errors import (
     SplitError,
     TransformError,
 )
-from cellforge.features import MAX_POINTS, FeatureMatrix, RowKeys, VarianceModelFeatureExtractor
+from cellforge.features import (MAX_POINTS, BaseFeatureExtractor, FeatureMatrix, RowKeys,
+                                VarianceModelFeatureExtractor)
 from cellforge.ingestion import packaged_column_map_path
 from cellforge.labels import LabelSpec, LabelVector, rul_label
 from cellforge.models import BaseRegressor, LinearRegressor, load_model
@@ -48,6 +49,7 @@ from cellforge.pipeline import (
     _first_unordered,
     mae,
     read_features,
+    read_report,
     rmse,
     run_evaluate,
     run_train,
@@ -447,6 +449,38 @@ class _EveryCycleFixedExtractor(VarianceModelFeatureExtractor):
     horizon = None
 
 
+class _CycleCountExtractor(BaseFeatureExtractor):
+    """The simplest subclass: ``col_names`` and ``process_cell`` alone, one row
+    per cell holding its number of cycles."""
+
+    col_names = ["cycles"]
+
+    def process_cell(self, cell):
+        return np.array([[len(cell.cycle_data)]]), RowKeys([[cell.cell_id, 1]])
+
+
+@pytest.mark.parametrize("extractor", [_EveryCycleFixedExtractor, _CycleCountExtractor],
+                         ids=["fixed-without-horizon", "base-subclass"])
+def test_an_extractor_without_a_horizon_trains_with_no_budget(pipe_cells, pipe_corpus, tmp_path,
+                                                              monkeypatch, capsys, extractor):
+    # a horizon of None reads every cycle with no minimum; `cellforge train` of either
+    # ended in a TypeError traceback
+    monkeypatch.setitem(FEATURES._factories, "NoHorizon", extractor)
+    features = extractor().extract(pipe_cells)
+    assert features.values.shape == (len(pipe_cells), 1)
+    if extractor is _CycleCountExtractor:
+        assert features.values[:, 0].tolist() == [len(cell.cycle_data) for cell in pipe_cells]
+    cfg = make_config(feature={"name": "NoHorizon"})
+    cfg["train_test_split"]["cell_data_path"] = str(pipe_corpus)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert cli_main(["train", "--config", str(path), "--workspace", str(tmp_path / "ws")]) == 0
+    [checkpoint] = (tmp_path / "ws").iterdir()
+    assert cli_main(["evaluate", "--checkpoint", str(checkpoint)]) == 0
+    assert capsys.readouterr().err == ""
+    assert run_evaluate(checkpoint) == read_report(checkpoint)
+
+
 class TestRunTrain:
     def test_returns_checkpoint_with_report(self, trained):
         assert isinstance(trained, Checkpoint)
@@ -484,6 +518,19 @@ class TestRunTrain:
         assert report["sd_mae"] == float(maes.std())
         assert report["excluded"] == []
         assert "overrides" not in report
+
+    @pytest.mark.parametrize("splitter", ["explicit", "random"])
+    def test_a_cell_id_given_twice_is_refused(self, pipe_cells, tmp_path, splitter):
+        # with an explicit split, the second cell silently replaced the first
+        ids = [c.cell_id for c in pipe_cells]
+        twin = dataclasses.replace(pipe_cells[3], cell_id=ids[2])
+        cfg = make_config()
+        if splitter == "explicit":
+            cfg["train_test_split"] = {"name": "ExplicitTrainTestSplitter",
+                                       "train_ids": ids[:6], "test_ids": ids[6:]}
+        with pytest.raises(PipelineError, match=f"^cell_id '{ids[2]}' is given more than once$"):
+            run_train(cfg, workspace=tmp_path, cells=[*pipe_cells, twin])
+        assert not list(tmp_path.iterdir())
 
     def test_predictions_cover_test_cells_with_true_labels(self, trained, pipe_cells):
         by_id = {c.cell_id: c for c in pipe_cells}
@@ -822,17 +869,37 @@ class TestSplitMetadataOverrides:
         assert all(len(c.cycle_data) > 20 for c in pipe_cells)
         assert run_evaluate(ckpt.directory) == ckpt.report
 
-    def test_eol_soh_metadata_in_a_split_file_must_be_a_number(self, pipe_cells, tmp_path):
-        # a string threshold ended in a "'<' not supported" line naming nothing
+    def eol_soh_split_file(self, pipe_cells, tmp_path, eol_soh):
         ids = [c.cell_id for c in pipe_cells]
         split_file = tmp_path / "split.json"
         split_file.write_text(json.dumps(
-            {"train": ids[:6], "test": ids[6:], "metadata": {"eol_soh": "90"}}))
+            {"train": ids[:6], "test": ids[6:], "metadata": {"eol_soh": eol_soh}}))
+        return split_file
+
+    def test_eol_soh_metadata_in_a_split_file_must_be_a_number(self, pipe_cells, tmp_path):
+        # refused where the split is built, naming the split file, not the label parameter
+        split_file = self.eol_soh_split_file(pipe_cells, tmp_path, "90")
         cfg = make_config(
             train_test_split={"name": "FixedSplitTrainTestSplitter", "path": str(split_file)})
-        with pytest.raises(RegistryError, match=re.escape(
-                "label annotator 'RULLabelAnnotator': bad parameters: "
-                "eol_soh_percent must be a finite number, got '90'")):
+        with pytest.raises(SplitError, match=f"^{re.escape(str(split_file))}: split metadata: "
+                                             "eol_soh must be a finite number, got '90'$"):
+            run_train(cfg, workspace=tmp_path, cells=pipe_cells)
+
+    @pytest.mark.parametrize("label, eol_soh, reason", [
+        ("RULLabelAnnotator", 0, "must be > 0, got 0"),
+        ("RULLabelAnnotator", 100, "must be < 100, got 100"),
+        ("RULLabelAnnotator", True, "must be a finite number, got True"),
+        # an annotator that takes no threshold accepted any value before
+        ("SOHLabelAnnotator", "90", "must be a finite number, got '90'"),
+    ], ids=["zero", "hundred", "bool", "soh-label-string"])
+    def test_eol_soh_in_a_split_file_is_checked_where_the_split_is_built(
+            self, pipe_cells, tmp_path, label, eol_soh, reason):
+        split_file = self.eol_soh_split_file(pipe_cells, tmp_path, eol_soh)
+        cfg = make_config(
+            train_test_split={"name": "FixedSplitTrainTestSplitter", "path": str(split_file)},
+            label={"name": label})
+        with pytest.raises(SplitError, match=f"^{re.escape(str(split_file))}: split metadata: "
+                                             f"eol_soh {re.escape(reason)}$"):
             run_train(cfg, workspace=tmp_path, cells=pipe_cells)
 
     def test_a_feature_section_cannot_set_the_budget(self, pipe_cells, tmp_path):
