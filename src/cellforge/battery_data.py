@@ -48,18 +48,19 @@ its caller can still change, unless the code making it passes ``copy=False``:
 maps (a repeated block is a stride-0 view of its one stored value); it
 builds one record per file. A signal stored as second differences is held
 as that block, a :class:`~cellforge.container.Coded`, which is immutable
-and so never copied: :func:`read_cell` keeps its file's block, and the
-synthetic generator codes each signal it samples through
-:func:`~cellforge.container.stored_form`, the writer's rule, so a generated
-cell holds its columns as its file will. The reads that features and labels
-repeat, ``columns[name]``, a cycle view and ``maxima``, decode such a block
-into a new array the first time they read its column, and the cell keeps
-the array (``head`` cuts the block, and the cut cell keeps what they
-decode). :func:`validate` and ``==`` decode a coded column for that pass
-alone and leave the cell's block coded; :func:`write_cell` writes the block
-as it is, without decoding or coding it again, and pickling or copying
-hands it over as it is, so a corpus, generated or loaded, stays the size of
-its files once it is checked, written or copied. ``cycle_data`` still reads as
+and so never copied: :func:`read_cell` keeps its file's block, and leaves
+no page of the file resident but those read again; the synthetic generator
+codes each signal through :func:`~cellforge.container.stored_form`, the
+writer's rule, as it makes it, so a generated cell holds its columns as its
+file will. The reads that features repeat, ``columns[name]`` and a cycle
+view, decode such a block into a new array the first time they read its
+column, and the cell keeps the array (``head`` cuts the block, and the cut
+cell keeps what they decode). ``maxima``, :func:`validate` and ``==``
+decode a coded column for that pass alone and leave the cell's block
+coded; :func:`write_cell` writes the block as it is, without decoding or
+coding it again, and pickling or copying hands it over as it is, so a
+corpus, generated or loaded, stays the size of its files once it is
+labelled, checked, written or copied. ``cycle_data`` still reads as
 a sequence of :class:`CycleRecord`: its length comes from the offsets, and
 indexing or slicing builds records whose signals are views of the columns,
 anew on every access. ``cell.head(h)`` is the cell with its first ``h``
@@ -286,11 +287,11 @@ class _Columns(Mapping):
             column = self._columns[name] = column.decode()
         return column
 
-    def peek(self, name) -> np.ndarray:
-        """The column ``name`` for one pass over it: a plain column as it is,
-        and a coded one as a new decoded array that the cell does not keep."""
+    def peek(self, name, stop: int | None = None) -> np.ndarray:
+        """The column ``name``, or its first ``stop`` values, for one pass: a
+        plain column as it is, a coded one decoded into an array not kept."""
         column = self._columns[name]
-        return column.decode() if isinstance(column, Coded) else column
+        return column[:stop] if isinstance(column, np.ndarray) else column.head(stop).decode()
 
     def __contains__(self, name):
         return name in self._columns
@@ -314,10 +315,10 @@ class CycleData(tuple):
     A column held as a second-difference block, as :func:`read_cell` and
     the synthetic generator leave one, is decoded and kept the first time
     ``columns`` gives it, or a cycle view reads it; ``columns.peek(name)``,
-    which :func:`validate` and ``==`` read through, decodes it and keeps
-    nothing. :func:`write_cell` writes such a block as it is, and pickling
-    or copying hands it over as it is (a block pickles as its residuals and
-    escape values, a repeated column as its one value).
+    which ``maxima``, :func:`validate` and ``==`` read through, decodes it
+    and keeps nothing. :func:`write_cell` writes such a block as it is, and
+    pickling or copying hands it over as it is (a block pickles as its
+    residuals and escape values, a repeated column as its one value).
     ``cycle_number`` (int64), ``internal_resistance_in_ohm`` (float64, NaN
     where ``has_internal_resistance`` is False) and the two flags have one
     entry per cycle; ``extra`` maps a cycle index to that cycle's ``extra``
@@ -461,12 +462,12 @@ class CycleData(tuple):
 
     def maxima(self, name: str, start: int = 0, stop: int | None = None) -> np.ndarray:
         """The largest value of signal ``name`` in each cycle from ``start``
-        up to ``stop`` (exclusive; the last cycle by default). Raises
-        ValueError if one of them has no values."""
+        up to ``stop`` (exclusive; the last cycle by default), read through
+        ``columns.peek``. Raises ValueError if one of them has no values."""
         bounds = self.offsets[name][start : (len(self) if stop is None else stop) + 1]
         if not np.diff(bounds).all():
             raise ValueError(f"a cycle has no {name} values")
-        return np.maximum.reduceat(self.columns[name][: bounds[-1]], bounds[:-1])
+        return np.maximum.reduceat(self.columns.peek(name, int(bounds[-1])), bounds[:-1])
 
     def __len__(self):
         return len(self.offsets["time_in_s"]) - 1

@@ -283,7 +283,8 @@ def parse_blocks(data: bytes, header: dict, offset: int, error) -> dict:
     """The blocks of a container whose ``header`` :func:`read_header` read
     from ``data`` and whose first block starts at ``offset``, as
     :func:`parse_container` returns them, except that a second-difference
-    block is a :class:`Coded`, checked and not yet decoded.
+    block is a :class:`Coded`, checked and not yet decoded; the pages of an
+    ``mmap`` then leave memory, as checking read them (see :func:`_drop_pages`).
 
     A malformed block list (a key other than ``name``, ``shape``, ``dtype``,
     ``repeat``, ``delta`` and ``escapes``, a ``dtype`` other than ``<f8``,
@@ -362,7 +363,16 @@ def parse_blocks(data: bytes, header: dict, offset: int, error) -> dict:
         offset += size
     if offset != len(data):
         raise error(f"{len(data) - offset} bytes follow the last block")
+    _drop_pages(data)
     return blocks
+
+
+def _drop_pages(data) -> None:
+    """Take every page of ``data``, when it is an ``mmap``, out of memory; a
+    later read faults a page back in from the page cache of the same file, as
+    a file :func:`write_container` writes is replaced, never rewritten in place."""
+    if isinstance(data, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED"):
+        data.madvise(mmap.MADV_DONTNEED)
 
 
 class Coded:
@@ -409,21 +419,21 @@ class Coded:
     def __reduce__(self):
         return Coded, (self.body().tobytes(), 0, self.size, self.escapes)
 
-    def head(self, k: int) -> Coded:
+    def head(self, k: int | None) -> Coded:
         """The block of the first ``k`` elements, undecoded: ``k`` residuals
-        and the escape values of the escapes among them, which come first."""
+        and the escape values of the escapes among them, which come first;
+        the block itself when ``k`` is None or its length, as ``seq[:None]``."""
+        if k is None or k == self.size:
+            return self
         escapes = int(np.count_nonzero(self.residuals()[:k] == _ESCAPE))
         return Coded(self._data, self._offset, k, escapes, self._escapes_at)
 
     def decode(self) -> np.ndarray:
         """The block's float64 elements, a new read-only array: its second
         differences summed twice, modulo 2**64. When ``data`` is an
-        ``mmap``, the whole pages within the block's residuals and within
-        its escape values leave this process's memory, as the decoded array
-        is either kept by its reader or dropped after one pass; a later
-        decode faults them back in from the page cache of the same file,
-        since a file written by :func:`write_container` is replaced, never
-        rewritten in place."""
+        ``mmap``, its pages leave memory afterwards (see :func:`_drop_pages`),
+        as the decoded array is either kept by its reader or dropped after
+        one pass."""
         residuals, arr = self.residuals(), np.empty(self.size, dtype="<f8")
         second = arr.view(np.int64)
         np.copyto(second, residuals)
@@ -433,15 +443,7 @@ class Coded:
         bits = arr.view(np.uint64)
         np.cumsum(bits, dtype=np.uint64, out=bits)  # the first differences
         np.cumsum(bits, dtype=np.uint64, out=bits)  # the bits
-        if isinstance(self._data, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED"):
-            spans = [[self._offset, self._offset + self.size],
-                     [self._escapes_at, self._escapes_at + 8 * self.escapes]]
-            if spans[0][1] == spans[1][0]:  # a whole block: one span
-                spans = [[spans[0][0], spans[1][1]]]
-            for lo, hi in spans:
-                start, stop = -(-lo // mmap.PAGESIZE) * mmap.PAGESIZE, hi // mmap.PAGESIZE * mmap.PAGESIZE
-                if start < stop:
-                    self._data.madvise(mmap.MADV_DONTNEED, start, stop - start)
+        _drop_pages(self._data)
         arr.flags.writeable = False
         return arr
 

@@ -544,9 +544,9 @@ def read_report(checkpoint) -> dict:
 
 
 # The per-row columns of report["predictions"] besides its 'cell_id' runs, with the
-# types json.load gives the values training writes there: integer keys, and float
+# type json.load gives the values training writes there: integer keys, and float
 # labels and predictions (bool is its own type).
-_ROW_COLUMNS = {"cycle": (int,), "step": (int,), "y_true": (float,), "y_pred": (float,)}
+_ROW_COLUMNS = {"cycle": int, "step": int, "y_true": float, "y_pred": float}
 
 
 def _report_document(data: bytes) -> dict:
@@ -566,10 +566,10 @@ def _report_document(data: bytes) -> dict:
                and type(r[1]) is int and r[1] > 0 for r in runs):
         raise CheckpointError("'predictions' 'cell_id' must be [id, count] runs of a string ID "
                               "and a positive integer count")
-    for name, types in _ROW_COLUMNS.items():
-        if name in columns and not all(type(v) in types for v in columns[name]):
-            kind = "integers alone" if float not in types else "numbers alone, written as floats"
-            raise CheckpointError(f"'predictions' '{name}' must hold {kind}")
+    for name, kind in _ROW_COLUMNS.items():
+        if name in columns and not set(map(type, columns[name])) <= {kind}:
+            held = "integers alone" if kind is int else "numbers alone, written as floats"
+            raise CheckpointError(f"'predictions' '{name}' must hold {held}")
     rows = sum(count for _, count in runs)
     lengths = {name: len(columns[name]) for name in _ROW_COLUMNS if name in columns}
     if set(lengths.values()) != {rows}:

@@ -69,16 +69,15 @@ def _soh_series(cell: CellRecord) -> Series:
 
 
 def voltage_curve_series(cell: CellRecord) -> list[Series]:
-    """Per-cycle discharge curves: capacity on x, voltage on y."""
-    out = []
-    for cyc in cell.cycle_data:
-        current = np.asarray(cyc.current_in_A)
-        mask = current < 0
-        if np.count_nonzero(mask) < 2:
-            continue
-        q = np.asarray(cyc.discharge_capacity_in_Ah)[mask]
-        v = np.asarray(cyc.voltage_in_V)[mask]
-        out.append(Series(f"cycle {cyc.cycle_number}", q, v))
+    """Per-cycle discharge curves: capacity on x, voltage on y, each column
+    read once through ``columns.peek``, so the cell keeps nothing decoded."""
+    cycles, out = cell.cycle_data, []
+    current, q, v = map(cycles.columns.peek, ("current_in_A", "discharge_capacity_in_Ah", "voltage_in_V"))
+    bounds = cycles.offsets["current_in_A"].tolist()
+    for number, lo, hi in zip(cycles.cycle_number.tolist(), bounds, bounds[1:]):
+        mask = current[lo:hi] < 0
+        if np.count_nonzero(mask) >= 2:
+            out.append(Series(f"cycle {number}", q[lo:hi][mask], v[lo:hi][mask]))
     if not out:
         raise ConfigError(f"{cell.cell_id}: no cycle has a discharge segment to plot")
     return out

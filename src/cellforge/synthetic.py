@@ -21,8 +21,8 @@ Determinism: cell i uses the sub-seed ``seed XOR i`` (masked to 64 bits), so
 corpora are reproducible cell-by-cell regardless of generation order.
 
 A generated cell holds each sampled signal in the form its cell file stores
-it (:func:`cellforge.container.stored_form`), coded as soon as it is made,
-so a generated corpus takes about the memory of its files.
+it (:func:`cellforge.container.stored_form`), coded as soon as no later
+signal reads it, so a generated corpus takes about the memory of its files.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ _MIN_LIFE = 10
 _MAX_LIFE = MAX_CYCLE_NUMBER // 3  # _n_cycles numbers up to 3x the life
 
 _MASK64 = (1 << 64) - 1
-# the signals _cycle_columns returns, in its order
-_SAMPLED = ("time_in_s", "voltage_in_V", "current_in_A", "charge_capacity_in_Ah",
-            "discharge_capacity_in_Ah")
 MAX_CELLS = 10_000  # IDs SYN_0000-SYN_9999: four digits, so file-name order is index order
 
 
@@ -125,7 +122,8 @@ def _n_cycles(life: int, knee_fraction: float) -> int:
 
 def _cycle_columns(c_n, c0, v_min, v_max, ppc, rng, noise_sigma):
     """The signals of cycles with full capacities ``c_n``, one row per cycle:
-    CC charge at 1C, CV hold, CC discharge at 2C."""
+    CC charge at 1C, CV hold, CC discharge at 2C. Yields each as ``(name,
+    stored form)`` as soon as no later signal reads it, and drops its array."""
     n_cc = max(2, round(0.4 * ppc))
     n_cv = max(2, round(0.2 * ppc))
     n_dis = max(2, ppc - n_cc - n_cv)
@@ -135,33 +133,47 @@ def _cycle_columns(c_n, c0, v_min, v_max, ppc, rng, noise_sigma):
     t2 = 0.4 * c_n / c0  # CV hold; triangular current fills the last 20%
     t3 = 0.5 * c_n / c0  # CC discharge at 2C
     u = np.linspace(0.0, 1.0, n_cv + 1)[1:]  # CV progress; exact 1.0 at the end
-    t, v, i, qc, qd = (np.empty((len(c_n), n_cc + n_cv + n_dis)) for _ in range(5))
+    shape = (len(c_n), n_cc + n_cv + n_dis)
 
+    i = np.empty(shape)
+    i[:, cc] = c0
+    i[:, cv] = c0 * (1.0 - u)  # ends at exactly 0 A, never dips negative
+    i[:, ds] = -2.0 * c0
+    yield "current_in_A", stored_form(i.ravel())
+    del i
+
+    t = np.empty(shape)
     t[:, cc] = np.linspace(0.0, t1[:, 0], n_cc, axis=1)
     t[:, cv] = t1 + t2 * u
     t[:, ds] = np.linspace((t1 + t2)[:, 0], (t1 + t2 + t3)[:, 0], n_dis + 1, axis=1)[:, 1:]
 
-    i[:, cc] = c0
-    i[:, cv] = c0 * (1.0 - u)  # ends at exactly 0 A, never dips negative
-    i[:, ds] = -2.0 * c0
-
+    qc = np.empty(shape)
     qc[:, cc] = c0 * t[:, cc]
     qc[:, cv] = 0.8 * c_n + 0.2 * c_n * (2.0 * u - u * u)
     qc[:, cv.stop - 1] = c_n[:, 0]  # close the integral exactly
     qc[:, ds] = c_n
+    yield "charge_capacity_in_Ah", stored_form(qc.ravel())
+    del qc
 
+    qd = np.empty(shape)
     qd[:, : cv.stop] = 0.0
     qd[:, ds] = 2.0 * c0 * (t[:, ds] - (t1 + t2))
     qd[:, -1] = c_n[:, 0]  # close the integral exactly
+    charged = t[:, cc] / t1  # the share of the CC charge gone, which the voltage follows
+    t *= 3600.0
+    yield "time_in_s", stored_form(t.ravel())
+    del t
 
-    v[:, cc] = v_min + (v_max - v_min) * (t[:, cc] / t1)
+    v = np.empty(shape)
+    v[:, cc] = v_min + (v_max - v_min) * charged
     v[:, cv] = v_max
     v[:, ds] = v_max - (v_max - v_min) * (qd[:, ds] / c_n)
-
-    t *= 3600.0
+    del charged
+    yield "discharge_capacity_in_Ah", stored_form(qd.ravel())
+    del qd
     if noise_sigma > 0:
         v += rng.normal(0.0, noise_sigma, v.shape)
-    return t, v, i, qc, qd
+    yield "voltage_in_V", stored_form(v.ravel())
 
 
 def _fade(spec: SynthSpec, index: int) -> tuple[np.random.Generator, np.ndarray]:
@@ -193,14 +205,9 @@ def synthetic_cell(spec: SynthSpec, index: int) -> CellRecord:
     rng, soh = _fade(spec, index)
     n_cycles = len(soh)
     c0 = spec.nominal_capacity_in_Ah
-    signals = list(_cycle_columns(
-        c0 * soh, c0, spec.voltage_min_V, spec.voltage_max_V,
-        spec.points_per_cycle, rng, spec.noise_sigma,
-    ))
-    points = signals[0].shape[1]
-    columns = {}
-    for name in _SAMPLED:  # each in the form its cell file stores, its 2-D array dropped
-        columns[name] = stored_form(signals.pop(0).ravel())
+    points = spec.points_per_cycle
+    columns = dict(_cycle_columns(c0 * soh, c0, spec.voltage_min_V, spec.voltage_max_V,
+                                  points, rng, spec.noise_sigma))
     cycles = CycleData(
         np.arange(1, n_cycles + 1),
         {**columns, "temperature_in_C": np.broadcast_to(np.float64(30.0), n_cycles * points)},  # one value

@@ -1634,17 +1634,18 @@ MATR_CONFIGS = ["matr1_variance", "matr1_discharge_ridge"]
 
 # (config, the values one cell decodes in a train, from its offsets, and their sum on
 # pipe_cells: 1,274 cycles of 16 points, 100 cycles of each cell at offsets[100] and 10 at
-# offsets[10]). RUL and SOH labels decode discharge capacity whole; a feature then reads it
-# through that column, and two more columns to its horizon. SOC labels and the step feature
-# share one head at their common horizon: the labels decode charge and discharge capacity,
-# and the feature reads discharge capacity through that head and decodes three more columns.
+# offsets[10]). RUL and SOH labels decode discharge capacity whole and keep none of it; a
+# feature then decodes it again, and two more columns, to its horizon through its head. SOC
+# labels and the step feature share one head at their common horizon: the labels decode
+# charge and discharge capacity, and the feature reads discharge capacity through that head
+# and decodes three more columns.
 DECODES = [
-    ("synthetic_variance_linear", lambda offsets: [offsets[-1], offsets[100], offsets[100]],
-     1274 * 16 + 8 * 2 * 100 * 16),  # 45,984
-    ("synthetic_qdmatrix_forest", lambda offsets: [offsets[-1], offsets[10], offsets[10]],
-     1274 * 16 + 8 * 2 * 10 * 16),  # 22,944
-    ("synthetic_soh_mlp", lambda offsets: [offsets[-1], offsets[100], offsets[100]],
-     1274 * 16 + 8 * 2 * 100 * 16),  # 45,984
+    ("synthetic_variance_linear", lambda offsets: [offsets[-1]] + [offsets[100]] * 3,
+     1274 * 16 + 8 * 3 * 100 * 16),  # 58,784
+    ("synthetic_qdmatrix_forest", lambda offsets: [offsets[-1]] + [offsets[10]] * 3,
+     1274 * 16 + 8 * 3 * 10 * 16),  # 24,224
+    ("synthetic_soh_mlp", lambda offsets: [offsets[-1]] + [offsets[100]] * 3,
+     1274 * 16 + 8 * 3 * 100 * 16),  # 58,784
     ("soc_step", lambda offsets: [offsets[10]] * 5, 8 * 5 * 10 * 16),  # 6,400
 ]
 SOC_STEP_CONFIG = make_config(
