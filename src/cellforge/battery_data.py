@@ -702,12 +702,19 @@ def validate(cell: CellRecord) -> list[Violation]:
         out.append(Violation("cell_id", "must be a non-empty string"))
     if not (cell.nominal_capacity_in_Ah > 0):
         out.append(Violation("nominal_capacity_in_Ah", f"must be > 0, got {cell.nominal_capacity_in_Ah}"))
+    elif cell.nominal_capacity_in_Ah == math.inf:
+        out.append(Violation("nominal_capacity_in_Ah", "must be finite, got inf"))
     for name in ("depth_of_charge", "depth_of_discharge"):
         v = getattr(cell, name)
         if not (0.0 < v <= 1.0):
             out.append(Violation(name, f"must be within (0, 1], got {v}"))
     if cell.already_spent_cycles < 0:
         out.append(Violation("already_spent_cycles", "must be >= 0"))
+    for name in ("max_voltage_limit_in_V", "min_voltage_limit_in_V", "max_current_limit_in_A",
+                 "min_current_limit_in_A"):
+        v = getattr(cell, name)
+        if v is not None and not math.isfinite(v):
+            out.append(Violation(name, f"must be finite, got {v}"))
     if (
         cell.max_voltage_limit_in_V is not None
         and cell.min_voltage_limit_in_V is not None

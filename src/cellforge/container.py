@@ -188,9 +188,10 @@ def write_container(path, magic: bytes, header: dict, blocks, *, deflate: bool =
     of the blocks' first ``_TRIAL`` bytes smallest, and a :class:`Coded`
     block decoded; without it, a 1-D float64 block or a :class:`Coded` one
     is stored in its :func:`stored_form`, a :class:`Coded` form as its
-    residuals and escape values, copied as they are."""
+    residuals and escape values, copied as they are from a mapped file
+    whose pages then leave memory (see :func:`_drop_pages`)."""
     path = Path(path)
-    specs, stored = [], []
+    specs, stored, copied = [], [], []
     for name, arr in blocks:
         if not deflate and (isinstance(arr, Coded) or arr.ndim == 1 and _block_dtype(arr) == "<f8"):
             arr = stored_form(arr)
@@ -201,6 +202,7 @@ def write_container(path, magic: bytes, header: dict, blocks, *, deflate: bool =
             spec["escapes"] = arr.escapes
             specs.append(spec)
             stored.append(arr.body())
+            copied.append(arr)
             continue
         dtype = _block_dtype(arr)
         values, repeat = _stored(arr, dtype)
@@ -236,6 +238,8 @@ def write_container(path, magic: bytes, header: dict, blocks, *, deflate: bool =
         fh.write(payload)
         for values in body:
             fh.write(values)
+    for arr in copied:  # its pages leave memory once copied, as after a decode
+        _drop_pages(arr._data)
     os.replace(tmp, path)
     return path
 
@@ -381,7 +385,8 @@ class Coded:
     made by :meth:`head`, the first ``n`` elements of such a block, whose
     escape values start at ``escapes_at``. It is immutable: pickling or
     copying one copies its residuals and escape values alone, whether
-    ``data`` is a mapped file or bytes of its own."""
+    ``data`` is a mapped file, whose pages then leave memory, or bytes of
+    its own."""
 
     __slots__ = ("_data", "_offset", "_escapes_at", "shape", "escapes")
 
@@ -417,7 +422,9 @@ class Coded:
         return first == second
 
     def __reduce__(self):
-        return Coded, (self.body().tobytes(), 0, self.size, self.escapes)
+        body = self.body().tobytes()
+        _drop_pages(self._data)  # once copied, as after a decode
+        return Coded, (body, 0, self.size, self.escapes)
 
     def head(self, k: int | None) -> Coded:
         """The block of the first ``k`` elements, undecoded: ``k`` residuals

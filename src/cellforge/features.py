@@ -16,11 +16,12 @@ Conventions used throughout this module:
 Extractors registered for pipeline use share one shape of contract:
 ``process_cell(cell) -> (values (k, d), RowKeys of the k rows)`` and
 ``extract(cells) -> FeatureMatrix``; :class:`RowKeys` is the one form of row
-keys from an extractor or annotator to ``report.json``. Each states one
-``horizon``, the number of leading cycles it reads, and ``extract`` alone
-calls ``process_cell``, with ``cell.head(horizon)``: no extractor sees a
-cycle past its horizon, nor past a split's ``observed_cycles``, which the
-pipeline enforces for every extractor (:func:`cellforge.pipeline._label_and_featurize`).
+keys from an extractor or annotator to ``report.json``. Each states its
+``rows`` (``"cell"``, ``"cycle"`` or ``"step"``, the level of its row keys)
+and one ``horizon``, the number of leading cycles it reads; ``extract`` alone
+calls ``process_cell``, with ``cell.head(horizon)``: no extractor sees a cycle
+past its horizon, nor past a split's ``observed_cycles``, which the pipeline
+enforces for every extractor (:func:`cellforge.pipeline._label_and_featurize`).
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ def voltage_bounds(cell: CellRecord, v_min=None, v_max=None) -> tuple[float, flo
         raise FeatureError(
             f"{cell.cell_id}: voltage bounds unavailable (no cell limits; pass v_min/v_max)"
         )
+    if not np.isfinite([lo, hi]).all():
+        raise FeatureError(f"{cell.cell_id}: voltage bounds must be finite, got {lo} and {hi}")
     if not lo < hi:
         raise FeatureError(f"{cell.cell_id}: voltage bounds must satisfy v_min < v_max")
     return float(lo), float(hi)
@@ -271,14 +274,13 @@ class FeatureMatrix:
 class BaseFeatureExtractor:
     """Shared per-cell iteration, sanitization, and matrix assembly.
 
-    A subclass sets ``horizon``, the number of leading cycles it reads (by
-    default None, every cycle with no minimum); :meth:`extract` hands
-    :meth:`process_cell` only ``cell.head(horizon)``, and refuses a cell
-    shorter than it unless the extractor is per-cycle (``fixed_horizon`` False).
+    A subclass sets ``rows`` and ``horizon``, the number of leading cycles
+    it reads (by default None, every cycle with no minimum); :meth:`extract`
+    hands :meth:`process_cell` only ``cell.head(horizon)``, and refuses a cell
+    shorter than it when the extractor makes one row per cell.
     """
 
-    horizon = None
-    fixed_horizon = True
+    horizon = rows = None
 
     def process_cell(self, cell: CellRecord) -> tuple[np.ndarray, RowKeys]:
         raise NotImplementedError
@@ -289,7 +291,7 @@ class BaseFeatureExtractor:
         h, parts = self.horizon, []
         for cell in cells:
             n = len(cell.cycle_data)
-            if self.fixed_horizon and n < (h or 0):
+            if self.rows == "cell" and n < (h or 0):
                 raise FeatureError(f"{cell.cell_id}: needs >= {h} cycles, has {n}")
             parts.append(self.process_cell(cell.head(h)))
         values = np.vstack([p[0] for p in parts])
@@ -302,6 +304,7 @@ class VarianceModelFeatureExtractor(BaseFeatureExtractor):
     capacity-difference curve between two critical cycles."""
 
     col_names = ["log10_var_delta_qdlin"]
+    rows = "cell"
 
     def __init__(
         self,
@@ -432,6 +435,8 @@ class VoltageCapacityMatrixFeatureExtractor(BaseFeatureExtractor):
     flattened for tabular models.
     """
 
+    rows = "cell"
+
     def __init__(
         self,
         interp_dims: int = 1000,
@@ -514,7 +519,7 @@ class SOHCycleFeatureExtractor(BaseFeatureExtractor):
     """One row per (cell, cycle) of :func:`soh_cycle_features`."""
 
     col_names = SOH_CYCLE_COL_NAMES
-    fixed_horizon = False
+    rows = "cycle"
 
     def __init__(self, max_cycle_index: int | None = None):
         self.max_cycle_index = (
@@ -537,6 +542,8 @@ class SOCStepFeatureExtractor(SOHCycleFeatureExtractor):
     since the cycle's start, the previous cycle's qdlinear curve on
     ``n_qdlin`` (an integer >= 2) points, and a flag that is 1.0 on the
     first cycle, whose curve is zero-filled, so column names stay uniform."""
+
+    rows = "step"
 
     def __init__(
         self,
@@ -582,6 +589,7 @@ class CapacityFadeSlopeFeatureExtractor(BaseFeatureExtractor):
     """
 
     col_names = ["soh_slope_percent_per_cycle"]
+    rows = "cell"
 
     def __init__(self, first_cycle: int = 2, last_cycle: int = 99):
         self.first_cycle = integer("first_cycle", first_cycle)

@@ -13,8 +13,9 @@ is clamped to [0, 100] step by step: discharging lowers it by the discharged
 charge, charging raises it by the charged capacity. For discharge-only
 prefixes this reduces exactly to 100 * (C_full - Q_d(t)) / C_full.
 
-Like a feature extractor, each annotator states its ``horizon``: the number
-of leading cycles of a cell it reads, or None for every cycle.
+Like a feature extractor, each annotator states its ``rows``: ``"cell"``,
+``"cycle"`` or ``"step"``. It labels every cycle it is given: a train gives a
+per-row annotator the cycles its extractor reads, a per-cell one every cycle.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ class LabelSpec:
 
 def soh_per_cycle(cell: CellRecord) -> np.ndarray:
     """SOH percentage of every cycle, in cycle order."""
-    if not cell.nominal_capacity_in_Ah > 0:
-        raise LabelError(f"{cell.cell_id}: nominal capacity must be > 0")
+    if not 0 < cell.nominal_capacity_in_Ah < np.inf:
+        raise LabelError(f"{cell.cell_id}: nominal capacity must be finite and > 0, "
+                         f"got {cell.nominal_capacity_in_Ah}")
     if not cell.cycle_data:
         raise LabelError(f"{cell.cell_id}: no cycles")
     try:
@@ -150,7 +152,7 @@ class LabelVector:
 class RULLabelAnnotator:
     """One RUL label per cell; never-crossing cells are excluded with a reason."""
 
-    horizon = None
+    rows = "cell"
 
     def __init__(self, eol_soh_percent: float = EOL_SOH_PERCENT_DEFAULT, smoothing_window: int = 1):
         self.spec = LabelSpec(eol_soh_percent=eol_soh_percent, smoothing_window=smoothing_window)
@@ -169,7 +171,7 @@ class RULLabelAnnotator:
 class SOHLabelAnnotator:
     """One SOH label per (cell, cycle)."""
 
-    horizon = None
+    rows = "cycle"
 
     def annotate(self, cells: list[CellRecord]) -> tuple[LabelVector, list[tuple[str, str]]]:
         values = [soh_per_cycle(cell) for cell in cells]
@@ -179,18 +181,11 @@ class SOHLabelAnnotator:
 
 
 class SOCLabelAnnotator:
-    """One SOC label per (cell, cycle, step) of the cycles up to
-    ``max_cycle_index`` (a non-negative integer, or None for every cycle),
-    read through ``cell.head(horizon)`` alone, ``horizon`` being
-    ``max_cycle_index + 1``."""
+    """One SOC label per (cell, cycle, step)."""
 
-    def __init__(self, max_cycle_index: int | None = None):
-        self.max_cycle_index = (
-            None if max_cycle_index is None else integer("max_cycle_index", max_cycle_index))
-        self.horizon = None if self.max_cycle_index is None else self.max_cycle_index + 1
+    rows = "step"
 
     def annotate(self, cells: list[CellRecord]) -> tuple[LabelVector, list[tuple[str, str]]]:
-        cells = [cell.head(self.horizon) for cell in cells]
         socs = [[soc_per_step(cell, idx) for idx in range(len(cell.cycle_data))] for cell in cells]
         keys = RowKeys.concat([RowKeys.steps(cell.cell_id, cell.cycle_data.cycle_number, list(map(len, soc)))
                                for cell, soc in zip(cells, socs)])

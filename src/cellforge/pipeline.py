@@ -320,9 +320,9 @@ def _label_and_featurize(config: PipelineConfig, split: SplitResult, **partition
     each, ``(features, y, excluded)``, where ``features`` is a matrix whose
     rows are the partition's label keys and ``y`` the labels in that order.
 
-    The run's components and cycle window are worked out here, once (see
-    "Cycle windows" in the README). A split's ``eol_soh`` is the annotator's
-    ``eol_soh_percent``, unless the label section sets one or it takes none.
+    The run's components, their ``rows`` levels and cycle window are worked
+    out here, once (see "Cycle windows" in the README). A split's ``eol_soh``
+    is the annotator's ``eol_soh_percent``, unless the label section sets one or it takes none.
 
     Each partition is a list the pipeline owns, of cell records or of cell
     files; it is emptied one cell at a time (see :func:`_take_partition`).
@@ -332,16 +332,18 @@ def _label_and_featurize(config: PipelineConfig, split: SplitResult, **partition
         label_params.setdefault("eol_soh_percent", eol_soh)
     annotator = LABELS.create(config.label.name, **label_params)
     extractor = FEATURES.create(config.feature.name, **config.feature.params)
+    rows, label_rows = getattr(extractor, "rows", None), getattr(annotator, "rows", None)
+    if None not in (rows, label_rows) and rows != label_rows:
+        raise PipelineError(f"{config.feature.name} makes one row per {rows} and {config.label.name} "
+                            f"one per {label_rows}; a feature and a label must make rows of one level")
     budget, horizon = split.metadata.get("observed_cycles"), getattr(extractor, "horizon", None)
-    fixed = getattr(extractor, "fixed_horizon", False)
-    if budget is not None and fixed and (horizon is None or horizon > budget):
+    if budget is not None and rows == "cell" and (horizon is None or horizon > budget):
         reads = "every cycle" if horizon is None else f"the first {horizon} cycles"
         raise FeatureError(f"{config.feature.name}: reads {reads}, "
                            f"past the observed-cycle budget of {budget}")
     cut = min((h for h in (horizon, budget) if h is not None), default=None)
-    label_h = getattr(annotator, "horizon", None)
-    head = None if None in (label_h, cut) else max(label_h, cut)
-    needs = (horizon or 0) if fixed else 0
+    head = cut if label_rows in ("cycle", "step") else None
+    needs = (horizon or 0) if rows == "cell" else 0
     return {name: _take_partition(annotator, extractor, cells, name, head, cut, needs)
             for name, cells in partitions.items()}
 
@@ -364,7 +366,7 @@ def _take_partition(annotator, extractor, cells, partition: str, head, cut, need
         one = [one[0].head(head)]
         labels, cell_excluded = annotator.annotate(one)
         excluded += [{"cell_id": cid, "reason": reason} for cid, reason in cell_excluded]
-        n = len(one[0].cycle_data)  # a head of at least the extractor's horizon, when the cell has it
+        n = len(one[0].cycle_data)  # every cycle when there are needs: a per-cell label's head is None
         if labels.row_keys and n < needs:
             excluded.append({"cell_id": one[0].cell_id, "reason": f"needs >= {needs} cycles, has {n}"})
         elif labels.row_keys:
@@ -377,10 +379,8 @@ def _take_partition(annotator, extractor, cells, partition: str, head, cut, need
     X, y, keys = zip(*joined)
     keys = RowKeys.concat(keys)
     if not keys:
-        raise PipelineError(
-            "feature rows and label rows share no keys; feature and label "
-            "granularity (cell/cycle/step) must match"
-        )
+        raise PipelineError("feature rows and label rows share no keys; feature and label "
+                            "granularity (cell/cycle/step) must match")
     return FeatureMatrix(np.concatenate(X), keys, features.col_names), np.concatenate(y), excluded
 
 

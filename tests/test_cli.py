@@ -368,9 +368,9 @@ class TestTrainEvaluate:
         ("feature", {"name": "SOCStepFeatureExtractor", "n_qdlin": 1},
          "feature extractor 'SOCStepFeatureExtractor': bad parameters: "
          "n_qdlin must be an integer >= 2, got 1"),
+        # the SOC labels take no cycle cap of their own: the feature's is theirs
         ("label", {"name": "SOCLabelAnnotator", "max_cycle_index": 2.0},
-         "label annotator 'SOCLabelAnnotator': bad parameters: "
-         "max_cycle_index must be a non-negative integer, got 2.0"),
+         "label annotator 'SOCLabelAnnotator': bad parameters: SOCLabelAnnotator() takes no arguments"),
         ("feature", {"name": "CapacityFadeSlopeFeatureExtractor", "first_cycle": 2.5},
          "first_cycle must be a non-negative integer, got 2.5"),
         ("feature", {"name": "CapacityFadeSlopeFeatureExtractor", "last_cycle": -1},
@@ -556,7 +556,7 @@ class TestTrainEvaluate:
         ({"name": "VoltageCapacityMatrixFeatureExtractor", "interp_dims": 2**47},
          {"name": "RULLabelAnnotator"}),
         ({"name": "SOCStepFeatureExtractor", "n_qdlin": 2**47, "max_cycle_index": 1},
-         {"name": "SOCLabelAnnotator", "max_cycle_index": 1}),
+         {"name": "SOCLabelAnnotator"}),
     ], ids=["interp_dims", "n_qdlin"])
     def test_a_width_too_large_to_exist_is_one_line_error(
             self, corpus_dir, tmp_path, capsys, capped_address_space, feature, label):

@@ -207,6 +207,15 @@ class TestSmallHelpers:
         with pytest.raises(FeatureError, match="bounds unavailable"):
             voltage_bounds(cell)
 
+    @pytest.mark.parametrize("limit", ["min_voltage_limit_in_V", "max_voltage_limit_in_V"])
+    def test_voltage_bounds_must_be_finite(self, limit):
+        # an infinite bound made every qdlinear curve constant, so the variance feature read 0.0
+        cell = dataclasses.replace(make_cell(), **{limit: np.inf})
+        with pytest.raises(FeatureError, match=r"^CELL_A: voltage bounds must be finite, got "):
+            voltage_bounds(cell)
+        with pytest.raises(FeatureError, match="voltage bounds must be finite"):
+            VarianceModelFeatureExtractor(interp_dims=8, critical_cycles=(0, 0, 1)).extract([cell])
+
     def test_voltage_bounds_must_order(self):
         with pytest.raises(FeatureError, match="v_min < v_max"):
             voltage_bounds(make_cell(), 3.0, 3.0)
@@ -760,7 +769,7 @@ class TestHorizon:
         cell = synth_cells[0]
         short = dataclasses.replace(cell, cycle_data=cell.cycle_data[: h - 1])
         extractor.extract([cell])
-        if extractor.fixed_horizon:
+        if extractor.rows == "cell":  # a fixed horizon
             with pytest.raises(FeatureError, match=f"^{cell.cell_id}: needs >= {h} cycles, has {h - 1}$"):
                 extractor.extract([short])
             assert given == [h]

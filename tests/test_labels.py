@@ -86,6 +86,14 @@ class TestSOH:
         with pytest.raises(LabelError, match="nominal"):
             soh_per_cycle(cell)
 
+    @pytest.mark.parametrize("nominal", [np.inf, np.nan])
+    def test_requires_finite_nominal(self, nominal):
+        # an infinite nominal capacity made every SOH label 0
+        cell = dataclasses.replace(make_cell(), nominal_capacity_in_Ah=nominal)
+        with pytest.raises(LabelError, match=f"^CELL_A: nominal capacity must be finite and > 0, "
+                                             f"got {nominal}$"):
+            soh_per_cycle(cell)
+
 
 class TestMovingMedian:
     def test_window_one_is_identity(self):
@@ -293,12 +301,16 @@ class TestAnnotators:
         assert len(vec.values) == n_points
         assert vec.row_keys == RowKeys([["c", n_points]], [1] * n_points, range(n_points))
 
-    def test_soc_annotator_cycle_cap(self):
+    def test_soc_annotator_labels_the_cycles_it_is_given(self):
+        # it takes no cycle cap of its own: a train hands it the cycles its extractor reads
         cell = make_cell("c", caps=(1.0, 0.9, 0.8))
         vec_all, _ = SOCLabelAnnotator().annotate([cell])
-        vec_capped, _ = SOCLabelAnnotator(max_cycle_index=0).annotate([cell])
-        assert len(vec_capped.values) == len(vec_all.values) // 3
-        assert set(vec_capped.row_keys.cycle.tolist()) == {1}
+        vec_head, _ = SOCLabelAnnotator().annotate([cell.head(1)])
+        assert len(vec_head.values) == len(vec_all.values) // 3
+        assert set(vec_head.row_keys.cycle.tolist()) == {1}
+        np.testing.assert_array_equal(vec_head.values, vec_all.values[: len(vec_head.values)])
+        with pytest.raises(TypeError):
+            SOCLabelAnnotator(max_cycle_index=0)
 
     def test_label_vector_alignment_enforced(self):
         with pytest.raises(ValueError, match="align"):

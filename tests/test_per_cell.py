@@ -44,8 +44,7 @@ PAIRS = [
      {"name": "VoltageCapacityMatrixFeatureExtractor", "interp_dims": 8, "cycles_to_keep": 4}),
     ({"name": "RULLabelAnnotator"}, {"name": "CapacityFadeSlopeFeatureExtractor"}),
     ({"name": "SOHLabelAnnotator"}, {"name": "SOHCycleFeatureExtractor", "max_cycle_index": 30}),
-    ({"name": "SOCLabelAnnotator", "max_cycle_index": 2},
-     {"name": "SOCStepFeatureExtractor", "n_qdlin": 4, "max_cycle_index": 2}),
+    ({"name": "SOCLabelAnnotator"}, {"name": "SOCStepFeatureExtractor", "n_qdlin": 4, "max_cycle_index": 2}),
 ]
 PAIR_IDS = [f"{label['name']}-{feature['name']}" for label, feature in PAIRS]
 TRAIN_IDS = ["SYN_0000", "SYN_0001", "NEVER_TRAIN", "SYN_0002", "SYN_0003"]
@@ -125,8 +124,9 @@ class _CycleCountExtractor:
 
 
 class _BaseCycleCountExtractor(BaseFeatureExtractor):
-    """A ``BaseFeatureExtractor`` subclass that states no ``horizon``: one row
-    per cell holding its number of cycles."""
+    """A ``BaseFeatureExtractor`` subclass that states no ``horizon`` and no
+    ``rows``, so no fixed cycles: one row per cell holding its number of
+    cycles, which a budget cuts where it refuses a fixed extractor."""
 
     col_names = ["cycles"]
 
@@ -134,23 +134,16 @@ class _BaseCycleCountExtractor(BaseFeatureExtractor):
         return np.array([[len(cell.cycle_data)]]), RowKeys([[cell.cell_id, 1]])
 
 
-class _AnyLengthCycleCountExtractor(_BaseCycleCountExtractor):
-    """The same, taking the cycles a shorter cell has (``fixed_horizon``
-    False), so that a budget cuts it where it refuses the fixed one."""
-
-    fixed_horizon = False
-
-
 # with no budget, a subclass of BaseFeatureExtractor that states no horizon; under an
 # observed-cycle budget: a per-cycle extractor past it, a fixed-horizon one within it,
-# a registered one with no horizon, and a subclass with no horizon that is not fixed
+# a registered one with no horizon, and the subclass with no horizon, which is not fixed
 HORIZONLESS = [({"name": "RULLabelAnnotator"}, {"name": "BaseCycleCountExtractor"}, None)]
 BUDGETED = [
     ({"name": "SOHLabelAnnotator"}, {"name": "SOHCycleFeatureExtractor", "max_cycle_index": 30}, 20),
     ({"name": "RULLabelAnnotator"},
      {"name": "VoltageCapacityMatrixFeatureExtractor", "interp_dims": 8, "cycles_to_keep": 4}, 30),
     ({"name": "RULLabelAnnotator"}, {"name": "CycleCountExtractor"}, 20),
-    ({"name": "RULLabelAnnotator"}, {"name": "AnyLengthCycleCountExtractor"}, 20),
+    ({"name": "RULLabelAnnotator"}, {"name": "BaseCycleCountExtractor"}, 20),
 ]
 
 
@@ -161,8 +154,6 @@ BUDGETED = [
 def test_per_cell_equals_whole_corpus(corpus, monkeypatch, label, feature, budget):
     monkeypatch.setitem(FEATURES._factories, "CycleCountExtractor", _CycleCountExtractor)
     monkeypatch.setitem(FEATURES._factories, "BaseCycleCountExtractor", _BaseCycleCountExtractor)
-    monkeypatch.setitem(FEATURES._factories, "AnyLengthCycleCountExtractor",
-                        _AnyLengthCycleCountExtractor)
     split_section = {"name": "ExplicitTrainTestSplitter", "train_ids": TRAIN_IDS, "test_ids": TEST_IDS,
                      "metadata": {"observed_cycles": budget}}
     config = PipelineConfig.from_dict(make_config(label, feature, train_test_split=split_section))
@@ -185,10 +176,10 @@ def test_per_cell_equals_whole_corpus(corpus, monkeypatch, label, feature, budge
         assert excluded == want_excluded
     if label["name"] == "RULLabelAnnotator":
         assert [e["cell_id"] for name in got for e in got[name][2]] == ["NEVER_TRAIN", "NEVER_TEST"]
-    if feature["name"] in ("CycleCountExtractor", "AnyLengthCycleCountExtractor"):
+    if budget and feature["name"] in ("CycleCountExtractor", "BaseCycleCountExtractor"):
         # every cell holds more cycles than the budget
         assert {row[-1] for name in got for row in got[name][0].values} == {budget}
-    if feature["name"] == "BaseCycleCountExtractor":  # every cycle of each labelled cell
+    if not budget and feature["name"] == "BaseCycleCountExtractor":  # every cycle of each labelled cell
         lengths = {cell.cell_id: len(cell.cycle_data) for cell in corpus}
         assert [row[0] for name in got for row in got[name][0].values] == [
             lengths[cell_id] for name in got for cell_id, _ in got[name][0].row_keys.cell_id]

@@ -38,7 +38,7 @@ from cellforge.errors import (
 from cellforge.features import (MAX_POINTS, BaseFeatureExtractor, FeatureMatrix, RowKeys,
                                 VarianceModelFeatureExtractor)
 from cellforge.ingestion import packaged_column_map_path
-from cellforge.labels import LabelSpec, LabelVector, rul_label
+from cellforge.labels import LabelSpec, LabelVector, SOHLabelAnnotator, rul_label
 from cellforge.models import BaseRegressor, LinearRegressor, load_model
 from cellforge.pipeline import (
     DEFAULT_SEEDS,
@@ -360,19 +360,23 @@ class TestAlign:
                      if a[0] == b[0] and not a < b), None)
         assert _first_unordered(keys) == want
 
-    def test_a_train_whose_rows_share_no_keys_is_one_error_line(self, pipe_cells, tmp_path, capsys):
-        # per-cycle SOH labels and one variance row per cell: no cell joins a row
+    def test_a_train_whose_rows_share_no_keys_is_one_error_line(self, pipe_cells, tmp_path, capsys,
+                                                                monkeypatch):
+        # per-cell RUL labels and the per-step rows of an extractor that states no rows, so it
+        # is refused after the fact: no cell joins a row
+        monkeypatch.setitem(FEATURES._factories, "StepCurrentOfEveryCycle", _StepCurrentOfEveryCycle)
         corpus = tmp_path / "cells"
         corpus.mkdir()
         for cell in pipe_cells:
             write_cell(cell, corpus)
-        cfg = make_config(label={"name": "SOHLabelAnnotator"})
+        cfg = make_config(feature={"name": "StepCurrentOfEveryCycle"})
         cfg["train_test_split"]["cell_data_path"] = str(corpus)
         path = tmp_path / "config.yaml"
         path.write_text(yaml.safe_dump(cfg))
         assert cli_main(["train", "--config", str(path), "--workspace", str(tmp_path / "ws")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and "share no keys" in err
+        assert err == ("error: feature rows and label rows share no keys; feature and label "
+                       "granularity (cell/cycle/step) must match\n")
         assert not (tmp_path / "ws").exists()
 
 
@@ -385,8 +389,26 @@ def pipe_corpus(pipe_cells, tmp_path_factory):
     return corpus
 
 
+# The built-in extractors and annotators, and parameters that keep each small on the
+# pipe corpus; one added to the package is walked with its defaults unless named here.
+BUILT_IN = {kind: sorted(name for name in registry.names()
+                         if registry.get_factory(name).__module__.startswith("cellforge."))
+            for kind, registry in (("feature", FEATURES), ("label", LABELS))}
+SMALL = {
+    "VarianceModelFeatureExtractor": {"interp_dims": 8},
+    "DischargeModelFeatureExtractor": {"interp_dims": 8},
+    "FullModelFeatureExtractor": {"interp_dims": 8},
+    "VoltageCapacityMatrixFeatureExtractor": {"interp_dims": 4, "max_cycle_index": 9, "cycles_to_keep": 10},
+    "SOHCycleFeatureExtractor": {"max_cycle_index": 9},
+    "SOCStepFeatureExtractor": {"n_qdlin": 4, "max_cycle_index": 2},
+}
+# Each level of `rows`, and the key columns past `cell_id` that report.json holds at it.
+LEVELS = {"cell": set(), "cycle": {"cycle"}, "step": {"cycle", "step"}}
+
+
 class TestConfigRefusedBeforeReading:
-    """A bad model or transformation section fails before the first cell is read."""
+    """A bad model or transformation section, or a feature and a label of
+    different row levels, fails before the first cell is read."""
 
     def train(self, corpus, tmp_path, monkeypatch, **sections):
         reads = []
@@ -441,6 +463,34 @@ class TestConfigRefusedBeforeReading:
         assert capsys.readouterr().err == (f"error: {feature['name']}: reads {what}, "
                                            f"past the observed-cycle budget of {budget}\n")
         assert not (tmp_path / "ws").exists()
+
+    def test_every_built_in_component_states_its_rows(self):
+        for kind, registry in (("feature", FEATURES), ("label", LABELS)):
+            assert BUILT_IN[kind]
+            for name in BUILT_IN[kind]:
+                assert getattr(registry.get_factory(name), "rows", None) in LEVELS, name
+
+    @pytest.mark.parametrize("feature, label",
+                             [(f, lb) for f in BUILT_IN["feature"] for lb in BUILT_IN["label"]])
+    def test_every_pair_trains_or_reads_no_cell(self, pipe_corpus, tmp_path, monkeypatch, capsys,
+                                                feature, label):
+        # the pairs of one level train and evaluate; each other pair failed only once every
+        # training cell was read, labelled and featurized
+        rows, label_rows = FEATURES.get_factory(feature).rows, LABELS.get_factory(label).rows
+        code, reads = self.train(pipe_corpus, tmp_path, monkeypatch, seeds=[0], label={"name": label},
+                                 feature={"name": feature, **SMALL.get(feature, {})})
+        err = capsys.readouterr().err
+        if rows != label_rows:
+            assert (code, reads) == (1, [])
+            assert err == (f"error: {feature} makes one row per {rows} and {label} one per "
+                           f"{label_rows}; a feature and a label must make rows of one level\n")
+            assert not (tmp_path / "ws").exists()
+            return
+        assert (code, err) == (0, "") and sorted(reads) == sorted(pipe_corpus.iterdir())
+        [checkpoint] = (tmp_path / "ws").iterdir()
+        report = read_report(checkpoint)
+        assert run_evaluate(checkpoint) == report
+        assert set(report["predictions"]) - {"cell_id", "y_true", "y_pred"} == LEVELS[rows]
 
 
 class _EveryCycleFixedExtractor(VarianceModelFeatureExtractor):
@@ -1018,7 +1068,7 @@ def walk_start(name: str, corpus: Path, split_file: Path) -> dict:
     ids = sorted(p.stem for p in corpus.glob("*.cfc"))
     soh_feature = {"name": "SOHCycleFeatureExtractor", "max_cycle_index": 9}
     soc_feature = {"name": "SOCStepFeatureExtractor", "n_qdlin": 4, "max_cycle_index": 9}
-    soc_label = {"name": "SOCLabelAnnotator", "max_cycle_index": 9}
+    soc_label = {"name": "SOCLabelAnnotator"}
     return {
         "VarianceModelFeatureExtractor": {"feature": {"interp_dims": 8}},
         "DischargeModelFeatureExtractor": {"feature": {"interp_dims": 8}},
@@ -1417,7 +1467,7 @@ class TestRunEvaluate:
         cfg = make_config(
             train_test_split={"name": "RandomTrainTestSplitter", "test_fraction": 0.4, "seed": 3},
             feature={"name": "SOCStepFeatureExtractor", "n_qdlin": 4, "max_cycle_index": 2},
-            label={"name": "SOCLabelAnnotator", "max_cycle_index": 2},
+            label={"name": "SOCLabelAnnotator"},
         )
         ckpt = run_train(cfg, workspace=tmp_path, cells=cells)
         rows = prediction_rows(ckpt.report["predictions"])
@@ -1468,7 +1518,7 @@ def row_checkpoints(row_cells, tmp_path_factory):
                            feature={"name": "SOHCycleFeatureExtractor", "max_cycle_index": 9}),
         "soc": make_config(train_test_split=split,
                            feature={"name": "SOCStepFeatureExtractor", "n_qdlin": 4, "max_cycle_index": 2},
-                           label={"name": "SOCLabelAnnotator", "max_cycle_index": 2}),
+                           label={"name": "SOCLabelAnnotator"}),
     }
     return {kind: run_train(cfg, workspace=tmp_path_factory.mktemp(f"ws_{kind}"), cells=row_cells)
             for kind, cfg in configs.items()}
@@ -1634,24 +1684,24 @@ MATR_CONFIGS = ["matr1_variance", "matr1_discharge_ridge"]
 
 # (config, the values one cell decodes in a train, from its offsets, and their sum on
 # pipe_cells: 1,274 cycles of 16 points, 100 cycles of each cell at offsets[100] and 10 at
-# offsets[10]). RUL and SOH labels decode discharge capacity whole and keep none of it; a
-# feature then decodes it again, and two more columns, to its horizon through its head. SOC
-# labels and the step feature share one head at their common horizon: the labels decode
-# charge and discharge capacity, and the feature reads discharge capacity through that head
-# and decodes three more columns.
+# offsets[10]). RUL labels decode discharge capacity whole and keep none of it; a feature
+# then decodes it again, and two more columns, to its horizon through its head. Per-cycle
+# and per-step labels are handed the feature's head: SOH labels decode discharge capacity
+# to the horizon and keep none of it, and the SOH feature decodes it and two more columns
+# there again; the SOC labels decode charge and discharge capacity, and the step feature
+# reads discharge capacity through that head and decodes three more columns.
 DECODES = [
     ("synthetic_variance_linear", lambda offsets: [offsets[-1]] + [offsets[100]] * 3,
      1274 * 16 + 8 * 3 * 100 * 16),  # 58,784
     ("synthetic_qdmatrix_forest", lambda offsets: [offsets[-1]] + [offsets[10]] * 3,
      1274 * 16 + 8 * 3 * 10 * 16),  # 24,224
-    ("synthetic_soh_mlp", lambda offsets: [offsets[-1]] + [offsets[100]] * 3,
-     1274 * 16 + 8 * 3 * 100 * 16),  # 58,784
+    ("synthetic_soh_mlp", lambda offsets: [offsets[100]] * 4, 8 * 4 * 100 * 16),  # 51,200
     ("soc_step", lambda offsets: [offsets[10]] * 5, 8 * 5 * 10 * 16),  # 6,400
 ]
 SOC_STEP_CONFIG = make_config(
     train_test_split={"name": "RandomTrainTestSplitter", "test_fraction": 0.2, "seed": 0},
     feature={"name": "SOCStepFeatureExtractor", "n_qdlin": 4, "max_cycle_index": 9},
-    label={"name": "SOCLabelAnnotator", "max_cycle_index": 9}, seeds=[0])
+    label={"name": "SOCLabelAnnotator"}, seeds=[0])
 
 
 class TestShippedConfigs:
@@ -1716,12 +1766,39 @@ class _StepCurrentOfEveryCycle:
 def test_an_extractor_without_a_horizon_sees_every_cycle(pipe_cells, tmp_path, monkeypatch):
     monkeypatch.setitem(FEATURES._factories, "StepCurrentOfEveryCycle", _StepCurrentOfEveryCycle)
     _StepCurrentOfEveryCycle.seen.clear()
-    cfg = {**SOC_STEP_CONFIG, "feature": {"name": "StepCurrentOfEveryCycle"},
-           "label": {"name": "SOCLabelAnnotator", "max_cycle_index": 2}}
+    cfg = {**SOC_STEP_CONFIG, "feature": {"name": "StepCurrentOfEveryCycle"}}
     ckpt = run_train(cfg, workspace=tmp_path, cells=pipe_cells)
-    assert sorted(_StepCurrentOfEveryCycle.seen) == sorted(len(cell.cycle_data) for cell in pipe_cells)
+    lengths = {cell.cell_id: len(cell.cycle_data) for cell in pipe_cells}
+    assert sorted(_StepCurrentOfEveryCycle.seen) == sorted(lengths.values())
     rows = prediction_rows(ckpt.report["predictions"])
-    assert len(rows) == len({row["cell_id"] for row in rows}) * 3 * 16  # the labelled steps alone
+    assert len(rows) == sum(lengths[cell_id] * 16 for cell_id in {row["cell_id"] for row in rows})
+
+
+class _SOHLabelsOfWhatIsGiven:
+    """A registered annotator that states no ``rows``: the per-cycle SOH
+    labels of the cycles it is handed."""
+
+    def annotate(self, cells):
+        return SOHLabelAnnotator().annotate(cells)
+
+
+@pytest.mark.parametrize("label", ["SOHLabelAnnotator", "SOHLabelsOfWhatIsGiven"])
+def test_an_annotator_is_handed_the_cycles_its_rows_need(pipe_cells, tmp_path, monkeypatch, label):
+    # a per-cycle annotator is handed the extractor's head; one that states no rows every cycle
+    monkeypatch.setitem(LABELS._factories, "SOHLabelsOfWhatIsGiven", _SOHLabelsOfWhatIsGiven)
+    given, annotate = [], SOHLabelAnnotator.annotate
+
+    def spy(self, cells):
+        given.extend(len(cell.cycle_data) for cell in cells)
+        return annotate(self, cells)
+
+    monkeypatch.setattr(SOHLabelAnnotator, "annotate", spy)
+    cfg = make_config(feature={"name": "SOHCycleFeatureExtractor", "max_cycle_index": 9},
+                      label={"name": label}, seeds=[0])
+    ckpt = run_train(cfg, workspace=tmp_path, cells=pipe_cells)
+    every = sorted(len(cell.cycle_data) for cell in pipe_cells)
+    assert sorted(given) == (every if label == "SOHLabelsOfWhatIsGiven" else [10] * len(pipe_cells))
+    assert ckpt.report["predictions"]["cycle"] == list(range(1, 11)) * 2
 
 
 def test_the_readme_extractor_trains_and_evaluates(pipe_cells, tmp_path, monkeypatch):
