@@ -52,15 +52,16 @@ and so never copied: :func:`read_cell` keeps its file's block, and leaves
 no page of the file resident but those read again; the synthetic generator
 codes each signal through :func:`~cellforge.container.stored_form`, the
 writer's rule, as it makes it, so a generated cell holds its columns as its
-file will. The reads that features repeat, ``columns[name]`` and a cycle
-view, decode such a block into a new array the first time they read its
-column, and the cell keeps the array (``head`` cuts the block, and the cut
-cell keeps what they decode). ``maxima``, :func:`validate` and ``==``
-decode a coded column for that pass alone and leave the cell's block
-coded; :func:`write_cell` writes the block as it is, without decoding or
-coding it again, and pickling or copying hands it over as it is, so a
+file will. One rule reads such a block: ``columns[name]``, which
+``maxima``, :func:`validate`, ``==`` and the plots read through, decodes
+it into a new array for that read alone, and only a cycle view keeps what
+it decodes: the first signal it reads of a coded column decodes the whole
+column, and the cell keeps the array, so a pass over the cycles decodes
+each signal once (``head`` cuts the block, so nothing past the cut is
+decoded). :func:`write_cell` writes the block as it is, without decoding
+or coding it again, and pickling or copying hands it over as it is, so a
 corpus, generated or loaded, stays the size of its files once it is
-labelled, checked, written or copied. ``cycle_data`` still reads as
+labelled, checked, plotted, written or copied. ``cycle_data`` still reads as
 a sequence of :class:`CycleRecord`: its length comes from the offsets, and
 indexing or slicing builds records whose signals are views of the columns,
 anew on every access. ``cell.head(h)`` is the cell with its first ``h``
@@ -206,8 +207,10 @@ class ProtocolStep:
 class _Signal:
     """A signal field of :class:`CycleRecord`, a non-data descriptor. A record
     holds each signal in its ``__dict__``, which hides the descriptor, except
-    a cycle view of a column not yet decoded: there the first read slices the
-    cell's column, which decodes it, and the record keeps the slice."""
+    a cycle view of a column not yet decoded: there the first read decodes
+    the cell's column, which the cell keeps (the one read that keeps what it
+    decodes, so a pass over the cycles decodes each signal once), and the
+    record keeps its slice."""
 
     def __init__(self, default):
         self.default = default
@@ -219,8 +222,10 @@ class _Signal:
         if record is None:
             return self.default  # the dataclass field's default
         cycles, i = record.__dict__["_view_of"]
-        off = cycles.offsets[self.name]
-        value = record.__dict__[self.name] = cycles.columns[self.name][off[i] : off[i + 1]]
+        columns, off = cycles.columns._columns, cycles.offsets[self.name]
+        if isinstance(columns[self.name], Coded):  # the one read that keeps what it decodes
+            columns[self.name] = columns[self.name].decode()
+        value = record.__dict__[self.name] = columns[self.name][off[i] : off[i + 1]]
         return value
 
 
@@ -233,7 +238,8 @@ class CycleRecord:
     optional per source; internal resistance is an optional per-cycle scalar.
     Built directly, a record holds a read-only float64 copy of each signal
     passed in; ``cell.cycle_data[i]`` returns one whose signals are views of
-    the cell's columns, a column not yet decoded sliced when first read.
+    the cell's columns: a coded column is decoded when a view first reads
+    it, and the cell keeps the array.
     """
 
     cycle_number: int
@@ -274,24 +280,16 @@ class CycleRecord:
 
 
 class _Columns(Mapping):
-    """A cell's columns by signal name. A column held as a second-difference
-    block is decoded the first time ``columns[name]`` reads it, and the array
-    kept; :meth:`peek` decodes it anew on each call and keeps nothing."""
+    """A cell's columns by signal name. ``columns[name]`` gives a plain
+    column as it is, and a column held as a second-difference block decoded
+    into a new array for that read alone: it keeps nothing."""
 
     def __init__(self, columns: dict):
         self._columns = columns
 
     def __getitem__(self, name) -> np.ndarray:
         column = self._columns[name]
-        if isinstance(column, Coded):
-            column = self._columns[name] = column.decode()
-        return column
-
-    def peek(self, name, stop: int | None = None) -> np.ndarray:
-        """The column ``name``, or its first ``stop`` values, for one pass: a
-        plain column as it is, a coded one decoded into an array not kept."""
-        column = self._columns[name]
-        return column[:stop] if isinstance(column, np.ndarray) else column.head(stop).decode()
+        return column.decode() if isinstance(column, Coded) else column
 
     def __contains__(self, name):
         return name in self._columns
@@ -313,10 +311,11 @@ class CycleData(tuple):
     a cell file's ``points`` block; temperature's bounds, derived from it,
     skip the cycles not flagged in ``has_temperature``.
     A column held as a second-difference block, as :func:`read_cell` and
-    the synthetic generator leave one, is decoded and kept the first time
-    ``columns`` gives it, or a cycle view reads it; ``columns.peek(name)``,
-    which ``maxima``, :func:`validate` and ``==`` read through, decodes it
-    and keeps nothing. :func:`write_cell` writes such a block as it is, and
+    the synthetic generator leave one, is decoded anew by each read of
+    ``columns[name]``, which ``maxima``, :func:`validate` and ``==`` read
+    through, and the cell keeps nothing; only a cycle view keeps what it
+    decodes, the whole column, the first time it reads one of its signals.
+    :func:`write_cell` writes such a block as it is, and
     pickling or copying hands it over as it is (a block pickles as its
     residuals and escape values, a repeated column as its one value).
     ``cycle_number`` (int64), ``internal_resistance_in_ohm`` (float64, NaN
@@ -463,11 +462,13 @@ class CycleData(tuple):
     def maxima(self, name: str, start: int = 0, stop: int | None = None) -> np.ndarray:
         """The largest value of signal ``name`` in each cycle from ``start``
         up to ``stop`` (exclusive; the last cycle by default), read through
-        ``columns.peek``. Raises ValueError if one of them has no values."""
+        ``head(stop).columns``, so that a coded column is decoded up to
+        ``stop`` alone and kept nowhere. Raises ValueError if one of them has
+        no values."""
         bounds = self.offsets[name][start : (len(self) if stop is None else stop) + 1]
         if not np.diff(bounds).all():
             raise ValueError(f"a cycle has no {name} values")
-        return np.maximum.reduceat(self.columns.peek(name, int(bounds[-1])), bounds[:-1])
+        return np.maximum.reduceat(self.head(stop).columns[name], bounds[:-1])
 
     def __len__(self):
         return len(self.offsets["time_in_s"]) - 1
@@ -513,7 +514,7 @@ class CycleData(tuple):
             and np.array_equal(self.internal_resistance_in_ohm[has_r], other.internal_resistance_in_ohm[has_r])
             and self.extra == other.extra
             and np.array_equal(self.offsets["time_in_s"], other.offsets["time_in_s"])
-            and all(np.array_equal(self.columns.peek(name), other.columns.peek(name)) for name in _SIGNAL_FIELDS)
+            and all(np.array_equal(self.columns[name], other.columns[name]) for name in _SIGNAL_FIELDS)
         )
 
     def __ne__(self, other):
@@ -645,7 +646,7 @@ def _validate_cycles(cycles: CycleData, out: list):
     descending = numbers <= np.concatenate(([0], numbers[:-1]))
     non_finite, backwards = {}, {}
     for name in _SIGNAL_FIELDS:
-        column = cols.peek(name)  # one decode per call, dropped before the next signal's
+        column = cols[name]  # one decode per call, dropped before the next signal's
         non_finite[name] = _flag_cycles(~np.isfinite(column), offs[name], n)
         if name in _FORWARD:
             with np.errstate(invalid="ignore", over="ignore"):  # steps of non-finite cycles are not reported

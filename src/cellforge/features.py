@@ -134,18 +134,6 @@ def coulombic_efficiency(cycle: CycleRecord) -> float:
     return float(qd[-1] / (qc[-1] + COULOMBIC_EPS))
 
 
-def _coulombic_efficiencies(cycles: CycleData, start: int, stop: int) -> np.ndarray:
-    """:func:`coulombic_efficiency` of cycles ``start`` to ``stop - 1``, from
-    the last value of each cycle in the capacity columns."""
-    bounds = cycles.offsets["time_in_s"][start : stop + 1]
-    empty = np.flatnonzero(np.diff(bounds) == 0)
-    if empty.size:
-        raise FeatureError(f"cycle {cycles.cycle_number[start + empty[0]]}: empty capacity sequences")
-    qd = cycles.columns["discharge_capacity_in_Ah"][bounds[1:] - 1]
-    qc = cycles.columns["charge_capacity_in_Ah"][bounds[1:] - 1]
-    return qd / (qc + COULOMBIC_EPS)
-
-
 def estimate_internal_resistance(cycle: CycleRecord) -> float:
     """|dV/dI| across the largest current step within the cycle.
 
@@ -390,9 +378,10 @@ class FullModelFeatureExtractor(DischargeModelFeatureExtractor):
         return max(*self.critical_cycles, self.CHARGE_TIME_CYCLES[1], self.INTEGRAL_CYCLES[1]) + 1
 
     @staticmethod
-    def _charge_times(cycles, lo, hi):
-        """Per cycle lo..hi, the time from its first to its last charging
-        (current > 0) sample; NaN for a cycle with fewer than two."""
+    def _charge_times(cycles, t, lo, hi):
+        """Per cycle lo..hi, the time (from the column ``t``) from its first
+        to its last charging (current > 0) sample; NaN for a cycle with fewer
+        than two."""
         bounds = cycles.offsets["time_in_s"][lo : hi + 2]
         pos = np.flatnonzero(cycles.columns["current_in_A"][bounds[0] : bounds[-1]] > 0) + bounds[0]
         cyc = np.searchsorted(bounds, pos, side="right") - 1
@@ -400,27 +389,27 @@ class FullModelFeatureExtractor(DischargeModelFeatureExtractor):
         last = np.searchsorted(cyc, np.arange(len(bounds) - 1), side="right") - 1
         ok = last > first
         times = np.full(len(bounds) - 1, np.nan)
-        t = cycles.columns["time_in_s"]
         times[ok] = t[pos[last[ok]]] - t[pos[first[ok]]]
         return times
 
     def process_cell(self, cell):
-        lo, hi = self.CHARGE_TIME_CYCLES
-        base = self._discharge_vector(cell)
-        mean_ct = float(np.mean(self._charge_times(cell.cycle_data, lo, hi)))
+        cycles, (lo, hi) = cell.cycle_data, self.CHARGE_TIME_CYCLES
+        base = self._discharge_vector(cell)  # its cycle views decode current, and the cell keeps it
+        t = cycles.columns["time_in_s"]  # read once, for the charge times and the integral
+        mean_ct = float(np.mean(self._charge_times(cycles, t, lo, hi)))
 
         lo_i, hi_i = self.INTEGRAL_CYCLES
-        integral = 0.0
-        for cyc in cell.cycle_data[lo_i : hi_i + 1]:
+        off, integral = cycles.offsets["time_in_s"], 0.0
+        for i, cyc in enumerate(cycles[lo_i : hi_i + 1], lo_i):
             if cyc.temperature_in_C is None:
                 integral = np.nan
                 break
-            integral += np.trapezoid(np.asarray(cyc.temperature_in_C), np.asarray(cyc.time_in_s))
+            integral += np.trapezoid(np.asarray(cyc.temperature_in_C), t[off[i] : off[i + 1]])
         with np.errstate(divide="ignore", invalid="ignore"):
             log_integral = np.log10(abs(integral))
 
-        resistances = cell.cycle_data.internal_resistance_in_ohm[lo_i : hi_i + 1]
-        present = cell.cycle_data.has_internal_resistance[lo_i : hi_i + 1]
+        resistances = cycles.internal_resistance_in_ohm[lo_i : hi_i + 1]
+        present = cycles.has_internal_resistance[lo_i : hi_i + 1]
         ir_rise = resistances[0] - resistances[present].min() if present.size and present[0] else np.nan
 
         row = np.concatenate([base, [mean_ct, log_integral, ir_rise]])
@@ -491,11 +480,19 @@ def soh_cycle_features(cell: CellRecord, cycle_index: int) -> np.ndarray:
 
 def _soh_cycle_rows(cell: CellRecord, start: int, stop: int) -> np.ndarray:
     """:func:`soh_cycle_features` of cycles ``start`` to ``stop - 1``, read
-    from the columns at once."""
+    from the columns at once: each capacity column once and up to ``stop``,
+    for the maxima and the coulombic efficiency (the last value of each
+    cycle) alike, and the voltage of cycle 0 alone."""
     cycles = cell.cycle_data
-    efficiency = _coulombic_efficiencies(cycles, start, stop)  # first: it names an empty cycle
-    charge = cycles.maxima("charge_capacity_in_Ah", start, stop) / cell.nominal_capacity_in_Ah
-    v0 = cycles[0].voltage_in_V
+    bounds = cycles.offsets["time_in_s"][start : stop + 1]
+    empty = np.flatnonzero(np.diff(bounds) == 0)
+    if empty.size:
+        raise FeatureError(f"cycle {cycles.cycle_number[start + empty[0]]}: empty capacity sequences")
+    columns = cycles.head(stop).columns
+    qc, last = columns["charge_capacity_in_Ah"], bounds[1:] - 1
+    efficiency = columns["discharge_capacity_in_Ah"][last] / (qc[last] + COULOMBIC_EPS)
+    charge = np.maximum.reduceat(qc, bounds[:-1]) / cell.nominal_capacity_in_Ah
+    v0 = cycles.head(1).columns["voltage_in_V"]
     first = np.array([v0.mean(), v0.min(), v0.max()])
     return sanitize(np.column_stack([
         charge,

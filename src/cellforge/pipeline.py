@@ -344,11 +344,21 @@ def _label_and_featurize(config: PipelineConfig, split: SplitResult, **partition
     cut = min((h for h in (horizon, budget) if h is not None), default=None)
     head = cut if label_rows in ("cycle", "step") else None
     needs = (horizon or 0) if rows == "cell" else 0
-    return {name: _take_partition(annotator, extractor, cells, name, head, cut, needs)
+    names = (config.label.name, config.feature.name)
+    return {name: _take_partition(annotator, extractor, cells, name, head, cut, needs, names)
             for name, cells in partitions.items()}
 
 
-def _take_partition(annotator, extractor, cells, partition: str, head, cut, needs):
+def _check_level(name: str, component, keys: RowKeys):
+    """Refuse non-empty row keys of a level other than the ``rows`` that the
+    component ``name`` states; a component that states none is not checked."""
+    level = "step" if keys.step is not None else "cycle" if keys.cycle is not None else "cell"
+    stated = getattr(component, "rows", None)
+    if keys and stated not in (None, level):
+        raise PipelineError(f"{name} states one row per {stated} but returned one per {level}")
+
+
+def _take_partition(annotator, extractor, cells, partition: str, head, cut, needs, names):
     """The joined features, labels and exclusions of ``cells``, taken one
     cell at a time: each is popped from ``cells`` (and a cell file read), cut
     to its first ``head`` cycles, labelled, featurized when it got label rows
@@ -356,7 +366,9 @@ def _take_partition(annotator, extractor, cells, partition: str, head, cut, need
     joined rows before the next is read; a cut of None keeps every cycle. A
     labelled cell shorter than ``needs`` is excluded with its reason, as the
     annotator excludes a cell. Every row key carries its cell's ID, so the
-    rows equal those of one join of the whole partition."""
+    rows equal those of one join of the whole partition. The keys the
+    annotator and the extractor return (``names`` are theirs) must have the
+    level their ``rows`` states (:func:`_check_level`)."""
     joined, excluded = [], []
     cells.reverse()  # pop from the end in the partition's order
     while cells:
@@ -365,12 +377,14 @@ def _take_partition(annotator, extractor, cells, partition: str, head, cut, need
             one = [read_cell(one[0])]
         one = [one[0].head(head)]
         labels, cell_excluded = annotator.annotate(one)
+        _check_level(names[0], annotator, labels.row_keys)
         excluded += [{"cell_id": cid, "reason": reason} for cid, reason in cell_excluded]
         n = len(one[0].cycle_data)  # every cycle when there are needs: a per-cell label's head is None
         if labels.row_keys and n < needs:
             excluded.append({"cell_id": one[0].cell_id, "reason": f"needs >= {needs} cycles, has {n}"})
         elif labels.row_keys:
             features = extractor.extract([one[0].head(cut)])
+            _check_level(names[1], extractor, features.row_keys)
             joined.append(_align(features, labels))
         del one  # so the next cell is read with this one gone
     if not joined:

@@ -70,9 +70,10 @@ def _soh_series(cell: CellRecord) -> Series:
 
 def voltage_curve_series(cell: CellRecord) -> list[Series]:
     """Per-cycle discharge curves: capacity on x, voltage on y, each column
-    read once through ``columns.peek``, so the cell keeps nothing decoded."""
+    read once through ``columns[name]``, so the cell keeps nothing decoded."""
     cycles, out = cell.cycle_data, []
-    current, q, v = map(cycles.columns.peek, ("current_in_A", "discharge_capacity_in_Ah", "voltage_in_V"))
+    current, q, v = (cycles.columns[name] for name in ("current_in_A", "discharge_capacity_in_Ah",
+                                                        "voltage_in_V"))
     bounds = cycles.offsets["current_in_A"].tolist()
     for number, lo, hi in zip(cycles.cycle_number.tolist(), bounds, bounds[1:]):
         mask = current[lo:hi] < 0

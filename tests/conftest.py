@@ -153,7 +153,7 @@ def plain_copy(cell: CellRecord) -> CellRecord:
     column is decoded for the copy alone, and ``cell`` keeps its blocks."""
     cycles = cell.cycle_data
     return dataclasses.replace(cell, cycle_data=CycleData(
-        cycles.cycle_number, {name: cycles.columns.peek(name) for name in cycles.columns},
+        cycles.cycle_number, dict(cycles.columns),
         cycles.offsets["time_in_s"], has_temperature=cycles.has_temperature,
         internal_resistance_in_ohm=cycles.internal_resistance_in_ohm,
         has_internal_resistance=cycles.has_internal_resistance, extra=cycles.extra))

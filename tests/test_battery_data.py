@@ -53,6 +53,7 @@ from cellforge.labels import soh_per_cycle
 from cellforge.models import load_model
 from cellforge.models.base import MAGIC as MODEL_MAGIC
 from cellforge.pipeline import FEATURES_MAGIC, read_features
+from cellforge.plots import degradation_series, voltage_curve_series
 from cellforge.synthetic import SynthSpec, generate_synthetic, synthetic_cell
 from conftest import (block_size, cell_strategy, cycle_strategy, linear_cycle, make_cell,
                       plain_copy, random_valid_cell, read_model_file, store_current_as_runs,
@@ -1179,7 +1180,7 @@ def escape_count(block: np.ndarray) -> int:
 
 
 def coded_columns(cell) -> dict:
-    """The columns of a cell read by :func:`read_cell` that are still coded."""
+    """The columns of a cell, generated or read by :func:`read_cell`, that are still coded."""
     return {name: column for name, column in cell.cycle_data.columns._columns.items()
             if isinstance(column, container.Coded)}
 
@@ -1355,7 +1356,7 @@ class TestSecondDifferenceBlocks:
         assert all(len(coded_columns(cell)) == 5 for cell in cells)
         assert repr(cells[0].cycle_data).startswith(f"CycleData({len(cells[0].cycle_data)} cycles")
 
-    def test_a_column_is_decoded_when_first_read_and_kept(self, quickstart_corpus, monkeypatch):
+    def test_columns_decode_for_each_read_and_a_cycle_view_keeps(self, quickstart_corpus, monkeypatch):
         # the reference, whose generated columns are coded too, is decoded before decodes count
         reference = plain_copy(quickstart_corpus.generated[0])
         expected = reference.cycle_data.columns
@@ -1366,20 +1367,26 @@ class TestSecondDifferenceBlocks:
         cell = read_cell(path)
         coded = coded_columns(cell)
         assert decoded == []
+        # columns[name] decodes a coded column for that read alone, and the cell keeps nothing
         voltage = cell.cycle_data.columns["voltage_in_V"]
         assert decoded == [coded["voltage_in_V"]] and voltage.tobytes() == expected["voltage_in_V"].tobytes()
-        assert cell.cycle_data.columns["voltage_in_V"] is voltage and len(decoded) == 1
-        assert "time_in_s" in cell.cycle_data.columns and len(decoded) == 1
-        # a cycle view decodes a column when one of its signals reads it, and keeps the slice
+        assert cell.cycle_data.columns["voltage_in_V"] is not voltage
+        assert decoded == [coded["voltage_in_V"]] * 2 and coded_columns(cell) == coded
+        assert "time_in_s" in cell.cycle_data.columns and len(decoded) == 2
+        # a cycle view decodes a column when one of its signals reads it, and the cell keeps it
         view = cell.cycle_data[3]
-        assert len(decoded) == 1
+        assert len(decoded) == 2
         current = view.current_in_A
-        assert decoded[1:] == [coded["current_in_A"]] and view.current_in_A is current
+        assert decoded[2:] == [coded["current_in_A"]] and view.current_in_A is current
         offsets = cell.cycle_data.offsets["current_in_A"]
         assert current.tobytes() == expected["current_in_A"][offsets[3] : offsets[4]].tobytes()
+        assert "current_in_A" not in coded_columns(cell)
+        kept = cell.cycle_data.columns["current_in_A"]
+        assert cell.cycle_data.columns["current_in_A"] is kept and np.shares_memory(kept, current)
+        assert np.shares_memory(cell.cycle_data[4].current_in_A, kept) and len(decoded) == 3
         assert view == reference.cycle_data[3]  # == reads every signal
         assert {id(block) for block in decoded} == {id(block) for block in coded.values()}
-        assert len(decoded) == len(coded)
+        assert len(decoded) == 2 + len(coded) and coded_columns(cell) == {}  # voltage twice before
         # the labels decode the discharge capacity alone, once, and leave every column coded
         cell = read_cell(path)
         coded, decoded[:] = coded_columns(cell), []
@@ -1399,11 +1406,11 @@ class TestSecondDifferenceBlocks:
         assert got.tobytes() == reference.cycle_data.maxima("charge_capacity_in_Ah", 5, 20).tobytes()
         assert decoded == [offsets[-1], offsets[20]]
         assert set(coded_columns(cell)) == set(battery_data._CYCLE_SEQ_FIELDS)
-        # a column already decoded is reduced as it is
-        capacity = cell.cycle_data.columns["discharge_capacity_in_Ah"]
+        # a column that a cycle view decoded, and the cell kept, is reduced as it is
+        cell.cycle_data[0].discharge_capacity_in_Ah
         assert soh_per_cycle(cell).tobytes() == soh_per_cycle(reference).tobytes()
         assert decoded == [offsets[-1], offsets[20], offsets[-1]]
-        assert cell.cycle_data.columns["discharge_capacity_in_Ah"] is capacity
+        assert "discharge_capacity_in_Ah" not in coded_columns(cell)
 
     # what is done with each loaded cell: label it, write it to another directory, pickle it
     USES = {
@@ -1437,6 +1444,58 @@ class TestSecondDifferenceBlocks:
                 rss[mapped.name] = int(fields[1])  # in KiB
         assert sorted(rss) == sorted(f"{cell.cell_id}.cfc" for cell in cells) and len(cells) == 10
         assert max(rss.values()) <= 128, rss
+
+    # the reads of a whole cell, each given the cell and a directory to write to: every read
+    # but a cycle view's decodes a coded column for that read alone
+    READS = {
+        "columns": lambda cell, out: [cell.cycle_data.columns[name] for name in cell.cycle_data.columns],
+        "maxima": lambda cell, out: [cell.cycle_data.maxima(name) for name in battery_data._CYCLE_SEQ_FIELDS],
+        "validate": lambda cell, out: validate(cell),
+        "equality": lambda cell, out: cell == plain_copy(cell),
+        "write": write_cell,
+        "pickle": lambda cell, out: pickle.dumps(cell),
+        "degradation_plot": lambda cell, out: degradation_series([cell]),
+        "voltage_curve_plot": lambda cell, out: voltage_curve_series(cell),
+    }
+
+    @staticmethod
+    def small_coded_cell():
+        """A generated cell of 16-point cycles whose five sampled signals are all coded."""
+        return generate_synthetic(SynthSpec(
+            n_cells=1, cycle_life_mean=30.0, cycle_life_std=5.0, points_per_cycle=16, seed=3))[0]
+
+    @pytest.mark.parametrize("read", READS.values(), ids=READS)
+    @pytest.mark.parametrize("loaded", [False, True], ids=["generated", "loaded"])
+    def test_every_read_but_a_cycle_view_leaves_the_cell_coded(self, tmp_path, read, loaded):
+        cell = self.small_coded_cell()
+        if loaded:
+            cell = read_cell(write_cell(cell, tmp_path))
+        coded = coded_columns(cell)
+        assert set(coded) == set(battery_data._CYCLE_SEQ_FIELDS)
+        out = tmp_path / "out"
+        out.mkdir()
+        read(cell, out)
+        assert coded_columns(cell) == coded
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["generated", "loaded"])
+    def test_a_pass_over_the_cycle_views_decodes_each_signal_it_reads_once(self, tmp_path, monkeypatch,
+                                                                           loaded):
+        cell = self.small_coded_cell()
+        reference = plain_copy(cell)
+        if loaded:
+            cell = read_cell(write_cell(cell, tmp_path))
+        coded, decoded = coded_columns(cell), []
+        monkeypatch.setattr(container.Coded, "decode",
+                            lambda self, decode=container.Coded.decode: decoded.append(self) or decode(self))
+        for cycle, expected in zip(cell.cycle_data, reference.cycle_data):
+            assert cycle.voltage_in_V.tobytes() == expected.voltage_in_V.tobytes()
+            assert cycle.current_in_A.tobytes() == expected.current_in_A.tobytes()
+            cycle.voltage_in_V
+        assert decoded == [coded["voltage_in_V"], coded["current_in_A"]]
+        assert set(coded_columns(cell)) == set(coded) - {"voltage_in_V", "current_in_A"}
+        for cycle in cell.cycle_data:  # a second pass reads what the cell kept
+            cycle.voltage_in_V
+        assert len(decoded) == 2
 
     @pytest.mark.parametrize("trip", [lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy],
                              ids=["pickle", "copy", "deepcopy"])
@@ -1473,10 +1532,12 @@ class TestSecondDifferenceBlocks:
         path = max(quickstart_corpus.directory.iterdir(), key=lambda p: p.stat().st_size)
         generated = next(c for c in quickstart_corpus.generated if path.stem == c.cell_id)
         for cell in (generated, read_cell(path)):
-            data = pickle.dumps(cell)
-            assert len(data) <= 1.05 * path.stat().st_size
-            back = pickle.loads(data)
-            assert back == cell and write_cell(back, tmp_path).read_bytes() == path.read_bytes()
+            for _ in range(2):  # as it is, then with every column read, which keeps nothing
+                data = pickle.dumps(cell)
+                assert len(data) <= 1.05 * path.stat().st_size
+                back = pickle.loads(data)
+                assert back == cell and write_cell(back, tmp_path).read_bytes() == path.read_bytes()
+                dict(cell.cycle_data.columns)
 
     @staticmethod
     def coded_names(path) -> set:
@@ -1818,7 +1879,8 @@ class TestHead:
                             lambda self, decode=container.Coded.decode: decoded.append(self.size) or decode(self))
         cell = read_cell(quickstart_corpus.directory / "SYN_0000.cfc")
         n, offsets = len(cell.cycle_data), cell.cycle_data.offsets["time_in_s"]
-        capacity = cell.cycle_data.columns["discharge_capacity_in_Ah"]  # decoded whole, as labels read it
+        cell.cycle_data[0].discharge_capacity_in_Ah  # a cycle view decodes it whole, and the cell keeps it
+        capacity = cell.cycle_data.columns["discharge_capacity_in_Ah"]
         assert decoded == [offsets[-1]]
         head = cell.head(100)
         assert decoded == [offsets[-1]] and len(head.cycle_data) == 100
@@ -1856,8 +1918,9 @@ class TestColumns:
         back = read_cell(write_cell(cell, tmp_path))
         first, second = back.cycle_data[0], back.cycle_data[1]
         for name in TestArraySignals.SIGNALS:
+            signal = getattr(first, name)  # which decodes a coded column, and the cell keeps it
             column = back.cycle_data.columns[name]
-            assert np.shares_memory(getattr(first, name), column)
+            assert np.shares_memory(signal, column)
             assert np.shares_memory(getattr(second, name), column)
             if name in CODED:
                 assert column.flags.owndata
@@ -1879,12 +1942,13 @@ class TestColumns:
         assert isinstance(root_buffer(mapped.cycle_data.columns["voltage_in_V"]), mmap.mmap)
         assert read == cells[1]
         for name in TestArraySignals.SIGNALS:
+            signal = getattr(read.cycle_data[0], name)  # which decodes a coded column, and the cell keeps it
             column = read.cycle_data.columns[name]
             if name in CODED:
                 assert column.flags.owndata
             else:
                 assert isinstance(root_buffer(column), bytes)
-            assert np.shares_memory(getattr(read.cycle_data[0], name), column)
+            assert np.shares_memory(signal, column)
             assert not column.flags.writeable
 
     def test_rewriting_a_mapped_cell_keeps_the_loaded_record(self, tmp_path):
@@ -2157,7 +2221,7 @@ def with_values(path, changes, to=None) -> Path:
 
 class TestOnePassReads:
     """validate and == read a coded column for one pass alone, and find what
-    they find in the same cell with its columns decoded and kept."""
+    they find in a copy of the cell whose columns are plain arrays."""
 
     # (signal, cycle, point, value): a non-finite value to set, or a finite step from the point before
     FAULTS = {
@@ -2195,8 +2259,7 @@ class TestOnePassReads:
         assert names <= set(coded)  # each fault sits in a block stored as second differences
         found = validate(back)
         assert validate(back) == found and coded_columns(back) == coded
-        decoded = read_cell(path)
-        dict(decoded.cycle_data.columns)  # reads every column, which decodes it and keeps the array
+        decoded = plain_copy(read_cell(path))
         assert coded_columns(decoded) == {}
         assert validate(decoded) == found == validate_per_cycle(decoded)
         assert paths_of(found) == sorted(found_at for kind in kinds for found_at in self.FOUND[kind])
@@ -2222,8 +2285,8 @@ class TestOnePassReads:
         b = read_cell(with_values(written, [(name, i, right)], to=tmp_path / "right.cfc"))
         assert name in coded_columns(a) and name in coded_columns(b)
         if plain:
-            b.cycle_data.columns[name]  # decoded and kept
-            assert name not in coded_columns(b)
+            b = plain_copy(b)
+            assert coded_columns(b) == {}
         coded = coded_columns(a), coded_columns(b)
         assert (a == b) is (b == a) is (a.cycle_data == b.cycle_data) is equal
         assert (a != b) is (not equal)

@@ -492,6 +492,24 @@ class TestConfigRefusedBeforeReading:
         assert run_evaluate(checkpoint) == report
         assert set(report["predictions"]) - {"cell_id", "y_true", "y_pred"} == LEVELS[rows]
 
+    @pytest.mark.parametrize("section, liar, other, stated, made", [
+        ("feature", "CycleRowsOfCells", {"name": "SOHLabelAnnotator"}, "cycle", "cell"),
+        ("label", "StepRowsOfCycles", {"name": "SOCStepFeatureExtractor", "n_qdlin": 4, "max_cycle_index": 9},
+         "step", "cycle"),
+    ], ids=["feature", "label"])
+    def test_keys_of_another_level_than_the_stated_rows_fail_after_one_cell(
+            self, pipe_corpus, tmp_path, monkeypatch, capsys, section, liar, other, stated, made):
+        # an extractor stating "cycle" and returning cell keys read every training cell, joined
+        # nothing and ended in the line that the feature and label rows share no keys
+        monkeypatch.setitem(FEATURES._factories, "CycleRowsOfCells", _CycleRowsOfCells)
+        monkeypatch.setitem(LABELS._factories, "StepRowsOfCycles", _StepRowsOfCycles)
+        sections = {section: {"name": liar}, "label" if section == "feature" else "feature": other}
+        code, reads = self.train(pipe_corpus, tmp_path, monkeypatch, seeds=[0], **sections)
+        assert (code, len(reads)) == (1, 1)
+        err = capsys.readouterr().err
+        assert err == f"error: {liar} states one row per {stated} but returned one per {made}\n"
+        assert not (tmp_path / "ws").exists()
+
 
 class _EveryCycleFixedExtractor(VarianceModelFeatureExtractor):
     """The variance feature, stating no horizon but one of fixed cycles."""
@@ -507,6 +525,18 @@ class _CycleCountExtractor(BaseFeatureExtractor):
 
     def process_cell(self, cell):
         return np.array([[len(cell.cycle_data)]]), RowKeys([[cell.cell_id, 1]])
+
+
+class _CycleRowsOfCells(_CycleCountExtractor):
+    """States one row per cycle, and returns one per cell."""
+
+    rows = "cycle"
+
+
+class _StepRowsOfCycles(SOHLabelAnnotator):
+    """States one row per step, and returns one per cycle."""
+
+    rows = "step"
 
 
 @pytest.mark.parametrize("extractor", [_EveryCycleFixedExtractor, _CycleCountExtractor],
@@ -1684,24 +1714,44 @@ MATR_CONFIGS = ["matr1_variance", "matr1_discharge_ridge"]
 
 # (config, the values one cell decodes in a train, from its offsets, and their sum on
 # pipe_cells: 1,274 cycles of 16 points, 100 cycles of each cell at offsets[100] and 10 at
-# offsets[10]). RUL labels decode discharge capacity whole and keep none of it; a feature
-# then decodes it again, and two more columns, to its horizon through its head. Per-cycle
-# and per-step labels are handed the feature's head: SOH labels decode discharge capacity
-# to the horizon and keep none of it, and the SOH feature decodes it and two more columns
-# there again; the SOC labels decode charge and discharge capacity, and the step feature
-# reads discharge capacity through that head and decodes three more columns.
+# offsets[10]). Each pass decodes a column once, up to the cycles it reads, and keeps it only
+# where a cycle view reads it. RUL labels decode discharge capacity whole; a feature then
+# decodes it again, and more columns, to its horizon through its head: through cycle views
+# current, voltage and discharge capacity, and the Full feature time once more for its charge
+# times and temperature integral. Per-cycle and per-step labels are handed the feature's head:
+# SOH labels decode discharge capacity to the horizon, and the SOH feature decodes it and
+# charge capacity there again, and the voltage of cycle 0 alone; the SOC labels decode charge
+# and discharge capacity through cycle views, and the step feature reads discharge capacity
+# through that head and decodes three more columns.
 DECODES = [
     ("synthetic_variance_linear", lambda offsets: [offsets[-1]] + [offsets[100]] * 3,
      1274 * 16 + 8 * 3 * 100 * 16),  # 58,784
     ("synthetic_qdmatrix_forest", lambda offsets: [offsets[-1]] + [offsets[10]] * 3,
      1274 * 16 + 8 * 3 * 10 * 16),  # 24,224
-    ("synthetic_soh_mlp", lambda offsets: [offsets[100]] * 4, 8 * 4 * 100 * 16),  # 51,200
+    ("synthetic_soh_mlp", lambda offsets: [offsets[100]] * 3 + [offsets[1]],
+     8 * (3 * 100 + 1) * 16),  # 38,528
     ("soc_step", lambda offsets: [offsets[10]] * 5, 8 * 5 * 10 * 16),  # 6,400
+    ("discharge", lambda offsets: [offsets[-1]] + [offsets[100]] * 3,
+     1274 * 16 + 8 * 3 * 100 * 16),  # 58,784
+    ("full", lambda offsets: [offsets[-1]] + [offsets[100]] * 4,
+     1274 * 16 + 8 * 4 * 100 * 16),  # 71,584
+    ("soh", lambda offsets: [offsets[50]] * 3 + [offsets[1]], 8 * (3 * 50 + 1) * 16),  # 19,328
+    ("capacity_fade_slope", lambda offsets: [offsets[-1], offsets[100]],
+     1274 * 16 + 8 * 100 * 16),  # 33,184
 ]
 SOC_STEP_CONFIG = make_config(
     train_test_split={"name": "RandomTrainTestSplitter", "test_fraction": 0.2, "seed": 0},
     feature={"name": "SOCStepFeatureExtractor", "n_qdlin": 4, "max_cycle_index": 9},
     label={"name": "SOCLabelAnnotator"}, seeds=[0])
+# the DECODES configs that are not shipped: each built-in extractor with a label of its level
+DECODE_CONFIGS = {
+    "soc_step": SOC_STEP_CONFIG,
+    "discharge": make_config(feature={"name": "DischargeModelFeatureExtractor", "interp_dims": 64}),
+    "full": make_config(feature={"name": "FullModelFeatureExtractor", "interp_dims": 64}),
+    "soh": make_config(feature={"name": "SOHCycleFeatureExtractor", "max_cycle_index": 49},
+                       label={"name": "SOHLabelAnnotator"}, seeds=[0]),
+    "capacity_fade_slope": make_config(feature={"name": "CapacityFadeSlopeFeatureExtractor"}),
+}
 
 
 class TestShippedConfigs:
@@ -1737,8 +1787,7 @@ class TestShippedConfigs:
         decoded = []
         monkeypatch.setattr(container.Coded, "decode",
                             lambda self, decode=container.Coded.decode: decoded.append(self.size) or decode(self))
-        cfg = SOC_STEP_CONFIG if name == "soc_step" else yaml.safe_load(
-            (CONFIG_DIR / f"{name}.yaml").read_text())
+        cfg = DECODE_CONFIGS.get(name) or yaml.safe_load((CONFIG_DIR / f"{name}.yaml").read_text())
         cfg = {**cfg, "train_test_split": {**cfg["train_test_split"], "cell_data_path": str(corpus)}}
         run_train(cfg, workspace=tmp_path / "ws")
         assert sorted(decoded) == sorted(expected)
