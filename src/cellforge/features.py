@@ -16,12 +16,14 @@ Conventions used throughout this module:
 Extractors registered for pipeline use share one shape of contract:
 ``process_cell(cell) -> (values (k, d), RowKeys of the k rows)`` and
 ``extract(cells) -> FeatureMatrix``; :class:`RowKeys` is the one form of row
-keys from an extractor or annotator to ``report.json``. Each states its
-``rows`` (``"cell"``, ``"cycle"`` or ``"step"``, the level of its row keys)
-and one ``horizon``, the number of leading cycles it reads; ``extract`` alone
-calls ``process_cell``, with ``cell.head(horizon)``: no extractor sees a cycle
-past its horizon, nor past a split's ``observed_cycles``, which the pipeline
-enforces for every extractor (:func:`cellforge.pipeline._label_and_featurize`).
+keys from an extractor or annotator to ``report.json``. Each must state its
+``rows`` (``"cell"``, ``"cycle"`` or ``"step"``, the level of its row keys),
+and a train takes a cell's feature rows only when their keys are the cell's
+label keys, in their order. Each states one ``horizon``, the number of
+leading cycles it reads; ``extract`` alone calls ``process_cell``, with
+``cell.head(horizon)``: no extractor sees a cycle past its horizon, nor past
+a split's ``observed_cycles``, which the pipeline enforces for every
+extractor (:func:`cellforge.pipeline._label_and_featurize`).
 """
 
 from __future__ import annotations
@@ -125,32 +127,6 @@ def delta_q(
     return late - early
 
 
-def coulombic_efficiency(cycle: CycleRecord) -> float:
-    """Final discharge capacity over final charge capacity of one cycle."""
-    qd = cycle.discharge_capacity_in_Ah
-    qc = cycle.charge_capacity_in_Ah
-    if qd.size == 0 or qc.size == 0:
-        raise FeatureError(f"cycle {cycle.cycle_number}: empty capacity sequences")
-    return float(qd[-1] / (qc[-1] + COULOMBIC_EPS))
-
-
-def estimate_internal_resistance(cycle: CycleRecord) -> float:
-    """|dV/dI| across the largest current step within the cycle.
-
-    A fallback for sources that do not record the per-cycle scalar; not used
-    implicitly by any extractor.
-    """
-    i = np.asarray(cycle.current_in_A)
-    v = np.asarray(cycle.voltage_in_V)
-    if len(i) < 2:
-        raise FeatureError(f"cycle {cycle.cycle_number}: need >= 2 samples")
-    di = np.diff(i)
-    k = int(np.argmax(np.abs(di)))
-    if abs(di[k]) < 1e-12:
-        raise FeatureError(f"cycle {cycle.cycle_number}: current is constant; cannot estimate dV/dI")
-    return abs((v[k + 1] - v[k]) / di[k])
-
-
 def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
     """(min, population variance, skewness m3/m2^1.5, kurtosis m4/m2^2)."""
     x = np.asarray(x, dtype=float)
@@ -219,12 +195,6 @@ class RowKeys:
         """Each row's index into ``cell_id``."""
         return np.repeat(np.arange(len(self.cell_id)), [n for _, n in self.cell_id])
 
-    def take(self, rows) -> RowKeys:
-        """The keys of ``rows``, increasing row indices."""
-        counts = np.bincount(self.runs()[rows], minlength=len(self.cell_id)).tolist()
-        return RowKeys([[cell_id, n] for (cell_id, _), n in zip(self.cell_id, counts) if n],
-                       *(None if a is None else a[rows] for a in (self.cycle, self.step)))
-
     def columns(self) -> dict:
         """``report["predictions"]``'s key columns, as lists."""
         levels = (("cycle", self.cycle), ("step", self.step))
@@ -262,8 +232,9 @@ class FeatureMatrix:
 class BaseFeatureExtractor:
     """Shared per-cell iteration, sanitization, and matrix assembly.
 
-    A subclass sets ``rows`` and ``horizon``, the number of leading cycles
-    it reads (by default None, every cycle with no minimum); :meth:`extract`
+    A subclass must set ``rows``, which a train refuses as None, and may
+    set ``horizon``, the number of leading cycles it reads (by default None,
+    every cycle with no minimum); :meth:`extract`
     hands :meth:`process_cell` only ``cell.head(horizon)``, and refuses a cell
     shorter than it when the extractor makes one row per cell.
     """
@@ -484,10 +455,14 @@ def _soh_cycle_rows(cell: CellRecord, start: int, stop: int) -> np.ndarray:
     for the maxima and the coulombic efficiency (the last value of each
     cycle) alike, and the voltage of cycle 0 alone."""
     cycles = cell.cycle_data
-    bounds = cycles.offsets["time_in_s"][start : stop + 1]
+    off = cycles.offsets["time_in_s"]
+    bounds = off[start : stop + 1]
     empty = np.flatnonzero(np.diff(bounds) == 0)
     if empty.size:
         raise FeatureError(f"cycle {cycles.cycle_number[start + empty[0]]}: empty capacity sequences")
+    if off[1] == 0:
+        raise FeatureError(f"cycle {cycles.cycle_number[0]}: no voltage points for the first-cycle "
+                           "voltage statistics")
     columns = cycles.head(stop).columns
     qc, last = columns["charge_capacity_in_Ah"], bounds[1:] - 1
     efficiency = columns["discharge_capacity_in_Ah"][last] / (qc[last] + COULOMBIC_EPS)

@@ -13,9 +13,10 @@ is clamped to [0, 100] step by step: discharging lowers it by the discharged
 charge, charging raises it by the charged capacity. For discharge-only
 prefixes this reduces exactly to 100 * (C_full - Q_d(t)) / C_full.
 
-Like a feature extractor, each annotator states its ``rows``: ``"cell"``,
+Like a feature extractor, each annotator must state its ``rows``: ``"cell"``,
 ``"cycle"`` or ``"step"``. It labels every cycle it is given: a train gives a
-per-row annotator the cycles its extractor reads, a per-cell one every cycle.
+per-row annotator the cycles its extractor reads, a per-cell one every cycle,
+and takes a cell's labels only with feature rows of the same keys, in order.
 """
 
 from __future__ import annotations
@@ -137,9 +138,10 @@ def soc_per_step(cell: CellRecord, cycle_index: int) -> np.ndarray:
 
 @dataclass
 class LabelVector:
-    """Labels plus the :class:`~cellforge.features.RowKeys` of their rows,
-    which align them with a feature matrix; the levels the keys hold
-    (``cycle``, ``step``) are the task's granularity."""
+    """Labels plus the :class:`~cellforge.features.RowKeys` of their rows; a
+    train pairs them with a feature matrix of exactly these keys, in this
+    order. The levels the keys hold (``cycle``, ``step``) are the task's
+    granularity."""
 
     values: np.ndarray
     row_keys: RowKeys

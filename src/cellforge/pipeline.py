@@ -23,8 +23,8 @@ A run is described by a YAML file with six component sections plus optional
         name: 'LinearRegressionRULPredictor'
 
 Training splits the corpus, then takes one cell at a time, the training
-cells before the test cells, through labels and features, joins its feature
-and label rows by row key and drops all but the joined rows before the
+cells before the test cells, through labels and features, checks that its
+feature rows are its label rows and drops all but those rows before the
 next, so a run that reads ``cell_data_path`` holds one cell's pages instead
 of the corpus's. It then fits the transforms (on train rows only)
 and one model per seed (one model for all seeds when the model takes no
@@ -252,31 +252,6 @@ def _key_codes(keys: RowKeys) -> np.ndarray:
     return code
 
 
-def _align(features, label_vector):
-    """Join feature rows to labels by row key, keeping feature-row order:
-    ``(X, y, keys)`` of the rows both sides have. Training joins one cell's
-    rows at a time (see :func:`_take_partition`).
-
-    Rows of either side without a partner are dropped (an extractor may
-    cover fewer cycles than the annotator, or vice versa), so the join may
-    be empty; a repeated label key is an error.
-    """
-    fk, lk = features.row_keys, label_vector.row_keys
-    same = (fk.cycle is None, fk.step is None) == (lk.cycle is None, lk.step is None)
-    codes = _key_codes(RowKeys.concat([lk, fk] if same else [lk]))
-    order = np.argsort(codes[: len(lk)], kind="stable")
-    label_codes, feature_codes = codes[order], codes[len(lk):]
-    repeated = order[1:][label_codes[1:] == label_codes[:-1]]
-    if repeated.size:
-        i = repeated.min()
-        cycle, step = (None if a is None else int(a[i]) for a in (lk.cycle, lk.step))
-        raise PipelineError(f"duplicate label row key "
-                            f"({lk.cell_id[lk.runs()[i]][0]!r}, {cycle!r}, {step!r})")
-    at = np.searchsorted(label_codes, feature_codes).clip(max=max(len(lk) - 1, 0))
-    rows = np.flatnonzero(label_codes[at] == feature_codes) if len(lk) else at[:0]
-    return features.values[rows], label_vector.values[order[at[rows]]], fk.take(rows)
-
-
 def _resolve_workspace(workspace, config: PipelineConfig) -> Path:
     if workspace is not None:
         return Path(workspace)
@@ -297,6 +272,9 @@ def _split_cells(config: PipelineConfig, cells):
     cell_data_path = split_params.pop("cell_data_path", None)
     if cells is not None:
         ids = [c.cell_id for c in cells]
+        odd = [i for i in ids if not (isinstance(i, str) and i)]
+        if odd:  # as validate() refuses it, and as a checkpoint could not store it
+            raise PipelineError(f"cell_id must be a non-empty string, got {odd[0]!r}")
         by_id = dict(zip(ids, cells))
         if len(by_id) < len(ids):
             repeated = next(i for i, n in Counter(ids).items() if n > 1)
@@ -318,11 +296,12 @@ def _split_cells(config: PipelineConfig, cells):
 def _label_and_featurize(config: PipelineConfig, split: SplitResult, **partitions):
     """Labels then features of each named partition, in the order given: for
     each, ``(features, y, excluded)``, where ``features`` is a matrix whose
-    rows are the partition's label keys and ``y`` the labels in that order.
+    rows are the partition's label rows and ``y`` the labels in that order.
 
     The run's components, their ``rows`` levels and cycle window are worked
-    out here, once (see "Cycle windows" in the README). A split's ``eol_soh``
-    is the annotator's ``eol_soh_percent``, unless the label section sets one or it takes none.
+    out here, once (see "Cycle windows" in the README): the extractor and
+    the annotator must state one ``rows`` level. A split's ``eol_soh`` is the
+    annotator's ``eol_soh_percent``, unless the label section sets one or it takes none.
 
     Each partition is a list the pipeline owns, of cell records or of cell
     files; it is emptied one cell at a time (see :func:`_take_partition`).
@@ -333,7 +312,10 @@ def _label_and_featurize(config: PipelineConfig, split: SplitResult, **partition
     annotator = LABELS.create(config.label.name, **label_params)
     extractor = FEATURES.create(config.feature.name, **config.feature.params)
     rows, label_rows = getattr(extractor, "rows", None), getattr(annotator, "rows", None)
-    if None not in (rows, label_rows) and rows != label_rows:
+    for name, level in ((config.feature.name, rows), (config.label.name, label_rows)):
+        if level not in ("cell", "cycle", "step"):
+            raise PipelineError(f"{name} must state its rows as 'cell', 'cycle' or 'step', not {level!r}")
+    if rows != label_rows:
         raise PipelineError(f"{config.feature.name} makes one row per {rows} and {config.label.name} "
                             f"one per {label_rows}; a feature and a label must make rows of one level")
     budget, horizon = split.metadata.get("observed_cycles"), getattr(extractor, "horizon", None)
@@ -342,7 +324,7 @@ def _label_and_featurize(config: PipelineConfig, split: SplitResult, **partition
         raise FeatureError(f"{config.feature.name}: reads {reads}, "
                            f"past the observed-cycle budget of {budget}")
     cut = min((h for h in (horizon, budget) if h is not None), default=None)
-    head = cut if label_rows in ("cycle", "step") else None
+    head = None if label_rows == "cell" else cut
     needs = (horizon or 0) if rows == "cell" else 0
     names = (config.label.name, config.feature.name)
     return {name: _take_partition(annotator, extractor, cells, name, head, cut, needs, names)
@@ -350,26 +332,24 @@ def _label_and_featurize(config: PipelineConfig, split: SplitResult, **partition
 
 
 def _check_level(name: str, component, keys: RowKeys):
-    """Refuse non-empty row keys of a level other than the ``rows`` that the
-    component ``name`` states; a component that states none is not checked."""
+    """Refuse non-empty row keys of another level than the ``rows`` that ``name`` states."""
     level = "step" if keys.step is not None else "cycle" if keys.cycle is not None else "cell"
-    stated = getattr(component, "rows", None)
-    if keys and stated not in (None, level):
-        raise PipelineError(f"{name} states one row per {stated} but returned one per {level}")
+    if keys and component.rows != level:
+        raise PipelineError(f"{name} states one row per {component.rows} but returned one per {level}")
 
 
 def _take_partition(annotator, extractor, cells, partition: str, head, cut, needs, names):
-    """The joined features, labels and exclusions of ``cells``, taken one
-    cell at a time: each is popped from ``cells`` (and a cell file read), cut
-    to its first ``head`` cycles, labelled, featurized when it got label rows
-    (cut to ``cut``), joined (:func:`_align`), and dropped with all but its
-    joined rows before the next is read; a cut of None keeps every cycle. A
-    labelled cell shorter than ``needs`` is excluded with its reason, as the
-    annotator excludes a cell. Every row key carries its cell's ID, so the
-    rows equal those of one join of the whole partition. The keys the
-    annotator and the extractor return (``names`` are theirs) must have the
-    level their ``rows`` states (:func:`_check_level`)."""
-    joined, excluded = [], []
+    """The features, labels and exclusions of ``cells``, taken one cell at a
+    time: each is popped from ``cells`` (and a cell file read), cut to its
+    first ``head`` cycles, labelled, featurized when it got label rows (cut
+    to ``cut``), and dropped with all but its rows before the next is read;
+    a cut of None keeps every cycle. A labelled cell shorter than ``needs``
+    is excluded with its reason, as the annotator excludes a cell. The keys
+    the annotator and the extractor return (``names`` are theirs) must have
+    the level their ``rows`` states (:func:`_check_level`), and a cell's
+    feature keys must be its label keys, in their order, strictly
+    increasing, as evaluation reads them back from ``report.json``."""
+    rows, excluded = [], []
     cells.reverse()  # pop from the end in the partition's order
     while cells:
         one = [cells.pop()]
@@ -385,17 +365,22 @@ def _take_partition(annotator, extractor, cells, partition: str, head, cut, need
         elif labels.row_keys:
             features = extractor.extract([one[0].head(cut)])
             _check_level(names[1], extractor, features.row_keys)
-            joined.append(_align(features, labels))
+            keys, cell_id = labels.row_keys, one[0].cell_id
+            if features.row_keys != keys:
+                raise PipelineError(f"{cell_id}: the {len(features.row_keys)} feature rows of {names[1]} "
+                                    f"are not the {len(keys)} label rows of {names[0]}, key for key")
+            if _first_unordered(keys) is not None:
+                raise PipelineError(f"{cell_id}: the row keys of {names[0]} and {names[1]} do not "
+                                    "strictly increase in (cycle, step); validate() reports a cell "
+                                    "whose cycle numbers do not increase")
+            rows.append((features.values, labels.values, keys))
         del one  # so the next cell is read with this one gone
-    if not joined:
+    if not rows:
         first = f", first {excluded[0]['cell_id']}: {excluded[0]['reason']}" if excluded else ""
         raise PipelineError(f"all {partition} cells were excluded{first}")
-    X, y, keys = zip(*joined)
-    keys = RowKeys.concat(keys)
-    if not keys:
-        raise PipelineError("feature rows and label rows share no keys; feature and label "
-                            "granularity (cell/cycle/step) must match")
-    return FeatureMatrix(np.concatenate(X), keys, features.col_names), np.concatenate(y), excluded
+    X, y, keys = zip(*rows)
+    return (FeatureMatrix(np.concatenate(X), RowKeys.concat(keys), features.col_names),
+            np.concatenate(y), excluded)
 
 
 def _score(seeds, models, ft, lt, X_test, y_test):
@@ -424,8 +409,8 @@ def _score(seeds, models, ft, lt, X_test, y_test):
 
 def _first_unordered(keys: RowKeys):
     """The index of the first row whose key does not strictly follow the one
-    before it in its cell's run, or None: training writes each cell's rows
-    in key order."""
+    before it in its cell's run, or None: training refuses a cell, and
+    evaluation a report, whose rows are out of key order."""
     code, runs = _key_codes(keys), keys.runs()
     unordered = np.flatnonzero((runs[1:] == runs[:-1]) & (code[1:] <= code[:-1]))
     return int(unordered[0]) + 1 if unordered.size else None
@@ -476,18 +461,11 @@ def run_train(config, workspace=None, cells: list[CellRecord] | None = None) -> 
     data = _label_and_featurize(config, split, training=train_cells, test=test_cells)
     train, y_train, excl_train = data["training"]
     features_test, y_test, excl_test = data["test"]
-
-    keys = features_test.row_keys
-    unordered = _first_unordered(keys)
-    if unordered is not None:  # evaluation would refuse the checkpoint
-        raise PipelineError(f"{keys.cell_id[keys.runs()[unordered]][0]}: its test rows do not strictly "
-                            "increase in (cycle, step), so evaluation would refuse the checkpoint; "
-                            "validate() reports a cell whose cycle numbers do not increase")
     Xtr = ft.fit(train.values).transform(train.values)
     ytr = lt.fit(y_train).transform(y_train)
     models = {seed: model.fit(Xtr, ytr) for seed, model in models.items()}
 
-    report = _report(config, models, ft, lt, features_test.values, keys.columns(),
+    report = _report(config, models, ft, lt, features_test.values, features_test.row_keys.columns(),
                      y_test, excl_train + excl_test)
 
     ckpt_dir = _resolve_workspace(workspace, config) / config.run_name()

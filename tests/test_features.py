@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import re
 import tracemalloc
+import warnings
 import zlib
 from pathlib import Path
 
@@ -28,9 +29,7 @@ from cellforge.features import (
     SOHCycleFeatureExtractor,
     VarianceModelFeatureExtractor,
     VoltageCapacityMatrixFeatureExtractor,
-    coulombic_efficiency,
     delta_q,
-    estimate_internal_resistance,
     qdlinear,
     sanitize,
     soh_cycle_features,
@@ -219,38 +218,6 @@ class TestSmallHelpers:
     def test_voltage_bounds_must_order(self):
         with pytest.raises(FeatureError, match="v_min < v_max"):
             voltage_bounds(make_cell(), 3.0, 3.0)
-
-    def test_coulombic_efficiency_definition(self):
-        cyc = linear_cycle(1, c_full=0.9, c_charge=1.0)
-        assert coulombic_efficiency(cyc) == 0.9 / (1.0 + COULOMBIC_EPS)
-
-    def test_coulombic_efficiency_empty(self):
-        cyc = CycleRecord(cycle_number=1)
-        with pytest.raises(FeatureError, match="empty"):
-            coulombic_efficiency(cyc)
-
-    def test_internal_resistance_from_largest_step(self):
-        cyc = CycleRecord(
-            cycle_number=1,
-            voltage_in_V=[3.5, 3.45, 3.15],
-            current_in_A=[1.0, 0.9, -2.1],
-            charge_capacity_in_Ah=[0.0, 0.1, 0.1],
-            discharge_capacity_in_Ah=[0.0, 0.0, 0.2],
-            time_in_s=[0.0, 1.0, 2.0],
-        )
-        # largest |dI| is the 0.9 -> -2.1 step: |dV/dI| = 0.3 / 3.0
-        assert estimate_internal_resistance(cyc) == pytest.approx(0.1, abs=1e-12)
-
-    def test_internal_resistance_needs_two_samples(self):
-        cyc = CycleRecord(cycle_number=3, voltage_in_V=[3.5], current_in_A=[1.0], charge_capacity_in_Ah=[0.0],
-                          discharge_capacity_in_Ah=[0.0], time_in_s=[0.0])
-        with pytest.raises(FeatureError, match=r"^cycle 3: need >= 2 samples$"):
-            estimate_internal_resistance(cyc)
-
-    def test_internal_resistance_needs_current_step(self):
-        cyc = dataclasses.replace(linear_cycle(1), current_in_A=[0.5] * 12)
-        with pytest.raises(FeatureError, match="constant"):
-            estimate_internal_resistance(cyc)
 
     def test_sanitize_replaces_non_finite(self):
         x = np.array([1.0, np.nan, -np.inf, np.inf])
@@ -535,6 +502,17 @@ class TestSOHCycleExtractor:
             soh_cycle_features(cell, 1)
         with pytest.raises(FeatureError, match="^cycle 2: empty capacity sequences$"):
             SOHCycleFeatureExtractor().extract([cell])
+
+    def test_a_first_cycle_without_points_is_named_for_a_later_cycle(self):
+        # the first-cycle voltage statistics read cycle 0 whatever cycle is asked for; a
+        # RuntimeWarning and a ValueError that named no cycle came before
+        cell = dataclasses.replace(make_cell("EMPTY"), cycle_data=(CycleRecord(cycle_number=1),
+                                                                   linear_cycle(2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FeatureError, match="^cycle 1: no voltage points for the first-cycle "
+                                                   "voltage statistics$"):
+                soh_cycle_features(cell, 1)
 
 
 def per_cycle_step_block(extractor, cell):

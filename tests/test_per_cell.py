@@ -1,10 +1,10 @@
 """Training takes the corpus one cell at a time.
 
 ``pipeline._label_and_featurize`` labels and featurizes each cell on its own,
-joins its feature and label rows, and drops it before the next. These tests
-hold it to the result of the whole-corpus order (every cell labelled, then
-every kept cell featurized, and one join of each partition), bit for bit,
-also when a cell joins no rows, and check that a corpus read from
+checks that its feature rows are its label rows, and drops it before the
+next. These tests hold it to the result of the whole-corpus order (every
+cell labelled, then every kept cell featurized), bit for bit, refuse a cell
+whose feature rows are not its label rows, and check that a corpus read from
 ``cell_data_path`` is split on the cell IDs of its file headers and read one
 cell file at a time.
 """
@@ -21,12 +21,11 @@ from cellforge import battery_data, pipeline
 from cellforge.battery_data import write_cell
 from cellforge.cli import main
 from cellforge.errors import LabelError, PipelineError, SchemaError, ThresholdNotReached
-from cellforge.features import (BaseFeatureExtractor, FeatureMatrix, RowKeys,
-                                VarianceModelFeatureExtractor)
+from cellforge.features import (BaseFeatureExtractor, FeatureMatrix, RowKeys, SOCStepFeatureExtractor,
+                                SOHCycleFeatureExtractor, VarianceModelFeatureExtractor)
 from cellforge.labels import RULLabelAnnotator, rul_label
 from cellforge.pipeline import (
     PipelineConfig,
-    _align,
     _label_and_featurize,
     _split_cells,
     run_train,
@@ -83,15 +82,17 @@ def whole_corpus_label_and_featurize(config, split, **partitions):
     """The reference order: label every cell of every partition, then
     featurize every kept cell of each partition in one call, each cut at the
     extractor's ``horizon`` and the split's ``observed_cycles``, whichever is
-    fewer. No case here sets the split's ``eol_soh``, so the label section
-    alone builds the annotator."""
+    fewer, as a per-cycle or per-step annotator's cells are; the feature rows
+    of a partition must be its label rows. No case here sets the split's
+    ``eol_soh``, so the label section alone builds the annotator."""
     meta = split.metadata
     assert meta.get("eol_soh") is None
     annotator = LABELS.create(config.label.name, **config.label.params)
     extractor = FEATURES.create(config.feature.name, **config.feature.params)
     cut = min((h for h in (getattr(extractor, "horizon", None), meta.get("observed_cycles"))
                if h is not None), default=None)
-    labelled = {name: annotator.annotate(cells) for name, cells in partitions.items()}
+    head = None if annotator.rows == "cell" else cut
+    labelled = {name: annotator.annotate([c.head(head) for c in cells]) for name, cells in partitions.items()}
     kept = {}
     for name, cells in partitions.items():
         labeled = {cell_id for cell_id, _ in labelled[name][0].row_keys.cell_id}
@@ -101,9 +102,8 @@ def whole_corpus_label_and_featurize(config, split, **partitions):
     out = {}
     for name, (labels, excluded) in labelled.items():
         features = extractor.extract(kept[name])
-        X, y, keys = _align(features, labels)
-        out[name] = (FeatureMatrix(X, keys, features.col_names), y,
-                     [{"cell_id": cid, "reason": reason} for cid, reason in excluded])
+        assert features.row_keys == labels.row_keys
+        out[name] = (features, labels.values, [{"cell_id": cid, "reason": reason} for cid, reason in excluded])
     return out
 
 
@@ -117,6 +117,7 @@ class _CycleCountExtractor:
     row per cell, its first cycle's mean voltage and its number of cycles."""
 
     col_names = ["first_cycle_mean_voltage", "cycles"]
+    rows = "cell"
 
     def extract(self, cells):
         values = [[cell.cycle_data[0].voltage_in_V.mean(), len(cell.cycle_data)] for cell in cells]
@@ -124,26 +125,25 @@ class _CycleCountExtractor:
 
 
 class _BaseCycleCountExtractor(BaseFeatureExtractor):
-    """A ``BaseFeatureExtractor`` subclass that states no ``horizon`` and no
-    ``rows``, so no fixed cycles: one row per cell holding its number of
-    cycles, which a budget cuts where it refuses a fixed extractor."""
+    """A ``BaseFeatureExtractor`` subclass that states no ``horizon``, so it
+    reads every cycle: one row per cell holding its number of cycles."""
 
     col_names = ["cycles"]
+    rows = "cell"
 
     def process_cell(self, cell):
         return np.array([[len(cell.cycle_data)]]), RowKeys([[cell.cell_id, 1]])
 
 
-# with no budget, a subclass of BaseFeatureExtractor that states no horizon; under an
-# observed-cycle budget: a per-cycle extractor past it, a fixed-horizon one within it,
-# a registered one with no horizon, and the subclass with no horizon, which is not fixed
-HORIZONLESS = [({"name": "RULLabelAnnotator"}, {"name": "BaseCycleCountExtractor"}, None)]
+# with no budget, a registered extractor and a subclass of BaseFeatureExtractor that
+# state no horizon; under an observed-cycle budget, a per-cycle extractor past it and a
+# fixed-horizon one within it
+HORIZONLESS = [({"name": "RULLabelAnnotator"}, {"name": "CycleCountExtractor"}, None),
+               ({"name": "RULLabelAnnotator"}, {"name": "BaseCycleCountExtractor"}, None)]
 BUDGETED = [
     ({"name": "SOHLabelAnnotator"}, {"name": "SOHCycleFeatureExtractor", "max_cycle_index": 30}, 20),
     ({"name": "RULLabelAnnotator"},
      {"name": "VoltageCapacityMatrixFeatureExtractor", "interp_dims": 8, "cycles_to_keep": 4}, 30),
-    ({"name": "RULLabelAnnotator"}, {"name": "CycleCountExtractor"}, 20),
-    ({"name": "RULLabelAnnotator"}, {"name": "BaseCycleCountExtractor"}, 20),
 ]
 
 
@@ -176,44 +176,72 @@ def test_per_cell_equals_whole_corpus(corpus, monkeypatch, label, feature, budge
         assert excluded == want_excluded
     if label["name"] == "RULLabelAnnotator":
         assert [e["cell_id"] for name in got for e in got[name][2]] == ["NEVER_TRAIN", "NEVER_TEST"]
-    if budget and feature["name"] in ("CycleCountExtractor", "BaseCycleCountExtractor"):
-        # every cell holds more cycles than the budget
-        assert {row[-1] for name in got for row in got[name][0].values} == {budget}
-    if not budget and feature["name"] == "BaseCycleCountExtractor":  # every cycle of each labelled cell
+    if feature["name"] in ("CycleCountExtractor", "BaseCycleCountExtractor"):  # every cycle of a cell
         lengths = {cell.cell_id: len(cell.cycle_data) for cell in corpus}
-        assert [row[0] for name in got for row in got[name][0].values] == [
+        assert [row[-1] for name in got for row in got[name][0].values] == [
             lengths[cell_id] for name in got for cell_id, _ in got[name][0].row_keys.cell_id]
     if budget and feature["name"] == "SOHCycleFeatureExtractor":  # 31 cycles cut to 20
         assert got["test"][0].row_keys.cell_id == [[cell_id, budget] for cell_id in TEST_IDS]
 
 
 class _SkipsOneCellVarianceExtractor(VarianceModelFeatureExtractor):
-    """The variance feature, with no row for the training cell SYN_0001."""
+    """The variance feature, with no row for the test cell SYN_0005."""
 
     def process_cell(self, cell):
-        if cell.cell_id == "SYN_0001":
+        if cell.cell_id == "SYN_0005":
             return np.empty((0, 1)), RowKeys([])
         return super().process_cell(cell)
 
 
-def test_a_cell_without_feature_rows_drops_out_of_the_join(corpus, tmp_path, monkeypatch):
-    # registered for this test alone, so the registry-wide tests do not walk it
-    monkeypatch.setitem(FEATURES._factories, "SkipsOneCellVarianceExtractor",
-                        _SkipsOneCellVarianceExtractor)
-    config = make_config({"name": "RULLabelAnnotator"},
-                         {"name": "SkipsOneCellVarianceExtractor", "interp_dims": 16})
-    parsed = PipelineConfig.from_dict(config)
-    split, train, test = _split_cells(parsed, corpus)
-    got = _label_and_featurize(parsed, split, training=train, test=test)
-    split, train, test = _split_cells(parsed, corpus)
-    want = whole_corpus_label_and_featurize(parsed, split, training=train, test=test)
-    for name in ("training", "test"):
-        assert_bit_identical(got[name][0].values, want[name][0].values)
-        assert got[name][0].row_keys == want[name][0].row_keys
-        assert_bit_identical(got[name][1], want[name][1])
-    assert got["training"][0].row_keys.cell_id == [["SYN_0000", 1], ["SYN_0002", 1], ["SYN_0003", 1]]
-    ckpt = run_train(config, workspace=tmp_path, cells=corpus)
-    assert [run[0] for run in ckpt.report["predictions"]["cell_id"]] == ["SYN_0004", "SYN_0005"]
+class _DropsLastRowOfOneCell:
+    """An extractor's features, with no row for the last cycle or step of SYN_0005."""
+
+    def process_cell(self, cell):
+        values, keys = super().process_cell(cell)
+        if cell.cell_id == "SYN_0005":
+            n = len(values) - 1
+            return values[:n], RowKeys([[cell.cell_id, n]], keys.cycle[:n],
+                                       None if keys.step is None else keys.step[:n])
+        return values, keys
+
+
+class _DropsOneCycleSOHExtractor(_DropsLastRowOfOneCell, SOHCycleFeatureExtractor):
+    pass
+
+
+class _DropsOneStepSOCExtractor(_DropsLastRowOfOneCell, SOCStepFeatureExtractor):
+    pass
+
+
+class _ReversesOneCellSOHExtractor(SOHCycleFeatureExtractor):
+    """The per-cycle SOH features, with the rows of SYN_0005 in falling cycle order."""
+
+    def process_cell(self, cell):
+        values, keys = super().process_cell(cell)
+        if cell.cell_id == "SYN_0005":
+            return values[::-1], RowKeys(keys.cell_id, keys.cycle[::-1])
+        return values, keys
+
+
+@pytest.mark.parametrize("extractor, label, params, rows", [
+    (_SkipsOneCellVarianceExtractor, "RULLabelAnnotator", {"interp_dims": 16}, (0, 1)),
+    (_DropsOneCycleSOHExtractor, "SOHLabelAnnotator", {"max_cycle_index": 30}, (30, 31)),
+    (_ReversesOneCellSOHExtractor, "SOHLabelAnnotator", {"max_cycle_index": 30}, (31, 31)),
+    (_DropsOneStepSOCExtractor, "SOCLabelAnnotator", {"n_qdlin": 4, "max_cycle_index": 2}, (47, 48)),
+], ids=["no-rows", "some-cycles", "cycles-reordered", "some-steps"])
+def test_a_cell_whose_feature_rows_are_not_its_label_rows_is_refused(corpus, tmp_path, monkeypatch, capsys,
+                                                                    extractor, label, params, rows):
+    # a test cell left out of the join trained a checkpoint that evaluation refused, as
+    # split.json listed a test cell that report.json neither scored nor excluded
+    monkeypatch.setitem(FEATURES._factories, "Extractor", extractor)
+    config = {**written_corpus(corpus, tmp_path / "cells"), "label": {"name": label},
+              "feature": {"name": "Extractor", **params}}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(config_path), "--workspace", str(tmp_path / "ws")]) == 1
+    assert capsys.readouterr().err == (f"error: SYN_0005: the {rows[0]} feature rows of Extractor are not "
+                                       f"the {rows[1]} label rows of {label}, key for key\n")
+    assert not (tmp_path / "ws").exists()
 
 
 def test_checkpoint_files_equal_the_whole_corpus_order(corpus, tmp_path, monkeypatch):
